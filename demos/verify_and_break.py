@@ -8,8 +8,7 @@ breaks the Gauss identity and the modular-group cube relation while leaving
 the matrix perfectly symmetric: symmetry alone proves nothing.
 """
 
-from pointedcat import ModularData, check_gram, from_lattice, root_of_unity
-from pointedcat.cli import verify_all
+from pointedcat import ModularData, check_gram, from_lattice, root_of_unity, verify_all
 
 semion = from_lattice(check_gram([[2]]))
 print("-- constructed semion --")

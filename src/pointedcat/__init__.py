@@ -5,7 +5,7 @@ with zero numerical tolerance, compute fusion rules and colored framed-link
 invariants, and classify small-rank pointed data up to relabeling.
 """
 
-from .cyclo import Cyclotomic, Rational, root_of_unity
+from .cyclo import Cyclotomic, root_of_unity
 from .enumeration import (
     ClassificationResult,
     CorpusSpec,
@@ -53,12 +53,12 @@ from .moddata import (
     dual_permutation,
     framed_link,
     from_lattice,
-    fusion_matrix,
     fusion_probabilities,
     gauss_data,
     quantum_dimensions,
+    verify_all,
     verlinde_fusion,
 )
-from .serialization import Document, parse, parse_gram_text, serialize, sniff_document
+from .serialization import Document, parse, parse_gram_text, serialize
 
 __version__ = "0.1.0"

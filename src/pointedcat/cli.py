@@ -12,18 +12,16 @@ import sys
 from . import cyclo
 from .enumeration import CorpusSpec, classify, format_classification, generate_gram_matrices
 from .errors import PointedCatError
+from .lattice import format_gram
 from .moddata import (
     ModularData,
-    RelationCheck,
-    RelationReport,
-    check_modular_relations,
-    check_unitarity,
     colored_link_invariant,
     framed_link,
     from_lattice,
     fusion_probabilities,
     gauss_data,
     quantum_dimensions,
+    verify_all,
     verlinde_fusion,
 )
 from .serialization import (
@@ -33,21 +31,6 @@ from .serialization import (
     parse_int_matrix_text,
     serialize,
 )
-
-
-def verify_all(md: ModularData) -> RelationReport:
-    """Gauss identity, unitarity, fusion integrality, then the group relations."""
-    checks = [
-        RelationCheck("gauss_identity", gauss_data(md).identity_holds, "p+ p- = D^2"),
-        RelationCheck("unitarity", check_unitarity(md), "S~ conj(S~)^t = D^2 I"),
-    ]
-    try:
-        verlinde_fusion(md)
-        checks.append(RelationCheck(
-            "verlinde_integral", True, "all N(i,j)^k are non-negative integers"))
-    except (PointedCatError, ZeroDivisionError) as exc:
-        checks.append(RelationCheck("verlinde_integral", False, str(exc)))
-    return RelationReport(tuple(checks) + check_modular_relations(md).checks)
 
 
 def _read(path: str) -> str:
@@ -136,10 +119,7 @@ def _cmd_show(args) -> int:
     for row in md.s_tilde:
         sys.stdout.write("  " + ", ".join(render(x) for x in row) + "\n")
     if md.provenance is not None:
-        rows = "; ".join(
-            " ".join(str(x) for x in row) for row in md.provenance.gram.entries
-        )
-        sys.stdout.write(f"built from: [{rows}]\n")
+        sys.stdout.write(f"built from: [{format_gram(md.provenance.gram)}]\n")
     return 0
 
 

@@ -19,8 +19,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm, tau
 
-Rational = Fraction  # exact rationals; stdlib Fraction already enforces reduced form
-
 
 def _totient(n: int) -> int:
     result = n
@@ -163,9 +161,6 @@ class Cyclotomic:
 
     def is_rational_integer(self) -> bool:
         return self.is_rational() and Fraction(self._coeffs[0]).denominator == 1
-
-    def is_root_of_unity(self) -> bool:
-        return self.root_exponent() is not None
 
     def root_exponent(self) -> Fraction | None:
         """Exponent q in [0,1) with self == e(q), or None if not a root of unity.

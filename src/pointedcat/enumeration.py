@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import Singular
-from .lattice import GramMatrix, check_gram
+from .lattice import GramMatrix, check_gram, format_gram
 from .moddata import canonical_form, from_lattice
 
 
@@ -106,10 +106,6 @@ def classify(corpus, max_rank: int = 8) -> ClassificationResult:
     ))
 
 
-def format_matrix(gram: GramMatrix) -> str:
-    return "; ".join(" ".join(str(x) for x in row) for row in gram.entries)
-
-
 def format_classification(result: ClassificationResult) -> str:
     """Plain-text classification table: rank, class count, witnesses, twists."""
     lines = ["rank  classes"]
@@ -117,5 +113,5 @@ def format_classification(result: ClassificationResult) -> str:
         lines.append(f"{rank:<5} {len(classes)}")
         for idx, cls in enumerate(classes, start=1):
             twists = ",".join(cls.twist_multiset)
-            lines.append(f"    class {idx}: twists {twists}  witness [{format_matrix(cls.witness)}]")
+            lines.append(f"    class {idx}: twists {twists}  witness [{format_gram(cls.witness)}]")
     return "\n".join(lines) + "\n"

@@ -37,6 +37,11 @@ class GramMatrix:
         )
 
 
+def format_gram(gram: GramMatrix) -> str:
+    """One-line form: entries joined by spaces, rows by '; '."""
+    return "; ".join(" ".join(str(x) for x in row) for row in gram.entries)
+
+
 def _det_bareiss(rows: list[list[int]]) -> int:
     # Fraction-free Gaussian elimination; exact for arbitrary integer size.
     a = [list(r) for r in rows]
@@ -186,19 +191,9 @@ class DiscriminantGroup:
     def _index(self) -> dict[Vector, int]:
         return {v: i for i, v in enumerate(self.representatives)}
 
-    def index_of(self, v) -> int:
-        key = tuple(Fraction(x) % 1 for x in v)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise NotInDiscriminantGroup(f"{v} is not a class representative") from None
-
     def add(self, i: int, j: int) -> int:
         v, w = self.representatives[i], self.representatives[j]
         return self._index[tuple((a + b) % 1 for a, b in zip(v, w))]
-
-    def negate(self, i: int) -> int:
-        return self._index[tuple((-a) % 1 for a in self.representatives[i])]
 
 
 def discriminant_group(gram: GramMatrix) -> DiscriminantGroup:

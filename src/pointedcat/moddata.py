@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import cyclo
 from .cyclo import Cyclotomic, dot, root_of_unity, sum_values
@@ -20,6 +21,7 @@ from .errors import (
     NonIntegralFusion,
     NotModular,
     NotProbabilistic,
+    PointedCatError,
     RankTooLarge,
     ValidationError,
 )
@@ -27,7 +29,6 @@ from .lattice import (
     DiscriminantGroup,
     GramMatrix,
     bilinear_mod1,
-    direct_sum,
     discriminant_group,
     quadratic_mod2,
 )
@@ -36,9 +37,9 @@ __all__ = [
     "ModularData", "FusionTensor", "FramedLink", "GaussData",
     "RelationCheck", "RelationReport", "LatticeProvenance",
     "from_lattice", "quantum_dimensions", "gauss_data", "verlinde_fusion",
-    "fusion_matrix", "fusion_probabilities", "dual_permutation",
-    "check_modular_relations", "check_unitarity", "framed_link",
-    "colored_link_invariant", "canonical_form", "direct_sum",
+    "fusion_probabilities", "dual_permutation", "check_modular_relations",
+    "check_unitarity", "verify_all", "framed_link", "colored_link_invariant",
+    "canonical_form",
 ]
 
 Label = int  # labels are plain indices; 0 is always the tensor unit
@@ -57,6 +58,7 @@ class ModularData:
     Row 0 of the matrix lists the quantum dimensions. Construction checks the
     cheap invariants (shape, symmetry, unit entries, twists are roots of
     unity); nondegeneracy is established by the verification operations.
+    Values shared by several checks are computed once per instance.
     """
 
     rank: int
@@ -83,6 +85,24 @@ class ModularData:
                 raise ValidationError(f"twist {i} is not a root of unity")
         if self.label_names is not None and len(self.label_names) != self.rank:
             raise ValidationError("label_names length does not match rank")
+
+    @cached_property
+    def _gauss(self) -> GaussData:
+        squares = [d * d for d in quantum_dimensions(self)]
+        d_squared = sum_values(squares)
+        p_plus = sum_values(t * s for t, s in zip(self.twists, squares))
+        # twists are roots of unity, so conjugation is inversion
+        p_minus = sum_values(t.conjugate() * s for t, s in zip(self.twists, squares))
+        identity = (p_plus * p_minus - d_squared).is_zero()
+        return GaussData(d_squared, p_plus, p_minus, identity)
+
+    @cached_property
+    def _conj_rows(self) -> tuple[tuple[Cyclotomic, ...], ...]:
+        return tuple(tuple(x.conjugate() for x in row) for row in self.s_tilde)
+
+    @cached_property
+    def _square(self) -> tuple[tuple[Cyclotomic, ...], ...]:
+        return _matrix_square(self)
 
 
 def from_lattice(gram: GramMatrix) -> ModularData:
@@ -129,14 +149,7 @@ class GaussData:
 def gauss_data(md: ModularData) -> GaussData:
     """Global dimension D^2 = sum d_i^2, Gauss sums p+- = sum theta_i^{+-1} d_i^2,
     and the exact check p+ * p- == D^2."""
-    dims = quantum_dimensions(md)
-    squares = [d * d for d in dims]
-    d_squared = sum_values(squares)
-    p_plus = sum_values(t * s for t, s in zip(md.twists, squares))
-    # twists are roots of unity, so conjugation is inversion
-    p_minus = sum_values(t.conjugate() * s for t, s in zip(md.twists, squares))
-    identity = (p_plus * p_minus - d_squared).is_zero()
-    return GaussData(d_squared, p_plus, p_minus, identity)
+    return md._gauss
 
 
 @dataclass(frozen=True)
@@ -167,15 +180,14 @@ def verlinde_fusion(md: ModularData) -> FusionTensor:
     dims = quantum_dimensions(md)
     if any(d.is_zero() for d in dims):
         raise ValidationError("zero quantum dimension")
-    gauss = gauss_data(md)
-    if gauss.d_squared.is_zero():
+    d_squared = md._gauss.d_squared
+    if d_squared.is_zero():
         raise NotModular("global dimension is zero")
-    inv_d2 = gauss.d_squared.inverse()
+    inv_d2 = d_squared.inverse()
     inv_dims = [d.inverse() for d in dims]
     # conj(S~_{ka})/d_a, precomputed per (k, a)
     weighted = [
-        tuple(s[k][a].conjugate() * inv_dims[a] for a in range(rank))
-        for k in range(rank)
+        tuple(x * inv_d for x, inv_d in zip(row, inv_dims)) for row in md._conj_rows
     ]
     table = [[None] * rank for _ in range(rank)]
     for i in range(rank):
@@ -192,12 +204,6 @@ def verlinde_fusion(md: ModularData) -> FusionTensor:
             table[i][j] = tuple(entries)
             table[j][i] = tuple(entries)
     return FusionTensor(tuple(tuple(row) for row in table))
-
-
-def fusion_matrix(ft: FusionTensor, i: Label) -> tuple[tuple[int, ...], ...]:
-    """The matrix N_i with (N_i)_{j,k} = N_{i,j}^k."""
-    rank = ft.rank
-    return tuple(tuple(ft[i, j, k] for k in range(rank)) for j in range(rank))
 
 
 def fusion_probabilities(
@@ -228,10 +234,10 @@ def fusion_probabilities(
     return tuple(outcomes)
 
 
-def _matrix_square(md: ModularData) -> list[list[Cyclotomic]]:
+def _matrix_square(md: ModularData) -> tuple[tuple[Cyclotomic, ...], ...]:
     rank = md.rank
     s = md.s_tilde
-    return [[dot(s[i], s[j]) for j in range(rank)] for i in range(rank)]
+    return tuple(tuple(dot(s[i], s[j]) for j in range(rank)) for i in range(rank))
 
 
 def _conjugation_from_square(square, d_squared) -> tuple[int, ...]:
@@ -255,15 +261,15 @@ def dual_permutation(md: ModularData) -> tuple[int, ...]:
     Raises NotModular unless S~^2 / D^2 is a permutation matrix fixing 0 with
     C^2 = identity.
     """
-    return _conjugation_from_square(_matrix_square(md), gauss_data(md).d_squared)
+    return _conjugation_from_square(md._square, md._gauss.d_squared)
 
 
 def check_unitarity(md: ModularData) -> bool:
     """Exact check of S~ * conj(S~)^t = D^2 * I."""
     rank = md.rank
     s = md.s_tilde
-    conj_rows = [tuple(x.conjugate() for x in row) for row in s]
-    d_squared = gauss_data(md).d_squared
+    conj_rows = md._conj_rows
+    d_squared = md._gauss.d_squared
     for i in range(rank):
         for j in range(i, rank):
             value = dot(s[i], conj_rows[j])
@@ -315,11 +321,10 @@ def check_modular_relations(md: ModularData) -> RelationReport:
     )
     checks.append(RelationCheck("s_symmetric", symmetric, "S~ = S~^t"))
 
-    gauss = gauss_data(md)
-    square = _matrix_square(md)
+    gauss = md._gauss
 
     try:
-        perm = _conjugation_from_square(square, gauss.d_squared)
+        perm = _conjugation_from_square(md._square, gauss.d_squared)
         checks.append(RelationCheck(
             "charge_conjugation", True, "S~^2 = D^2 C with C a permutation"))
         checks.append(RelationCheck(
@@ -343,6 +348,21 @@ def check_modular_relations(md: ModularData) -> RelationReport:
     checks.append(RelationCheck("st_cubed", cubed_ok, "(S~ T)^3 = p+ D^2 I"))
 
     return RelationReport(tuple(checks))
+
+
+def verify_all(md: ModularData) -> RelationReport:
+    """Gauss identity, unitarity, fusion integrality, then the group relations."""
+    checks = [
+        RelationCheck("gauss_identity", gauss_data(md).identity_holds, "p+ p- = D^2"),
+        RelationCheck("unitarity", check_unitarity(md), "S~ conj(S~)^t = D^2 I"),
+    ]
+    try:
+        verlinde_fusion(md)
+        checks.append(RelationCheck(
+            "verlinde_integral", True, "all N(i,j)^k are non-negative integers"))
+    except (PointedCatError, ZeroDivisionError) as exc:
+        checks.append(RelationCheck("verlinde_integral", False, str(exc)))
+    return RelationReport(tuple(checks) + check_modular_relations(md).checks)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Bit-exact document serialization.
 
-Four document kinds are supported:
+Three document kinds are supported:
 
 * ``gram_matrix`` - plain text, one row per line, space-separated integers;
   blank lines and lines starting with ``#`` are ignored. (No ``kind:`` header,
@@ -8,8 +8,8 @@ Four document kinds are supported:
 * ``modular_data`` - ``key: value`` lines with a ``kind:`` header. Matrix
   values use ``,`` between entries and ``;`` between rows; cyclotomic values
   use the ``e(a/b)`` grammar from the cyclo module.
-* ``link`` - ``kind:`` header plus a linking matrix and a color list.
-* ``report`` - ``kind:`` header plus one ``check:`` line per verified relation.
+* ``report`` - output only: ``kind:`` header plus one ``check:`` line per
+  verified relation and a closing ``result:`` line.
 
 Serialization is deterministic (fixed key order, canonical value text), so
 repeated runs produce byte-identical documents. Derived quantities are never
@@ -23,14 +23,8 @@ from dataclasses import dataclass
 
 from . import cyclo
 from .errors import ParseError, PointedCatError, ValidationError
-from .lattice import GramMatrix, check_gram, discriminant_group
-from .moddata import (
-    FramedLink,
-    LatticeProvenance,
-    ModularData,
-    RelationCheck,
-    RelationReport,
-)
+from .lattice import GramMatrix, check_gram, discriminant_group, format_gram
+from .moddata import LatticeProvenance, ModularData, RelationReport
 
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_+-")
 
@@ -42,10 +36,6 @@ class Document:
 
 
 # -- serialization -----------------------------------------------------------
-
-def _matrix_line(rows) -> str:
-    return "; ".join(" ".join(str(x) for x in row) for row in rows)
-
 
 def serialize(value) -> Document:
     """Deterministic document for any in-scope value."""
@@ -61,15 +51,8 @@ def serialize(value) -> Document:
         ))
         lines.append("twists: " + ", ".join(cyclo.format_root(t) for t in value.twists))
         if value.provenance is not None:
-            lines.append("provenance: " + _matrix_line(value.provenance.gram.entries))
+            lines.append("provenance: " + format_gram(value.provenance.gram))
         return Document("modular_data", "\n".join(lines) + "\n")
-    if isinstance(value, FramedLink):
-        lines = [
-            "kind: link",
-            "linking: " + _matrix_line(value.linking),
-            "colors: " + ", ".join(str(c) for c in value.colors),
-        ]
-        return Document("link", "\n".join(lines) + "\n")
     if isinstance(value, RelationReport):
         lines = ["kind: report"]
         for check in value.checks:
@@ -84,31 +67,15 @@ def serialize(value) -> Document:
 # -- parsing -----------------------------------------------------------------
 
 def parse(doc: Document):
-    """Exact inverse of serialize. Raises ParseError or ValidationError."""
+    """Exact inverse of serialize on matrix and data documents.
+
+    Raises ParseError or ValidationError.
+    """
     if doc.kind == "gram_matrix":
         return parse_gram_text(doc.body)
     if doc.kind == "modular_data":
         return _parse_modular_data(doc.body)
-    if doc.kind == "link":
-        return _parse_link(doc.body)
-    if doc.kind == "report":
-        return _parse_report(doc.body)
     raise ParseError(f"unknown document kind {doc.kind!r}")
-
-
-def sniff_document(text: str) -> Document:
-    """Wrap raw text in a Document, reading the kind from its header line.
-
-    Text without a ``kind:`` header is treated as a bare matrix file.
-    """
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.startswith("kind:"):
-            return Document(stripped[len("kind:"):].strip(), text)
-        break
-    return Document("gram_matrix", text)
 
 
 def parse_int_matrix_text(text: str) -> tuple[tuple[int, ...], ...]:
@@ -237,42 +204,3 @@ def _parse_modular_data(body: str) -> ModularData:
         provenance=provenance,
         label_names=fields.get("labels"),
     )
-
-
-def _parse_link(body: str) -> FramedLink:
-    fields: dict[str, object] = {}
-    for key, value, lineno, col in _key_value_lines(body, "link", ("linking", "colors")):
-        if key == "linking":
-            fields["linking"] = _parse_inline_matrix(value, lineno, col)
-        else:
-            try:
-                fields["colors"] = tuple(
-                    int(chunk) for chunk, _ in _split_tracking(value, ",", col)
-                )
-            except ValueError:
-                raise ParseError("colors must be integers", lineno, col) from None
-    for required in ("linking", "colors"):
-        if required not in fields:
-            raise ParseError(f"missing required key {required!r}")
-    return FramedLink(fields["linking"], fields["colors"])
-
-
-def _parse_report(body: str) -> RelationReport:
-    checks = []
-    result_seen = None
-    for key, value, lineno, col in _key_value_lines(body, "report", ("check", "result")):
-        if key == "result":
-            result_seen = value
-            continue
-        head, _, detail = value.partition(": ")
-        parts = head.split()
-        if len(parts) != 2 or parts[1] not in ("pass", "fail"):
-            raise ParseError("expected 'check: <name> pass|fail[: detail]'", lineno, col)
-        checks.append(RelationCheck(parts[0], parts[1] == "pass", detail))
-    if result_seen is None:
-        raise ParseError("missing required key 'result'")
-    report = RelationReport(tuple(checks))
-    expected = "pass" if report.passed else "fail"
-    if result_seen != expected:
-        raise ValidationError(f"result line says {result_seen!r} but checks say {expected!r}")
-    return report

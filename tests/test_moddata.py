@@ -16,13 +16,14 @@ from pointedcat import (
     direct_sum,
     dual_permutation,
     from_lattice,
-    fusion_matrix,
     fusion_probabilities,
     gauss_data,
     quantum_dimensions,
     root_of_unity,
+    verify_all,
     verlinde_fusion,
 )
+from pointedcat import moddata
 from pointedcat.cyclo import Cyclotomic, dot
 
 ONE = Cyclotomic.one()
@@ -134,7 +135,7 @@ class TestVerlindeFusion:
 
     def test_commutativity_invariant(self, toric):
         ft = verlinde_fusion(toric)
-        mats = [fusion_matrix(ft, i) for i in range(toric.rank)]
+        mats = [ft.multiplicities[i] for i in range(toric.rank)]
 
         def matmul(a, b):
             n = len(a)
@@ -159,20 +160,20 @@ class TestVerlindeFusion:
 class TestFusionMatrices:
     def test_unit_matrix(self, z3):
         ft = verlinde_fusion(z3)
-        assert fusion_matrix(ft, 0) == tuple(
+        assert ft.multiplicities[0] == tuple(
             tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
 
     def test_semion_regular_representation(self, semion):
         ft = verlinde_fusion(semion)
-        assert fusion_matrix(ft, 1) == ((0, 1), (1, 0))
+        assert ft.multiplicities[1] == ((0, 1), (1, 0))
 
     def test_unit_appears_in_self_dual_product(self, corpus3_data):
         for _, md in corpus3_data[:20]:
             ft = verlinde_fusion(md)
             conj = dual_permutation(md)
             for i in range(md.rank):
-                ni = fusion_matrix(ft, i)
-                nc = fusion_matrix(ft, conj[i])
+                ni = ft.multiplicities[i]
+                nc = ft.multiplicities[conj[i]]
                 n = md.rank
                 product = [[sum(ni[r][t] * nc[t][c] for t in range(n))
                             for c in range(n)] for r in range(n)]
@@ -348,3 +349,25 @@ class TestCanonicalForm:
         with pytest.raises(RankTooLarge):
             canonical_form(big, max_rank=8)
         canonical_form(big, max_rank=9)
+
+
+class TestVerifyAll:
+    def test_shared_values_computed_once(self, monkeypatch):
+        # Gauss data costs three sums and S~^2 one matrix product, however
+        # many checks read them.
+        calls = {"sum_values": 0, "_matrix_square": 0}
+
+        def counting(name):
+            original = getattr(moddata, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(moddata, name, counting(name))
+        md = from_lattice(check_gram([[2, 1], [1, 2]]))
+        assert verify_all(md).passed
+        assert calls == {"sum_values": 3, "_matrix_square": 1}

@@ -6,13 +6,11 @@ from pointedcat import (
     ParseError,
     ValidationError,
     check_gram,
-    framed_link,
     parse,
     root_of_unity,
     serialize,
-    sniff_document,
+    verify_all,
 )
-from pointedcat.cli import verify_all
 
 SEMION_DOC = """kind: modular_data
 rank: 2
@@ -38,12 +36,6 @@ class TestGramDocuments:
         with pytest.raises(ParseError) as info:
             parse(Document("gram_matrix", "2 x\nx 2\n"))
         assert info.value.line == 1
-
-    def test_sniff_defaults_to_matrix(self):
-        doc = sniff_document("0 1\n1 0\n")
-        assert doc.kind == "gram_matrix"
-        doc = sniff_document(SEMION_DOC)
-        assert doc.kind == "modular_data"
 
 
 class TestModularDataDocuments:
@@ -109,39 +101,44 @@ class TestModularDataDocuments:
             parse(Document("modular_data", bad))
 
 
-class TestLinkDocuments:
-    def test_round_trip(self):
-        link = framed_link([[1, 2], [2, -1]], [0, 3])
-        doc = serialize(link)
-        assert doc.kind == "link"
-        assert parse(doc) == link
+class TestReportGolden:
+    """Report text of the verify pipeline, byte for byte."""
 
-    def test_golden(self):
-        link = framed_link([[0, 1], [1, 0]], [1, 1])
-        assert serialize(link).body == (
-            "kind: link\nlinking: 0 1; 1 0\ncolors: 1, 1\n")
-
-
-class TestReportDocuments:
-    def test_round_trip(self, semion):
-        report = verify_all(semion)
-        doc = serialize(report)
+    def test_semion_passes(self, semion):
+        doc = serialize(verify_all(semion))
         assert doc.kind == "report"
-        assert parse(doc) == report
+        assert doc.body == (
+            "kind: report\n"
+            "check: gauss_identity pass: p+ p- = D^2\n"
+            "check: unitarity pass: S~ conj(S~)^t = D^2 I\n"
+            "check: verlinde_integral pass: all N(i,j)^k are non-negative integers\n"
+            "check: twists_unit pass: twist of the unit is 1\n"
+            "check: s_symmetric pass: S~ = S~^t\n"
+            "check: charge_conjugation pass: S~^2 = D^2 C with C a permutation\n"
+            "check: conjugation_involution pass: C^2 = I\n"
+            "check: st_cubed pass: (S~ T)^3 = p+ D^2 I\n"
+            "result: pass\n"
+        )
 
-    def test_result_line_consistency_checked(self):
-        bad = "kind: report\ncheck: gauss_identity pass\nresult: fail\n"
-        with pytest.raises(ValidationError):
-            parse(Document("report", bad))
-
-    def test_failing_report_round_trip(self, semion):
+    def test_corrupted_semion_fails_gauss_and_cube(self, semion):
         corrupted = ModularData(rank=2, s_tilde=semion.s_tilde,
                                 twists=(root_of_unity(0), root_of_unity(0)))
-        report = verify_all(corrupted)
-        assert not report.passed
-        doc = serialize(report)
-        assert "result: fail" in doc.body
-        assert parse(doc) == report
+        assert serialize(verify_all(corrupted)).body == (
+            "kind: report\n"
+            "check: gauss_identity fail: p+ p- = D^2\n"
+            "check: unitarity pass: S~ conj(S~)^t = D^2 I\n"
+            "check: verlinde_integral pass: all N(i,j)^k are non-negative integers\n"
+            "check: twists_unit pass: twist of the unit is 1\n"
+            "check: s_symmetric pass: S~ = S~^t\n"
+            "check: charge_conjugation pass: S~^2 = D^2 C with C a permutation\n"
+            "check: conjugation_involution pass: C^2 = I\n"
+            "check: st_cubed fail: (S~ T)^3 = p+ D^2 I\n"
+            "result: fail\n"
+        )
+
+    def test_report_kind_not_parsed(self, semion):
+        with pytest.raises(ParseError):
+            parse(serialize(verify_all(semion)))
 
 
 class TestDeterminism:
