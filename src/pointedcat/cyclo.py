@@ -15,9 +15,11 @@ to the true minimal conductor so the textual form is canonical per value.
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, tau
+from operator import sub
 
 
 def _totient(n: int) -> int:
@@ -86,9 +88,9 @@ def _reduction_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 def _reduce_raw(n: int, raw: list) -> tuple:
-    """Reduce a raw coefficient list of length n modulo Phi_n (in place)."""
+    """Reduce a raw coefficient list of length at most n modulo Phi_n (in place)."""
     deg, tail = _reduction_tail(n)
-    for k in range(n - 1, deg - 1, -1):
+    for k in range(len(raw) - 1, deg - 1, -1):
         c = raw[k]
         if c:
             raw[k] = 0
@@ -485,11 +487,31 @@ def sum_values(values) -> Cyclotomic:
     return Cyclotomic(n, _reduce_raw(n, raw))
 
 
+def exponent_sum(n: int, exponents) -> Cyclotomic:
+    """Exact sum of e(k/n) over an iterable of integer exponents k.
+
+    The exponents are counted mod n and the histogram is reduced once modulo
+    Phi_n. The p-th roots of unity sum to zero for the least prime p dividing
+    n, so the top 1/p of the histogram first folds onto the rest.
+    """
+    counts = [0] * n
+    for k, c in Counter(map(n.__rmod__, exponents)).items():
+        counts[k] = c
+    if n == 1:
+        return Cyclotomic.from_rational(counts[0])
+    step = n // _prime_divisors(n)[0]
+    top = n - step
+    raw = []
+    for start in range(0, top, step):
+        raw.extend(map(sub, counts[start:start + step], counts[top:]))
+    return Cyclotomic(n, _reduce_raw(n, raw))
+
+
 def dot(xs, ys) -> Cyclotomic:
     """Exact inner product sum_i xs[i]*ys[i] with one reduction at the end.
 
-    Products of tagged roots of unity stay in exponent arithmetic, which is
-    what makes rank-cubed matrix checks affordable at corpus scale.
+    Products of tagged roots of unity add their Fraction exponents. Data whose
+    entries are all roots of unity is verified with exponent_sum instead.
     """
     terms = []
     n = 1

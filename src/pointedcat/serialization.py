@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import cyclo
 from .errors import ParseError, PointedCatError, ValidationError
-from .lattice import GramMatrix, check_gram, discriminant_group, format_gram
+from .lattice import GramMatrix, check_gram, discriminant_group, format_gram, quadratic_mod2
 from .moddata import LatticeProvenance, ModularData, RelationReport
 
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_+-")
@@ -197,10 +197,22 @@ def _parse_modular_data(body: str) -> ModularData:
         except (PointedCatError, ValueError) as exc:
             raise ValidationError(f"invalid provenance matrix: {exc}") from None
         provenance = LatticeProvenance(gram, discriminant_group(gram))
-    return ModularData(
+    md = ModularData(
         rank=fields["rank"],
         s_tilde=fields["s_tilde"],
         twists=fields["twists"],
         provenance=provenance,
         label_names=fields.get("labels"),
     )
+    if provenance is None:
+        return md
+    # The rank and the twists must be those the provenance lattice implies.
+    group = provenance.group
+    if group.order != md.rank:
+        raise ValidationError(f"provenance has |det B| = {group.order}, but rank is {md.rank}")
+    for i, (twist, v) in enumerate(zip(md.twists, group.representatives)):
+        implied = cyclo.root_of_unity(quadratic_mod2(provenance.gram, v) / 2)
+        if twist != implied:
+            raise ValidationError(f"twist {i} is {cyclo.format_root(twist)}, "
+                                  f"but provenance gives {cyclo.format_root(implied)}")
+    return md

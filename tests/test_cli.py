@@ -50,6 +50,18 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "result: pass" in out
 
+    @pytest.mark.parametrize("body", [
+        CORRUPT_SEMION.replace("e(0/1)\n", "e(3/4)\nprovenance: 2\n"),
+        "kind: modular_data\nrank: 1\ns_tilde: 1\ntwists: e(0/1)\nprovenance: 2\n",
+    ])
+    def test_contradictory_provenance_rejected(self, tmp_path, capsys, body):
+        path = tmp_path / "contradiction.data"
+        path.write_text(body)
+        assert main(["verify", "--data", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "provenance" in captured.err
+
     def test_corrupted_fails_and_names_relation(self, tmp_path, capsys):
         path = tmp_path / "corrupt.data"
         path.write_text(CORRUPT_SEMION)

@@ -95,6 +95,23 @@ class TestModularDataDocuments:
         with pytest.raises(ValidationError):
             parse(Document("modular_data", bad))
 
+    def test_provenance_rank_contradiction(self):
+        # |det B| = 2 for a rank-1 document
+        bad = "kind: modular_data\nrank: 1\ns_tilde: 1\ntwists: e(0/1)\nprovenance: 2\n"
+        with pytest.raises(ValidationError, match="rank"):
+            parse(Document("modular_data", bad))
+
+    def test_provenance_twist_contradiction(self):
+        # anti-semion twists under the semion lattice, which implies e(1/4)
+        bad = SEMION_DOC.replace("e(1/4)", "e(3/4)")
+        with pytest.raises(ValidationError) as info:
+            parse(Document("modular_data", bad))
+        assert str(info.value) == "twist 1 is e(3/4), but provenance gives e(1/4)"
+
+    def test_provenance_checked_on_corpus_documents(self, corpus3_data):
+        for _, md in corpus3_data[::5]:
+            assert parse(serialize(md)) == md
+
     def test_rank_mismatch(self):
         bad = SEMION_DOC.replace("rank: 2", "rank: 3")
         with pytest.raises(ValidationError):
