@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
+from operator import mul
 
 from .errors import NotInDiscriminantGroup, NotSymmetric, OddDiagonal, Singular
 
@@ -199,15 +200,13 @@ class DiscriminantGroup:
 def discriminant_group(gram: GramMatrix) -> DiscriminantGroup:
     """Enumerate all |det B| classes of B^{-1}Z^n / Z^n via the Smith form."""
     snf = smith_normal_form(gram)
-    n = gram.n
+    # Class combo is V * (combo_j / d_j)_j mod 1; over the exponent e = d_n
+    # (every d_j divides it) each coordinate is one integer numerator.
+    e = snf.diag[-1]
+    steps = [[x * (e // d) for x, d in zip(row, snf.diag)] for row in snf.v]
     reps = set()
     for combo in itertools.product(*(range(d) for d in snf.diag)):
-        vec = tuple(
-            sum((Fraction(snf.v[i][j] * combo[j], snf.diag[j]) for j in range(n)),
-                Fraction(0)) % 1
-            for i in range(n)
-        )
-        reps.add(vec)
+        reps.add(tuple(Fraction(sum(map(mul, row, combo)) % e, e) for row in steps))
     order = prod(snf.diag)
     assert len(reps) == order == abs(gram.determinant)
     return DiscriminantGroup(
@@ -235,3 +234,26 @@ def quadratic_mod2(gram: GramMatrix, v) -> Fraction:
     """v^t B v reduced mod 2; well-defined because B is even and B*v integral."""
     bv = _integral_image(gram, v)
     return sum((Fraction(a) * b for a, b in zip(v, bv)), Fraction(0)) % 2
+
+
+def pairing_exponents(gram: GramMatrix, group: DiscriminantGroup):
+    """Both forms on every pair of representatives, as integers over the
+    exponent n of the group (its last invariant factor).
+
+    Returns (n, s, t) with <v_i, v_j> = s[i][j]/n mod 1 and
+    v_i^t B v_i / 2 = t[i]/(2n) mod 1. Since n*v_i = u_i and B*v_j are
+    integral, n <v_i, v_j> = u_i . B v_j is an integer dot product.
+    """
+    n = group.invariant_factors[-1] if group.invariant_factors else 1
+    us = [tuple(x.numerator * (n // x.denominator) for x in v) for v in group.representatives]
+    # B*u_j = n*(B*v_j), so the division is exact
+    images = [tuple(sum(map(mul, row, u)) // n for row in gram.entries) for u in us]
+    s = [[0] * len(us) for _ in us]
+    t = []
+    for i, u in enumerate(us):
+        self_pairing = sum(map(mul, u, images[i]))
+        t.append(self_pairing % (2 * n))
+        s[i][i] = self_pairing % n
+        for j in range(i + 1, len(us)):
+            s[i][j] = s[j][i] = sum(map(mul, u, images[j])) % n
+    return n, tuple(map(tuple, s)), tuple(t)

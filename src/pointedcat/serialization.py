@@ -20,10 +20,11 @@ provenance, and everything else is recomputed on load.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import cyclo
 from .errors import ParseError, PointedCatError, ValidationError
-from .lattice import GramMatrix, check_gram, discriminant_group, format_gram, quadratic_mod2
+from .lattice import GramMatrix, check_gram, discriminant_group, format_gram, pairing_exponents
 from .moddata import LatticeProvenance, ModularData, RelationReport
 
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_+-")
@@ -206,13 +207,28 @@ def _parse_modular_data(body: str) -> ModularData:
     )
     if provenance is None:
         return md
-    # The rank and the twists must be those the provenance lattice implies.
+    # The rank, the twists and S~ must be those the provenance lattice implies.
     group = provenance.group
     if group.order != md.rank:
         raise ValidationError(f"provenance has |det B| = {group.order}, but rank is {md.rank}")
-    for i, (twist, v) in enumerate(zip(md.twists, group.representatives)):
-        implied = cyclo.root_of_unity(quadratic_mod2(provenance.gram, v) / 2)
-        if twist != implied:
+    n, s, t = pairing_exponents(provenance.gram, group)
+    for i, (twist, k) in enumerate(zip(md.twists, t)):
+        if not _is_root(twist, k, 2 * n):
+            implied = cyclo.root_of_unity(Fraction(k, 2 * n))
             raise ValidationError(f"twist {i} is {cyclo.format_root(twist)}, "
                                   f"but provenance gives {cyclo.format_root(implied)}")
+    # S~ is symmetric (checked by ModularData), so the first bad entry in
+    # row-major order lies on or above the diagonal.
+    for i, (row, implied_row) in enumerate(zip(md.s_tilde, s)):
+        for j in range(i, md.rank):
+            if not _is_root(row[j], implied_row[j], n):
+                implied = cyclo.root_of_unity(Fraction(implied_row[j], n))
+                raise ValidationError(f"s_tilde ({i},{j}) is {cyclo.format_value(row[j])}, "
+                                      f"but provenance gives {cyclo.format_value(implied)}")
     return md
+
+
+def _is_root(value: cyclo.Cyclotomic, k: int, n: int) -> bool:
+    """value == e(k/n), for 0 <= k < n, without building e(k/n)."""
+    q = value.root_exponent()
+    return q is not None and q.numerator * n == k * q.denominator

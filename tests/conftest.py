@@ -12,6 +12,7 @@ from pointedcat import (
     generate_gram_matrices,
     root_of_unity,
 )
+from pointedcat.cyclo import sum_values
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +51,22 @@ def ising():
     )
     twists = (one, root_of_unity(Fraction(1, 16)), root_of_unity(Fraction(1, 2)))
     return ModularData(rank=3, s_tilde=rows, twists=twists)
+
+
+@pytest.fixture(scope="session")
+def su2():
+    """Function k -> SU(2)_k: S~_ij = [(i+1)(j+1)]_q with q = e(1/(2(k+2))) and
+    theta_j = e(j(j+2)/(4(k+2))); generic data of rank k+1."""
+    def build(k):
+        period = 2 * (k + 2)
+        qint = [sum_values(root_of_unity(Fraction(n - 1 - 2 * m, period)) for m in range(n))
+                for n in range(period)]
+        rows = tuple(tuple(qint[((i + 1) * (j + 1)) % period] for j in range(k + 1))
+                     for i in range(k + 1))
+        twists = tuple(root_of_unity(Fraction(j * (j + 2), 4 * (k + 2))) for j in range(k + 1))
+        return ModularData(rank=k + 1, s_tilde=rows, twists=twists)
+
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,8 @@
 
 Nothing in here imports the package under test. Discriminant-group data is
 recovered by scanning the (1/|det|)-grid instead of any matrix decomposition,
-determinants by cofactor expansion, and corpus counts by direct enumeration.
+determinants by cofactor expansion, corpus counts by direct enumeration, and
+canonical forms by trying every relabeling.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ def mat_vec(rows, vec):
     return [sum(rows[i][j] * vec[j] for j in range(len(vec))) for i in range(len(rows))]
 
 
-def is_integral(vec):
-    return all(Fraction(x).denominator == 1 for x in vec)
-
-
 def brute_representatives(rows):
     """All classes of B^{-1}Z^n / Z^n as vectors in [0,1)^n, sorted lexicographically.
 
@@ -44,9 +41,9 @@ def brute_representatives(rows):
     d = abs(det_cofactor(rows))
     reps = []
     for combo in itertools.product(range(d), repeat=n):
-        v = [Fraction(k, d) for k in combo]
-        if is_integral(mat_vec(rows, v)):
-            reps.append(tuple(v))
+        # B (combo/d) is integral exactly when B combo vanishes mod d
+        if all(x % d == 0 for x in mat_vec(rows, combo)):
+            reps.append(tuple(Fraction(k, d) for k in combo))
     reps.sort()
     assert len(reps) == d, (rows, len(reps), d)
     return reps
@@ -93,6 +90,27 @@ def twist_exponents(rows):
     """Self-pairing exponents halved: entry i is (v_i^t B v_i mod 2) / 2."""
     reps = brute_representatives(rows)
     return [quadratic_fraction(rows, v) / 2 for v in reps]
+
+
+def canonical_form_exhaustive(twist_tokens, s_tokens):
+    """Least string twists:...|s:... over all (rank-1)! relabelings fixing 0.
+
+    Takes the textual token of every twist and matrix entry, so the result is
+    byte-comparable with the package's canonical form.
+    """
+    rank = len(twist_tokens)
+    best = None
+    for tail in itertools.permutations(range(1, rank)):
+        perm = (0,) + tail
+        twists = ",".join(twist_tokens[p] for p in perm)
+        rows = ";".join(
+            ",".join(s_tokens[perm[i]][perm[j]] for j in range(rank))
+            for i in range(rank)
+        )
+        candidate = f"twists:{twists}|s:{rows}"
+        if best is None or candidate < best:
+            best = candidate
+    return best.encode("ascii")
 
 
 def enumerate_even_symmetric(max_dim, max_entry, max_rank=None):

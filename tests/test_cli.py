@@ -53,6 +53,8 @@ class TestVerify:
     @pytest.mark.parametrize("body", [
         CORRUPT_SEMION.replace("e(0/1)\n", "e(3/4)\nprovenance: 2\n"),
         "kind: modular_data\nrank: 1\ns_tilde: 1\ntwists: e(0/1)\nprovenance: 2\n",
+        "kind: modular_data\nrank: 2\ns_tilde: 1, 1; 1, 1\ntwists: e(0/1), e(1/4)\n"
+        "provenance: 2\n",
     ])
     def test_contradictory_provenance_rejected(self, tmp_path, capsys, body):
         path = tmp_path / "contradiction.data"

@@ -98,6 +98,14 @@ class TestClassify:
             for cls in classes:
                 assert canonical_form(from_lattice(cls.witness)) == cls.canonical
 
+    def test_class_counts_dim3_entry2(self):
+        # Counts from the exhaustive (rank-1)! search over the same corpus.
+        corpus = generate_gram_matrices(CorpusSpec(max_dim=3, max_entry=2, max_rank=8))
+        assert len(corpus) == 1910
+        result = classify(corpus)
+        assert {rank: len(classes) for rank, classes in result.by_rank} == \
+            {1: 1, 2: 2, 3: 2, 4: 8, 5: 1, 6: 4, 8: 9}
+
     def test_direct_sum_respects_product_bound(self):
         b_list = [check_gram([[2]]), check_gram([[-2]])]
         corpus = list(b_list)

@@ -25,7 +25,7 @@ from pointedcat import (
     verlinde_fusion,
 )
 from pointedcat import moddata
-from pointedcat.cyclo import Cyclotomic, sum_values
+from pointedcat.cyclo import Cyclotomic
 
 ONE = root_of_unity(0)
 
@@ -151,17 +151,6 @@ class TestCorpusEquivalence:
         assert "verlinde_integral" in verify_all(sign).failing()
 
 
-def su2(k):
-    """SU(2)_k: S~_ij = [(i+1)(j+1)]_q with q = e(1/(2(k+2))), theta_j = e(j(j+2)/(4(k+2)))."""
-    period = 2 * (k + 2)
-    qint = [sum_values(root_of_unity(F(n - 1 - 2 * m, period)) for m in range(n))
-            for n in range(period)]
-    rows = tuple(tuple(qint[((i + 1) * (j + 1)) % period] for j in range(k + 1))
-                 for i in range(k + 1))
-    twists = tuple(root_of_unity(F(j * (j + 2), 4 * (k + 2))) for j in range(k + 1))
-    return ModularData(rank=k + 1, s_tilde=rows, twists=twists)
-
-
 class TestCubeForms:
     def test_pointed(self, small_corpus):
         for md in small_corpus:
@@ -170,7 +159,7 @@ class TestCubeForms:
                 if md.rank >= 2:
                     assert_cube_forms_agree(with_twist_one(md))
 
-    def test_generic(self, ising):
+    def test_generic(self, ising, su2):
         cases = [ising] + [su2(k) for k in range(2, 7)]
         for md in cases:
             assert md._exponents is None

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -23,7 +24,7 @@ from pointedcat import (
     verify_all,
     verlinde_fusion,
 )
-from pointedcat import moddata
+from pointedcat import cyclo, moddata
 from pointedcat.cyclo import Cyclotomic, dot
 
 ONE = Cyclotomic.one()
@@ -34,6 +35,19 @@ SEMION_S_EXPONENTS = [[F(0), F(0)], [F(0), F(1, 2)]]
 SEMION_TWIST_EXPONENTS = [F(0), F(1, 4)]
 TORIC_TWIST_EXPONENTS = [F(0), F(0), F(0), F(1, 2)]
 Z3_TWIST_EXPONENTS = [F(0), F(1, 3), F(1, 3)]
+
+
+def relabel(md, perm):
+    """The data with position i holding old label perm[i]."""
+    s = tuple(tuple(md.s_tilde[perm[i]][perm[j]] for j in range(md.rank))
+              for i in range(md.rank))
+    return ModularData(rank=md.rank, s_tilde=s, twists=tuple(md.twists[p] for p in perm))
+
+
+def tokens(md):
+    """Twist and entry tokens, the input of oracle.canonical_form_exhaustive."""
+    return ([cyclo.format_root(t) for t in md.twists],
+            [[cyclo.format_value(x) for x in row] for row in md.s_tilde])
 
 
 def corrupted_semion(semion):
@@ -68,6 +82,13 @@ class TestFixtures:
         assert z3.rank == 3
         assert [*z3.twists] == [root_of_unity(q) for q in Z3_TWIST_EXPONENTS]
         assert z3.s_tilde[1][1] == root_of_unity(F(2, 3))
+
+    def test_pairings_match_oracle(self, corpus4_data):
+        for gram, md in corpus4_data:
+            rows = [list(r) for r in gram.entries]
+            assert [[x.root_exponent() for x in row] for row in md.s_tilde] == \
+                oracle.s_exponents(rows)
+            assert [t.root_exponent() for t in md.twists] == oracle.twist_exponents(rows)
 
     def test_rank_equals_det(self, corpus3_data):
         for gram, md in corpus3_data:
@@ -311,24 +332,48 @@ class TestCanonicalForm:
         assert canonical_form(toric) != canonical_form(double)
 
     def test_constant_on_orbits_at_small_rank(self, corpus3_data):
-        import itertools
-
-        def relabel(md, perm):
-            s = tuple(tuple(md.s_tilde[perm[i]][perm[j]] for j in range(md.rank))
-                      for i in range(md.rank))
-            t = tuple(md.twists[p] for p in perm)
-            return ModularData(rank=md.rank, s_tilde=s, twists=t)
-
         small = [md for _, md in corpus3_data if md.rank <= 4]
         for md in small[:12]:
             reference = canonical_form(md)
             for tail in itertools.permutations(range(1, md.rank)):
                 assert canonical_form(relabel(md, (0,) + tail)) == reference
 
+    def test_matches_exhaustive_search_on_corpus(self, corpus4_data):
+        small = [md for _, md in corpus4_data if md.rank <= 8]
+        assert len(small) == 104
+        for md in small:
+            assert canonical_form(md) == oracle.canonical_form_exhaustive(*tokens(md))
+
+    def test_matches_exhaustive_search_on_every_relabeling(self, ising, su2):
+        for md in [ising] + [su2(k) for k in range(2, 6)]:
+            expected = oracle.canonical_form_exhaustive(*tokens(md))
+            for tail in itertools.permutations(range(1, md.rank)):
+                assert canonical_form(relabel(md, (0,) + tail)) == expected
+
+    def test_ties_that_are_not_symmetries(self):
+        # Labels 1, 3 and 4 give the same row at position 1; 1 and 4 are
+        # swapped by a symmetry, 3 is not, and only 3 leads to the minimum.
+        adjacency = ((1, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 1, 1, 0),
+                     (0, 0, 1, 0, 0), (0, 1, 0, 0, 0))
+        s = tuple(tuple(Cyclotomic.from_rational(x) for x in row) for row in adjacency)
+        md = ModularData(rank=5, s_tilde=s, twists=(ONE,) * 5)
+        key = oracle.canonical_form_exhaustive(*tokens(md))
+        assert canonical_form(md) == key
+        assert canonical_form(relabel(md, (0, 3, 2, 1, 4))) == key
+
+    def test_token_that_extends_another_token(self):
+        # "-1" is a prefix of v's token, and "-1," sorts after "-1*": label 2
+        # must precede label 1, which comparing bare tokens gets wrong.
+        v = -root_of_unity(F(2, 5)) - root_of_unity(F(3, 5))
+        assert cyclo.format_value(v) == "-1*e(2/5)+-1*e(3/5)"
+        md = ModularData(rank=3, s_tilde=((ONE, -ONE, v), (-ONE, ONE, ONE), (v, ONE, ONE)),
+                         twists=(ONE, ONE, ONE))
+        key = canonical_form(md)
+        assert key == oracle.canonical_form_exhaustive(*tokens(md))
+        assert key.startswith(b"twists:e(0/1),e(0/1),e(0/1)|s:1,-1*e(2/5)+-1*e(3/5),-1;")
+
     def test_complete_within_orbits_at_small_rank(self, corpus3_data):
         # matching canonical forms must come from an explicit relabeling
-        import itertools
-
         small = [md for _, md in corpus3_data if md.rank <= 4]
         for a in small[:10]:
             for b in small[:10]:

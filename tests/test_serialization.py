@@ -108,6 +108,13 @@ class TestModularDataDocuments:
             parse(Document("modular_data", bad))
         assert str(info.value) == "twist 1 is e(3/4), but provenance gives e(1/4)"
 
+    def test_provenance_s_tilde_contradiction(self):
+        # twists of the semion, but S~ of no lattice with |det B| = 2
+        bad = SEMION_DOC.replace("s_tilde: 1, 1; 1, -1", "s_tilde: 1, 1; 1, 1")
+        with pytest.raises(ValidationError) as info:
+            parse(Document("modular_data", bad))
+        assert str(info.value) == "s_tilde (1,1) is 1, but provenance gives -1"
+
     def test_provenance_checked_on_corpus_documents(self, corpus3_data):
         for _, md in corpus3_data[::5]:
             assert parse(serialize(md)) == md
