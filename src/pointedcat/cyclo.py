@@ -37,6 +37,7 @@ def _totient(n: int) -> int:
     return result
 
 
+@lru_cache(maxsize=None)
 def _prime_divisors(n: int) -> tuple[int, ...]:
     primes = []
     m = n
@@ -130,7 +131,7 @@ class Cyclotomic:
             root = Fraction(0)
         elif value == -1:
             root = Fraction(1, 2)
-        return cls(1, (value,), root)
+        return cls(1, (value.numerator if value.denominator == 1 else value,), root)
 
     @classmethod
     def zero(cls) -> Cyclotomic:
@@ -160,9 +161,6 @@ class Cyclotomic:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self._coeffs[0])
-
-    def is_rational_integer(self) -> bool:
-        return self.is_rational() and Fraction(self._coeffs[0]).denominator == 1
 
     def root_exponent(self) -> Fraction | None:
         """Exponent q in [0,1) with self == e(q), or None if not a root of unity.
@@ -241,16 +239,10 @@ class Cyclotomic:
         if self._root is not None and other._root is not None:
             return root_of_unity(self._root + other._root)
         if self.is_rational():
-            return other._scaled(Fraction(self._coeffs[0]))
+            return other._scaled(self._coeffs[0])
         if other.is_rational():
-            return self._scaled(Fraction(other._coeffs[0]))
+            return self._scaled(other._coeffs[0])
         n = lcm(self._conductor, other._conductor)
-        if self._root is not None:
-            # negation can tag a root whose exponent denominator exceeds its
-            # conductor (e.g. -e(1/3) carries 5/6), so lift n accordingly
-            return other._rotated(lcm(n, self._root.denominator), self._root)
-        if other._root is not None:
-            return self._rotated(lcm(n, other._root.denominator), other._root)
         raw = [0] * n
         sa = n // self._conductor
         sb = n // other._conductor
@@ -266,23 +258,7 @@ class Cyclotomic:
     def _scaled(self, factor: Fraction) -> Cyclotomic:
         if factor == 0:
             return Cyclotomic.zero()
-        root = None
-        if self._root is not None:
-            if factor == 1:
-                root = self._root
-            elif factor == -1:
-                root = (self._root + Fraction(1, 2)) % 1
-        return Cyclotomic(self._conductor, tuple(factor * c for c in self._coeffs), root)
-
-    def _rotated(self, n: int, exponent: Fraction) -> Cyclotomic:
-        # Multiply by the root of unity e(exponent), working at conductor n.
-        shift = (exponent.numerator * (n // exponent.denominator)) % n
-        raw = [0] * n
-        stride = n // self._conductor
-        for j, c in enumerate(self._coeffs):
-            if c:
-                raw[(j * stride + shift) % n] += c
-        return Cyclotomic(n, _reduce_raw(n, raw))
+        return Cyclotomic(self._conductor, tuple(factor * c for c in self._coeffs))
 
     def conjugate(self) -> Cyclotomic:
         """Complex conjugate; on roots of unity, e(q) -> e(-q)."""
@@ -318,8 +294,6 @@ class Cyclotomic:
     def __pow__(self, exponent: int) -> Cyclotomic:
         if not isinstance(exponent, int):
             return NotImplemented
-        if self._root is not None:
-            return root_of_unity(self._root * exponent)
         if exponent < 0:
             return self.inverse() ** (-exponent)
         result = Cyclotomic.one()
@@ -479,64 +453,93 @@ def sum_values(values) -> Cyclotomic:
         n = lcm(n, v.conductor)
     raw = [0] * n
     for v in items:
-        q = v._root
-        if q is not None and n % q.denominator == 0:
-            raw[(q.numerator * (n // q.denominator)) % n] += 1
-        else:
-            v._embed_raw(n, raw)
+        v._embed_raw(n, raw)
     return Cyclotomic(n, _reduce_raw(n, raw))
 
 
-def exponent_sum(n: int, exponents) -> Cyclotomic:
-    """Exact sum of e(k/n) over an iterable of integer exponents k.
-
-    The exponents are counted mod n and the histogram is reduced once modulo
-    Phi_n. The p-th roots of unity sum to zero for the least prime p dividing
-    n, so the top 1/p of the histogram first folds onto the rest.
-    """
-    counts = [0] * n
-    for k, c in Counter(map(n.__rmod__, exponents)).items():
-        counts[k] = c
+def _reduce_cyclic(n: int, counts: list) -> tuple:
+    """Reduce the coefficients of 1, x, ..., x^(n-1) modulo Phi_n. The p-th roots of
+    unity sum to zero (p the least prime of n), so the top 1/p folds first."""
     if n == 1:
-        return Cyclotomic.from_rational(counts[0])
+        return tuple(counts)
     step = n // _prime_divisors(n)[0]
     top = n - step
     raw = []
     for start in range(0, top, step):
         raw.extend(map(sub, counts[start:start + step], counts[top:]))
-    return Cyclotomic(n, _reduce_raw(n, raw))
+    return _reduce_raw(n, raw)
+
+
+def exponent_sum(n: int, exponents) -> Cyclotomic:
+    """Exact sum of e(k/n) over an iterable of integer exponents k: the
+    exponents are counted mod n and the histogram is reduced once."""
+    counts = [0] * n
+    for k, c in Counter(map(n.__rmod__, exponents)).items():
+        counts[k] = c
+    return Cyclotomic(n, _reduce_cyclic(n, counts))
+
+
+# -- packed integers (Kronecker substitution) -------------------------------
+#
+# Integer coefficients c_i pack into the integer sum_i c_i 2^(width*i), so a
+# sum of polynomial products is one sum of big-integer products. No coefficient
+# of sum_t u_t v_t exceeds sum_t |u_t|_1 |v_t|_1, so a width of that bound's
+# bit_length() + 2 keeps each in its slot, signed.
+
+def integer_coefficients(values, n: int) -> tuple[int, list[tuple[int, ...]]]:
+    """(den, rows): the coefficients of each value at conductor n (which its
+    conductor divides), times den, the least common denominator of them all."""
+    rows = []
+    for v in values:
+        coeffs = v._coeffs
+        if v._conductor != n:
+            coeffs = [0] * n
+            v._embed_raw(n, coeffs)
+            coeffs = _reduce_cyclic(n, coeffs)
+        rows.append(coeffs)
+    den = lcm(*(c.denominator for row in rows for c in row))
+    return den, [tuple(c.numerator * (den // c.denominator) for c in row) for row in rows]
+
+
+def pack(coeffs, width: int) -> int:
+    """The polynomial with these integer coefficients, evaluated at 2**width."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << width) + c
+    return value
+
+
+def unpack(value: int, width: int, n: int) -> tuple[int, ...]:
+    """Integer coefficients modulo Phi_n of a packed polynomial: its signed
+    slots, folded by x^n = 1 and reduced once."""
+    counts = [0] * n
+    mask, half, i = (1 << width) - 1, 1 << (width - 1), 0
+    while value:
+        c = value & mask
+        if c >= half:
+            c -= 1 << width
+        counts[i % n] += c
+        value = (value - c) >> width
+        i += 1
+    return _reduce_cyclic(n, counts)
+
+
+def from_integers(n: int, coeffs, den: int) -> Cyclotomic:
+    """The value with coefficients coeffs / den at conductor n (reduced)."""
+    return Cyclotomic(n, tuple(Fraction(c, den) for c in coeffs) if den != 1 else coeffs)
 
 
 def dot(xs, ys) -> Cyclotomic:
-    """Exact inner product sum_i xs[i]*ys[i] with one reduction at the end.
-
-    Products of tagged roots of unity add their Fraction exponents. Data whose
-    entries are all roots of unity is verified with exponent_sum instead.
-    """
-    terms = []
-    n = 1
-    for x, y in zip(xs, ys):
-        if x.is_zero() or y.is_zero():
-            continue
-        if x._root is not None and y._root is not None:
-            q = (x._root + y._root) % 1
-            n = lcm(n, q.denominator)
-            terms.append(q)
-        else:
-            z = x * y
-            if z.is_zero():
-                continue
-            n = lcm(n, z.conductor)
-            terms.append(z)
-    if not terms:
-        return Cyclotomic.zero()
-    raw = [0] * n
-    for t in terms:
-        if isinstance(t, Fraction):
-            raw[(t.numerator * (n // t.denominator)) % n] += 1
-        else:
-            t._embed_raw(n, raw)
-    return Cyclotomic(n, _reduce_raw(n, raw))
+    """Exact inner product sum_i xs[i]*ys[i]: the values' integer coefficients
+    are packed, the products summed as integers, and the sum unpacked once."""
+    values = [v for pair in zip(xs, ys) for v in pair]
+    n = lcm(*(v.conductor for v in values))
+    den, rows = integer_coefficients(values, n)
+    pairs = list(zip(rows[0::2], rows[1::2]))
+    bound = sum(sum(map(abs, u)) * sum(map(abs, v)) for u, v in pairs)
+    width = bound.bit_length() + 2
+    total = sum(pack(u, width) * pack(v, width) for u, v in pairs)
+    return from_integers(n, unpack(total, width, n), den * den)
 
 
 # -- the textual value grammar ---------------------------------------------

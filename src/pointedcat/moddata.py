@@ -17,10 +17,9 @@ from math import lcm
 from operator import add, sub
 
 from . import cyclo
-from .cyclo import Cyclotomic, dot, exponent_sum, root_of_unity, sum_values
+from .cyclo import Cyclotomic, exponent_sum, root_of_unity, sum_values
 from .errors import (
     NoLatticeProvenance,
-    NonIntegralFusion,
     NotModular,
     NotProbabilistic,
     PointedCatError,
@@ -100,10 +99,6 @@ class ModularData:
         return GaussData(d_squared, p_plus, p_minus, identity)
 
     @cached_property
-    def _conj_rows(self) -> tuple[tuple[Cyclotomic, ...], ...]:
-        return tuple(tuple(x.conjugate() for x in row) for row in self.s_tilde)
-
-    @cached_property
     def _square(self) -> tuple[tuple[Cyclotomic, ...], ...]:
         return _matrix_square(self)
 
@@ -126,9 +121,21 @@ class ModularData:
         return _Exponents(n, s, tuple(ints[r * r:]))
 
     @cached_property
+    def _packed(self):
+        """S~, conj(S~) and S~T as integer coefficient rows (dense.Packed)."""
+        return _dense().packed(self)
+
+    @cached_property
     def _unitary(self) -> bool:
         table = self._exponents
-        return _unitary_dense(self) if table is None else table.unitary()
+        return _dense().unitary(self) if table is None else table.unitary()
+
+
+def _dense():
+    # imported on first use, so commands on pointed data never compile it
+    from . import dense
+
+    return dense
 
 
 @dataclass(frozen=True)
@@ -240,47 +247,15 @@ def verlinde_fusion(md: ModularData) -> FusionTensor:
     passes unitarity is settled by row lookup: if the entrywise product of
     rows i and j is row k0, then N_{i,j}^k = (1/D^2) (S~ S~*)_{k0,k} =
     delta(k, k0), at rank^3 integer cost. Everything else, including a row
-    product that is not a row, takes the dense rank^4 computation, which
-    raises the exact error.
+    product that is not a row, takes the dense rank^4 sum on packed integers
+    (pointedcat.dense), which raises the exact error.
     """
     table = md._exponents
     if table is not None and md._unitary:
         fusion = table.fusion()
         if fusion is not None:
             return fusion
-    return _verlinde_dense(md)
-
-
-def _verlinde_dense(md: ModularData) -> FusionTensor:
-    rank = md.rank
-    s = md.s_tilde
-    dims = quantum_dimensions(md)
-    if any(d.is_zero() for d in dims):
-        raise ValidationError("zero quantum dimension")
-    d_squared = md._gauss.d_squared
-    if d_squared.is_zero():
-        raise NotModular("global dimension is zero")
-    inv_d2 = d_squared.inverse()
-    inv_dims = [d.inverse() for d in dims]
-    # conj(S~_{ka})/d_a, precomputed per (k, a)
-    weighted = [
-        tuple(x * inv_d for x, inv_d in zip(row, inv_dims)) for row in md._conj_rows
-    ]
-    table = [[None] * rank for _ in range(rank)]
-    for i in range(rank):
-        for j in range(i, rank):
-            prods = [s[i][a] * s[j][a] for a in range(rank)]
-            entries = []
-            for k in range(rank):
-                value = dot(prods, weighted[k]) * inv_d2
-                if not value.is_rational_integer() or value.as_rational() < 0:
-                    raise NonIntegralFusion(
-                        f"N({i},{j})^{k} = {value} is not a non-negative integer"
-                    )
-                entries.append(int(value.as_rational()))
-            table[i][j] = tuple(entries)
-            table[j][i] = tuple(entries)
-    return FusionTensor(tuple(tuple(row) for row in table))
+    return _dense().verlinde(md)
 
 
 def fusion_probabilities(
@@ -315,14 +290,21 @@ def _matrix_square(md: ModularData) -> tuple[tuple[Cyclotomic, ...], ...]:
     rank = md.rank
     table = md._exponents
     if table is None:
-        s = md.s_tilde
-        return tuple(tuple(dot(s[i], s[j]) for j in range(rank)) for i in range(rank))
-    # (S~^2)_ij sums e((s[i][a] + s[j][a])/n); S~^2 is symmetric.
-    s = table.s
+        return _dense().square(md)
+    # (S~^2)_ij sums e((s[i][a] + s[j][a])/n). With unitarity, S~^-1 =
+    # conj(S~)/D^2, so if row j is conj(row c), (S~^2)_ij = D^2 delta(i, c);
+    # only the rows that are no row's conjugate are summed.
+    n, s = table.n, table.s
+    index = {row: k for k, row in enumerate(s)} if md._unitary else {}
+    conj = [index.get(tuple((-x) % n for x in row)) for row in s]
     square = [[None] * rank for _ in range(rank)]
     for i, row in enumerate(s):
         for j in range(i, rank):
-            square[i][j] = square[j][i] = exponent_sum(table.n, map(add, row, s[j]))
+            if conj[i] is None and conj[j] is None:
+                value = exponent_sum(n, map(add, row, s[j]))
+            else:
+                value = md._gauss.d_squared if conj[i] == j else Cyclotomic.zero()
+            square[i][j] = square[j][i] = value
     return tuple(tuple(row) for row in square)
 
 
@@ -353,20 +335,6 @@ def dual_permutation(md: ModularData) -> tuple[int, ...]:
 def check_unitarity(md: ModularData) -> bool:
     """Exact check of S~ * conj(S~)^t = D^2 * I, computed once per instance."""
     return md._unitary
-
-
-def _unitary_dense(md: ModularData) -> bool:
-    rank = md.rank
-    s = md.s_tilde
-    conj_rows = md._conj_rows
-    d_squared = md._gauss.d_squared
-    for i in range(rank):
-        for j in range(i, rank):
-            value = dot(s[i], conj_rows[j])
-            expected = d_squared if i == j else Cyclotomic.zero()
-            if value != expected:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -402,8 +370,9 @@ def check_modular_relations(md: ModularData) -> RelationReport:
     When unitarity holds and D^2 != 0, S~^-1 = conj(S~)/D^2 (S~ is
     symmetric), so the cube relation is equivalent to the one-product
     identity S~ T S~ = p+ T^-1 conj(S~) T^-1. Pointed data checks it, and
-    S~^2, on integer exponents; other data with one matrix product. Without
-    unitarity, (S~ T)^3 is formed with two matrix products.
+    S~^2, on integer exponents; other data as (S~ T)^2 = (p+ T^-1) conj(S~)
+    on packed integers (pointedcat.dense). Without unitarity, (S~ T)^3 is
+    formed with two matrix products.
     """
     checks = []
     rank = md.rank
@@ -431,42 +400,14 @@ def check_modular_relations(md: ModularData) -> RelationReport:
         checks.append(RelationCheck("conjugation_involution", False, "C undefined"))
 
     if not md._unitary or gauss.d_squared.is_zero():
-        cubed_ok = _st_cubed_dense(md)
+        cubed_ok = _dense().st_cubed(md)
     elif md._exponents is not None:
         cubed_ok = md._exponents.st_cubed()
     else:
-        cubed_ok = _st_cubed_one_product(md)
+        cubed_ok = _dense().st_cubed_one_product(md)
     checks.append(RelationCheck("st_cubed", cubed_ok, "(S~ T)^3 = p+ D^2 I"))
 
     return RelationReport(tuple(checks))
-
-
-def _st_cubed_one_product(md: ModularData) -> bool:
-    # S~ T S~ = p+ T^-1 conj(S~) T^-1; both sides are symmetric.
-    s, t = md.s_tilde, md.twists
-    for i, row in enumerate(md._conj_rows):
-        row_t = [x * y for x, y in zip(s[i], t)]
-        for j in range(i, md.rank):
-            if dot(row_t, s[j]) != md._gauss.p_plus * row[j] * (t[i] * t[j]).conjugate():
-                return False
-    return True
-
-
-def _st_cubed_dense(md: ModularData) -> bool:
-    # (S~ T)^3 compared against p+ D^2 I (= p+ S~^2 C), all exact.
-    rank = md.rank
-    s = md.s_tilde
-    st = [[s[i][j] * md.twists[j] for j in range(rank)] for i in range(rank)]
-    st_cols = [tuple(st[i][j] for i in range(rank)) for j in range(rank)]
-    st2 = [[dot(st[i], st_cols[j]) for j in range(rank)] for i in range(rank)]
-    st3 = [[dot(st2[i], st_cols[j]) for j in range(rank)] for i in range(rank)]
-    gauss = md._gauss
-    scalar = gauss.p_plus * gauss.d_squared
-    zero = Cyclotomic.zero()
-    return all(
-        st3[i][j] == (scalar if i == j else zero)
-        for i in range(rank) for j in range(rank)
-    )
 
 
 def verify_all(md: ModularData) -> RelationReport:
@@ -557,7 +498,10 @@ def canonical_form(md: ModularData, max_rank: int = 8) -> bytes:
     if md.rank > max_rank:
         raise RankTooLarge(f"rank {md.rank} exceeds the bound {max_rank}")
     twist_tok = [cyclo.format_root(t) for t in md.twists]
-    s_tok = [[cyclo.format_value(x) for x in row] for row in md.s_tilde]
+    # one token per object: data built in code shares objects between entries
+    tokens = {id(x): x for x in itertools.chain(*md.s_tilde)}
+    tokens = {key: cyclo.format_value(x) for key, x in tokens.items()}
+    s_tok = [[tokens[id(x)] for x in row] for row in md.s_tilde]
     start = [[0], *_split([list(range(1, md.rank))], twist_tok)]
     best_rows = None
     # Each entry: labels placed in the first positions, the cells that fill

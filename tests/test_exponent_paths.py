@@ -1,8 +1,8 @@
 """Integer-exponent verification of pointed data against the dense exact paths.
 
 Pointed data (every S~ entry and twist a root of unity, every d_a = 1) is
-verified on integer exponents. The dense routines stay as private functions
-of moddata; hiding the exponent table makes every check take them, and the
+verified on integer exponents. The dense routines of pointedcat.dense check
+any data; hiding the exponent table makes every check take them, and the
 two paths must give identical reports, fusion tensors and error messages.
 """
 
@@ -21,10 +21,11 @@ from pointedcat import (
     check_gram,
     from_lattice,
     root_of_unity,
+    serialize,
     verify_all,
     verlinde_fusion,
 )
-from pointedcat import moddata
+from pointedcat import dense, moddata
 from pointedcat.cyclo import Cyclotomic
 
 ONE = root_of_unity(0)
@@ -76,7 +77,7 @@ def same_outcome(a, b):
 
 @contextlib.contextmanager
 def dense_once(memo):
-    """Run moddata's rank^4 Verlinde and two-product cube once per S~ (and T)
+    """Run the dense rank^4 Verlinde and two-product cube once per S~ (and T)
     object. They read nothing else, so the fast path's fallbacks and the
     dense reference share one computation."""
     def once(fn, key):
@@ -91,10 +92,9 @@ def dense_once(memo):
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(moddata, "_verlinde_dense",
-                   once(moddata._verlinde_dense, lambda md: (id(md.s_tilde),)))
-        mp.setattr(moddata, "_st_cubed_dense",
-                   once(moddata._st_cubed_dense, lambda md: (id(md.s_tilde), id(md.twists))))
+        mp.setattr(dense, "verlinde", once(dense.verlinde, lambda md: (id(md.s_tilde),)))
+        mp.setattr(dense, "st_cubed",
+                   once(dense.st_cubed, lambda md: (id(md.s_tilde), id(md.twists))))
         yield
 
 
@@ -106,19 +106,20 @@ def assert_paths_agree(md, memo):
     with dense_once(memo):
         report = verify_all(fast)
         fusion = run(verlinde_fusion, fast)
-        dense = fresh(md)
-        assert same_outcome(fusion, run(moddata._verlinde_dense, dense))
+        slow = fresh(md)
+        assert same_outcome(fusion, run(dense.verlinde, slow))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(moddata.ModularData, "_exponents", property(lambda self: None))
-            assert verify_all(dense) == report
+            assert verify_all(slow) == report
+            assert slow._square == fast._square  # S~^2 by row lookup where unitary
 
 
 def assert_cube_forms_agree(md):
     """The one-product identity, on exponents or dense, decides (S~ T)^3 = p+ D^2 I."""
     md = fresh(md)
     assert md._unitary
-    cubed = moddata._st_cubed_dense(md)
-    assert moddata._st_cubed_one_product(md) == cubed
+    cubed = dense.st_cubed(md)
+    assert dense.st_cubed_one_product(md) == cubed
     if md._exponents is not None:
         assert md._exponents.st_cubed() == cubed
 
@@ -195,9 +196,9 @@ class TestRowProductNotARow:
         md = self.hadamard()
         with pytest.raises(PointedCatError) as fast:
             verlinde_fusion(md)
-        with pytest.raises(PointedCatError) as dense:
-            moddata._verlinde_dense(fresh(md))
-        assert str(fast.value) == str(dense.value)
+        with pytest.raises(PointedCatError) as slow:
+            dense.verlinde(fresh(md))
+        assert str(fast.value) == str(slow.value)
         assert_paths_agree(md, {})
 
 
@@ -227,7 +228,7 @@ def test_random_lattices_agree(rows, corruption):
     # For lattice S~ the dense Verlinde outcome is the group addition
     # (acceptance criterion 3), so the oracle stands in for it where S~ is
     # intact; the other corruptions run the dense Verlinde itself.
-    memo = {("_verlinde_dense", id(md.s_tilde)): (md, group_fusion(rows))}
+    memo = {("verlinde", id(md.s_tilde)): (md, group_fusion(rows))}
     if corruption is not None:
         assume(md.rank >= 2)
         md = corruption(md)
@@ -243,21 +244,38 @@ class TestRegressionPins:
         assert verify_all(md).passed
         assert verlinde_fusion(md) == group_fusion([[62]])
 
-    def test_pointed_verify_takes_no_dense_product(self, monkeypatch):
-        calls = {"dot": 0, "inverse": 0}
-        dot, inverse = moddata.dot, Cyclotomic.inverse
+    def test_rank_62_without_unitarity_report(self):
+        # Every dense check runs, the (S~ T)^3 one with two packed products.
+        md = with_pair_one(from_lattice(check_gram([[62]])))
+        assert serialize(verify_all(md)).body == (
+            "kind: report\n"
+            "check: gauss_identity pass: p+ p- = D^2\n"
+            "check: unitarity fail: S~ conj(S~)^t = D^2 I\n"
+            "check: verlinde_integral fail: N(0,0)^1 = 1/62+1/62*e(16/31) "
+            "is not a non-negative integer\n"
+            "check: twists_unit pass: twist of the unit is 1\n"
+            "check: s_symmetric pass: S~ = S~^t\n"
+            "check: charge_conjugation fail: row 0 of S~^2 is not D^2 times a unit vector\n"
+            "check: conjugation_involution fail: C undefined\n"
+            "check: st_cubed fail: (S~ T)^3 = p+ D^2 I\n"
+            "result: fail\n")
 
-        def counting_dot(*args):
-            calls["dot"] += 1
-            return dot(*args)
+    def test_pointed_verify_takes_no_dense_product(self, monkeypatch):
+        calls = {"unpack": 0, "inverse": 0}
+        unpack, inverse = dense.unpack, Cyclotomic.inverse
+
+        def counting_unpack(*args):
+            calls["unpack"] += 1
+            return unpack(*args)
 
         def counting_inverse(self):
             calls["inverse"] += 1
             return inverse(self)
 
-        monkeypatch.setattr(moddata, "dot", counting_dot)
+        monkeypatch.setattr(dense, "unpack", counting_unpack)
         monkeypatch.setattr(Cyclotomic, "inverse", counting_inverse)
         md = from_lattice(check_gram([[4, 4], [4, -4]]))
         assert md.rank == 32
         assert verify_all(md).passed
-        assert calls == {"dot": 0, "inverse": 0}
+        assert calls == {"unpack": 0, "inverse": 0}
+        assert "_packed" not in vars(md)  # the dense kernel's table was never built

@@ -1,0 +1,188 @@
+"""The packed-integer kernel against plain Cyclotomic arithmetic.
+
+cyclo.dot and the checks of pointedcat.dense (unitarity, S~^2, the one- and
+two-product (S~ T)^3 and Verlinde) pack integer coefficients into big
+integers (Kronecker substitution). Each is compared here with a reference
+that multiplies and adds Cyclotomic values one at a time.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pointedcat import (
+    FusionTensor,
+    ModularData,
+    NonIntegralFusion,
+    PointedCatError,
+    dense,
+    root_of_unity,
+)
+from pointedcat.cyclo import Cyclotomic, dot, from_integers, sum_values
+
+ONE = root_of_unity(0)
+BIG = 2 ** 70
+
+
+def values_at(n):
+    """Sums of up to three terms c * e(k/m) with m dividing n, so conductors mix."""
+    divisors = [m for m in range(1, n + 1) if n % m == 0]
+    numerator = st.one_of(st.integers(-9, 9), st.integers(BIG - 9, BIG + 9),
+                          st.integers(-BIG - 9, -BIG + 9))
+    coeff = st.builds(F, numerator, st.integers(1, 6))
+    term = st.tuples(coeff, st.sampled_from(divisors), st.integers(0, 59))
+    return st.lists(term, max_size=3).map(lambda terms: sum_values(
+        Cyclotomic.from_rational(c) * root_of_unity(F(k, m)) for c, m, k in terms))
+
+
+pair_lists = st.integers(1, 60).flatmap(
+    lambda n: st.lists(st.tuples(values_at(n), values_at(n)), max_size=4))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(pair_lists)
+@example([(Cyclotomic.from_rational(BIG + 1), Cyclotomic.from_rational(BIG + 3))] * 3)
+@example([(Cyclotomic.from_rational(F(-BIG, 3)), Cyclotomic.from_rational(F(BIG - 1, 5)))])
+def test_dot_matches_sum_of_products(pairs):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    assert dot(xs, ys) == sum_values(x * y for x, y in pairs)
+
+
+def test_dot_fills_its_slots():
+    # Equal signs and rational values reach the width bound exactly.
+    xs = [Cyclotomic.from_rational(BIG - 1)] * 4
+    assert dot(xs, xs) == 4 * (BIG - 1) ** 2
+    assert dot(xs, [-x for x in xs]) == -4 * (BIG - 1) ** 2
+
+
+# -- plain references -------------------------------------------------------
+
+def product(a, b):
+    return [[sum_values(x * b[k][j] for k, x in enumerate(row)) for j in range(len(b))]
+            for row in a]
+
+
+def ref_square(md):
+    s = md.s_tilde
+    return tuple(tuple(sum_values(x * y for x, y in zip(si, sj)) for sj in s) for si in s)
+
+
+def ref_unitary(md):
+    d_squared = md._gauss.d_squared
+    s = md.s_tilde
+    return all(
+        sum_values(x * y.conjugate() for x, y in zip(si, sj)) == (d_squared if i == j else 0)
+        for i, si in enumerate(s) for j, sj in enumerate(s))
+
+
+def ref_st_cubed(md):
+    st = [[x * t for x, t in zip(row, md.twists)] for row in md.s_tilde]
+    cube = product(product(st, st), st)
+    scalar = md._gauss.p_plus * md._gauss.d_squared
+    return all(x == (scalar if i == j else 0)
+               for i, row in enumerate(cube) for j, x in enumerate(row))
+
+
+def ref_verlinde(md):
+    s = md.s_tilde
+    inv_d2 = md._gauss.d_squared.inverse()
+    weights = [[x.conjugate() * d.inverse() for x, d in zip(row, s[0])] for row in s]
+    table = [[None] * md.rank for _ in s]
+    for i in range(md.rank):
+        for j in range(i, md.rank):
+            prods = [x * y for x, y in zip(s[i], s[j])]
+            entries = []
+            for k, row in enumerate(weights):
+                value = sum_values(p * w for p, w in zip(prods, row)) * inv_d2
+                if not (value.is_rational() and value.as_rational().denominator == 1
+                        and value.as_rational() >= 0):
+                    raise NonIntegralFusion(
+                        f"N({i},{j})^{k} = {value} is not a non-negative integer")
+                entries.append(int(value.as_rational()))
+            table[i][j] = table[j][i] = tuple(entries)
+    return FusionTensor(tuple(map(tuple, table)))
+
+
+# -- data -------------------------------------------------------------------
+
+def fresh(md):
+    return ModularData(rank=md.rank, s_tilde=md.s_tilde, twists=md.twists)
+
+
+def with_twist_one(md):
+    """Twist 1 set to 1: unitarity and fusion stay, (S~ T)^3 breaks."""
+    twists = (ONE, ONE) + md.twists[2:]
+    return ModularData(rank=md.rank, s_tilde=md.s_tilde, twists=twists)
+
+
+def with_pair_one(md):
+    """Entries (1, rank-1) and (rank-1, 1) set to 1: breaks unitarity."""
+    rows = [list(row) for row in md.s_tilde]
+    last = md.rank - 1
+    rows[1][last] = rows[last][1] = ONE
+    return ModularData(rank=md.rank, s_tilde=tuple(map(tuple, rows)), twists=md.twists)
+
+
+def with_half(md):
+    """Entry (1, 1) halved: a denominator, and a non-integral fusion entry."""
+    rows = [list(row) for row in md.s_tilde]
+    rows[1][1] = rows[1][1] * F(1, 2)
+    return ModularData(rank=md.rank, s_tilde=tuple(map(tuple, rows)), twists=md.twists)
+
+
+def outcome(fn, md):
+    try:
+        return fn(md)
+    except PointedCatError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def cases(ising, su2):
+    clean = [ising] + [su2(k) for k in range(2, 9)]
+    # D^2 = 1 + (1 + e(4/5))^2 has constant coefficient 0 at conductor 5, so
+    # the Verlinde test must pivot on another coefficient.
+    d = ONE + root_of_unity(F(4, 5))
+    pivot = ModularData(rank=2, s_tilde=((ONE, d), (d, ONE)), twists=(ONE, ONE))
+    return [corrupt(md) for md in clean
+            for corrupt in (fresh, with_twist_one, with_pair_one, with_half)] + [pivot]
+
+
+class TestDenseChecks:
+    def test_packed_rows(self, cases):
+        assert max(md._packed.den for md in cases) == 2  # the halved entries
+        for md in cases:
+            p = md._packed
+            for i, row in enumerate(md.s_tilde):
+                for j, x in enumerate(row):
+                    assert from_integers(p.n, p.s[i][j], p.den) == x
+                    assert from_integers(p.n, p.conj[i][j], p.den) == x.conjugate()
+                    assert from_integers(p.n, p.st[i][j], p.den ** 2) == x * md.twists[j]
+
+    def test_unitarity_and_square(self, cases):
+        for md in cases:
+            assert dense.unitary(md) == ref_unitary(md)
+            assert dense.square(md) == ref_square(md)
+
+    def test_st_cubed(self, cases):
+        unitary_outcomes = set()
+        for md in cases:
+            expected = ref_st_cubed(md)
+            assert dense.st_cubed(md) == expected
+            if md._unitary:
+                assert dense.st_cubed_one_product(md) == expected
+                unitary_outcomes.add(expected)
+        assert unitary_outcomes == {True, False}
+
+    def test_verlinde(self, cases):
+        references = {}  # the twist corruption keeps S~
+        failures = 0
+        for md in cases:
+            key = id(md.s_tilde)
+            if key not in references:
+                references[key] = outcome(ref_verlinde, md)
+            assert outcome(dense.verlinde, md) == references[key]
+            failures += isinstance(references[key], tuple)
+        assert failures >= len(cases) // 4  # the pair and halved corruptions raise
