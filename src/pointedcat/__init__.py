@@ -32,7 +32,6 @@ from .lattice import (
     DiscriminantGroup,
     GramMatrix,
     SmithDecomposition,
-    bilinear_mod1,
     check_gram,
     direct_sum,
     discriminant_group,

@@ -114,24 +114,19 @@ class Cyclotomic:
 
     __slots__ = ("_conductor", "_coeffs", "_root")
 
-    def __init__(self, conductor: int, coeffs: tuple, root: Fraction | None = None):
+    def __init__(self, conductor: int, coeffs: tuple):
         # Internal constructor: coeffs must already be reduced mod Phi_conductor.
         if conductor != 1 and not any(coeffs[1:]):
             # Value is rational; normalise to the trivial conductor.
             conductor, coeffs = 1, (coeffs[0],)
         self._conductor = conductor
         self._coeffs = coeffs
-        self._root = root  # exponent q with self == e(q), when known
+        self._root = None  # memo of root_exponent(), when it is a root
 
     @classmethod
     def from_rational(cls, value: Fraction | int) -> Cyclotomic:
         value = Fraction(value)
-        root = None
-        if value == 1:
-            root = Fraction(0)
-        elif value == -1:
-            root = Fraction(1, 2)
-        return cls(1, (value.numerator if value.denominator == 1 else value,), root)
+        return cls(1, (value.numerator if value.denominator == 1 else value,))
 
     @classmethod
     def zero(cls) -> Cyclotomic:
@@ -218,8 +213,7 @@ class Cyclotomic:
     __radd__ = __add__
 
     def __neg__(self) -> Cyclotomic:
-        root = None if self._root is None else (self._root + Fraction(1, 2)) % 1
-        return Cyclotomic(self._conductor, tuple(-c for c in self._coeffs), root)
+        return Cyclotomic(self._conductor, tuple(-c for c in self._coeffs))
 
     def __sub__(self, other) -> Cyclotomic:
         other = _coerce(other)
@@ -236,8 +230,6 @@ class Cyclotomic:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Cyclotomic.zero()
-        if self._root is not None and other._root is not None:
-            return root_of_unity(self._root + other._root)
         if self.is_rational():
             return other._scaled(self._coeffs[0])
         if other.is_rational():
@@ -262,8 +254,6 @@ class Cyclotomic:
 
     def conjugate(self) -> Cyclotomic:
         """Complex conjugate; on roots of unity, e(q) -> e(-q)."""
-        if self._root is not None:
-            return root_of_unity(-self._root)
         if self.is_rational():
             return self
         n = self._conductor
@@ -276,8 +266,6 @@ class Cyclotomic:
     def inverse(self) -> Cyclotomic:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        if self._root is not None:
-            return root_of_unity(-self._root)
         if self.is_rational():
             return Cyclotomic.from_rational(1 / Fraction(self._coeffs[0]))
         return _field_inverse(self)
@@ -310,8 +298,8 @@ class Cyclotomic:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self._root is not None and other._root is not None:
-            return self._root == other._root
+        if self is other:
+            return True
         if self._conductor == other._conductor:
             return all(a == b for a, b in zip(self._coeffs, other._coeffs))
         n = lcm(self._conductor, other._conductor)
@@ -336,7 +324,7 @@ class Cyclotomic:
     def minimal(self) -> Cyclotomic:
         """Equal value at its minimal conductor."""
         if self.is_rational():
-            return Cyclotomic(1, (Fraction(self._coeffs[0]),), self._root)
+            return Cyclotomic(1, (Fraction(self._coeffs[0]),))
         n, coeffs = self._conductor, self._coeffs
         changed = True
         while changed:
@@ -347,7 +335,7 @@ class Cyclotomic:
                     n, coeffs = n // p, smaller
                     changed = True
                     break
-        return Cyclotomic(n, coeffs, self._root)
+        return Cyclotomic(n, coeffs)
 
     def __repr__(self) -> str:
         return f"Cyclotomic({self._conductor}, {self._coeffs!r})"
@@ -367,9 +355,9 @@ def _coerce(value) -> Cyclotomic:
 def root_of_unity(q: Fraction | int) -> Cyclotomic:
     """The exact value e(q) := exp(2 pi i q); q is reduced mod 1 first."""
     q = Fraction(q) % 1
-    n = q.denominator
-    k = q.numerator
-    return Cyclotomic(n, _monomial(n, k % n), q)
+    x = Cyclotomic(q.denominator, _monomial(q.denominator, q.numerator))
+    x._root = q
+    return x
 
 
 def _field_inverse(x: Cyclotomic) -> Cyclotomic:
@@ -620,7 +608,9 @@ def _parse_rat(text: str) -> Fraction:
         raise ValueError(f"bad rational {text!r}") from exc
 
 
+@lru_cache(maxsize=1 << 12)
 def _parse_root(text: str) -> Cyclotomic:
+    # one shared object per token text, so repeated entries compare by identity
     text = text.strip()
     if not (text.startswith("e(") and text.endswith(")")):
         raise ValueError(f"bad root of unity {text!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .cyclo import Cyclotomic, format_root
 from .errors import Singular
 from .lattice import GramMatrix, check_gram, format_gram
 from .moddata import canonical_form, from_lattice
@@ -97,8 +98,7 @@ def classify(corpus, max_rank: int = 8) -> ClassificationResult:
         key = canonical_form(md, max_rank=max_rank)
         bucket = buckets.setdefault(md.rank, {})
         if key not in bucket:
-            exponents = sorted(t.root_exponent() for t in md.twists)
-            twists = tuple(f"e({q.numerator}/{q.denominator})" for q in exponents)
+            twists = tuple(map(format_root, sorted(md.twists, key=Cyclotomic.root_exponent)))
             bucket[key] = ModularClass(key, gram, twists)
     return ClassificationResult(tuple(
         (rank, tuple(bucket[key] for key in sorted(bucket)))

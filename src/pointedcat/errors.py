@@ -18,7 +18,7 @@ class Singular(PointedCatError):
 
 
 class NotInDiscriminantGroup(PointedCatError):
-    """Vector v fails the membership condition B*v integral."""
+    """Numerator u over n fails the membership condition: n divides B*u."""
 
 
 class NonIntegralFusion(PointedCatError):

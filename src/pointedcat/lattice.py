@@ -3,21 +3,18 @@
 Validates even symmetric Gram matrices, computes the Smith normal form with
 unimodular transforms over exact big integers, and enumerates discriminant
 group representatives together with their bilinear (mod 1) and quadratic
-(mod 2) forms.
+(mod 2) forms. A class v is stored as its integer numerator u = n*v over the
+group exponent n, so both forms are integer arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 from math import prod
 from operator import mul
 
 from .errors import NotInDiscriminantGroup, NotSymmetric, OddDiagonal, Singular
-
-Vector = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -30,12 +27,6 @@ class GramMatrix:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def apply(self, v) -> Vector:
-        return tuple(
-            sum((Fraction(b) * x for b, x in zip(row, v)), Fraction(0))
-            for row in self.entries
-        )
 
 
 def format_gram(gram: GramMatrix) -> str:
@@ -180,21 +171,16 @@ def smith_normal_form(gram: GramMatrix) -> SmithDecomposition:
 class DiscriminantGroup:
     """The finite abelian group B^{-1}Z^n / Z^n with canonical representatives.
 
-    Representatives live in [0,1)^n, sorted lexicographically with the zero
-    vector first; all indices elsewhere in the package refer to this order.
+    Class v is stored as the integer numerator u = exponent * v with entries
+    in [0, exponent), where the exponent is the last invariant factor (1 for
+    the trivial group). Representatives are sorted lexicographically with the
+    zero vector first; all indices elsewhere in the package refer to this order.
     """
 
     order: int
     invariant_factors: tuple[int, ...]
-    representatives: tuple[Vector, ...]
-
-    @cached_property
-    def _index(self) -> dict[Vector, int]:
-        return {v: i for i, v in enumerate(self.representatives)}
-
-    def add(self, i: int, j: int) -> int:
-        v, w = self.representatives[i], self.representatives[j]
-        return self._index[tuple((a + b) % 1 for a, b in zip(v, w))]
+    exponent: int
+    representatives: tuple[tuple[int, ...], ...]
 
 
 def discriminant_group(gram: GramMatrix) -> DiscriminantGroup:
@@ -206,54 +192,45 @@ def discriminant_group(gram: GramMatrix) -> DiscriminantGroup:
     steps = [[x * (e // d) for x, d in zip(row, snf.diag)] for row in snf.v]
     reps = set()
     for combo in itertools.product(*(range(d) for d in snf.diag)):
-        reps.add(tuple(Fraction(sum(map(mul, row, combo)) % e, e) for row in steps))
+        reps.add(tuple(sum(map(mul, row, combo)) % e for row in steps))
     order = prod(snf.diag)
     assert len(reps) == order == abs(gram.determinant)
     return DiscriminantGroup(
         order=order,
         invariant_factors=tuple(d for d in snf.diag if d > 1),
+        exponent=e,
         representatives=tuple(sorted(reps)),
     )
 
 
-def _integral_image(gram: GramMatrix, v) -> tuple[int, ...]:
-    image = gram.apply(v)
-    if any(x.denominator != 1 for x in image):
-        raise NotInDiscriminantGroup(f"B*{tuple(v)} is not integral")
-    return tuple(int(x) for x in image)
+def _image(gram: GramMatrix, u, n: int) -> tuple[int, ...]:
+    # B*u/n, which is integral exactly when u/n is in B^{-1}Z^n
+    image = [sum(map(mul, row, u)) for row in gram.entries]
+    if any(x % n for x in image):
+        raise NotInDiscriminantGroup(f"B*{tuple(u)} is not divisible by {n}")
+    return tuple(x // n for x in image)
 
 
-def bilinear_mod1(gram: GramMatrix, v, w) -> Fraction:
-    """v^t B w reduced mod 1; independent of the representatives chosen."""
-    _integral_image(gram, v)
-    bw = _integral_image(gram, w)
-    return sum((Fraction(a) * b for a, b in zip(v, bw)), Fraction(0)) % 1
-
-
-def quadratic_mod2(gram: GramMatrix, v) -> Fraction:
-    """v^t B v reduced mod 2; well-defined because B is even and B*v integral."""
-    bv = _integral_image(gram, v)
-    return sum((Fraction(a) * b for a, b in zip(v, bv)), Fraction(0)) % 2
+def quadratic_mod2(gram: GramMatrix, u, n: int) -> int:
+    """n * (v^t B v mod 2) for v = u/n, that is u.Bu/n mod 2n: an integer,
+    well-defined because B is even and B*u is divisible by n."""
+    return sum(map(mul, u, _image(gram, u, n))) % (2 * n)
 
 
 def pairing_exponents(gram: GramMatrix, group: DiscriminantGroup):
     """Both forms on every pair of representatives, as integers over the
-    exponent n of the group (its last invariant factor).
+    exponent n of the group.
 
     Returns (n, s, t) with <v_i, v_j> = s[i][j]/n mod 1 and
     v_i^t B v_i / 2 = t[i]/(2n) mod 1. Since n*v_i = u_i and B*v_j are
     integral, n <v_i, v_j> = u_i . B v_j is an integer dot product.
     """
-    n = group.invariant_factors[-1] if group.invariant_factors else 1
-    us = [tuple(x.numerator * (n // x.denominator) for x in v) for v in group.representatives]
-    # B*u_j = n*(B*v_j), so the division is exact
-    images = [tuple(sum(map(mul, row, u)) // n for row in gram.entries) for u in us]
+    n, us = group.exponent, group.representatives
+    images = [_image(gram, u, n) for u in us]
+    t = tuple(quadratic_mod2(gram, u, n) for u in us)
     s = [[0] * len(us) for _ in us]
-    t = []
     for i, u in enumerate(us):
-        self_pairing = sum(map(mul, u, images[i]))
-        t.append(self_pairing % (2 * n))
-        s[i][i] = self_pairing % n
+        s[i][i] = t[i] % n
         for j in range(i + 1, len(us)):
             s[i][j] = s[j][i] = sum(map(mul, u, images[j])) % n
-    return n, tuple(map(tuple, s)), tuple(t)
+    return n, tuple(map(tuple, s)), t

@@ -26,14 +26,7 @@ from .errors import (
     RankTooLarge,
     ValidationError,
 )
-from .lattice import (
-    DiscriminantGroup,
-    GramMatrix,
-    bilinear_mod1,
-    discriminant_group,
-    pairing_exponents,
-    quadratic_mod2,
-)
+from .lattice import DiscriminantGroup, GramMatrix, discriminant_group, pairing_exponents
 
 __all__ = [
     "ModularData", "FusionTensor", "FramedLink", "GaussData",
@@ -458,10 +451,11 @@ def framed_link(linking, colors) -> FramedLink:
 def colored_link_invariant(md: ModularData, link: FramedLink) -> Cyclotomic:
     """Invariant of a colored framed link for lattice-constructed data.
 
-    Framing of component i contributes its self-pairing exponent halved,
-    each crossing pair its mutual pairing:
+    Framing of component i contributes its twist exponent, each crossing
+    pair its Hopf-pairing exponent, summed as integers over the exponent
+    table (ModularData._exponents, the lattice's forms over N):
 
-        e( sum_i L_ii q(v_i)/2  +  sum_{i<j} L_ij b(v_i, v_j) )
+        e( (sum_i L_ii t[c_i]  +  sum_{i<j} L_ij s[c_i][c_j]) / N )
 
     Unnormalized: the empty link maps to 1, the 0-framed unknot to d_i = 1
     and the Hopf link to the matrix entry.
@@ -470,16 +464,13 @@ def colored_link_invariant(md: ModularData, link: FramedLink) -> Cyclotomic:
         raise NoLatticeProvenance("link invariants need lattice-constructed data")
     if any(not 0 <= c < md.rank for c in link.colors):
         raise ValidationError("link color out of range")
-    gram = md.provenance.gram
-    reps = md.provenance.group.representatives
-    exponent = Fraction(0)
-    for i in range(link.components):
-        v = reps[link.colors[i]]
-        exponent += link.linking[i][i] * quadratic_mod2(gram, v) / 2
-        for j in range(i + 1, link.components):
-            w = reps[link.colors[j]]
-            exponent += link.linking[i][j] * bilinear_mod1(gram, v, w)
-    return root_of_unity(exponent)
+    table, colors, linking = md._exponents, link.colors, link.linking
+    exponent = 0
+    for i, a in enumerate(colors):
+        exponent += linking[i][i] * table.t[a]
+        for j in range(i + 1, len(colors)):
+            exponent += linking[i][j] * table.s[a][colors[j]]
+    return root_of_unity(Fraction(exponent, table.n))
 
 
 def canonical_form(md: ModularData, max_rank: int = 8) -> bytes:

@@ -8,6 +8,7 @@ canonical forms by trying every relabeling.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -37,6 +38,12 @@ def brute_representatives(rows):
     Every class has a representative on the (1/|det|)-grid, so a full grid scan
     finds them all without any normal-form machinery.
     """
+    return list(_grid_scan(tuple(map(tuple, rows))))
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_scan(rows):
+    # several tests scan the same corpus, so each matrix is scanned once
     n = len(rows)
     d = abs(det_cofactor(rows))
     reps = []
@@ -46,7 +53,7 @@ def brute_representatives(rows):
             reps.append(tuple(Fraction(k, d) for k in combo))
     reps.sort()
     assert len(reps) == d, (rows, len(reps), d)
-    return reps
+    return tuple(reps)
 
 
 def add_mod1(v, w):
@@ -83,7 +90,9 @@ def quadratic_fraction(rows, v):
 def s_exponents(rows):
     """Hopf-pairing exponent table: entry (i,j) is <v_i, v_j>_B mod 1."""
     reps = brute_representatives(rows)
-    return [[bilinear_fraction(rows, v, w) for w in reps] for v in reps]
+    images = [mat_vec(rows, list(w)) for w in reps]  # B w, once per column
+    return [[sum((Fraction(a) * b for a, b in zip(v, bw)), Fraction(0)) % 1 for bw in images]
+            for v in reps]
 
 
 def twist_exponents(rows):

@@ -12,11 +12,11 @@ tests in test_moddata.py for the explicit semion value (2+2i) I.
 
 import random
 from fractions import Fraction as F
+from operator import add
 
 import oracle
 from pointedcat import (
     ModularData,
-    bilinear_mod1,
     canonical_form,
     check_gram,
     check_modular_relations,
@@ -36,6 +36,7 @@ from pointedcat import (
 )
 from pointedcat.cli import main
 from pointedcat.cyclo import Cyclotomic
+from pointedcat.lattice import pairing_exponents
 
 ONE = Cyclotomic.one()
 
@@ -126,19 +127,24 @@ def test_criterion_6_representative_independence(corpus4):
     pool = [gram for gram in corpus4 if gram.n <= 2]
     checked = 0
     failures = []
-    groups = {}
+    tables = {}
     while checked < 1000:
         gram = rng.choice(pool)
-        if gram not in groups:
-            groups[gram] = from_lattice(gram).provenance.group
-        reps = groups[gram].representatives
-        v = rng.choice(reps)
-        w = rng.choice(reps)
+        if gram not in tables:
+            group = from_lattice(gram).provenance.group
+            tables[gram] = group.representatives, pairing_exponents(gram, group)
+        reps, (n, s, _) = tables[gram]
+        i = rng.choice(range(len(reps)))
+        j = rng.choice(range(len(reps)))
+        u, w = reps[i], reps[j]
         shift = [rng.randint(-3, 3) for _ in range(gram.n)]
-        shifted = tuple(a + z for a, z in zip(v, shift))
-        if bilinear_mod1(gram, shifted, w) != bilinear_mod1(gram, v, w):
+        shifted = tuple(a + n * z for a, z in zip(u, shift))
+        q_shifted = quadratic_mod2(gram, shifted, n)
+        q_sum = quadratic_mod2(gram, tuple(map(add, shifted, w)), n)
+        # polarization: Q(u'+w) - Q(u') - Q(w) = 2 <u', w> (mod 2n)
+        if (q_sum - q_shifted - quadratic_mod2(gram, w, n) - 2 * s[i][j]) % (2 * n):
             failures.append((gram.entries, "bilinear"))
-        if quadratic_mod2(gram, shifted) != quadratic_mod2(gram, v):
+        if q_shifted != quadratic_mod2(gram, u, n):
             failures.append((gram.entries, "quadratic"))
         checked += 1
     ok = not failures and checked == 1000

@@ -29,7 +29,7 @@ _sums = st.lists(st.tuples(_coeffs, _exponents), min_size=0, max_size=4).map(
     lambda terms: sum_values([Cyclotomic.from_rational(c) * root_of_unity(q)
                               for c, q in terms])
 )
-# pure roots and their negations keep the internal exponent fast paths covered
+# pure roots of unity and their negations
 _roots = st.tuples(_exponents, st.booleans()).map(
     lambda qn: -root_of_unity(qn[0]) if qn[1] else root_of_unity(qn[0])
 )
@@ -58,6 +58,40 @@ class TestRootOfUnity:
     def test_power_cycle(self, n):
         for k in range(n):
             assert root_of_unity(F(k, n)) ** n == 1
+
+
+def _roots_up_to(bound):
+    return [F(a, b) for b in range(1, bound + 1) for a in range(b) if math.gcd(a, b) == 1]
+
+
+class TestRootExponentAfterArithmetic:
+    """Only root_of_unity records an exponent; every arithmetic result finds
+    its own from the coefficients, which this covers for all e(a/b), b <= 48."""
+
+    @staticmethod
+    def assert_root(x, q):
+        q %= 1
+        assert x.root_exponent() == q
+        token = f"e({q.numerator}/{q.denominator})"
+        assert format_root(x) == token
+        assert format_value(x) == ({0: "1", F(1, 2): "-1"}.get(q, token))
+
+    def test_exact_exponents(self):
+        partners = _roots_up_to(6)
+        for k, q in enumerate(_roots_up_to(48)):
+            x = root_of_unity(q)
+            p = partners[k % len(partners)]
+            self.assert_root(-x, q + F(1, 2))
+            self.assert_root(x.conjugate(), -q)
+            self.assert_root(x.inverse(), -q)
+            self.assert_root(x * x, 2 * q)
+            self.assert_root(x * root_of_unity(p), q + p)
+            self.assert_root(x.minimal(), q)
+
+    def test_non_roots(self):
+        for x in (ONE + I, 2 * W, Cyclotomic.zero(), Cyclotomic.from_rational(F(1, 2)),
+                  ONE - W, W + W * W + I):
+            assert x.root_exponent() is None
 
 
 class TestArithmetic:
@@ -180,6 +214,10 @@ class TestValueGrammar:
     ])
     def test_format(self, value, text):
         assert format_value(value) == text
+
+    def test_repeated_root_token_is_one_value(self):
+        # a document repeats few root tokens; equal entries then compare by identity
+        assert parse_value("e(1/3)") is parse_value("e(1/3)")
 
     def test_format_root_unit(self):
         assert format_root(ONE) == "e(0/1)"

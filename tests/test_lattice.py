@@ -15,10 +15,10 @@ from pointedcat.errors import (
 )
 from pointedcat.lattice import (
     _det_bareiss,
-    bilinear_mod1,
     check_gram,
     direct_sum,
     discriminant_group,
+    pairing_exponents,
     quadratic_mod2,
     smith_normal_form,
 )
@@ -106,34 +106,37 @@ class TestSmithNormalForm:
 class TestDiscriminantGroup:
     def test_order_two(self):
         group = discriminant_group(check_gram([[2]]))
-        assert group.representatives == ((F(0),), (F(1, 2),))
+        assert group.representatives == ((0,), (1,))
+        assert group.exponent == 2
         assert group.invariant_factors == (2,)
 
     def test_klein_four(self):
         group = discriminant_group(check_gram([[0, 2], [2, 0]]))
-        assert group.representatives == (
-            (F(0), F(0)), (F(0), F(1, 2)), (F(1, 2), F(0)), (F(1, 2), F(1, 2)),
-        )
+        assert group.representatives == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert group.exponent == 2
         assert group.invariant_factors == (2, 2)
 
     def test_unimodular_is_trivial(self):
         group = discriminant_group(check_gram([[0, 1], [1, 0]]))
         assert group.order == 1
-        assert group.representatives == ((F(0), F(0)),)
+        assert group.representatives == ((0, 0),)
+        assert group.exponent == 1
         assert group.invariant_factors == ()
 
     @pytest.mark.parametrize("rows", SMALL_MATRICES)
     def test_matches_brute_force(self, rows):
         group = discriminant_group(check_gram(rows))
-        assert list(group.representatives) == oracle.brute_representatives(rows)
+        vectors = [tuple(F(k, group.exponent) for k in u) for u in group.representatives]
+        assert vectors == oracle.brute_representatives(rows)
 
     @pytest.mark.parametrize("rows", SMALL_MATRICES)
     def test_group_closure_and_zero_first(self, rows):
         group = discriminant_group(check_gram(rows))
+        n, reps = group.exponent, set(group.representatives)
         assert not any(group.representatives[0])
-        for i in range(group.order):
-            for j in range(group.order):
-                assert 0 <= group.add(i, j) < group.order
+        for u in group.representatives:
+            for w in group.representatives:
+                assert tuple((a + b) % n for a, b in zip(u, w)) in reps
 
     def test_order_equals_det(self):
         rng = random.Random(37)
@@ -146,24 +149,30 @@ class TestDiscriminantGroup:
 
 
 class TestForms:
+    """Over the exponent n, v = u/n: s[i][j] = n <v_i, v_j> mod n,
+    t[i] = quadratic_mod2 = n q(v_i) mod 2n."""
+
     def test_bilinear_examples(self):
-        assert bilinear_mod1(check_gram([[2]]), (F(1, 2),), (F(1, 2),)) == F(1, 2)
+        gram = check_gram([[2]])
+        assert pairing_exponents(gram, discriminant_group(gram))[1][1][1] == 1  # <1/2, 1/2> = 1/2
         gram = check_gram([[0, 2], [2, 0]])
-        assert bilinear_mod1(gram, (F(1, 2), F(0)), (F(0), F(1, 2))) == F(1, 2)
-        assert bilinear_mod1(gram, (F(0), F(0)), (F(1, 2), F(1, 2))) == 0
+        n, s, _ = pairing_exponents(gram, discriminant_group(gram))
+        assert n == 2
+        assert s[2][1] == 1  # <(1/2, 0), (0, 1/2)> = 1/2
+        assert s[0][3] == 0  # <(0, 0), (1/2, 1/2)> = 0
 
     def test_quadratic_examples(self):
-        assert quadratic_mod2(check_gram([[2]]), (F(1, 2),)) == F(1, 2)
+        assert quadratic_mod2(check_gram([[2]]), (1,), 2) == 1  # q(1/2) = 1/2
         gram = check_gram([[0, 2], [2, 0]])
-        assert quadratic_mod2(gram, (F(1, 2), F(1, 2))) == 1
-        assert quadratic_mod2(gram, (F(0), F(0))) == 0
+        assert quadratic_mod2(gram, (1, 1), 2) == 2  # q(1/2, 1/2) = 1
+        assert quadratic_mod2(gram, (0, 0), 2) == 0
 
     def test_membership_guard(self):
         gram = check_gram([[2]])
         with pytest.raises(NotInDiscriminantGroup):
-            bilinear_mod1(gram, (F(1, 3),), (F(1, 2),))
+            quadratic_mod2(gram, (1,), 3)  # 1/3 is not in B^{-1}Z
         with pytest.raises(NotInDiscriminantGroup):
-            quadratic_mod2(gram, (F(1, 3),))
+            quadratic_mod2(check_gram([[2, 1], [1, 2]]), (1, 0), 3)  # B(1, 0) = (2, 1)
 
     @given(st.integers(0, len(SMALL_MATRICES) - 1), st.data())
     @settings(max_examples=120, deadline=None)
@@ -171,31 +180,36 @@ class TestForms:
         rows = SMALL_MATRICES[pick]
         gram = check_gram(rows)
         group = discriminant_group(gram)
-        v = data.draw(st.sampled_from(group.representatives))
-        w = data.draw(st.sampled_from(group.representatives))
+        n, s, _ = pairing_exponents(gram, group)
+        i = data.draw(st.integers(0, group.order - 1))
+        j = data.draw(st.integers(0, group.order - 1))
+        u, w = group.representatives[i], group.representatives[j]
         shift = data.draw(st.lists(
             st.integers(-3, 3), min_size=gram.n, max_size=gram.n))
-        shifted = tuple(a + z for a, z in zip(v, shift))
-        assert bilinear_mod1(gram, shifted, w) == bilinear_mod1(gram, v, w)
-        assert quadratic_mod2(gram, shifted) == quadratic_mod2(gram, v)
+        shifted = tuple(a + n * z for a, z in zip(u, shift))
+        q_shifted = quadratic_mod2(gram, shifted, n)
+        q_sum = quadratic_mod2(gram, tuple(a + b for a, b in zip(shifted, w)), n)
+        assert (q_sum - q_shifted - quadratic_mod2(gram, w, n)) % (2 * n) == 2 * s[i][j]
+        assert q_shifted == quadratic_mod2(gram, u, n)
 
     @pytest.mark.parametrize("rows", SMALL_MATRICES)
     def test_bilinearity_and_polarization(self, rows):
         gram = check_gram(rows)
         group = discriminant_group(gram)
+        n, s, t = pairing_exponents(gram, group)
         reps = group.representatives
+        index = {u: k for k, u in enumerate(reps)}
+
+        def plus(i, j):
+            return index[tuple((a + b) % n for a, b in zip(reps[i], reps[j]))]
+
         rng = random.Random(5)
         for _ in range(40):
-            v = rng.choice(reps)
-            vp = rng.choice(reps)
-            w = rng.choice(reps)
-            v_sum = tuple((a + b) % 1 for a, b in zip(v, vp))
-            assert bilinear_mod1(gram, v_sum, w) == (
-                bilinear_mod1(gram, v, w) + bilinear_mod1(gram, vp, w)) % 1
-            lhs = quadratic_mod2(gram, tuple((a + b) % 1 for a, b in zip(v, w)))
-            rhs = (quadratic_mod2(gram, v) + quadratic_mod2(gram, w)
-                   + 2 * bilinear_mod1(gram, v, w)) % 2
-            assert lhs == rhs
+            i = rng.randrange(group.order)
+            ip = rng.randrange(group.order)
+            j = rng.randrange(group.order)
+            assert s[plus(i, ip)][j] == (s[i][j] + s[ip][j]) % n
+            assert t[plus(i, j)] == (t[i] + t[j] + 2 * s[i][j]) % (2 * n)
 
 
 class TestDirectSum:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracle
 from pointedcat import (
     NoLatticeProvenance,
     ModularData,
@@ -9,6 +10,9 @@ from pointedcat import (
     colored_link_invariant,
     dual_permutation,
     framed_link,
+    parse,
+    root_of_unity,
+    serialize,
 )
 
 HOPF = [[0, 1], [1, 0]]
@@ -94,6 +98,33 @@ class TestLargerLinks:
         value = colored_link_invariant(toric, chain)
         expected = (toric.s_tilde[1][2] * toric.s_tilde[2][3])
         assert value == expected
+
+
+class TestFractionOracle:
+    def test_random_links_on_corpus(self, corpus4_data):
+        # e(sum_i L_ii q(v_i)/2 + sum_{i<j} L_ij b(v_i, v_j)) over the grid
+        # representatives, on the built data and on its parsed document
+        rng = random.Random(61)
+        for gram, md in corpus4_data:
+            rows = [list(r) for r in gram.entries]
+            reps = oracle.brute_representatives(rows)
+            parsed = parse(serialize(md))
+            for _ in range(5):
+                m = rng.randint(1, 3)
+                linking = [[0] * m for _ in range(m)]
+                for i in range(m):
+                    for j in range(i, m):
+                        linking[i][j] = linking[j][i] = rng.randint(-3, 3)
+                colors = [rng.randrange(md.rank) for _ in range(m)]
+                v = [reps[c] for c in colors]
+                expected = root_of_unity(sum(
+                    linking[i][i] * oracle.quadratic_fraction(rows, v[i]) / 2
+                    + sum(linking[i][j] * oracle.bilinear_fraction(rows, v[i], v[j])
+                          for j in range(i + 1, m))
+                    for i in range(m)))
+                link = framed_link(linking, colors)
+                assert colored_link_invariant(md, link) == expected, (gram, link)
+                assert colored_link_invariant(parsed, link) == expected, (gram, link)
 
 
 class TestProvenanceGuard:

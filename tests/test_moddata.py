@@ -71,12 +71,12 @@ class TestFixtures:
     def test_toric_values(self, toric):
         assert toric.rank == 4
         assert [*toric.twists] == [root_of_unity(q) for q in TORIC_TWIST_EXPONENTS]
-        reps = toric.provenance.group.representatives
-        # entries (-1)^(ad+bc) over integer labels (a,b) = 2v, (c,d) = 2w
-        for i, v in enumerate(reps):
-            for j, w in enumerate(reps):
-                sign = (-1) ** int((4 * (v[0] * w[1] + v[1] * w[0])) % 2)
-                assert toric.s_tilde[i][j] == sign
+        group = toric.provenance.group
+        assert group.exponent == 2
+        # entries (-1)^(ad+bc) over the integer labels (a,b) = u_i, (c,d) = u_j
+        for i, (a, b) in enumerate(group.representatives):
+            for j, (c, d) in enumerate(group.representatives):
+                assert toric.s_tilde[i][j] == (-1) ** ((a * d + b * c) % 2)
 
     def test_z3_values(self, z3):
         assert z3.rank == 3
