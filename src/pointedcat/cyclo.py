@@ -9,7 +9,9 @@ package can be checked with zero numerical tolerance.
 Binary operations embed both operands into the least common conductor first.
 Results keep that conductor (no aggressive reduction), except that values
 which turn out rational are normalised to conductor 1. Serialization descends
-to the true minimal conductor so the textual form is canonical per value.
+to the true minimal conductor, one prime at a time, by reading the subfield
+coefficients off the power basis (``_descend``), so the textual form is
+canonical per value.
 """
 
 from __future__ import annotations
@@ -20,21 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm, tau
 from operator import sub
-
-
-def _totient(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 @lru_cache(maxsize=None)
@@ -53,30 +40,29 @@ def _prime_divisors(n: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # Exact division of integer polynomials (ascending coefficients, monic divisor).
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        if c:
-            out[k - dd] = c
-            for i, t in enumerate(den):
-                num[k - dd + i] -= c * t
-    assert not any(num), "non-exact polynomial division"
-    return out
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, ascending degree, monic, length phi(n)+1."""
+    """Integer coefficients of Phi_n, ascending degree, monic, length phi(n)+1.
+
+    For n > 1, Phi_n = prod over d | n of (1 - x^d)^mu(n/d) (the signs cancel),
+    taken as a power series cut after degree phi(n): multiplying by 1 - x^d is
+    one descending pass, dividing by it one ascending pass.
+    """
     if n == 1:
         return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _polydiv_exact(poly, _cyclotomic_poly(d))
+    mobius = [(1, 1)]  # (s, mu(s)) for every squarefree s | n
+    for p in _prime_divisors(n):
+        mobius += [(s * p, -mu) for s, mu in mobius]
+    deg = sum(mu * (n // s) for s, mu in mobius)  # phi(n)
+    poly = [1] + [0] * deg
+    for s, mu in mobius:
+        d = n // s
+        if mu > 0:
+            for i in range(deg, d - 1, -1):
+                poly[i] -= poly[i - d]
+        else:
+            for i in range(d, deg + 1):
+                poly[i] += poly[i - d]
     return tuple(poly)
 
 
@@ -322,19 +308,18 @@ class Cyclotomic:
         return total.real, total.imag
 
     def minimal(self) -> Cyclotomic:
-        """Equal value at its minimal conductor."""
+        """Equal value at its minimal conductor, by structural descent one
+        prime p at a time (Breuer 1997; see _descend). Where p^2 | n the value
+        descends when its support is on multiples of p; where p || n, when its
+        CRT parts along zeta_p, ..., zeta_p^(p-1) agree. The conductors whose
+        field holds the value are closed under gcd, so one pass over the
+        primes, each descended as far as it goes, reaches the least one."""
         if self.is_rational():
-            return Cyclotomic(1, (Fraction(self._coeffs[0]),))
+            return self
         n, coeffs = self._conductor, self._coeffs
-        changed = True
-        while changed:
-            changed = False
-            for p in _prime_divisors(n):
-                smaller = _try_descend(n, coeffs, n // p)
-                if smaller is not None:
-                    n, coeffs = n // p, smaller
-                    changed = True
-                    break
+        for p in _prime_divisors(n):
+            while n % p == 0 and (smaller := _descend(n, coeffs, p)) is not None:
+                n, coeffs = n // p, smaller
         return Cyclotomic(n, coeffs)
 
     def __repr__(self) -> str:
@@ -400,35 +385,33 @@ def _field_inverse(x: Cyclotomic) -> Cyclotomic:
     return Cyclotomic(n, _reduce_raw(n, raw))
 
 
-def _try_descend(n: int, coeffs: tuple, m: int) -> tuple | None:
-    """Coefficients of the same value at conductor m (m | n), or None."""
-    phi_m = _totient(m)
-    columns = [_monomial(n, (j * (n // m)) % n) for j in range(phi_m)]
-    phi_n = _totient(n)
-    # Gaussian elimination on the phi_n x phi_m system (columns | target).
-    mat = [[Fraction(columns[j][i]) for j in range(phi_m)] + [Fraction(coeffs[i])]
-           for i in range(phi_n)]
-    pivots = []
-    row = 0
-    for col in range(phi_m):
-        pivot = next((r for r in range(row, phi_n) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(phi_n):
-            if r != row and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-    if any(mat[r][-1] for r in range(row, phi_n)):
+def _descend(n: int, coeffs: tuple, p: int) -> tuple | None:
+    """Coefficients of the same value at conductor m = n/p (p a prime factor
+    of n), or None if the value is not in Q(zeta_m) (Breuer, "Integral bases
+    for subfields of cyclotomic fields", AAECC 8, 1997).
+
+    If p^2 | n, Phi_n(x) = Phi_m(x^p), so the power basis of Q(zeta_m) is
+    every p-th one of Q(zeta_n): the value descends exactly when its support
+    lies on multiples of p. If p || n, zeta_n^k = zeta_m^(ka) zeta_p^(kb) by
+    the CRT, with a = p^-1 mod m and b = m^-1 mod p, which groups the value
+    as sum_b y_b zeta_p^b with each y_b in Q(zeta_m). Over Q(zeta_m) the basis
+    is 1, zeta_p, ..., zeta_p^(p-2), and zeta_p^(p-1) is minus their sum, so
+    the value descends exactly when y_1 = ... = y_(p-1), and is y_0 - y_(p-1).
+    """
+    m = n // p
+    if m % p == 0:
+        if any(c for k, c in enumerate(coeffs) if k % p):
+            return None
+        return coeffs[::p]
+    a, b = pow(p, -1, m), pow(m, -1, p)
+    raws = [[0] * m for _ in range(p)]
+    for k, c in enumerate(coeffs):
+        if c:
+            raws[k * b % p][k * a % m] += c
+    ys = [_reduce_raw(m, raw) for raw in raws]
+    if any(y != ys[-1] for y in ys[1:-1]):
         return None
-    solution = [Fraction(0)] * phi_m
-    for r, col in enumerate(pivots):
-        solution[col] = mat[r][-1]
-    return tuple(solution)
+    return tuple(map(sub, ys[0], ys[-1]))
 
 
 def sum_values(values) -> Cyclotomic:

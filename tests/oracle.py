@@ -2,14 +2,16 @@
 
 Nothing in here imports the package under test. Discriminant-group data is
 recovered by scanning the (1/|det|)-grid instead of any matrix decomposition,
-determinants by cofactor expansion, corpus counts by direct enumeration, and
-canonical forms by trying every relabeling.
+determinants by cofactor expansion, corpus counts by direct enumeration,
+canonical forms by trying every relabeling, cyclotomic polynomials by dense
+division and minimal conductors by Fraction Gauss-Jordan elimination.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -148,3 +150,95 @@ def enumerate_even_symmetric(max_dim, max_entry, max_rank=None):
                 continue
             out.append(tuple(tuple(r) for r in rows))
     return out
+
+
+def prime_divisors(n):
+    """Distinct primes of n, ascending, by trial division."""
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+def totient(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_poly(n):
+    """Phi_n, ascending integer coefficients: x^n - 1 divided exactly by every
+    Phi_d with d | n, d < n, by dense long division."""
+    if n == 1:
+        return (-1, 1)
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = cyclotomic_poly(d)
+            dd = len(den) - 1
+            out = [0] * (len(num) - dd)
+            for k in range(len(num) - 1, dd - 1, -1):
+                c = num[k]
+                if c:
+                    out[k - dd] = c
+                    for i, t in enumerate(den):
+                        num[k - dd + i] -= c * t
+            assert not any(num), "non-exact polynomial division"
+            num = out
+    return tuple(num)
+
+
+def reduce_mod_phi(n, raw):
+    """Remainder of sum_k raw[k] x^k modulo Phi_n, as phi(n) coefficients."""
+    poly = cyclotomic_poly(n)
+    deg = len(poly) - 1
+    raw = list(raw)
+    for k in range(len(raw) - 1, deg - 1, -1):
+        c = raw[k]
+        if c:
+            for i, t in enumerate(poly):
+                raw[k - deg + i] -= c * t
+    return tuple(raw[:deg]) + (0,) * (deg - len(raw))
+
+
+def descend(n, coeffs, m):
+    """Coefficients at conductor m | n of the value with these coefficients at
+    conductor n, or None: Fraction Gauss-Jordan elimination on the system
+    sum_j y_j zeta_n^(j n/m) = value, columns reduced mod Phi_n. Entries stay
+    ints until a pivot other than 1 divides them."""
+    phi_m, phi_n = totient(m), totient(n)
+    columns = [reduce_mod_phi(n, [0] * (j * (n // m)) + [1]) for j in range(phi_m)]
+    mat = [[columns[j][i] for j in range(phi_m)] + [Fraction(coeffs[i])]
+           for i in range(phi_n)]
+    pivots = []
+    row = 0
+    for col in range(phi_m):
+        pivot = next((r for r in range(row, phi_n) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        if mat[row][col] != 1:
+            inv = 1 / Fraction(mat[row][col])
+            mat[row] = [v * inv for v in mat[row]]
+        for r in range(phi_n):
+            if r != row and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+        pivots.append(col)
+        row += 1
+    if any(mat[r][-1] for r in range(row, phi_n)):
+        return None
+    solution = [Fraction(0)] * phi_m
+    for r, col in enumerate(pivots):
+        solution[col] = mat[r][-1]
+    return tuple(solution)
+
+
+def minimal_conductor_form(n, coeffs):
+    """(conductor, coefficients) of the value at its least conductor: descend
+    by any prime that works, and start over until none does."""
+    changed = True
+    while changed:
+        changed = False
+        for p in prime_divisors(n):
+            smaller = descend(n, coeffs, n // p)
+            if smaller is not None:
+                n, coeffs, changed = n // p, smaller, True
+                break
+    return n, tuple(coeffs)

@@ -1,13 +1,16 @@
 import cmath
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from pointedcat.cyclo import (
     Cyclotomic,
+    _cyclotomic_poly,
     dot,
     format_root,
     format_value,
@@ -200,6 +203,82 @@ class TestCanonicalForm:
         x = root_of_unity(F(1, 5))
         assert len(x.coefficients) == 4  # phi(5)
         assert x.conductor == 5
+
+
+class TestCyclotomicPolynomial:
+    """The Moebius product for Phi_n against dense division (tests/oracle.py)."""
+
+    def test_matches_dense_division(self):
+        for n in range(1, 301):
+            assert _cyclotomic_poly(n) == oracle.cyclotomic_poly(n), n
+
+    def test_product_over_divisors(self):
+        for n in range(1, 121):
+            product = [1]
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    phi = _cyclotomic_poly(d)
+                    out = [0] * (len(product) + len(phi) - 1)
+                    for i, a in enumerate(product):
+                        for j, b in enumerate(phi):
+                            out[i + j] += a * b
+                    product = out
+            assert product == [-1] + [0] * (n - 1) + [1], n
+
+
+def _assert_minimal_matches_oracle(x):
+    m = x.minimal()
+    assert m == x
+    expected = oracle.minimal_conductor_form(x.conductor, x.coefficients)
+    assert (m.conductor, m.coefficients) == expected
+    return m
+
+
+# a sum with Fraction coefficients of m-th roots of unity, embedded at n = m*k
+# through a cancelling pair of n-th roots (sum_values keeps the lcm conductor)
+_field_pairs = st.tuples(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 18]),
+                         st.sampled_from([1, 2, 3, 4, 5]))
+_terms = st.lists(st.tuples(_coeffs, st.integers(0, 17)), min_size=1, max_size=4)
+
+
+class TestMinimal:
+    """minimal() by structural descent against the Fraction Gauss-Jordan
+    descent of tests/oracle.py."""
+
+    def test_roots_of_unity(self):
+        for q in _roots_up_to(48):
+            m = _assert_minimal_matches_oracle(root_of_unity(q))
+            assert m.conductor == q.denominator // (2 if q.denominator % 4 == 2 else 1)
+
+    def test_rational_is_unchanged(self):
+        x = Cyclotomic.from_rational(F(-3, 7))
+        assert x.minimal() is x
+
+    @given(_field_pairs, _terms)
+    @example((3, 3), [(F(1), 1), (F(-1, 2), 2)])  # p^2 | n: 9 -> 3
+    @example((4, 2), [(F(2, 3), 1), (F(1), 3)])  # p^2 | n: 8 -> 4
+    @example((3, 2), [(F(1), 1), (F(5, 4), 0)])  # p || n, p = 2: 6 -> 3
+    @example((5, 3), [(F(1), 1), (F(-2), 3)])  # p || n, p = 3: 15 -> 5
+    @example((7, 1), [(F(1), 1), (F(1, 3), 3)])  # prime n: 7 does not descend to 1
+    @example((1, 5), [(F(3, 2), 0)])  # rational, normalised to conductor 1
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_embedded_sums(self, field, terms):
+        m, k = field
+        n = m * k
+        x = sum_values(Cyclotomic.from_rational(c) * root_of_unity(F(j, m)) for c, j in terms)
+        shift = root_of_unity(F(1, n))
+        y = sum_values([x, shift, -shift])
+        assert y.conductor == n or y.is_rational()
+        assert m % _assert_minimal_matches_oracle(y).conductor == 0
+
+    @pytest.mark.parametrize("p", [4001, 10007])
+    def test_format_at_large_prime_is_fast(self, p):
+        # root_exponent compares with e(k/2p), which needs Phi_2p
+        x = root_of_unity(F(1, p))
+        start = time.perf_counter()
+        text = format_value(x * x + x)
+        assert time.perf_counter() - start < 1.0
+        assert text == f"e(1/{p})+e(2/{p})"
 
 
 class TestValueGrammar:
