@@ -3,61 +3,49 @@
 Build the data of an even integral lattice, check every defining identity
 with zero numerical tolerance, compute fusion rules and colored framed-link
 invariants, and classify small-rank pointed data up to relabeling.
+
+The names below are loaded from their submodules on first access (PEP 562),
+so importing one submodule, as ``python -m pointedcat.cli`` does, compiles
+only what it uses.
 """
 
-from .cyclo import Cyclotomic, root_of_unity
-from .enumeration import (
-    ClassificationResult,
-    CorpusSpec,
-    ModularClass,
-    classify,
-    format_classification,
-    generate_gram_matrices,
-)
-from .errors import (
-    NoLatticeProvenance,
-    NonIntegralFusion,
-    NotInDiscriminantGroup,
-    NotModular,
-    NotProbabilistic,
-    NotSymmetric,
-    OddDiagonal,
-    ParseError,
-    PointedCatError,
-    RankTooLarge,
-    Singular,
-    ValidationError,
-)
-from .lattice import (
-    DiscriminantGroup,
-    GramMatrix,
-    SmithDecomposition,
-    check_gram,
-    direct_sum,
-    discriminant_group,
-    quadratic_mod2,
-    smith_normal_form,
-)
-from .moddata import (
-    FramedLink,
-    FusionTensor,
-    GaussData,
-    ModularData,
-    RelationCheck,
-    RelationReport,
-    canonical_form,
-    check_modular_relations,
-    check_unitarity,
-    colored_link_invariant,
-    dual_permutation,
-    framed_link,
-    from_lattice,
-    fusion_probabilities,
-    gauss_data,
-    quantum_dimensions,
-    verify_all,
-    verlinde_fusion,
-)
-from .serialization import Document, parse, parse_gram_text, serialize
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_SUBMODULE_NAMES = {
+    "cyclo": ("Cyclotomic", "root_of_unity"),
+    "enumeration": (
+        "ClassificationResult", "CorpusSpec", "ModularClass", "classify",
+        "format_classification", "generate_gram_matrices",
+    ),
+    "errors": (
+        "NoLatticeProvenance", "NonIntegralFusion", "NotInDiscriminantGroup", "NotModular",
+        "NotProbabilistic", "NotSymmetric", "OddDiagonal", "ParseError", "PointedCatError",
+        "RankTooLarge", "Singular", "ValidationError",
+    ),
+    "lattice": (
+        "DiscriminantGroup", "GramMatrix", "SmithDecomposition", "check_gram", "direct_sum",
+        "discriminant_group", "quadratic_mod2", "smith_normal_form",
+    ),
+    "moddata": (
+        "FramedLink", "FusionTensor", "GaussData", "ModularData", "RelationCheck",
+        "RelationReport", "canonical_form", "check_modular_relations", "check_unitarity",
+        "colored_link_invariant", "dual_permutation", "framed_link", "from_lattice",
+        "fusion_probabilities", "gauss_data", "quantum_dimensions", "verify_all",
+        "verlinde_fusion",
+    ),
+    "serialization": ("Document", "parse", "parse_gram_text", "serialize"),
+}
+_SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups bypass __getattr__
+    return value

@@ -10,7 +10,6 @@ import argparse
 import sys
 
 from . import cyclo
-from .enumeration import CorpusSpec, classify, format_classification, generate_gram_matrices
 from .errors import PointedCatError
 from .lattice import format_gram
 from .moddata import (
@@ -86,6 +85,9 @@ def _cmd_link(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    # imported here, so that no other command compiles it
+    from .enumeration import CorpusSpec, classify, format_classification, generate_gram_matrices
+
     cap = args.max_rank if args.max_rank is not None else 8
     spec = CorpusSpec(max_dim=args.max_dim, max_entry=args.max_entry, max_rank=cap)
     corpus = generate_gram_matrices(spec)

@@ -17,11 +17,15 @@ canonical per value.
 from __future__ import annotations
 
 import cmath
+import struct
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import lcm, tau
-from operator import sub
+from operator import add, sub
+
+from .errors import MAX_CONDUCTOR, ValidationError
 
 
 @lru_cache(maxsize=None)
@@ -254,6 +258,11 @@ class Cyclotomic:
             raise ZeroDivisionError("inverse of zero cyclotomic")
         if self.is_rational():
             return Cyclotomic.from_rational(1 / Fraction(self._coeffs[0]))
+        if self._root is not None:
+            # e(q)^-1 = e(-q), the conjugate
+            inverse = self.conjugate()
+            inverse._root = -self._root % 1
+            return inverse
         return _field_inverse(self)
 
     def __truediv__(self, other) -> Cyclotomic:
@@ -454,8 +463,11 @@ def exponent_sum(n: int, exponents) -> Cyclotomic:
 #
 # Integer coefficients c_i pack into the integer sum_i c_i 2^(width*i), so a
 # sum of polynomial products is one sum of big-integer products. No coefficient
-# of sum_t u_t v_t exceeds sum_t |u_t|_1 |v_t|_1, so a width of that bound's
-# bit_length() + 2 keeps each in its slot, signed.
+# of sum_t u_t v_t exceeds sum_t |u_t|_1 |v_t|_1 =: bound, so slot_width(bound)
+# keeps each in its slot, signed, as it does every input of size at most bound.
+# Slots are whole bytes: adding 2^(width-1) to every slot makes the packed
+# value a non-negative byte string, so packing and unpacking are one
+# int.to_bytes or int.from_bytes each and linear in the length.
 
 def integer_coefficients(values, n: int) -> tuple[int, list[tuple[int, ...]]]:
     """(den, rows): the coefficients of each value at conductor n (which its
@@ -472,26 +484,53 @@ def integer_coefficients(values, n: int) -> tuple[int, list[tuple[int, ...]]]:
     return den, [tuple(c.numerator * (den // c.denominator) for c in row) for row in rows]
 
 
+def slot_width(bound: int) -> int:
+    """Bits per slot for signed coefficients of absolute value at most bound:
+    two spare bits, rounded up to whole bytes."""
+    return (bound.bit_length() + 9) // 8 * 8
+
+
+@lru_cache(maxsize=256)
+def _bias(slots: int, size: int) -> int:
+    # 2^(8 size - 1) in each of `slots` slots of `size` bytes
+    return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+
+
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _slots(data: bytes, size: int):
+    """The unsigned little-endian integers in consecutive size-byte slots."""
+    wide = 1 << (size - 1).bit_length()  # a size struct reads, when at most 8
+    if wide > 8:
+        return [int.from_bytes(data[k:k + size], "little") for k in range(0, len(data), size)]
+    if wide != size:  # pad every slot with zero high bytes
+        spread = bytearray(len(data) // size * wide)
+        for j in range(size):
+            spread[j::wide] = data[j::size]
+        data = spread
+    return struct.unpack(f"<{len(data) // wide}{_STRUCT_CODES[wide]}", data)
+
+
 def pack(coeffs, width: int) -> int:
-    """The polynomial with these integer coefficients, evaluated at 2**width."""
-    value = 0
-    for c in reversed(coeffs):
-        value = (value << width) + c
-    return value
+    """The polynomial with these integer coefficients, evaluated at 2**width,
+    where width = slot_width(bound) for a bound on every |c|."""
+    size, half = width >> 3, 1 << (width - 1)
+    data = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
+    return int.from_bytes(data, "little") - _bias(len(coeffs), size)
 
 
 def unpack(value: int, width: int, n: int) -> tuple[int, ...]:
     """Integer coefficients modulo Phi_n of a packed polynomial: its signed
     slots, folded by x^n = 1 and reduced once."""
+    size, half = width >> 3, 1 << (width - 1)
+    slots = value.bit_length() // width + 2  # enough for every signed slot
+    data = (value + _bias(slots, size)).to_bytes(slots * size, "little")
+    coeffs = list(map(sub, _slots(data, size), repeat(half)))
     counts = [0] * n
-    mask, half, i = (1 << width) - 1, 1 << (width - 1), 0
-    while value:
-        c = value & mask
-        if c >= half:
-            c -= 1 << width
-        counts[i % n] += c
-        value = (value - c) >> width
-        i += 1
+    for start in range(0, slots, n):
+        block = coeffs[start:start + n]
+        counts[:len(block)] = map(add, counts, block)
     return _reduce_cyclic(n, counts)
 
 
@@ -507,8 +546,9 @@ def dot(xs, ys) -> Cyclotomic:
     n = lcm(*(v.conductor for v in values))
     den, rows = integer_coefficients(values, n)
     pairs = list(zip(rows[0::2], rows[1::2]))
-    bound = sum(sum(map(abs, u)) * sum(map(abs, v)) for u, v in pairs)
-    width = bound.bit_length() + 2
+    # each 1-norm counts as at least 1, so the bound covers every input too
+    bound = sum(max(1, sum(map(abs, u))) * max(1, sum(map(abs, v))) for u, v in pairs)
+    width = slot_width(bound)
     total = sum(pack(u, width) * pack(v, width) for u, v in pairs)
     return from_integers(n, unpack(total, width, n), den * den)
 
@@ -561,23 +601,36 @@ def format_value(x: Cyclotomic) -> str:
 
 
 def parse_value(text: str) -> Cyclotomic:
-    """Inverse of format_value / format_root. Raises ValueError on bad syntax."""
+    """Inverse of format_value / format_root. Raises ValueError on bad syntax
+    and ValidationError beyond MAX_CONDUCTOR, before building the sum."""
     text = text.strip()
     if not text:
         raise ValueError("empty value")
-    total = Cyclotomic.zero()
+    terms = []
     for part in text.split("+"):
         part = part.strip()
         if not part:
             raise ValueError(f"empty term in value {text!r}")
         if "*" in part:
             coeff_text, root_text = part.split("*", 1)
-            total = total + _parse_rat(coeff_text) * _parse_root(root_text)
+            terms.append(_parse_rat(coeff_text) * _parse_root(root_text))
         elif part.startswith("e("):
-            total = total + _parse_root(part)
+            terms.append(_parse_root(part))
         else:
-            total = total + Cyclotomic.from_rational(_parse_rat(part))
+            terms.append(Cyclotomic.from_rational(_parse_rat(part)))
+    if len(terms) > 1:  # _parse_root bounds a single root
+        check_conductor(x.conductor for x in terms)
+    total = Cyclotomic.zero()
+    for x in terms:
+        total = total + x
     return total
+
+
+def check_conductor(conductors) -> None:
+    """Raise ValidationError if the lcm of the conductors exceeds MAX_CONDUCTOR."""
+    n = lcm(*conductors)
+    if n > MAX_CONDUCTOR:
+        raise ValidationError(f"conductor {n} exceeds the bound {MAX_CONDUCTOR}")
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -597,4 +650,6 @@ def _parse_root(text: str) -> Cyclotomic:
     text = text.strip()
     if not (text.startswith("e(") and text.endswith(")")):
         raise ValueError(f"bad root of unity {text!r}")
-    return root_of_unity(_parse_rat(text[2:-1]))
+    q = _parse_rat(text[2:-1]) % 1
+    check_conductor((q.denominator,))
+    return root_of_unity(q)

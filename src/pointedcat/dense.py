@@ -11,7 +11,6 @@ module on first use, so commands on pointed data never compile it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import lcm
 from operator import eq, mul
 
@@ -19,9 +18,10 @@ from . import cyclo
 from .cyclo import Cyclotomic, from_integers, pack, unpack
 from .errors import NonIntegralFusion, NotModular, ValidationError
 from .moddata import FusionTensor, ModularData
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class Packed:
     """Any data as integers at conductor n: the coefficients of S~_ij, conj(S~_ij) and
     S~_ij theta_j times den, den and den^2; theta_a = e(t[a]/n) shifts by t[a] slots."""
@@ -45,7 +45,7 @@ class Packed:
         The width comes from the column 1-norms, whose products bound every slot."""
         norms = ([max(sum(map(abs, c)) for c in col) for col in zip(*rows)]
                  for rows in (left, right))
-        width = sum(map(mul, *norms)).bit_length() + 2
+        width = cyclo.slot_width(sum(map(mul, *norms)))
         right = [[pack(c, width) for c in row] for row in right]
         for row in left:
             row = [pack(c, width) for c in row]
@@ -62,7 +62,7 @@ def packed(md: ModularData) -> Packed:
     t = tuple(q.numerator * (n // q.denominator) for q in exponents)
     den, coeffs = cyclo.integer_coefficients(values + [x.conjugate() for x in values], n)
     # S~_ia theta_a: a shift by t[a] slots, then the fold by x^n = 1
-    width = max(sum(map(abs, c)) for c in coeffs).bit_length() + 2
+    width = cyclo.slot_width(max(sum(map(abs, c)) for c in coeffs))
     coeffs += [tuple(den * c for c in unpack(pack(x, width) << width * t[k % rank], width, n))
                for k, x in enumerate(coeffs[:rank * rank])]
     s, conj, st = (tuple(coeffs[k:k + rank] for k in range(start, start + rank * rank, rank))
@@ -97,7 +97,7 @@ def verlinde(md: ModularData) -> FusionTensor:
     scale = p.den ** 3 * den_inv
     norms = ([max(sum(map(abs, c)) for c in col) for col in zip(*rows)]
              for rows in (p.s, p.conj, [inv]))
-    width = sum(a * a * c * v for a, c, v in zip(*norms)).bit_length() + 2
+    width = cyclo.slot_width(sum(a * a * c * v for a, c, v in zip(*norms)))
     s = [[pack(c, width) for c in row] for row in p.s]
     inv = [pack(v, width) for v in inv]
     weights = [[pack(c, width) * v for c, v in zip(row, inv)] for row in p.conj]

@@ -9,15 +9,15 @@ data; nothing here asserts agreement with any published table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .cyclo import Cyclotomic, format_root
 from .errors import Singular
 from .lattice import GramMatrix, check_gram, format_gram
 from .moddata import canonical_form, from_lattice
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class CorpusSpec:
     """Finite, deterministic generation bounds."""
 
@@ -63,7 +63,7 @@ def generate_gram_matrices(spec: CorpusSpec) -> list[GramMatrix]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class ModularClass:
     """One equivalence class: canonical key, first witness, twist multiset."""
 
@@ -72,7 +72,7 @@ class ModularClass:
     twist_multiset: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ClassificationResult:
     by_rank: tuple[tuple[int, tuple[ModularClass, ...]], ...]
 

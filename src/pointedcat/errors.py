@@ -1,4 +1,15 @@
-"""Exception hierarchy. Every failure the library raises derives from PointedCatError."""
+"""Exception hierarchy and input bounds.
+
+Every failure the library raises derives from PointedCatError. An input
+beyond one of the bounds is rejected with ValidationError before anything of
+its size is allocated.
+"""
+
+# |det B| of a Gram matrix, which is the rank of its pointed data.
+MAX_RANK = 512
+# Conductor of a parsed value, and the lcm of the conductors in one document;
+# a lattice with |det B| <= MAX_RANK gives data of conductor <= 2 * |det B|.
+MAX_CONDUCTOR = 2 * MAX_RANK
 
 
 class PointedCatError(Exception):

@@ -10,14 +10,21 @@ group exponent n, so both forms are integer arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import prod
 from operator import mul
 
-from .errors import NotInDiscriminantGroup, NotSymmetric, OddDiagonal, Singular
+from .errors import (
+    MAX_RANK,
+    NotInDiscriminantGroup,
+    NotSymmetric,
+    OddDiagonal,
+    Singular,
+    ValidationError,
+)
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class GramMatrix:
     """Validated symmetric, even, nonsingular integer matrix."""
 
@@ -87,7 +94,7 @@ def direct_sum(b1: GramMatrix, b2: GramMatrix) -> GramMatrix:
     return check_gram(rows)
 
 
-@dataclass(frozen=True)
+@record
 class SmithDecomposition:
     """U * B * V = diag(d_1, ..., d_n) with d_1 | d_2 | ... and U, V unimodular."""
 
@@ -167,7 +174,7 @@ def smith_normal_form(gram: GramMatrix) -> SmithDecomposition:
     )
 
 
-@dataclass(frozen=True)
+@record
 class DiscriminantGroup:
     """The finite abelian group B^{-1}Z^n / Z^n with canonical representatives.
 
@@ -184,7 +191,11 @@ class DiscriminantGroup:
 
 
 def discriminant_group(gram: GramMatrix) -> DiscriminantGroup:
-    """Enumerate all |det B| classes of B^{-1}Z^n / Z^n via the Smith form."""
+    """Enumerate all |det B| classes of B^{-1}Z^n / Z^n via the Smith form.
+    Raises ValidationError when |det B| exceeds MAX_RANK."""
+    if abs(gram.determinant) > MAX_RANK:
+        raise ValidationError(
+            f"|det B| = {abs(gram.determinant)} exceeds the rank bound {MAX_RANK}")
     snf = smith_normal_form(gram)
     # Class combo is V * (combo_j / d_j)_j mod 1; over the exponent e = d_n
     # (every d_j divides it) each coordinate is one integer numerator.

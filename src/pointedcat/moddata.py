@@ -10,7 +10,6 @@ and checked with exact cyclotomic arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -27,6 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import DiscriminantGroup, GramMatrix, discriminant_group, pairing_exponents
+from .record import record
 
 __all__ = [
     "ModularData", "FusionTensor", "FramedLink", "GaussData",
@@ -40,13 +40,13 @@ __all__ = [
 Label = int  # labels are plain indices; 0 is always the tensor unit
 
 
-@dataclass(frozen=True)
+@record
 class LatticeProvenance:
     gram: GramMatrix
     group: DiscriminantGroup
 
 
-@dataclass(frozen=True)
+@record
 class ModularData:
     """Rank, unnormalized Hopf-link matrix and twist vector.
 
@@ -131,7 +131,7 @@ def _dense():
     return dense
 
 
-@dataclass(frozen=True)
+@record
 class _Exponents:
     """Pointed data as integers: S~_ij = e(s[i][j]/n) and theta_a = e(t[a]/n).
 
@@ -199,7 +199,7 @@ def quantum_dimensions(md: ModularData) -> tuple[Cyclotomic, ...]:
     return md.s_tilde[0]
 
 
-@dataclass(frozen=True)
+@record
 class GaussData:
     d_squared: Cyclotomic
     p_plus: Cyclotomic
@@ -213,7 +213,7 @@ def gauss_data(md: ModularData) -> GaussData:
     return md._gauss
 
 
-@dataclass(frozen=True)
+@record
 class FusionTensor:
     """Non-negative integer multiplicities, indexed [i][j][k]."""
 
@@ -330,14 +330,14 @@ def check_unitarity(md: ModularData) -> bool:
     return md._unitary
 
 
-@dataclass(frozen=True)
+@record
 class RelationCheck:
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class RelationReport:
     checks: tuple[RelationCheck, ...]
 
@@ -418,7 +418,7 @@ def verify_all(md: ModularData) -> RelationReport:
     return RelationReport(tuple(checks) + check_modular_relations(md).checks)
 
 
-@dataclass(frozen=True)
+@record
 class FramedLink:
     """Symmetric linking matrix (framings on the diagonal) plus a coloring."""
 

@@ -19,18 +19,19 @@ provenance, and everything else is recomputed on load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 from fractions import Fraction
 
 from . import cyclo
 from .errors import ParseError, PointedCatError, ValidationError
 from .lattice import GramMatrix, check_gram, discriminant_group, format_gram, pairing_exponents
 from .moddata import LatticeProvenance, ModularData, RelationReport
+from .record import record
 
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_+-")
 
 
-@dataclass(frozen=True)
+@record
 class Document:
     kind: str
     body: str
@@ -191,6 +192,9 @@ def _parse_modular_data(body: str) -> ModularData:
     for required in ("rank", "s_tilde", "twists"):
         if required not in fields:
             raise ParseError(f"missing required key {required!r}")
+    # every check computes at the lcm of all conductors
+    values = itertools.chain(*fields["s_tilde"], fields["twists"])
+    cyclo.check_conductor(x.conductor for x in values)
     provenance = None
     if "provenance" in fields:
         try:

@@ -4,7 +4,8 @@ Nothing in here imports the package under test. Discriminant-group data is
 recovered by scanning the (1/|det|)-grid instead of any matrix decomposition,
 determinants by cofactor expansion, corpus counts by direct enumeration,
 canonical forms by trying every relabeling, cyclotomic polynomials by dense
-division and minimal conductors by Fraction Gauss-Jordan elimination.
+division, minimal conductors by Fraction Gauss-Jordan elimination, and packed
+integers by one shift per coefficient.
 """
 
 from __future__ import annotations
@@ -195,6 +196,29 @@ def reduce_mod_phi(n, raw):
             for i, t in enumerate(poly):
                 raw[k - deg + i] -= c * t
     return tuple(raw[:deg]) + (0,) * (deg - len(raw))
+
+
+def pack_by_shifts(coeffs, width):
+    """sum_i coeffs[i] 2^(width i), one shift and add per coefficient (quadratic)."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << width) + c
+    return value
+
+
+def unpack_by_shifts(value, width, n):
+    """The signed width-bit digits of value, lowest first, summed by index mod n;
+    one mask and shift per digit (quadratic)."""
+    counts = [0] * n
+    mask, half, i = (1 << width) - 1, 1 << (width - 1), 0
+    while value:
+        c = value & mask
+        if c >= half:
+            c -= 1 << width
+        counts[i % n] += c
+        value = (value - c) >> width
+        i += 1
+    return counts
 
 
 def descend(n, coeffs, m):

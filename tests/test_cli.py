@@ -1,6 +1,14 @@
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+import pointedcat
+from pointedcat import ValidationError
 from pointedcat.cli import main
+from pointedcat.cyclo import parse_value
 
 SEMION_MAT = "2\n"
 HOPF_MAT = "# hopf link, zero framings\n0 1\n1 0\n"
@@ -170,3 +178,56 @@ class TestDeterminism:
         main(["construct", "--b", semion_file])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestInputBounds:
+    """Inputs past MAX_RANK or MAX_CONDUCTOR are usage errors, raised before
+    anything of their size is built."""
+
+    def _exit_code_and_seconds(self, argv):
+        start = time.perf_counter()
+        code = main(argv)
+        return code, time.perf_counter() - start
+
+    def test_rank_bound(self, tmp_path, capsys):
+        # 200000 classes: a MemoryError under a 1 GB address-space limit before the bound
+        path = tmp_path / "big.mat"
+        path.write_text("200000\n")
+        code, seconds = self._exit_code_and_seconds(["construct", "--b", str(path)])
+        assert code == 2 and seconds < 1.0
+        assert "exceeds the rank bound 512" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, twist", [
+        ("e(1/1000003)", "e(1/1000003)"),  # one root past the bound (ran over 30 s)
+        ("e(1/1009)", "e(1/1013)"),  # each root within it, the document not
+        ("e(1/1009)+e(1/1013)", "e(1/4)"),  # one value past it
+    ])
+    def test_conductor_bound(self, tmp_path, capsys, entry, twist):
+        path = tmp_path / "big.data"
+        path.write_text(f"kind: modular_data\nrank: 2\ns_tilde: 1, 1; 1, {entry}\n"
+                        f"twists: e(0/1), {twist}\n")
+        code, seconds = self._exit_code_and_seconds(["verify", "--data", str(path)])
+        assert code == 2 and seconds < 1.0
+        assert "exceeds the bound 1024" in capsys.readouterr().err
+
+    def test_one_value_is_bounded_before_its_sum(self):
+        with pytest.raises(ValidationError, match="conductor 1022117"):
+            parse_value("e(1/1009)+e(1/1013)")
+
+
+def test_pointed_commands_import_only_what_they_run(semion_data):
+    # verify and show on pointed data need neither the classification nor the
+    # dense checks, and no module in the package imports dataclasses
+    src = str(Path(pointedcat.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from pointedcat.cli import main\n"
+        f"codes = [main(['verify', '--data', {semion_data!r}]),"
+        f" main(['show', '--data', {semion_data!r}])]\n"
+        "names = ('dataclasses', 'inspect', 'pointedcat.enumeration', 'pointedcat.dense')\n"
+        "print(codes, [name for name in names if name in sys.modules], file=sys.stderr)\n"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code],
+                            capture_output=True, text=True, timeout=60)
+    assert result.stderr.strip() == "[0, 0] []"

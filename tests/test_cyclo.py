@@ -11,6 +11,7 @@ import oracle
 from pointedcat.cyclo import (
     Cyclotomic,
     _cyclotomic_poly,
+    _field_inverse,
     dot,
     format_root,
     format_value,
@@ -144,6 +145,18 @@ class TestArithmetic:
     @settings(max_examples=60, deadline=None)
     def test_additive_inverse_is_zero(self, x):
         assert (x + (-x)).is_zero()
+
+
+class TestInverseOfRoots:
+    def test_conjugate_with_memo_matches_field_inverse(self):
+        # all 712 values e(a/b) with b <= 48; the extended Euclid took 0.8 s on them
+        for b in range(1, 49):
+            for a in range(b):
+                if math.gcd(a, b) == 1:
+                    x = root_of_unity(F(a, b))
+                    inverse = x.inverse()
+                    assert inverse == _field_inverse(x)
+                    assert inverse.root_exponent() == F(-a, b) % 1
 
 
 class TestConjugation:

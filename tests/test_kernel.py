@@ -6,12 +6,15 @@ integers (Kronecker substitution). Each is compared here with a reference
 that multiplies and adds Cyclotomic values one at a time.
 """
 
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from pointedcat import (
     FusionTensor,
     ModularData,
@@ -20,7 +23,15 @@ from pointedcat import (
     dense,
     root_of_unity,
 )
-from pointedcat.cyclo import Cyclotomic, dot, from_integers, sum_values
+from pointedcat.cyclo import (
+    Cyclotomic,
+    dot,
+    from_integers,
+    pack,
+    slot_width,
+    sum_values,
+    unpack,
+)
 
 ONE = root_of_unity(0)
 BIG = 2 ** 70
@@ -55,6 +66,37 @@ def test_dot_fills_its_slots():
     xs = [Cyclotomic.from_rational(BIG - 1)] * 4
     assert dot(xs, xs) == 4 * (BIG - 1) ** 2
     assert dot(xs, [-x for x in xs]) == -4 * (BIG - 1) ** 2
+
+
+# -- byte-slot packing against the shift loops --------------------------------
+
+signed_rows = st.integers(1, 2 ** 80).flatmap(
+    lambda bound: st.tuples(st.just(bound), st.lists(st.integers(-bound, bound), max_size=90)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(signed_rows, st.integers(1, 60))
+@example((255, [255, -255, 0, -1, 1]), 3)  # the slot bound, at a byte boundary
+@example((2 ** 64, [-(2 ** 64)] * 9), 4)
+def test_pack_and_unpack_match_shift_loops(row, n):
+    bound, coeffs = row
+    width = slot_width(bound)
+    assert width % 8 == 0 and width >= bound.bit_length() + 2
+    value = pack(coeffs, width)
+    assert value == oracle.pack_by_shifts(coeffs, width)
+    folded = oracle.unpack_by_shifts(value, width, n)
+    assert unpack(value, width, n) == oracle.reduce_mod_phi(n, folded)
+
+
+def test_pack_and_unpack_are_linear():
+    # 100k coefficients at width 40: the shift loops took 20 s to pack and 30 s to unpack
+    rng = random.Random(20)
+    coeffs = [rng.randint(-2 ** 37, 2 ** 37) for _ in range(100_000)]
+    width = slot_width(2 ** 37)
+    start = time.perf_counter()
+    folded = unpack(pack(coeffs, width), width, 2)  # modulo Phi_2 = x + 1
+    assert time.perf_counter() - start < 1.0
+    assert width == 40 and folded == (sum(coeffs[0::2]) - sum(coeffs[1::2]),)
 
 
 # -- plain references -------------------------------------------------------
