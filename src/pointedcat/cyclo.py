@@ -17,11 +17,9 @@ canonical per value.
 from __future__ import annotations
 
 import cmath
-import struct
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import lcm, tau
 from operator import add, sub
 
@@ -496,22 +494,6 @@ def _bias(slots: int, size: int) -> int:
     return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
 
 
-_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-def _slots(data: bytes, size: int):
-    """The unsigned little-endian integers in consecutive size-byte slots."""
-    wide = 1 << (size - 1).bit_length()  # a size struct reads, when at most 8
-    if wide > 8:
-        return [int.from_bytes(data[k:k + size], "little") for k in range(0, len(data), size)]
-    if wide != size:  # pad every slot with zero high bytes
-        spread = bytearray(len(data) // size * wide)
-        for j in range(size):
-            spread[j::wide] = data[j::size]
-        data = spread
-    return struct.unpack(f"<{len(data) // wide}{_STRUCT_CODES[wide]}", data)
-
-
 def pack(coeffs, width: int) -> int:
     """The polynomial with these integer coefficients, evaluated at 2**width,
     where width = slot_width(bound) for a bound on every |c|."""
@@ -526,7 +508,8 @@ def unpack(value: int, width: int, n: int) -> tuple[int, ...]:
     size, half = width >> 3, 1 << (width - 1)
     slots = value.bit_length() // width + 2  # enough for every signed slot
     data = (value + _bias(slots, size)).to_bytes(slots * size, "little")
-    coeffs = list(map(sub, _slots(data, size), repeat(half)))
+    coeffs = [int.from_bytes(data[k:k + size], "little") - half
+              for k in range(0, len(data), size)]
     counts = [0] * n
     for start in range(0, slots, n):
         block = coeffs[start:start + n]

@@ -42,8 +42,9 @@ class Packed:
 
     def products(self, left, right, shift=False):
         """Row by row, sum_a left[i][a] right[j][a] (times theta_j if shift), reduced.
-        The width comes from the column 1-norms, whose products bound every slot."""
-        norms = ([max(sum(map(abs, c)) for c in col) for col in zip(*rows)]
+        The width comes from the column 1-norms, whose products bound every slot;
+        each norm counts as at least 1, so the bound covers every input too."""
+        norms = ([max(1, *(sum(map(abs, c)) for c in col)) for col in zip(*rows)]
                  for rows in (left, right))
         width = cyclo.slot_width(sum(map(mul, *norms)))
         right = [[pack(c, width) for c in row] for row in right]

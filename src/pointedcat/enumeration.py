@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .cyclo import Cyclotomic, format_root
-from .errors import Singular
+from .errors import MAX_RANK, Singular
 from .lattice import GramMatrix, check_gram, format_gram
 from .moddata import canonical_form, from_lattice
 from .record import record
@@ -30,6 +30,8 @@ class CorpusSpec:
             raise ValueError("bounds must be positive")
         if self.max_rank is not None and self.max_rank < 1:
             raise ValueError("max_rank must be positive when set")
+        if self.max_rank is not None and self.max_rank > MAX_RANK:
+            raise ValueError(f"max_rank {self.max_rank} exceeds the rank bound {MAX_RANK}")
 
 
 def generate_gram_matrices(spec: CorpusSpec) -> list[GramMatrix]:

@@ -81,6 +81,25 @@ class TestVerify:
         assert "check: gauss_identity fail" in out
         assert "result: fail" in out
 
+    def test_zero_square_is_a_report(self, tmp_path, capsys):
+        # (S~ T)^2 = 0 and p+ = 0: (S~ T)^3 = p+ D^2 I holds and the rest fails
+        path = tmp_path / "zero_square.data"
+        path.write_text("kind: modular_data\nrank: 3\n"
+                        "s_tilde: 1, 13/5, 12/5; 13/5, 169/25, 156/25; 12/5, 156/25, 144/25\n"
+                        "twists: e(0/1), e(1/2), e(0/1)\n")
+        assert main(["verify", "--data", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "kind: report\n"
+            "check: gauss_identity fail: p+ p- = D^2\n"
+            "check: unitarity fail: S~ conj(S~)^t = D^2 I\n"
+            "check: verlinde_integral fail: N(0,0)^1 = 13/5 is not a non-negative integer\n"
+            "check: twists_unit pass: twist of the unit is 1\n"
+            "check: s_symmetric pass: S~ = S~^t\n"
+            "check: charge_conjugation fail: row 0 of S~^2 is not D^2 times a unit vector\n"
+            "check: conjugation_involution fail: C undefined\n"
+            "check: st_cubed pass: (S~ T)^3 = p+ D^2 I\n"
+            "result: fail\n")
+
     def test_parse_error_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "broken.data"
         path.write_text(CORRUPT_SEMION.replace("e(0/1), e(0/1)", "e(0/1), e(1/3"))
@@ -137,6 +156,14 @@ class TestEnumerate:
                      "--max-rank", "32"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_rank_cap_past_the_bound_is_rejected_first(self, capsys):
+        code = main(["enumerate", "--max-dim", "1", "--max-entry", "2",
+                     "--max-rank", "513"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the rank bound 512" in captured.err
 
 
 class TestShow:

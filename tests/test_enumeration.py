@@ -13,6 +13,7 @@ from pointedcat import (
     from_lattice,
     generate_gram_matrices,
 )
+from pointedcat.errors import MAX_RANK
 
 # Corpus sizes frozen from the independent enumeration in tests/oracle.py.
 FROZEN_COUNTS = {(2, 2): 38, (2, 3): 56, (2, 4): 212}
@@ -54,6 +55,8 @@ class TestGeneration:
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             CorpusSpec(max_dim=0, max_entry=3)
+        with pytest.raises(ValueError, match="exceeds the rank bound"):
+            CorpusSpec(max_dim=1, max_entry=2, max_rank=MAX_RANK + 1)
 
 
 class TestClassify:

@@ -218,6 +218,16 @@ class TestDenseChecks:
                 unitary_outcomes.add(expected)
         assert unitary_outcomes == {True, False}
 
+    def test_zero_side_leaves_room_for_the_other(self):
+        # (S~ T)^2 = 0 and p+ = 1 - 169/25 + 144/25 = 0, so both (S~ T)^3 checks
+        # multiply an all-zero side by coefficients up to 169 = 25 * 169/25.
+        r = [F(1), F(13, 5), F(12, 5)]
+        s_tilde = tuple(tuple(Cyclotomic.from_rational(x * y) for y in r) for x in r)
+        md = ModularData(rank=3, s_tilde=s_tilde,
+                         twists=(ONE, root_of_unity(F(1, 2)), ONE))
+        assert md._gauss.p_plus.is_zero()
+        assert dense.st_cubed(md) is dense.st_cubed_one_product(md) is ref_st_cubed(md) is True
+
     def test_verlinde(self, cases):
         references = {}  # the twist corruption keeps S~
         failures = 0
