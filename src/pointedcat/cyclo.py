@@ -17,7 +17,6 @@ canonical per value.
 from __future__ import annotations
 
 import cmath
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, tau
@@ -148,8 +147,11 @@ class Cyclotomic:
     def root_exponent(self) -> Fraction | None:
         """Exponent q in [0,1) with self == e(q), or None if not a root of unity.
 
-        A float estimate of the argument picks the only candidate exponent
-        (denominator divides 2N); the match is then verified exactly.
+        The roots of unity in Q(zeta_N) are the e(k/2N) that lie there: for
+        even k, zeta_N^(k/2); for odd k and odd N, -zeta_N^((k+N)/2); for odd
+        k and even N, none. A float estimate of the argument picks the
+        candidate k, and the match is exact, against the canonical
+        coefficients of that power at the value's own conductor N.
         """
         if self._root is not None:
             return self._root
@@ -162,14 +164,19 @@ class Cyclotomic:
             elif r == -1:
                 self._root = Fraction(1, 2)
             return self._root
-        n2 = 2 * self._conductor
+        n = self._conductor
         re, im = self.approx_complex()
-        guess = round((cmath.phase(complex(re, im)) / tau) * n2)
+        guess = round((cmath.phase(complex(re, im)) / tau) * 2 * n)
         for k in (guess, guess + 1, guess - 1):
-            q = Fraction(k % n2, n2)
-            if self == root_of_unity(q):
-                self._root = q
-                return q
+            if k % 2 == 0:
+                match = self._coeffs == _monomial(n, k // 2 % n)
+            elif n % 2:
+                match = self._coeffs == tuple(-c for c in _monomial(n, (k + n) // 2 % n))
+            else:
+                continue
+            if match:
+                self._root = Fraction(k % (2 * n), 2 * n)
+                return self._root
         return None
 
     # -- arithmetic ---------------------------------------------------------
@@ -446,15 +453,6 @@ def _reduce_cyclic(n: int, counts: list) -> tuple:
     for start in range(0, top, step):
         raw.extend(map(sub, counts[start:start + step], counts[top:]))
     return _reduce_raw(n, raw)
-
-
-def exponent_sum(n: int, exponents) -> Cyclotomic:
-    """Exact sum of e(k/n) over an iterable of integer exponents k: the
-    exponents are counted mod n and the histogram is reduced once."""
-    counts = [0] * n
-    for k, c in Counter(map(n.__rmod__, exponents)).items():
-        counts[k] = c
-    return Cyclotomic(n, _reduce_cyclic(n, counts))
 
 
 # -- packed integers (Kronecker substitution) -------------------------------

@@ -1,11 +1,14 @@
 """Dense exact checks of any modular data, on Kronecker-packed integers.
 
-Data whose entries and twists are all roots of unity, with every d_a = 1, is
-checked on integer exponents in moddata where that decides the check; every
-other check comes here. S~, conj(S~) and S~T become integer coefficient rows
-at one conductor, cached as ModularData._packed, and every check sums
-products of rows packed into big integers (cyclo.pack). moddata imports this
-module on first use, so commands on pointed data never compile it.
+Pointed data whose rows form a group under the entrywise product is checked
+in moddata through that group law (ModularData._law): the law alone gives
+unitarity and D^2 = rank, N_ij^k = delta(k, i.j), C(i) = i^-1, and (S~ T)^3
+as a rank^2 integer check on the twists. Every other input comes here: data
+that is not all roots of unity, and pointed data whose rows are not distinct
+or not closed. S~, conj(S~) and S~T become integer coefficient rows at one
+conductor, cached as ModularData._packed, and every check sums products of
+rows packed into big integers (cyclo.pack). moddata imports this module on
+first use, so commands on pointed data with a group law never compile it.
 """
 
 from __future__ import annotations
@@ -81,6 +84,24 @@ def square(md: ModularData) -> tuple[tuple[Cyclotomic, ...], ...]:
     p = md._packed
     return tuple(tuple(from_integers(p.n, x, p.den ** 2) for x in row)
                  for row in p.products(p.s, p.s))
+
+
+def conjugation(md: ModularData) -> list[int | None]:
+    """For each row i, the c with row i of S~^2 equal to D^2 e_c, or None.
+
+    With unitarity, S~ conj(S~) = D^2 I, so that row is D^2 e_c exactly when
+    conj(row i) is row c: a lookup, with no product. Otherwise S~^2 is formed.
+    """
+    p = md._packed
+    if md._unitary:
+        index = {tuple(row): c for c, row in enumerate(p.s)}
+        return [index.get(tuple(row)) for row in p.conj]
+    d_squared = md._gauss.d_squared
+    perm = []
+    for row in square(md):
+        hits = [j for j, x in enumerate(row) if not x.is_zero()]
+        perm.append(hits[0] if len(hits) == 1 and row[hits[0]] == d_squared else None)
+    return perm
 
 
 def verlinde(md: ModularData) -> FusionTensor:

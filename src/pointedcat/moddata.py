@@ -13,10 +13,10 @@ import itertools
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import add, sub
+from operator import add
 
 from . import cyclo
-from .cyclo import Cyclotomic, exponent_sum, root_of_unity, sum_values
+from .cyclo import Cyclotomic, root_of_unity, sum_values
 from .errors import (
     NoLatticeProvenance,
     NotModular,
@@ -92,10 +92,6 @@ class ModularData:
         return GaussData(d_squared, p_plus, p_minus, identity)
 
     @cached_property
-    def _square(self) -> tuple[tuple[Cyclotomic, ...], ...]:
-        return _matrix_square(self)
-
-    @cached_property
     def _exponents(self) -> _Exponents | None:
         """S~ and T as integer exponents, or None unless row 0 is all 1 and
         every entry and twist is a root of unity."""
@@ -114,18 +110,38 @@ class ModularData:
         return _Exponents(n, s, tuple(ints[r * r:]))
 
     @cached_property
+    def _law(self) -> tuple[tuple[int, ...], ...] | None:
+        """The group law of pointed data (_Exponents): law[i][j] = k where
+        S~_i S~_j = S~_k entrywise, or None unless there is an exponent table
+        and its rows are distinct and closed under that product."""
+        table = self._exponents
+        if table is None:
+            return None
+        n, s = table.n, table.s
+        index = {row: k for k, row in enumerate(s)}
+        if len(index) < self.rank:
+            return None
+        law = [[0] * self.rank for _ in s]
+        for i, row in enumerate(s):
+            for j in range(i, self.rank):
+                k = index.get(tuple(map(n.__rmod__, map(add, row, s[j]))))
+                if k is None:
+                    return None
+                law[i][j] = law[j][i] = k
+        return tuple(map(tuple, law))
+
+    @cached_property
     def _packed(self):
         """S~, conj(S~) and S~T as integer coefficient rows (dense.Packed)."""
         return _dense().packed(self)
 
     @cached_property
     def _unitary(self) -> bool:
-        table = self._exponents
-        return _dense().unitary(self) if table is None else table.unitary()
+        return self._law is not None or _dense().unitary(self)
 
 
 def _dense():
-    # imported on first use, so commands on pointed data never compile it
+    # imported on first use, so commands on pointed data with a group law never compile it
     from . import dense
 
     return dense
@@ -135,45 +151,29 @@ def _dense():
 class _Exponents:
     """Pointed data as integers: S~_ij = e(s[i][j]/n) and theta_a = e(t[a]/n).
 
-    Row 0 is all exponent 0, so every d_a is 1 and D^2 is the rank. A sum of
-    such roots is a histogram of exponents, reduced once by exponent_sum.
+    Row 0 is all exponent 0, so every d_a is 1. If the rows are distinct and
+    closed under the entrywise product, ModularData._law holds that product,
+    k = i.j where S~_i S~_j = S~_k, and since S~ is symmetric (Drinfeld,
+    Gelaki, Nikshych and Ostrik, "On braided fusion categories I", 2010):
+
+    - the labels form a group A with unit 0;
+    - every row is a distinct character of A, so the rows are orthogonal:
+      unitarity holds and D^2 = rank;
+    - N_ij^k = delta(k, i.j), and C(i) = i^-1;
+    - (S~ T)^3 = p+ D^2 I holds exactly when theta_(i.j) = theta_i theta_j
+      S~_ij for all i <= j. If it does, theta_a S~_ka = theta_(k.a) /
+      theta_k, so sum_a theta_a S~_ka = p+ conj(theta_k): that is entry
+      (i, j) of S~ T S~ = p+ T^-1 conj(S~) T^-1 for k = i.j. Conversely,
+      entry (k, 0) of that identity is sum_a theta_a S~_ka = p+ conj(theta_k),
+      and entry (i, j) then gives the law on theta unless p+ = 0; but p+ = 0
+      would make every Fourier coefficient of theta vanish, so theta = 0.
+
+    So every check is a lookup in the law or rank^2 integer comparisons.
     """
 
     n: int
     s: tuple[tuple[int, ...], ...]
     t: tuple[int, ...]
-
-    def unitary(self) -> bool:
-        # (S~ conj(S~)^t)_ii sums rank copies of e(0) = D^2; the rest must vanish.
-        s = self.s
-        return all(exponent_sum(self.n, map(sub, row, other)).is_zero()
-                   for i, row in enumerate(s) for other in s[i + 1:])
-
-    def fusion(self) -> FusionTensor | None:
-        """N_ij^k = delta(k, k0) when S~_i S~_j is row k0; None if some product is not a row."""
-        n, s = self.n, self.s
-        index = {row: k for k, row in enumerate(s)}
-        units = [tuple(int(k == k0) for k in range(len(s))) for k0 in range(len(s))]
-        table = [[None] * len(s) for _ in s]
-        for i, row in enumerate(s):
-            for j in range(i, len(s)):
-                k0 = index.get(tuple(map(n.__rmod__, map(add, row, s[j]))))
-                if k0 is None:
-                    return None
-                table[i][j] = table[j][i] = units[k0]
-        return FusionTensor(tuple(map(tuple, table)))
-
-    def st_cubed(self) -> bool:
-        # S~ T S~ = p+ T^-1 conj(S~) T^-1 with p+ = sum_a e(t[a]/n); both sides
-        # are symmetric. The right side is p+ e(-c/n), one value per c mod n.
-        n, s, t = self.n, self.s, self.t
-        rhs = [exponent_sum(n, (x - c for x in t)) for c in range(n)]
-        for i, row in enumerate(s):
-            row_t = list(map(add, row, t))
-            for j in range(i, len(s)):
-                if exponent_sum(n, map(add, row_t, s[j])) != rhs[(t[i] + row[j] + t[j]) % n]:
-                    return False
-        return True
 
 
 def from_lattice(gram: GramMatrix) -> ModularData:
@@ -236,19 +236,18 @@ def verlinde_fusion(md: ModularData) -> FusionTensor:
     Every entry must come out a non-negative integer; anything else means the
     input is not modular data and NonIntegralFusion is raised.
 
-    Pointed data (every entry and twist a root of unity, every d_a = 1) that
-    passes unitarity is settled by row lookup: if the entrywise product of
-    rows i and j is row k0, then N_{i,j}^k = (1/D^2) (S~ S~*)_{k0,k} =
-    delta(k, k0), at rank^3 integer cost. Everything else, including a row
-    product that is not a row, takes the dense rank^4 sum on packed integers
-    (pointedcat.dense), which raises the exact error.
+    Pointed data with a group law (ModularData._law, from the rows of its
+    exponent table) has N_{i,j}^k = delta(k, i.j): each row is a character of
+    the label group, so the sum is (1/D^2) (S~ conj(S~)^t)_{i.j,k}. Anything
+    else, including pointed data whose row products are not rows, takes the
+    dense rank^4 sum on packed integers (pointedcat.dense), which raises the
+    exact error.
     """
-    table = md._exponents
-    if table is not None and md._unitary:
-        fusion = table.fusion()
-        if fusion is not None:
-            return fusion
-    return _dense().verlinde(md)
+    law = md._law
+    if law is None:
+        return _dense().verlinde(md)
+    units = [tuple(int(k == k0) for k in range(md.rank)) for k0 in range(md.rank)]
+    return FusionTensor(tuple(tuple(units[k] for k in row) for row in law))
 
 
 def fusion_probabilities(
@@ -279,54 +278,30 @@ def fusion_probabilities(
     return tuple(outcomes)
 
 
-def _matrix_square(md: ModularData) -> tuple[tuple[Cyclotomic, ...], ...]:
-    rank = md.rank
-    table = md._exponents
-    if table is None:
-        return _dense().square(md)
-    # (S~^2)_ij sums e((s[i][a] + s[j][a])/n). With unitarity, S~^-1 =
-    # conj(S~)/D^2, so if row j is conj(row c), (S~^2)_ij = D^2 delta(i, c);
-    # only the rows that are no row's conjugate are summed.
-    n, s = table.n, table.s
-    index = {row: k for k, row in enumerate(s)} if md._unitary else {}
-    conj = [index.get(tuple((-x) % n for x in row)) for row in s]
-    square = [[None] * rank for _ in range(rank)]
-    for i, row in enumerate(s):
-        for j in range(i, rank):
-            if conj[i] is None and conj[j] is None:
-                value = exponent_sum(n, map(add, row, s[j]))
-            else:
-                value = md._gauss.d_squared if conj[i] == j else Cyclotomic.zero()
-            square[i][j] = square[j][i] = value
-    return tuple(tuple(row) for row in square)
-
-
-def _conjugation_from_square(square, d_squared) -> tuple[int, ...]:
-    rank = len(square)
-    perm = []
-    for i in range(rank):
-        hits = [j for j in range(rank) if not square[i][j].is_zero()]
-        if len(hits) != 1 or square[i][hits[0]] != d_squared:
-            raise NotModular(f"row {i} of S~^2 is not D^2 times a unit vector")
-        perm.append(hits[0])
-    if perm[0] != 0:
-        raise NotModular("charge conjugation does not fix the tensor unit")
-    if any(perm[perm[i]] != i for i in range(rank)):
-        raise NotModular("charge conjugation is not an involution")
-    return tuple(perm)
-
-
 def dual_permutation(md: ModularData) -> tuple[int, ...]:
     """Charge conjugation C with S~^2 = D^2 * C.
 
     Raises NotModular unless S~^2 / D^2 is a permutation matrix fixing 0 with
-    C^2 = identity.
+    C^2 = identity. With a group law, C(i) = i^-1; otherwise the rows of S~^2
+    come from pointedcat.dense.
     """
-    return _conjugation_from_square(md._square, md._gauss.d_squared)
+    law = md._law
+    if law is not None:
+        return tuple(row.index(0) for row in law)
+    perm = _dense().conjugation(md)
+    for i, c in enumerate(perm):
+        if c is None:
+            raise NotModular(f"row {i} of S~^2 is not D^2 times a unit vector")
+    if perm[0] != 0:
+        raise NotModular("charge conjugation does not fix the tensor unit")
+    if any(perm[perm[i]] != i for i in range(md.rank)):
+        raise NotModular("charge conjugation is not an involution")
+    return tuple(perm)
 
 
 def check_unitarity(md: ModularData) -> bool:
-    """Exact check of S~ * conj(S~)^t = D^2 * I, computed once per instance."""
+    """Exact check of S~ * conj(S~)^t = D^2 * I, computed once per instance:
+    a group law implies it, and other data takes the packed check (dense)."""
     return md._unitary
 
 
@@ -360,12 +335,13 @@ def check_modular_relations(md: ModularData) -> RelationReport:
     identity only holds when every label is self-dual. Failures are report
     entries, never exceptions.
 
-    When unitarity holds and D^2 != 0, S~^-1 = conj(S~)/D^2 (S~ is
-    symmetric), so the cube relation is equivalent to the one-product
-    identity S~ T S~ = p+ T^-1 conj(S~) T^-1. Pointed data checks it, and
-    S~^2, on integer exponents; other data as (S~ T)^2 = (p+ T^-1) conj(S~)
-    on packed integers (pointedcat.dense). Without unitarity, (S~ T)^3 is
-    formed with two matrix products.
+    Pointed data with a group law (ModularData._law) has C(i) = i^-1, and
+    its cube relation holds exactly when theta_(i.j) = theta_i theta_j S~_ij
+    for all i <= j, a rank^2 integer check (_Exponents). Other data goes to
+    pointedcat.dense. With unitarity, S~^-1 = conj(S~)/D^2 (S~ is
+    symmetric; D^2 = sum |d_a|^2 >= 1), so the cube relation is the one
+    product (S~ T)^2 = (p+ T^-1) conj(S~); without it, (S~ T)^3 is formed
+    with two matrix products.
     """
     checks = []
     rank = md.rank
@@ -379,25 +355,25 @@ def check_modular_relations(md: ModularData) -> RelationReport:
     )
     checks.append(RelationCheck("s_symmetric", symmetric, "S~ = S~^t"))
 
-    gauss = md._gauss
-
     try:
-        perm = _conjugation_from_square(md._square, gauss.d_squared)
+        dual_permutation(md)  # raises unless C is a permutation with C^2 = I
         checks.append(RelationCheck(
             "charge_conjugation", True, "S~^2 = D^2 C with C a permutation"))
-        checks.append(RelationCheck(
-            "conjugation_involution", all(perm[perm[i]] == i for i in range(rank)),
-            "C^2 = I"))
+        checks.append(RelationCheck("conjugation_involution", True, "C^2 = I"))
     except NotModular as exc:
         checks.append(RelationCheck("charge_conjugation", False, str(exc)))
         checks.append(RelationCheck("conjugation_involution", False, "C undefined"))
 
-    if not md._unitary or gauss.d_squared.is_zero():
-        cubed_ok = _dense().st_cubed(md)
-    elif md._exponents is not None:
-        cubed_ok = md._exponents.st_cubed()
-    else:
+    law = md._law
+    if law is not None:
+        table = md._exponents
+        n, s, t = table.n, table.s, table.t
+        cubed_ok = all((t[i] + t[j] + s[i][j] - t[law[i][j]]) % n == 0
+                       for i in range(rank) for j in range(i, rank))
+    elif md._unitary:
         cubed_ok = _dense().st_cubed_one_product(md)
+    else:
+        cubed_ok = _dense().st_cubed(md)
     checks.append(RelationCheck("st_cubed", cubed_ok, "(S~ T)^3 = p+ D^2 I"))
 
     return RelationReport(tuple(checks))

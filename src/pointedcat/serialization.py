@@ -100,7 +100,10 @@ def parse_int_matrix_text(text: str) -> tuple[tuple[int, ...], ...]:
 
 
 def parse_gram_text(text: str) -> GramMatrix:
-    return check_gram(parse_int_matrix_text(text))
+    rows = parse_int_matrix_text(text)
+    if len(rows) != len(rows[0]):
+        raise ParseError(f"a Gram matrix must be square, not {len(rows)} x {len(rows[0])}")
+    return check_gram(rows)
 
 
 def _key_value_lines(body: str, kind: str, known: tuple[str, ...]):

@@ -2,7 +2,8 @@
 
 Nothing in here imports the package under test. Discriminant-group data is
 recovered by scanning the (1/|det|)-grid instead of any matrix decomposition,
-determinants by cofactor expansion, corpus counts by direct enumeration,
+determinants by cofactor expansion, signatures by Sylvester inertia of an
+exact symmetric elimination, corpus counts by direct enumeration,
 canonical forms by trying every relabeling, cyclotomic polynomials by dense
 division, minimal conductors by Fraction Gauss-Jordan elimination, and packed
 integers by one shift per coefficient.
@@ -29,6 +30,27 @@ def det_cofactor(rows):
         sign = -1 if j % 2 else 1
         total += sign * rows[0][j] * det_cofactor(minor)
     return total
+
+
+def signature(rows):
+    """sigma(B) = (positive - negative eigenvalues) of a nonsingular symmetric
+    matrix, by Sylvester's law of inertia: congruences P B P^t in Fractions
+    reduce B to a diagonal, whose signs are counted. A zero diagonal pivot is
+    made nonzero by adding row and column j to i, which sets b_ii = 2 b_ij."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    sigma = 0
+    while a:
+        k = next((i for i in range(len(a)) if a[i][i]), None)
+        if k is None:
+            k, j = next((i, j) for i in range(len(a)) for j in range(len(a)) if a[i][j])
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] += row[j]
+        pivot = a[k][k]
+        sigma += 1 if pivot > 0 else -1
+        a = [[a[r][c] - a[r][k] * a[k][c] / pivot for c in range(len(a)) if c != k]
+             for r in range(len(a)) if r != k]
+    return sigma
 
 
 def mat_vec(rows, vec):

@@ -100,6 +100,29 @@ class TestVerify:
             "check: st_cubed pass: (S~ T)^3 = p+ D^2 I\n"
             "result: fail\n")
 
+    def test_failure_at_a_large_prime_is_named_quickly(self, tmp_path, capsys):
+        # Naming the non-integral N(0,0)^0 asks root_exponent of a value at
+        # conductor 1021; the candidate roots at 2042 took 4.4 s here.
+        path = tmp_path / "prime.data"
+        path.write_text("kind: modular_data\nrank: 2\n"
+                        "s_tilde: 1, e(1/1021); e(1/1021), e(3/1021)+e(1/2)\n"
+                        "twists: e(0/1), e(1/1021)\n")
+        start = time.perf_counter()
+        assert main(["verify", "--data", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        value = "+".join(f"-2*e({k}/1021)" for k in range(1, 1019) if k % 4 in (1, 2))
+        assert capsys.readouterr().out == (
+            "kind: report\n"
+            "check: gauss_identity fail: p+ p- = D^2\n"
+            "check: unitarity fail: S~ conj(S~)^t = D^2 I\n"
+            f"check: verlinde_integral fail: N(0,0)^0 = {value} is not a non-negative integer\n"
+            "check: twists_unit pass: twist of the unit is 1\n"
+            "check: s_symmetric pass: S~ = S~^t\n"
+            "check: charge_conjugation fail: row 0 of S~^2 is not D^2 times a unit vector\n"
+            "check: conjugation_involution fail: C undefined\n"
+            "check: st_cubed fail: (S~ T)^3 = p+ D^2 I\n"
+            "result: fail\n")
+
     def test_parse_error_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "broken.data"
         path.write_text(CORRUPT_SEMION.replace("e(0/1), e(0/1)", "e(0/1), e(1/3"))

@@ -12,6 +12,7 @@ from pointedcat.cyclo import (
     Cyclotomic,
     _cyclotomic_poly,
     _field_inverse,
+    _monomial,
     dot,
     format_root,
     format_value,
@@ -96,6 +97,48 @@ class TestRootExponentAfterArithmetic:
         for x in (ONE + I, 2 * W, Cyclotomic.zero(), Cyclotomic.from_rational(F(1, 2)),
                   ONE - W, W + W * W + I):
             assert x.root_exponent() is None
+
+
+def candidate_root_exponent(x):
+    """Reference: build e(k/2N) for the three k nearest the float argument of x
+    (N its conductor) and compare each with x by equality across conductors."""
+    if x.is_rational():
+        return {1: F(0), -1: F(1, 2)}.get(x.as_rational())
+    n2 = 2 * x.conductor
+    re, im = x.approx_complex()
+    guess = round(cmath.phase(complex(re, im)) / (2 * math.pi) * n2)
+    for k in (guess, guess + 1, guess - 1):
+        if x == root_of_unity(F(k, n2)):
+            return F(k % n2, n2)
+    return None
+
+
+class TestRootExponentAgainstCandidates:
+    """root_exponent compares coefficients with one power of zeta_N at the
+    value's own conductor N; the reference builds candidate roots at 2N."""
+
+    def test_every_signed_power_up_to_48(self):
+        roots = 0
+        for n in range(1, 49):
+            for j in range(n):
+                for sign in (1, -1):
+                    # a fresh object at conductor n, which need not be minimal
+                    x = Cyclotomic(n, tuple(sign * c for c in _monomial(n, j)))
+                    expected = candidate_root_exponent(x)
+                    assert expected is not None
+                    assert x.root_exponent() == expected == (F(j, n) + F(1 - sign, 4)) % 1
+                    roots += 1
+        assert roots == 2 * sum(range(1, 49))
+
+    def test_su2_entries_and_sums(self, su2):
+        values = [x for k in range(2, 17) for row in su2(k).s_tilde for x in row]
+        values += [ONE + I, 2 * W, ONE - W, W + W * W + I, -W * I, (ONE + I) * F(1, 2)]
+        found = 0
+        for x in values:
+            fresh = Cyclotomic(x.conductor, x._coeffs)  # no memo
+            assert fresh.root_exponent() == candidate_root_exponent(x)
+            found += fresh.root_exponent() is not None
+        assert 0 < found < len(values)
 
 
 class TestArithmetic:
@@ -286,7 +329,7 @@ class TestMinimal:
 
     @pytest.mark.parametrize("p", [4001, 10007])
     def test_format_at_large_prime_is_fast(self, p):
-        # root_exponent compares with e(k/2p), which needs Phi_2p
+        # root_exponent compares with a power of zeta at the value's own conductor
         x = root_of_unity(F(1, p))
         start = time.perf_counter()
         text = format_value(x * x + x)

@@ -1,9 +1,10 @@
-"""Integer-exponent verification of pointed data against the dense exact paths.
+"""Group-law verification of pointed data against the dense exact paths.
 
-Pointed data (every S~ entry and twist a root of unity, every d_a = 1) is
-verified on integer exponents. The dense routines of pointedcat.dense check
-any data; hiding the exponent table makes every check take them, and the
-two paths must give identical reports, fusion tensors and error messages.
+Pointed data (every S~ entry and twist a root of unity, every d_a = 1) whose
+rows form a group under the entrywise product is verified through that group
+law. The dense routines of pointedcat.dense check any data; hiding the law
+makes every check take them, and the two paths must give identical reports,
+fusion tensors, charge conjugations and error messages.
 """
 
 import contextlib
@@ -17,8 +18,11 @@ import oracle
 from pointedcat import (
     FusionTensor,
     ModularData,
+    NotModular,
     PointedCatError,
     check_gram,
+    check_modular_relations,
+    dual_permutation,
     from_lattice,
     root_of_unity,
     serialize,
@@ -98,8 +102,29 @@ def dense_once(memo):
         yield
 
 
+def conjugation_from_square(md):
+    """Charge conjugation read off S~^2 = D^2 C, with S~^2 formed by dense.square."""
+    d_squared = md._gauss.d_squared
+    perm = []
+    for i, row in enumerate(dense.square(md)):
+        hits = [j for j, x in enumerate(row) if not x.is_zero()]
+        if len(hits) != 1 or row[hits[0]] != d_squared:
+            raise NotModular(f"row {i} of S~^2 is not D^2 times a unit vector")
+        perm.append(hits[0])
+    if perm[0] != 0:
+        raise NotModular("charge conjugation does not fix the tensor unit")
+    if any(perm[perm[i]] != i for i in range(md.rank)):
+        raise NotModular("charge conjugation is not an involution")
+    return tuple(perm)
+
+
+def st_cubed_check(md):
+    return next(c.passed for c in check_modular_relations(md).checks if c.name == "st_cubed")
+
+
 def assert_paths_agree(md, memo):
-    """verify_all and verlinde_fusion agree with the dense routines on md."""
+    """verify_all, verlinde_fusion and dual_permutation agree with the dense
+    routines on md."""
     fast = fresh(md)
     if fast._exponents is None:
         return  # the dense routines are the only path
@@ -108,20 +133,20 @@ def assert_paths_agree(md, memo):
         fusion = run(verlinde_fusion, fast)
         slow = fresh(md)
         assert same_outcome(fusion, run(dense.verlinde, slow))
+        assert same_outcome(run(dual_permutation, fast), run(conjugation_from_square, slow))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(moddata.ModularData, "_exponents", property(lambda self: None))
+            mp.setattr(moddata.ModularData, "_law", property(lambda self: None))
             assert verify_all(slow) == report
-            assert slow._square == fast._square  # S~^2 by row lookup where unitary
 
 
 def assert_cube_forms_agree(md):
-    """The one-product identity, on exponents or dense, decides (S~ T)^3 = p+ D^2 I."""
+    """The law's twist check and the one-product identity decide (S~ T)^3 = p+ D^2 I."""
     md = fresh(md)
     assert md._unitary
     cubed = dense.st_cubed(md)
     assert dense.st_cubed_one_product(md) == cubed
-    if md._exponents is not None:
-        assert md._exponents.st_cubed() == cubed
+    if md._law is not None:
+        assert st_cubed_check(md) == cubed
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +157,7 @@ def small_corpus(corpus4_data):
 class TestCorpusEquivalence:
     def test_corpus_size(self, small_corpus):
         assert len(small_corpus) == 146
-        assert all(md._exponents is not None for md in small_corpus)
+        assert all(md._law is not None for md in small_corpus)
 
     def test_clean_and_corrupted(self, small_corpus):
         for md in small_corpus:
@@ -145,11 +170,19 @@ class TestCorpusEquivalence:
     def test_corruptions_take_the_intended_paths(self, small_corpus):
         md = next(md for md in small_corpus if md.rank == 12)
         twist, pair, sign = (fresh(c(md)) for c in CORRUPTIONS)
-        assert twist._exponents is not None and twist._unitary
+        assert twist._law is not None and twist._unitary
         assert not verify_all(twist).passed
-        assert pair._exponents is not None and not pair._unitary
+        assert pair._exponents is not None and pair._law is None and not pair._unitary
         assert sign._exponents is None and sign._unitary
         assert "verlinde_integral" in verify_all(sign).failing()
+
+
+class TestGroupLaw:
+    def test_law_and_duals_match_oracle(self, corpus4_data):
+        for gram, md in corpus4_data:
+            reps = oracle.brute_representatives(gram.entries)
+            assert [list(row) for row in md._law] == oracle.addition_table(reps)
+            assert list(dual_permutation(md)) == oracle.dual_indices(reps)
 
 
 class TestCubeForms:
@@ -171,7 +204,8 @@ class TestCubeForms:
 
 class TestRowProductNotARow:
     """A unitary, symmetric complex Hadamard matrix of roots of unity whose
-    row products are not rows: the lookup fails and the dense Verlinde raises."""
+    row products are not rows: there is no group law, and the dense Verlinde
+    raises."""
 
     @staticmethod
     def hadamard():
@@ -189,8 +223,8 @@ class TestRowProductNotARow:
 
     def test_fast_table_and_unitarity(self):
         md = self.hadamard()
-        assert md._exponents is not None and md._unitary
-        assert md._exponents.fusion() is None
+        assert md._exponents is not None and md._law is None
+        assert md._unitary  # by the dense packed check
 
     def test_dense_error_message(self):
         md = self.hadamard()

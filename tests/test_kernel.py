@@ -208,6 +208,19 @@ class TestDenseChecks:
             assert dense.unitary(md) == ref_unitary(md)
             assert dense.square(md) == ref_square(md)
 
+    def test_conjugation(self, cases):
+        # the unitary lookup and the formed S~^2 against the plain S~^2
+        unitary = 0
+        for md in cases:
+            d_squared = md._gauss.d_squared
+            expected = []
+            for row in ref_square(md):
+                hits = [j for j, x in enumerate(row) if x != 0]
+                expected.append(hits[0] if len(hits) == 1 and row[hits[0]] == d_squared else None)
+            assert dense.conjugation(md) == expected
+            unitary += md._unitary
+        assert 0 < unitary < len(cases)
+
     def test_st_cubed(self, cases):
         unitary_outcomes = set()
         for md in cases:

@@ -128,6 +128,20 @@ class TestGaussData:
     def test_corrupted_fails(self, semion):
         assert not gauss_data(corrupted_semion(semion)).identity_holds
 
+    def test_milgram_formula_on_corpus(self, corpus4_data):
+        # p+ = sqrt(|det B|) e(sigma(B)/8), with sigma from the oracle's exact
+        # inertia: this pins the twists the cube check rests on. The square
+        # fixes sigma mod 4; the sign of the real root (|root| >= 1, so the
+        # float is unambiguous) fixes it mod 8.
+        signatures = set()
+        for gram, md in corpus4_data:
+            sigma = oracle.signature(gram.entries)
+            signatures.add(sigma)
+            root = gauss_data(md).p_plus * root_of_unity(F(-sigma, 8))
+            assert root ** 2 == abs(oracle.det_cofactor(gram.entries)), gram.entries
+            assert root == root.conjugate() and root.approx_complex()[0] > 0, gram.entries
+        assert signatures == {-2, -1, 0, 1, 2}
+
 
 class TestVerlindeFusion:
     def test_semion_table(self, semion):
@@ -398,21 +412,30 @@ class TestCanonicalForm:
 
 class TestVerifyAll:
     def test_shared_values_computed_once(self, monkeypatch):
-        # Gauss data costs three sums and S~^2 one matrix product, however
-        # many checks read them.
-        calls = {"sum_values": 0, "_matrix_square": 0}
+        # Gauss data costs three sums however many checks read it. S~^2 is
+        # formed only without unitarity, once; a group law (and, for other
+        # unitary data, a conjugate-row lookup) gives C without it.
+        from pointedcat import dense
 
-        def counting(name):
-            original = getattr(moddata, name)
+        calls = {"sum_values": 0, "square": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return original(*args)
 
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(moddata, name, counting(name))
+        counting(moddata, "sum_values")
+        counting(dense, "square")
         md = from_lattice(check_gram([[2, 1], [1, 2]]))
         assert verify_all(md).passed
-        assert calls == {"sum_values": 3, "_matrix_square": 1}
+        assert calls == {"sum_values": 3, "square": 0}
+        rows = [list(row) for row in md.s_tilde]
+        rows[1][2] = rows[2][1] = md.twists[0]  # symmetric, not unitary
+        broken = ModularData(rank=3, s_tilde=tuple(map(tuple, rows)), twists=md.twists)
+        calls.update(sum_values=0)
+        assert verify_all(broken).failing()[:2] == ("unitarity", "verlinde_integral")
+        assert calls == {"sum_values": 3, "square": 1}

@@ -1,9 +1,14 @@
+from fractions import Fraction as F
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointedcat import (
     Document,
     ModularData,
     ParseError,
+    PointedCatError,
     ValidationError,
     check_gram,
     parse,
@@ -11,6 +16,7 @@ from pointedcat import (
     serialize,
     verify_all,
 )
+from pointedcat.cyclo import Cyclotomic, sum_values
 
 SEMION_DOC = """kind: modular_data
 rank: 2
@@ -36,6 +42,10 @@ class TestGramDocuments:
         with pytest.raises(ParseError) as info:
             parse(Document("gram_matrix", "2 x\nx 2\n"))
         assert info.value.line == 1
+
+    def test_non_square_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="square, not 2 x 3"):
+            parse(Document("gram_matrix", "0 0 0\n0 0 0\n"))
 
 
 class TestModularDataDocuments:
@@ -174,3 +184,48 @@ class TestDeterminism:
         doc = serialize(toric)
         again = serialize(parse(doc))
         assert again.body == doc.body
+
+
+# Fragments of both grammars, so random documents reach past the first line.
+_fragments = st.sampled_from([
+    "kind: modular_data\n", "kind:", "modular_data", "rank: ", "labels: ", "s_tilde: ",
+    "twists: ", "provenance: ", "e(", ")", "/", ",", ";", "*", "+", "-", " ", "\n", "#",
+    ":", "0", "1", "2", "3", "4", "7", "1021", "99999999999", "e(1/4)", "e(0/1)", "1/2",
+])
+_rows = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(lambda r: " ".join(map(str, r)))
+_texts = st.one_of(st.text(max_size=80), st.lists(_fragments, max_size=40).map("".join),
+                   st.lists(_rows, min_size=1, max_size=3).map("\n".join))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["gram_matrix", "modular_data"]), text=_texts)
+def test_parse_raises_only_package_errors(kind, text):
+    try:
+        parse(Document(kind, text))
+    except PointedCatError:
+        pass
+
+
+_roots = st.builds(F, st.integers(0, 23), st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]))
+_values = st.lists(st.tuples(st.builds(F, st.integers(-4, 4), st.integers(1, 3)), _roots),
+                   max_size=3).map(lambda terms: sum_values(
+                       [Cyclotomic.from_rational(c) * root_of_unity(q) for c, q in terms]))
+
+
+@st.composite
+def _generic_data(draw):
+    rank = draw(st.integers(1, 4))
+    rows = [[None] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            rows[i][j] = rows[j][i] = Cyclotomic.one() if i == j == 0 else draw(_values)
+    twists = (Cyclotomic.one(),) + tuple(root_of_unity(draw(_roots)) for _ in range(rank - 1))
+    return ModularData(rank=rank, s_tilde=tuple(map(tuple, rows)), twists=twists)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(md=_generic_data())
+def test_parse_inverts_serialize_on_generic_data(md):
+    doc = serialize(md)
+    assert parse(doc) == md
+    assert serialize(parse(doc)).body == doc.body
