@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import cyclo
-from .errors import PointedCatError
+from .errors import MAX_CANONICAL_RANK, PointedCatError
 from .lattice import format_gram
 from .moddata import (
     ModularData,
@@ -88,8 +88,10 @@ def _cmd_enumerate(args) -> int:
     # imported here, so that no other command compiles it
     from .enumeration import CorpusSpec, classify, format_classification, generate_gram_matrices
 
-    cap = args.max_rank if args.max_rank is not None else 8
+    cap = args.max_rank if args.max_rank is not None else MAX_CANONICAL_RANK
     spec = CorpusSpec(max_dim=args.max_dim, max_entry=args.max_entry, max_rank=cap)
+    if cap > MAX_CANONICAL_RANK:
+        raise PointedCatError(f"rank cap {cap} exceeds the relabeling bound {MAX_CANONICAL_RANK}")
     corpus = generate_gram_matrices(spec)
     result = classify(corpus)
     sys.stdout.write(f"corpus: {len(corpus)} matrices\n")
@@ -159,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dim", required=True, type=int, metavar="N")
     p.add_argument("--max-entry", required=True, type=int, metavar="N")
     p.add_argument("--max-rank", type=int, metavar="N",
-                   help="cap on |det B| (default 8, the relabeling-search bound)")
+                   help=f"cap on |det B| (default {MAX_CANONICAL_RANK}, the relabeling bound)")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("show", help="pretty-print a data document")

@@ -599,12 +599,10 @@ def parse_value(text: str) -> Cyclotomic:
             terms.append(_parse_root(part))
         else:
             terms.append(Cyclotomic.from_rational(_parse_rat(part)))
-    if len(terms) > 1:  # _parse_root bounds a single root
-        check_conductor(x.conductor for x in terms)
-    total = Cyclotomic.zero()
-    for x in terms:
-        total = total + x
-    return total
+    if len(terms) == 1:  # _parse_root bounds a single root, and shares it
+        return terms[0]
+    check_conductor(x.conductor for x in terms)
+    return sum_values(terms)
 
 
 def check_conductor(conductors) -> None:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 
 from .cyclo import Cyclotomic, format_root
-from .errors import MAX_RANK, Singular
-from .lattice import GramMatrix, check_gram, format_gram
+from .errors import MAX_CANONICAL_RANK, MAX_RANK
+from .lattice import GramMatrix, check_gram, discriminant_group, format_gram, pairing_exponents
+from .lattice import _det_bareiss
 from .moddata import canonical_form, from_lattice
 from .record import record
 
@@ -39,7 +40,7 @@ def generate_gram_matrices(spec: CorpusSpec) -> list[GramMatrix]:
 
     Ordered by dimension, then lexicographically by row-major entries (which
     coincides with lexicographic order on the upper triangle read row-wise).
-    Singular matrices are skipped; |det| is capped by max_rank when set.
+    Singular matrices, and |det| > max_rank when set, are skipped before check_gram.
     """
     out = []
     for n in range(1, spec.max_dim + 1):
@@ -55,13 +56,10 @@ def generate_gram_matrices(spec: CorpusSpec) -> list[GramMatrix]:
             for (i, j), value in zip(positions, combo):
                 rows[i][j] = value
                 rows[j][i] = value
-            try:
-                gram = check_gram(rows)
-            except Singular:
+            det = _det_bareiss(rows)
+            if det == 0 or spec.max_rank is not None and abs(det) > spec.max_rank:
                 continue
-            if spec.max_rank is not None and abs(gram.determinant) > spec.max_rank:
-                continue
-            out.append(gram)
+            out.append(check_gram(rows))
     return out
 
 
@@ -88,14 +86,24 @@ class ClassificationResult:
         return len(self.classes(rank))
 
 
-def classify(corpus, max_rank: int = 8) -> ClassificationResult:
+def classify(corpus, max_rank: int = MAX_CANONICAL_RANK) -> ClassificationResult:
     """Group the pointed data of a corpus by rank, deduplicated by canonical form.
 
     The class sets are independent of corpus order; witnesses are the first
     matrix (in the given order) realizing each class.
+
+    from_lattice and canonical_form run on the first matrix of each exponent
+    table (n, s, t) only. This is exact: from_lattice builds e(s[i][j]/n) and
+    e(t[i]/2n) from that table, and canonical_form reads only their tokens.
+    The rank is len(t), so the first matrix over max_rank is first with its table.
     """
     buckets: dict[int, dict[bytes, ModularClass]] = {}
+    tables = set()
     for gram in corpus:
+        table = pairing_exponents(gram, discriminant_group(gram))
+        if table in tables:
+            continue
+        tables.add(table)
         md = from_lattice(gram)
         key = canonical_form(md, max_rank=max_rank)
         bucket = buckets.setdefault(md.rank, {})

@@ -10,6 +10,7 @@ MAX_RANK = 512
 # Conductor of a parsed value, and the lcm of the conductors in one document;
 # a lattice with |det B| <= MAX_RANK gives data of conductor <= 2 * |det B|.
 MAX_CONDUCTOR = 2 * MAX_RANK
+MAX_CANONICAL_RANK = 8  # rank bound of canonical_form, which branches once per symmetry
 
 
 class PointedCatError(Exception):

@@ -238,7 +238,7 @@ def pairing_exponents(gram: GramMatrix, group: DiscriminantGroup):
     """
     n, us = group.exponent, group.representatives
     images = [_image(gram, u, n) for u in us]
-    t = tuple(quadratic_mod2(gram, u, n) for u in us)
+    t = tuple(sum(map(mul, u, image)) % (2 * n) for u, image in zip(us, images))
     s = [[0] * len(us) for _ in us]
     for i, u in enumerate(us):
         s[i][i] = t[i] % n

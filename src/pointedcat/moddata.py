@@ -18,6 +18,7 @@ from operator import add
 from . import cyclo
 from .cyclo import Cyclotomic, root_of_unity, sum_values
 from .errors import (
+    MAX_CANONICAL_RANK,
     NoLatticeProvenance,
     NotModular,
     NotProbabilistic,
@@ -449,7 +450,7 @@ def colored_link_invariant(md: ModularData, link: FramedLink) -> Cyclotomic:
     return root_of_unity(Fraction(exponent, table.n))
 
 
-def canonical_form(md: ModularData, max_rank: int = 8) -> bytes:
+def canonical_form(md: ModularData, max_rank: int = MAX_CANONICAL_RANK) -> bytes:
     """Lexicographically minimal serialization ``twists:...|s:...`` of
     (twists, s_tilde) over all relabelings that fix the tensor unit.
 

@@ -1,12 +1,14 @@
 """Independent brute-force reference computations used to freeze expected values.
 
-Nothing in here imports the package under test. Discriminant-group data is
-recovered by scanning the (1/|det|)-grid instead of any matrix decomposition,
-determinants by cofactor expansion, signatures by Sylvester inertia of an
-exact symmetric elimination, corpus counts by direct enumeration,
-canonical forms by trying every relabeling, cyclotomic polynomials by dense
-division, minimal conductors by Fraction Gauss-Jordan elimination, and packed
-integers by one shift per coefficient.
+Discriminant-group data is recovered by scanning the (1/|det|)-grid instead
+of any matrix decomposition, determinants by cofactor expansion, signatures
+by Sylvester inertia of an exact symmetric elimination, corpus counts by
+direct enumeration, canonical forms by trying every relabeling, cyclotomic
+polynomials by dense division, minimal conductors by Fraction Gauss-Jordan
+elimination, and packed integers by one shift per coefficient. Only
+classify_each imports the package under test: it is the per-matrix
+classification loop, which classify's cache per exponent table must
+reproduce.
 """
 
 from __future__ import annotations
@@ -173,6 +175,33 @@ def enumerate_even_symmetric(max_dim, max_entry, max_rank=None):
                 continue
             out.append(tuple(tuple(r) for r in rows))
     return out
+
+
+def classify_each(corpus):
+    """classify without its cache per exponent table: every matrix gets its
+    own from_lattice and canonical_form, and the first matrix of each
+    canonical key is its witness."""
+    from pointedcat.enumeration import ClassificationResult, ModularClass
+
+    buckets = {}
+    for gram in corpus:
+        rank, key, twists = _class_of(gram)
+        buckets.setdefault(rank, {}).setdefault(key, ModularClass(key, gram, twists))
+    return ClassificationResult(tuple(
+        (rank, tuple(bucket[key] for key in sorted(bucket)))
+        for rank, bucket in sorted(buckets.items())
+    ))
+
+
+@functools.lru_cache(maxsize=None)
+def _class_of(gram):
+    # memoized per matrix, not per table, so a reordered corpus costs no second pass
+    from pointedcat import Cyclotomic, canonical_form, from_lattice
+    from pointedcat.cyclo import format_root
+
+    md = from_lattice(gram)
+    twists = tuple(map(format_root, sorted(md.twists, key=Cyclotomic.root_exponent)))
+    return md.rank, canonical_form(md), twists
 
 
 def prime_divisors(n):

@@ -231,8 +231,8 @@ class TestDeterminism:
 
 
 class TestInputBounds:
-    """Inputs past MAX_RANK or MAX_CONDUCTOR are usage errors, raised before
-    anything of their size is built."""
+    """Inputs past MAX_RANK, MAX_CONDUCTOR or MAX_CANONICAL_RANK are usage
+    errors, raised before anything of their size is built."""
 
     def _exit_code_and_seconds(self, argv):
         start = time.perf_counter()
@@ -246,6 +246,15 @@ class TestInputBounds:
         code, seconds = self._exit_code_and_seconds(["construct", "--b", str(path)])
         assert code == 2 and seconds < 1.0
         assert "exceeds the rank bound 512" in capsys.readouterr().err
+
+    def test_canonical_rank_bound(self, capsys):
+        # refused before generating the corpus, which alone takes seconds
+        code, seconds = self._exit_code_and_seconds(
+            ["enumerate", "--max-dim", "3", "--max-entry", "5", "--max-rank", "12"])
+        assert code == 2 and seconds < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rank cap 12 exceeds the relabeling bound 8" in captured.err
 
     @pytest.mark.parametrize("entry, twist", [
         ("e(1/1000003)", "e(1/1000003)"),  # one root past the bound (ran over 30 s)

@@ -19,6 +19,11 @@ from pointedcat.errors import MAX_RANK
 FROZEN_COUNTS = {(2, 2): 38, (2, 3): 56, (2, 4): 212}
 
 
+@pytest.fixture(scope="module")
+def wide_corpus():
+    return generate_gram_matrices(CorpusSpec(max_dim=3, max_entry=3, max_rank=4))
+
+
 class TestGeneration:
     def test_one_dimensional_small(self):
         corpus = generate_gram_matrices(CorpusSpec(max_dim=1, max_entry=2))
@@ -36,6 +41,11 @@ class TestGeneration:
     def test_matches_independent_enumeration(self):
         corpus = generate_gram_matrices(CorpusSpec(max_dim=2, max_entry=3))
         assert [g.entries for g in corpus] == oracle.enumerate_even_symmetric(2, 3)
+
+    def test_wide_corpus_matches_independent_enumeration(self, wide_corpus):
+        # singular and over-cap candidates are dropped by determinant alone
+        assert len(wide_corpus) == 1666
+        assert [g.entries for g in wide_corpus] == oracle.enumerate_even_symmetric(3, 3, 4)
 
     def test_max_rank_cap(self):
         corpus = generate_gram_matrices(CorpusSpec(max_dim=2, max_entry=4, max_rank=6))
@@ -87,6 +97,18 @@ class TestClassify:
             for rank, classes in result.by_rank
         }
         assert keys(classify(corpus)) == keys(classify(shuffled))
+
+    @pytest.mark.parametrize("name", ["deep", "wide", "wide shuffled"])
+    def test_table_cache_matches_per_matrix_loop(self, name, wide_corpus):
+        # keys, witnesses and twist multisets, with one canonical form per
+        # exponent table against one per matrix
+        if name == "deep":
+            corpus = generate_gram_matrices(CorpusSpec(max_dim=2, max_entry=8, max_rank=8))
+        else:
+            corpus = list(wide_corpus)
+        if name == "wide shuffled":
+            random.Random(7).shuffle(corpus)
+        assert classify(corpus) == oracle.classify_each(corpus)
 
     def test_idempotent(self):
         corpus = generate_gram_matrices(CorpusSpec(max_dim=1, max_entry=4))
