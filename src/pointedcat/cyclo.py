@@ -467,17 +467,21 @@ def _reduce_cyclic(n: int, counts: list) -> tuple:
 
 def integer_coefficients(values, n: int) -> tuple[int, list[tuple[int, ...]]]:
     """(den, rows): the coefficients of each value at conductor n (which its
-    conductor divides), times den, the least common denominator of them all."""
-    rows = []
-    for v in values:
-        coeffs = v._coeffs
-        if v._conductor != n:
-            coeffs = [0] * n
-            v._embed_raw(n, coeffs)
-            coeffs = _reduce_cyclic(n, coeffs)
-        rows.append(coeffs)
-    den = lcm(*(c.denominator for row in rows for c in row))
-    return den, [tuple(c.numerator * (den // c.denominator) for c in row) for row in rows]
+    conductor divides), times den, the least common denominator of them all.
+    Each distinct value is converted once."""
+    keys = [(v._conductor, v._coeffs) for v in values]
+    rows = dict.fromkeys(keys)
+    for conductor, coeffs in rows:
+        row = coeffs
+        if conductor != n:
+            row = [0] * n
+            Cyclotomic(conductor, coeffs)._embed_raw(n, row)
+            row = _reduce_cyclic(n, row)
+        rows[conductor, coeffs] = row
+    den = lcm(*(c.denominator for row in rows.values() for c in row))
+    rows = {key: tuple(c.numerator * (den // c.denominator) for c in row)
+            for key, row in rows.items()}
+    return den, [rows[key] for key in keys]
 
 
 def slot_width(bound: int) -> int:
@@ -581,6 +585,7 @@ def format_value(x: Cyclotomic) -> str:
     return "+".join(parts)
 
 
+@lru_cache(maxsize=1 << 12)
 def parse_value(text: str) -> Cyclotomic:
     """Inverse of format_value / format_root. Raises ValueError on bad syntax
     and ValidationError beyond MAX_CONDUCTOR, before building the sum."""

@@ -5,21 +5,23 @@ in moddata through that group law (ModularData._law): the law alone gives
 unitarity and D^2 = rank, N_ij^k = delta(k, i.j), C(i) = i^-1, and (S~ T)^3
 as a rank^2 integer check on the twists. Every other input comes here: data
 that is not all roots of unity, and pointed data whose rows are not distinct
-or not closed. S~, conj(S~) and S~T become integer coefficient rows at one
-conductor, cached as ModularData._packed, and every check sums products of
-rows packed into big integers (cyclo.pack). moddata imports this module on
-first use, so commands on pointed data with a group law never compile it.
+or not closed, within errors.MAX_DENSE_WORK. S~ and conj(S~) become integer
+rows at the conductor of S~ (ModularData._packed), S~T at the lcm with T's
+for the (S~ T)^3 checks only, and every check sums products of rows packed
+into big integers (cyclo.pack). moddata imports this module on first use,
+so commands on pointed data with a group law never compile it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from math import lcm
 from operator import eq, mul
 
 from . import cyclo
 from .cyclo import Cyclotomic, from_integers, pack, unpack
-from .errors import NonIntegralFusion, NotModular, ValidationError
+from .errors import MAX_DENSE_WORK, NonIntegralFusion, NotModular, ValidationError
 from .moddata import FusionTensor, ModularData
 from .record import record
 
@@ -27,14 +29,15 @@ from .record import record
 @record
 class Packed:
     """Any data as integers at conductor n: the coefficients of S~_ij, conj(S~_ij) and
-    S~_ij theta_j times den, den and den^2; theta_a = e(t[a]/n) shifts by t[a] slots."""
+    S~_ij theta_j times den, den and den^2; theta_a = e(t[a]/n) shifts by t[a] slots.
+    Without the twists, n is the conductor of S~ and st and t are empty."""
 
     n: int
     den: int
     s: tuple
     conj: tuple
-    st: tuple
-    t: tuple[int, ...]
+    st: tuple = ()
+    t: tuple[int, ...] = ()
 
     def diagonal(self, values, scale: int) -> list[list[tuple[int, ...]]]:
         """The diagonal matrix of values times scale, which must make them integral."""
@@ -57,21 +60,29 @@ class Packed:
                           width, self.n) for j, r in enumerate(right)]
 
 
-def packed(md: ModularData) -> Packed:
-    """S~, conj(S~) and S~T of md as integer coefficient rows (ModularData._packed)."""
+def packed(md: ModularData, twists: bool = False) -> Packed:
+    """S~ and conj(S~) of md as integer coefficient rows at the conductor of S~
+    (ModularData._packed); with twists, S~T too, all at the lcm of the
+    conductors of S~ and T."""
     rank = md.rank
-    exponents = [t.root_exponent() for t in md.twists]
     values = list(itertools.chain(*md.s_tilde))
-    n = lcm(*(x.conductor for x in values), *(q.denominator for q in exponents))
-    t = tuple(q.numerator * (n // q.denominator) for q in exponents)
-    den, coeffs = cyclo.integer_coefficients(values + [x.conjugate() for x in values], n)
-    # S~_ia theta_a: a shift by t[a] slots, then the fold by x^n = 1
-    width = cyclo.slot_width(max(sum(map(abs, c)) for c in coeffs))
-    coeffs += [tuple(den * c for c in unpack(pack(x, width) << width * t[k % rank], width, n))
-               for k, x in enumerate(coeffs[:rank * rank])]
-    s, conj, st = (tuple(coeffs[k:k + rank] for k in range(start, start + rank * rank, rank))
-                   for start in range(0, 3 * rank * rank, rank * rank))
-    return Packed(n, den, s, conj, st, t)
+    exponents = [t.root_exponent() for t in md.twists]
+    n_s = lcm(*(x.conductor for x in values))
+    n_all = lcm(n_s, *(q.denominator for q in exponents))
+    work = rank ** 4 * (n_all + 4)
+    if work > MAX_DENSE_WORK:
+        raise ValidationError(f"estimated dense work {work} exceeds the bound {MAX_DENSE_WORK}")
+    n = n_all if twists else n_s
+    t = tuple(q.numerator * (n // q.denominator) for q in exponents) if twists else ()
+    conj = {id(x): x.conjugate() for x in values}  # parsed entries share equal values
+    den, coeffs = cyclo.integer_coefficients(values + [conj[id(x)] for x in values], n)
+    if twists:
+        # S~_ia theta_a: a shift by t[a] slots, then the fold by x^n = 1
+        width = cyclo.slot_width(max(sum(map(abs, c)) for c in coeffs))
+        coeffs += [tuple(den * c for c in unpack(pack(x, width) << width * t[k % rank], width, n))
+                   for k, x in enumerate(coeffs[:rank * rank])]
+    rows = [tuple(coeffs[k:k + rank]) for k in range(0, len(coeffs), rank)]
+    return Packed(n, den, *(tuple(rows[k:k + rank]) for k in range(0, len(rows), rank)), t=t)
 
 
 def unitary(md: ModularData) -> bool:
@@ -92,10 +103,8 @@ def conjugation(md: ModularData) -> list[int | None]:
     With unitarity, S~ conj(S~) = D^2 I, so that row is D^2 e_c exactly when
     conj(row i) is row c: a lookup, with no product. Otherwise S~^2 is formed.
     """
-    p = md._packed
     if md._unitary:
-        index = {tuple(row): c for c, row in enumerate(p.s)}
-        return [index.get(tuple(row)) for row in p.conj]
+        return md._duals
     d_squared = md._gauss.d_squared
     perm = []
     for row in square(md):
@@ -105,6 +114,13 @@ def conjugation(md: ModularData) -> list[int | None]:
 
 
 def verlinde(md: ModularData) -> FusionTensor:
+    """N_ij^k = X_ijk / (scale D^2) with X_ijk = sum_a s[i][a] s[j][a] conj[k][a]
+    inv[a] and inv[a] = den_inv / d_a, at the conductor of S~. If conj(row k)
+    is row C(k) for every k (ModularData._duals), X_ijk = Y(i, j, C(k)) for Y
+    the same sum over s[k], which is symmetric: Y is formed on i <= j <= k
+    only. Otherwise, or if some Y is not a multiple, X is formed on i <= j and
+    every k, which names the first bad entry in that order.
+    """
     rank = md.rank
     dims = md.s_tilde[0]
     if any(d.is_zero() for d in dims):
@@ -112,41 +128,54 @@ def verlinde(md: ModularData) -> FusionTensor:
     d_squared = md._gauss.d_squared
     if d_squared.is_zero():
         raise NotModular("global dimension is zero")
+    duals = md._duals
     p = md._packed
-    # X = sum_a s[i][a] s[j][a] conj[k][a] inv[a] = scale N_ij^k D^2, with
-    # inv[a] = den_inv / d_a; N_ij^k = m exactly when X = m * scale * D^2.
     den_inv, inv = cyclo.integer_coefficients([d.inverse() for d in dims], p.n)
     scale = p.den ** 3 * den_inv
-    norms = ([max(sum(map(abs, c)) for c in col) for col in zip(*rows)]
-             for rows in (p.s, p.conj, [inv]))
-    width = cyclo.slot_width(sum(a * a * c * v for a, c, v in zip(*norms)))
-    s = [[pack(c, width) for c in row] for row in p.s]
-    inv = [pack(v, width) for v in inv]
-    weights = [[pack(c, width) * v for c, v in zip(row, inv)] for row in p.conj]
     unit = p.diagonal([d_squared], scale)[0][0]
     pivot = next(q for q, c in enumerate(unit) if c)
-    table = [[None] * rank for _ in range(rank)]
-    for i in range(rank):
-        for j in range(i, rank):
-            prods = list(map(mul, s[i], s[j]))
-            entries = []
-            for k in range(rank):
-                x = unpack(sum(map(mul, prods, weights[k])), width, p.n)
-                m, r = divmod(x[pivot], unit[pivot])
-                if r or m < 0 or x != tuple(m * c for c in unit):
-                    value = from_integers(p.n, x, scale) / d_squared
-                    raise NonIntegralFusion(
-                        f"N({i},{j})^{k} = {value} is not a non-negative integer"
-                    )
-                entries.append(m)
-            table[i][j] = table[j][i] = tuple(entries)
-    return FusionTensor(tuple(tuple(row) for row in table))
+    labels = range(rank)
+
+    def tensor(rows, symmetric):
+        # weights rows[k][a] inv[a], reduced once, so each product below is 2:1 in
+        # length; row 0 (d_a) and inv[a] are nonzero, so each bound covers the inputs
+        inv_norms = [sum(map(abs, v)) for v in inv]
+        width = cyclo.slot_width(max(sum(map(abs, c)) * v for row in rows
+                                     for c, v in zip(row, inv_norms)))
+        packed_inv = [pack(v, width) for v in inv]
+        weights = [[unpack(pack(c, width) * v, width, p.n) for c, v in zip(row, packed_inv)]
+                   for row in rows]
+        norms = ([max(sum(map(abs, c)) for c in col) for col in zip(*rows)]
+                 for rows in (p.s, weights))
+        width = cyclo.slot_width(sum(a * a * w for a, w in zip(*norms)))
+        s = [[pack(c, width) for c in row] for row in p.s]
+        weights = [[pack(c, width) for c in row] for row in weights]
+        found = {}
+        for i in labels:
+            for j in range(i, rank):
+                prods = list(map(mul, s[i], s[j]))
+                for k in range(j if symmetric else 0, rank):
+                    x = unpack(sum(map(mul, prods, weights[k])), width, p.n)
+                    m, r = divmod(x[pivot], unit[pivot])
+                    if r or m < 0 or x != tuple(m * c for c in unit):
+                        value = from_integers(p.n, x, scale) / d_squared
+                        raise NonIntegralFusion(
+                            f"N({i},{j})^{k} = {value} is not a non-negative integer")
+                    found[i, j, k] = m
+        return FusionTensor(tuple(tuple(tuple(
+            found[tuple(sorted((i, j, duals[k])))] if symmetric else found[min(i, j), max(i, j), k]
+            for k in labels) for j in labels) for i in labels))
+
+    if None not in duals:
+        with contextlib.suppress(NonIntegralFusion):
+            return tensor(p.s, symmetric=True)
+    return tensor(p.conj, symmetric=False)
 
 
 def st_cubed_one_product(md: ModularData) -> bool:
     # S~ T S~ = p+ T^-1 conj(S~) T^-1, times T on the right: (S~ T)^2 =
     # (p+ T^-1) conj(S~). The diagonal factor goes through the same kernel.
-    p = md._packed
+    p = packed(md, twists=True)
     left = p.diagonal([md._gauss.p_plus * t.conjugate() for t in md.twists], p.den ** 2)
     return all(map(eq, p.products(p.st, p.s, shift=True), p.products(left, p.conj)))
 
@@ -155,7 +184,7 @@ def st_cubed(md: ModularData) -> bool:
     # (S~ T)^3 compared against p+ D^2 I (= p+ S~^2 C), all exact. S~ is
     # symmetric, so column b of S~T is row b of S~ times theta_b. (S~T)^2 is
     # reduced and packed again, at the width its own coefficients need.
-    p = md._packed
+    p = packed(md, twists=True)
     square = list(p.products(p.st, p.s, shift=True))
     cube = p.products(square, p.s, shift=True)
     target = md._gauss.p_plus * md._gauss.d_squared

@@ -12,7 +12,7 @@ import itertools
 
 from .cyclo import Cyclotomic, format_root
 from .errors import MAX_CANONICAL_RANK, MAX_RANK
-from .lattice import GramMatrix, check_gram, discriminant_group, format_gram, pairing_exponents
+from .lattice import GramMatrix, discriminant_group, format_gram, pairing_exponents
 from .lattice import _det_bareiss
 from .moddata import canonical_form, from_lattice
 from .record import record
@@ -40,7 +40,8 @@ def generate_gram_matrices(spec: CorpusSpec) -> list[GramMatrix]:
 
     Ordered by dimension, then lexicographically by row-major entries (which
     coincides with lexicographic order on the upper triangle read row-wise).
-    Singular matrices, and |det| > max_rank when set, are skipped before check_gram.
+    Singular matrices, and |det| > max_rank when set, are skipped by determinant;
+    the rest are symmetric and even by construction, so need no check_gram.
     """
     out = []
     for n in range(1, spec.max_dim + 1):
@@ -59,7 +60,7 @@ def generate_gram_matrices(spec: CorpusSpec) -> list[GramMatrix]:
             det = _det_bareiss(rows)
             if det == 0 or spec.max_rank is not None and abs(det) > spec.max_rank:
                 continue
-            out.append(check_gram(rows))
+            out.append(GramMatrix(tuple(map(tuple, rows)), det))
     return out
 
 
@@ -100,11 +101,12 @@ def classify(corpus, max_rank: int = MAX_CANONICAL_RANK) -> ClassificationResult
     buckets: dict[int, dict[bytes, ModularClass]] = {}
     tables = set()
     for gram in corpus:
-        table = pairing_exponents(gram, discriminant_group(gram))
+        group = discriminant_group(gram)
+        table = pairing_exponents(gram, group)
         if table in tables:
             continue
         tables.add(table)
-        md = from_lattice(gram)
+        md = from_lattice(gram, group)
         key = canonical_form(md, max_rank=max_rank)
         bucket = buckets.setdefault(md.rank, {})
         if key not in bucket:

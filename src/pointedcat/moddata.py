@@ -133,8 +133,14 @@ class ModularData:
 
     @cached_property
     def _packed(self):
-        """S~, conj(S~) and S~T as integer coefficient rows (dense.Packed)."""
+        """S~ and conj(S~) as integer coefficient rows at the conductor of S~ (dense.Packed)."""
         return _dense().packed(self)
+
+    @cached_property
+    def _duals(self) -> list[int | None]:
+        """For each row i, the c with conj(row i) = row c of S~ (packed), or None."""
+        index = {row: c for c, row in enumerate(self._packed.s)}
+        return [index.get(row) for row in self._packed.conj]
 
     @cached_property
     def _unitary(self) -> bool:
@@ -177,14 +183,14 @@ class _Exponents:
     t: tuple[int, ...]
 
 
-def from_lattice(gram: GramMatrix) -> ModularData:
+def from_lattice(gram: GramMatrix, group: DiscriminantGroup | None = None) -> ModularData:
     """Pointed modular data of an even lattice: rank |det B|, all d_i = 1.
 
     Entry (i,j) is e(<v_i, v_j> mod 1) and twist i is e((v_i^t B v_i mod 2)/2),
-    over the canonical discriminant-group enumeration. Both forms are
-    computed as integer exponents (lattice.pairing_exponents).
+    over the canonical discriminant-group enumeration (group, when given).
+    Both forms are computed as integer exponents (lattice.pairing_exponents).
     """
-    group = discriminant_group(gram)
+    group = group or discriminant_group(gram)
     n, s, t = pairing_exponents(gram, group)
     roots = [root_of_unity(Fraction(k, n)) for k in range(n)]
     return ModularData(
@@ -241,8 +247,8 @@ def verlinde_fusion(md: ModularData) -> FusionTensor:
     exponent table) has N_{i,j}^k = delta(k, i.j): each row is a character of
     the label group, so the sum is (1/D^2) (S~ conj(S~)^t)_{i.j,k}. Anything
     else, including pointed data whose row products are not rows, takes the
-    dense rank^4 sum on packed integers (pointedcat.dense), which raises the
-    exact error.
+    packed-integer sum of pointedcat.dense, on i <= j <= k only when the
+    rows of conj(S~) are rows of S~, which raises the exact error.
     """
     law = md._law
     if law is None:

@@ -1,14 +1,15 @@
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import pointedcat
-from pointedcat import ValidationError
+from pointedcat import ValidationError, dense, root_of_unity
 from pointedcat.cli import main
-from pointedcat.cyclo import parse_value
+from pointedcat.cyclo import format_root, format_value, parse_value
 
 SEMION_MAT = "2\n"
 HOPF_MAT = "# hopf link, zero framings\n0 1\n1 0\n"
@@ -230,9 +231,28 @@ class TestDeterminism:
         assert first == second
 
 
+def fibonacci_power_document(m):
+    """The document of Fib^m (rank 2^m, conductor 5), written from its 2m + 2
+    distinct values: entry (a, b) is (-1)^|a & b| phi^|a ^ b| over the bits of
+    the labels, and twist a is e(2 |a| / 5)."""
+    one = root_of_unity(0)
+    phi = one + root_of_unity(Fraction(1, 5)) + root_of_unity(Fraction(4, 5))
+    powers = [one]
+    for _ in range(m):
+        powers.append(powers[-1] * phi)
+    tokens = [[format_value(sign * x) for x in powers] for sign in (one, -one)]
+    rank = 2 ** m
+    rows = "; ".join(", ".join(tokens[bin(a & b).count("1") % 2][bin(a ^ b).count("1")]
+                               for b in range(rank)) for a in range(rank))
+    twists = ", ".join(format_root(root_of_unity(Fraction(2 * bin(a).count("1"), 5)))
+                       for a in range(rank))
+    return f"kind: modular_data\nrank: {rank}\ns_tilde: {rows}\ntwists: {twists}\n"
+
+
 class TestInputBounds:
-    """Inputs past MAX_RANK, MAX_CONDUCTOR or MAX_CANONICAL_RANK are usage
-    errors, raised before anything of their size is built."""
+    """Inputs past MAX_RANK, MAX_CONDUCTOR, MAX_CANONICAL_RANK or
+    MAX_DENSE_WORK are usage errors, raised before anything of their size is
+    built."""
 
     def _exit_code_and_seconds(self, argv):
         start = time.perf_counter()
@@ -268,6 +288,26 @@ class TestInputBounds:
         code, seconds = self._exit_code_and_seconds(["verify", "--data", str(path)])
         assert code == 2 and seconds < 1.0
         assert "exceeds the bound 1024" in capsys.readouterr().err
+
+    def test_dense_work_bound(self, tmp_path, capsys):
+        # Fib^8: rank 256 at conductor 5, 3.9e10 units of estimated work; Fib^5
+        # (0.25 s) and Fib^6 (1.7 s) show about 7x per doubling of the rank.
+        path = tmp_path / "fib8.data"
+        path.write_text(fibonacci_power_document(8))
+        code, seconds = self._exit_code_and_seconds(["verify", "--data", str(path)])
+        assert code == 2 and seconds < 1.0
+        assert "exceeds the bound 2500000000" in capsys.readouterr().err
+        path.write_text(fibonacci_power_document(3))
+        assert main(["verify", "--data", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("result: pass\n")
+
+    def test_data_with_a_group_law_is_not_work_bounded(self, semion_data, monkeypatch, capsys):
+        monkeypatch.setattr(dense, "MAX_DENSE_WORK", 0)
+        assert main(["verify", "--data", semion_data]) == 0
+        path = Path(semion_data).with_name("fib.data")
+        path.write_text(fibonacci_power_document(1))
+        assert main(["verify", "--data", str(path)]) == 2
+        assert "exceeds the bound 0" in capsys.readouterr().err
 
     def test_one_value_is_bounded_before_its_sum(self):
         with pytest.raises(ValidationError, match="conductor 1022117"):

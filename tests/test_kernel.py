@@ -9,6 +9,7 @@ that multiplies and adds Cyclotomic values one at a time.
 import random
 import time
 from fractions import Fraction as F
+from math import comb, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,11 +23,14 @@ from pointedcat import (
     PointedCatError,
     dense,
     root_of_unity,
+    verify_all,
 )
+from pointedcat import cyclo
 from pointedcat.cyclo import (
     Cyclotomic,
     dot,
     from_integers,
+    integer_coefficients,
     pack,
     slot_width,
     sum_values,
@@ -194,13 +198,18 @@ def cases(ising, su2):
 
 class TestDenseChecks:
     def test_packed_rows(self, cases):
+        # S~ alone packs at its own conductor, S~T at the lcm with the twists'
         assert max(md._packed.den for md in cases) == 2  # the halved entries
         for md in cases:
-            p = md._packed
+            untwisted, p = md._packed, dense.packed(md, twists=True)
+            assert untwisted.n == lcm(*(x.conductor for row in md.s_tilde for x in row))
+            assert p.n == lcm(untwisted.n, *(t.root_exponent().denominator for t in md.twists))
+            assert untwisted.st == untwisted.t == ()
             for i, row in enumerate(md.s_tilde):
                 for j, x in enumerate(row):
-                    assert from_integers(p.n, p.s[i][j], p.den) == x
-                    assert from_integers(p.n, p.conj[i][j], p.den) == x.conjugate()
+                    for q in (untwisted, p):
+                        assert from_integers(q.n, q.s[i][j], q.den) == x
+                        assert from_integers(q.n, q.conj[i][j], q.den) == x.conjugate()
                     assert from_integers(p.n, p.st[i][j], p.den ** 2) == x * md.twists[j]
 
     def test_unitarity_and_square(self, cases):
@@ -251,3 +260,102 @@ class TestDenseChecks:
             assert outcome(dense.verlinde, md) == references[key]
             failures += isinstance(references[key], tuple)
         assert failures >= len(cases) // 4  # the pair and halved corruptions raise
+
+
+# -- the symmetric Verlinde pass ----------------------------------------------
+
+def fibonacci():
+    phi = ONE + root_of_unity(F(1, 5)) + root_of_unity(F(4, 5))  # the golden ratio
+    return ModularData(rank=2, s_tilde=((ONE, phi), (phi, -ONE)),
+                       twists=(ONE, root_of_unity(F(2, 5))))
+
+
+def deligne(a, b):
+    """a ⊠ b: S~ and T as Kronecker products, label (i, x) at i * b.rank + x."""
+    s_tilde = tuple(tuple(x * y for x in ai for y in bx) for ai in a.s_tilde for bx in b.s_tilde)
+    twists = tuple(t * u for t in a.twists for u in b.twists)
+    return ModularData(rank=a.rank * b.rank, s_tilde=s_tilde, twists=twists)
+
+
+def copied(md):
+    """The same data with every entry a new object (sum_values builds one)."""
+    return ModularData(rank=md.rank, twists=md.twists,
+                       s_tilde=tuple(tuple(sum_values([x]) for x in row) for row in md.s_tilde))
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestSymmetricVerlinde:
+    """With every conj(row k) a row C(k), dense.verlinde sums only i <= j <= k;
+    any failure reruns the (i <= j, all k) pass, which names the first bad entry.
+    Each outcome is compared with ref_verlinde, exception text included."""
+
+    def test_non_self_dual(self, z3, monkeypatch):
+        md = deligne(fibonacci(), z3)
+        assert md._law is None and md._unitary
+        duals = md._duals
+        assert None not in duals and duals != list(range(md.rank))  # C is not the identity
+        expected = ref_verlinde(md)
+        unpacks = counting(monkeypatch, dense, "unpack")
+        assert dense.verlinde(md) == expected
+        # one sum per i <= j <= k, and one reduction per weight S~_ka / d_a
+        assert len(unpacks) == comb(md.rank + 2, 3) + md.rank ** 2
+        assert verify_all(fresh(md)).passed
+
+    def test_conj_rows_are_rows_but_fusion_is_not_integral(self, monkeypatch):
+        # N(1,1)^1 = (2^3 + (-1)^3 / 2) / 5 = 3/2
+        rows = ((1, 2), (2, -1))
+        md = ModularData(rank=2, s_tilde=tuple(tuple(map(Cyclotomic.from_rational, row))
+                                               for row in rows), twists=(ONE, ONE))
+        assert md._duals == [0, 1]
+        expected = (NonIntegralFusion, "N(1,1)^1 = 3/2 is not a non-negative integer")
+        assert outcome(ref_verlinde, md) == expected
+        unpacks = counting(monkeypatch, dense, "unpack")
+        assert outcome(dense.verlinde, md) == expected
+        # the symmetric pass fails at its last sum; the full pass reruns to (1, 1, 1)
+        assert len(unpacks) == (comb(4, 3) + 4) + (6 + 4)
+
+    def test_first_bad_entry_is_named_after_a_symmetric_failure(self, z3):
+        # R is orthogonal with R^2 = 9 I, but sum_a R_1a^3 / d_a = 9/2. In R ⊠ Z3,
+        # relabeled so that labels 3, 4, 5 are (1, 1), (1, 2), (1, 0), the
+        # symmetric pass first fails at Y(3, 3, 3) = N(3,3)^C(3) = N(3,3)^4,
+        # and the full pass must name that entry, not (3, 3, 3).
+        rows = ((1, 2, 2), (2, -2, 1), (2, 1, -2))
+        r = ModularData(rank=3, s_tilde=tuple(tuple(map(Cyclotomic.from_rational, row))
+                                              for row in rows), twists=(ONE,) * 3)
+        md = deligne(r, z3)
+        order = [0, 1, 2, 4, 5, 3, 6, 7, 8]
+        md = ModularData(rank=9, s_tilde=tuple(tuple(md.s_tilde[a][b] for b in order)
+                                               for a in order),
+                         twists=tuple(md.twists[a] for a in order))
+        assert md._duals == [0, 2, 1, 4, 3, 5, 6, 8, 7] and md._unitary
+        expected = (NonIntegralFusion, "N(3,3)^4 = 1/2 is not a non-negative integer")
+        assert outcome(ref_verlinde, md) == expected
+        assert outcome(dense.verlinde, md) == expected
+
+    def test_equal_entries_as_distinct_objects(self, su2):
+        for md in (su2(8), with_half(su2(8))):
+            copy = copied(md)
+            assert copy.s_tilde[1][1] is not md.s_tilde[1][1]
+            assert outcome(dense.verlinde, copy) == outcome(ref_verlinde, md)
+
+
+def test_integer_coefficients_converts_each_distinct_value_once(monkeypatch):
+    third = root_of_unity(F(1, 3))
+    values = [sum_values([third]) for _ in range(4)] + [Cyclotomic.from_rational(F(1, 2))] * 3
+    values += [third * F(2, 5)]
+    reductions = counting(monkeypatch, cyclo, "_reduce_cyclic")
+    den, rows = integer_coefficients(values, 12)
+    assert len(reductions) == 3 and den == 10
+    assert all(from_integers(12, row, den) == x for row, x in zip(rows, values))
+    assert len(rows) == len(values) and rows[0] is rows[3]
