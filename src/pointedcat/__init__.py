@@ -24,16 +24,12 @@ _SUBMODULE_NAMES = {
         "NotProbabilistic", "NotSymmetric", "OddDiagonal", "ParseError", "PointedCatError",
         "RankTooLarge", "Singular", "ValidationError",
     ),
-    "lattice": (
-        "DiscriminantGroup", "GramMatrix", "SmithDecomposition", "check_gram", "direct_sum",
-        "discriminant_group", "quadratic_mod2", "smith_normal_form",
-    ),
+    "lattice": ("DiscriminantGroup", "GramMatrix", "check_gram", "discriminant_group"),
     "moddata": (
         "FramedLink", "FusionTensor", "GaussData", "ModularData", "RelationCheck",
-        "RelationReport", "canonical_form", "check_modular_relations", "check_unitarity",
-        "colored_link_invariant", "dual_permutation", "framed_link", "from_lattice",
-        "fusion_probabilities", "gauss_data", "quantum_dimensions", "verify_all",
-        "verlinde_fusion",
+        "RelationReport", "canonical_form", "colored_link_invariant", "framed_link",
+        "from_lattice", "fusion_probabilities", "gauss_data", "quantum_dimensions",
+        "verify_all", "verlinde_fusion",
     ),
     "serialization": ("Document", "parse", "parse_gram_text", "serialize"),
 }

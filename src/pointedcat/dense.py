@@ -130,7 +130,11 @@ def verlinde(md: ModularData) -> FusionTensor:
         raise NotModular("global dimension is zero")
     duals = md._duals
     p = md._packed
-    den_inv, inv = cyclo.integer_coefficients([d.inverse() for d in dims], p.n)
+    # each distinct dimension is inverted once (on SU(2)_k, d_a = d_(k-a))
+    distinct = {(d._conductor, d._coeffs): d for d in dims}
+    inverses = {key: d.inverse() for key, d in distinct.items()}
+    den_inv, inv = cyclo.integer_coefficients(
+        [inverses[d._conductor, d._coeffs] for d in dims], p.n)
     scale = p.den ** 3 * den_inv
     unit = p.diagonal([d_squared], scale)[0][0]
     pivot = next(q for q, c in enumerate(unit) if c)

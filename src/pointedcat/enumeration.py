@@ -87,20 +87,52 @@ class ClassificationResult:
         return len(self.classes(rank))
 
 
+def _upper_triangle(entries) -> tuple[int, ...]:
+    return tuple(x for i, row in enumerate(entries) for x in row[i:])
+
+
+def _signed_permutations(entries):
+    """The upper triangle of every (DP)^T B (DP), for P a permutation and
+    D = diag(+-1): entry (i, j) is d_i d_j B[p_i][p_j]. D and -D give the same
+    image, so d_0 = 1."""
+    n = len(entries)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    for perm in itertools.permutations(range(n)):
+        upper = [entries[perm[i]][perm[j]] for i, j in pairs]
+        for signs in itertools.product((1, -1), repeat=n - 1):
+            signs = (1, *signs)
+            yield tuple(signs[i] * signs[j] * x for (i, j), x in zip(pairs, upper))
+
+
 def classify(corpus, max_rank: int = MAX_CANONICAL_RANK) -> ClassificationResult:
     """Group the pointed data of a corpus by rank, deduplicated by canonical form.
 
     The class sets are independent of corpus order; witnesses are the first
     matrix (in the given order) realizing each class.
 
-    from_lattice and canonical_form run on the first matrix of each exponent
-    table (n, s, t) only. This is exact: from_lattice builds e(s[i][j]/n) and
-    e(t[i]/2n) from that table, and canonical_form reads only their tokens.
-    The rank is len(t), so the first matrix over max_rank is first with its table.
+    Two skips keep the result byte-identical to one canonical form per matrix:
+
+    - A matrix that is a signed permutation (DP)^T B (DP) of an earlier one
+      is skipped before its Smith form. The two have isometric discriminant
+      forms (Conway-Sloane, SPLAG ch. 15; Nikulin 1979), so the same class,
+      and the same determinant, so the same rank. The earlier matrix comes
+      first, so it stays the witness of that class, and if the rank is over
+      max_rank the call has already raised there.
+    - from_lattice and canonical_form run on the first matrix of each exponent
+      table (n, s, t) only. This is exact: from_lattice builds e(s[i][j]/n) and
+      e(t[i]/2n) from that table, and canonical_form reads only their tokens.
+      The rank is len(t), so the first matrix over max_rank is first with its
+      table. Different orbits often share a table (the 212 matrices of
+      dimension <= 2 and |entry| <= 8 fall in 67 orbits, whose first matrices
+      have 41 tables), so this skip saves canonical forms the first cannot.
     """
     buckets: dict[int, dict[bytes, ModularClass]] = {}
+    seen = set()
     tables = set()
     for gram in corpus:
+        if _upper_triangle(gram.entries) in seen:
+            continue
+        seen.update(_signed_permutations(gram.entries))
         group = discriminant_group(gram)
         table = pairing_exponents(gram, group)
         if table in tables:

@@ -19,15 +19,11 @@ from pointedcat import (
     ModularData,
     canonical_form,
     check_gram,
-    check_modular_relations,
-    check_unitarity,
     classify,
     colored_link_invariant,
-    direct_sum,
     framed_link,
     from_lattice,
     gauss_data,
-    quadratic_mod2,
     quantum_dimensions,
     root_of_unity,
     serialize,
@@ -36,7 +32,8 @@ from pointedcat import (
 )
 from pointedcat.cli import main
 from pointedcat.cyclo import Cyclotomic
-from pointedcat.lattice import pairing_exponents
+from pointedcat.lattice import direct_sum, pairing_exponents, quadratic_mod2
+from pointedcat.moddata import check_modular_relations, check_unitarity
 
 ONE = Cyclotomic.one()
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,12 +9,13 @@ from pointedcat import (
     canonical_form,
     check_gram,
     classify,
-    direct_sum,
     format_classification,
     from_lattice,
     generate_gram_matrices,
 )
-from pointedcat.errors import MAX_RANK
+from pointedcat import enumeration
+from pointedcat.errors import MAX_RANK, RankTooLarge
+from pointedcat.lattice import direct_sum
 
 # Corpus sizes frozen from the independent enumeration in tests/oracle.py.
 FROZEN_COUNTS = {(2, 2): 38, (2, 3): 56, (2, 4): 212}
@@ -22,6 +24,39 @@ FROZEN_COUNTS = {(2, 2): 38, (2, 3): 56, (2, 4): 212}
 @pytest.fixture(scope="module")
 def wide_corpus():
     return generate_gram_matrices(CorpusSpec(max_dim=3, max_entry=3, max_rank=4))
+
+
+@pytest.fixture(scope="module")
+def deep_corpus():
+    return generate_gram_matrices(CorpusSpec(max_dim=2, max_entry=8, max_rank=8))
+
+
+def signed_permutation(gram, perm, signs):
+    """(DP)^t B (DP) by matrix products, for P e_j = e_perm[j] and D = diag(signs)."""
+    n = gram.n
+    m = [[signs[i] * (perm[j] == i) for j in range(n)] for i in range(n)]
+    bm = [[sum(gram.entries[i][k] * m[k][j] for k in range(n)) for j in range(n)]
+          for i in range(n)]
+    return check_gram([[sum(m[k][i] * bm[k][j] for k in range(n)) for j in range(n)]
+                       for i in range(n)])
+
+
+def random_image(gram, rng):
+    perm = list(range(gram.n))
+    rng.shuffle(perm)
+    return signed_permutation(gram, perm, [rng.choice((1, -1)) for _ in perm])
+
+
+@pytest.fixture(scope="module")
+def mixed_corpus():
+    """Dimensions 1-3, with exact repeats and signed permutations of earlier
+    and later matrices, shuffled."""
+    rng = random.Random(5)
+    base = generate_gram_matrices(CorpusSpec(max_dim=2, max_entry=4, max_rank=8))
+    base += rng.sample(generate_gram_matrices(CorpusSpec(max_dim=3, max_entry=2, max_rank=8)), 80)
+    corpus = base + rng.sample(base, 40) + [random_image(g, rng) for g in rng.sample(base, 120)]
+    rng.shuffle(corpus)
+    return corpus
 
 
 class TestGeneration:
@@ -98,17 +133,67 @@ class TestClassify:
         }
         assert keys(classify(corpus)) == keys(classify(shuffled))
 
-    @pytest.mark.parametrize("name", ["deep", "wide", "wide shuffled"])
-    def test_table_cache_matches_per_matrix_loop(self, name, wide_corpus):
-        # keys, witnesses and twist multisets, with one canonical form per
-        # exponent table against one per matrix
-        if name == "deep":
-            corpus = generate_gram_matrices(CorpusSpec(max_dim=2, max_entry=8, max_rank=8))
-        else:
-            corpus = list(wide_corpus)
+    @pytest.mark.parametrize("name", [
+        "deep", "wide", "wide shuffled", "wide reversed", "mixed with duplicates"])
+    def test_table_cache_matches_per_matrix_loop(self, name, deep_corpus, wide_corpus,
+                                                 mixed_corpus):
+        # keys, witnesses and twist multisets, with one Smith form per
+        # signed-permutation orbit and one canonical form per exponent table,
+        # against both per matrix
+        corpus = {"deep": deep_corpus, "wide": wide_corpus, "wide shuffled": wide_corpus,
+                  "wide reversed": wide_corpus[::-1], "mixed with duplicates": mixed_corpus}
+        corpus = list(corpus[name])
         if name == "wide shuffled":
             random.Random(7).shuffle(corpus)
         assert classify(corpus) == oracle.classify_each(corpus)
+
+    def test_one_smith_form_per_orbit(self, deep_corpus, monkeypatch):
+        def orbit(gram):
+            return min(signed_permutation(gram, perm, signs).entries
+                       for perm in itertools.permutations(range(gram.n))
+                       for signs in itertools.product((1, -1), repeat=gram.n))
+
+        firsts = {}
+        for gram in deep_corpus:
+            firsts.setdefault(orbit(gram), gram)
+        original = enumeration.discriminant_group
+        calls = []
+        monkeypatch.setattr(enumeration, "discriminant_group",
+                            lambda gram: calls.append(gram) or original(gram))
+        classify(deep_corpus)
+        assert calls == list(firsts.values()) and len(calls) == 67
+
+    def test_signed_permutations_keep_the_class(self, deep_corpus, wide_corpus):
+        rng = random.Random(11)
+        for gram in rng.sample(deep_corpus, 30) + rng.sample(wide_corpus, 30):
+            image = random_image(gram, rng)
+            assert image.determinant == gram.determinant
+            assert canonical_form(from_lattice(image)) == canonical_form(from_lattice(gram))
+
+    def test_signed_permutation_by_hand(self):
+        gram = check_gram([[2, 1, 0], [1, 4, -1], [0, -1, 6]])
+        image = signed_permutation(gram, (2, 0, 1), (1, -1, 1))
+        assert image.entries == ((6, 0, 1), (0, 2, -1), (1, -1, 4))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_too_large_at_first_over_cap_matrix(self, seed):
+        # every matrix has an equivalent one elsewhere in the corpus, before
+        # or after it; the first over the cap in corpus order is named
+        rng = random.Random(seed)
+        corpus = [check_gram(b) for b in (
+            [[2]], [[0, 1], [1, 0]], [[2, 1], [1, 2]], [[2, 1, 0], [1, 2, 0], [0, 0, 2]],
+            [[2, 1], [1, -4]], [[2, 1], [1, 6]], [[4, 2], [2, -2]])]
+        corpus += [random_image(g, rng) for g in corpus]
+        rng.shuffle(corpus)
+        for cap in (4, 8):
+            first = next(g for g in corpus if abs(g.determinant) > cap)
+            with pytest.raises(RankTooLarge) as raised:
+                classify(corpus, max_rank=cap)
+            assert str(raised.value) == f"rank {abs(first.determinant)} exceeds the bound {cap}"
+        # the per-matrix loop stops at the same matrix under the default bound
+        with pytest.raises(RankTooLarge) as each:
+            oracle.classify_each(corpus)
+        assert str(each.value) == str(raised.value)
 
     def test_idempotent(self):
         corpus = generate_gram_matrices(CorpusSpec(max_dim=1, max_entry=4))

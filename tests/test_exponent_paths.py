@@ -21,8 +21,6 @@ from pointedcat import (
     NotModular,
     PointedCatError,
     check_gram,
-    check_modular_relations,
-    dual_permutation,
     from_lattice,
     root_of_unity,
     serialize,
@@ -31,6 +29,7 @@ from pointedcat import (
 )
 from pointedcat import dense, moddata
 from pointedcat.cyclo import Cyclotomic
+from pointedcat.moddata import check_modular_relations, dual_permutation
 
 ONE = root_of_unity(0)
 

@@ -22,7 +22,9 @@ from pointedcat import (
     NonIntegralFusion,
     PointedCatError,
     dense,
+    parse,
     root_of_unity,
+    serialize,
     verify_all,
 )
 from pointedcat import cyclo
@@ -348,6 +350,17 @@ class TestSymmetricVerlinde:
             copy = copied(md)
             assert copy.s_tilde[1][1] is not md.s_tilde[1][1]
             assert outcome(dense.verlinde, copy) == outcome(ref_verlinde, md)
+
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_each_distinct_dimension_is_inverted_once(self, su2, monkeypatch, k):
+        # parsed values sit at their minimal conductor, so d_a = d_(k-a) share
+        # (conductor, coefficients) as different objects
+        md = parse(serialize(su2(k)))
+        expected = ref_verlinde(md)
+        md._duals, md._packed, md._gauss  # cached before counting
+        inverses = counting(monkeypatch, Cyclotomic, "inverse")
+        assert dense.verlinde(md) == expected
+        assert len(inverses) == k // 2 + 1
 
 
 def test_integer_coefficients_converts_each_distinct_value_once(monkeypatch):

@@ -8,12 +8,12 @@ from pointedcat import (
     ModularData,
     ValidationError,
     colored_link_invariant,
-    dual_permutation,
     framed_link,
     parse,
     root_of_unity,
     serialize,
 )
+from pointedcat.moddata import dual_permutation
 
 HOPF = [[0, 1], [1, 0]]
 

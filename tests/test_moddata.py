@@ -12,10 +12,6 @@ from pointedcat import (
     ValidationError,
     canonical_form,
     check_gram,
-    check_modular_relations,
-    check_unitarity,
-    direct_sum,
-    dual_permutation,
     from_lattice,
     fusion_probabilities,
     gauss_data,
@@ -26,6 +22,8 @@ from pointedcat import (
 )
 from pointedcat import cyclo, moddata
 from pointedcat.cyclo import Cyclotomic, dot
+from pointedcat.lattice import direct_sum
+from pointedcat.moddata import check_modular_relations, check_unitarity, dual_permutation
 
 ONE = Cyclotomic.one()
 I = root_of_unity(F(1, 4))
