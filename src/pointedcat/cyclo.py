@@ -6,9 +6,12 @@ polynomial. Because that representation is canonical for a fixed conductor,
 zero-testing is plain coefficient comparison and every identity in this
 package can be checked with zero numerical tolerance.
 
-Binary operations embed both operands into the least common conductor first.
-Results keep that conductor (no aggressive reduction), except that values
-which turn out rational are normalised to conductor 1. Serialization descends
+Each operation has one exact code path: it embeds the operands at the least
+common conductor, combines them there and reduces once modulo Phi_N
+(``_reduce``). Results keep that conductor (no aggressive reduction), except
+that values which turn out rational are normalised to conductor 1. The hot
+checks run on integer exponent tables or packed integers instead; this
+arithmetic is their exact reference and the cold path. Serialization descends
 to the true minimal conductor, one prime at a time, by reading the subfield
 coefficients off the power basis (``_descend``), so the textual form is
 canonical per value.
@@ -75,17 +78,25 @@ def _reduction_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return deg, tuple((i, c) for i, c in enumerate(poly[:-1]) if c)
 
 
-def _reduce_raw(n: int, raw: list) -> tuple:
-    """Reduce a raw coefficient list of length at most n modulo Phi_n (in place)."""
+def _reduce(n: int, raw: list) -> tuple:
+    """Reduce the coefficients of 1, x, ..., x^(n-1) modulo Phi_n. The p-th roots
+    of unity sum to zero (p the least prime of n), so the top 1/p folds first;
+    synthetic division by Phi_n reduces the rest."""
+    if n == 1:
+        return tuple(raw)
+    step = n // _prime_divisors(n)[0]
+    top = n - step
+    folded = []
+    for start in range(0, top, step):
+        folded.extend(map(sub, raw[start:start + step], raw[top:]))
     deg, tail = _reduction_tail(n)
-    for k in range(len(raw) - 1, deg - 1, -1):
-        c = raw[k]
+    for k in range(top - 1, deg - 1, -1):
+        c = folded[k]
         if c:
-            raw[k] = 0
             base = k - deg
             for i, t in tail:
-                raw[base + i] -= c * t
-    return tuple(raw[:deg])
+                folded[base + i] -= c * t
+    return tuple(folded[:deg])
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +104,7 @@ def _monomial(n: int, k: int) -> tuple[int, ...]:
     """Canonical coefficients of zeta_n^k (0 <= k < n)."""
     raw = [0] * n
     raw[k] = 1
-    return _reduce_raw(n, raw)
+    return _reduce(n, raw)
 
 
 class Cyclotomic:
@@ -127,10 +138,6 @@ class Cyclotomic:
     def conductor(self) -> int:
         return self._conductor
 
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c) for c in self._coeffs)
-
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -155,15 +162,6 @@ class Cyclotomic:
         """
         if self._root is not None:
             return self._root
-        if self.is_zero():
-            return None
-        if self.is_rational():
-            r = Fraction(self._coeffs[0])
-            if r == 1:
-                self._root = Fraction(0)
-            elif r == -1:
-                self._root = Fraction(1, 2)
-            return self._root
         n = self._conductor
         re, im = self.approx_complex()
         guess = round((cmath.phase(complex(re, im)) / tau) * 2 * n)
@@ -181,29 +179,18 @@ class Cyclotomic:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _embed_raw(self, n: int, raw: list, scale=1) -> None:
+    def _embed_raw(self, n: int, raw: list) -> None:
         # Scatter this value into a raw length-n buffer at conductor n.
         stride = n // self._conductor
         for j, c in enumerate(self._coeffs):
             if c:
-                raw[j * stride] += scale * c
+                raw[j * stride] += c
 
     def __add__(self, other) -> Cyclotomic:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self._conductor == other._conductor:
-            coeffs = tuple(a + b for a, b in zip(self._coeffs, other._coeffs))
-            return Cyclotomic(self._conductor, coeffs)
-        n = lcm(self._conductor, other._conductor)
-        raw = [0] * n
-        self._embed_raw(n, raw)
-        other._embed_raw(n, raw)
-        return Cyclotomic(n, _reduce_raw(n, raw))
+        return sum_values((self, other))
 
     __radd__ = __add__
 
@@ -223,12 +210,6 @@ class Cyclotomic:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Cyclotomic.zero()
-        if self.is_rational():
-            return other._scaled(self._coeffs[0])
-        if other.is_rational():
-            return self._scaled(other._coeffs[0])
         n = lcm(self._conductor, other._conductor)
         raw = [0] * n
         sa = n // self._conductor
@@ -238,14 +219,9 @@ class Cyclotomic:
                 for k, d in enumerate(other._coeffs):
                     if d:
                         raw[(j * sa + k * sb) % n] += c * d
-        return Cyclotomic(n, _reduce_raw(n, raw))
+        return Cyclotomic(n, _reduce(n, raw))
 
     __rmul__ = __mul__
-
-    def _scaled(self, factor: Fraction) -> Cyclotomic:
-        if factor == 0:
-            return Cyclotomic.zero()
-        return Cyclotomic(self._conductor, tuple(factor * c for c in self._coeffs))
 
     def conjugate(self) -> Cyclotomic:
         """Complex conjugate; on roots of unity, e(q) -> e(-q)."""
@@ -256,7 +232,7 @@ class Cyclotomic:
         for j, c in enumerate(self._coeffs):
             if c:
                 raw[(n - j) % n] += c
-        return Cyclotomic(n, _reduce_raw(n, raw))
+        return Cyclotomic(n, _reduce(n, raw))
 
     def inverse(self) -> Cyclotomic:
         if self.is_zero():
@@ -279,34 +255,11 @@ class Cyclotomic:
     def __rtruediv__(self, other) -> Cyclotomic:
         return _coerce(other) * self.inverse()
 
-    def __pow__(self, exponent: int) -> Cyclotomic:
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Cyclotomic.one()
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self is other:
-            return True
-        if self._conductor == other._conductor:
-            return all(a == b for a, b in zip(self._coeffs, other._coeffs))
-        n = lcm(self._conductor, other._conductor)
-        raw = [0] * n
-        self._embed_raw(n, raw)
-        other._embed_raw(n, raw, scale=-1)
-        return not any(_reduce_raw(n, raw))
+        return self is other or sum_values((self, -other)).is_zero()
 
     __hash__ = None  # equality spans conductors; hashing would need reduction
 
@@ -396,7 +349,7 @@ def _field_inverse(x: Cyclotomic) -> Cyclotomic:
     raw = [Fraction(0)] * n
     for i, c in enumerate(inv):
         raw[i % n] += c  # inv may exceed degree phi(n); fold via zeta^n = 1
-    return Cyclotomic(n, _reduce_raw(n, raw))
+    return Cyclotomic(n, _reduce(n, raw))
 
 
 def _descend(n: int, coeffs: tuple, p: int) -> tuple | None:
@@ -422,7 +375,7 @@ def _descend(n: int, coeffs: tuple, p: int) -> tuple | None:
     for k, c in enumerate(coeffs):
         if c:
             raws[k * b % p][k * a % m] += c
-    ys = [_reduce_raw(m, raw) for raw in raws]
+    ys = [_reduce(m, raw) for raw in raws]
     if any(y != ys[-1] for y in ys[1:-1]):
         return None
     return tuple(map(sub, ys[0], ys[-1]))
@@ -430,29 +383,12 @@ def _descend(n: int, coeffs: tuple, p: int) -> tuple | None:
 
 def sum_values(values) -> Cyclotomic:
     """Exact sum of an iterable of Cyclotomic, reducing once at the end."""
-    items = [v for v in values if not v.is_zero()]
-    if not items:
-        return Cyclotomic.zero()
-    n = 1
-    for v in items:
-        n = lcm(n, v.conductor)
+    values = list(values)
+    n = lcm(*(v._conductor for v in values))
     raw = [0] * n
-    for v in items:
+    for v in values:
         v._embed_raw(n, raw)
-    return Cyclotomic(n, _reduce_raw(n, raw))
-
-
-def _reduce_cyclic(n: int, counts: list) -> tuple:
-    """Reduce the coefficients of 1, x, ..., x^(n-1) modulo Phi_n. The p-th roots of
-    unity sum to zero (p the least prime of n), so the top 1/p folds first."""
-    if n == 1:
-        return tuple(counts)
-    step = n // _prime_divisors(n)[0]
-    top = n - step
-    raw = []
-    for start in range(0, top, step):
-        raw.extend(map(sub, counts[start:start + step], counts[top:]))
-    return _reduce_raw(n, raw)
+    return Cyclotomic(n, _reduce(n, raw))
 
 
 # -- packed integers (Kronecker substitution) -------------------------------
@@ -476,7 +412,7 @@ def integer_coefficients(values, n: int) -> tuple[int, list[tuple[int, ...]]]:
         if conductor != n:
             row = [0] * n
             Cyclotomic(conductor, coeffs)._embed_raw(n, row)
-            row = _reduce_cyclic(n, row)
+            row = _reduce(n, row)
         rows[conductor, coeffs] = row
     den = lcm(*(c.denominator for row in rows.values() for c in row))
     rows = {key: tuple(c.numerator * (den // c.denominator) for c in row)
@@ -516,7 +452,7 @@ def unpack(value: int, width: int, n: int) -> tuple[int, ...]:
     for start in range(0, slots, n):
         block = coeffs[start:start + n]
         counts[:len(block)] = map(add, counts, block)
-    return _reduce_cyclic(n, counts)
+    return _reduce(n, counts)
 
 
 def from_integers(n: int, coeffs, den: int) -> Cyclotomic:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .cyclo import Cyclotomic, format_root
-from .errors import MAX_CANONICAL_RANK, MAX_RANK
+from .errors import MAX_CANDIDATES, MAX_RANK
 from .lattice import GramMatrix, discriminant_group, format_gram, pairing_exponents
 from .lattice import _det_bareiss
 from .moddata import canonical_form, from_lattice
@@ -33,6 +33,15 @@ class CorpusSpec:
             raise ValueError("max_rank must be positive when set")
         if self.max_rank is not None and self.max_rank > MAX_RANK:
             raise ValueError(f"max_rank {self.max_rank} exceeds the rank bound {MAX_RANK}")
+        # dimension n has (e + 1)^n even diagonals, |d| <= e, and (2 max_entry + 1)
+        # choices for each of its n(n-1)/2 off-diagonal entries
+        even = self.max_entry - self.max_entry % 2
+        candidates = 0
+        for n in range(1, self.max_dim + 1):
+            candidates += (even + 1) ** n * (2 * self.max_entry + 1) ** (n * (n - 1) // 2)
+            if candidates > MAX_CANDIDATES:
+                raise ValueError(f"{candidates} candidate matrices up to dimension {n} "
+                                 f"exceed the bound {MAX_CANDIDATES}")
 
 
 def generate_gram_matrices(spec: CorpusSpec) -> list[GramMatrix]:
@@ -104,7 +113,7 @@ def _signed_permutations(entries):
             yield tuple(signs[i] * signs[j] * x for (i, j), x in zip(pairs, upper))
 
 
-def classify(corpus, max_rank: int = MAX_CANONICAL_RANK) -> ClassificationResult:
+def classify(corpus) -> ClassificationResult:
     """Group the pointed data of a corpus by rank, deduplicated by canonical form.
 
     The class sets are independent of corpus order; witnesses are the first
@@ -117,14 +126,15 @@ def classify(corpus, max_rank: int = MAX_CANONICAL_RANK) -> ClassificationResult
       forms (Conway-Sloane, SPLAG ch. 15; Nikulin 1979), so the same class,
       and the same determinant, so the same rank. The earlier matrix comes
       first, so it stays the witness of that class, and if the rank is over
-      max_rank the call has already raised there.
+      MAX_CANONICAL_RANK the call has already raised there.
     - from_lattice and canonical_form run on the first matrix of each exponent
       table (n, s, t) only. This is exact: from_lattice builds e(s[i][j]/n) and
       e(t[i]/2n) from that table, and canonical_form reads only their tokens.
-      The rank is len(t), so the first matrix over max_rank is first with its
-      table. Different orbits often share a table (the 212 matrices of
-      dimension <= 2 and |entry| <= 8 fall in 67 orbits, whose first matrices
-      have 41 tables), so this skip saves canonical forms the first cannot.
+      The rank is len(t), so the first matrix over MAX_CANONICAL_RANK is
+      first with its table. Different orbits often share a table (the 212
+      matrices of dimension <= 2 and |entry| <= 8 fall in 67 orbits, whose
+      first matrices have 41 tables), so this skip saves canonical forms the
+      first cannot.
     """
     buckets: dict[int, dict[bytes, ModularClass]] = {}
     seen = set()
@@ -139,7 +149,7 @@ def classify(corpus, max_rank: int = MAX_CANONICAL_RANK) -> ClassificationResult
             continue
         tables.add(table)
         md = from_lattice(gram, group)
-        key = canonical_form(md, max_rank=max_rank)
+        key = canonical_form(md)
         bucket = buckets.setdefault(md.rank, {})
         if key not in bucket:
             twists = tuple(map(format_root, sorted(md.twists, key=Cyclotomic.root_exponent)))

@@ -11,6 +11,10 @@ MAX_RANK = 512
 # a lattice with |det B| <= MAX_RANK gives data of conductor <= 2 * |det B|.
 MAX_CONDUCTOR = 2 * MAX_RANK
 MAX_CANONICAL_RANK = 8  # rank bound of canonical_form, which branches once per symmetry
+# Candidate matrices of an enumerate corpus. On a 2-core Xeon the largest corpora
+# within it (dim <= 3, |entry| <= 6: 754215; dim 1, |entry| <= 1999998: 10^6)
+# run in 4.7-6.7 s and under 100 MB.
+MAX_CANDIDATES = 1_000_000
 # Estimated work rank^4 (n + 4) of the dense checks at conductor n: the Verlinde
 # sum's rank^4 products, each about n + 4 slots. On a 2-core Xeon verify takes
 # about 7 ns a unit (SU(2)_48: 1.2e9, 8 s; Fib^7: 2.4e9, 15 s).

@@ -86,14 +86,6 @@ def check_gram(entries) -> GramMatrix:
     return GramMatrix(tuple(tuple(row) for row in rows), det)
 
 
-def direct_sum(b1: GramMatrix, b2: GramMatrix) -> GramMatrix:
-    """Block-diagonal join of two validated Gram matrices."""
-    n1, n2 = b1.n, b2.n
-    rows = [list(row) + [0] * n2 for row in b1.entries]
-    rows += [[0] * n1 + list(row) for row in b2.entries]
-    return check_gram(rows)
-
-
 @record
 class SmithDecomposition:
     """U * B * V = diag(d_1, ..., d_n) with d_1 | d_2 | ... and U, V unimodular."""

@@ -456,7 +456,7 @@ def colored_link_invariant(md: ModularData, link: FramedLink) -> Cyclotomic:
     return root_of_unity(Fraction(exponent, table.n))
 
 
-def canonical_form(md: ModularData, max_rank: int = MAX_CANONICAL_RANK) -> bytes:
+def canonical_form(md: ModularData) -> bytes:
     """Lexicographically minimal serialization ``twists:...|s:...`` of
     (twists, s_tilde) over all relabelings that fix the tensor unit.
 
@@ -469,8 +469,8 @@ def canonical_form(md: ModularData, max_rank: int = MAX_CANONICAL_RANK) -> bytes
     symmetries can number up to (rank-1)!: three toric codes (rank 64, 40320
     symmetries) take minutes. The rank bound keeps that cost bounded.
     """
-    if md.rank > max_rank:
-        raise RankTooLarge(f"rank {md.rank} exceeds the bound {max_rank}")
+    if md.rank > MAX_CANONICAL_RANK:
+        raise RankTooLarge(f"rank {md.rank} exceeds the bound {MAX_CANONICAL_RANK}")
     twist_tok = [cyclo.format_root(t) for t in md.twists]
     # one token per object: data built in code shares objects between entries
     tokens = {id(x): x for x in itertools.chain(*md.s_tilde)}

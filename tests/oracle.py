@@ -6,9 +6,10 @@ by Sylvester inertia of an exact symmetric elimination, corpus counts by
 direct enumeration, canonical forms by trying every relabeling, cyclotomic
 polynomials by dense division, minimal conductors by Fraction Gauss-Jordan
 elimination, and packed integers by one shift per coefficient. Only
-classify_each imports the package under test: it is the per-matrix
-classification loop, which classify's cache per exponent table must
-reproduce.
+classify_each and direct_sum import the package under test: the first is
+the per-matrix classification loop, which classify's cache per exponent
+table must reproduce, and the second validates its block matrix with
+check_gram.
 """
 
 from __future__ import annotations
@@ -175,6 +176,16 @@ def enumerate_even_symmetric(max_dim, max_entry, max_rank=None):
                 continue
             out.append(tuple(tuple(r) for r in rows))
     return out
+
+
+def direct_sum(b1, b2):
+    """Block-diagonal join of two Gram matrices, validated by check_gram."""
+    from pointedcat import check_gram
+
+    n1, n2 = b1.n, b2.n
+    rows = [list(row) + [0] * n2 for row in b1.entries]
+    rows += [[0] * n1 + list(row) for row in b2.entries]
+    return check_gram(rows)
 
 
 def classify_each(corpus):

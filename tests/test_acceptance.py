@@ -32,7 +32,7 @@ from pointedcat import (
 )
 from pointedcat.cli import main
 from pointedcat.cyclo import Cyclotomic
-from pointedcat.lattice import direct_sum, pairing_exponents, quadratic_mod2
+from pointedcat.lattice import pairing_exponents, quadratic_mod2
 from pointedcat.moddata import check_modular_relations, check_unitarity
 
 ONE = Cyclotomic.one()
@@ -174,7 +174,7 @@ def test_criterion_8_classification_echo(semion, z3):
 
     b1 = check_gram([[2]])
     b2 = check_gram([[2, 1], [1, 2]])
-    summed = from_lattice(direct_sum(b1, b2))
+    summed = from_lattice(oracle.direct_sum(b1, b2))
     pairs = [(i, j) for i in range(2) for j in range(3)]
     kron_s = tuple(
         tuple(semion.s_tilde[a1][c1] * z3.s_tilde[a2][c2] for (c1, c2) in pairs)

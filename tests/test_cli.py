@@ -250,9 +250,9 @@ def fibonacci_power_document(m):
 
 
 class TestInputBounds:
-    """Inputs past MAX_RANK, MAX_CONDUCTOR, MAX_CANONICAL_RANK or
-    MAX_DENSE_WORK are usage errors, raised before anything of their size is
-    built."""
+    """Inputs past MAX_RANK, MAX_CONDUCTOR, MAX_CANONICAL_RANK, MAX_CANDIDATES
+    or MAX_DENSE_WORK are usage errors, raised before anything of their size
+    is built."""
 
     def _exit_code_and_seconds(self, argv):
         start = time.perf_counter()
@@ -275,6 +275,16 @@ class TestInputBounds:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "rank cap 12 exceeds the relabeling bound 8" in captured.err
+
+    def test_enumerate_candidate_bound(self, capsys):
+        # 3^15 candidates in dimension 6; generating them ran past 20 s
+        code, seconds = self._exit_code_and_seconds(
+            ["enumerate", "--max-dim", "6", "--max-entry", "1"])
+        assert code == 2 and seconds < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "14408716 candidate matrices up to dimension 6 exceed the bound 1000000" \
+            in captured.err
 
     @pytest.mark.parametrize("entry, twist", [
         ("e(1/1000003)", "e(1/1000003)"),  # one root past the bound (ran over 30 s)

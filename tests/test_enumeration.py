@@ -14,8 +14,7 @@ from pointedcat import (
     generate_gram_matrices,
 )
 from pointedcat import enumeration
-from pointedcat.errors import MAX_RANK, RankTooLarge
-from pointedcat.lattice import direct_sum
+from pointedcat.errors import MAX_CANDIDATES, MAX_CANONICAL_RANK, MAX_RANK, RankTooLarge
 
 # Corpus sizes frozen from the independent enumeration in tests/oracle.py.
 FROZEN_COUNTS = {(2, 2): 38, (2, 3): 56, (2, 4): 212}
@@ -103,6 +102,22 @@ class TestGeneration:
         with pytest.raises(ValueError, match="exceeds the rank bound"):
             CorpusSpec(max_dim=1, max_entry=2, max_rank=MAX_RANK + 1)
 
+    def test_candidate_bound(self, monkeypatch):
+        # dim <= 3, |entry| <= 4: 5 + 5^2 9 + 5^3 9^3 = 91355 candidates, the
+        # largest corpus in CI, exactly at a bound of 91355 and just over 91354
+        CorpusSpec(max_dim=3, max_entry=4, max_rank=8)
+        monkeypatch.setattr(enumeration, "MAX_CANDIDATES", 91355)
+        CorpusSpec(max_dim=3, max_entry=4, max_rank=8)
+        monkeypatch.setattr(enumeration, "MAX_CANDIDATES", 91354)
+        with pytest.raises(ValueError, match="91355 candidate matrices up to dimension 3"):
+            CorpusSpec(max_dim=3, max_entry=4, max_rank=8)
+        monkeypatch.undo()
+        # dimension 6 alone has 3^15; the sum stops there, whatever max_dim is
+        for max_dim in (6, 10 ** 9):
+            with pytest.raises(ValueError, match=f"14408716 candidate matrices up to "
+                                                 f"dimension 6 exceed the bound {MAX_CANDIDATES}"):
+                CorpusSpec(max_dim=max_dim, max_entry=1)
+
 
 class TestClassify:
     def test_semion_chiralities(self):
@@ -185,12 +200,12 @@ class TestClassify:
             [[2, 1], [1, -4]], [[2, 1], [1, 6]], [[4, 2], [2, -2]])]
         corpus += [random_image(g, rng) for g in corpus]
         rng.shuffle(corpus)
-        for cap in (4, 8):
-            first = next(g for g in corpus if abs(g.determinant) > cap)
-            with pytest.raises(RankTooLarge) as raised:
-                classify(corpus, max_rank=cap)
-            assert str(raised.value) == f"rank {abs(first.determinant)} exceeds the bound {cap}"
-        # the per-matrix loop stops at the same matrix under the default bound
+        cap = MAX_CANONICAL_RANK
+        first = next(g for g in corpus if abs(g.determinant) > cap)
+        with pytest.raises(RankTooLarge) as raised:
+            classify(corpus)
+        assert str(raised.value) == f"rank {abs(first.determinant)} exceeds the bound {cap}"
+        # the per-matrix loop stops at the same matrix
         with pytest.raises(RankTooLarge) as each:
             oracle.classify_each(corpus)
         assert str(each.value) == str(raised.value)
@@ -221,7 +236,7 @@ class TestClassify:
         corpus = list(b_list)
         for b1 in b_list:
             for b2 in b_list:
-                corpus.append(direct_sum(b1, b2))
+                corpus.append(oracle.direct_sum(b1, b2))
         result = classify(corpus)
         base = result.class_count(2)
         assert result.class_count(4) <= base * base

@@ -22,7 +22,6 @@ from pointedcat import (
 )
 from pointedcat import cyclo, moddata
 from pointedcat.cyclo import Cyclotomic, dot
-from pointedcat.lattice import direct_sum
 from pointedcat.moddata import check_modular_relations, check_unitarity, dual_permutation
 
 ONE = Cyclotomic.one()
@@ -136,7 +135,7 @@ class TestGaussData:
             sigma = oracle.signature(gram.entries)
             signatures.add(sigma)
             root = gauss_data(md).p_plus * root_of_unity(F(-sigma, 8))
-            assert root ** 2 == abs(oracle.det_cofactor(gram.entries)), gram.entries
+            assert root * root == abs(oracle.det_cofactor(gram.entries)), gram.entries
             assert root == root.conjugate() and root.approx_complex()[0] > 0, gram.entries
         assert signatures == {-2, -1, 0, 1, 2}
 
@@ -309,13 +308,13 @@ class TestDirectSum:
     def test_rank_multiplies(self):
         b1 = check_gram([[2]])
         b2 = check_gram([[2, 1], [1, 2]])
-        total = from_lattice(direct_sum(b1, b2))
+        total = from_lattice(oracle.direct_sum(b1, b2))
         assert total.rank == 2 * 3
 
     def test_kronecker_structure(self, semion, z3):
         b1 = check_gram([[2]])
         b2 = check_gram([[2, 1], [1, 2]])
-        summed = from_lattice(direct_sum(b1, b2))
+        summed = from_lattice(oracle.direct_sum(b1, b2))
         pairs = [(i, j) for i in range(2) for j in range(3)]
         kron_s = tuple(
             tuple(semion.s_tilde[a1][c1] * z3.s_tilde[a2][c2] for (c1, c2) in pairs)
@@ -403,9 +402,9 @@ class TestCanonicalForm:
 
     def test_rank_bound(self):
         big = from_lattice(check_gram([[4, 1], [1, -2]]))  # rank 9
-        with pytest.raises(RankTooLarge):
-            canonical_form(big, max_rank=8)
-        canonical_form(big, max_rank=9)
+        with pytest.raises(RankTooLarge, match="rank 9 exceeds the bound 8"):
+            canonical_form(big)
+        canonical_form(from_lattice(check_gram([[2, 0], [0, 4]])))  # rank 8, at the bound
 
 
 class TestVerifyAll:
