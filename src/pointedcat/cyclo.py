@@ -126,14 +126,6 @@ class Cyclotomic:
         value = Fraction(value)
         return cls(1, (value.numerator if value.denominator == 1 else value,))
 
-    @classmethod
-    def zero(cls) -> Cyclotomic:
-        return cls(1, (0,))
-
-    @classmethod
-    def one(cls) -> Cyclotomic:
-        return cls.from_rational(1)
-
     @property
     def conductor(self) -> int:
         return self._conductor

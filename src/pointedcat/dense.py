@@ -130,11 +130,13 @@ def verlinde(md: ModularData) -> FusionTensor:
         raise NotModular("global dimension is zero")
     duals = md._duals
     p = md._packed
-    # each distinct dimension is inverted once (on SU(2)_k, d_a = d_(k-a))
-    distinct = {(d._conductor, d._coeffs): d for d in dims}
-    inverses = {key: d.inverse() for key, d in distinct.items()}
-    den_inv, inv = cyclo.integer_coefficients(
-        [inverses[d._conductor, d._coeffs] for d in dims], p.n)
+    # each distinct dimension is inverted once (on SU(2)_k, d_a = d_(k-a)); the
+    # packed row of d_a is its unique coefficient row at p.n, whatever its conductor
+    inverses = {}
+    for d, row in zip(dims, p.s[0]):
+        if row not in inverses:
+            inverses[row] = d.inverse()
+    den_inv, inv = cyclo.integer_coefficients([inverses[row] for row in p.s[0]], p.n)
     scale = p.den ** 3 * den_inv
     unit = p.diagonal([d_squared], scale)[0][0]
     pivot = next(q for q, c in enumerate(unit) if c)

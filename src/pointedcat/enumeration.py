@@ -9,6 +9,7 @@ data; nothing here asserts agreement with any published table.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 from .cyclo import Cyclotomic, format_root
 from .errors import MAX_CANDIDATES, MAX_RANK
@@ -49,28 +50,73 @@ def generate_gram_matrices(spec: CorpusSpec) -> list[GramMatrix]:
 
     Ordered by dimension, then lexicographically by row-major entries (which
     coincides with lexicographic order on the upper triangle read row-wise).
-    Singular matrices, and |det| > max_rank when set, are skipped by determinant;
-    the rest are symmetric and even by construction, so need no check_gram.
+
+    Only the kept matrices are built. Write a candidate of dimension n as
+    B = [[B', v], [v^T, f]], with f = B[n-1][n-1]. Cofactor expansion along
+    the last row and column gives det B = f det B' - v^T adj(B') v, so once
+    det B' and adj(B') are known (once per distinct leading block B'), each
+    prefix (every upper-triangle entry but f) fixes c = -v^T adj(B') v, and
+    the even f in range with 0 < |det B' f + c| <= max_rank form one interval
+    of even integers less the root of det B = 0, solved by exact floor and
+    ceiling division. f is the last entry of the row-major upper triangle,
+    so ascending f within each prefix keeps the order above. The kept
+    matrices are symmetric and even by construction, so need no check_gram.
     """
+    even = spec.max_entry - spec.max_entry % 2
+    cap = spec.max_rank
     out = []
     for n in range(1, spec.max_dim + 1):
-        positions = [(i, j) for i in range(n) for j in range(i, n)]
-        even_bound = spec.max_entry - (spec.max_entry % 2)
-        ranges = [
-            range(-even_bound, even_bound + 1, 2) if i == j
-            else range(-spec.max_entry, spec.max_entry + 1)
-            for (i, j) in positions
-        ]
+        m = n - 1
+        prefix = [(i, j) for i in range(n) for j in range(i, n)][:-1]
+        block_at = [k for k, (i, j) in enumerate(prefix) if j < m]
+        v_at = [k for k, (i, j) in enumerate(prefix) if j == m]
+        ranges = [range(-even, even + 1, 2) if i == j
+                  else range(-spec.max_entry, spec.max_entry + 1) for i, j in prefix]
+        blocks = {}
         for combo in itertools.product(*ranges):
-            rows = [[0] * n for _ in range(n)]
-            for (i, j), value in zip(positions, combo):
-                rows[i][j] = value
-                rows[j][i] = value
-            det = _det_bareiss(rows)
-            if det == 0 or spec.max_rank is not None and abs(det) > spec.max_rank:
+            key = tuple([combo[k] for k in block_at])
+            block = blocks.get(key)
+            if block is None:
+                block = blocks[key] = _leading_block(key, m)
+            rows, det, adj = block
+            v = [combo[k] for k in v_at]
+            c = -sum([x * sum(map(mul, row, v)) for x, row in zip(v, adj)])
+            lo, hi = -even, even
+            if not det:
+                if not c or cap is not None and abs(c) > cap:
+                    continue  # det B = c for every f
+            elif cap is not None:
+                # -cap <= det f + c <= cap, with the sign of det made positive
+                size, shift = (det, c) if det > 0 else (-det, -c)
+                lo = max(lo, -((cap + shift) // size))
+                hi = min(hi, (cap - shift) // size)
+            lo += lo % 2
+            if lo > hi:
                 continue
-            out.append(GramMatrix(tuple(map(tuple, rows)), det))
+            head = tuple([(*row, x) for row, x in zip(rows, v)])
+            for f in range(lo, hi + 1, 2):
+                d = det * f + c
+                if d:
+                    out.append(GramMatrix((*head, (*v, f)), d))
     return out
+
+
+def _leading_block(upper, m):
+    """(rows, det, adjugate) of the symmetric m x m matrix with this row-major
+    upper triangle; adj[i][j] = (-1)^(i+j) det(B with row j and column i removed)."""
+    rows = [[0] * m for _ in range(m)]
+    for (i, j), x in zip([(i, j) for i in range(m) for j in range(i, m)], upper):
+        rows[i][j] = rows[j][i] = x
+
+    def det(matrix):
+        return _det_bareiss(matrix) if matrix else 1
+
+    adj = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            minor = [row[:i] + row[i + 1:] for k, row in enumerate(rows) if k != j]
+            adj[i][j] = adj[j][i] = (-1) ** (i + j) * det(minor)
+    return tuple(map(tuple, rows)), det(rows), adj
 
 
 @record

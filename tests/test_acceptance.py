@@ -35,7 +35,7 @@ from pointedcat.cyclo import Cyclotomic
 from pointedcat.lattice import pairing_exponents, quadratic_mod2
 from pointedcat.moddata import check_modular_relations, check_unitarity
 
-ONE = Cyclotomic.one()
+ONE = Cyclotomic.from_rational(1)
 
 
 def _report(number: int, description: str, ok: bool) -> None:

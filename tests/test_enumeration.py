@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -80,6 +81,42 @@ class TestGeneration:
         # singular and over-cap candidates are dropped by determinant alone
         assert len(wide_corpus) == 1666
         assert [g.entries for g in wide_corpus] == oracle.enumerate_even_symmetric(3, 3, 4)
+
+    @pytest.mark.parametrize("max_dim, max_entry",
+                             [(1, 4), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1)])
+    def test_solved_last_entry_matches_independent_enumeration(self, max_dim, max_entry):
+        # det B = f det B' - v^T adj(B') v solved for f, against one cofactor
+        # determinant per candidate; the grid has leading blocks B' with
+        # det B' = 0 and with det B' < 0, and keeps matrices over both
+        full = oracle.enumerate_even_symmetric(max_dim, max_entry)
+        dets = [oracle.det_cofactor(b) for b in full]
+        leading = {oracle.det_cofactor([row[:-1] for row in b[:-1]]) for b in full if len(b) > 1}
+        if max_dim > 1:
+            assert 0 in leading and min(leading) < 0
+        for cap in (1, 2, 4, 8, None):
+            corpus = generate_gram_matrices(CorpusSpec(max_dim, max_entry, cap))
+            expected = [(b, d) for b, d in zip(full, dets) if cap is None or abs(d) <= cap]
+            assert [(g.entries, g.determinant) for g in corpus] == expected
+
+    def test_one_determinant_per_leading_block_and_minor(self, monkeypatch):
+        # wide bench corpus: det and three 1x1 minors for each of the 63 leading
+        # 2x2 blocks, det for each of the 3 leading 1x1 blocks (one per
+        # candidate, 9327, before the last entry was solved for)
+        original = enumeration._det_bareiss
+        calls = []
+        monkeypatch.setattr(enumeration, "_det_bareiss",
+                            lambda rows: calls.append(rows) or original(rows))
+        corpus = generate_gram_matrices(CorpusSpec(max_dim=3, max_entry=3, max_rank=4))
+        assert len(corpus) == 1666
+        assert len(calls) == 63 * 4 + 3 <= 400
+
+    def test_wide_entry_range_keeps_only_the_capped_diagonals(self):
+        # 10^6 diagonal candidates, of which |det| <= 8 keeps 8, without
+        # building the others
+        start = time.perf_counter()
+        corpus = generate_gram_matrices(CorpusSpec(max_dim=1, max_entry=999998, max_rank=8))
+        assert time.perf_counter() - start < 1.0
+        assert [g.entries for g in corpus] == [((f,),) for f in (-8, -6, -4, -2, 2, 4, 6, 8)]
 
     def test_max_rank_cap(self):
         corpus = generate_gram_matrices(CorpusSpec(max_dim=2, max_entry=4, max_rank=6))

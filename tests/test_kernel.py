@@ -362,6 +362,24 @@ class TestSymmetricVerlinde:
         assert dense.verlinde(md) == expected
         assert len(inverses) == k // 2 + 1
 
+    def test_equal_dimensions_at_different_conductors_are_inverted_once(self, su2, monkeypatch):
+        # built in code, SU(2)_9 holds d_a at conductor 22 and the equal d_(9-a)
+        # at 11 (Q(zeta_22) = Q(zeta_11)); its 5 distinct dimensions are keyed
+        # by their packed rows, not by (conductor, coefficients)
+        k = 9
+        md = su2(k)
+        dims = md.s_tilde[0]
+        assert dims[1] == dims[8] and dims[1].conductor != dims[8].conductor
+        md._duals, md._packed, md._gauss  # cached before counting
+        inverses = counting(monkeypatch, Cyclotomic, "inverse")
+        fusion = dense.verlinde(md)
+        assert len(inverses) == 5
+        # the truncated Clebsch-Gordan rule of SU(2)_k
+        labels = range(k + 1)
+        assert fusion.multiplicities == tuple(tuple(tuple(
+            int(abs(i - j) <= c <= min(i + j, 2 * k - i - j) and (i + j + c) % 2 == 0)
+            for c in labels) for j in labels) for i in labels)
+
 
 def test_integer_coefficients_converts_each_distinct_value_once(monkeypatch):
     third = root_of_unity(F(1, 3))

@@ -24,7 +24,7 @@ from pointedcat import cyclo, moddata
 from pointedcat.cyclo import Cyclotomic, dot
 from pointedcat.moddata import check_modular_relations, check_unitarity, dual_permutation
 
-ONE = Cyclotomic.one()
+ONE = Cyclotomic.from_rational(1)
 I = root_of_unity(F(1, 4))
 
 # Expected exponent tables frozen from tests/oracle.py (grid scan, no SNF).

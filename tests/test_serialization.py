@@ -215,11 +215,12 @@ _values = st.lists(st.tuples(st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 @st.composite
 def _generic_data(draw):
     rank = draw(st.integers(1, 4))
+    one = Cyclotomic.from_rational(1)
     rows = [[None] * rank for _ in range(rank)]
     for i in range(rank):
         for j in range(i, rank):
-            rows[i][j] = rows[j][i] = Cyclotomic.one() if i == j == 0 else draw(_values)
-    twists = (Cyclotomic.one(),) + tuple(root_of_unity(draw(_roots)) for _ in range(rank - 1))
+            rows[i][j] = rows[j][i] = one if i == j == 0 else draw(_values)
+    twists = (one,) + tuple(root_of_unity(draw(_roots)) for _ in range(rank - 1))
     return ModularData(rank=rank, s_tilde=tuple(map(tuple, rows)), twists=twists)
 
 
