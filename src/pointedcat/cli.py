@@ -1,12 +1,18 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse errors.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse errors, and
+141 (128 + SIGPIPE, as a shell reports it) when the reader closes stdout early.
 All output is deterministic; two runs on the same inputs are byte-identical.
+
+Every job runs in a fresh interpreter, so this module imports at start-up
+only what every command needs: the options come from one table (COMMANDS),
+and serialization is imported by the commands that read or write documents,
+which is all but enumerate.
 """
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
 
 from . import cyclo
@@ -23,13 +29,8 @@ from .moddata import (
     verify_all,
     verlinde_fusion,
 )
-from .serialization import (
-    Document,
-    parse,
-    parse_gram_text,
-    parse_int_matrix_text,
-    serialize,
-)
+
+EXIT_CLOSED_STDOUT = 141
 
 
 def _read(path: str) -> str:
@@ -41,57 +42,66 @@ def _read(path: str) -> str:
 
 
 def _load_modular_data(path: str) -> ModularData:
+    from .serialization import Document, parse
+
     return parse(Document("modular_data", _read(path)))
 
 
-def _cmd_construct(args) -> int:
-    gram = parse_gram_text(_read(args.b))
-    doc = serialize(from_lattice(gram))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(doc.body)
+def _cmd_construct(b: str, out: str | None) -> int:
+    from .serialization import parse_gram_text, serialize
+
+    doc = serialize(from_lattice(parse_gram_text(_read(b))))
+    if out:
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(doc.body)
+        except OSError as exc:
+            raise PointedCatError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(doc.body)
     return 0
 
 
-def _cmd_verify(args) -> int:
-    md = _load_modular_data(args.data)
-    report = verify_all(md)
+def _cmd_verify(data: str) -> int:
+    from .serialization import serialize
+
+    report = verify_all(_load_modular_data(data))
     sys.stdout.write(serialize(report).body)
     return 0 if report.passed else 1
 
 
-def _cmd_fusion(args) -> int:
-    md = _load_modular_data(args.data)
-    if not (0 <= args.i < md.rank and 0 <= args.j < md.rank):
+def _cmd_fusion(data: str, i: int, j: int) -> int:
+    md = _load_modular_data(data)
+    if not (0 <= i < md.rank and 0 <= j < md.rank):
         raise PointedCatError(f"labels must lie in [0, {md.rank})")
     ft = verlinde_fusion(md)
-    for label, probability in fusion_probabilities(md, ft, args.i, args.j):
+    for label, probability in fusion_probabilities(md, ft, i, j):
         sys.stdout.write(f"{label} {cyclo.format_rational(probability)}\n")
     return 0
 
 
-def _cmd_link(args) -> int:
-    md = _load_modular_data(args.data)
-    linking = parse_int_matrix_text(_read(args.linking))
+def _cmd_link(data: str, linking: str, colors: str) -> int:
+    from .serialization import parse_int_matrix_text
+
+    md = _load_modular_data(data)
+    matrix = parse_int_matrix_text(_read(linking))
     try:
-        colors = [int(tok) for tok in args.colors.split(",")]
+        labels = [int(tok) for tok in colors.split(",")]
     except ValueError:
-        raise PointedCatError(f"bad color list {args.colors!r}") from None
-    value = colored_link_invariant(md, framed_link(linking, colors))
+        raise PointedCatError(f"bad color list {colors!r}") from None
+    value = colored_link_invariant(md, framed_link(matrix, labels))
     sys.stdout.write(cyclo.format_value(value) + "\n")
     return 0
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(max_dim: int, max_entry: int, max_rank: int) -> int:
     # imported here, so that no other command compiles it
     from .enumeration import CorpusSpec, classify, format_classification, generate_gram_matrices
 
-    cap = args.max_rank if args.max_rank is not None else MAX_CANONICAL_RANK
-    spec = CorpusSpec(max_dim=args.max_dim, max_entry=args.max_entry, max_rank=cap)
-    if cap > MAX_CANONICAL_RANK:
-        raise PointedCatError(f"rank cap {cap} exceeds the relabeling bound {MAX_CANONICAL_RANK}")
+    spec = CorpusSpec(max_dim=max_dim, max_entry=max_entry, max_rank=max_rank)
+    if max_rank > MAX_CANONICAL_RANK:
+        raise PointedCatError(
+            f"rank cap {max_rank} exceeds the relabeling bound {MAX_CANONICAL_RANK}")
     corpus = generate_gram_matrices(spec)
     result = classify(corpus)
     sys.stdout.write(f"corpus: {len(corpus)} matrices\n")
@@ -99,12 +109,12 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _cmd_show(args) -> int:
-    md = _load_modular_data(args.data)
+def _cmd_show(data: str, approx: bool) -> int:
+    md = _load_modular_data(data)
 
     def render(x) -> str:
         text = cyclo.format_value(x)
-        if args.approx:
+        if approx:
             re, im = x.approx_complex()
             return f"{text} ({re:+.6f}{im:+.6f}j)"
         return text
@@ -127,67 +137,139 @@ def _cmd_show(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pointedcat",
-        description="Construct and exactly verify pointed modular data from even lattices.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# command: (handler, summary, options); option: (name, type, required, default,
+# metavar, help). type is int or str, or bool for a flag that takes no value.
+# The handler takes each option as a keyword, with "-" in its name read as "_".
+COMMANDS = {
+    "construct": (_cmd_construct, "build modular data from a Gram matrix file", (
+        ("b", str, True, None, "FILE", "Gram matrix file"),
+        ("out", str, False, None, "FILE", "write the data document here"),
+    )),
+    "verify": (_cmd_verify, "verify all defining identities exactly", (
+        ("data", str, True, None, "FILE", "modular data document"),
+    )),
+    "fusion": (_cmd_fusion, "fusion outcomes and probabilities for a label pair", (
+        ("data", str, True, None, "FILE", "modular data document"),
+        ("i", int, True, None, "N", "first label"),
+        ("j", int, True, None, "N", "second label"),
+    )),
+    "link": (_cmd_link, "colored framed-link invariant", (
+        ("data", str, True, None, "FILE", "modular data document"),
+        ("linking", str, True, None, "FILE",
+         "symmetric linking matrix, framings on the diagonal"),
+        ("colors", str, True, None, "LIST", "comma-separated label per component, e.g. 1,1"),
+    )),
+    "enumerate": (_cmd_enumerate, "generate a corpus and classify by rank", (
+        ("max-dim", int, True, None, "N", "largest Gram matrix dimension"),
+        ("max-entry", int, True, None, "N", "bound on |entry|"),
+        ("max-rank", int, False, MAX_CANONICAL_RANK, "N",
+         f"cap on |det B| (default {MAX_CANONICAL_RANK}, the relabeling bound)"),
+    )),
+    "show": (_cmd_show, "pretty-print a data document", (
+        ("data", str, True, None, "FILE", "modular data document"),
+        ("approx", bool, False, False, "", "append floating approximations (display only)"),
+    )),
+}
 
-    p = sub.add_parser("construct", help="build modular data from a Gram matrix file")
-    p.add_argument("--b", required=True, metavar="FILE", help="Gram matrix file")
-    p.add_argument("--out", metavar="FILE", help="write the data document here")
-    p.set_defaults(func=_cmd_construct)
+_HELP = ("-h", "--help")
+_USAGE = "usage: pointedcat COMMAND [OPTIONS]\n"
 
-    p = sub.add_parser("verify", help="verify all defining identities exactly")
-    p.add_argument("--data", required=True, metavar="FILE")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("fusion", help="fusion outcomes and probabilities for a label pair")
-    p.add_argument("--data", required=True, metavar="FILE")
-    p.add_argument("--i", required=True, type=int, metavar="N")
-    p.add_argument("--j", required=True, type=int, metavar="N")
-    p.set_defaults(func=_cmd_fusion)
+class _UsageError(Exception):
+    pass
 
-    p = sub.add_parser("link", help="colored framed-link invariant")
-    p.add_argument("--data", required=True, metavar="FILE")
-    p.add_argument("--linking", required=True, metavar="FILE",
-                   help="symmetric linking matrix, framings on the diagonal")
-    p.add_argument("--colors", required=True, metavar="LIST",
-                   help="comma-separated label per component, e.g. 1,1")
-    p.set_defaults(func=_cmd_link)
 
-    p = sub.add_parser("enumerate", help="generate a corpus and classify by rank")
-    p.add_argument("--max-dim", required=True, type=int, metavar="N")
-    p.add_argument("--max-entry", required=True, type=int, metavar="N")
-    p.add_argument("--max-rank", type=int, metavar="N",
-                   help=f"cap on |det B| (default {MAX_CANONICAL_RANK}, the relabeling bound)")
-    p.set_defaults(func=_cmd_enumerate)
+def _flag(name: str, kind: type, metavar: str) -> str:
+    return f"--{name}" if kind is bool else f"--{name} {metavar}"
 
-    p = sub.add_parser("show", help="pretty-print a data document")
-    p.add_argument("--data", required=True, metavar="FILE")
-    p.add_argument("--approx", action="store_true",
-                   help="append floating approximations (display only)")
-    p.set_defaults(func=_cmd_show)
 
-    return parser
+def _usage(command: str) -> str:
+    parts = [_flag(name, kind, metavar) if required else f"[{_flag(name, kind, metavar)}]"
+             for name, kind, required, _, metavar, _ in COMMANDS[command][2]]
+    return f"usage: pointedcat {command} " + " ".join(parts) + "\n"
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        return "".join([
+            _USAGE, "\nConstruct and exactly verify pointed modular data from even lattices.\n",
+            "\ncommands:\n", *(f"  {name:<10} {entry[1]}\n" for name, entry in COMMANDS.items()),
+            "\nRun 'pointedcat COMMAND --help' for the options of one command.\n"])
+    return "".join([
+        _usage(command), f"\n{COMMANDS[command][1]}\n\noptions:\n",
+        *(f"  {_flag(name, kind, metavar):<16} {text}\n"
+          for name, kind, _, _, metavar, text in COMMANDS[command][2])])
+
+
+def _parse_options(command: str, argv: list[str]) -> dict | None:
+    """The handler's keyword arguments, or None after printing help."""
+    options = {name: (kind, required, default)
+               for name, kind, required, default, _, _ in COMMANDS[command][2]}
+    values = {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in _HELP:
+            sys.stdout.write(_help(command))
+            return None
+        name, has_value, value = token[2:].partition("=")
+        if not token.startswith("--") or name not in options:
+            raise _UsageError(f"unrecognized argument {token!r}")
+        kind = options[name][0]
+        if kind is bool:
+            if has_value:
+                raise _UsageError(f"--{name} takes no value")
+            values[name] = True
+            continue
+        if not has_value:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise _UsageError(f"--{name} expects a value")
+        try:
+            values[name] = kind(value)
+        except ValueError:
+            raise _UsageError(f"--{name}: invalid {kind.__name__} value {value!r}") from None
+    missing = [f"--{name}" for name, (_, required, _) in options.items()
+               if required and name not in values]
+    if missing:
+        raise _UsageError("missing required option " + ", ".join(missing))
+    return {name.replace("-", "_"): values.get(name, default)
+            for name, (_, _, default) in options.items()}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        if command in _HELP:
+            sys.stdout.write(_help(None))
+            return 0
+        if command not in COMMANDS:
+            raise _UsageError("no command given" if command is None
+                              else f"unknown command {command!r}")
+        kwargs = _parse_options(command, argv[1:])
+    except _UsageError as exc:
+        usage = _usage(command) if command in COMMANDS else _USAGE
+        sys.stderr.write(f"{usage}error: {exc}\n")
+        return 2
+    if kwargs is None:
+        return 0
     try:
-        return args.func(args)
+        return COMMANDS[command][0](**kwargs)
     except (PointedCatError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does). Point stdout at devnull,
+        # so that the flush at exit raises nothing, and end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_STDOUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

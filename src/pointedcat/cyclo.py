@@ -23,7 +23,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, tau
-from operator import add, sub
+from operator import sub
 
 from .errors import MAX_CONDUCTOR, ValidationError
 
@@ -383,87 +383,9 @@ def sum_values(values) -> Cyclotomic:
     return Cyclotomic(n, _reduce(n, raw))
 
 
-# -- packed integers (Kronecker substitution) -------------------------------
-#
-# Integer coefficients c_i pack into the integer sum_i c_i 2^(width*i), so a
-# sum of polynomial products is one sum of big-integer products. No coefficient
-# of sum_t u_t v_t exceeds sum_t |u_t|_1 |v_t|_1 =: bound, so slot_width(bound)
-# keeps each in its slot, signed, as it does every input of size at most bound.
-# Slots are whole bytes: adding 2^(width-1) to every slot makes the packed
-# value a non-negative byte string, so packing and unpacking are one
-# int.to_bytes or int.from_bytes each and linear in the length.
-
-def integer_coefficients(values, n: int) -> tuple[int, list[tuple[int, ...]]]:
-    """(den, rows): the coefficients of each value at conductor n (which its
-    conductor divides), times den, the least common denominator of them all.
-    Each distinct value is converted once."""
-    keys = [(v._conductor, v._coeffs) for v in values]
-    rows = dict.fromkeys(keys)
-    for conductor, coeffs in rows:
-        row = coeffs
-        if conductor != n:
-            row = [0] * n
-            Cyclotomic(conductor, coeffs)._embed_raw(n, row)
-            row = _reduce(n, row)
-        rows[conductor, coeffs] = row
-    den = lcm(*(c.denominator for row in rows.values() for c in row))
-    rows = {key: tuple(c.numerator * (den // c.denominator) for c in row)
-            for key, row in rows.items()}
-    return den, [rows[key] for key in keys]
-
-
-def slot_width(bound: int) -> int:
-    """Bits per slot for signed coefficients of absolute value at most bound:
-    two spare bits, rounded up to whole bytes."""
-    return (bound.bit_length() + 9) // 8 * 8
-
-
-@lru_cache(maxsize=256)
-def _bias(slots: int, size: int) -> int:
-    # 2^(8 size - 1) in each of `slots` slots of `size` bytes
-    return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
-
-
-def pack(coeffs, width: int) -> int:
-    """The polynomial with these integer coefficients, evaluated at 2**width,
-    where width = slot_width(bound) for a bound on every |c|."""
-    size, half = width >> 3, 1 << (width - 1)
-    data = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
-    return int.from_bytes(data, "little") - _bias(len(coeffs), size)
-
-
-def unpack(value: int, width: int, n: int) -> tuple[int, ...]:
-    """Integer coefficients modulo Phi_n of a packed polynomial: its signed
-    slots, folded by x^n = 1 and reduced once."""
-    size, half = width >> 3, 1 << (width - 1)
-    slots = value.bit_length() // width + 2  # enough for every signed slot
-    data = (value + _bias(slots, size)).to_bytes(slots * size, "little")
-    coeffs = [int.from_bytes(data[k:k + size], "little") - half
-              for k in range(0, len(data), size)]
-    counts = [0] * n
-    for start in range(0, slots, n):
-        block = coeffs[start:start + n]
-        counts[:len(block)] = map(add, counts, block)
-    return _reduce(n, counts)
-
-
-def from_integers(n: int, coeffs, den: int) -> Cyclotomic:
-    """The value with coefficients coeffs / den at conductor n (reduced)."""
-    return Cyclotomic(n, tuple(Fraction(c, den) for c in coeffs) if den != 1 else coeffs)
-
-
 def dot(xs, ys) -> Cyclotomic:
-    """Exact inner product sum_i xs[i]*ys[i]: the values' integer coefficients
-    are packed, the products summed as integers, and the sum unpacked once."""
-    values = [v for pair in zip(xs, ys) for v in pair]
-    n = lcm(*(v.conductor for v in values))
-    den, rows = integer_coefficients(values, n)
-    pairs = list(zip(rows[0::2], rows[1::2]))
-    # each 1-norm counts as at least 1, so the bound covers every input too
-    bound = sum(max(1, sum(map(abs, u))) * max(1, sum(map(abs, v))) for u, v in pairs)
-    width = slot_width(bound)
-    total = sum(pack(u, width) * pack(v, width) for u, v in pairs)
-    return from_integers(n, unpack(total, width, n), den * den)
+    """Exact inner product sum_i xs[i]*ys[i], reduced once."""
+    return sum_values(x * y for x, y in zip(xs, ys))
 
 
 # -- the textual value grammar ---------------------------------------------

@@ -8,7 +8,7 @@ that is not all roots of unity, and pointed data whose rows are not distinct
 or not closed, within errors.MAX_DENSE_WORK. S~ and conj(S~) become integer
 rows at the conductor of S~ (ModularData._packed), S~T at the lcm with T's
 for the (S~ T)^3 checks only, and every check sums products of rows packed
-into big integers (cyclo.pack). moddata imports this module on first use,
+into big integers (pack). moddata imports this module on first use,
 so commands on pointed data with a group law never compile it.
 """
 
@@ -16,14 +16,84 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+from fractions import Fraction
+from functools import lru_cache
 from math import lcm
-from operator import eq, mul
+from operator import add, eq, mul
 
-from . import cyclo
-from .cyclo import Cyclotomic, from_integers, pack, unpack
+from .cyclo import Cyclotomic, _reduce
 from .errors import MAX_DENSE_WORK, NonIntegralFusion, NotModular, ValidationError
 from .moddata import FusionTensor, ModularData
 from .record import record
+
+
+# Integer coefficients c_i pack into the integer sum_i c_i 2^(width*i), so a
+# sum of polynomial products is one sum of big-integer products. No coefficient
+# of sum_t u_t v_t exceeds sum_t |u_t|_1 |v_t|_1 =: bound, so slot_width(bound)
+# keeps each in its slot, signed, as it does every input of size at most bound.
+# Slots are whole bytes: adding 2^(width-1) to every slot makes the packed
+# value a non-negative byte string, so packing and unpacking are one
+# int.to_bytes or int.from_bytes each and linear in the length.
+
+def integer_coefficients(values, n: int) -> tuple[int, list[tuple[int, ...]]]:
+    """(den, rows): the coefficients of each value at conductor n (which its
+    conductor divides), times den, the least common denominator of them all.
+    Each distinct value is converted once."""
+    keys = [(v._conductor, v._coeffs) for v in values]
+    rows = dict.fromkeys(keys)
+    for conductor, coeffs in rows:
+        row = coeffs
+        if conductor != n:
+            row = [0] * n
+            Cyclotomic(conductor, coeffs)._embed_raw(n, row)
+            row = _reduce(n, row)
+        rows[conductor, coeffs] = row
+    den = lcm(*(c.denominator for row in rows.values() for c in row))
+    rows = {key: tuple(c.numerator * (den // c.denominator) for c in row)
+            for key, row in rows.items()}
+    return den, [rows[key] for key in keys]
+
+
+def slot_width(bound: int) -> int:
+    """Bits per slot for signed coefficients of absolute value at most bound:
+    two spare bits, rounded up to whole bytes."""
+    return (bound.bit_length() + 9) // 8 * 8
+
+
+@lru_cache(maxsize=256)
+def _bias(slots: int, size: int) -> int:
+    # 2^(8 size - 1) in each of `slots` slots of `size` bytes
+    return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+
+
+def pack(coeffs, width: int) -> int:
+    """The polynomial with these integer coefficients, evaluated at 2**width,
+    where width = slot_width(bound) for a bound on every |c|."""
+    size, half = width >> 3, 1 << (width - 1)
+    data = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
+    return int.from_bytes(data, "little") - _bias(len(coeffs), size)
+
+
+def unpack(value: int, width: int, n: int) -> tuple[int, ...]:
+    """Integer coefficients modulo Phi_n of a packed polynomial: its signed
+    slots, folded by x^n = 1 and reduced once."""
+    size, half = width >> 3, 1 << (width - 1)
+    slots = value.bit_length() // width + 2  # enough for every signed slot
+    data = (value + _bias(slots, size)).to_bytes(slots * size, "little")
+    coeffs = [int.from_bytes(data[k:k + size], "little") - half
+              for k in range(0, len(data), size)]
+    counts = [0] * n
+    for start in range(0, slots, n):
+        block = coeffs[start:start + n]
+        counts[:len(block)] = map(add, counts, block)
+    return _reduce(n, counts)
+
+
+def from_integers(n: int, coeffs, den: int) -> Cyclotomic:
+    """The value with coefficients coeffs / den at conductor n (reduced)."""
+    return Cyclotomic(n, tuple(Fraction(c, den) for c in coeffs) if den != 1 else coeffs)
+
+
 
 
 @record
@@ -41,7 +111,7 @@ class Packed:
 
     def diagonal(self, values, scale: int) -> list[list[tuple[int, ...]]]:
         """The diagonal matrix of values times scale, which must make them integral."""
-        den, coeffs = cyclo.integer_coefficients(values, self.n)
+        den, coeffs = integer_coefficients(values, self.n)
         zero = (0,) * len(coeffs[0])
         return [[tuple(c * scale // den for c in x) if j == i else zero
                  for j in range(len(values))] for i, x in enumerate(coeffs)]
@@ -52,7 +122,7 @@ class Packed:
         each norm counts as at least 1, so the bound covers every input too."""
         norms = ([max(1, *(sum(map(abs, c)) for c in col)) for col in zip(*rows)]
                  for rows in (left, right))
-        width = cyclo.slot_width(sum(map(mul, *norms)))
+        width = slot_width(sum(map(mul, *norms)))
         right = [[pack(c, width) for c in row] for row in right]
         for row in left:
             row = [pack(c, width) for c in row]
@@ -75,10 +145,10 @@ def packed(md: ModularData, twists: bool = False) -> Packed:
     n = n_all if twists else n_s
     t = tuple(q.numerator * (n // q.denominator) for q in exponents) if twists else ()
     conj = {id(x): x.conjugate() for x in values}  # parsed entries share equal values
-    den, coeffs = cyclo.integer_coefficients(values + [conj[id(x)] for x in values], n)
+    den, coeffs = integer_coefficients(values + [conj[id(x)] for x in values], n)
     if twists:
         # S~_ia theta_a: a shift by t[a] slots, then the fold by x^n = 1
-        width = cyclo.slot_width(max(sum(map(abs, c)) for c in coeffs))
+        width = slot_width(max(sum(map(abs, c)) for c in coeffs))
         coeffs += [tuple(den * c for c in unpack(pack(x, width) << width * t[k % rank], width, n))
                    for k, x in enumerate(coeffs[:rank * rank])]
     rows = [tuple(coeffs[k:k + rank]) for k in range(0, len(coeffs), rank)]
@@ -136,7 +206,7 @@ def verlinde(md: ModularData) -> FusionTensor:
     for d, row in zip(dims, p.s[0]):
         if row not in inverses:
             inverses[row] = d.inverse()
-    den_inv, inv = cyclo.integer_coefficients([inverses[row] for row in p.s[0]], p.n)
+    den_inv, inv = integer_coefficients([inverses[row] for row in p.s[0]], p.n)
     scale = p.den ** 3 * den_inv
     unit = p.diagonal([d_squared], scale)[0][0]
     pivot = next(q for q, c in enumerate(unit) if c)
@@ -146,14 +216,14 @@ def verlinde(md: ModularData) -> FusionTensor:
         # weights rows[k][a] inv[a], reduced once, so each product below is 2:1 in
         # length; row 0 (d_a) and inv[a] are nonzero, so each bound covers the inputs
         inv_norms = [sum(map(abs, v)) for v in inv]
-        width = cyclo.slot_width(max(sum(map(abs, c)) * v for row in rows
+        width = slot_width(max(sum(map(abs, c)) * v for row in rows
                                      for c, v in zip(row, inv_norms)))
         packed_inv = [pack(v, width) for v in inv]
         weights = [[unpack(pack(c, width) * v, width, p.n) for c, v in zip(row, packed_inv)]
                    for row in rows]
         norms = ([max(sum(map(abs, c)) for c in col) for col in zip(*rows)]
                  for rows in (p.s, weights))
-        width = cyclo.slot_width(sum(a * a * w for a, w in zip(*norms)))
+        width = slot_width(sum(a * a * w for a, w in zip(*norms)))
         s = [[pack(c, width) for c in row] for row in p.s]
         weights = [[pack(c, width) for c in row] for row in weights]
         found = {}

@@ -114,7 +114,15 @@ class ModularData:
     def _law(self) -> tuple[tuple[int, ...], ...] | None:
         """The group law of pointed data (_Exponents): law[i][j] = k where
         S~_i S~_j = S~_k entrywise, or None unless there is an exponent table
-        and its rows are distinct and closed under that product."""
+        and its rows are distinct and closed under that product.
+
+        Row 0 is the unit. Each label g not yet reached is a generator: its
+        translation tau_g(x) = g.x is one row lookup per label x, and the
+        reached labels h are closed under it by law[h.g] = tau_g o law[h].
+        There are at most log2(rank) generators, so this costs rank^2 log(rank)
+        integer steps. Every entry is a lookup that succeeded, or a composite
+        of such lookups, so a complete table proves closure.
+        """
         table = self._exponents
         if table is None:
             return None
@@ -122,14 +130,26 @@ class ModularData:
         index = {row: k for k, row in enumerate(s)}
         if len(index) < self.rank:
             return None
-        law = [[0] * self.rank for _ in s]
-        for i, row in enumerate(s):
-            for j in range(i, self.rank):
-                k = index.get(tuple(map(n.__rmod__, map(add, row, s[j]))))
-                if k is None:
-                    return None
-                law[i][j] = law[j][i] = k
-        return tuple(map(tuple, law))
+        law = [None] * self.rank
+        law[0] = tuple(range(self.rank))
+        reached = [0]
+        for g, row in enumerate(s):
+            if law[g] is not None:
+                continue
+            tau = [index.get(tuple(map(n.__rmod__, map(add, other, row)))) for other in s]
+            if None in tau:
+                return None
+            frontier = reached
+            while frontier:
+                new = []
+                for h in frontier:
+                    k = tau[h]
+                    if law[k] is None:
+                        law[k] = tuple(map(tau.__getitem__, law[h]))
+                        new.append(k)
+                reached += new
+                frontier = new
+        return tuple(law)
 
     @cached_property
     def _packed(self):
@@ -418,10 +438,6 @@ class FramedLink:
                     raise ValidationError("linking matrix is not symmetric")
         if len(self.colors) != m:
             raise ValidationError("need one color per link component")
-
-    @property
-    def components(self) -> int:
-        return len(self.linking)
 
 
 def framed_link(linking, colors) -> FramedLink:

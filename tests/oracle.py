@@ -3,8 +3,9 @@
 Discriminant-group data is recovered by scanning the (1/|det|)-grid instead
 of any matrix decomposition, determinants by cofactor expansion, signatures
 by Sylvester inertia of an exact symmetric elimination, corpus counts by
-direct enumeration, canonical forms by trying every relabeling, cyclotomic
-polynomials by dense division, minimal conductors by Fraction Gauss-Jordan
+direct enumeration, group laws by one row lookup per pair of labels,
+canonical forms by trying every relabeling, cyclotomic polynomials by dense
+division, minimal conductors by Fraction Gauss-Jordan
 elimination, and packed integers by one shift per coefficient. Only
 classify_each and direct_sum import the package under test: the first is
 the per-matrix classification loop, which classify's cache per exponent
@@ -103,6 +104,23 @@ def dual_indices(reps):
     return [index[neg_mod1(v)] for v in reps]
 
 
+def group_law_pairs(n, s):
+    """The table k = i.j with row_i + row_j = row_k (mod n) of an exponent
+    table s, by one row lookup per pair i <= j; None if the rows repeat or a
+    sum of two rows is not a row."""
+    index = {tuple(row): k for k, row in enumerate(s)}
+    if len(index) < len(s):
+        return None
+    law = [[0] * len(s) for _ in s]
+    for i, row in enumerate(s):
+        for j in range(i, len(s)):
+            k = index.get(tuple((a + b) % n for a, b in zip(row, s[j])))
+            if k is None:
+                return None
+            law[i][j] = law[j][i] = k
+    return tuple(map(tuple, law))
+
+
 def bilinear_fraction(rows, v, w):
     """v^t B w reduced mod 1."""
     bw = mat_vec(rows, list(w))
@@ -133,20 +151,23 @@ def canonical_form_exhaustive(twist_tokens, s_tokens):
     """Least string twists:...|s:... over all (rank-1)! relabelings fixing 0.
 
     Takes the textual token of every twist and matrix entry, so the result is
-    byte-comparable with the package's canonical form.
+    byte-comparable with the package's canonical form. Every relabeling is
+    tried; one is dropped as soon as its string, built row by row, exceeds
+    the best so far on its prefix, which decides the comparison.
     """
     rank = len(twist_tokens)
     best = None
     for tail in itertools.permutations(range(1, rank)):
         perm = (0,) + tail
-        twists = ",".join(twist_tokens[p] for p in perm)
-        rows = ";".join(
-            ",".join(s_tokens[perm[i]][perm[j]] for j in range(rank))
-            for i in range(rank)
-        )
-        candidate = f"twists:{twists}|s:{rows}"
-        if best is None or candidate < best:
-            best = candidate
+        candidate = "twists:" + ",".join(twist_tokens[p] for p in perm) + "|s:"
+        for i in range(rank):
+            if best is not None and candidate > best[:len(candidate)]:
+                break
+            row = ",".join(s_tokens[perm[i]][perm[j]] for j in range(rank))
+            candidate += row if i == rank - 1 else row + ";"
+        else:
+            if best is None or candidate < best:
+                best = candidate
     return best.encode("ascii")
 
 

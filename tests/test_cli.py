@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import time
@@ -7,7 +8,15 @@ from pathlib import Path
 import pytest
 
 import pointedcat
-from pointedcat import ValidationError, dense, root_of_unity
+from pointedcat import (
+    ValidationError,
+    check_gram,
+    cli,
+    dense,
+    from_lattice,
+    root_of_unity,
+    serialize,
+)
 from pointedcat.cli import main
 from pointedcat.cyclo import format_root, format_value, parse_value
 
@@ -46,6 +55,12 @@ class TestConstruct:
     def test_missing_file(self, capsys):
         assert main(["construct", "--b", "/nonexistent.mat"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_output(self, tmp_path, semion_file, capsys):
+        out = tmp_path / "missing" / "semion.data"
+        assert main(["construct", "--b", semion_file, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}")
 
     def test_invalid_matrix(self, tmp_path, capsys):
         path = tmp_path / "odd.mat"
@@ -215,6 +230,119 @@ class TestExitCodeContract:
         assert main(["--help"]) == 0
 
 
+class TestCommandTable:
+    """Options come from cli.COMMANDS: --name VALUE or --name=VALUE, flags
+    without a value, help on stdout and usage errors on stderr."""
+
+    def test_every_command_and_option(self, tmp_path, semion_file, capsys):
+        data = str(tmp_path / "semion.data")
+        hopf = tmp_path / "hopf.mat"
+        hopf.write_text(HOPF_MAT)
+        assert main(["construct", f"--b={semion_file}", f"--out={data}"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["construct", "--b", semion_file]) == 0
+        assert capsys.readouterr().out == Path(data).read_text()
+        assert main(["verify", f"--data={data}"]) == 0
+        assert capsys.readouterr().out.endswith("result: pass\n")
+        assert main(["fusion", "--data", data, "--i=1", "--j", "1"]) == 0
+        assert capsys.readouterr().out == "0 1\n"
+        assert main(["link", f"--data={data}", f"--linking={hopf}", "--colors=1,1"]) == 0
+        assert capsys.readouterr().out == "-1\n"
+        assert main(["show", "--approx", "--data", data]) == 0
+        assert "e(1/4) (+0.000000+1.000000j)" in capsys.readouterr().out
+        assert main(["enumerate", "--max-dim=2", "--max-entry", "2"]) == 0
+        default = capsys.readouterr().out
+        assert main(["enumerate", "--max-dim", "2", "--max-entry=2", "--max-rank=8"]) == 0
+        assert capsys.readouterr().out == default
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], *([command, flag] for command in cli.COMMANDS
+                              for flag in ("-h", "--help")),
+        ["fusion", "--data", "x", "--help"],
+    ])
+    def test_help(self, argv, capsys):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: pointedcat ") and captured.err == ""
+        if len(argv) > 1:
+            assert all(f"--{option[0]}" in captured.out for option in cli.COMMANDS[argv[0]][2])
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "no command given"),
+        (["frobnicate"], "unknown command 'frobnicate'"),
+        (["verify", "--nope", "x"], "unrecognized argument '--nope'"),
+        (["verify", "extra"], "unrecognized argument 'extra'"),
+        (["enumerate", "--max-d", "1", "--max-entry", "1"], "unrecognized argument '--max-d'"),
+        (["verify", "--data"], "--data expects a value"),
+        (["link", "--data", "--colors", "1"], "--data expects a value"),
+        (["verify"], "missing required option --data"),
+        (["fusion", "--data", "x"], "missing required option --i, --j"),
+        (["fusion", "--data", "x", "--i", "x", "--j", "0"], "--i: invalid int value 'x'"),
+        (["show", "--data", "x", "--approx=1"], "--approx takes no value"),
+    ])
+    def test_usage_errors(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: pointedcat ")
+        assert captured.err.endswith(f"error: {message}\n")
+
+
+def run_cli(args, **kwargs):
+    """python -m pointedcat.cli ARGS in a fresh interpreter without site or a
+    bytecode cache, so every module it imports is compiled and listed."""
+    src = str(Path(pointedcat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.Popen([sys.executable, "-S", *args], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+def imported_modules(args):
+    """Exit code and the names of the modules `-X importtime` lists for a CLI job."""
+    proc = run_cli(["-X", "importtime", "-m", "pointedcat.cli", *args])
+    _, err = proc.communicate(timeout=60)
+    names = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+             if line.startswith("import time:") and "|" in line}
+    return proc.returncode, names
+
+
+def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semion_data, su2):
+    # Pointed commands need neither argparse, the classification nor the dense
+    # checks, enumerate reads no document, and no module imports dataclasses.
+    hopf = tmp_path / "hopf.mat"
+    hopf.write_text(HOPF_MAT)
+    never = {"argparse", "gettext", "dataclasses", "inspect",
+             "pointedcat.dense", "pointedcat.enumeration"}
+    for args in (["construct", "--b", semion_file], ["verify", "--data", semion_data],
+                 ["show", "--data", semion_data],
+                 ["link", "--data", semion_data, "--linking", str(hopf), "--colors", "1,1"]):
+        code, names = imported_modules(args)
+        assert code == 0 and "pointedcat.serialization" in names
+        assert names.isdisjoint(never), (args, names & never)
+    code, names = imported_modules(["enumerate", "--max-dim", "1", "--max-entry", "2"])
+    assert code == 0 and "pointedcat.enumeration" in names
+    assert names.isdisjoint({"pointedcat.serialization", "argparse", "gettext"})
+    generic = tmp_path / "su2_3.data"
+    generic.write_text(serialize(su2(3)).body)
+    code, names = imported_modules(["verify", "--data", str(generic)])
+    assert code == 0 and "pointedcat.dense" in names
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # `show | head -n 3`: show writes about 160 kB, more than a pipe holds
+    path = tmp_path / "r128.data"
+    path.write_text(serialize(from_lattice(check_gram([[128]]))).body)
+    proc = run_cli(["-m", "pointedcat.cli", "show", "--data", str(path)])
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_CLOSED_STDOUT
+    assert head == ["rank: 128\n", "quantum dimensions: " + ", ".join(["1"] * 128) + "\n",
+                    "D^2: 128\n"]
+    assert err == ""
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, semion_data, capsys):
         main(["show", "--data", semion_data, "--approx"])
@@ -322,21 +450,3 @@ class TestInputBounds:
     def test_one_value_is_bounded_before_its_sum(self):
         with pytest.raises(ValidationError, match="conductor 1022117"):
             parse_value("e(1/1009)+e(1/1013)")
-
-
-def test_pointed_commands_import_only_what_they_run(semion_data):
-    # verify and show on pointed data need neither the classification nor the
-    # dense checks, and no module in the package imports dataclasses
-    src = str(Path(pointedcat.__file__).resolve().parents[1])
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {src!r})\n"
-        "from pointedcat.cli import main\n"
-        f"codes = [main(['verify', '--data', {semion_data!r}]),"
-        f" main(['show', '--data', {semion_data!r}])]\n"
-        "names = ('dataclasses', 'inspect', 'pointedcat.enumeration', 'pointedcat.dense')\n"
-        "print(codes, [name for name in names if name in sys.modules], file=sys.stderr)\n"
-    )
-    result = subprocess.run([sys.executable, "-S", "-c", code],
-                            capture_output=True, text=True, timeout=60)
-    assert result.stderr.strip() == "[0, 0] []"

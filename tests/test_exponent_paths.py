@@ -8,6 +8,9 @@ fusion tensors, charge conjugations and error messages.
 """
 
 import contextlib
+import functools
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -80,24 +83,33 @@ def same_outcome(a, b):
 
 @contextlib.contextmanager
 def dense_once(memo):
-    """Run the dense rank^4 Verlinde and two-product cube once per S~ (and T)
-    object. They read nothing else, so the fast path's fallbacks and the
-    dense reference share one computation."""
-    def once(fn, key):
-        def wrapper(md):
-            k = (fn.__name__,) + key(md)
-            if k not in memo:
-                memo[k] = (md, run(fn, md))  # md keeps the ids in k alive
-            outcome = memo[k][1]
+    """Run each dense routine once per S~ object, or per S~ and T object where
+    it reads T: the packing, unitarity, S~^2, the Verlinde sum and both cube
+    forms read nothing else, so the fast path's fallbacks, the dense reference
+    and data that shares S~ share one computation."""
+    def once(fn, reads_twists):
+        def wrapper(md, **kwargs):
+            key = (fn.__name__, id(md.s_tilde)) + ((id(md.twists),) if reads_twists(kwargs) else ())
+            if key not in memo:
+                memo[key] = (md, run(functools.partial(fn, **kwargs), md))  # md keeps ids alive
+            outcome = memo[key][1]
             if isinstance(outcome, Exception):
                 raise outcome
             return outcome
         return wrapper
 
+    def never(kwargs):
+        return False
+
+    def always(kwargs):
+        return True
+
+    reads_twists = {"packed": lambda kwargs: kwargs.get("twists", False), "unitary": never,
+                    "square": never, "verlinde": never, "st_cubed": always,
+                    "st_cubed_one_product": always}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dense, "verlinde", once(dense.verlinde, lambda md: (id(md.s_tilde),)))
-        mp.setattr(dense, "st_cubed",
-                   once(dense.st_cubed, lambda md: (id(md.s_tilde), id(md.twists))))
+        for name, reads in reads_twists.items():
+            mp.setattr(dense, name, once(getattr(dense, name), reads))
         yield
 
 
@@ -176,12 +188,57 @@ class TestCorpusEquivalence:
         assert "verlinde_integral" in verify_all(sign).failing()
 
 
+def relabeled(md, sigma):
+    """The same data with label i renamed sigma[i] (sigma[0] = 0), without provenance."""
+    inv = sorted(range(md.rank), key=sigma.__getitem__)
+    return ModularData(
+        rank=md.rank,
+        s_tilde=tuple(tuple(md.s_tilde[a][b] for b in inv) for a in inv),
+        twists=tuple(md.twists[a] for a in inv))
+
+
+def table_law(md):
+    """The pair loop of tests/oracle.py on the exponent table of md."""
+    table = md._exponents
+    return oracle.group_law_pairs(table.n, table.s)
+
+
 class TestGroupLaw:
     def test_law_and_duals_match_oracle(self, corpus4_data):
         for gram, md in corpus4_data:
             reps = oracle.brute_representatives(gram.entries)
             assert [list(row) for row in md._law] == oracle.addition_table(reps)
             assert list(dual_permutation(md)) == oracle.dual_indices(reps)
+
+    def test_generators_match_pair_loop(self, corpus4_data):
+        # sums of several blocks need several generators; relabeling moves them
+        blocks = ([[2, 1], [1, 2]], [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
+                                     [0, -1, 0, 2]], [[0, 2], [2, 0]], [[6]])
+        sums = [oracle.direct_sum(check_gram(a), check_gram(b))
+                for a, b in itertools.combinations_with_replacement(blocks, 2)]
+        sums.append(oracle.direct_sum(sums[0], check_gram(blocks[0])))  # A2^3, rank 27
+        rng = random.Random(16)
+        cases = [md for _, md in corpus4_data] + [from_lattice(gram) for gram in sums]
+        for md in cases:
+            assert md._law is not None and md._law == table_law(md)
+            sigma = [0] + rng.sample(range(1, md.rank), md.rank - 1)
+            moved = relabeled(md, sigma)
+            assert moved._law == table_law(moved)
+            labels = range(md.rank)
+            assert all(moved._law[sigma[a]][sigma[b]] == sigma[md._law[a][b]]
+                       for a in labels for b in labels)
+
+    def test_none_without_closure_or_distinct_rows(self):
+        e = root_of_unity
+        # distinct rows, but row 1 times row 1 is (1, e(1/2), 1), not a row
+        open_rows = ModularData(rank=3, s_tilde=(
+            (ONE, ONE, ONE),
+            (ONE, e(F(1, 4)), e(F(1, 2))),
+            (ONE, e(F(1, 2)), e(F(1, 2)))), twists=(ONE, e(F(1, 3)), e(F(1, 5))))
+        repeated = ModularData(rank=2, s_tilde=((ONE, ONE), (ONE, ONE)), twists=(ONE, ONE))
+        for md in (open_rows, repeated, TestRowProductNotARow.hadamard()):
+            assert md._exponents is not None
+            assert md._law is None and table_law(md) is None
 
 
 class TestCubeForms:

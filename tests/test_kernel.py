@@ -1,9 +1,9 @@
 """The packed-integer kernel against plain Cyclotomic arithmetic.
 
-cyclo.dot and the checks of pointedcat.dense (unitarity, S~^2, the one- and
-two-product (S~ T)^3 and Verlinde) pack integer coefficients into big
-integers (Kronecker substitution). Each is compared here with a reference
-that multiplies and adds Cyclotomic values one at a time.
+The checks of pointedcat.dense (unitarity, S~^2, the one- and two-product
+(S~ T)^3 and Verlinde) pack integer coefficients into big integers
+(Kronecker substitution). Each is compared here with a reference that
+multiplies and adds Cyclotomic values one at a time, as cyclo.dot does.
 """
 
 import random
@@ -27,17 +27,8 @@ from pointedcat import (
     serialize,
     verify_all,
 )
-from pointedcat import cyclo
-from pointedcat.cyclo import (
-    Cyclotomic,
-    dot,
-    from_integers,
-    integer_coefficients,
-    pack,
-    slot_width,
-    sum_values,
-    unpack,
-)
+from pointedcat.cyclo import Cyclotomic, dot, sum_values
+from pointedcat.dense import from_integers, integer_coefficients, pack, slot_width, unpack
 
 ONE = root_of_unity(0)
 BIG = 2 ** 70
@@ -54,6 +45,20 @@ def values_at(n):
         Cyclotomic.from_rational(c) * root_of_unity(F(k, m)) for c, m, k in terms))
 
 
+def packed_dot(xs, ys):
+    """sum_i xs[i]*ys[i] on the dense kernel: the values' integer coefficients
+    are packed, the products summed as integers, and the sum unpacked once."""
+    values = [v for pair in zip(xs, ys) for v in pair]
+    n = lcm(*(v.conductor for v in values))
+    den, rows = integer_coefficients(values, n)
+    pairs = list(zip(rows[0::2], rows[1::2]))
+    # each 1-norm counts as at least 1, so the bound covers every input too
+    bound = sum(max(1, sum(map(abs, u))) * max(1, sum(map(abs, v))) for u, v in pairs)
+    width = slot_width(bound)
+    total = sum(pack(u, width) * pack(v, width) for u, v in pairs)
+    return from_integers(n, unpack(total, width, n), den * den)
+
+
 pair_lists = st.integers(1, 60).flatmap(
     lambda n: st.lists(st.tuples(values_at(n), values_at(n)), max_size=4))
 
@@ -64,14 +69,17 @@ pair_lists = st.integers(1, 60).flatmap(
 @example([(Cyclotomic.from_rational(F(-BIG, 3)), Cyclotomic.from_rational(F(BIG - 1, 5)))])
 def test_dot_matches_sum_of_products(pairs):
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-    assert dot(xs, ys) == sum_values(x * y for x, y in pairs)
+    expected = sum_values(x * y for x, y in pairs)
+    assert packed_dot(xs, ys) == expected
+    assert dot(xs, ys) == expected
 
 
 def test_dot_fills_its_slots():
     # Equal signs and rational values reach the width bound exactly.
     xs = [Cyclotomic.from_rational(BIG - 1)] * 4
-    assert dot(xs, xs) == 4 * (BIG - 1) ** 2
-    assert dot(xs, [-x for x in xs]) == -4 * (BIG - 1) ** 2
+    for inner in (packed_dot, dot):
+        assert inner(xs, xs) == 4 * (BIG - 1) ** 2
+        assert inner(xs, [-x for x in xs]) == -4 * (BIG - 1) ** 2
 
 
 # -- byte-slot packing against the shift loops --------------------------------
@@ -385,7 +393,7 @@ def test_integer_coefficients_converts_each_distinct_value_once(monkeypatch):
     third = root_of_unity(F(1, 3))
     values = [sum_values([third]) for _ in range(4)] + [Cyclotomic.from_rational(F(1, 2))] * 3
     values += [third * F(2, 5)]
-    reductions = counting(monkeypatch, cyclo, "_reduce")
+    reductions = counting(monkeypatch, dense, "_reduce")
     den, rows = integer_coefficients(values, 12)
     assert len(reductions) == 3 and den == 10
     assert all(from_integers(12, row, den) == x for row, x in zip(rows, values))
