@@ -435,6 +435,15 @@ def format_value(x: Cyclotomic) -> str:
     return "+".join(parts)
 
 
+def format_rows(rows) -> list[list[str]]:
+    """format_value of every entry of a matrix, called once per distinct
+    object: data built in code or parsed shares one object between equal
+    entries (from_lattice, parse_value)."""
+    tokens = {id(x): x for row in rows for x in row}
+    tokens = {key: format_value(x) for key, x in tokens.items()}
+    return [[tokens[id(x)] for x in row] for row in rows]
+
+
 @lru_cache(maxsize=1 << 12)
 def parse_value(text: str) -> Cyclotomic:
     """Inverse of format_value / format_root. Raises ValueError on bad syntax

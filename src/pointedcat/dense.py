@@ -7,9 +7,10 @@ as a rank^2 integer check on the twists. Every other input comes here: data
 that is not all roots of unity, and pointed data whose rows are not distinct
 or not closed, within errors.MAX_DENSE_WORK. S~ and conj(S~) become integer
 rows at the conductor of S~ (ModularData._packed), S~T at the lcm with T's
-for the (S~ T)^3 checks only, and every check sums products of rows packed
-into big integers (pack). moddata imports this module on first use,
-so commands on pointed data with a group law never compile it.
+for the one (S~ T)^3 check only, and every check sums products of rows packed
+into big integers (pack). Every matrix product is symmetric or Hermitian, so
+only its entries j >= i are formed. moddata imports this module on first
+use, so commands on pointed data with a group law never compile it.
 """
 
 from __future__ import annotations
@@ -99,35 +100,40 @@ def from_integers(n: int, coeffs, den: int) -> Cyclotomic:
 @record
 class Packed:
     """Any data as integers at conductor n: the coefficients of S~_ij, conj(S~_ij) and
-    S~_ij theta_j times den, den and den^2; theta_a = e(t[a]/n) shifts by t[a] slots.
-    Without the twists, n is the conductor of S~ and st and t are empty."""
+    S~_ij theta_j times den, den and den^2. Without the twists, n is the conductor
+    of S~ and st is empty. products and diagonal give upper rows (entries j >= i)
+    only: every product the checks take is symmetric or Hermitian."""
 
     n: int
     den: int
     s: tuple
     conj: tuple
     st: tuple = ()
-    t: tuple[int, ...] = ()
 
     def diagonal(self, values, scale: int) -> list[list[tuple[int, ...]]]:
-        """The diagonal matrix of values times scale, which must make them integral."""
+        """Upper rows of the diagonal matrix of values times scale, which must
+        make them integral."""
         den, coeffs = integer_coefficients(values, self.n)
         zero = (0,) * len(coeffs[0])
-        return [[tuple(c * scale // den for c in x) if j == i else zero
-                 for j in range(len(values))] for i, x in enumerate(coeffs)]
+        return [[tuple(c * scale // den for c in x)] + [zero] * (len(values) - 1 - i)
+                for i, x in enumerate(coeffs)]
 
-    def products(self, left, right, shift=False):
-        """Row by row, sum_a left[i][a] right[j][a] (times theta_j if shift), reduced.
+    def products(self, left, right):
+        """Upper rows: row i of sum_a left[i][a] right[j][a] for j >= i, reduced.
         The width comes from the column 1-norms, whose products bound every slot;
         each norm counts as at least 1, so the bound covers every input too."""
         norms = ([max(1, *(sum(map(abs, c)) for c in col)) for col in zip(*rows)]
                  for rows in (left, right))
         width = slot_width(sum(map(mul, *norms)))
         right = [[pack(c, width) for c in row] for row in right]
-        for row in left:
+        for i, row in enumerate(left):
             row = [pack(c, width) for c in row]
-            yield [unpack(sum(map(mul, row, r)) << (width * self.t[j] if shift else 0),
-                          width, self.n) for j, r in enumerate(right)]
+            yield [unpack(sum(map(mul, row, r)), width, self.n) for r in right[i:]]
+
+
+def mirrored(upper):
+    """The symmetric matrix with these upper rows."""
+    return [[upper[j][i - j] for j in range(i)] + row for i, row in enumerate(upper)]
 
 
 def packed(md: ModularData, twists: bool = False) -> Packed:
@@ -143,16 +149,17 @@ def packed(md: ModularData, twists: bool = False) -> Packed:
     if work > MAX_DENSE_WORK:
         raise ValidationError(f"estimated dense work {work} exceeds the bound {MAX_DENSE_WORK}")
     n = n_all if twists else n_s
-    t = tuple(q.numerator * (n // q.denominator) for q in exponents) if twists else ()
     conj = {id(x): x.conjugate() for x in values}  # parsed entries share equal values
     den, coeffs = integer_coefficients(values + [conj[id(x)] for x in values], n)
     if twists:
-        # S~_ia theta_a: a shift by t[a] slots, then the fold by x^n = 1
-        width = slot_width(max(sum(map(abs, c)) for c in coeffs))
-        coeffs += [tuple(den * c for c in unpack(pack(x, width) << width * t[k % rank], width, n))
-                   for k, x in enumerate(coeffs[:rank * rank])]
+        # S~_ia theta_a with theta_a = e(t/n): the coefficients rotated by t places
+        # (x^n = 1), then reduced
+        t = [q.numerator * (n // q.denominator) for q in exponents]
+        for k, x in enumerate(coeffs[:rank * rank]):
+            raw, shift = list(x) + [0] * (n - len(x)), t[k % rank]
+            coeffs.append(tuple(den * c for c in _reduce(n, raw[-shift:] + raw[:-shift])))
     rows = [tuple(coeffs[k:k + rank]) for k in range(0, len(coeffs), rank)]
-    return Packed(n, den, *(tuple(rows[k:k + rank]) for k in range(0, len(rows), rank)), t=t)
+    return Packed(n, den, *(tuple(rows[k:k + rank]) for k in range(0, len(rows), rank)))
 
 
 def unitary(md: ModularData) -> bool:
@@ -163,8 +170,8 @@ def unitary(md: ModularData) -> bool:
 
 def square(md: ModularData) -> tuple[tuple[Cyclotomic, ...], ...]:
     p = md._packed
-    return tuple(tuple(from_integers(p.n, x, p.den ** 2) for x in row)
-                 for row in p.products(p.s, p.s))
+    upper = [[from_integers(p.n, x, p.den ** 2) for x in row] for row in p.products(p.s, p.s)]
+    return tuple(map(tuple, mirrored(upper)))
 
 
 def conjugation(md: ModularData) -> list[int | None]:
@@ -248,20 +255,17 @@ def verlinde(md: ModularData) -> FusionTensor:
     return tensor(p.conj, symmetric=False)
 
 
-def st_cubed_one_product(md: ModularData) -> bool:
-    # S~ T S~ = p+ T^-1 conj(S~) T^-1, times T on the right: (S~ T)^2 =
-    # (p+ T^-1) conj(S~). The diagonal factor goes through the same kernel.
-    p = packed(md, twists=True)
-    left = p.diagonal([md._gauss.p_plus * t.conjugate() for t in md.twists], p.den ** 2)
-    return all(map(eq, p.products(p.st, p.s, shift=True), p.products(left, p.conj)))
-
-
 def st_cubed(md: ModularData) -> bool:
-    # (S~ T)^3 compared against p+ D^2 I (= p+ S~^2 C), all exact. S~ is
-    # symmetric, so column b of S~T is row b of S~ times theta_b. (S~T)^2 is
-    # reduced and packed again, at the width its own coefficients need.
+    """(S~ T)^3 = p+ D^2 I, exactly and for any data. T is invertible, so this
+    holds exactly when S~ T S~ T S~ = p+ D^2 T^-1 (Bakalov and Kirillov,
+    "Lectures on tensor categories and modular functors", 2001, 3.1). S~ is
+    symmetric, so A = S~ T S~ has A_ij = sum_a st[i][a] s[j][a], and
+    (A T S~)_ij = sum_a A_ia st[j][a]; both are symmetric and formed on
+    j >= i. The comparison stops at the first bad row of A T S~."""
     p = packed(md, twists=True)
-    square = list(p.products(p.st, p.s, shift=True))
-    cube = p.products(square, p.s, shift=True)
+    a = mirrored(list(p.products(p.st, p.s)))
     target = md._gauss.p_plus * md._gauss.d_squared
-    return all(map(eq, cube, p.diagonal([target] * md.rank, p.den ** 4)))
+    # st carries den^2 and s den, so A T S~ carries den^5, and the target's
+    # denominator divides den^4
+    expected = p.diagonal([target * t.conjugate() for t in md.twists], p.den ** 5)
+    return all(map(eq, p.products(a, p.st), expected))

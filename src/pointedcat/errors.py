@@ -17,7 +17,7 @@ MAX_CANONICAL_RANK = 8  # rank bound of canonical_form, which branches once per 
 MAX_CANDIDATES = 1_000_000
 # Estimated work rank^4 (n + 4) of the dense checks at conductor n: the Verlinde
 # sum's rank^4 products, each about n + 4 slots. On a 2-core Xeon verify takes
-# about 7 ns a unit (SU(2)_48: 1.2e9, 8 s; Fib^7: 2.4e9, 15 s).
+# about 3.5 ns a unit (SU(2)_48: 1.2e9, 3.1 s; Fib^7: 2.4e9, 8.4 s).
 MAX_DENSE_WORK = 2_500_000_000
 
 

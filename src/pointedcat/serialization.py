@@ -48,9 +48,7 @@ def serialize(value) -> Document:
         lines = ["kind: modular_data", f"rank: {value.rank}"]
         if value.label_names is not None:
             lines.append("labels: " + ", ".join(value.label_names))
-        lines.append("s_tilde: " + "; ".join(
-            ", ".join(cyclo.format_value(x) for x in row) for row in value.s_tilde
-        ))
+        lines.append("s_tilde: " + "; ".join(map(", ".join, cyclo.format_rows(value.s_tilde))))
         lines.append("twists: " + ", ".join(cyclo.format_root(t) for t in value.twists))
         if value.provenance is not None:
             lines.append("provenance: " + format_gram(value.provenance.gram))

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ import pytest
 
 import pointedcat
 from pointedcat import (
+    ModularData,
     ValidationError,
     check_gram,
     cli,
@@ -87,6 +89,23 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "provenance" in captured.err
+
+    @pytest.mark.parametrize("s_tilde, twists, error", [
+        ("1, 1; -1, -1", "e(0/1), e(1/4)", "s_tilde is not symmetric at (0,1)"),
+        ("1, 1; 1, -1", "e(1/2), e(1/4)", "twist of the tensor unit must be 1"),
+    ])
+    def test_report_invariants_are_rejected_at_construction(self, tmp_path, capsys,
+                                                           s_tilde, twists, error):
+        # the report's twists_unit and s_symmetric always pass, because no
+        # ModularData fails them
+        rows = tuple(tuple(map(parse_value, row.split(","))) for row in s_tilde.split(";"))
+        with pytest.raises(ValidationError, match=re.escape(error)):
+            ModularData(rank=2, s_tilde=rows, twists=tuple(map(parse_value, twists.split(","))))
+        path = tmp_path / "invariant.data"
+        path.write_text(f"kind: modular_data\nrank: 2\ns_tilde: {s_tilde}\ntwists: {twists}\n")
+        assert main(["verify", "--data", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {error}\n"
 
     def test_corrupted_fails_and_names_relation(self, tmp_path, capsys):
         path = tmp_path / "corrupt.data"

@@ -1,9 +1,9 @@
 """The packed-integer kernel against plain Cyclotomic arithmetic.
 
-The checks of pointedcat.dense (unitarity, S~^2, the one- and two-product
-(S~ T)^3 and Verlinde) pack integer coefficients into big integers
-(Kronecker substitution). Each is compared here with a reference that
-multiplies and adds Cyclotomic values one at a time, as cyclo.dot does.
+The checks of pointedcat.dense (unitarity, S~^2, (S~ T)^3 and Verlinde)
+pack integer coefficients into big integers (Kronecker substitution). Each
+is compared here with a reference that multiplies and adds Cyclotomic values
+one at a time, as cyclo.dot does.
 """
 
 import random
@@ -214,7 +214,7 @@ class TestDenseChecks:
             untwisted, p = md._packed, dense.packed(md, twists=True)
             assert untwisted.n == lcm(*(x.conductor for row in md.s_tilde for x in row))
             assert p.n == lcm(untwisted.n, *(t.root_exponent().denominator for t in md.twists))
-            assert untwisted.st == untwisted.t == ()
+            assert untwisted.st == ()
             for i, row in enumerate(md.s_tilde):
                 for j, x in enumerate(row):
                     for q in (untwisted, p):
@@ -241,24 +241,38 @@ class TestDenseChecks:
         assert 0 < unitary < len(cases)
 
     def test_st_cubed(self, cases):
-        unitary_outcomes = set()
+        # one check for every input: unitary or not, clean or with a twist corrupted
+        outcomes = set()
         for md in cases:
             expected = ref_st_cubed(md)
             assert dense.st_cubed(md) == expected
-            if md._unitary:
-                assert dense.st_cubed_one_product(md) == expected
-                unitary_outcomes.add(expected)
-        assert unitary_outcomes == {True, False}
+            outcomes.add((md._unitary, expected))
+        assert {(True, True), (True, False), (False, False)} <= outcomes
 
     def test_zero_side_leaves_room_for_the_other(self):
-        # (S~ T)^2 = 0 and p+ = 1 - 169/25 + 144/25 = 0, so both (S~ T)^3 checks
-        # multiply an all-zero side by coefficients up to 169 = 25 * 169/25.
+        # S~ T S~ = 0 and p+ = 1 - 169/25 + 144/25 = 0, so (S~ T S~) T S~ multiplies
+        # an all-zero side by coefficients up to 169/25 times den^2 = 625.
         r = [F(1), F(13, 5), F(12, 5)]
         s_tilde = tuple(tuple(Cyclotomic.from_rational(x * y) for y in r) for x in r)
         md = ModularData(rank=3, s_tilde=s_tilde,
                          twists=(ONE, root_of_unity(F(1, 2)), ONE))
-        assert md._gauss.p_plus.is_zero()
-        assert dense.st_cubed(md) is dense.st_cubed_one_product(md) is ref_st_cubed(md) is True
+        assert md._gauss.p_plus.is_zero() and not dense.unitary(md)
+        assert dense.st_cubed(md) is ref_st_cubed(md) is True
+
+    def test_products_form_the_upper_triangle_only(self, su2, monkeypatch):
+        # S~ conj(S~)^t, S~^2, S~ T S~ and S~ T S~ T S~ are symmetric or Hermitian
+        md = su2(6)
+        r = md.rank
+        md._packed  # packing converts coefficients, with no unpack
+        calls = counting(monkeypatch, dense, "unpack")
+        assert dense.unitary(md)
+        assert len(calls) == r * (r + 1) // 2
+        del calls[:]
+        assert dense.square(md) == ref_square(md)
+        assert len(calls) == r * (r + 1) // 2
+        del calls[:]
+        assert dense.st_cubed(md)
+        assert len(calls) == r * (r + 1)
 
     def test_verlinde(self, cases):
         references = {}  # the twist corruption keeps S~

@@ -11,11 +11,13 @@ from pointedcat import (
     PointedCatError,
     ValidationError,
     check_gram,
+    from_lattice,
     parse,
     root_of_unity,
     serialize,
     verify_all,
 )
+from pointedcat import cyclo
 from pointedcat.cyclo import Cyclotomic, sum_values
 
 SEMION_DOC = """kind: modular_data
@@ -184,6 +186,19 @@ class TestDeterminism:
         doc = serialize(toric)
         again = serialize(parse(doc))
         assert again.body == doc.body
+
+    def test_each_distinct_value_is_formatted_once(self, monkeypatch):
+        # from_lattice shares one root object per exponent, and parse one per token
+        md = from_lattice(check_gram([[64]]))
+        format_value = cyclo.format_value
+        calls = []
+        monkeypatch.setattr(cyclo, "format_value", lambda x: calls.append(x) or format_value(x))
+        for data in (md, parse(serialize(md))):
+            del calls[:]
+            body = serialize(data).body
+            assert 0 < len(calls) <= len({id(x) for row in data.s_tilde for x in row}) <= 64
+            rows = "; ".join(", ".join(map(format_value, row)) for row in data.s_tilde)
+            assert f"\ns_tilde: {rows}\n" in body
 
 
 # Fragments of both grammars, so random documents reach past the first line.
