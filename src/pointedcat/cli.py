@@ -109,29 +109,30 @@ def _cmd_enumerate(max_dim: int, max_entry: int, max_rank: int) -> int:
     return 0
 
 
+def _approx(x) -> str:
+    text = cyclo.format_value(x)
+    try:
+        re, im = x.approx_complex()
+    except OverflowError:
+        return f"{text} (beyond float range)"
+    return f"{text} ({re:+.6f}{im:+.6f}j)"
+
+
 def _cmd_show(data: str, approx: bool) -> int:
     md = _load_modular_data(data)
-
-    def render(x) -> str:
-        text = cyclo.format_value(x)
-        if approx:
-            re, im = x.approx_complex()
-            return f"{text} ({re:+.6f}{im:+.6f}j)"
-        return text
-
+    gauss = gauss_data(md)
+    # each distinct object is formatted once, as parsed entries share them
+    dims, (d_squared, p_plus, p_minus), twists, *s_tilde = cyclo.format_rows(
+        [quantum_dimensions(md), (gauss.d_squared, gauss.p_plus, gauss.p_minus), md.twists,
+         *md.s_tilde], _approx if approx else cyclo.format_value)
     sys.stdout.write(f"rank: {md.rank}\n")
     if md.label_names is not None:
         sys.stdout.write("labels: " + ", ".join(md.label_names) + "\n")
-    dims = ", ".join(render(d) for d in quantum_dimensions(md))
-    sys.stdout.write(f"quantum dimensions: {dims}\n")
-    gauss = gauss_data(md)
-    sys.stdout.write(f"D^2: {render(gauss.d_squared)}\n")
-    sys.stdout.write(f"p+: {render(gauss.p_plus)}\n")
-    sys.stdout.write(f"p-: {render(gauss.p_minus)}\n")
-    sys.stdout.write("twists: " + ", ".join(render(t) for t in md.twists) + "\n")
-    sys.stdout.write("s_tilde:\n")
-    for row in md.s_tilde:
-        sys.stdout.write("  " + ", ".join(render(x) for x in row) + "\n")
+    sys.stdout.write(f"quantum dimensions: {', '.join(dims)}\n")
+    sys.stdout.write(f"D^2: {d_squared}\np+: {p_plus}\np-: {p_minus}\n")
+    sys.stdout.write("twists: " + ", ".join(twists) + "\ns_tilde:\n")
+    for row in s_tilde:
+        sys.stdout.write("  " + ", ".join(row) + "\n")
     if md.provenance is not None:
         sys.stdout.write(f"built from: [{format_gram(md.provenance.gram)}]\n")
     return 0

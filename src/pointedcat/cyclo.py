@@ -146,26 +146,22 @@ class Cyclotomic:
     def root_exponent(self) -> Fraction | None:
         """Exponent q in [0,1) with self == e(q), or None if not a root of unity.
 
-        The roots of unity in Q(zeta_N) are the e(k/2N) that lie there: for
-        even k, zeta_N^(k/2); for odd k and odd N, -zeta_N^((k+N)/2); for odd
-        k and even N, none. A float estimate of the argument picks the
-        candidate k, and the match is exact, against the canonical
-        coefficients of that power at the value's own conductor N.
+        The roots of unity in Q(zeta_N) are the +-zeta_N^k, and for k < phi(N)
+        the canonical coefficients of +-zeta_N^k are +-1 at position k and 0
+        elsewhere. So the value is a root exactly when self * zeta_N^(-s) has
+        such coefficients for one shift s in 0, phi(N), 2 phi(N), ... below N,
+        and then q = (s + k)/N, plus 1/2 for the minus sign: at most
+        ceil(N/phi(N)) exact reductions at the value's own conductor N.
         """
         if self._root is not None:
             return self._root
-        n = self._conductor
-        re, im = self.approx_complex()
-        guess = round((cmath.phase(complex(re, im)) / tau) * 2 * n)
-        for k in (guess, guess + 1, guess - 1):
-            if k % 2 == 0:
-                match = self._coeffs == _monomial(n, k // 2 % n)
-            elif n % 2:
-                match = self._coeffs == tuple(-c for c in _monomial(n, (k + n) // 2 % n))
-            else:
-                continue
-            if match:
-                self._root = Fraction(k % (2 * n), 2 * n)
+        n, coeffs = self._conductor, self._coeffs
+        raw = list(coeffs) + [0] * (n - len(coeffs))
+        for s in range(0, n, len(coeffs)):
+            support = [(k, c) for k, c in enumerate(_reduce(n, raw[s:] + raw[:s])) if c]
+            if len(support) == 1 and support[0][1] in (1, -1):
+                k, c = support[0]
+                self._root = Fraction(2 * (s + k) + n * (c < 0), 2 * n) % 1
                 return self._root
         return None
 
@@ -258,12 +254,15 @@ class Cyclotomic:
     # -- presentation -------------------------------------------------------
 
     def approx_complex(self) -> tuple[float, float]:
-        """Floating approximation (display only; never used in any check)."""
+        """Floating approximation, for display only: no check and no exponent
+        is decided from it. Raises OverflowError beyond float range."""
         total = 0j
         n = self._conductor
         for k, c in enumerate(self._coeffs):
             if c:
                 total += float(c) * cmath.exp(1j * tau * k / n)
+        if not cmath.isfinite(total):
+            raise OverflowError(f"{self!r} is beyond float range")
         return total.real, total.imag
 
     def minimal(self) -> Cyclotomic:
@@ -435,12 +434,12 @@ def format_value(x: Cyclotomic) -> str:
     return "+".join(parts)
 
 
-def format_rows(rows) -> list[list[str]]:
-    """format_value of every entry of a matrix, called once per distinct
-    object: data built in code or parsed shares one object between equal
-    entries (from_lattice, parse_value)."""
+def format_rows(rows, render=None) -> list[list[str]]:
+    """render (format_value if None) of every entry of a matrix, called once
+    per distinct object: data built in code or parsed shares one object
+    between equal entries (from_lattice, parse_value)."""
     tokens = {id(x): x for row in rows for x in row}
-    tokens = {key: format_value(x) for key, x in tokens.items()}
+    tokens = {key: (render or format_value)(x) for key, x in tokens.items()}
     return [[tokens[id(x)] for x in row] for row in rows]
 
 

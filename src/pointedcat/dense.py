@@ -19,7 +19,7 @@ import contextlib
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 from operator import add, eq, mul
 
 from .cyclo import Cyclotomic, _reduce
@@ -145,12 +145,16 @@ def packed(md: ModularData, twists: bool = False) -> Packed:
     exponents = [t.root_exponent() for t in md.twists]
     n_s = lcm(*(x.conductor for x in values))
     n_all = lcm(n_s, *(q.denominator for q in exponents))
-    work = rank ** 4 * (n_all + 4)
+    n = n_all if twists else n_s
+    conj = {id(x): x for x in values}  # parsed entries share equal values
+    conj = {key: x.conjugate() for key, x in conj.items()}
+    den, coeffs = integer_coefficients(values + [conj[id(x)] for x in values], n)
+    # w: 64-bit words of the largest packed coefficient, den included
+    top = max(den, max(map(abs, itertools.chain.from_iterable(coeffs))))
+    w = max(1, (top.bit_length() + 63) // 64)
+    work = rank ** 4 * (n_all + 4) * w * isqrt(w)
     if work > MAX_DENSE_WORK:
         raise ValidationError(f"estimated dense work {work} exceeds the bound {MAX_DENSE_WORK}")
-    n = n_all if twists else n_s
-    conj = {id(x): x.conjugate() for x in values}  # parsed entries share equal values
-    den, coeffs = integer_coefficients(values + [conj[id(x)] for x in values], n)
     if twists:
         # S~_ia theta_a with theta_a = e(t/n): the coefficients rotated by t places
         # (x^n = 1), then reduced

@@ -15,9 +15,15 @@ MAX_CANONICAL_RANK = 8  # rank bound of canonical_form, which branches once per 
 # within it (dim <= 3, |entry| <= 6: 754215; dim 1, |entry| <= 1999998: 10^6)
 # run in 4.7-6.7 s and under 100 MB.
 MAX_CANDIDATES = 1_000_000
-# Estimated work rank^4 (n + 4) of the dense checks at conductor n: the Verlinde
-# sum's rank^4 products, each about n + 4 slots. On a 2-core Xeon verify takes
-# about 3.5 ns a unit (SU(2)_48: 1.2e9, 3.1 s; Fib^7: 2.4e9, 8.4 s).
+# Estimated work rank^4 (n + 4) w isqrt(w) of the dense checks at conductor n:
+# the Verlinde sum's rank^4 products, each about n + 4 slots of w 64-bit words,
+# w those of the largest packed coefficient (den included; 1 within 64 bits).
+# On a 2-core Xeon verify takes about 3.5 ns a unit at w = 1 (SU(2)_48: 1.2e9,
+# 3.1 s; Fib^7: 2.4e9, 8.4 s). The power 3/2 of w fits SU(2)_k with S~_ij
+# (i, j >= 1) times 10^1000 + 7 (w = 52) or 10^4000 + 7 (w = 208) at 2.8-6.7 ns
+# a unit: k = 6, w = 52: 3.1e7, 0.21 s; k = 6, w = 208: 2.5e8, 1.7 s; k = 10,
+# w = 208: 2.2e9, 7.3 s; k = 16, w = 52: 2.3e9, 6.4 s; k = 16, w = 208: 1.8e10,
+# 53 s, and refused.
 MAX_DENSE_WORK = 2_500_000_000
 
 

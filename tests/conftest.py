@@ -12,7 +12,17 @@ from pointedcat import (
     generate_gram_matrices,
     root_of_unity,
 )
-from pointedcat.cyclo import sum_values
+from pointedcat.cyclo import Cyclotomic, sum_values
+
+
+@pytest.fixture
+def no_floats(monkeypatch):
+    """A call that makes Cyclotomic.approx_complex raise for the rest of the
+    test, so that no exact decision can rest on a float estimate."""
+    def refuse(self):
+        raise AssertionError(f"approx_complex called on {self!r}")
+
+    return lambda: monkeypatch.setattr(Cyclotomic, "approx_complex", refuse)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pointedcat
 from pointedcat import (
@@ -14,6 +16,7 @@ from pointedcat import (
     ValidationError,
     check_gram,
     cli,
+    cyclo,
     dense,
     from_lattice,
     root_of_unity,
@@ -238,6 +241,110 @@ class TestShow:
         assert "(+0.000000+1.000000j)" in out
 
 
+    def test_each_distinct_value_is_formatted_once(self, tmp_path, monkeypatch, capsys):
+        # a parsed document shares one object per token: 64 in S~ and the
+        # dims of [[64]], 4096 entries
+        body = serialize(from_lattice(check_gram([[64]]))).body
+        path = tmp_path / "r64.data"
+        path.write_text(body)
+        fields = dict(line.split(": ", 1) for line in body.splitlines())
+        tokens = set(re.split("[,;] ", fields["s_tilde"])) | set(fields["twists"].split(", "))
+        render = cyclo.format_value
+        calls = []
+        monkeypatch.setattr(cyclo, "format_value", lambda x: calls.append(x) or render(x))
+        for argv in (["show"], ["show", "--approx"]):
+            del calls[:]
+            assert main([*argv, "--data", str(path)]) == 0
+            assert len(calls) <= len(tokens) + 3  # and D^2, p+, p-
+            out = capsys.readouterr().out
+            assert out.count("\n  ") == 64 and "built from: [64]" in out
+
+
+BIG = 10 ** 400
+NINES = "9" * 400
+
+
+class TestCoefficientsBeyondFloatRange:
+    """Coefficients past float range are decided exactly; `--approx` marks
+    the values it cannot approximate, and nothing ends in a traceback."""
+
+    TWIST = f"kind: modular_data\nrank: 2\ns_tilde: 1, 1; 1, -1\ntwists: e(0/1), {BIG}*e(1/4)\n"
+    ENTRY = f"kind: modular_data\nrank: 2\ns_tilde: 1, 1; 1, {BIG}*e(1/2)\ntwists: e(0/1), e(1/4)\n"
+    SHOW = ("rank: 2\nquantum dimensions: 1, 1\nD^2: 2\np+: 1+e(1/4)\np-: 1+-1*e(1/4)\n"
+            f"twists: 1, e(1/4)\ns_tilde:\n  1, 1\n  1, -{BIG}\n")
+    SHOW_APPROX = (
+        "rank: 2\n"
+        "quantum dimensions: 1 (+1.000000+0.000000j), 1 (+1.000000+0.000000j)\n"
+        "D^2: 2 (+2.000000+0.000000j)\n"
+        "p+: 1+e(1/4) (+1.000000+1.000000j)\n"
+        "p-: 1+-1*e(1/4) (+1.000000-1.000000j)\n"
+        "twists: 1 (+1.000000+0.000000j), e(1/4) (+0.000000+1.000000j)\n"
+        "s_tilde:\n"
+        "  1 (+1.000000+0.000000j), 1 (+1.000000+0.000000j)\n"
+        f"  1 (+1.000000+0.000000j), -{BIG} (beyond float range)\n")
+    FUSION_ERROR = f"error: N(0,0)^1 = -{NINES}/2 is not a non-negative integer\n"
+    REPORT = ("kind: report\n"
+              "check: gauss_identity pass: p+ p- = D^2\n"
+              "check: unitarity fail: S~ conj(S~)^t = D^2 I\n"
+              f"check: verlinde_integral fail: N(0,0)^1 = -{NINES}/2 is not a non-negative integer\n"
+              "check: twists_unit pass: twist of the unit is 1\n"
+              "check: s_symmetric pass: S~ = S~^t\n"
+              "check: charge_conjugation fail: row 0 of S~^2 is not D^2 times a unit vector\n"
+              "check: conjugation_involution fail: C undefined\n"
+              "check: st_cubed fail: (S~ T)^3 = p+ D^2 I\n"
+              "result: fail\n")
+
+    @pytest.mark.parametrize("argv", [["verify"], ["show"], ["show", "--approx"],
+                                      ["fusion", "--i", "1", "--j", "1"]])
+    def test_twist_is_not_a_root(self, tmp_path, capsys, argv):
+        path = tmp_path / "twist.data"
+        path.write_text(self.TWIST)
+        assert main([*argv, "--data", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: twist 1 is not a root of unity\n")
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["verify"], 1, REPORT, ""),
+        (["show"], 0, SHOW, ""),
+        (["show", "--approx"], 0, SHOW_APPROX, ""),
+        (["fusion", "--i", "1", "--j", "1"], 2, "", FUSION_ERROR),
+    ])
+    def test_entry_past_float_range(self, tmp_path, capsys, argv, code, out, err):
+        path = tmp_path / "entry.data"
+        path.write_text(self.ENTRY)
+        assert main([*argv, "--data", str(path)]) == code
+        assert capsys.readouterr() == (out, err)
+
+
+_TOKENS = st.sampled_from([
+    "1", "-1", "0", "2", "1/2", "e(0/1)", "e(1/2)", "e(1/4)", "e(3/4)", "e(1/3)", "e(2/3)",
+    "e(1/5)", "e(1/8)", "e(5/12)", "1+e(1/4)", "e(1/3)+e(2/3)", "e(1/5)+e(4/5)",
+    f"{BIG}*e(1/4)", f"-{BIG}", f"{BIG}*e(1/2)", f"1/{BIG + 1}*e(1/3)", f"1/{BIG + 1}",
+    f"{BIG}*e(1/3)+e(1/4)", f"{BIG}*e(1/8)+-{BIG}*e(3/8)"])
+
+
+@st.composite
+def _small_documents(draw):
+    rank = draw(st.sampled_from([2, 3]))
+    rows = [[None] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            rows[i][j] = rows[j][i] = draw(_TOKENS) if i or j else "1"
+    twists = ["e(0/1)"] + [draw(_TOKENS) for _ in range(rank - 1)]  # the unit's are fixed
+    rows = "; ".join(", ".join(row) for row in rows)
+    return f"kind: modular_data\nrank: {rank}\ns_tilde: {rows}\ntwists: {', '.join(twists)}\n"
+
+
+@given(_small_documents())
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_no_document_ends_in_a_traceback(tmp_path, capsys, text):
+    path = tmp_path / "d.data"
+    path.write_text(text)
+    for argv in (["verify"], ["fusion", "--i", "1", "--j", "1"], ["show"], ["show", "--approx"]):
+        assert main([*argv, "--data", str(path)]) in (0, 1, 2)
+    capsys.readouterr()
+
+
 class TestExitCodeContract:
     def test_usage_error_without_command(self, capsys):
         assert main([]) == 2
@@ -457,6 +564,28 @@ class TestInputBounds:
         path.write_text(fibonacci_power_document(3))
         assert main(["verify", "--data", str(path)]) == 0
         assert capsys.readouterr().out.endswith("result: pass\n")
+
+    def test_dense_work_bound_counts_coefficient_size(self, tmp_path, capsys, su2):
+        # S~_ij (i, j >= 1) times f: each 64-bit word of the largest coefficient
+        # multiplies the estimate by w^(3/2); SU(2)_16 with f = 10^4000 + 7 took
+        # 53 s, within the bound on rank and conductor alone
+        def scaled(k, f):
+            md = su2(k)
+            rows = tuple(tuple(x if 0 in (i, j) else x * f for j, x in enumerate(row))
+                         for i, row in enumerate(md.s_tilde))
+            path = tmp_path / f"su2_{k}.data"
+            path.write_text(serialize(ModularData(rank=md.rank, s_tilde=rows,
+                                                  twists=md.twists)).body)
+            return str(path)
+
+        code, seconds = self._exit_code_and_seconds(
+            ["verify", "--data", scaled(16, 10 ** 4000 + 7)])
+        assert code == 2 and seconds < 1.0
+        assert capsys.readouterr().err == (
+            "error: estimated dense work 18484199552 exceeds the bound 2500000000\n")
+        assert main(["verify", "--data", scaled(6, 10 ** 1000 + 7)]) == 1
+        out = capsys.readouterr().out
+        assert "check: unitarity fail" in out and out.endswith("result: fail\n")
 
     def test_data_with_a_group_law_is_not_work_bounded(self, semion_data, monkeypatch, capsys):
         monkeypatch.setattr(dense, "MAX_DENSE_WORK", 0)

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -119,21 +119,24 @@ def candidate_root_exponent(x):
 
 
 class TestRootExponentAgainstCandidates:
-    """root_exponent compares coefficients with one power of zeta_N at the
-    value's own conductor N; the reference builds candidate roots at 2N."""
+    """root_exponent tests +-1 coefficients after at most ceil(N/phi(N))
+    shifts at the value's own conductor N, with no float; the reference
+    builds candidate roots at 2N from the float argument."""
 
-    def test_every_signed_power_up_to_48(self):
-        roots = 0
+    def test_every_signed_power_up_to_48(self, no_floats):
+        cases = []
         for n in range(1, 49):
             for j in range(n):
                 for sign in (1, -1):
                     # a fresh object at conductor n, which need not be minimal
                     x = Cyclotomic(n, tuple(sign * c for c in _monomial(n, j)))
                     expected = candidate_root_exponent(x)
-                    assert expected is not None
-                    assert x.root_exponent() == expected == (F(j, n) + F(1 - sign, 4)) % 1
-                    roots += 1
-        assert roots == 2 * sum(range(1, 49))
+                    assert expected == (F(j, n) + F(1 - sign, 4)) % 1
+                    cases.append((Cyclotomic(n, x._coeffs), expected))
+        assert len(cases) == 2 * sum(range(1, 49))
+        no_floats()
+        for x, expected in cases:
+            assert x.root_exponent() == expected
 
     def test_su2_entries_and_sums(self, su2):
         values = [x for k in range(2, 17) for row in su2(k).s_tilde for x in row]
@@ -144,6 +147,44 @@ class TestRootExponentAgainstCandidates:
             assert fresh.root_exponent() == candidate_root_exponent(x)
             found += fresh.root_exponent() is not None
         assert 0 < found < len(values)
+
+
+def brute_root_exponent(x):
+    """Reference: compare x with every e(k/2N), N its conductor, by exact
+    equality; at most one can match."""
+    n2 = 2 * x.conductor
+    found = [F(k, n2) for k in range(n2) if x == root_of_unity(F(k, n2))]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+BIG = 10 ** 400
+_signed_roots = st.none() | st.tuples(_exponents, st.sampled_from([1, -1]))
+_big_terms = st.lists(st.tuples(st.sampled_from([1, -1, 2, F(-1, 3), BIG, -BIG, F(1, BIG + 1)]),
+                                _exponents), max_size=3)
+
+
+class TestRootExponentBeyondFloatRange:
+    """Coefficients past float range decide exactly, without approx_complex."""
+
+    @given(_signed_roots, _big_terms, st.booleans())
+    @example((F(1, 3), -1), [(BIG, F(1, 4))], True)  # -e(1/3) held at conductor 12
+    @example((F(1, 4), 1), [(F(1, BIG + 1), F(1, 5))], False)
+    @example(None, [(-BIG, F(3, 8))], False)
+    @example(None, [(1, F(1, 3)), (1, F(2, 3))], False)  # -1 as a sum at conductor 3
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_sums_against_every_root(self, no_floats, root, terms, cancel):
+        no_floats()
+        parts = [] if root is None else [root[1] * root_of_unity(root[0])]
+        parts += [Cyclotomic.from_rational(c) * root_of_unity(q) for c, q in terms]
+        if cancel:  # the same root, held at the lcm conductor of all the terms
+            parts += [Cyclotomic.from_rational(-c) * root_of_unity(q) for c, q in terms]
+        x = sum_values(parts)
+        expected = brute_root_exponent(x)
+        assert x.root_exponent() == expected
+        if root is not None and cancel:
+            assert expected == (root[0] + F(1 - root[1], 4)) % 1
 
 
 class TestArithmetic:
@@ -228,6 +269,13 @@ class TestApprox:
     def test_quarter(self):
         re, im = I.approx_complex()
         assert abs(re) < 1e-12 and abs(im - 1.0) < 1e-12
+
+    def test_beyond_float_range_raises(self):
+        # a coefficient float() cannot take, and a sum of floats that overflows
+        huge = Cyclotomic.from_rational(10 ** 308)
+        for x in (10 ** 400 * I, sum_values(huge * root_of_unity(F(k, 16)) for k in (0, 1, 2))):
+            with pytest.raises(OverflowError):
+                x.approx_complex()
 
     def test_third_against_cmath(self):
         # independent oracle: cos/sin of 2*pi/3

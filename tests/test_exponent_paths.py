@@ -186,6 +186,30 @@ class TestCorpusEquivalence:
         assert "verlinde_integral" in verify_all(sign).failing()
 
 
+def unmemoised(md):
+    """The same data, without provenance, with each distinct entry and twist
+    rebuilt from its coefficients, so that no root_exponent memo is set."""
+    copies = {}
+
+    def copy(x):
+        return copies.setdefault(id(x), Cyclotomic(x.conductor, x._coeffs))
+
+    return ModularData(rank=md.rank, s_tilde=tuple(tuple(map(copy, row)) for row in md.s_tilde),
+                       twists=tuple(map(copy, md.twists)))
+
+
+def test_verification_takes_no_float(su2, small_corpus, no_floats):
+    # every root of unity is decided exactly, whichever check or printer asks
+    cases = [su2(k) for k in range(2, 17)] + small_corpus
+    expected = [(serialize(verify_all(unmemoised(md))).body, serialize(unmemoised(md)).body)
+                for md in cases]
+    no_floats()
+    for md, (report, document) in zip(cases, expected):
+        md = unmemoised(md)
+        assert serialize(verify_all(md)).body == report
+        assert serialize(md).body == document
+
+
 def relabeled(md, sigma):
     """The same data with label i renamed sigma[i] (sigma[0] = 0), without provenance."""
     inv = sorted(range(md.rank), key=sigma.__getitem__)
