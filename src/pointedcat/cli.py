@@ -115,6 +115,11 @@ def _approx(x) -> str:
         re, im = x.approx_complex()
     except OverflowError:
         return f"{text} (beyond float range)"
+    # each of the terms, and each partial sum, errs by about 2^-52 sum |c|, so
+    # six decimals are right only when that bound is below 5e-7
+    sizes = [abs(c) for c in x._coeffs if c]
+    if (len(sizes) + 3) * sum(sizes) >= 5e-7 * 2 ** 52:
+        return f"{text} (beyond float precision)"
     return f"{text} ({re:+.6f}{im:+.6f}j)"
 
 
@@ -134,7 +139,7 @@ def _cmd_show(data: str, approx: bool) -> int:
     for row in s_tilde:
         sys.stdout.write("  " + ", ".join(row) + "\n")
     if md.provenance is not None:
-        sys.stdout.write(f"built from: [{format_gram(md.provenance.gram)}]\n")
+        sys.stdout.write(f"built from: [{format_gram(md.provenance)}]\n")
     return 0
 
 

@@ -6,11 +6,12 @@ unitarity and D^2 = rank, N_ij^k = delta(k, i.j), C(i) = i^-1, and (S~ T)^3
 as a rank^2 integer check on the twists. Every other input comes here: data
 that is not all roots of unity, and pointed data whose rows are not distinct
 or not closed, within errors.MAX_DENSE_WORK. S~ and conj(S~) become integer
-rows at the conductor of S~ (ModularData._packed), S~T at the lcm with T's
-for the one (S~ T)^3 check only, and every check sums products of rows packed
-into big integers (pack). Every matrix product is symmetric or Hermitian, so
-only its entries j >= i are formed. moddata imports this module on first
-use, so commands on pointed data with a group law never compile it.
+rows at the conductor of S~ (ModularData._packed), S~ and S~T at the lcm with
+T's for the one (S~ T)^3 check only (twisted), and every check sums products
+of rows packed into big integers (pack) and compares integer rows. Every
+matrix product is symmetric or Hermitian, so only its entries j >= i are
+formed. moddata imports this module on first use, so commands on pointed
+data with a group law never compile it.
 """
 
 from __future__ import annotations
@@ -95,40 +96,38 @@ def from_integers(n: int, coeffs, den: int) -> Cyclotomic:
     return Cyclotomic(n, tuple(Fraction(c, den) for c in coeffs) if den != 1 else coeffs)
 
 
-
-
 @record
 class Packed:
-    """Any data as integers at conductor n: the coefficients of S~_ij, conj(S~_ij) and
-    S~_ij theta_j times den, den and den^2. Without the twists, n is the conductor
-    of S~ and st is empty. products and diagonal give upper rows (entries j >= i)
-    only: every product the checks take is symmetric or Hermitian."""
+    """S~ and conj(S~) as integer coefficient rows at the conductor n of S~,
+    times den (ModularData._packed)."""
 
     n: int
     den: int
     s: tuple
     conj: tuple
-    st: tuple = ()
 
-    def diagonal(self, values, scale: int) -> list[list[tuple[int, ...]]]:
-        """Upper rows of the diagonal matrix of values times scale, which must
-        make them integral."""
-        den, coeffs = integer_coefficients(values, self.n)
-        zero = (0,) * len(coeffs[0])
-        return [[tuple(c * scale // den for c in x)] + [zero] * (len(values) - 1 - i)
-                for i, x in enumerate(coeffs)]
 
-    def products(self, left, right):
-        """Upper rows: row i of sum_a left[i][a] right[j][a] for j >= i, reduced.
-        The width comes from the column 1-norms, whose products bound every slot;
-        each norm counts as at least 1, so the bound covers every input too."""
-        norms = ([max(1, *(sum(map(abs, c)) for c in col)) for col in zip(*rows)]
-                 for rows in (left, right))
-        width = slot_width(sum(map(mul, *norms)))
-        right = [[pack(c, width) for c in row] for row in right]
-        for i, row in enumerate(left):
-            row = [pack(c, width) for c in row]
-            yield [unpack(sum(map(mul, row, r)), width, self.n) for r in right[i:]]
+def diagonal(n: int, values, scale: int) -> list[list[tuple[int, ...]]]:
+    """Upper rows (entries j >= i) of the diagonal matrix of values times scale,
+    at conductor n; scale must make them integral."""
+    den, coeffs = integer_coefficients(values, n)
+    zero = (0,) * len(coeffs[0])
+    return [[tuple(c * scale // den for c in x)] + [zero] * (len(values) - 1 - i)
+            for i, x in enumerate(coeffs)]
+
+
+def products(n: int, left, right):
+    """Upper rows: row i of sum_a left[i][a] right[j][a] for j >= i, reduced at
+    conductor n. Every product the checks take is symmetric or Hermitian. The
+    width comes from the column 1-norms, whose products bound every slot; each
+    norm counts as at least 1, so the bound covers every input too."""
+    norms = ([max(1, *(sum(map(abs, c)) for c in col)) for col in zip(*rows)]
+             for rows in (left, right))
+    width = slot_width(sum(map(mul, *norms)))
+    right = [[pack(c, width) for c in row] for row in right]
+    for i, row in enumerate(left):
+        row = [pack(c, width) for c in row]
+        yield [unpack(sum(map(mul, row, r)), width, n) for r in right[i:]]
 
 
 def mirrored(upper):
@@ -136,16 +135,14 @@ def mirrored(upper):
     return [[upper[j][i - j] for j in range(i)] + row for i, row in enumerate(upper)]
 
 
-def packed(md: ModularData, twists: bool = False) -> Packed:
-    """S~ and conj(S~) of md as integer coefficient rows at the conductor of S~
-    (ModularData._packed); with twists, S~T too, all at the lcm of the
-    conductors of S~ and T."""
+def packed(md: ModularData) -> Packed:
+    """S~ and conj(S~) of md as integer coefficient rows at the conductor of S~;
+    ValidationError if the estimated work of every dense check, the cube check
+    at the lcm conductor of S~ and T included, exceeds MAX_DENSE_WORK."""
     rank = md.rank
     values = list(itertools.chain(*md.s_tilde))
-    exponents = [t.root_exponent() for t in md.twists]
-    n_s = lcm(*(x.conductor for x in values))
-    n_all = lcm(n_s, *(q.denominator for q in exponents))
-    n = n_all if twists else n_s
+    n = lcm(*(x.conductor for x in values))
+    n_all = lcm(n, *(t.root_exponent().denominator for t in md.twists))
     conj = {id(x): x for x in values}  # parsed entries share equal values
     conj = {key: x.conjugate() for key, x in conj.items()}
     den, coeffs = integer_coefficients(values + [conj[id(x)] for x in values], n)
@@ -155,42 +152,31 @@ def packed(md: ModularData, twists: bool = False) -> Packed:
     work = rank ** 4 * (n_all + 4) * w * isqrt(w)
     if work > MAX_DENSE_WORK:
         raise ValidationError(f"estimated dense work {work} exceeds the bound {MAX_DENSE_WORK}")
-    if twists:
-        # S~_ia theta_a with theta_a = e(t/n): the coefficients rotated by t places
-        # (x^n = 1), then reduced
-        t = [q.numerator * (n // q.denominator) for q in exponents]
-        for k, x in enumerate(coeffs[:rank * rank]):
-            raw, shift = list(x) + [0] * (n - len(x)), t[k % rank]
-            coeffs.append(tuple(den * c for c in _reduce(n, raw[-shift:] + raw[:-shift])))
     rows = [tuple(coeffs[k:k + rank]) for k in range(0, len(coeffs), rank)]
-    return Packed(n, den, *(tuple(rows[k:k + rank]) for k in range(0, len(rows), rank)))
+    return Packed(n, den, tuple(rows[:rank]), tuple(rows[rank:]))
 
 
 def unitary(md: ModularData) -> bool:
     p = md._packed
-    expected = p.diagonal([md._gauss.d_squared] * md.rank, p.den ** 2)
-    return all(map(eq, p.products(p.s, p.conj), expected))
-
-
-def square(md: ModularData) -> tuple[tuple[Cyclotomic, ...], ...]:
-    p = md._packed
-    upper = [[from_integers(p.n, x, p.den ** 2) for x in row] for row in p.products(p.s, p.s)]
-    return tuple(map(tuple, mirrored(upper)))
+    expected = diagonal(p.n, [md._gauss.d_squared] * md.rank, p.den ** 2)
+    return all(map(eq, products(p.n, p.s, p.conj), expected))
 
 
 def conjugation(md: ModularData) -> list[int | None]:
     """For each row i, the c with row i of S~^2 equal to D^2 e_c, or None.
 
     With unitarity, S~ conj(S~) = D^2 I, so that row is D^2 e_c exactly when
-    conj(row i) is row c: a lookup, with no product. Otherwise S~^2 is formed.
+    conj(row i) is row c: a lookup, with no product. Otherwise the upper rows
+    of S~^2 are formed, mirrored and compared with D^2 as integer rows.
     """
     if md._unitary:
         return md._duals
-    d_squared = md._gauss.d_squared
+    p = md._packed
+    unit = diagonal(p.n, [md._gauss.d_squared], p.den ** 2)[0][0]
     perm = []
-    for row in square(md):
-        hits = [j for j, x in enumerate(row) if not x.is_zero()]
-        perm.append(hits[0] if len(hits) == 1 and row[hits[0]] == d_squared else None)
+    for row in mirrored(list(products(p.n, p.s, p.s))):
+        hits = [j for j, x in enumerate(row) if any(x)]
+        perm.append(hits[0] if len(hits) == 1 and row[hits[0]] == unit else None)
     return perm
 
 
@@ -219,7 +205,7 @@ def verlinde(md: ModularData) -> FusionTensor:
             inverses[row] = d.inverse()
     den_inv, inv = integer_coefficients([inverses[row] for row in p.s[0]], p.n)
     scale = p.den ** 3 * den_inv
-    unit = p.diagonal([d_squared], scale)[0][0]
+    unit = diagonal(p.n, [d_squared], scale)[0][0]
     pivot = next(q for q, c in enumerate(unit) if c)
     labels = range(rank)
 
@@ -266,10 +252,30 @@ def st_cubed(md: ModularData) -> bool:
     symmetric, so A = S~ T S~ has A_ij = sum_a st[i][a] s[j][a], and
     (A T S~)_ij = sum_a A_ia st[j][a]; both are symmetric and formed on
     j >= i. The comparison stops at the first bad row of A T S~."""
-    p = packed(md, twists=True)
-    a = mirrored(list(p.products(p.st, p.s)))
+    md._packed  # the work bound, checked before any product
+    n, den, s, st = twisted(md)
+    a = mirrored(list(products(n, st, s)))
     target = md._gauss.p_plus * md._gauss.d_squared
     # st carries den^2 and s den, so A T S~ carries den^5, and the target's
     # denominator divides den^4
-    expected = p.diagonal([target * t.conjugate() for t in md.twists], p.den ** 5)
-    return all(map(eq, p.products(a, p.st), expected))
+    expected = diagonal(n, [target * t.conjugate() for t in md.twists], den ** 5)
+    return all(map(eq, products(n, a, st), expected))
+
+
+def twisted(md: ModularData):
+    """(n, den, s, st): the rows of S~ times den and of S~ T times den^2, as
+    integer coefficients at the lcm n of the conductors of S~ and T."""
+    rank = md.rank
+    values = list(itertools.chain(*md.s_tilde))
+    exponents = [t.root_exponent() for t in md.twists]
+    n = lcm(*(x.conductor for x in values), *(q.denominator for q in exponents))
+    den, coeffs = integer_coefficients(values, n)
+    # S~_ia theta_a with theta_a = e(t/n): the coefficients rotated by t places
+    # (x^n = 1), then reduced
+    t = [q.numerator * (n // q.denominator) for q in exponents]
+    st = []
+    for k, x in enumerate(coeffs):
+        raw, shift = list(x) + [0] * (n - len(x)), t[k % rank]
+        st.append(tuple(den * c for c in _reduce(n, raw[-shift:] + raw[:-shift])))
+    s, st = ([rows[k:k + rank] for k in range(0, len(rows), rank)] for rows in (coeffs, st))
+    return n, den, s, st

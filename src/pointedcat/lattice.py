@@ -1,10 +1,10 @@
 """Integer-matrix algebra for the lattice construction input.
 
 Validates even symmetric Gram matrices, computes the Smith normal form with
-unimodular transforms over exact big integers, and enumerates discriminant
-group representatives together with their bilinear (mod 1) and quadratic
-(mod 2) forms. A class v is stored as its integer numerator u = n*v over the
-group exponent n, so both forms are integer arithmetic.
+its unimodular column transform over exact big integers, and enumerates
+discriminant group representatives together with their bilinear (mod 1) and
+quadratic (mod 2) forms. A class v is stored as its integer numerator
+u = n*v over the group exponent n, so both forms are integer arithmetic.
 """
 
 from __future__ import annotations
@@ -88,9 +88,9 @@ def check_gram(entries) -> GramMatrix:
 
 @record
 class SmithDecomposition:
-    """U * B * V = diag(d_1, ..., d_n) with d_1 | d_2 | ... and U, V unimodular."""
+    """U * B * V = diag(d_1, ..., d_n) with d_1 | d_2 | ... for unimodular U
+    and V. Only V is formed: the discriminant group reads nothing else."""
 
-    u: tuple[tuple[int, ...], ...]
     v: tuple[tuple[int, ...], ...]
     diag: tuple[int, ...]
 
@@ -99,12 +99,7 @@ def smith_normal_form(gram: GramMatrix) -> SmithDecomposition:
     """Exact Smith normal form, pivoting on the minimal nonzero absolute value."""
     n = gram.n
     a = [list(row) for row in gram.entries]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -115,7 +110,6 @@ def smith_normal_form(gram: GramMatrix) -> SmithDecomposition:
     def row_sub(i, j, q):
         # row i -= q * row j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_sub(i, j, q):
         # col i -= q * col j
@@ -133,7 +127,7 @@ def smith_normal_form(gram: GramMatrix) -> SmithDecomposition:
                         pivot = (i, j)
             assert pivot is not None, "nonsingular input cannot have a zero block"
             if pivot[0] != t:
-                swap_rows(t, pivot[0])
+                a[t], a[pivot[0]] = a[pivot[0]], a[t]
             if pivot[1] != t:
                 swap_cols(t, pivot[1])
             p = a[t][t]
@@ -157,10 +151,8 @@ def smith_normal_form(gram: GramMatrix) -> SmithDecomposition:
             row_sub(t, offender[0], -1)  # drag a non-multiple into the work row
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
 
     return SmithDecomposition(
-        u=tuple(tuple(row) for row in u),
         v=tuple(tuple(row) for row in v),
         diag=tuple(a[i][i] for i in range(n)),
     )

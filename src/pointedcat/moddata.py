@@ -31,7 +31,7 @@ from .record import record
 
 __all__ = [
     "ModularData", "FusionTensor", "FramedLink", "GaussData",
-    "RelationCheck", "RelationReport", "LatticeProvenance",
+    "RelationCheck", "RelationReport",
     "from_lattice", "quantum_dimensions", "gauss_data", "verlinde_fusion",
     "fusion_probabilities", "dual_permutation", "check_modular_relations",
     "check_unitarity", "verify_all", "framed_link", "colored_link_invariant",
@@ -39,12 +39,6 @@ __all__ = [
 ]
 
 Label = int  # labels are plain indices; 0 is always the tensor unit
-
-
-@record
-class LatticeProvenance:
-    gram: GramMatrix
-    group: DiscriminantGroup
 
 
 @record
@@ -60,7 +54,7 @@ class ModularData:
     rank: int
     s_tilde: tuple[tuple[Cyclotomic, ...], ...]
     twists: tuple[Cyclotomic, ...]
-    provenance: LatticeProvenance | None = None
+    provenance: GramMatrix | None = None
     label_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -217,7 +211,7 @@ def from_lattice(gram: GramMatrix, group: DiscriminantGroup | None = None) -> Mo
         rank=group.order,
         s_tilde=tuple(tuple(roots[k] for k in row) for row in s),
         twists=tuple(root_of_unity(Fraction(k, 2 * n)) for k in t),
-        provenance=LatticeProvenance(gram, group),
+        provenance=gram,
     )
 
 
@@ -245,10 +239,6 @@ class FusionTensor:
     """Non-negative integer multiplicities, indexed [i][j][k]."""
 
     multiplicities: tuple[tuple[tuple[int, ...], ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.multiplicities)
 
     def __getitem__(self, ijk):
         i, j, k = ijk

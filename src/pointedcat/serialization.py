@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import cyclo
 from .errors import ParseError, PointedCatError, ValidationError
 from .lattice import GramMatrix, check_gram, discriminant_group, format_gram, pairing_exponents
-from .moddata import LatticeProvenance, ModularData, RelationReport
+from .moddata import ModularData, RelationReport
 from .record import record
 
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_+-")
@@ -51,7 +51,7 @@ def serialize(value) -> Document:
         lines.append("s_tilde: " + "; ".join(map(", ".join, cyclo.format_rows(value.s_tilde))))
         lines.append("twists: " + ", ".join(cyclo.format_root(t) for t in value.twists))
         if value.provenance is not None:
-            lines.append("provenance: " + format_gram(value.provenance.gram))
+            lines.append("provenance: " + format_gram(value.provenance))
         return Document("modular_data", "\n".join(lines) + "\n")
     if isinstance(value, RelationReport):
         lines = ["kind: report"]
@@ -196,27 +196,26 @@ def _parse_modular_data(body: str) -> ModularData:
     # every check computes at the lcm of all conductors
     values = itertools.chain(*fields["s_tilde"], fields["twists"])
     cyclo.check_conductor(x.conductor for x in values)
-    provenance = None
+    gram = group = None
     if "provenance" in fields:
         try:
             gram = check_gram(fields["provenance"])
         except (PointedCatError, ValueError) as exc:
             raise ValidationError(f"invalid provenance matrix: {exc}") from None
-        provenance = LatticeProvenance(gram, discriminant_group(gram))
+        group = discriminant_group(gram)
     md = ModularData(
         rank=fields["rank"],
         s_tilde=fields["s_tilde"],
         twists=fields["twists"],
-        provenance=provenance,
+        provenance=gram,
         label_names=fields.get("labels"),
     )
-    if provenance is None:
+    if gram is None:
         return md
     # The rank, the twists and S~ must be those the provenance lattice implies.
-    group = provenance.group
     if group.order != md.rank:
         raise ValidationError(f"provenance has |det B| = {group.order}, but rank is {md.rank}")
-    n, s, t = pairing_exponents(provenance.gram, group)
+    n, s, t = pairing_exponents(gram, group)
     for i, (twist, k) in enumerate(zip(md.twists, t)):
         if not _is_root(twist, k, 2 * n):
             implied = cyclo.root_of_unity(Fraction(k, 2 * n))

@@ -21,6 +21,7 @@ from pointedcat import (
     check_gram,
     classify,
     colored_link_invariant,
+    discriminant_group,
     framed_link,
     from_lattice,
     gauss_data,
@@ -128,7 +129,7 @@ def test_criterion_6_representative_independence(corpus4):
     while checked < 1000:
         gram = rng.choice(pool)
         if gram not in tables:
-            group = from_lattice(gram).provenance.group
+            group = discriminant_group(from_lattice(gram).provenance)
             tables[gram] = group.representatives, pairing_exponents(gram, group)
         reps, (n, s, _) = tables[gram]
         i = rng.choice(range(len(reps)))

@@ -240,6 +240,24 @@ class TestShow:
         out = capsys.readouterr().out
         assert "(+0.000000+1.000000j)" in out
 
+    def test_approx_beyond_float_precision(self, tmp_path, capsys):
+        # (1 - phi)^90 with phi = 1 + e(1/5) + e(4/5) is about 1.55e-19, but its
+        # coefficients are about 4.7e18, and the float sum gave (512.0, 768.0)
+        phi = 1 + root_of_unity(Fraction(1, 5)) + root_of_unity(Fraction(4, 5))
+        value = 1 - phi
+        for _ in range(89):
+            value = value * (1 - phi)
+        text = format_value(value)
+        assert text == ("4660046610375530309+2880067194370816120*e(2/5)"
+                        "+2880067194370816120*e(3/5)")
+        path = tmp_path / "cancel.data"
+        path.write_text(f"kind: modular_data\nrank: 2\ns_tilde: 1, 1; 1, {text}\n"
+                        "twists: e(0/1), e(1/4)\n")
+        assert main(["show", "--data", str(path), "--approx"]) == 0
+        out = capsys.readouterr().out
+        assert f"  1 (+1.000000+0.000000j), {text} (beyond float precision)\n" in out
+        assert "D^2: 2 (+2.000000+0.000000j)\n" in out
+
 
     def test_each_distinct_value_is_formatted_once(self, tmp_path, monkeypatch, capsys):
         # a parsed document shares one object per token: 64 in S~ and the

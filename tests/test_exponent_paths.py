@@ -8,7 +8,6 @@ fusion tensors, charge conjugations and error messages.
 """
 
 import contextlib
-import functools
 import itertools
 import random
 from fractions import Fraction as F
@@ -84,28 +83,22 @@ def same_outcome(a, b):
 @contextlib.contextmanager
 def dense_once(memo):
     """Run each dense routine once per S~ object, or per S~ and T object where
-    it reads T: the packing, unitarity, S~^2, the Verlinde sum and both cube
-    forms read nothing else, so the fast path's fallbacks, the dense reference
-    and data that shares S~ share one computation."""
+    it reads T: the packing, unitarity, the conjugation and the Verlinde sum
+    read nothing else, so the fast path's fallbacks, the dense reference and
+    data that shares S~ share one computation."""
     def once(fn, reads_twists):
-        def wrapper(md, **kwargs):
-            key = (fn.__name__, id(md.s_tilde)) + ((id(md.twists),) if reads_twists(kwargs) else ())
+        def wrapper(md):
+            key = (fn.__name__, id(md.s_tilde)) + ((id(md.twists),) if reads_twists else ())
             if key not in memo:
-                memo[key] = (md, run(functools.partial(fn, **kwargs), md))  # md keeps ids alive
+                memo[key] = (md, run(fn, md))  # md keeps ids alive
             outcome = memo[key][1]
             if isinstance(outcome, Exception):
                 raise outcome
             return outcome
         return wrapper
 
-    def never(kwargs):
-        return False
-
-    def always(kwargs):
-        return True
-
-    reads_twists = {"packed": lambda kwargs: kwargs.get("twists", False), "unitary": never,
-                    "square": never, "verlinde": never, "st_cubed": always}
+    reads_twists = {"packed": False, "unitary": False, "conjugation": False,
+                    "verlinde": False, "st_cubed": True}
     with pytest.MonkeyPatch.context() as mp:
         for name, reads in reads_twists.items():
             mp.setattr(dense, name, once(getattr(dense, name), reads))
@@ -113,10 +106,12 @@ def dense_once(memo):
 
 
 def conjugation_from_square(md):
-    """Charge conjugation read off S~^2 = D^2 C, with S~^2 formed by dense.square."""
-    d_squared = md._gauss.d_squared
+    """Charge conjugation read off S~^2 = D^2 C, with every row of S~^2 formed
+    by the packed kernel, unitary or not."""
+    p, d_squared = md._packed, md._gauss.d_squared
     perm = []
-    for i, row in enumerate(dense.square(md)):
+    for i, row in enumerate(dense.mirrored(list(dense.products(p.n, p.s, p.s)))):
+        row = [dense.from_integers(p.n, x, p.den ** 2) for x in row]
         hits = [j for j, x in enumerate(row) if not x.is_zero()]
         if len(hits) != 1 or row[hits[0]] != d_squared:
             raise NotModular(f"row {i} of S~^2 is not D^2 times a unit vector")

