@@ -19,11 +19,7 @@ _SUBMODULE_NAMES = {
         "ClassificationResult", "CorpusSpec", "ModularClass", "classify",
         "format_classification", "generate_gram_matrices",
     ),
-    "errors": (
-        "NoLatticeProvenance", "NonIntegralFusion", "NotInDiscriminantGroup", "NotModular",
-        "NotProbabilistic", "NotSymmetric", "OddDiagonal", "ParseError", "PointedCatError",
-        "RankTooLarge", "Singular", "ValidationError",
-    ),
+    "errors": ("NotModular", "ParseError", "PointedCatError", "ValidationError"),
     "lattice": ("DiscriminantGroup", "GramMatrix", "check_gram", "discriminant_group"),
     "moddata": (
         "FramedLink", "FusionTensor", "GaussData", "ModularData", "RelationCheck",

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import cyclo
-from .errors import MAX_CANONICAL_RANK, PointedCatError
+from .errors import MAX_CANONICAL_RANK, PointedCatError, ValidationError
 from .lattice import format_gram
 from .moddata import (
     ModularData,
@@ -100,7 +100,7 @@ def _cmd_enumerate(max_dim: int, max_entry: int, max_rank: int) -> int:
 
     spec = CorpusSpec(max_dim=max_dim, max_entry=max_entry, max_rank=max_rank)
     if max_rank > MAX_CANONICAL_RANK:
-        raise PointedCatError(
+        raise ValidationError(
             f"rank cap {max_rank} exceeds the relabeling bound {MAX_CANONICAL_RANK}")
     corpus = generate_gram_matrices(spec)
     result = classify(corpus)

@@ -24,7 +24,7 @@ from math import isqrt, lcm
 from operator import add, eq, mul
 
 from .cyclo import Cyclotomic, _reduce
-from .errors import MAX_DENSE_WORK, NonIntegralFusion, NotModular, ValidationError
+from .errors import MAX_DENSE_WORK, NotModular, ValidationError
 from .moddata import FusionTensor, ModularData
 from .record import record
 
@@ -232,7 +232,7 @@ def verlinde(md: ModularData) -> FusionTensor:
                     m, r = divmod(x[pivot], unit[pivot])
                     if r or m < 0 or x != tuple(m * c for c in unit):
                         value = from_integers(p.n, x, scale) / d_squared
-                        raise NonIntegralFusion(
+                        raise NotModular(
                             f"N({i},{j})^{k} = {value} is not a non-negative integer")
                     found[i, j, k] = m
         return FusionTensor(tuple(tuple(tuple(
@@ -240,7 +240,7 @@ def verlinde(md: ModularData) -> FusionTensor:
             for k in labels) for j in labels) for i in labels))
 
     if None not in duals:
-        with contextlib.suppress(NonIntegralFusion):
+        with contextlib.suppress(NotModular):
             return tensor(p.s, symmetric=True)
     return tensor(p.conj, symmetric=False)
 

@@ -12,7 +12,7 @@ import itertools
 from operator import mul
 
 from .cyclo import Cyclotomic, format_root
-from .errors import MAX_CANDIDATES, MAX_RANK
+from .errors import MAX_CANDIDATES, MAX_RANK, ValidationError
 from .lattice import GramMatrix, discriminant_group, format_gram, pairing_exponents
 from .lattice import _det_bareiss
 from .moddata import canonical_form, from_lattice
@@ -21,19 +21,19 @@ from .record import record
 
 @record
 class CorpusSpec:
-    """Finite, deterministic generation bounds."""
+    """Finite, deterministic generation bounds; ValidationError outside them."""
 
     max_dim: int
     max_entry: int
-    max_rank: int | None = None
+    max_rank: int = MAX_RANK
 
     def __post_init__(self):
         if self.max_dim < 1 or self.max_entry < 1:
-            raise ValueError("bounds must be positive")
-        if self.max_rank is not None and self.max_rank < 1:
-            raise ValueError("max_rank must be positive when set")
-        if self.max_rank is not None and self.max_rank > MAX_RANK:
-            raise ValueError(f"max_rank {self.max_rank} exceeds the rank bound {MAX_RANK}")
+            raise ValidationError("bounds must be positive")
+        if self.max_rank < 1:
+            raise ValidationError("max_rank must be positive when set")
+        if self.max_rank > MAX_RANK:
+            raise ValidationError(f"max_rank {self.max_rank} exceeds the rank bound {MAX_RANK}")
         # dimension n has (e + 1)^n even diagonals, |d| <= e, and (2 max_entry + 1)
         # choices for each of its n(n-1)/2 off-diagonal entries
         even = self.max_entry - self.max_entry % 2
@@ -41,8 +41,8 @@ class CorpusSpec:
         for n in range(1, self.max_dim + 1):
             candidates += (even + 1) ** n * (2 * self.max_entry + 1) ** (n * (n - 1) // 2)
             if candidates > MAX_CANDIDATES:
-                raise ValueError(f"{candidates} candidate matrices up to dimension {n} "
-                                 f"exceed the bound {MAX_CANDIDATES}")
+                raise ValidationError(f"{candidates} candidate matrices up to dimension {n} "
+                                      f"exceed the bound {MAX_CANDIDATES}")
 
 
 def generate_gram_matrices(spec: CorpusSpec) -> list[GramMatrix]:
@@ -83,9 +83,9 @@ def generate_gram_matrices(spec: CorpusSpec) -> list[GramMatrix]:
             c = -sum([x * sum(map(mul, row, v)) for x, row in zip(v, adj)])
             lo, hi = -even, even
             if not det:
-                if not c or cap is not None and abs(c) > cap:
+                if not c or abs(c) > cap:
                     continue  # det B = c for every f
-            elif cap is not None:
+            else:
                 # -cap <= det f + c <= cap, with the sign of det made positive
                 size, shift = (det, c) if det > 0 else (-det, -c)
                 lo = max(lo, -((cap + shift) // size))

@@ -1,8 +1,21 @@
 """Exception hierarchy and input bounds.
 
-Every failure the library raises derives from PointedCatError. An input
-beyond one of the bounds is rejected with ValidationError before anything of
-its size is allocated.
+Every failure the library raises derives from PointedCatError. The CLI raises
+PointedCatError itself for a file it cannot read or write and for a label or
+color argument it cannot use; everything else is one of:
+
+* ParseError: document text outside the grammar, with its line and column
+  where it has one;
+* ValidationError: input outside the contract, such as a Gram matrix that is
+  not square, symmetric, even and nonsingular, a vector outside the
+  discriminant group, a fusion weight that is not a non-negative rational or
+  link data without provenance, or an input beyond one of the bounds below,
+  rejected before anything of its size is allocated;
+* NotModular: a defining identity of modular data that fails, such as charge
+  conjugation or the integrality of a fusion multiplicity.
+
+The CLI prints each as one ``error:`` line and exits 2; verify turns the
+failures of its own checks into report lines instead.
 """
 
 # |det B| of a Gram matrix, which is the rank of its pointed data.
@@ -31,42 +44,6 @@ class PointedCatError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotSymmetric(PointedCatError):
-    """Input matrix is not symmetric, so the bilinear pairing is ill-defined."""
-
-
-class OddDiagonal(PointedCatError):
-    """Input matrix has an odd diagonal entry, so twists are not well-defined mod 1."""
-
-
-class Singular(PointedCatError):
-    """Input matrix is singular; its cokernel is infinite."""
-
-
-class NotInDiscriminantGroup(PointedCatError):
-    """Numerator u over n fails the membership condition: n divides B*u."""
-
-
-class NonIntegralFusion(PointedCatError):
-    """A reconstructed fusion multiplicity is not a non-negative integer."""
-
-
-class NotProbabilistic(PointedCatError):
-    """A fusion outcome weight is not a non-negative rational."""
-
-
-class NotModular(PointedCatError):
-    """A defining identity of modular data fails structurally."""
-
-
-class NoLatticeProvenance(PointedCatError):
-    """Operation requires data constructed from a Gram matrix."""
-
-
-class RankTooLarge(PointedCatError):
-    """Rank exceeds the bound for exhaustive relabeling."""
-
-
 class ParseError(PointedCatError):
     """Malformed document text. Carries 1-based line and column."""
 
@@ -77,4 +54,8 @@ class ParseError(PointedCatError):
 
 
 class ValidationError(PointedCatError):
-    """Parsed data violates a type invariant."""
+    """Input outside the contract or beyond a bound."""
+
+
+class NotModular(PointedCatError):
+    """A defining identity of modular data fails."""

@@ -13,14 +13,7 @@ import itertools
 from math import prod
 from operator import mul
 
-from .errors import (
-    MAX_RANK,
-    NotInDiscriminantGroup,
-    NotSymmetric,
-    OddDiagonal,
-    Singular,
-    ValidationError,
-)
+from .errors import MAX_RANK, ValidationError
 from .record import record
 
 
@@ -65,24 +58,25 @@ def _det_bareiss(rows: list[list[int]]) -> int:
 def check_gram(entries) -> GramMatrix:
     """Validate a square integer matrix as a construction input.
 
-    Raises NotSymmetric, OddDiagonal or Singular; symmetry is required even
-    though only evenness and integrality are obvious from the shape of the
-    pairing, because an asymmetric matrix would give an asymmetric pairing.
+    Raises ValidationError unless the matrix is nonempty, square, symmetric,
+    even on the diagonal and nonsingular; symmetry is required even though
+    only evenness and integrality are obvious from the shape of the pairing,
+    because an asymmetric matrix would give an asymmetric pairing.
     """
     rows = [list(map(int, row)) for row in entries]
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
-        raise ValueError("expected a nonempty square integer matrix")
+        raise ValidationError("expected a nonempty square integer matrix")
     for i in range(n):
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
-                raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
+                raise ValidationError(f"entries ({i},{j}) and ({j},{i}) differ")
     for i in range(n):
         if rows[i][i] % 2:
-            raise OddDiagonal(f"diagonal entry ({i},{i}) = {rows[i][i]} is odd")
+            raise ValidationError(f"diagonal entry ({i},{i}) = {rows[i][i]} is odd")
     det = _det_bareiss(rows)
     if det == 0:
-        raise Singular("matrix has determinant 0")
+        raise ValidationError("matrix has determinant 0")
     return GramMatrix(tuple(tuple(row) for row in rows), det)
 
 
@@ -169,7 +163,6 @@ class DiscriminantGroup:
     """
 
     order: int
-    invariant_factors: tuple[int, ...]
     exponent: int
     representatives: tuple[tuple[int, ...], ...]
 
@@ -192,7 +185,6 @@ def discriminant_group(gram: GramMatrix) -> DiscriminantGroup:
     assert len(reps) == order == abs(gram.determinant)
     return DiscriminantGroup(
         order=order,
-        invariant_factors=tuple(d for d in snf.diag if d > 1),
         exponent=e,
         representatives=tuple(sorted(reps)),
     )
@@ -202,7 +194,7 @@ def _image(gram: GramMatrix, u, n: int) -> tuple[int, ...]:
     # B*u/n, which is integral exactly when u/n is in B^{-1}Z^n
     image = [sum(map(mul, row, u)) for row in gram.entries]
     if any(x % n for x in image):
-        raise NotInDiscriminantGroup(f"B*{tuple(u)} is not divisible by {n}")
+        raise ValidationError(f"B*{tuple(u)} is not divisible by {n}")
     return tuple(x // n for x in image)
 
 

@@ -1,15 +1,18 @@
 """Bit-exact document serialization.
 
-Three document kinds are supported:
-
-* ``gram_matrix`` - plain text, one row per line, space-separated integers;
-  blank lines and lines starting with ``#`` are ignored. (No ``kind:`` header,
-  so matrix files stay hand-editable.)
-* ``modular_data`` - ``key: value`` lines with a ``kind:`` header. Matrix
-  values use ``,`` between entries and ``;`` between rows; cyclotomic values
-  use the ``e(a/b)`` grammar from the cyclo module.
+* ``modular_data`` - ``key: value`` lines with a ``kind:`` header, written by
+  serialize and read by parse. Matrix values use ``,`` between entries and
+  ``;`` between rows; cyclotomic values use the ``e(a/b)`` grammar from the
+  cyclo module.
 * ``report`` - output only: ``kind:`` header plus one ``check:`` line per
   verified relation and a closing ``result:`` line.
+* matrix files - input only (parse_int_matrix_text, parse_gram_text): one row
+  per line, space-separated integers; blank lines and lines starting with
+  ``#`` are ignored. (No ``kind:`` header, so matrix files stay hand-editable.)
+
+Malformed text raises ParseError. Text that parses but breaks the contract
+(check_gram, a bound, provenance that contradicts the data) raises
+ValidationError.
 
 Serialization is deterministic (fixed key order, canonical value text), so
 repeated runs produce byte-identical documents. Derived quantities are never
@@ -23,7 +26,7 @@ import itertools
 from fractions import Fraction
 
 from . import cyclo
-from .errors import ParseError, PointedCatError, ValidationError
+from .errors import ParseError, ValidationError
 from .lattice import GramMatrix, check_gram, discriminant_group, format_gram, pairing_exponents
 from .moddata import ModularData, RelationReport
 from .record import record
@@ -40,10 +43,7 @@ class Document:
 # -- serialization -----------------------------------------------------------
 
 def serialize(value) -> Document:
-    """Deterministic document for any in-scope value."""
-    if isinstance(value, GramMatrix):
-        body = "\n".join(" ".join(str(x) for x in row) for row in value.entries) + "\n"
-        return Document("gram_matrix", body)
+    """Deterministic document for modular data or a report."""
     if isinstance(value, ModularData):
         lines = ["kind: modular_data", f"rank: {value.rank}"]
         if value.label_names is not None:
@@ -67,12 +67,10 @@ def serialize(value) -> Document:
 # -- parsing -----------------------------------------------------------------
 
 def parse(doc: Document):
-    """Exact inverse of serialize on matrix and data documents.
+    """Exact inverse of serialize on data documents.
 
     Raises ParseError or ValidationError.
     """
-    if doc.kind == "gram_matrix":
-        return parse_gram_text(doc.body)
     if doc.kind == "modular_data":
         return _parse_modular_data(doc.body)
     raise ParseError(f"unknown document kind {doc.kind!r}")
@@ -98,6 +96,8 @@ def parse_int_matrix_text(text: str) -> tuple[tuple[int, ...], ...]:
 
 
 def parse_gram_text(text: str) -> GramMatrix:
+    """A matrix file as a Gram matrix: ParseError unless it is square, then
+    ValidationError unless check_gram accepts it."""
     rows = parse_int_matrix_text(text)
     if len(rows) != len(rows[0]):
         raise ParseError(f"a Gram matrix must be square, not {len(rows)} x {len(rows[0])}")
@@ -200,7 +200,7 @@ def _parse_modular_data(body: str) -> ModularData:
     if "provenance" in fields:
         try:
             gram = check_gram(fields["provenance"])
-        except (PointedCatError, ValueError) as exc:
+        except ValidationError as exc:
             raise ValidationError(f"invalid provenance matrix: {exc}") from None
         group = discriminant_group(gram)
     md = ModularData(

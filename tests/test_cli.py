@@ -12,13 +12,18 @@ from hypothesis import strategies as st
 
 import pointedcat
 from pointedcat import (
+    CorpusSpec,
+    Document,
     ModularData,
     ValidationError,
+    canonical_form,
     check_gram,
     cli,
     cyclo,
     dense,
+    discriminant_group,
     from_lattice,
+    parse,
     root_of_unity,
     serialize,
 )
@@ -30,6 +35,12 @@ HOPF_MAT = "# hopf link, zero framings\n0 1\n1 0\n"
 CORRUPT_SEMION = """kind: modular_data
 rank: 2
 s_tilde: 1, 1; 1, -1
+twists: e(0/1), e(0/1)
+"""
+# S~ = I: unitary, C = I and (S~ T)^3 = p+ D^2 I all hold, but d_1 = 0
+ZERO_DIMENSION = """kind: modular_data
+rank: 2
+s_tilde: 1, 0; 0, 1
 twists: e(0/1), e(0/1)
 """
 
@@ -161,6 +172,22 @@ class TestVerify:
             "check: st_cubed fail: (S~ T)^3 = p+ D^2 I\n"
             "result: fail\n")
 
+    def test_zero_quantum_dimension_fails_verlinde_only(self, tmp_path, capsys):
+        path = tmp_path / "zero.data"
+        path.write_text(ZERO_DIMENSION)
+        assert main(["verify", "--data", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "kind: report\n"
+            "check: gauss_identity pass: p+ p- = D^2\n"
+            "check: unitarity pass: S~ conj(S~)^t = D^2 I\n"
+            "check: verlinde_integral fail: zero quantum dimension\n"
+            "check: twists_unit pass: twist of the unit is 1\n"
+            "check: s_symmetric pass: S~ = S~^t\n"
+            "check: charge_conjugation pass: S~^2 = D^2 C with C a permutation\n"
+            "check: conjugation_involution pass: C^2 = I\n"
+            "check: st_cubed pass: (S~ T)^3 = p+ D^2 I\n"
+            "result: fail\n")
+
     def test_parse_error_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "broken.data"
         path.write_text(CORRUPT_SEMION.replace("e(0/1), e(0/1)", "e(0/1), e(1/3"))
@@ -175,6 +202,13 @@ class TestFusion:
 
     def test_out_of_range_label(self, semion_data, capsys):
         assert main(["fusion", "--data", semion_data, "--i", "5", "--j", "0"]) == 2
+
+    def test_zero_quantum_dimension_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "zero.data"
+        path.write_text(ZERO_DIMENSION)
+        assert main(["fusion", "--data", str(path), "--i", "0", "--j", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: zero quantum dimension\n"
 
 
 class TestLink:
@@ -612,6 +646,26 @@ class TestInputBounds:
         path.write_text(fibonacci_power_document(1))
         assert main(["verify", "--data", str(path)]) == 2
         assert "exceeds the bound 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: discriminant_group(check_gram([[1026]])),
+         "|det B| = 1026 exceeds the rank bound 512"),
+        (lambda: CorpusSpec(max_dim=1, max_entry=2, max_rank=513),
+         "max_rank 513 exceeds the rank bound 512"),
+        (lambda: parse_value("e(1/1031)"), "conductor 1031 exceeds the bound 1024"),
+        (lambda: canonical_form(from_lattice(check_gram([[4, 1], [1, -2]]))),
+         "rank 9 exceeds the bound 8"),
+        (lambda: cli._cmd_enumerate(max_dim=1, max_entry=2, max_rank=9),
+         "rank cap 9 exceeds the relabeling bound 8"),
+        (lambda: CorpusSpec(max_dim=6, max_entry=1),
+         "14408716 candidate matrices up to dimension 6 exceed the bound 1000000"),
+        (lambda: dense.packed(parse(Document("modular_data", fibonacci_power_document(8)))),
+         "estimated dense work 38654705664 exceeds the bound 2500000000"),
+    ], ids=["MAX_RANK", "CorpusSpec.max_rank", "MAX_CONDUCTOR", "MAX_CANONICAL_RANK",
+            "enumerate.max_rank", "MAX_CANDIDATES", "MAX_DENSE_WORK"])
+    def test_every_bound_is_a_validation_error(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_one_value_is_bounded_before_its_sum(self):
         with pytest.raises(ValidationError, match="conductor 1022117"):

@@ -15,7 +15,7 @@ from pointedcat import (
     generate_gram_matrices,
 )
 from pointedcat import enumeration
-from pointedcat.errors import MAX_CANDIDATES, MAX_CANONICAL_RANK, MAX_RANK, RankTooLarge
+from pointedcat.errors import MAX_CANDIDATES, MAX_CANONICAL_RANK, MAX_RANK, ValidationError
 
 # Corpus sizes frozen from the independent enumeration in tests/oracle.py.
 FROZEN_COUNTS = {(2, 2): 38, (2, 3): 56, (2, 4): 212}
@@ -93,9 +93,11 @@ class TestGeneration:
         leading = {oracle.det_cofactor([row[:-1] for row in b[:-1]]) for b in full if len(b) > 1}
         if max_dim > 1:
             assert 0 in leading and min(leading) < 0
-        for cap in (1, 2, 4, 8, None):
+        # the default cap, MAX_RANK, keeps the whole grid
+        assert max(map(abs, dets)) <= MAX_RANK
+        for cap in (1, 2, 4, 8, MAX_RANK):
             corpus = generate_gram_matrices(CorpusSpec(max_dim, max_entry, cap))
-            expected = [(b, d) for b, d in zip(full, dets) if cap is None or abs(d) <= cap]
+            expected = [(b, d) for b, d in zip(full, dets) if abs(d) <= cap]
             assert [(g.entries, g.determinant) for g in corpus] == expected
 
     def test_one_determinant_per_leading_block_and_minor(self, monkeypatch):
@@ -134,9 +136,12 @@ class TestGeneration:
         assert len({g.entries for g in corpus}) == len(corpus)
 
     def test_bad_spec(self):
-        with pytest.raises(ValueError):
-            CorpusSpec(max_dim=0, max_entry=3)
-        with pytest.raises(ValueError, match="exceeds the rank bound"):
+        for max_dim, max_entry in ((0, 3), (1, 0)):
+            with pytest.raises(ValidationError, match="^bounds must be positive$"):
+                CorpusSpec(max_dim=max_dim, max_entry=max_entry)
+        with pytest.raises(ValidationError, match="^max_rank must be positive when set$"):
+            CorpusSpec(max_dim=1, max_entry=2, max_rank=0)
+        with pytest.raises(ValidationError, match="^max_rank 513 exceeds the rank bound 512$"):
             CorpusSpec(max_dim=1, max_entry=2, max_rank=MAX_RANK + 1)
 
     def test_candidate_bound(self, monkeypatch):
@@ -146,13 +151,13 @@ class TestGeneration:
         monkeypatch.setattr(enumeration, "MAX_CANDIDATES", 91355)
         CorpusSpec(max_dim=3, max_entry=4, max_rank=8)
         monkeypatch.setattr(enumeration, "MAX_CANDIDATES", 91354)
-        with pytest.raises(ValueError, match="91355 candidate matrices up to dimension 3"):
+        with pytest.raises(ValidationError, match="91355 candidate matrices up to dimension 3"):
             CorpusSpec(max_dim=3, max_entry=4, max_rank=8)
         monkeypatch.undo()
         # dimension 6 alone has 3^15; the sum stops there, whatever max_dim is
         for max_dim in (6, 10 ** 9):
-            with pytest.raises(ValueError, match=f"14408716 candidate matrices up to "
-                                                 f"dimension 6 exceed the bound {MAX_CANDIDATES}"):
+            with pytest.raises(ValidationError, match=f"14408716 candidate matrices up to "
+                               f"dimension 6 exceed the bound {MAX_CANDIDATES}"):
                 CorpusSpec(max_dim=max_dim, max_entry=1)
 
 
@@ -239,11 +244,11 @@ class TestClassify:
         rng.shuffle(corpus)
         cap = MAX_CANONICAL_RANK
         first = next(g for g in corpus if abs(g.determinant) > cap)
-        with pytest.raises(RankTooLarge) as raised:
+        with pytest.raises(ValidationError) as raised:
             classify(corpus)
         assert str(raised.value) == f"rank {abs(first.determinant)} exceeds the bound {cap}"
         # the per-matrix loop stops at the same matrix
-        with pytest.raises(RankTooLarge) as each:
+        with pytest.raises(ValidationError) as each:
             oracle.classify_each(corpus)
         assert str(each.value) == str(raised.value)
 

@@ -19,7 +19,7 @@ import oracle
 from pointedcat import (
     FusionTensor,
     ModularData,
-    NonIntegralFusion,
+    NotModular,
     PointedCatError,
     ValidationError,
     dense,
@@ -165,7 +165,7 @@ def ref_verlinde(md):
                 value = sum_values(p * w for p, w in zip(prods, row)) * inv_d2
                 if not (value.is_rational() and value.as_rational().denominator == 1
                         and value.as_rational() >= 0):
-                    raise NonIntegralFusion(
+                    raise NotModular(
                         f"N({i},{j})^{k} = {value} is not a non-negative integer")
                 entries.append(int(value.as_rational()))
             table[i][j] = table[j][i] = tuple(entries)
@@ -374,7 +374,7 @@ class TestSymmetricVerlinde:
         md = ModularData(rank=2, s_tilde=tuple(tuple(map(Cyclotomic.from_rational, row))
                                                for row in rows), twists=(ONE, ONE))
         assert md._duals == [0, 1]
-        expected = (NonIntegralFusion, "N(1,1)^1 = 3/2 is not a non-negative integer")
+        expected = (NotModular, "N(1,1)^1 = 3/2 is not a non-negative integer")
         assert outcome(ref_verlinde, md) == expected
         unpacks = counting(monkeypatch, dense, "unpack")
         assert outcome(dense.verlinde, md) == expected
@@ -395,7 +395,7 @@ class TestSymmetricVerlinde:
                                                for a in order),
                          twists=tuple(md.twists[a] for a in order))
         assert md._duals == [0, 2, 1, 4, 3, 5, 6, 8, 7] and md._unitary
-        expected = (NonIntegralFusion, "N(3,3)^4 = 1/2 is not a non-negative integer")
+        expected = (NotModular, "N(3,3)^4 = 1/2 is not a non-negative integer")
         assert outcome(ref_verlinde, md) == expected
         assert outcome(dense.verlinde, md) == expected
 

@@ -4,7 +4,6 @@ import pytest
 
 import oracle
 from pointedcat import (
-    NoLatticeProvenance,
     ModularData,
     ValidationError,
     colored_link_invariant,
@@ -130,5 +129,5 @@ class TestFractionOracle:
 class TestProvenanceGuard:
     def test_generic_data_refused(self, semion):
         stripped = ModularData(rank=2, s_tilde=semion.s_tilde, twists=semion.twists)
-        with pytest.raises(NoLatticeProvenance):
+        with pytest.raises(ValidationError, match="link invariants need lattice-constructed data"):
             colored_link_invariant(stripped, framed_link(HOPF, [0, 1]))

@@ -1,14 +1,14 @@
 import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
 
 import oracle
 from pointedcat import (
+    FusionTensor,
     ModularData,
-    NonIntegralFusion,
     NotModular,
-    RankTooLarge,
     ValidationError,
     canonical_form,
     check_gram,
@@ -186,8 +186,15 @@ class TestVerlindeFusion:
         rows[1][2] = ising.s_tilde[0][1]
         broken = ModularData(rank=3, s_tilde=tuple(tuple(r) for r in rows),
                              twists=ising.twists)
-        with pytest.raises(NonIntegralFusion):
+        with pytest.raises(NotModular, match=re.escape(
+                "N(0,0)^1 = 1/2*e(1/8)+-1/2*e(3/8) is not a non-negative integer")):
             verlinde_fusion(broken)
+
+    def test_zero_global_dimension_rejected(self):
+        # d = (1, i): every d_a is nonzero, but D^2 = 1 + i^2 = 0
+        md = ModularData(rank=2, s_tilde=((ONE, I), (I, ONE)), twists=(ONE, ONE))
+        with pytest.raises(NotModular, match="^global dimension is zero$"):
+            verlinde_fusion(md)
 
 
 class TestFusionMatrices:
@@ -238,6 +245,20 @@ class TestFusionProbabilities:
                     total = sum(p for _, p in fusion_probabilities(md, ft, i, j))
                     assert total == 1
 
+    def test_weights_that_are_not_probabilities_rejected(self, su2):
+        zero = Cyclotomic.from_rational(0)
+        md = ModularData(rank=2, s_tilde=((ONE, zero), (zero, ONE)), twists=(ONE, ONE))
+        with pytest.raises(ValidationError, match="^zero quantum dimension in the denominator$"):
+            fusion_probabilities(md, None, 1, 0)
+        md = ModularData(rank=2, s_tilde=((ONE, -ONE), (-ONE, ONE)), twists=(ONE, ONE))
+        ft = FusionTensor((((0, 1), (0, 0)), ((0, 0), (0, 0))))
+        with pytest.raises(ValidationError, match="^weight for outcome 1 is negative: -1$"):
+            fusion_probabilities(md, ft, 0, 0)
+        md = su2(8)
+        with pytest.raises(ValidationError, match=re.escape(
+                "weight for outcome 1 is irrational: -3+-2*e(2/5)+-2*e(3/5)")):
+            fusion_probabilities(md, verlinde_fusion(md), 2, 3)
+
 
 class TestDualPermutation:
     def test_examples(self, semion, toric, z3):
@@ -253,7 +274,8 @@ class TestDualPermutation:
 
     def test_degenerate_rejected(self):
         flat = ModularData(rank=2, s_tilde=((ONE, ONE), (ONE, ONE)), twists=(ONE, ONE))
-        with pytest.raises(NotModular):
+        with pytest.raises(NotModular, match=re.escape(
+                "row 0 of S~^2 is not D^2 times a unit vector")):
             dual_permutation(flat)
 
 
@@ -403,7 +425,7 @@ class TestCanonicalForm:
 
     def test_rank_bound(self):
         big = from_lattice(check_gram([[4, 1], [1, -2]]))  # rank 9
-        with pytest.raises(RankTooLarge, match="rank 9 exceeds the bound 8"):
+        with pytest.raises(ValidationError, match="^rank 9 exceeds the bound 8$"):
             canonical_form(big)
         canonical_form(from_lattice(check_gram([[2, 0], [0, 4]])))  # rank 8, at the bound
 
