@@ -16,16 +16,16 @@ __version__ = "0.1.0"
 _SUBMODULE_NAMES = {
     "cyclo": ("Cyclotomic", "root_of_unity"),
     "enumeration": (
-        "ClassificationResult", "CorpusSpec", "ModularClass", "classify",
+        "ClassificationResult", "CorpusSpec", "ModularClass", "canonical_form", "classify",
         "format_classification", "generate_gram_matrices",
     ),
     "errors": ("NotModular", "ParseError", "PointedCatError", "ValidationError"),
     "lattice": ("DiscriminantGroup", "GramMatrix", "check_gram", "discriminant_group"),
     "moddata": (
         "FramedLink", "FusionTensor", "GaussData", "ModularData", "RelationCheck",
-        "RelationReport", "canonical_form", "colored_link_invariant", "framed_link",
-        "from_lattice", "fusion_probabilities", "gauss_data", "quantum_dimensions",
-        "verify_all", "verlinde_fusion",
+        "RelationReport", "colored_link_invariant", "framed_link", "from_lattice",
+        "fusion_probabilities", "gauss_data", "quantum_dimensions", "verify_all",
+        "verlinde_fusion",
     ),
     "serialization": ("Document", "parse", "parse_gram_text", "serialize"),
 }

@@ -6,8 +6,11 @@ All output is deterministic; two runs on the same inputs are byte-identical.
 
 Every job runs in a fresh interpreter, so this module imports at start-up
 only what every command needs: the options come from one table (COMMANDS),
-and serialization is imported by the commands that read or write documents,
-which is all but enumerate.
+errors and lattice. Each handler imports the rest on first use:
+construct, verify, fusion, link and show import moddata (and through it
+cyclo) and serialization, which read and write documents; enumerate imports
+enumeration, which runs on integer exponent tables and loads neither cyclo,
+moddata nor serialization.
 """
 
 from __future__ import annotations
@@ -15,20 +18,8 @@ from __future__ import annotations
 import os
 import sys
 
-from . import cyclo
 from .errors import MAX_CANONICAL_RANK, PointedCatError, ValidationError
 from .lattice import format_gram
-from .moddata import (
-    ModularData,
-    colored_link_invariant,
-    framed_link,
-    from_lattice,
-    fusion_probabilities,
-    gauss_data,
-    quantum_dimensions,
-    verify_all,
-    verlinde_fusion,
-)
 
 EXIT_CLOSED_STDOUT = 141
 
@@ -41,13 +32,14 @@ def _read(path: str) -> str:
         raise PointedCatError(f"cannot read {path}: {exc}") from None
 
 
-def _load_modular_data(path: str) -> ModularData:
+def _load_modular_data(path: str):
     from .serialization import Document, parse
 
     return parse(Document("modular_data", _read(path)))
 
 
 def _cmd_construct(b: str, out: str | None) -> int:
+    from .moddata import from_lattice
     from .serialization import parse_gram_text, serialize
 
     doc = serialize(from_lattice(parse_gram_text(_read(b))))
@@ -63,6 +55,7 @@ def _cmd_construct(b: str, out: str | None) -> int:
 
 
 def _cmd_verify(data: str) -> int:
+    from .moddata import verify_all
     from .serialization import serialize
 
     report = verify_all(_load_modular_data(data))
@@ -71,16 +64,21 @@ def _cmd_verify(data: str) -> int:
 
 
 def _cmd_fusion(data: str, i: int, j: int) -> int:
+    from .cyclo import format_rational
+    from .moddata import fusion_probabilities, verlinde_fusion
+
     md = _load_modular_data(data)
     if not (0 <= i < md.rank and 0 <= j < md.rank):
         raise PointedCatError(f"labels must lie in [0, {md.rank})")
     ft = verlinde_fusion(md)
     for label, probability in fusion_probabilities(md, ft, i, j):
-        sys.stdout.write(f"{label} {cyclo.format_rational(probability)}\n")
+        sys.stdout.write(f"{label} {format_rational(probability)}\n")
     return 0
 
 
 def _cmd_link(data: str, linking: str, colors: str) -> int:
+    from .cyclo import format_value
+    from .moddata import colored_link_invariant, framed_link
     from .serialization import parse_int_matrix_text
 
     md = _load_modular_data(data)
@@ -90,7 +88,7 @@ def _cmd_link(data: str, linking: str, colors: str) -> int:
     except ValueError:
         raise PointedCatError(f"bad color list {colors!r}") from None
     value = colored_link_invariant(md, framed_link(matrix, labels))
-    sys.stdout.write(cyclo.format_value(value) + "\n")
+    sys.stdout.write(format_value(value) + "\n")
     return 0
 
 
@@ -110,7 +108,9 @@ def _cmd_enumerate(max_dim: int, max_entry: int, max_rank: int) -> int:
 
 
 def _approx(x) -> str:
-    text = cyclo.format_value(x)
+    from .cyclo import format_value
+
+    text = format_value(x)
     try:
         re, im = x.approx_complex()
     except OverflowError:
@@ -124,12 +124,15 @@ def _approx(x) -> str:
 
 
 def _cmd_show(data: str, approx: bool) -> int:
+    from .cyclo import format_rows, format_value
+    from .moddata import gauss_data, quantum_dimensions
+
     md = _load_modular_data(data)
     gauss = gauss_data(md)
     # each distinct object is formatted once, as parsed entries share them
-    dims, (d_squared, p_plus, p_minus), twists, *s_tilde = cyclo.format_rows(
+    dims, (d_squared, p_plus, p_minus), twists, *s_tilde = format_rows(
         [quantum_dimensions(md), (gauss.d_squared, gauss.p_plus, gauss.p_minus), md.twists,
-         *md.s_tilde], _approx if approx else cyclo.format_value)
+         *md.s_tilde], _approx if approx else format_value)
     sys.stdout.write(f"rank: {md.rank}\n")
     if md.label_names is not None:
         sys.stdout.write("labels: " + ", ".join(md.label_names) + "\n")
@@ -264,6 +267,16 @@ def main(argv=None) -> int:
     except (PointedCatError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+
+
+def __getattr__(name):
+    # bench/traced.py wraps cli.verify_all; the name resolves to moddata's on
+    # first use, so that importing this module loads no moddata
+    if name == "verify_all":
+        from .moddata import verify_all
+
+        return verify_all
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def entry() -> None:

@@ -20,6 +20,7 @@ canonical per value.
 from __future__ import annotations
 
 import cmath
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, tau
@@ -399,8 +400,14 @@ def dot(xs, ys) -> Cyclotomic:
 # document serialization layer.
 
 def format_rational(r: Fraction) -> str:
+    """Raises ValidationError for an integer of more decimal digits than
+    sys.get_int_max_str_digits(), which str() refuses to convert."""
     r = Fraction(r)
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+    try:
+        return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+    except ValueError:
+        raise ValidationError(f"cannot print an integer of more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def format_root(x: Cyclotomic) -> str:

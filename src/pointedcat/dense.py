@@ -232,8 +232,12 @@ def verlinde(md: ModularData) -> FusionTensor:
                     m, r = divmod(x[pivot], unit[pivot])
                     if r or m < 0 or x != tuple(m * c for c in unit):
                         value = from_integers(p.n, x, scale) / d_squared
-                        raise NotModular(
-                            f"N({i},{j})^{k} = {value} is not a non-negative integer")
+                        entry = f"N({i},{j})^{k}"
+                        try:
+                            message = f"{entry} = {value} is not a non-negative integer"
+                        except ValidationError as exc:  # too many digits to print
+                            message = f"{entry} is not a non-negative integer ({exc})"
+                        raise NotModular(message)
                     found[i, j, k] = m
         return FusionTensor(tuple(tuple(tuple(
             found[tuple(sorted((i, j, duals[k])))] if symmetric else found[min(i, j), max(i, j), k]

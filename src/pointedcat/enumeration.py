@@ -1,21 +1,23 @@
-"""Corpus generation and small-rank classification.
+"""Corpus generation, canonical forms and small-rank classification.
 
 Generates every symmetric even-diagonal nonsingular integer matrix within
-bounds, constructs the pointed data of each, and groups the results by rank
-up to relabeling equivalence (canonical_form). Class counts are emitted as
-data; nothing here asserts agreement with any published table.
+bounds, takes the integer exponent table of the pointed data of each, and
+groups the tables by rank up to relabeling equivalence (canonical_key).
+Class counts are emitted as data; nothing here asserts agreement with any
+published table. Everything an enumerate job runs is integer arithmetic:
+only canonical_form, the key of a ModularData, imports cyclo.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import mul
+from functools import lru_cache
+from math import gcd
+from operator import itemgetter, mul
 
-from .cyclo import Cyclotomic, format_root
-from .errors import MAX_CANDIDATES, MAX_RANK, ValidationError
+from .errors import MAX_CANDIDATES, MAX_CANONICAL_RANK, MAX_RANK, ValidationError
 from .lattice import GramMatrix, discriminant_group, format_gram, pairing_exponents
 from .lattice import _det_bareiss
-from .moddata import canonical_form, from_lattice
 from .record import record
 
 
@@ -51,27 +53,31 @@ def generate_gram_matrices(spec: CorpusSpec) -> list[GramMatrix]:
     Ordered by dimension, then lexicographically by row-major entries (which
     coincides with lexicographic order on the upper triangle read row-wise).
 
-    Only the kept matrices are built. Write a candidate of dimension n as
+    Only the kept matrices are built. Write a candidate of dimension n >= 2 as
     B = [[B', v], [v^T, f]], with f = B[n-1][n-1]. Cofactor expansion along
     the last row and column gives det B = f det B' - v^T adj(B') v, so once
     det B' and adj(B') are known (once per distinct leading block B'), each
     prefix (every upper-triangle entry but f) fixes c = -v^T adj(B') v, and
     the even f in range with 0 < |det B' f + c| <= max_rank form one interval
     of even integers less the root of det B = 0, solved by exact floor and
-    ceiling division. f is the last entry of the row-major upper triangle,
-    so ascending f within each prefix keeps the order above. The kept
-    matrices are symmetric and even by construction, so need no check_gram.
+    ceiling division. The last two entries of the row-major upper triangle
+    are x = B[n-2][n-1] and f, so for v = (w, x) the loop runs over the
+    entries before x, and then c = -(q0 + x (q1 + x q2)) with q0 = w^T adj w,
+    q1 = 2 adj[n-2][:n-2] . w and q2 = adj[n-2][n-2] is a quadratic in x.
+    Ascending x, then f, keeps the order above. The kept matrices are
+    symmetric and even by construction, so need no check_gram.
     """
     even = spec.max_entry - spec.max_entry % 2
     cap = spec.max_rank
-    out = []
-    for n in range(1, spec.max_dim + 1):
+    bound = min(even, cap - cap % 2)  # dimension 1: [[f]] with f even and 0 < |f| <= cap
+    out = [GramMatrix(((f,),), f) for f in range(-bound, bound + 1, 2) if f]
+    entry_range = range(-spec.max_entry, spec.max_entry + 1)
+    for n in range(2, spec.max_dim + 1):
         m = n - 1
-        prefix = [(i, j) for i in range(n) for j in range(i, n)][:-1]
-        block_at = [k for k, (i, j) in enumerate(prefix) if j < m]
-        v_at = [k for k, (i, j) in enumerate(prefix) if j == m]
-        ranges = [range(-even, even + 1, 2) if i == j
-                  else range(-spec.max_entry, spec.max_entry + 1) for i, j in prefix]
+        outer = [(i, j) for i in range(n) for j in range(i, n)][:-2]
+        block_at = [k for k, (i, j) in enumerate(outer) if j < m]
+        w_at = [k for k, (i, j) in enumerate(outer) if j == m]
+        ranges = [range(-even, even + 1, 2) if i == j else entry_range for i, j in outer]
         blocks = {}
         for combo in itertools.product(*ranges):
             key = tuple([combo[k] for k in block_at])
@@ -79,25 +85,30 @@ def generate_gram_matrices(spec: CorpusSpec) -> list[GramMatrix]:
             if block is None:
                 block = blocks[key] = _leading_block(key, m)
             rows, det, adj = block
-            v = [combo[k] for k in v_at]
-            c = -sum([x * sum(map(mul, row, v)) for x, row in zip(v, adj)])
-            lo, hi = -even, even
-            if not det:
-                if not c or abs(c) > cap:
-                    continue  # det B = c for every f
-            else:
-                # -cap <= det f + c <= cap, with the sign of det made positive
-                size, shift = (det, c) if det > 0 else (-det, -c)
-                lo = max(lo, -((cap + shift) // size))
-                hi = min(hi, (cap - shift) // size)
-            lo += lo % 2
-            if lo > hi:
-                continue
-            head = tuple([(*row, x) for row, x in zip(rows, v)])
-            for f in range(lo, hi + 1, 2):
-                d = det * f + c
-                if d:
-                    out.append(GramMatrix((*head, (*v, f)), d))
+            w = [combo[k] for k in w_at]
+            q0 = sum([a * sum(map(mul, row, w)) for a, row in zip(w, adj)])
+            q1 = 2 * sum(map(mul, adj[m - 1], w))
+            q2 = adj[m - 1][m - 1]
+            head = tuple([(*row, a) for row, a in zip(rows, w)])
+            for x in entry_range:
+                c = -(q0 + x * (q1 + x * q2))
+                lo, hi = -even, even
+                if not det:
+                    if not c or abs(c) > cap:
+                        continue  # det B = c for every f
+                else:
+                    # -cap <= det f + c <= cap, with the sign of det made positive
+                    size, shift = (det, c) if det > 0 else (-det, -c)
+                    lo = max(lo, -((cap + shift) // size))
+                    hi = min(hi, (cap - shift) // size)
+                lo += lo % 2
+                if lo > hi:
+                    continue
+                top = (*head, (*rows[m - 1], x))
+                for f in range(lo, hi + 1, 2):
+                    d = det * f + c
+                    if d:
+                        out.append(GramMatrix((*top, (*w, x, f)), d))
     return out
 
 
@@ -142,64 +153,164 @@ class ClassificationResult:
         return len(self.classes(rank))
 
 
-def _upper_triangle(entries) -> tuple[int, ...]:
-    return tuple(x for i, row in enumerate(entries) for x in row[i:])
+def _root_token(k: int, n: int) -> str:
+    """e(k/n) for 0 <= k < n as cyclo.format_root prints it: e(a/b) in lowest terms."""
+    g = gcd(k, n)
+    return f"e({k // g}/{n // g})"
 
 
-def _signed_permutations(entries):
-    """The upper triangle of every (DP)^T B (DP), for P a permutation and
-    D = diag(+-1): entry (i, j) is d_i d_j B[p_i][p_j]. D and -D give the same
-    image, so d_0 = 1."""
-    n = len(entries)
+def _entry_tokens(n: int) -> list[str]:
+    """e(k/n) for each k < n as cyclo.format_value prints it: the rational
+    roots 1 and -1 bare, every other root as _root_token."""
+    tokens = [_root_token(k, n) for k in range(n)]
+    tokens[0] = "1"
+    if n % 2 == 0:
+        tokens[n // 2] = "-1"
+    return tokens
+
+
+def canonical_form(md) -> bytes:
+    """canonical_key of a ModularData: its twists as cyclo.format_root and its
+    S~ entries as cyclo.format_value print them (cyclo is imported here, on
+    first use, as classify never needs it).
+
+    Two modular data are equivalent iff their canonical forms agree.
+    """
+    from .cyclo import format_root, format_rows
+
+    return canonical_key([format_root(t) for t in md.twists], format_rows(md.s_tilde))
+
+
+def canonical_key(twist_tok: list[str], s_tok: list[list[str]]) -> bytes:
+    """Lexicographically minimal serialization ``twists:...|s:...`` of a token
+    table (twist tokens, S~ entry tokens) over all relabelings that fix the
+    tensor unit.
+
+    The minimum is found by ordered-partition refinement (McKay, "Practical graph
+    isomorphism", 1981): labels start in classes of sorted twist, and each
+    position is filled by every label of its class whose row, with the
+    classes split by that row, is least; only ties branch. Every symmetry
+    of the data that fixes the unit still gets its own branch, and the
+    symmetries can number up to (rank-1)!: three toric codes (rank 64, 40320
+    symmetries) take minutes. The rank bound keeps that cost bounded.
+    """
+    rank = len(twist_tok)
+    if rank > MAX_CANONICAL_RANK:
+        raise ValidationError(f"rank {rank} exceeds the bound {MAX_CANONICAL_RANK}")
+    start = [[0], *_split([list(range(1, rank))], twist_tok)]
+    best_rows = None
+    # Each entry: labels placed in the first positions, the cells that fill
+    # the rest in order, and the row string of each placed label.
+    stack = [([], start, [])]
+    while stack:
+        placed, cells, rows = stack.pop()
+        if not cells:
+            if best_rows is None or rows < best_rows:
+                best_rows = rows
+            continue
+        first, rest = cells[0], cells[1:]
+        options = []
+        for x in first:
+            refined = _split([[y for y in first if y != x], *rest], s_tok[x])
+            order = placed + [x] + [y for cell in refined for y in cell]
+            row = ",".join(s_tok[x][y] for y in order) + (";" if refined else "")
+            options.append((row, x, refined))
+        rows = rows + [min(option[0] for option in options)]
+        if best_rows is not None and rows > best_rows[:len(rows)]:
+            continue
+        stack.extend((placed + [x], refined, rows)
+                     for row, x, refined in options if row == rows[-1])
+    # every leaf keeps the order of the twist classes
+    twists = ",".join(twist_tok[x] for cell in start for x in cell)
+    return f"twists:{twists}|s:{''.join(best_rows)}".encode("ascii")
+
+
+def _split(cells, tokens):
+    """Split each cell into runs of equal token, ordered by token + ','.
+
+    A token can be a prefix of another ("-1" and "-1*e(2/5)+..."); inside a
+    row each token is followed by ',', so that is the order of the key.
+    """
+    out = []
+    for cell in cells:
+        runs = {}
+        for x in cell:
+            runs.setdefault(tokens[x], []).append(x)
+        out.extend(runs[token] for token in sorted(runs, key=lambda token: token + ","))
+    return out
+
+
+def _table_key(n: int, s, t) -> bytes:
+    """canonical_key of the exponent table of lattice.pairing_exponents,
+    S~_ij = e(s[i][j]/n) and theta_i = e(t[i]/2n), tokenized by one gcd per
+    exponent. It equals canonical_form(from_lattice(gram)), which formats the
+    same roots through cyclo."""
+    tokens = _entry_tokens(n)
+    return canonical_key([_root_token(k, 2 * n) for k in t],
+                         [[tokens[k] for k in row] for row in s])
+
+
+@lru_cache(maxsize=None)
+def _orbit_tables(n: int):
+    """Getters of dimension n, made once, on the row-major entries of B
+    followed by their negations: the upper triangle of B, and the upper
+    triangle of every (DP)^T B (DP), for P a permutation and D = diag(+-1),
+    whose entry (i, j) is d_i d_j B[p_i][p_j]. D and -D give the same image,
+    so d_0 = 1. (For n = 1 a getter returns the one entry, not a 1-tuple,
+    which keys the same.)"""
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    images = []
     for perm in itertools.permutations(range(n)):
-        upper = [entries[perm[i]][perm[j]] for i, j in pairs]
         for signs in itertools.product((1, -1), repeat=n - 1):
             signs = (1, *signs)
-            yield tuple(signs[i] * signs[j] * x for (i, j), x in zip(pairs, upper))
+            images.append(itemgetter(*[perm[i] * n + perm[j] + (signs[i] != signs[j]) * n * n
+                                       for i, j in pairs]))
+    return itemgetter(*[i * n + j for i, j in pairs]), images
 
 
 def classify(corpus) -> ClassificationResult:
-    """Group the pointed data of a corpus by rank, deduplicated by canonical form.
+    """Group the pointed data of a corpus by rank, deduplicated by canonical key.
 
     The class sets are independent of corpus order; witnesses are the first
-    matrix (in the given order) realizing each class.
+    matrix (in the given order) realizing each class. The key of a class is
+    _table_key of its exponent table (n, s, t), integers and tokens only, and
+    its twist multiset is sorted(t) tokenized the same way.
 
-    Two skips keep the result byte-identical to one canonical form per matrix:
+    Two skips keep the result byte-identical to one canonical key per matrix:
 
     - A matrix that is a signed permutation (DP)^T B (DP) of an earlier one
       is skipped before its Smith form. The two have isometric discriminant
       forms (Conway-Sloane, SPLAG ch. 15; Nikulin 1979), so the same class,
       and the same determinant, so the same rank. The earlier matrix comes
       first, so it stays the witness of that class, and if the rank is over
-      MAX_CANONICAL_RANK the call has already raised there.
-    - from_lattice and canonical_form run on the first matrix of each exponent
-      table (n, s, t) only. This is exact: from_lattice builds e(s[i][j]/n) and
-      e(t[i]/2n) from that table, and canonical_form reads only their tokens.
-      The rank is len(t), so the first matrix over MAX_CANONICAL_RANK is
-      first with its table. Different orbits often share a table (the 212
-      matrices of dimension <= 2 and |entry| <= 8 fall in 67 orbits, whose
-      first matrices have 41 tables), so this skip saves canonical forms the
-      first cannot.
+      MAX_CANONICAL_RANK the call has already raised there. Each image is
+      one getter call (_orbit_tables).
+    - canonical_key runs on the first matrix of each exponent table only:
+      the key is a function of the table. The rank is len(t), so the first
+      matrix over MAX_CANONICAL_RANK is first with its table. Different
+      orbits often share a table (the 212 matrices of dimension <= 2 and
+      |entry| <= 8 fall in 67 orbits, whose first matrices have 41 tables),
+      so this skip saves keys the first cannot.
     """
     buckets: dict[int, dict[bytes, ModularClass]] = {}
     seen = set()
     tables = set()
     for gram in corpus:
-        if _upper_triangle(gram.entries) in seen:
+        upper, images = _orbit_tables(gram.n)
+        entries = tuple(itertools.chain.from_iterable(gram.entries))
+        if upper(entries) in seen:
             continue
-        seen.update(_signed_permutations(gram.entries))
-        group = discriminant_group(gram)
-        table = pairing_exponents(gram, group)
+        entries += tuple([-x for x in entries])
+        seen.update([image(entries) for image in images])
+        table = pairing_exponents(gram, discriminant_group(gram))
         if table in tables:
             continue
         tables.add(table)
-        md = from_lattice(gram, group)
-        key = canonical_form(md)
-        bucket = buckets.setdefault(md.rank, {})
+        n, s, t = table
+        key = _table_key(n, s, t)
+        bucket = buckets.setdefault(len(t), {})
         if key not in bucket:
-            twists = tuple(map(format_root, sorted(md.twists, key=Cyclotomic.root_exponent)))
-            bucket[key] = ModularClass(key, gram, twists)
+            bucket[key] = ModularClass(key, gram, tuple(_root_token(k, 2 * n) for k in sorted(t)))
     return ClassificationResult(tuple(
         (rank, tuple(bucket[key] for key in sorted(bucket)))
         for rank, bucket in sorted(buckets.items())

@@ -15,9 +15,8 @@ from functools import cached_property
 from math import lcm
 from operator import add
 
-from . import cyclo
 from .cyclo import Cyclotomic, root_of_unity, sum_values
-from .errors import MAX_CANONICAL_RANK, NotModular, PointedCatError, ValidationError
+from .errors import NotModular, PointedCatError, ValidationError
 from .lattice import DiscriminantGroup, GramMatrix, discriminant_group, pairing_exponents
 from .record import record
 
@@ -432,61 +431,12 @@ def colored_link_invariant(md: ModularData, link: FramedLink) -> Cyclotomic:
     return root_of_unity(Fraction(exponent, table.n))
 
 
-def canonical_form(md: ModularData) -> bytes:
-    """Lexicographically minimal serialization ``twists:...|s:...`` of
-    (twists, s_tilde) over all relabelings that fix the tensor unit.
+def __getattr__(name):
+    # canonical_form lives in pointedcat.enumeration with the search it wraps;
+    # the name resolves here on first use (bench/traced.py wraps
+    # moddata.canonical_form), so commands that never classify compile none of it
+    if name == "canonical_form":
+        from .enumeration import canonical_form
 
-    Two modular data are equivalent iff their canonical forms agree. The
-    minimum is found by ordered-partition refinement (McKay, "Practical graph
-    isomorphism", 1981): labels start in classes of sorted twist, and each
-    position is filled by every label of its class whose row, with the
-    classes split by that row, is least; only ties branch. Every symmetry
-    of the data that fixes the unit still gets its own branch, and the
-    symmetries can number up to (rank-1)!: three toric codes (rank 64, 40320
-    symmetries) take minutes. The rank bound keeps that cost bounded.
-    """
-    if md.rank > MAX_CANONICAL_RANK:
-        raise ValidationError(f"rank {md.rank} exceeds the bound {MAX_CANONICAL_RANK}")
-    twist_tok = [cyclo.format_root(t) for t in md.twists]
-    s_tok = cyclo.format_rows(md.s_tilde)
-    start = [[0], *_split([list(range(1, md.rank))], twist_tok)]
-    best_rows = None
-    # Each entry: labels placed in the first positions, the cells that fill
-    # the rest in order, and the row string of each placed label.
-    stack = [([], start, [])]
-    while stack:
-        placed, cells, rows = stack.pop()
-        if not cells:
-            if best_rows is None or rows < best_rows:
-                best_rows = rows
-            continue
-        first, rest = cells[0], cells[1:]
-        options = []
-        for x in first:
-            refined = _split([[y for y in first if y != x], *rest], s_tok[x])
-            order = placed + [x] + [y for cell in refined for y in cell]
-            row = ",".join(s_tok[x][y] for y in order) + (";" if refined else "")
-            options.append((row, x, refined))
-        rows = rows + [min(option[0] for option in options)]
-        if best_rows is not None and rows > best_rows[:len(rows)]:
-            continue
-        stack.extend((placed + [x], refined, rows)
-                     for row, x, refined in options if row == rows[-1])
-    # every leaf keeps the order of the twist classes
-    twists = ",".join(twist_tok[x] for cell in start for x in cell)
-    return f"twists:{twists}|s:{''.join(best_rows)}".encode("ascii")
-
-
-def _split(cells, tokens):
-    """Split each cell into runs of equal token, ordered by token + ','.
-
-    A token can be a prefix of another ("-1" and "-1*e(2/5)+..."); inside a
-    row each token is followed by ',', so that is the order of the key.
-    """
-    out = []
-    for cell in cells:
-        runs = {}
-        for x in cell:
-            runs.setdefault(tokens[x], []).append(x)
-        out.extend(runs[token] for token in sorted(runs, key=lambda token: token + ","))
-    return out
+        return canonical_form
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -188,6 +188,33 @@ class TestVerify:
             "check: st_cubed pass: (S~ T)^3 = p+ D^2 I\n"
             "result: fail\n")
 
+    def test_integers_past_the_print_limit(self, tmp_path, capsys):
+        # N(0,0)^1 = 2 X / (1 + X^2) with X = 10^2200 has 4401 digits below the
+        # line, more than str() converts: verify still reports, show refuses
+        # with one error line, and neither prints the interpreter's text
+        big = 10 ** 2200
+        path = tmp_path / "big.data"
+        path.write_text(f"kind: modular_data\nrank: 2\ns_tilde: 1, {big}; {big}, 1\n"
+                        "twists: e(0/1), e(1/4)\n")
+        limit = f"cannot print an integer of more than {sys.get_int_max_str_digits()} digits"
+        assert main(["verify", "--data", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "kind: report\n"
+            "check: gauss_identity fail: p+ p- = D^2\n"
+            "check: unitarity fail: S~ conj(S~)^t = D^2 I\n"
+            f"check: verlinde_integral fail: N(0,0)^1 is not a non-negative integer ({limit})\n"
+            "check: twists_unit pass: twist of the unit is 1\n"
+            "check: s_symmetric pass: S~ = S~^t\n"
+            "check: charge_conjugation fail: row 0 of S~^2 is not D^2 times a unit vector\n"
+            "check: conjugation_involution fail: C undefined\n"
+            "check: st_cubed fail: (S~ T)^3 = p+ D^2 I\n"
+            "result: fail\n")
+        for args in (["show"], ["show", "--approx"]):
+            assert main([*args, "--data", str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: {limit}\n")
+
     def test_parse_error_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "broken.data"
         path.write_text(CORRUPT_SEMION.replace("e(0/1), e(0/1)", "e(0/1), e(1/3"))
@@ -475,9 +502,10 @@ def run_cli(args, **kwargs):
                             stderr=subprocess.PIPE, text=True, **kwargs)
 
 
-def imported_modules(args):
-    """Exit code and the names of the modules `-X importtime` lists for a CLI job."""
-    proc = run_cli(["-X", "importtime", "-m", "pointedcat.cli", *args])
+def imported_modules(args, program=("-m", "pointedcat.cli")):
+    """Exit code and the names of the modules `-X importtime` lists for a CLI
+    job, or for another program such as ("-c", "import pointedcat.cli")."""
+    proc = run_cli(["-X", "importtime", *program, *args])
     _, err = proc.communicate(timeout=60)
     names = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
              if line.startswith("import time:") and "|" in line}
@@ -497,9 +525,15 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
         code, names = imported_modules(args)
         assert code == 0 and "pointedcat.serialization" in names
         assert names.isdisjoint(never), (args, names & never)
-    code, names = imported_modules(["enumerate", "--max-dim", "1", "--max-entry", "2"])
+    # enumerate runs on integer exponent tables: no cyclotomic values, no
+    # ModularData and no documents, nor the standard modules cyclo needs
+    code, names = imported_modules(["enumerate", "--max-dim", "2", "--max-entry", "2"])
     assert code == 0 and "pointedcat.enumeration" in names
-    assert names.isdisjoint({"pointedcat.serialization", "argparse", "gettext"})
+    assert names.isdisjoint({"pointedcat.cyclo", "pointedcat.moddata", "pointedcat.serialization",
+                             "fractions", "decimal", "cmath", "argparse", "gettext"})
+    code, names = imported_modules([], program=("-c", "import pointedcat.cli"))
+    assert code == 0 and "pointedcat.cli" in names
+    assert names.isdisjoint({"pointedcat.cyclo", "pointedcat.moddata"})
     generic = tmp_path / "su2_3.data"
     generic.write_text(serialize(su2(3)).body)
     code, names = imported_modules(["verify", "--data", str(generic)])

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -13,8 +14,11 @@ from pointedcat import (
     format_classification,
     from_lattice,
     generate_gram_matrices,
+    root_of_unity,
 )
 from pointedcat import enumeration
+from pointedcat.cyclo import format_root, format_value
+from pointedcat.lattice import discriminant_group, pairing_exponents
 from pointedcat.errors import MAX_CANDIDATES, MAX_CANONICAL_RANK, MAX_RANK, ValidationError
 
 # Corpus sizes frozen from the independent enumeration in tests/oracle.py.
@@ -282,6 +286,39 @@ class TestClassify:
         result = classify(corpus)
         base = result.class_count(2)
         assert result.class_count(4) <= base * base
+
+
+class TestIntegerKey:
+    """classify keys each exponent table by integers and tokens alone; that key
+    must be canonical_form of the ModularData from_lattice builds from it."""
+
+    def test_tokens_match_cyclo(self):
+        for n in range(1, 65):
+            entries = enumeration._entry_tokens(n)
+            for k in range(n):
+                root = root_of_unity(Fraction(k, n))
+                assert enumeration._root_token(k, n) == format_root(root)
+                assert entries[k] == format_value(root)
+
+    @pytest.mark.parametrize("spec", [(3, 4, 8), (2, 8, 8)])
+    def test_table_key_is_canonical_form(self, spec, monkeypatch):
+        # every orbit representative, that is every matrix classify takes the
+        # Smith form of, and a seeded signed permutation of each
+        original = enumeration.discriminant_group
+        firsts = []
+        monkeypatch.setattr(enumeration, "discriminant_group",
+                            lambda gram: firsts.append(gram) or original(gram))
+        classify(generate_gram_matrices(CorpusSpec(*spec)))
+        assert len(firsts) == {(3, 4, 8): 751, (2, 8, 8): 67}[spec]
+
+        def table_key(gram):
+            return enumeration._table_key(*pairing_exponents(gram, discriminant_group(gram)))
+
+        rng = random.Random(str(spec))
+        for gram in firsts:
+            key = canonical_form(from_lattice(gram))
+            assert table_key(gram) == key
+            assert table_key(random_image(gram, rng)) == key
 
 
 class TestReportTable:
