@@ -9,12 +9,13 @@ package can be checked with zero numerical tolerance.
 Each operation has one exact code path: it embeds the operands at the least
 common conductor, combines them there and reduces once modulo Phi_N
 (``_reduce``). Results keep that conductor (no aggressive reduction), except
-that values which turn out rational are normalised to conductor 1. The hot
-checks run on integer exponent tables or packed integers instead; this
-arithmetic is their exact reference and the cold path. Serialization descends
-to the true minimal conductor, one prime at a time, by reading the subfield
-coefficients off the power basis (``_descend``), so the textual form is
-canonical per value.
+that values which turn out rational are normalised to conductor 1. The one tag
+on a value, ``_root``, is the memo of ``root_exponent``: no operation reads
+it. The hot checks run on integer exponent tables or packed integers instead;
+this arithmetic is their exact reference and the cold path. Serialization
+descends to the true minimal conductor, one prime at a time, by reading the
+subfield coefficients off the power basis (``_descend``), so the textual form
+is canonical per value.
 """
 
 from __future__ import annotations
@@ -228,11 +229,6 @@ class Cyclotomic:
             raise ZeroDivisionError("inverse of zero cyclotomic")
         if self.is_rational():
             return Cyclotomic.from_rational(1 / Fraction(self._coeffs[0]))
-        if self._root is not None:
-            # e(q)^-1 = e(-q), the conjugate
-            inverse = self.conjugate()
-            inverse._root = -self._root % 1
-            return inverse
         return _field_inverse(self)
 
     def __truediv__(self, other) -> Cyclotomic:
@@ -483,13 +479,16 @@ def check_conductor(conductors) -> None:
 
 
 def _parse_rat(text: str) -> Fraction:
+    """Raises ValueError, which names an integer of more decimal digits than
+    sys.get_int_max_str_digits() (which int() refuses) without echoing it."""
     text = text.strip()
+    parts = text.split("/", 1)
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        return Fraction(*map(int, parts))
     except (ValueError, ZeroDivisionError) as exc:
+        limit = sys.get_int_max_str_digits()
+        if limit and any(sum(map(str.isdecimal, part)) > limit for part in parts):
+            raise ValueError(f"cannot read an integer of more than {limit} digits") from None
         raise ValueError(f"bad rational {text!r}") from exc
 
 

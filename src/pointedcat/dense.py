@@ -6,7 +6,8 @@ unitarity and D^2 = rank, N_ij^k = delta(k, i.j), C(i) = i^-1, and (S~ T)^3
 as a rank^2 integer check on the twists. Every other input comes here: data
 that is not all roots of unity, and pointed data whose rows are not distinct
 or not closed, within errors.MAX_DENSE_WORK. S~ and conj(S~) become integer
-rows at the conductor of S~ (ModularData._packed), S~ and S~T at the lcm with
+rows at the conductor of S~, with the row of S~ that each conj row equals
+(Packed, the one dense cache of a ModularData), S~ and S~T at the lcm with
 T's for the one (S~ T)^3 check only (twisted), and every check sums products
 of rows packed into big integers (pack) and compares integer rows. Every
 matrix product is symmetric or Hermitian, so only its entries j >= i are
@@ -99,12 +100,14 @@ def from_integers(n: int, coeffs, den: int) -> Cyclotomic:
 @record
 class Packed:
     """S~ and conj(S~) as integer coefficient rows at the conductor n of S~,
-    times den (ModularData._packed)."""
+    times den (ModularData._packed), and for each row i the c with
+    conj(row i) = row c, or None (duals)."""
 
     n: int
     den: int
     s: tuple
     conj: tuple
+    duals: list
 
 
 def diagonal(n: int, values, scale: int) -> list[list[tuple[int, ...]]]:
@@ -153,7 +156,9 @@ def packed(md: ModularData) -> Packed:
     if work > MAX_DENSE_WORK:
         raise ValidationError(f"estimated dense work {work} exceeds the bound {MAX_DENSE_WORK}")
     rows = [tuple(coeffs[k:k + rank]) for k in range(0, len(coeffs), rank)]
-    return Packed(n, den, tuple(rows[:rank]), tuple(rows[rank:]))
+    s, conj = tuple(rows[:rank]), tuple(rows[rank:])
+    index = {row: c for c, row in enumerate(s)}
+    return Packed(n, den, s, conj, [index.get(row) for row in conj])
 
 
 def unitary(md: ModularData) -> bool:
@@ -169,9 +174,9 @@ def conjugation(md: ModularData) -> list[int | None]:
     conj(row i) is row c: a lookup, with no product. Otherwise the upper rows
     of S~^2 are formed, mirrored and compared with D^2 as integer rows.
     """
-    if md._unitary:
-        return md._duals
     p = md._packed
+    if md._unitary:
+        return p.duals
     unit = diagonal(p.n, [md._gauss.d_squared], p.den ** 2)[0][0]
     perm = []
     for row in mirrored(list(products(p.n, p.s, p.s))):
@@ -183,7 +188,7 @@ def conjugation(md: ModularData) -> list[int | None]:
 def verlinde(md: ModularData) -> FusionTensor:
     """N_ij^k = X_ijk / (scale D^2) with X_ijk = sum_a s[i][a] s[j][a] conj[k][a]
     inv[a] and inv[a] = den_inv / d_a, at the conductor of S~. If conj(row k)
-    is row C(k) for every k (ModularData._duals), X_ijk = Y(i, j, C(k)) for Y
+    is row C(k) for every k (Packed.duals), X_ijk = Y(i, j, C(k)) for Y
     the same sum over s[k], which is symmetric: Y is formed on i <= j <= k
     only. Otherwise, or if some Y is not a multiple, X is formed on i <= j and
     every k, which names the first bad entry in that order.
@@ -195,8 +200,8 @@ def verlinde(md: ModularData) -> FusionTensor:
     d_squared = md._gauss.d_squared
     if d_squared.is_zero():
         raise NotModular("global dimension is zero")
-    duals = md._duals
     p = md._packed
+    duals = p.duals
     # each distinct dimension is inverted once (on SU(2)_k, d_a = d_(k-a)); the
     # packed row of d_a is its unique coefficient row at p.n, whatever its conductor
     inverses = {}

@@ -4,8 +4,9 @@ Generates every symmetric even-diagonal nonsingular integer matrix within
 bounds, takes the integer exponent table of the pointed data of each, and
 groups the tables by rank up to relabeling equivalence (canonical_key).
 Class counts are emitted as data; nothing here asserts agreement with any
-published table. Everything an enumerate job runs is integer arithmetic:
-only canonical_form, the key of a ModularData, imports cyclo.
+published table. Everything here is integer arithmetic on exponent tables
+and their tokens, with no cyclo: moddata.canonical_form tokenizes a
+ModularData and calls canonical_key.
 """
 
 from __future__ import annotations
@@ -169,18 +170,6 @@ def _entry_tokens(n: int) -> list[str]:
     return tokens
 
 
-def canonical_form(md) -> bytes:
-    """canonical_key of a ModularData: its twists as cyclo.format_root and its
-    S~ entries as cyclo.format_value print them (cyclo is imported here, on
-    first use, as classify never needs it).
-
-    Two modular data are equivalent iff their canonical forms agree.
-    """
-    from .cyclo import format_root, format_rows
-
-    return canonical_key([format_root(t) for t in md.twists], format_rows(md.s_tilde))
-
-
 def canonical_key(twist_tok: list[str], s_tok: list[list[str]]) -> bytes:
     """Lexicographically minimal serialization ``twists:...|s:...`` of a token
     table (twist tokens, S~ entry tokens) over all relabelings that fix the
@@ -243,8 +232,8 @@ def _split(cells, tokens):
 def _table_key(n: int, s, t) -> bytes:
     """canonical_key of the exponent table of lattice.pairing_exponents,
     S~_ij = e(s[i][j]/n) and theta_i = e(t[i]/2n), tokenized by one gcd per
-    exponent. It equals canonical_form(from_lattice(gram)), which formats the
-    same roots through cyclo."""
+    exponent. It equals moddata.canonical_form(from_lattice(gram)), which
+    formats the same roots through cyclo."""
     tokens = _entry_tokens(n)
     return canonical_key([_root_token(k, 2 * n) for k in t],
                          [[tokens[k] for k in row] for row in s])

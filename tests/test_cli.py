@@ -215,6 +215,24 @@ class TestVerify:
             assert main([*args, "--data", str(path)]) == 2
             assert capsys.readouterr() == ("", f"error: {limit}\n")
 
+    @pytest.mark.parametrize("s_tilde, twists, place", [
+        ("1, {big}; {big}, 1", "e(0/1), e(1/4)", "line 3, column 13"),
+        ("1, 1; 1, -1", "e(0/1), e(1/{big})", "line 4, column 17"),
+    ])
+    def test_integers_past_the_read_limit(self, tmp_path, capsys, s_tilde, twists, place):
+        # int() refuses 4501 digits; the error names the place and the limit,
+        # not the digits
+        big = "1" + "0" * 4500
+        path = tmp_path / "big.data"
+        path.write_text(f"kind: modular_data\nrank: 2\ns_tilde: {s_tilde.format(big=big)}\n"
+                        f"twists: {twists.format(big=big)}\n")
+        assert main(["verify", "--data", str(path)]) == 2
+        captured = capsys.readouterr()
+        limit = sys.get_int_max_str_digits()
+        assert captured == (
+            "", f"error: {place}: cannot read an integer of more than {limit} digits\n")
+        assert len(captured.err.encode()) < 120
+
     def test_parse_error_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "broken.data"
         path.write_text(CORRUPT_SEMION.replace("e(0/1), e(0/1)", "e(0/1), e(1/3"))
@@ -253,6 +271,13 @@ class TestLink:
         assert main(["link", "--data", semion_data,
                      "--linking", str(unknot), "--colors", "1"]) == 0
         assert capsys.readouterr().out == "e(1/4)\n"
+
+    def test_linking_matrix_not_square(self, tmp_path, semion_data, capsys):
+        linking = tmp_path / "wide.mat"
+        linking.write_text("0 1 0\n1 0 0\n")
+        assert main(["link", "--data", semion_data,
+                     "--linking", str(linking), "--colors", "1,1"]) == 2
+        assert capsys.readouterr() == ("", "error: linking matrix is not square\n")
 
     def test_bad_colors(self, tmp_path, semion_data, capsys):
         hopf = tmp_path / "hopf.mat"
@@ -296,6 +321,16 @@ class TestShow:
         assert "twists: 1, e(1/4)" in out
         assert "built from: [2]" in out
 
+    def test_labels(self, tmp_path, capsys):
+        path = tmp_path / "labels.data"
+        path.write_text("kind: modular_data\nrank: 2\nlabels: one, semion\n"
+                        "s_tilde: 1, 1; 1, -1\ntwists: e(0/1), e(1/4)\n")
+        assert main(["show", "--data", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "rank: 2\nlabels: one, semion\nquantum dimensions: 1, 1\n"
+            "D^2: 2\np+: 1+e(1/4)\np-: 1+-1*e(1/4)\ntwists: 1, e(1/4)\n"
+            "s_tilde:\n  1, 1\n  1, -1\n")
+
     def test_approx(self, semion_data, capsys):
         assert main(["show", "--data", semion_data, "--approx"]) == 0
         out = capsys.readouterr().out
@@ -337,6 +372,25 @@ class TestShow:
             assert len(calls) <= len(tokens) + 3  # and D^2, p+, p-
             out = capsys.readouterr().out
             assert out.count("\n  ") == 64 and "built from: [64]" in out
+
+
+@pytest.mark.parametrize("middle, error", [
+    ("rank: 2\nrank: 2\n", "line 3, column 1: duplicate key 'rank'"),
+    ("rank: two\n", "line 2, column 7: rank must be an integer"),
+    ("rank: 2\nlabels: one, se mion\n", "line 3, column 9: bad label name 'se mion'"),
+    ("rank: 2\nprovenance: 2 x\n", "line 3, column 13: expected space-separated integers"),
+    ("rank: 2\nlabels: a, b, c\n", "label_names length does not match rank"),
+    ("rank: 2\ns_tilde: 1, 1; 1\n", "s_tilde is not square"),
+    ("rank: 2\ns_tilde: 2, 1; 1, -1\n", "s_tilde[0][0] must be 1"),
+])
+def test_document_errors(tmp_path, capsys, middle, error):
+    body = f"kind: modular_data\n{middle}twists: e(0/1), e(1/4)\n"
+    if "s_tilde" not in middle:
+        body += "s_tilde: 1, 1; 1, -1\n"
+    path = tmp_path / "bad.data"
+    path.write_text(body)
+    assert main(["verify", "--data", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 BIG = 10 ** 400

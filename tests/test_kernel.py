@@ -359,7 +359,7 @@ class TestSymmetricVerlinde:
     def test_non_self_dual(self, z3, monkeypatch):
         md = deligne(fibonacci(), z3)
         assert md._law is None and md._unitary
-        duals = md._duals
+        duals = md._packed.duals
         assert None not in duals and duals != list(range(md.rank))  # C is not the identity
         expected = ref_verlinde(md)
         unpacks = counting(monkeypatch, dense, "unpack")
@@ -373,7 +373,7 @@ class TestSymmetricVerlinde:
         rows = ((1, 2), (2, -1))
         md = ModularData(rank=2, s_tilde=tuple(tuple(map(Cyclotomic.from_rational, row))
                                                for row in rows), twists=(ONE, ONE))
-        assert md._duals == [0, 1]
+        assert md._packed.duals == [0, 1]
         expected = (NotModular, "N(1,1)^1 = 3/2 is not a non-negative integer")
         assert outcome(ref_verlinde, md) == expected
         unpacks = counting(monkeypatch, dense, "unpack")
@@ -394,7 +394,7 @@ class TestSymmetricVerlinde:
         md = ModularData(rank=9, s_tilde=tuple(tuple(md.s_tilde[a][b] for b in order)
                                                for a in order),
                          twists=tuple(md.twists[a] for a in order))
-        assert md._duals == [0, 2, 1, 4, 3, 5, 6, 8, 7] and md._unitary
+        assert md._packed.duals == [0, 2, 1, 4, 3, 5, 6, 8, 7] and md._unitary
         expected = (NotModular, "N(3,3)^4 = 1/2 is not a non-negative integer")
         assert outcome(ref_verlinde, md) == expected
         assert outcome(dense.verlinde, md) == expected
@@ -411,7 +411,7 @@ class TestSymmetricVerlinde:
         # (conductor, coefficients) as different objects
         md = parse(serialize(su2(k)))
         expected = ref_verlinde(md)
-        md._duals, md._packed, md._gauss  # cached before counting
+        md._packed, md._gauss  # cached before counting
         inverses = counting(monkeypatch, Cyclotomic, "inverse")
         assert dense.verlinde(md) == expected
         assert len(inverses) == k // 2 + 1
@@ -424,7 +424,7 @@ class TestSymmetricVerlinde:
         md = su2(k)
         dims = md.s_tilde[0]
         assert dims[1] == dims[8] and dims[1].conductor != dims[8].conductor
-        md._duals, md._packed, md._gauss  # cached before counting
+        md._packed, md._gauss  # cached before counting
         inverses = counting(monkeypatch, Cyclotomic, "inverse")
         fusion = dense.verlinde(md)
         assert len(inverses) == 5

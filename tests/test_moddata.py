@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from fractions import Fraction as F
 
@@ -277,6 +278,60 @@ class TestDualPermutation:
         with pytest.raises(NotModular, match=re.escape(
                 "row 0 of S~^2 is not D^2 times a unit vector")):
             dual_permutation(flat)
+
+    @pytest.mark.parametrize("pool", ["rational", "root", "mixed"])
+    def test_a_returned_conjugation_fixes_the_unit_and_is_an_involution(
+            self, pool, z3, toric, ising, su2):
+        # dual_permutation raises only for a row of S~^2 that is not D^2 times a
+        # unit vector; any C it returns fixes 0 and has C^2 = I (its docstring
+        # says why), on unitary and non-unitary data alike
+        roots = [root_of_unity(F(a, b)) for a, b in ((0, 1), (1, 2), (1, 4), (3, 4),
+                                                      (1, 3), (2, 3), (1, 8))]
+        rationals = [ONE * q for q in (0, 1, -1, 2, F(1, 2), F(3, 5), F(4, 5))]
+        values = {"rational": rationals, "root": roots,
+                  "mixed": rationals + roots + [1 + I, 2 * roots[4]]}[pool]
+        known = [z3, toric, ising, su2(3), from_lattice(check_gram([[4]]))]
+        rng = random.Random(f"dual-{pool}")
+
+        def symmetric(rank):
+            s = [[ONE] * rank for _ in range(rank)]
+            for i, j in itertools.combinations_with_replacement(range(rank), 2):
+                if (i, j) != (0, 0):
+                    s[i][j] = s[j][i] = rng.choice(values)
+            return s
+
+        def data(s):
+            twists = (ONE, *(rng.choice(roots) for _ in s[1:]))
+            return ModularData(rank=len(s), s_tilde=tuple(map(tuple, s)), twists=twists)
+
+        seen = set()
+        for _ in range(200):
+            kind = rng.choice(("random", "product", "signed"))
+            if kind == "random":
+                md = data(symmetric(rng.choice((2, 2, 3, 4))))
+            elif kind == "product":  # S~ of a Kronecker product squares factorwise
+                a, b = symmetric(2), symmetric(2)
+                md = data([[a[i // 2][j // 2] * b[i % 2][j % 2] for j in range(4)]
+                           for i in range(4)])
+            else:  # modular data with rows and columns of S~ negated (not row 0)
+                base = rng.choice(known)
+                signs = [1] + [rng.choice((1, -1)) for _ in range(base.rank - 1)]
+                md = data([[x * u * v for x, v in zip(row, signs)]
+                           for row, u in zip(base.s_tilde, signs)])
+            conjugation = check_modular_relations(md).checks[2]
+            try:
+                c = dual_permutation(md)
+            except NotModular as exc:
+                assert re.fullmatch(r"row \d+ of S~\^2 is not D\^2 times a unit vector", str(exc))
+                assert (conjugation.passed, conjugation.detail) == (False, str(exc))
+                seen.add(("raised", gauss_data(md).d_squared.is_zero()))
+                continue
+            assert c[0] == 0 and all(c[c[i]] == i for i in range(md.rank))
+            assert conjugation.passed
+            seen.add(("returned", check_unitarity(md), c != tuple(range(md.rank))))
+        assert {("raised", False), ("returned", True, False), ("returned", True, True)} <= seen
+        if pool != "rational":
+            assert {("raised", True), ("returned", False, False)} <= seen
 
 
 class TestModularRelations:
