@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import sys
 
-from .errors import MAX_CANONICAL_RANK, PointedCatError, ValidationError
+from .errors import MAX_CANONICAL_RANK, PointedCatError, ValidationError, quoted
 from .lattice import format_gram
 
 EXIT_CLOSED_STDOUT = 141
@@ -86,7 +86,7 @@ def _cmd_link(data: str, linking: str, colors: str) -> int:
     try:
         labels = [int(tok) for tok in colors.split(",")]
     except ValueError:
-        raise PointedCatError(f"bad color list {colors!r}") from None
+        raise PointedCatError(f"bad color list {quoted(colors)}") from None
     value = colored_link_invariant(md, framed_link(matrix, labels))
     sys.stdout.write(format_value(value) + "\n")
     return 0
@@ -222,7 +222,7 @@ def _parse_options(command: str, argv: list[str]) -> dict | None:
             return None
         name, has_value, value = token[2:].partition("=")
         if not token.startswith("--") or name not in options:
-            raise _UsageError(f"unrecognized argument {token!r}")
+            raise _UsageError(f"unrecognized argument {quoted(token)}")
         kind = options[name][0]
         if kind is bool:
             if has_value:
@@ -236,7 +236,7 @@ def _parse_options(command: str, argv: list[str]) -> dict | None:
         try:
             values[name] = kind(value)
         except ValueError:
-            raise _UsageError(f"--{name}: invalid {kind.__name__} value {value!r}") from None
+            raise _UsageError(f"--{name}: invalid {kind.__name__} value {quoted(value)}") from None
     missing = [f"--{name}" for name, (_, required, _) in options.items()
                if required and name not in values]
     if missing:
@@ -254,7 +254,7 @@ def main(argv=None) -> int:
             return 0
         if command not in COMMANDS:
             raise _UsageError("no command given" if command is None
-                              else f"unknown command {command!r}")
+                              else f"unknown command {quoted(command)}")
         kwargs = _parse_options(command, argv[1:])
     except _UsageError as exc:
         usage = _usage(command) if command in COMMANDS else _USAGE

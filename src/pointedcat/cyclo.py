@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import lcm, tau
 from operator import sub
 
-from .errors import MAX_CONDUCTOR, ValidationError
+from .errors import MAX_CONDUCTOR, ValidationError, quoted
 
 
 @lru_cache(maxsize=None)
@@ -457,7 +457,7 @@ def parse_value(text: str) -> Cyclotomic:
     for part in text.split("+"):
         part = part.strip()
         if not part:
-            raise ValueError(f"empty term in value {text!r}")
+            raise ValueError(f"empty term in value {quoted(text)}")
         if "*" in part:
             coeff_text, root_text = part.split("*", 1)
             terms.append(_parse_rat(coeff_text) * _parse_root(root_text))
@@ -489,7 +489,7 @@ def _parse_rat(text: str) -> Fraction:
         limit = sys.get_int_max_str_digits()
         if limit and any(sum(map(str.isdecimal, part)) > limit for part in parts):
             raise ValueError(f"cannot read an integer of more than {limit} digits") from None
-        raise ValueError(f"bad rational {text!r}") from exc
+        raise ValueError(f"bad rational {quoted(text)}") from exc
 
 
 @lru_cache(maxsize=1 << 12)
@@ -497,7 +497,7 @@ def _parse_root(text: str) -> Cyclotomic:
     # one shared object per token text, so repeated entries compare by identity
     text = text.strip()
     if not (text.startswith("e(") and text.endswith(")")):
-        raise ValueError(f"bad root of unity {text!r}")
+        raise ValueError(f"bad root of unity {quoted(text)}")
     q = _parse_rat(text[2:-1]) % 1
     check_conductor((q.denominator,))
     return root_of_unity(q)

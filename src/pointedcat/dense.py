@@ -11,13 +11,13 @@ rows at the conductor of S~, with the row of S~ that each conj row equals
 T's for the one (S~ T)^3 check only (twisted), and every check sums products
 of rows packed into big integers (pack) and compares integer rows. Every
 matrix product is symmetric or Hermitian, so only its entries j >= i are
-formed. moddata imports this module on first use, so commands on pointed
-data with a group law never compile it.
+formed, and the Verlinde sum, symmetric in its three rows, is formed once per
+sorted triple. moddata imports this module on first use, so commands on
+pointed data with a group law never compile it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -187,11 +187,12 @@ def conjugation(md: ModularData) -> list[int | None]:
 
 def verlinde(md: ModularData) -> FusionTensor:
     """N_ij^k = X_ijk / (scale D^2) with X_ijk = sum_a s[i][a] s[j][a] conj[k][a]
-    inv[a] and inv[a] = den_inv / d_a, at the conductor of S~. If conj(row k)
-    is row C(k) for every k (Packed.duals), X_ijk = Y(i, j, C(k)) for Y
-    the same sum over s[k], which is symmetric: Y is formed on i <= j <= k
-    only. Otherwise, or if some Y is not a multiple, X is formed on i <= j and
-    every k, which names the first bad entry in that order.
+    inv[a] and inv[a] = den_inv / d_a, at the conductor of S~. Where conj(row k)
+    is row c of S~ (Packed.duals), X_ijk = Y(sorted(i, j, c)) for Y the same sum
+    over rows of S~, which is symmetric; any other conj row k gets the index
+    rank + k. Entries are read in naming order (i <= j, then k), and each Y is
+    formed and checked when first read, so the first bad read names the first
+    bad entry in that order.
     """
     rank = md.rank
     dims = md.s_tilde[0]
@@ -201,7 +202,7 @@ def verlinde(md: ModularData) -> FusionTensor:
     if d_squared.is_zero():
         raise NotModular("global dimension is zero")
     p = md._packed
-    duals = p.duals
+    dual = [rank + k if c is None else c for k, c in enumerate(p.duals)]
     # each distinct dimension is inverted once (on SU(2)_k, d_a = d_(k-a)); the
     # packed row of d_a is its unique coefficient row at p.n, whatever its conductor
     inverses = {}
@@ -212,46 +213,40 @@ def verlinde(md: ModularData) -> FusionTensor:
     scale = p.den ** 3 * den_inv
     unit = diagonal(p.n, [d_squared], scale)[0][0]
     pivot = next(q for q, c in enumerate(unit) if c)
-    labels = range(rank)
-
-    def tensor(rows, symmetric):
-        # weights rows[k][a] inv[a], reduced once, so each product below is 2:1 in
-        # length; row 0 (d_a) and inv[a] are nonzero, so each bound covers the inputs
-        inv_norms = [sum(map(abs, v)) for v in inv]
-        width = slot_width(max(sum(map(abs, c)) * v for row in rows
-                                     for c, v in zip(row, inv_norms)))
-        packed_inv = [pack(v, width) for v in inv]
-        weights = [[unpack(pack(c, width) * v, width, p.n) for c, v in zip(row, packed_inv)]
-                   for row in rows]
-        norms = ([max(sum(map(abs, c)) for c in col) for col in zip(*rows)]
-                 for rows in (p.s, weights))
-        width = slot_width(sum(a * a * w for a, w in zip(*norms)))
-        s = [[pack(c, width) for c in row] for row in p.s]
-        weights = [[pack(c, width) for c in row] for row in weights]
-        found = {}
-        for i in labels:
-            for j in range(i, rank):
-                prods = list(map(mul, s[i], s[j]))
-                for k in range(j if symmetric else 0, rank):
-                    x = unpack(sum(map(mul, prods, weights[k])), width, p.n)
-                    m, r = divmod(x[pivot], unit[pivot])
-                    if r or m < 0 or x != tuple(m * c for c in unit):
-                        value = from_integers(p.n, x, scale) / d_squared
-                        entry = f"N({i},{j})^{k}"
-                        try:
-                            message = f"{entry} = {value} is not a non-negative integer"
-                        except ValidationError as exc:  # too many digits to print
-                            message = f"{entry} is not a non-negative integer ({exc})"
-                        raise NotModular(message)
-                    found[i, j, k] = m
-        return FusionTensor(tuple(tuple(tuple(
-            found[tuple(sorted((i, j, duals[k])))] if symmetric else found[min(i, j), max(i, j), k]
-            for k in labels) for j in labels) for i in labels))
-
-    if None not in duals:
-        with contextlib.suppress(NotModular):
-            return tensor(p.s, symmetric=True)
-    return tensor(p.conj, symmetric=False)
+    # weights conj[k][a] inv[a], reduced once, so each product below is 2:1 in
+    # length; row 0 (d_a) and inv[a] are nonzero, so each bound covers the inputs
+    inv_norms = [sum(map(abs, v)) for v in inv]
+    width = slot_width(max(sum(map(abs, c)) * v for row in p.conj
+                           for c, v in zip(row, inv_norms)))
+    packed_inv = [pack(v, width) for v in inv]
+    weights = [[unpack(pack(c, width) * v, width, p.n) for c, v in zip(row, packed_inv)]
+               for row in p.conj]
+    norms = ([max(sum(map(abs, c)) for c in col) for col in zip(*rows)]
+             for rows in (p.s, weights))
+    width = slot_width(sum(a * a * w for a, w in zip(*norms)))
+    s = [[pack(c, width) for c in row] for row in p.s]
+    weights = [[pack(c, width) for c in row] for row in weights]
+    found, fusion = {}, [[None] * rank for _ in range(rank)]
+    for i, j in itertools.combinations_with_replacement(range(rank), 2):
+        prods = list(map(mul, s[i], s[j]))
+        entries = []
+        for k, c in enumerate(dual):
+            key = tuple(sorted((i, j, c)))
+            if key not in found:
+                x = unpack(sum(map(mul, prods, weights[k])), width, p.n)
+                m, r = divmod(x[pivot], unit[pivot])
+                if r or m < 0 or x != tuple(m * u for u in unit):
+                    value = from_integers(p.n, x, scale) / d_squared
+                    entry = f"N({i},{j})^{k}"
+                    try:
+                        message = f"{entry} = {value} is not a non-negative integer"
+                    except ValidationError as exc:  # too many digits to print
+                        message = f"{entry} is not a non-negative integer ({exc})"
+                    raise NotModular(message)
+                found[key] = m
+            entries.append(found[key])
+        fusion[i][j] = fusion[j][i] = tuple(entries)
+    return FusionTensor(tuple(map(tuple, fusion)))
 
 
 def st_cubed(md: ModularData) -> bool:

@@ -1,4 +1,4 @@
-"""Exception hierarchy and input bounds.
+"""Exception hierarchy, input bounds and the quoting of input in messages.
 
 Every failure the library raises derives from PointedCatError. The CLI raises
 PointedCatError itself for a file it cannot read or write and for a label or
@@ -15,7 +15,8 @@ color argument it cannot use; everything else is one of:
   conjugation or the integrality of a fusion multiplicity.
 
 The CLI prints each as one ``error:`` line and exits 2; verify turns the
-failures of its own checks into report lines instead.
+failures of its own checks into report lines instead. A message quotes input
+text through quoted(), so the line stays short however long the input is.
 """
 
 # |det B| of a Gram matrix, which is the rank of its pointed data.
@@ -59,3 +60,11 @@ class ValidationError(PointedCatError):
 
 class NotModular(PointedCatError):
     """A defining identity of modular data fails."""
+
+
+def quoted(text: str) -> str:
+    """repr(text) when it has at most 40 characters, else the repr of its
+    first 40 and its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"

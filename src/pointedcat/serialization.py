@@ -26,7 +26,7 @@ import itertools
 from fractions import Fraction
 
 from . import cyclo
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, quoted
 from .lattice import GramMatrix, check_gram, discriminant_group, format_gram, pairing_exponents
 from .moddata import ModularData, RelationReport
 from .record import record
@@ -121,7 +121,7 @@ def _key_value_lines(body: str, kind: str, known: tuple[str, ...]):
             header_seen = True
             continue
         if key not in known:
-            raise ParseError(f"unknown key {key!r}", lineno, 1)
+            raise ParseError(f"unknown key {quoted(key)}", lineno, 1)
         yield key, value.strip(), lineno, line.index(":") + 2 + (len(value) - len(value.lstrip()))
     if not header_seen:
         raise ParseError(f"missing 'kind: {kind}' header")
@@ -179,7 +179,7 @@ def _parse_modular_data(body: str) -> ModularData:
             names = tuple(chunk for chunk, _ in _split_tracking(value, ",", col))
             for name in names:
                 if not name or not set(name) <= _NAME_CHARS:
-                    raise ParseError(f"bad label name {name!r}", lineno, col)
+                    raise ParseError(f"bad label name {quoted(name)}", lineno, col)
             fields["labels"] = names
         elif key == "s_tilde":
             fields["s_tilde"] = _parse_value_matrix(value, lineno, col)

@@ -547,6 +547,51 @@ class TestCommandTable:
         assert captured.err.endswith(f"error: {message}\n")
 
 
+_TWISTS = "twists: e(0/1), e(1/4)\n"
+_ROWS = "s_tilde: 1, 1; 1, -1\n"
+
+
+@pytest.mark.parametrize("argv, body, short, long, message", [
+    # a document after its rank line ({text} is the quoted text), or an argv
+    (None, "s_tilde: 1, {text}; 1, -1\n" + _TWISTS, "-1x", "-1" + "x" * 4998,
+     "line 3, column 13: bad rational {}"),
+    (None, _ROWS + "twists: e(0/1), {text}\n", "e(1/4", "e(" + "1" * 4998,
+     "line 4, column 17: bad root of unity {}"),
+    (None, "s_tilde: 1, {text}; 1, -1\n" + _TWISTS, "1++e(1/4)", "1++" + "1" * 4997,
+     "line 3, column 13: empty term in value {}"),
+    (None, "{text}: 1\n" + _ROWS + _TWISTS, "colour", "x" * 5000,
+     "line 3, column 1: unknown key {}"),
+    (None, "labels: a, {text}\n" + _ROWS + _TWISTS, "se mion", "se " + "m" * 4997,
+     "line 3, column 9: bad label name {}"),
+    (["enumerate", "--max-dim", "{text}", "--max-entry", "1"], None, "2x", "1" * 5000,
+     "--max-dim: invalid int value {}"),
+    (["fusion", "--data", "x", "--i", "{text}", "--j", "0"], None, "x", "x" * 5000,
+     "--i: invalid int value {}"),
+    (["verify", "{text}"], None, "extra", "--" + "x" * 4998, "unrecognized argument {}"),
+    (["{text}"], None, "frobnicate", "x" * 5000, "unknown command {}"),
+    (["link", "--data", "{data}", "--linking", "{hopf}", "--colors", "{text}"], None,
+     "1,x", "1," + "x" * 4998, "bad color list {}"),
+])
+def test_errors_quote_at_most_40_characters(tmp_path, semion_data, capsys,
+                                            argv, body, short, long, message):
+    # a short echo is the repr of the text; a long one is the repr of its first
+    # 40 characters and its length, so no error line reaches 120 bytes
+    hopf = tmp_path / "hopf.mat"
+    hopf.write_text(HOPF_MAT)
+    for text, echo in ((short, repr(short)), (long, f"{long[:40]!r}... ({len(long)} characters)")):
+        if body is not None:
+            path = tmp_path / "echo.data"
+            path.write_text("kind: modular_data\nrank: 2\n" + body.format(text=text))
+            args = ["verify", "--data", str(path)]
+        else:
+            args = [arg.format(text=text, data=semion_data, hopf=hopf) for arg in argv]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.endswith(f"error: {message.format(echo)}\n")
+        assert all(len(line.encode()) < 120 for line in captured.err.splitlines())
+
+
 def run_cli(args, **kwargs):
     """python -m pointedcat.cli ARGS in a fresh interpreter without site or a
     bytecode cache, so every module it imports is compiled and listed."""

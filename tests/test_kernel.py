@@ -352,9 +352,11 @@ def counting(monkeypatch, module, name):
 
 
 class TestSymmetricVerlinde:
-    """With every conj(row k) a row C(k), dense.verlinde sums only i <= j <= k;
-    any failure reruns the (i <= j, all k) pass, which names the first bad entry.
-    Each outcome is compared with ref_verlinde, exception text included."""
+    """dense.verlinde reads N(i,j)^k in naming order (i <= j, then k) in one pass.
+    Where conj(row k) is row C(k), the entry is the sum Y over rows i, j, C(k),
+    which is symmetric, so each Y is formed and checked once, at its first read:
+    the first bad read is the first bad entry. Each outcome is compared with
+    ref_verlinde, exception text included."""
 
     def test_non_self_dual(self, z3, monkeypatch):
         md = deligne(fibonacci(), z3)
@@ -378,14 +380,46 @@ class TestSymmetricVerlinde:
         assert outcome(ref_verlinde, md) == expected
         unpacks = counting(monkeypatch, dense, "unpack")
         assert outcome(dense.verlinde, md) == expected
-        # the symmetric pass fails at its last sum; the full pass reruns to (1, 1, 1)
-        assert len(unpacks) == (comb(4, 3) + 4) + (6 + 4)
+        # one reduction per weight, then one sum per sorted triple up to (1, 1, 1)
+        assert len(unpacks) == 4 + comb(4, 3)
+
+    def test_conj_rows_that_are_no_rows(self, z3, monkeypatch):
+        # S~_12 = S~_21 = 1 in Z/3: conj(row 1) and conj(row 2) are no rows of S~
+        rows = [list(row) for row in z3.s_tilde]
+        rows[1][2] = rows[2][1] = ONE
+        md = ModularData(rank=3, s_tilde=tuple(map(tuple, rows)), twists=z3.twists)
+        assert md._packed.duals == [0, None, None]
+        expected = outcome(ref_verlinde, md)
+        assert expected == (NotModular, "N(0,0)^1 = 2/3+1/3*e(1/3) is not a non-negative integer")
+        unpacks = counting(monkeypatch, dense, "unpack")
+        assert outcome(dense.verlinde, md) == expected
+        r, e = md.rank, 2
+        assert len(unpacks) <= r * (r + e) + comb(r + 2, 3) + e * comb(r + 1, 2)
+        assert len(unpacks) == r * r + 2  # the weights, then (0, 0)^0 and (0, 0)^1
+
+    @pytest.mark.parametrize("corrupt", ["pair", "doubled"])
+    def test_failing_su2_8_forms_each_sum_once(self, su2, monkeypatch, corrupt):
+        # S~_18 = S~_81 = 1, or S~_ij doubled for i, j >= 1: every conj row is
+        # still a row, and N(0,0)^1 fails at the second sum, after the 81 weights
+        md = su2(8)
+        if corrupt == "pair":
+            md = with_pair_one(md)
+        else:
+            md = ModularData(rank=md.rank, twists=md.twists, s_tilde=tuple(
+                tuple(x if 0 in (i, j) else x * 2 for j, x in enumerate(row))
+                for i, row in enumerate(md.s_tilde)))
+        assert md._packed.duals == list(range(md.rank))
+        expected = outcome(ref_verlinde, md)
+        assert expected[0] is NotModular and expected[1].startswith("N(0,0)^1 = ")
+        unpacks = counting(monkeypatch, dense, "unpack")
+        assert outcome(dense.verlinde, md) == expected
+        assert len(unpacks) == 83
 
     def test_first_bad_entry_is_named_after_a_symmetric_failure(self, z3):
         # R is orthogonal with R^2 = 9 I, but sum_a R_1a^3 / d_a = 9/2. In R ⊠ Z3,
         # relabeled so that labels 3, 4, 5 are (1, 1), (1, 2), (1, 0), the
-        # symmetric pass first fails at Y(3, 3, 3) = N(3,3)^C(3) = N(3,3)^4,
-        # and the full pass must name that entry, not (3, 3, 3).
+        # first bad sum is Y(3, 3, 3), first read in naming order as
+        # N(3,3)^C(3) = N(3,3)^4, so that entry is named, not (3, 3, 3).
         rows = ((1, 2, 2), (2, -2, 1), (2, 1, -2))
         r = ModularData(rank=3, s_tilde=tuple(tuple(map(Cyclotomic.from_rational, row))
                                               for row in rows), twists=(ONE,) * 3)
