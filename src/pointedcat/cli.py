@@ -6,11 +6,14 @@ All output is deterministic; two runs on the same inputs are byte-identical.
 
 Every job runs in a fresh interpreter, so this module imports at start-up
 only what every command needs: the options come from one table (COMMANDS),
-errors and lattice. Each handler imports the rest on first use:
-construct, verify, fusion, link and show import moddata (and through it
-cyclo) and serialization, which read and write documents; enumerate imports
-enumeration, which runs on integer exponent tables and loads neither cyclo,
-moddata nor serialization.
+and errors. Each handler imports the rest on first use: construct, verify,
+fusion, link and show import moddata and serialization, which read and
+write documents. Pointed data stays an integer exponent table through
+construct, verify and link, which import lattice and no cyclo; show and
+fusion print values, and generic data is read as values, so those import
+cyclo, and lattice only for provenance. enumerate imports enumeration,
+which runs on integer exponent tables and loads neither cyclo, moddata nor
+serialization.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import os
 import sys
 
 from .errors import MAX_CANONICAL_RANK, PointedCatError, ValidationError, quoted
-from .lattice import format_gram
 
 EXIT_CLOSED_STDOUT = 141
 
@@ -77,8 +79,8 @@ def _cmd_fusion(data: str, i: int, j: int) -> int:
 
 
 def _cmd_link(data: str, linking: str, colors: str) -> int:
-    from .cyclo import format_value
-    from .moddata import colored_link_invariant, framed_link
+    from .lattice import value_token
+    from .moddata import framed_link, link_exponent
     from .serialization import parse_int_matrix_text
 
     md = _load_modular_data(data)
@@ -87,8 +89,7 @@ def _cmd_link(data: str, linking: str, colors: str) -> int:
         labels = [int(tok) for tok in colors.split(",")]
     except ValueError:
         raise PointedCatError(f"bad color list {quoted(colors)}") from None
-    value = colored_link_invariant(md, framed_link(matrix, labels))
-    sys.stdout.write(format_value(value) + "\n")
+    sys.stdout.write(value_token(*link_exponent(md, framed_link(matrix, labels))) + "\n")
     return 0
 
 
@@ -142,6 +143,8 @@ def _cmd_show(data: str, approx: bool) -> int:
     for row in s_tilde:
         sys.stdout.write("  " + ", ".join(row) + "\n")
     if md.provenance is not None:
+        from .lattice import format_gram
+
         sys.stdout.write(f"built from: [{format_gram(md.provenance)}]\n")
     return 0
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd
 from operator import itemgetter, mul
 
 from .errors import MAX_CANDIDATES, MAX_CANONICAL_RANK, MAX_RANK, ValidationError
 from .lattice import GramMatrix, discriminant_group, format_gram, pairing_exponents
-from .lattice import _det_bareiss
+from .lattice import _det_bareiss, root_token, value_token
 from .record import record
 
 
@@ -154,22 +153,6 @@ class ClassificationResult:
         return len(self.classes(rank))
 
 
-def _root_token(k: int, n: int) -> str:
-    """e(k/n) for 0 <= k < n as cyclo.format_root prints it: e(a/b) in lowest terms."""
-    g = gcd(k, n)
-    return f"e({k // g}/{n // g})"
-
-
-def _entry_tokens(n: int) -> list[str]:
-    """e(k/n) for each k < n as cyclo.format_value prints it: the rational
-    roots 1 and -1 bare, every other root as _root_token."""
-    tokens = [_root_token(k, n) for k in range(n)]
-    tokens[0] = "1"
-    if n % 2 == 0:
-        tokens[n // 2] = "-1"
-    return tokens
-
-
 def canonical_key(twist_tok: list[str], s_tok: list[list[str]]) -> bytes:
     """Lexicographically minimal serialization ``twists:...|s:...`` of a token
     table (twist tokens, S~ entry tokens) over all relabelings that fix the
@@ -230,12 +213,12 @@ def _split(cells, tokens):
 
 
 def _table_key(n: int, s, t) -> bytes:
-    """canonical_key of the exponent table of lattice.pairing_exponents,
-    S~_ij = e(s[i][j]/n) and theta_i = e(t[i]/2n), tokenized by one gcd per
-    exponent. It equals moddata.canonical_form(from_lattice(gram)), which
-    formats the same roots through cyclo."""
-    tokens = _entry_tokens(n)
-    return canonical_key([_root_token(k, 2 * n) for k in t],
+    """canonical_key of an exponent table (n, s, t) as lattice.pairing_exponents
+    gives it, S~_ij = e(s[i][j]/n) and theta_i = e(t[i]/2n), tokenized by one
+    gcd per exponent (lattice.root_token, lattice.value_token): the key that
+    formatting the same roots through cyclo gives."""
+    tokens = [value_token(k, n) for k in range(n)]
+    return canonical_key([root_token(k, 2 * n) for k in t],
                          [[tokens[k] for k in row] for row in s])
 
 
@@ -299,7 +282,7 @@ def classify(corpus) -> ClassificationResult:
         key = _table_key(n, s, t)
         bucket = buckets.setdefault(len(t), {})
         if key not in bucket:
-            bucket[key] = ModularClass(key, gram, tuple(_root_token(k, 2 * n) for k in sorted(t)))
+            bucket[key] = ModularClass(key, gram, tuple(root_token(k, 2 * n) for k in sorted(t)))
     return ClassificationResult(tuple(
         (rank, tuple(bucket[key] for key in sorted(bucket)))
         for rank, bucket in sorted(buckets.items())

@@ -16,7 +16,8 @@ color argument it cannot use; everything else is one of:
 
 The CLI prints each as one ``error:`` line and exits 2; verify turns the
 failures of its own checks into report lines instead. A message quotes input
-text through quoted(), so the line stays short however long the input is.
+text through quoted(), so the line stays short however long the input is and
+however its characters escape.
 """
 
 # |det B| of a Gram matrix, which is the rank of its pointed data.
@@ -32,12 +33,12 @@ MAX_CANDIDATES = 1_000_000
 # Estimated work rank^4 (n + 4) w isqrt(w) of the dense checks at conductor n:
 # the Verlinde sum's rank^4 products, each about n + 4 slots of w 64-bit words,
 # w those of the largest packed coefficient (den included; 1 within 64 bits).
-# On a 2-core Xeon verify takes about 3.5 ns a unit at w = 1 (SU(2)_48: 1.2e9,
-# 3.1 s; Fib^7: 2.4e9, 8.4 s). The power 3/2 of w fits SU(2)_k with S~_ij
-# (i, j >= 1) times 10^1000 + 7 (w = 52) or 10^4000 + 7 (w = 208) at 2.8-6.7 ns
-# a unit: k = 6, w = 52: 3.1e7, 0.21 s; k = 6, w = 208: 2.5e8, 1.7 s; k = 10,
-# w = 208: 2.2e9, 7.3 s; k = 16, w = 52: 2.3e9, 6.4 s; k = 16, w = 208: 1.8e10,
-# 53 s, and refused.
+# In these units SU(2)_48 is 1.2e9 and Fib^7 2.4e9, both within the bound, and
+# Fib^8 3.9e10. The power 3/2 of w fits SU(2)_k with S~_ij (i, j >= 1) times
+# 10^1000 + 7 (w = 52) or 10^4000 + 7 (w = 208), whose measured time per unit
+# was 0.8-1.9 times that at w = 1: k = 6, w = 52: 3.1e7; k = 6, w = 208:
+# 2.5e8; k = 10, w = 208: 2.2e9; k = 16, w = 52: 2.3e9; k = 16, w = 208:
+# 1.8e10, refused.
 MAX_DENSE_WORK = 2_500_000_000
 
 
@@ -62,9 +63,20 @@ class NotModular(PointedCatError):
     """A defining identity of modular data fails."""
 
 
+# UTF-8 bytes of a cut echo's repr: that of 40 plain ASCII characters
+QUOTE_BYTES = 42
+
+
 def quoted(text: str) -> str:
-    """repr(text) when it has at most 40 characters, else the repr of its
-    first 40 and its length."""
-    if len(text) <= 40:
-        return repr(text)
-    return f"{text[:40]!r}... ({len(text)} characters)"
+    """repr(text) when it has at most 40 characters and every one is printable,
+    or its repr takes at most QUOTE_BYTES; else the repr of its longest prefix
+    of at most 40 characters whose repr takes at most QUOTE_BYTES, and the
+    length of the text. So a cut echo takes at most QUOTE_BYTES plus the
+    length suffix, however many bytes each character escapes to."""
+    whole = repr(text)
+    if len(text) <= 40 and (text.isprintable() or len(whole.encode()) <= QUOTE_BYTES):
+        return whole
+    head = text[:40]
+    while len(repr(head).encode()) > QUOTE_BYTES:
+        head = head[:-1]
+    return f"{head!r}... ({len(text)} characters)"

@@ -5,12 +5,14 @@ its unimodular column transform over exact big integers, and enumerates
 discriminant group representatives together with their bilinear (mod 1) and
 quadratic (mod 2) forms. A class v is stored as its integer numerator
 u = n*v over the group exponent n, so both forms are integer arithmetic.
+The roots of unity of those forms print from their exponents here
+(root_token, value_token), in the text that cyclo prints for the same values.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 from .errors import MAX_RANK, ValidationError
@@ -221,3 +223,17 @@ def pairing_exponents(gram: GramMatrix, group: DiscriminantGroup):
         for j in range(i + 1, len(us)):
             s[i][j] = s[j][i] = sum(map(mul, u, images[j])) % n
     return n, tuple(map(tuple, s)), t
+
+
+def root_token(k: int, n: int) -> str:
+    """e(k/n) for 0 <= k < n as cyclo.format_root prints it: e(a/b) in lowest terms."""
+    g = gcd(k, n)
+    return f"e({k // g}/{n // g})"
+
+
+def value_token(k: int, n: int) -> str:
+    """e(k/n) for 0 <= k < n as cyclo.format_value prints it: the rational
+    roots 1 and -1 bare, every other root as root_token."""
+    if k == 0:
+        return "1"
+    return "-1" if 2 * k == n else root_token(k, n)

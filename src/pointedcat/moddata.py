@@ -4,20 +4,21 @@ colored framed-link invariants and canonical forms.
 The central object pairs an unnormalized Hopf-link matrix with a vector of
 twists. Everything else (quantum dimensions, global dimension, Gauss sums,
 fusion multiplicities, charge conjugation) is derived from those two fields
-and checked with exact cyclotomic arithmetic.
+and checked with exact cyclotomic arithmetic. Pointed data from a lattice or
+from a document of root tokens is held as its integer exponent table
+(_Exponents) instead, and its checks, its document and its link invariants
+read only that table. cyclo is imported on first use, by the code that
+builds or reads Cyclotomic values.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
-from .cyclo import Cyclotomic, format_root, format_rows, root_of_unity, sum_values
 from .errors import NotModular, PointedCatError, ValidationError
-from .lattice import GramMatrix, discriminant_group, pairing_exponents
 from .record import record
 
 Label = int  # labels are plain indices; 0 is always the tensor unit
@@ -28,10 +29,16 @@ class ModularData:
     """Rank, unnormalized Hopf-link matrix and twist vector.
 
     Row 0 of the matrix lists the quantum dimensions. Construction checks the
-    cheap invariants (shape, symmetry, unit entries, twists are roots of
-    unity); nondegeneracy is established by the verification operations.
-    Values shared by several checks are computed once per instance: the Gauss
-    data, the exponent table and group law, and one dense cache (_packed).
+    cheap invariants (check_fields: shape, symmetry, unit entries, twists are
+    roots of unity); nondegeneracy is established by the verification
+    operations. Values shared by several checks are computed once per
+    instance: the Gauss data, the exponent table and group law, and one dense
+    cache (_packed).
+
+    An instance made by from_table holds only its exponent table at first;
+    s_tilde and twists are built from it as Cyclotomic values, one object per
+    distinct value, when first read (__getattr__). Equality, hashing and repr
+    read them, so they are those of the same data built from values.
     """
 
     rank: int
@@ -41,26 +48,32 @@ class ModularData:
     label_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.rank < 1 or len(self.s_tilde) != self.rank or len(self.twists) != self.rank:
-            raise ValidationError("rank does not match matrix and twist sizes")
-        if any(len(row) != self.rank for row in self.s_tilde):
-            raise ValidationError("s_tilde is not square")
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                if self.s_tilde[i][j] != self.s_tilde[j][i]:
-                    raise ValidationError(f"s_tilde is not symmetric at ({i},{j})")
-        if self.s_tilde[0][0] != 1:
-            raise ValidationError("s_tilde[0][0] must be 1")
-        if self.twists[0] != 1:
-            raise ValidationError("twist of the tensor unit must be 1")
-        for i, t in enumerate(self.twists):
-            if t.root_exponent() is None:
-                raise ValidationError(f"twist {i} is not a root of unity")
-        if self.label_names is not None and len(self.label_names) != self.rank:
-            raise ValidationError("label_names length does not match rank")
+        check_fields(self.rank, self.s_tilde, self.twists, self.label_names, 1)
+
+    def __getattr__(self, name):
+        # reached only when normal lookup fails: the values of a table-backed
+        # instance before their first access
+        table = vars(self).get("_exponents")
+        if table is None or name not in ("s_tilde", "twists"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        from fractions import Fraction
+
+        from .cyclo import root_of_unity
+
+        # one object per value e(k/2n), shared by S~ (whose e(s/n) is e(2s/2n))
+        # and the twists
+        m, double = 2 * table.n, (2).__mul__
+        roots = {k: root_of_unity(Fraction(k, m))
+                 for k in {*table.t, *map(double, set().union(*table.s))}}
+        vars(self).update(
+            s_tilde=tuple(tuple(map(roots.__getitem__, map(double, row))) for row in table.s),
+            twists=tuple(map(roots.__getitem__, table.t)))
+        return vars(self)[name]
 
     @cached_property
     def _gauss(self) -> GaussData:
+        from .cyclo import sum_values
+
         squares = [d * d for d in quantum_dimensions(self)]
         d_squared = sum_values(squares)
         p_plus = sum_values(t * s for t, s in zip(self.twists, squares))
@@ -72,20 +85,19 @@ class ModularData:
     @cached_property
     def _exponents(self) -> _Exponents | None:
         """S~ and T as integer exponents, or None unless row 0 is all 1 and
-        every entry and twist is a root of unity."""
+        every entry and twist is a root of unity. An instance made by
+        from_table holds its table from the start."""
         if any(d != 1 for d in self.s_tilde[0]):
             return None
-        exponents = []
-        for value in itertools.chain(*self.s_tilde, self.twists):
-            q = value.root_exponent()
-            if q is None:
-                return None
-            exponents.append(q)
-        n = lcm(*(q.denominator for q in exponents))
-        ints = [q.numerator * (n // q.denominator) for q in exponents]
-        r = self.rank
-        s = tuple(tuple(ints[i * r:i * r + r]) for i in range(r))
-        return _Exponents(n, s, tuple(ints[r * r:]))
+        roots = {}
+        for x in itertools.chain(*self.s_tilde, self.twists):
+            if id(x) not in roots:
+                q = x.root_exponent()
+                if q is None:
+                    return None
+                roots[id(x)] = q.numerator, q.denominator
+        return exponent_table([list(map(id, row)) for row in self.s_tilde],
+                              list(map(id, self.twists)), roots)
 
     @cached_property
     def _law(self) -> tuple[tuple[int, ...], ...] | None:
@@ -129,6 +141,19 @@ class ModularData:
         return tuple(law)
 
     @cached_property
+    def _cubed(self) -> bool | None:
+        """(S~ T)^3 = p+ D^2 I by the group law: theta_(i.j) = theta_i theta_j
+        S~_ij for all i <= j (_Exponents), rank^2 integer comparisons; None
+        without a law."""
+        law = self._law
+        if law is None:
+            return None
+        table = self._exponents
+        m, s, t = 2 * table.n, table.s, table.t
+        return all((t[i] + t[j] + 2 * s[i][j] - t[law[i][j]]) % m == 0
+                   for i in range(self.rank) for j in range(i, self.rank))
+
+    @cached_property
     def _packed(self):
         """S~ and conj(S~) as integer coefficient rows at the conductor of S~ (dense.Packed)."""
         return _dense().packed(self)
@@ -145,9 +170,35 @@ def _dense():
     return dense
 
 
+def check_fields(rank, rows, twists, label_names, one) -> None:
+    """The cheap invariants of modular data, on values (one = 1) or on
+    exponents (one = 0): sizes, squareness, symmetry (the first bad (i, j)
+    in row-major order), the unit entries, every twist a root of unity (an
+    exponent always is) and the label count. Raises ValidationError."""
+    if rank < 1 or len(rows) != rank or len(twists) != rank:
+        raise ValidationError("rank does not match matrix and twist sizes")
+    if any(len(row) != rank for row in rows):
+        raise ValidationError("s_tilde is not square")
+    for i, (row, column) in enumerate(zip(rows, zip(*rows))):
+        if row[i + 1:] != column[i + 1:]:
+            j = next(j for j in range(i + 1, rank) if row[j] != column[j])
+            raise ValidationError(f"s_tilde is not symmetric at ({i},{j})")
+    if rows[0][0] != one:
+        raise ValidationError("s_tilde[0][0] must be 1")
+    if twists[0] != one:
+        raise ValidationError("twist of the tensor unit must be 1")
+    if one:
+        for i, t in enumerate(twists):
+            if t.root_exponent() is None:
+                raise ValidationError(f"twist {i} is not a root of unity")
+    if label_names is not None and len(label_names) != rank:
+        raise ValidationError("label_names length does not match rank")
+
+
 @record
 class _Exponents:
-    """Pointed data as integers: S~_ij = e(s[i][j]/n) and theta_a = e(t[a]/n).
+    """Pointed data as integers, in the form of lattice.pairing_exponents:
+    S~_ij = e(s[i][j]/n) and theta_a = e(t[a]/2n).
 
     Row 0 is all exponent 0, so every d_a is 1. If the rows are distinct and
     closed under the entrywise product, ModularData._law holds that product,
@@ -164,7 +215,8 @@ class _Exponents:
       (i, j) of S~ T S~ = p+ T^-1 conj(S~) T^-1 for k = i.j. Conversely,
       entry (k, 0) of that identity is sum_a theta_a S~_ka = p+ conj(theta_k),
       and entry (i, j) then gives the law on theta unless p+ = 0; but p+ = 0
-      would make every Fourier coefficient of theta vanish, so theta = 0.
+      would make every Fourier coefficient of theta vanish, so theta = 0;
+    - if it does, p+ p- = D^2 (verify_all).
 
     So every check is a lookup in the law or rank^2 integer comparisons.
     """
@@ -174,29 +226,57 @@ class _Exponents:
     t: tuple[int, ...]
 
 
+def exponent_table(rows, twists, roots) -> _Exponents:
+    """The exponent table of a matrix and a twist vector of keys, where
+    roots[key] = (a, b) for the value e(a/b) of that key. n is the least
+    integer that every S~ denominator b divides, and every twist denominator
+    2n. Keys are token texts (serialization) or object ids (_exponents), so
+    each distinct value is converted once."""
+    s_keys, t_keys = set().union(*rows), set(twists)
+    n = lcm(*(roots[key][1] for key in s_keys),
+            *(roots[key][1] // gcd(roots[key][1], 2) for key in t_keys))
+    s_of = {key: roots[key][0] * (n // roots[key][1]) for key in s_keys}
+    t_of = {key: roots[key][0] * (2 * n // roots[key][1]) for key in t_keys}
+    return _Exponents(n, tuple(tuple(map(s_of.__getitem__, row)) for row in rows),
+                      tuple(map(t_of.__getitem__, twists)))
+
+
+def from_table(rank: int, table: _Exponents, provenance: GramMatrix | None = None,
+               label_names: tuple[str, ...] | None = None) -> ModularData:
+    """ModularData that holds only its exponent table, whose fields the caller
+    has checked (check_fields); s_tilde and twists are built on first read."""
+    md = object.__new__(ModularData)
+    vars(md).update(rank=rank, provenance=provenance, label_names=label_names,
+                    _exponents=table)
+    return md
+
+
 def from_lattice(gram: GramMatrix) -> ModularData:
     """Pointed modular data of an even lattice: rank |det B|, all d_i = 1.
 
     Entry (i,j) is e(<v_i, v_j> mod 1) and twist i is e((v_i^t B v_i mod 2)/2),
     over the canonical discriminant-group enumeration. Both forms are computed
-    as integer exponents (lattice.pairing_exponents).
+    as integer exponents (lattice.pairing_exponents), and that table is the
+    data (from_table).
     """
+    from .lattice import discriminant_group, pairing_exponents
+
     n, s, t = pairing_exponents(gram, discriminant_group(gram))
-    roots = [root_of_unity(Fraction(k, n)) for k in range(n)]
-    return ModularData(
-        rank=len(t),
-        s_tilde=tuple(tuple(roots[k] for k in row) for row in s),
-        twists=tuple(root_of_unity(Fraction(k, 2 * n)) for k in t),
-        provenance=gram,
-    )
+    return from_table(len(t), _Exponents(n, s, t), provenance=gram)
 
 
 def canonical_form(md: ModularData) -> bytes:
     """enumeration.canonical_key of md's twists as format_root and S~ entries
     as format_value print them: two modular data are equivalent iff their
-    canonical forms agree. The search is imported on first use, so commands
-    that never classify compile none of it."""
-    from .enumeration import canonical_key
+    canonical forms agree. Data with an exponent table prints them from its
+    integers (enumeration._table_key). The search is imported on first use,
+    so commands that never classify compile none of it."""
+    from .enumeration import _table_key, canonical_key
+
+    table = md._exponents
+    if table is not None:
+        return _table_key(table.n, table.s, table.t)
+    from .cyclo import format_root, format_rows
 
     return canonical_key([format_root(t) for t in md.twists], format_rows(md.s_tilde))
 
@@ -249,8 +329,9 @@ def verlinde_fusion(md: ModularData) -> FusionTensor:
     law = md._law
     if law is None:
         return _dense().verlinde(md)
-    units = [tuple(int(k == k0) for k in range(md.rank)) for k0 in range(md.rank)]
-    return FusionTensor(tuple(tuple(units[k] for k in row) for row in law))
+    zero = (0,) * md.rank
+    units = [zero[:k] + (1,) + zero[k + 1:] for k in range(md.rank)]
+    return FusionTensor(tuple(tuple(map(units.__getitem__, row)) for row in law))
 
 
 def fusion_probabilities(
@@ -338,7 +419,7 @@ def check_modular_relations(md: ModularData) -> RelationReport:
 
     Pointed data with a group law (ModularData._law) has C(i) = i^-1, and
     its cube relation holds exactly when theta_(i.j) = theta_i theta_j S~_ij
-    for all i <= j, a rank^2 integer check (_Exponents). Other data takes
+    for all i <= j, a rank^2 integer check (ModularData._cubed). Other data takes
     the one exact check of pointedcat.dense, S~ T S~ T S~ = p+ D^2 T^-1,
     which needs no unitarity. T[0][0] = 1 and the symmetry of S~ hold for
     every ModularData, whose construction rejects anything else.
@@ -354,13 +435,8 @@ def check_modular_relations(md: ModularData) -> RelationReport:
         checks.append(RelationCheck("charge_conjugation", False, str(exc)))
         checks.append(RelationCheck("conjugation_involution", False, "C undefined"))
 
-    law = md._law
-    if law is not None:
-        table, rank = md._exponents, md.rank
-        n, s, t = table.n, table.s, table.t
-        cubed_ok = all((t[i] + t[j] + s[i][j] - t[law[i][j]]) % n == 0
-                       for i in range(rank) for j in range(i, rank))
-    else:
+    cubed_ok = md._cubed
+    if cubed_ok is None:
         cubed_ok = _dense().st_cubed(md)
     checks.append(RelationCheck("st_cubed", cubed_ok, "(S~ T)^3 = p+ D^2 I"))
 
@@ -368,9 +444,20 @@ def check_modular_relations(md: ModularData) -> RelationReport:
 
 
 def verify_all(md: ModularData) -> RelationReport:
-    """Gauss identity, unitarity, fusion integrality, then the group relations."""
+    """Gauss identity, unitarity, fusion integrality, then the group relations.
+
+    Pointed data whose group law passes the cube check (ModularData._cubed)
+    has p+ p- = D^2 = rank, so no Gauss sum is formed: with d_a = 1, p+ p- =
+    sum_(a,b) theta_a conj(theta_b), and reindexing a = b.c gives
+    sum_(b,c) theta_(b.c) conj(theta_b) = sum_c theta_c sum_b S~_bc by the
+    cube check, where sum_b S~_bc is rank for c = 0 and 0 for every other c,
+    whose row is a nontrivial character of the label group; so the sum is
+    theta_0 rank = rank = D^2. All other data, such as pointed data that
+    fails the cube check, gets the exact Gauss sums (gauss_data).
+    """
     checks = [
-        RelationCheck("gauss_identity", gauss_data(md).identity_holds, "p+ p- = D^2"),
+        RelationCheck("gauss_identity", md._cubed or gauss_data(md).identity_holds,
+                      "p+ p- = D^2"),
         RelationCheck("unitarity", check_unitarity(md), "S~ conj(S~)^t = D^2 I"),
     ]
     try:
@@ -408,14 +495,15 @@ def framed_link(linking, colors) -> FramedLink:
     )
 
 
-def colored_link_invariant(md: ModularData, link: FramedLink) -> Cyclotomic:
-    """Invariant of a colored framed link for lattice-constructed data.
+def link_exponent(md: ModularData, link: FramedLink) -> tuple[int, int]:
+    """(k, m) with the invariant of a colored framed link e(k/m), 0 <= k < m,
+    for lattice-constructed data.
 
     Framing of component i contributes its twist exponent, each crossing
     pair its Hopf-pairing exponent, summed as integers over the exponent
-    table (ModularData._exponents, the lattice's forms over N):
+    table (ModularData._exponents, the lattice's forms over n and 2n):
 
-        e( (sum_i L_ii t[c_i]  +  sum_{i<j} L_ij s[c_i][c_j]) / N )
+        m = 2n,  k = sum_i L_ii t[c_i]  +  2 sum_{i<j} L_ij s[c_i][c_j]  mod m
 
     Unnormalized: the empty link maps to 1, the 0-framed unknot to d_i = 1
     and the Hopf link to the matrix entry.
@@ -429,5 +517,14 @@ def colored_link_invariant(md: ModularData, link: FramedLink) -> Cyclotomic:
     for i, a in enumerate(colors):
         exponent += linking[i][i] * table.t[a]
         for j in range(i + 1, len(colors)):
-            exponent += linking[i][j] * table.s[a][colors[j]]
-    return root_of_unity(Fraction(exponent, table.n))
+            exponent += 2 * linking[i][j] * table.s[a][colors[j]]
+    return exponent % (2 * table.n), 2 * table.n
+
+
+def colored_link_invariant(md: ModularData, link: FramedLink) -> Cyclotomic:
+    """The invariant e(k/m) of link_exponent as a Cyclotomic value."""
+    from fractions import Fraction
+
+    from .cyclo import root_of_unity
+
+    return root_of_unity(Fraction(*link_exponent(md, link)))

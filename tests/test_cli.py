@@ -29,6 +29,7 @@ from pointedcat import (
 )
 from pointedcat.cli import main
 from pointedcat.cyclo import format_root, format_value, parse_value
+from pointedcat.errors import QUOTE_BYTES, quoted
 
 SEMION_MAT = "2\n"
 HOPF_MAT = "# hopf link, zero framings\n0 1\n1 0\n"
@@ -592,6 +593,28 @@ def test_errors_quote_at_most_40_characters(tmp_path, semion_data, capsys,
         assert all(len(line.encode()) < 120 for line in captured.err.splitlines())
 
 
+@pytest.mark.parametrize("name, echo", [
+    # 40 characters that escape to four each: the repr is cut at QUOTE_BYTES
+    ("\x01" * 40, f"{chr(1) * 10!r}... (40 characters)"),
+    ("a\x01" * 30, f"{('a' + chr(1)) * 8!r}... (60 characters)"),
+    # at most 40 printable characters: the whole repr, however many bytes
+    ("\\" * 40, repr("\\" * 40)),
+    ("\u00e9" * 40, repr("\u00e9" * 40)),
+    # a repr within the budget is kept whole, printable or not
+    ("se\tmion", repr("se\tmion")),
+])
+def test_echoes_are_cut_at_a_byte_budget(tmp_path, capsys, name, echo):
+    path = tmp_path / "label.data"
+    path.write_text(f"kind: modular_data\nrank: 2\nlabels: a, {name}\n{_ROWS}{_TWISTS}")
+    line = f"error: line 3, column 9: bad label name {echo}\n"
+    assert main(["verify", "--data", str(path)]) == 2
+    assert capsys.readouterr() == ("", line)
+    # a cut repr takes at most QUOTE_BYTES, so such a line stays under 120 bytes
+    assert quoted(name) == echo
+    assert name.isprintable() or len(echo.partition("... (")[0].encode()) <= QUOTE_BYTES
+    assert name.isprintable() or len(line.encode()) < 120
+
+
 def run_cli(args, **kwargs):
     """python -m pointedcat.cli ARGS in a fresh interpreter without site or a
     bytecode cache, so every module it imports is compiled and listed."""
@@ -614,15 +637,28 @@ def imported_modules(args, program=("-m", "pointedcat.cli")):
 def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semion_data, su2):
     # Pointed commands need neither argparse, the classification nor the dense
     # checks, enumerate reads no document, and no module imports dataclasses.
+    # Pointed construct, verify and link run on the integer exponent table, so
+    # they build no cyclotomic value and load neither cyclo nor the standard
+    # modules it needs.
     hopf = tmp_path / "hopf.mat"
     hopf.write_text(HOPF_MAT)
     never = {"argparse", "gettext", "dataclasses", "inspect",
              "pointedcat.dense", "pointedcat.enumeration"}
+    values = {"pointedcat.cyclo", "fractions", "decimal", "cmath"}
     for args in (["construct", "--b", semion_file], ["verify", "--data", semion_data],
-                 ["show", "--data", semion_data],
                  ["link", "--data", semion_data, "--linking", str(hopf), "--colors", "1,1"]):
         code, names = imported_modules(args)
         assert code == 0 and "pointedcat.serialization" in names
+        assert names.isdisjoint(never | values), (args, names & (never | values))
+    # show and fusion print values, and pointed data that fails its cube check
+    # gets exact Gauss sums, so these load cyclo
+    corrupt = tmp_path / "corrupt.data"
+    corrupt.write_text(CORRUPT_SEMION)
+    for args, expected in ((["show", "--data", semion_data], 0),
+                           (["fusion", "--data", semion_data, "--i", "1", "--j", "1"], 0),
+                           (["verify", "--data", str(corrupt)], 1)):
+        code, names = imported_modules(args)
+        assert code == expected and "pointedcat.cyclo" in names
         assert names.isdisjoint(never), (args, names & never)
     # enumerate runs on integer exponent tables: no cyclotomic values, no
     # ModularData and no documents, nor the standard modules cyclo needs
@@ -630,13 +666,18 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
     assert code == 0 and "pointedcat.enumeration" in names
     assert names.isdisjoint({"pointedcat.cyclo", "pointedcat.moddata", "pointedcat.serialization",
                              "fractions", "decimal", "cmath", "argparse", "gettext"})
+    # importing the CLI loads two modules of its own and, of the standard
+    # library, only what its imports name (with what they need in this Python)
     code, names = imported_modules([], program=("-c", "import pointedcat.cli"))
-    assert code == 0 and "pointedcat.cli" in names
-    assert names.isdisjoint({"pointedcat.cyclo", "pointedcat.moddata"})
+    _, stdlib = imported_modules([], program=("-c", "import __future__, importlib, os"))
+    assert code == 0 and names - stdlib == {"pointedcat", "pointedcat.cli", "pointedcat.errors"}
+    # generic data takes the dense checks on Cyclotomic values; without
+    # provenance it needs no lattice
     generic = tmp_path / "su2_3.data"
     generic.write_text(serialize(su2(3)).body)
     code, names = imported_modules(["verify", "--data", str(generic)])
-    assert code == 0 and "pointedcat.dense" in names
+    assert code == 0 and {"pointedcat.dense", "pointedcat.cyclo"} <= names
+    assert "pointedcat.lattice" not in names
 
 
 def test_closed_stdout_ends_quietly(tmp_path):

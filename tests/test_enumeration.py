@@ -17,8 +17,9 @@ from pointedcat import (
     root_of_unity,
 )
 from pointedcat import enumeration
-from pointedcat.cyclo import format_root, format_value
-from pointedcat.lattice import discriminant_group, pairing_exponents
+from pointedcat.cyclo import format_root, format_rows, format_value
+from pointedcat.enumeration import canonical_key
+from pointedcat.lattice import discriminant_group, pairing_exponents, root_token, value_token
 from pointedcat.errors import MAX_CANDIDATES, MAX_CANONICAL_RANK, MAX_RANK, ValidationError
 
 # Corpus sizes frozen from the independent enumeration in tests/oracle.py.
@@ -294,11 +295,10 @@ class TestIntegerKey:
 
     def test_tokens_match_cyclo(self):
         for n in range(1, 65):
-            entries = enumeration._entry_tokens(n)
             for k in range(n):
                 root = root_of_unity(Fraction(k, n))
-                assert enumeration._root_token(k, n) == format_root(root)
-                assert entries[k] == format_value(root)
+                assert root_token(k, n) == format_root(root)
+                assert value_token(k, n) == format_value(root)
 
     @pytest.mark.parametrize("spec", [(3, 4, 8), (2, 8, 8)])
     def test_table_key_is_canonical_form(self, spec, monkeypatch):
@@ -316,8 +316,11 @@ class TestIntegerKey:
 
         rng = random.Random(str(spec))
         for gram in firsts:
-            key = canonical_form(from_lattice(gram))
-            assert table_key(gram) == key
+            # the data's table is printed by the same tokens, so compare with
+            # its values formatted through cyclo
+            md = from_lattice(gram)
+            key = canonical_key([format_root(t) for t in md.twists], format_rows(md.s_tilde))
+            assert canonical_form(md) == table_key(gram) == key
             assert table_key(random_image(gram, rng)) == key
 
 

@@ -18,12 +18,17 @@ from hypothesis import strategies as st
 
 import oracle
 from pointedcat import (
+    Document,
     FusionTensor,
     ModularData,
     NotModular,
     PointedCatError,
+    canonical_form,
     check_gram,
+    colored_link_invariant,
+    framed_link,
     from_lattice,
+    parse,
     root_of_unity,
     serialize,
     verify_all,
@@ -31,7 +36,7 @@ from pointedcat import (
 )
 from pointedcat import dense, moddata
 from pointedcat.cyclo import Cyclotomic
-from pointedcat.moddata import check_modular_relations, dual_permutation
+from pointedcat.moddata import check_modular_relations, dual_permutation, link_exponent
 
 ONE = root_of_unity(0)
 
@@ -392,3 +397,78 @@ class TestRegressionPins:
         assert verify_all(md).passed
         assert calls == {"unpack": 0, "inverse": 0}
         assert "_packed" not in vars(md)  # the dense kernel's table was never built
+
+
+def materialized(md):
+    """The same data, provenance and labels included, built from its
+    Cyclotomic values: no exponent table until a check computes one."""
+    return ModularData(md.rank, md.s_tilde, md.twists, md.provenance, md.label_names)
+
+
+def table_outcomes(md):
+    """Everything the CLI prints from pointed data: the document, the report,
+    link values and the canonical form, or the exception of each."""
+    hopf = framed_link([[0, 1], [1, 0]], [1 % md.rank, md.rank - 1])
+    chain = framed_link([[2, 1, 0], [1, -1, 1], [0, 1, 3]],
+                        [md.rank - 1, md.rank // 2, 1 % md.rank])
+    return [run(lambda m: serialize(m).body, md), run(lambda m: serialize(verify_all(m)).body, md),
+            run(lambda m: colored_link_invariant(m, hopf), md),
+            run(lambda m: colored_link_invariant(m, chain), md),
+            run(lambda m: link_exponent(m, chain), md), run(canonical_form, md)]
+
+
+class TestTableBacked:
+    """from_lattice and the integer parse give ModularData that holds only its
+    exponent table; everything read from it must equal what the same data
+    built from Cyclotomic values gives."""
+
+    def test_corpus_and_corruptions(self, corpus4):
+        # all of corpus4, and the twist and pair corruptions of its theories
+        # of rank 8 or less, written and parsed as documents
+        outcomes = set()
+        for gram in corpus4:
+            md = from_lattice(gram)
+            cases = [(from_lattice(gram), materialized(from_lattice(gram)))]
+            if 2 <= md.rank <= 8:  # the pair corruption takes the dense checks
+                for corrupt in (with_twist_one, with_pair_one):
+                    body = serialize(corrupt(md)).body
+                    cases.append((parse(Document("modular_data", body)), corrupt(md)))
+            for table, values in cases:
+                assert "s_tilde" not in vars(table) and "_exponents" not in vars(values)
+                got, want = table_outcomes(table), table_outcomes(values)
+                # only data without a law, or whose law fails the cube check,
+                # needs values: the dense checks or the exact Gauss sums
+                assert "s_tilde" not in vars(table) or not table._cubed
+                assert all(map(same_outcome, got, want)), (gram, got, want)
+                assert table._exponents == values._exponents
+                assert repr(table) == repr(values)  # canonical coefficients
+                assert md.rank > 6 or table == values
+                for data in (table, values):
+                    with pytest.raises(TypeError, match="unhashable type: 'Cyclotomic'"):
+                        hash(data)
+                outcomes.add(tuple(isinstance(x, Exception) for x in got))
+        # passing and failing reports, links refused without provenance, and
+        # canonical forms refused past the rank bound all occur
+        assert len(outcomes) >= 3
+
+    def test_gauss_theorem_agrees_with_the_exact_sums(self, corpus4_data):
+        # a group law that passes the cube check implies p+ p- = D^2, so
+        # verify_all forms no Gauss sum; check that against the sums
+        outcomes = set()
+        for _, md in corpus4_data:
+            twisted = [] if md.rank < 2 else [with_twist_one(md), with_conjugate_twist(md)]
+            for data in [fresh(md), *twisted]:
+                assert data._law is not None
+                report = verify_all(data)
+                gauss = next(c.passed for c in report.checks if c.name == "gauss_identity")
+                assert gauss == data._gauss.identity_holds
+                assert gauss or not data._cubed
+                outcomes.add((data._cubed, gauss))
+        assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def with_conjugate_twist(md):
+    """Twist 1 conjugated: the law stays, and the cube check usually fails."""
+    twists = list(md.twists)
+    twists[1] = twists[1].conjugate()
+    return ModularData(rank=md.rank, s_tilde=md.s_tilde, twists=tuple(twists))

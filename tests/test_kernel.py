@@ -22,7 +22,9 @@ from pointedcat import (
     NotModular,
     PointedCatError,
     ValidationError,
+    check_gram,
     dense,
+    from_lattice,
     parse,
     root_of_unity,
     serialize,
@@ -266,6 +268,30 @@ class TestDenseChecks:
             assert dense.st_cubed(md) == expected
             outcomes.add((md._unitary, expected))
         assert {(True, True), (True, False), (False, False)} <= outcomes
+
+    def test_st_cubed_reads_every_row(self):
+        # Z/3 from [[2,1],[1,2]] with both non-unit twists set to e(2/3), times
+        # Fibonacci: rank 6, on the dense path. Charge conjugation swaps the two
+        # non-unit Z/3 labels and fixes 0, and the corruption is C-symmetric, so
+        # row 0 of S~ T S~ T S~ (and row 1) is right; rows 2-5 are not. A cube
+        # check that compared row 0 only would pass this data.
+        z3 = from_lattice(check_gram([[2, 1], [1, 2]]))
+        z3_t = (ONE, root_of_unity(F(2, 3)), root_of_unity(F(2, 3)))
+        phi = ONE + root_of_unity(F(1, 5)) + root_of_unity(F(4, 5))
+        fib_s, fib_t = ((ONE, phi), (phi, -ONE)), (ONE, root_of_unity(F(2, 5)))
+        labels = [(a, f) for a in range(3) for f in range(2)]
+        md = ModularData(rank=6, twists=tuple(z3_t[a] * fib_t[f] for a, f in labels),
+                         s_tilde=tuple(tuple(z3.s_tilde[a][b] * fib_s[f][g] for b, g in labels)
+                                       for a, f in labels))
+        assert md._exponents is None
+        assert verify_all(md).failing() == ("st_cubed",)
+        assert dense.st_cubed(md) is ref_st_cubed(md) is False
+        n, den, s, st = dense.twisted(md)
+        a = dense.mirrored(list(dense.products(n, st, s)))
+        target = md._gauss.p_plus * md._gauss.d_squared
+        expected = dense.diagonal(n, [target * t.conjugate() for t in md.twists], den ** 5)
+        assert [row == want for row, want in zip(dense.products(n, a, st), expected)] == \
+            [True, True, False, False, False, False]
 
     def test_zero_side_leaves_room_for_the_other(self):
         # S~ T S~ = 0 and p+ = 1 - 169/25 + 144/25 = 0, so (S~ T S~) T S~ multiplies

@@ -487,13 +487,19 @@ class TestCanonicalForm:
 
 class TestVerifyAll:
     def test_shared_values_computed_once(self, monkeypatch):
-        # Gauss data costs three sums however many checks read it. S~^2 is
-        # formed only without unitarity, once; a group law (and, for other
-        # unitary data, a conjugate-row lookup) gives C without it.
+        # Gauss data is formed once however many checks read it, and not at
+        # all for pointed data whose group law passes the cube check, which
+        # implies p+ p- = D^2. S~^2 is formed only without unitarity, once; a
+        # group law (and, for other unitary data, a conjugate-row lookup)
+        # gives C without it.
         from pointedcat import dense
 
-        calls = {"sum_values": 0, "square": 0}
-        sum_values, products = moddata.sum_values, dense.products
+        calls = {"gauss": 0, "sum_values": 0, "square": 0}
+        gauss, sum_values, products = moddata.GaussData, cyclo.sum_values, dense.products
+
+        def counting_gauss(*args):
+            calls["gauss"] += 1
+            return gauss(*args)
 
         def counting_sums(values):
             calls["sum_values"] += 1
@@ -503,14 +509,14 @@ class TestVerifyAll:
             calls["square"] += left is right  # S~ S~, the only product of a matrix with itself
             return products(n, left, right)
 
-        monkeypatch.setattr(moddata, "sum_values", counting_sums)
+        monkeypatch.setattr(moddata, "GaussData", counting_gauss)
+        monkeypatch.setattr(cyclo, "sum_values", counting_sums)
         monkeypatch.setattr(dense, "products", counting_squares)
         md = from_lattice(check_gram([[2, 1], [1, 2]]))
         assert verify_all(md).passed
-        assert calls == {"sum_values": 3, "square": 0}
+        assert calls == {"gauss": 0, "sum_values": 0, "square": 0}
         rows = [list(row) for row in md.s_tilde]
         rows[1][2] = rows[2][1] = md.twists[0]  # symmetric, not unitary
         broken = ModularData(rank=3, s_tilde=tuple(map(tuple, rows)), twists=md.twists)
-        calls.update(sum_values=0)
         assert verify_all(broken).failing()[:2] == ("unitarity", "verlinde_integral")
-        assert calls == {"sum_values": 3, "square": 1}
+        assert calls["gauss"] == 1 and calls["square"] == 1

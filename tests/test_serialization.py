@@ -18,8 +18,9 @@ from pointedcat import (
     serialize,
     verify_all,
 )
-from pointedcat import cyclo
+from pointedcat import cyclo, serialization
 from pointedcat.cyclo import Cyclotomic, sum_values
+from pointedcat.errors import MAX_CONDUCTOR
 
 SEMION_DOC = """kind: modular_data
 rank: 2
@@ -189,16 +190,23 @@ class TestDeterminism:
         again = serialize(parse(doc))
         assert again.body == doc.body
 
-    def test_each_distinct_value_is_formatted_once(self, monkeypatch):
-        # from_lattice shares one root object per exponent, and parse one per token
+    def test_each_distinct_value_is_formatted_once(self, monkeypatch, su2):
+        # pointed data prints from its exponent table, with no format_value
+        # call; other data formats each distinct object once, and parse shares
+        # one object per token
         md = from_lattice(check_gram([[64]]))
+        generic = parse(serialize(su2(16)))
         format_value = cyclo.format_value
         calls = []
         monkeypatch.setattr(cyclo, "format_value", lambda x: calls.append(x) or format_value(x))
-        for data in (md, parse(serialize(md))):
+        for data in (md, parse(serialize(md)), generic):
             del calls[:]
             body = serialize(data).body
-            assert 0 < len(calls) <= len({id(x) for row in data.s_tilde for x in row}) <= 64
+            distinct = len({id(x) for row in data.s_tilde for x in row})
+            if data is generic:
+                assert 0 < len(calls) <= distinct < data.rank ** 2
+            else:
+                assert not calls and distinct <= 64
             rows = "; ".join(", ".join(map(format_value, row)) for row in data.s_tilde)
             assert f"\ns_tilde: {rows}\n" in body
 
@@ -247,3 +255,87 @@ def test_parse_inverts_serialize_on_generic_data(md):
     doc = serialize(md)
     assert parse(doc) == md
     assert serialize(parse(doc)).body == doc.body
+
+
+def _outcome(call):
+    try:
+        return call()
+    except PointedCatError as exc:
+        return type(exc), str(exc)
+
+
+def _semion_body(entry="-1", twist="e(1/4)", tail=""):
+    return (f"kind: modular_data\nrank: 2\ns_tilde: 1, 1; 1, {entry}\n"
+            f"twists: e(0/1), {twist}\n{tail}")
+
+
+class TestIntegerParse:
+    """parse reads a document of root tokens straight into an exponent table
+    (serialization._parse_table); any other token sends the whole document to
+    the Cyclotomic parse (_parse_values). Both must give the same data, the
+    same documents and the same errors."""
+
+    @pytest.mark.parametrize("entry, twist, error", [
+        ("e(2/4)", "e(1/4)", None),  # not in lowest terms
+        ("e(5/4)", "e(1/4)", None),  # not below 1
+        ("1*e(1/4)", "e(1/4)", None),  # a coefficient
+        ("2/2", "e(1/4)", None),  # a rational
+        ("e( 1/4 )", "e(1/4)", None),  # spaces inside the root
+        ("-1", "e(1/4)+0", None),  # a sum
+        ("-1", f"e(1/{MAX_CONDUCTOR + 7})",
+         (ValidationError, f"conductor {MAX_CONDUCTOR + 7} exceeds the bound {MAX_CONDUCTOR}")),
+        ("e(1/1009)", "e(1/1013)",
+         (ValidationError, f"conductor 1022117 exceeds the bound {MAX_CONDUCTOR}")),
+        ("e(1/4", "e(1/4)", (ParseError, "line 3, column 19: bad root of unity 'e(1/4'")),
+        ("1++e(1/4)", "e(1/4)",
+         (ParseError, "line 3, column 19: empty term in value '1++e(1/4)'")),
+    ])
+    def test_other_tokens_take_the_cyclotomic_parse(self, entry, twist, error):
+        for tail in ("", "provenance: 2\n"):
+            body = _semion_body(entry, twist, tail)
+            with pytest.raises(serialization._LeaveToValues):
+                serialization._parse_table(body)
+            got = _outcome(lambda: parse(Document("modular_data", body)))
+            assert got == _outcome(lambda: serialization._parse_values(body))
+            if error is not None:
+                assert got == error
+            elif isinstance(got, ModularData):
+                # the same data, written in root tokens, takes the integer parse
+                again = serialization._parse_table(serialize(got).body)
+                assert again == got and serialize(again).body == serialize(got).body
+
+    @pytest.mark.parametrize("body", [
+        _semion_body("1"),  # S~ of all ones: not unitary, but data
+        _semion_body(twist="1"),
+        _semion_body(twist="e(1/2)"),
+        _semion_body(tail="provenance: 2\n"),
+        _semion_body(twist="e(3/4)", tail="provenance: 2\n"),  # the anti-semion's twist
+        _semion_body("1", tail="provenance: 2\n"),
+        _semion_body(tail="provenance: 0 2; 2 0\n"),  # |det B| = 4
+        _semion_body(tail="provenance: 1\n"),  # odd diagonal
+        _semion_body(tail="provenance: 1026\n"),  # past MAX_RANK
+        _semion_body(tail="labels: a, b, c\n"),
+        _semion_body(tail="labels: a, b\nrank: 2\n"),
+        _semion_body(tail="colour: 1\n"),
+        "kind: modular_data\nrank: 2\ns_tilde: 1, 1; -1, -1\ntwists: e(0/1), e(1/4)\n",
+        "kind: modular_data\nrank: 2\ns_tilde: -1, 1; 1, -1\ntwists: e(0/1), e(1/4)\n",
+        "kind: modular_data\nrank: 2\ns_tilde: 1, 1; 1, -1\ntwists: e(1/4), e(1/4)\n",
+        "kind: modular_data\nrank: 2\ns_tilde: 1, -1; -1, 1\ntwists: e(0/1), e(1/4)\n",  # d_1 = -1
+        "kind: modular_data\nrank: 3\ns_tilde: 1, 1; 1, -1\ntwists: e(0/1), e(1/4)\n",
+        "kind: modular_data\nrank: 2\ns_tilde: 1, 1; 1\ntwists: e(0/1), e(1/4)\n",
+        "kind: modular_data\nrank: 2\ns_tilde:1,1;1,-1\ntwists:  e(0/1) ,e(1/4)\n",
+    ])
+    def test_root_documents_match_the_cyclotomic_parse(self, body):
+        got = _outcome(lambda: parse(Document("modular_data", body)))
+        assert got == _outcome(lambda: serialization._parse_values(body))
+        if isinstance(got, ModularData):
+            assert serialize(got).body == serialize(serialization._parse_values(body)).body
+
+    def test_corpus_documents_are_tables(self, corpus3_data):
+        # the lattice's own table, n included, so the provenance check is one
+        # comparison; and the same data as the Cyclotomic parse
+        for gram, md in corpus3_data:
+            body = serialize(md).body
+            table = serialization._parse_table(body)
+            assert vars(table)["_exponents"] == vars(md)["_exponents"]
+            assert table == serialization._parse_values(body) == md
