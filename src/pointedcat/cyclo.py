@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import lcm, tau
 from operator import sub
 
-from .errors import MAX_CONDUCTOR, ValidationError, quoted
+from .errors import ValidationError, check_conductor, quoted
 
 
 @lru_cache(maxsize=None)
@@ -469,13 +469,6 @@ def parse_value(text: str) -> Cyclotomic:
         return terms[0]
     check_conductor(x.conductor for x in terms)
     return sum_values(terms)
-
-
-def check_conductor(conductors) -> None:
-    """Raise ValidationError if the lcm of the conductors exceeds MAX_CONDUCTOR."""
-    n = lcm(*conductors)
-    if n > MAX_CONDUCTOR:
-        raise ValidationError(f"conductor {n} exceeds the bound {MAX_CONDUCTOR}")
 
 
 def _parse_rat(text: str) -> Fraction:

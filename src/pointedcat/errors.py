@@ -26,10 +26,12 @@ MAX_RANK = 512
 # a lattice with |det B| <= MAX_RANK gives data of conductor <= 2 * |det B|.
 MAX_CONDUCTOR = 2 * MAX_RANK
 MAX_CANONICAL_RANK = 8  # rank bound of canonical_form, which branches once per symmetry
-# Candidate matrices of an enumerate corpus. On a 2-core Xeon the largest corpora
-# within it (dim <= 3, |entry| <= 6: 754215; dim 1, |entry| <= 1999998: 10^6)
-# run in 4.7-6.7 s and under 100 MB.
+# Candidate matrices of an enumerate corpus. The largest corpora within it are
+# dim <= 3, |entry| <= 6 (754215) and dim 1, |entry| <= 999999 (999999).
 MAX_CANDIDATES = 1_000_000
+# Dimension of a Gram matrix, checked before its O(dim^3) determinant: CLI
+# construct on A_128 took 0.31 s on a 2-core Xeon (2026-10-19).
+MAX_GRAM_DIM = 128
 # Estimated work rank^4 (n + 4) w isqrt(w) of the dense checks at conductor n:
 # the Verlinde sum's rank^4 products, each about n + 4 slots of w 64-bit words,
 # w those of the largest packed coefficient (den included; 1 within 64 bits).
@@ -61,6 +63,15 @@ class ValidationError(PointedCatError):
 
 class NotModular(PointedCatError):
     """A defining identity of modular data fails."""
+
+
+def check_conductor(conductors) -> None:
+    """Raise ValidationError if the lcm of the conductors exceeds MAX_CONDUCTOR."""
+    from math import lcm  # here, so that importing the CLI loads no math
+
+    n = lcm(*conductors)
+    if n > MAX_CONDUCTOR:
+        raise ValidationError(f"conductor {n} exceeds the bound {MAX_CONDUCTOR}")
 
 
 # UTF-8 bytes of a cut echo's repr: that of 40 plain ASCII characters

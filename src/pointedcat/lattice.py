@@ -15,7 +15,7 @@ import itertools
 from math import gcd, prod
 from operator import mul
 
-from .errors import MAX_RANK, ValidationError
+from .errors import MAX_GRAM_DIM, MAX_RANK, ValidationError
 from .record import record
 
 
@@ -60,15 +60,18 @@ def _det_bareiss(rows: list[list[int]]) -> int:
 def check_gram(entries) -> GramMatrix:
     """Validate a square integer matrix as a construction input.
 
-    Raises ValidationError unless the matrix is nonempty, square, symmetric,
-    even on the diagonal and nonsingular; symmetry is required even though
-    only evenness and integrality are obvious from the shape of the pairing,
-    because an asymmetric matrix would give an asymmetric pairing.
+    Raises ValidationError unless the matrix is nonempty, square, of
+    dimension at most MAX_GRAM_DIM, symmetric, even on the diagonal and
+    nonsingular; symmetry is required even though only evenness and
+    integrality are obvious from the shape of the pairing, because an
+    asymmetric matrix would give an asymmetric pairing.
     """
     rows = [list(map(int, row)) for row in entries]
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise ValidationError("expected a nonempty square integer matrix")
+    if n > MAX_GRAM_DIM:
+        raise ValidationError(f"dimension {n} exceeds the Gram dimension bound {MAX_GRAM_DIM}")
     for i in range(n):
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:

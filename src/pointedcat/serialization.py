@@ -21,20 +21,22 @@ provenance, and everything else is recomputed on load.
 
 Pointed data is read and written as integers. serialize prints data with an
 exponent table from its exponents (lattice.root_token and value_token). parse
-reads a document whose every S~ entry and twist is a root token as serialize
-writes it (``1``, ``-1`` or ``e(a/b)`` in lowest terms, 0 <= a < b) straight
-into an exponent table, one integer per distinct token text, and checks it
-on integers. Any other token sends the whole document through the
-Cyclotomic parse of the cyclo grammar, which generic data needs anyway, so
-every error is the same whichever parse reads the document.
+reads each line and each distinct chunk between separators once: a root token
+as serialize writes it (``1``, ``-1`` or ``e(a/b)`` in lowest terms,
+0 <= a < b) becomes its (a, b), and any other chunk its Cyclotomic value
+(cyclo.parse_value, imported at the first such chunk). A document of root
+tokens whose row 0 is all 1 and whose table is that of its provenance
+lattice, if any, becomes its exponent table and is checked on integers; any
+other document is built from Cyclotomic values, and a provenance lattice
+names its first bad twist or S~ entry.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
+from math import gcd
 
-from .errors import MAX_CONDUCTOR, ParseError, ValidationError, quoted
+from .errors import MAX_CONDUCTOR, ParseError, ValidationError, check_conductor, quoted
 from .moddata import ModularData, RelationReport, check_fields, exponent_table, from_table
 from .record import record
 
@@ -86,17 +88,64 @@ def serialize(value) -> Document:
 
 # -- parsing -----------------------------------------------------------------
 
-def parse(doc: Document):
-    """Exact inverse of serialize on data documents.
+def parse(doc: Document) -> ModularData:
+    """Exact inverse of serialize on data documents (see the module
+    docstring). Raises ParseError or ValidationError for the first of: a bad
+    line or chunk, the conductor bound, the provenance matrix, check_fields,
+    the rank against |det B|, a bad twist, a bad S~ entry."""
+    if doc.kind != "modular_data":
+        raise ParseError(f"unknown document kind {doc.kind!r}")
+    fields, chunks = _read_fields(doc.body)
+    rank, labels = fields["rank"], fields.get("labels")
+    # every check computes at the lcm of all conductors: e(a/b) has conductor
+    # b, and 1 and -1 conductor 1, as in cyclo
+    check_conductor(x.conductor if not isinstance(x, tuple) else x[1] if x[1] > 2 else 1
+                    for x in chunks.values())
+    gram = md = table = None
+    if "provenance" in fields:
+        from .lattice import check_gram, discriminant_group, pairing_exponents
 
-    Raises ParseError or ValidationError.
-    """
-    if doc.kind == "modular_data":
         try:
-            return _parse_table(doc.body)
-        except _LeaveToValues:
-            return _parse_values(doc.body)
-    raise ParseError(f"unknown document kind {doc.kind!r}")
+            gram = check_gram(fields["provenance"])
+        except ValidationError as exc:
+            raise ValidationError(f"invalid provenance matrix: {exc}") from None
+        group = discriminant_group(gram)
+    if all(isinstance(x, tuple) for x in chunks.values()):
+        table = exponent_table(fields["s_tilde"], fields["twists"], chunks)
+        check_fields(rank, table.s, table.t, labels, 0)
+    else:
+        md = _from_values(fields, chunks, gram)
+    if gram is not None:
+        if group.order != rank:
+            raise ValidationError(f"provenance has |det B| = {group.order}, but rank is {rank}")
+        implied = pairing_exponents(gram, group)
+    # a document that matches its lattice has the lattice's table, n included
+    if table is not None and not any(table.s[0]) and (
+            gram is None or (table.n, table.s, table.t) == implied):
+        return from_table(rank, table, gram, labels)
+    if md is None:
+        md = _from_values(fields, chunks, gram)
+    if gram is None:
+        return md
+    # The twists and S~ must be those the provenance lattice implies.
+    from fractions import Fraction
+
+    from .cyclo import format_root, format_value
+    from .lattice import root_token, value_token
+
+    n, s, t = implied
+    for i, (twist, k) in enumerate(zip(md.twists, t)):
+        if twist.root_exponent() != Fraction(k, 2 * n):
+            raise ValidationError(f"twist {i} is {format_root(twist)}, "
+                                  f"but provenance gives {root_token(k, 2 * n)}")
+    # S~ is symmetric (checked by ModularData), so the first bad entry in
+    # row-major order lies on or above the diagonal.
+    for i, (row, implied_row) in enumerate(zip(md.s_tilde, s)):
+        for j in range(i, md.rank):
+            if row[j].root_exponent() != Fraction(implied_row[j], n):
+                raise ValidationError(f"s_tilde ({i},{j}) is {format_value(row[j])}, "
+                                      f"but provenance gives {value_token(implied_row[j], n)}")
+    return md
 
 
 def parse_int_matrix_text(text: str) -> tuple[tuple[int, ...], ...]:
@@ -129,8 +178,9 @@ def parse_gram_text(text: str) -> GramMatrix:
     return check_gram(rows)
 
 
-def _key_value_lines(body: str, kind: str, known: tuple[str, ...]):
-    """Yield (key, value, lineno, value_column) for each content line."""
+def _key_value_lines(body: str):
+    """Yield (key, value, lineno, value_column) for each content line of a
+    data document."""
     header_seen = False
     for lineno, line in enumerate(body.splitlines(), start=1):
         stripped = line.strip()
@@ -141,15 +191,15 @@ def _key_value_lines(body: str, kind: str, known: tuple[str, ...]):
         key, _, value = line.partition(":")
         key = key.strip()
         if not header_seen:
-            if key != "kind" or value.strip() != kind:
-                raise ParseError(f"expected 'kind: {kind}' header", lineno, 1)
+            if key != "kind" or value.strip() != "modular_data":
+                raise ParseError("expected 'kind: modular_data' header", lineno, 1)
             header_seen = True
             continue
-        if key not in known:
+        if key not in ("rank", "labels", "s_tilde", "twists", "provenance"):
             raise ParseError(f"unknown key {quoted(key)}", lineno, 1)
         yield key, value.strip(), lineno, line.index(":") + 2 + (len(value) - len(value.lstrip()))
     if not header_seen:
-        raise ParseError(f"missing 'kind: {kind}' header")
+        raise ParseError("missing 'kind: modular_data' header")
 
 
 def _split_tracking(text: str, sep: str, base_col: int):
@@ -171,13 +221,17 @@ def _parse_inline_matrix(value: str, lineno: int, col: int):
     return tuple(rows)
 
 
-def _read_fields(body: str, matrix, vector) -> dict:
-    """The fields of a data document, with s_tilde read by matrix and twists
-    by vector, each called as (value, lineno, col); ParseError on the first
-    bad line, or for a missing key."""
+def _read_fields(body: str) -> tuple[dict, dict]:
+    """The fields of a data document, with s_tilde a list of rows and twists
+    one row, each row the list of its chunks between commas; and for each
+    distinct chunk, its (a, b) if it is a root token e(a/b) (_root_of), else
+    its Cyclotomic value (cyclo.parse_value). Each line and each distinct
+    chunk is read once. ParseError at the first bad line or chunk, or for a
+    missing key; a chunk's column is worked out only then."""
     fields: dict[str, object] = {}
-    known = ("rank", "labels", "s_tilde", "twists", "provenance")
-    for key, value, lineno, col in _key_value_lines(body, "modular_data", known):
+    chunks: dict[str, object] = {}
+    parse_value = None
+    for key, value, lineno, col in _key_value_lines(body):
         if key in fields:
             raise ParseError(f"duplicate key {key!r}", lineno, 1)
         if key == "rank":
@@ -191,48 +245,41 @@ def _read_fields(body: str, matrix, vector) -> dict:
                 if not name or not set(name) <= _NAME_CHARS:
                     raise ParseError(f"bad label name {quoted(name)}", lineno, col)
             fields["labels"] = names
-        elif key == "s_tilde":
-            fields["s_tilde"] = matrix(value, lineno, col)
-        elif key == "twists":
-            fields["twists"] = vector(value, lineno, col)
         elif key == "provenance":
             fields["provenance"] = _parse_inline_matrix(value, lineno, col)
+        else:
+            rows = [row.split(",") for row in (value.split(";") if key == "s_tilde" else [value])]
+            for chunk in dict.fromkeys(itertools.chain(*rows)):
+                if chunk in chunks:
+                    continue
+                token = chunk.strip()
+                chunks[chunk] = _root_of(token)
+                if chunks[chunk] is None:
+                    if parse_value is None:
+                        from .cyclo import parse_value
+                    try:
+                        chunks[chunk] = parse_value(token)
+                    except ValueError as exc:
+                        column = _column(value, col, token, key)
+                        raise ParseError(str(exc), lineno, column) from None
+            fields[key] = rows if key == "s_tilde" else rows[0]
     for required in ("rank", "s_tilde", "twists"):
         if required not in fields:
             raise ParseError(f"missing required key {required!r}")
-    return fields
+    return fields, chunks
 
 
-def _provenance(fields: dict):
-    """(gram, group) of the provenance field, or (None, None) without one."""
-    if "provenance" not in fields:
-        return None, None
-    from .lattice import check_gram, discriminant_group
-
-    try:
-        gram = check_gram(fields["provenance"])
-    except ValidationError as exc:
-        raise ValidationError(f"invalid provenance matrix: {exc}") from None
-    return gram, discriminant_group(gram)
+def _column(value: str, col: int, token: str, key: str) -> int:
+    """The column of the first chunk of an s_tilde or twists value that
+    strips to token."""
+    rows = _split_tracking(value, ";", col) if key == "s_tilde" else [(value, col)]
+    return next(chunk_col for row, row_col in rows
+                for chunk, chunk_col in _split_tracking(row, ",", row_col) if chunk == token)
 
 
-def _implied(gram: GramMatrix, group, rank: int):
-    """The exponent table (n, s, t) the provenance lattice implies."""
-    from .lattice import pairing_exponents
-
-    if group.order != rank:
-        raise ValidationError(f"provenance has |det B| = {group.order}, but rank is {rank}")
-    return pairing_exponents(gram, group)
-
-
-class _LeaveToValues(Exception):
-    """A document that _parse_table leaves to _parse_values."""
-
-
-def _root_of(token: str) -> tuple[int, int]:
+def _root_of(token: str) -> tuple[int, int] | None:
     """(a, b) with token the text e(a/b) as serialize writes it: 1, -1, or
-    e(a/b) with 0 <= a < b <= MAX_CONDUCTOR and gcd(a, b) = 1;
-    _LeaveToValues for any other text."""
+    e(a/b) with 0 <= a < b <= MAX_CONDUCTOR and gcd(a, b) = 1; else None."""
     if token == "1":
         return 0, 1
     if token == "-1":
@@ -241,89 +288,23 @@ def _root_of(token: str) -> tuple[int, int]:
     try:
         a, b = int(a), int(b)
     except ValueError:
-        raise _LeaveToValues from None
-    if token != f"e({a}/{b})" or not 0 <= a < b <= MAX_CONDUCTOR or gcd(a, b) != 1:
-        raise _LeaveToValues
-    return a, b
+        return None
+    if token == f"e({a}/{b})" and 0 <= a < b <= MAX_CONDUCTOR and gcd(a, b) == 1:
+        return a, b
+    return None
 
 
-def _parse_table(body: str) -> ModularData:
-    """A document of root tokens as an exponent table (moddata.from_table).
-    Each row is split once, and no column is worked out. A token that is no
-    root as serialize writes it, a conductor past the bound, a d_a != 1 (data
-    without an exponent table) or a contradiction of the provenance leaves
-    the document to _parse_values, which builds it or names the first error;
-    every other check is the code of _parse_values, in its order."""
-    roots = {}  # (a, b) of each distinct chunk between separators, unstripped
-    chunks = {}  # one string object per distinct chunk
+def _from_values(fields: dict, chunks: dict, gram: GramMatrix | None) -> ModularData:
+    """The data of a document as Cyclotomic values: the value of each chunk
+    that is no root token, and parse_value of each that is."""
+    from .cyclo import parse_value
 
-    def tokens(text, *_):
-        row = text.split(",")
-        row = tuple(map(chunks.setdefault, row, row))
-        for chunk in set(row).difference(roots):
-            roots[chunk] = _root_of(chunk.strip())
-        return row
-
-    fields = _read_fields(body, lambda value, *_: tuple(map(tokens, value.split(";"))), tokens)
-    # e(a/b) has conductor b, but 1 and -1 have conductor 1, as in cyclo
-    if lcm(*(b for _, b in roots.values() if b > 2)) > MAX_CONDUCTOR:
-        raise _LeaveToValues
-    gram, group = _provenance(fields)
-    table = exponent_table(fields["s_tilde"], fields["twists"], roots)
-    check_fields(fields["rank"], table.s, table.t, fields.get("labels"), 0)
-    # a document that matches its lattice has the lattice's table, n included
-    if any(table.s[0]) or gram is not None and (table.n, table.s, table.t) != _implied(
-            gram, group, fields["rank"]):
-        raise _LeaveToValues
-    return from_table(fields["rank"], table, gram, fields.get("labels"))
-
-
-def _parse_values(body: str) -> ModularData:
-    """A data document of any values of the cyclo grammar, as Cyclotomic."""
-    from fractions import Fraction
-
-    from .cyclo import check_conductor, format_root, format_value, parse_value
-
-    def value_list(value, lineno, col):
-        values = []
-        for chunk, chunk_col in _split_tracking(value, ",", col):
-            try:
-                values.append(parse_value(chunk))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno, chunk_col) from None
-        return tuple(values)
-
-    def matrix(value, lineno, col):
-        return tuple(value_list(row, lineno, row_col)
-                     for row, row_col in _split_tracking(value, ";", col))
-
-    fields = _read_fields(body, matrix, value_list)
-    # every check computes at the lcm of all conductors
-    values = itertools.chain(*fields["s_tilde"], fields["twists"])
-    check_conductor(x.conductor for x in values)
-    gram, group = _provenance(fields)
-    md = ModularData(
+    values = {chunk: parse_value(chunk.strip()) if isinstance(x, tuple) else x
+              for chunk, x in chunks.items()}
+    return ModularData(
         rank=fields["rank"],
-        s_tilde=fields["s_tilde"],
-        twists=fields["twists"],
+        s_tilde=tuple(tuple(map(values.__getitem__, row)) for row in fields["s_tilde"]),
+        twists=tuple(map(values.__getitem__, fields["twists"])),
         provenance=gram,
         label_names=fields.get("labels"),
     )
-    if gram is None:
-        return md
-    # The rank, the twists and S~ must be those the provenance lattice implies.
-    from .lattice import root_token, value_token
-
-    n, s, t = _implied(gram, group, md.rank)
-    for i, (twist, k) in enumerate(zip(md.twists, t)):
-        if twist.root_exponent() != Fraction(k, 2 * n):
-            raise ValidationError(f"twist {i} is {format_root(twist)}, "
-                                  f"but provenance gives {root_token(k, 2 * n)}")
-    # S~ is symmetric (checked by ModularData), so the first bad entry in
-    # row-major order lies on or above the diagonal.
-    for i, (row, implied_row) in enumerate(zip(md.s_tilde, s)):
-        for j in range(i, md.rank):
-            if row[j].root_exponent() != Fraction(implied_row[j], n):
-                raise ValidationError(f"s_tilde ({i},{j}) is {format_value(row[j])}, "
-                                      f"but provenance gives {value_token(implied_row[j], n)}")
-    return md

@@ -730,9 +730,9 @@ def fibonacci_power_document(m):
 
 
 class TestInputBounds:
-    """Inputs past MAX_RANK, MAX_CONDUCTOR, MAX_CANONICAL_RANK, MAX_CANDIDATES
-    or MAX_DENSE_WORK are usage errors, raised before anything of their size
-    is built."""
+    """Inputs past MAX_RANK, MAX_CONDUCTOR, MAX_CANONICAL_RANK, MAX_CANDIDATES,
+    MAX_DENSE_WORK or MAX_GRAM_DIM are usage errors, raised before anything of
+    their size is built."""
 
     def _exit_code_and_seconds(self, argv):
         start = time.perf_counter()
@@ -746,6 +746,27 @@ class TestInputBounds:
         code, seconds = self._exit_code_and_seconds(["construct", "--b", str(path)])
         assert code == 2 and seconds < 1.0
         assert "exceeds the rank bound 512" in capsys.readouterr().err
+
+    def test_gram_dimension_bound(self, tmp_path, capsys):
+        # A_600 (2 on the diagonal, 1 next to it, |det B| = 601) ran 9-13 s
+        # in its determinant before the rank bound refused it
+        a_n = lambda n: "".join(" ".join("2" if i == j else "1" if abs(i - j) == 1 else "0"
+                                         for j in range(n)) + "\n" for i in range(n))
+        path = tmp_path / "a600.mat"
+        path.write_text(a_n(600))
+        code, seconds = self._exit_code_and_seconds(["construct", "--b", str(path)])
+        assert code == 2 and seconds < 1.0
+        assert capsys.readouterr().err == \
+            "error: dimension 600 exceeds the Gram dimension bound 128\n"
+        data = tmp_path / "a129.data"
+        data.write_text("kind: modular_data\nrank: 1\ns_tilde: 1\ntwists: 1\nprovenance: "
+                        + a_n(129).replace("\n", "; ").rstrip("; ") + "\n")
+        code, seconds = self._exit_code_and_seconds(["verify", "--data", str(data)])
+        assert code == 2 and seconds < 1.0
+        assert capsys.readouterr().err == ("error: invalid provenance matrix: dimension 129 "
+                                           "exceeds the Gram dimension bound 128\n")
+        # A_128 is within the bound
+        assert check_gram([row.split() for row in a_n(128).splitlines()]).determinant == 129
 
     def test_canonical_rank_bound(self, capsys):
         # refused before generating the corpus, which alone takes seconds
@@ -835,8 +856,10 @@ class TestInputBounds:
          "14408716 candidate matrices up to dimension 6 exceed the bound 1000000"),
         (lambda: dense.packed(parse(Document("modular_data", fibonacci_power_document(8)))),
          "estimated dense work 38654705664 exceeds the bound 2500000000"),
+        (lambda: check_gram([[2 * (i == j) for j in range(129)] for i in range(129)]),
+         "dimension 129 exceeds the Gram dimension bound 128"),
     ], ids=["MAX_RANK", "CorpusSpec.max_rank", "MAX_CONDUCTOR", "MAX_CANONICAL_RANK",
-            "enumerate.max_rank", "MAX_CANDIDATES", "MAX_DENSE_WORK"])
+            "enumerate.max_rank", "MAX_CANDIDATES", "MAX_DENSE_WORK", "MAX_GRAM_DIM"])
     def test_every_bound_is_a_validation_error(self, call, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             call()

@@ -149,6 +149,14 @@ class TestGeneration:
         with pytest.raises(ValidationError, match="^max_rank 513 exceeds the rank bound 512$"):
             CorpusSpec(max_dim=1, max_entry=2, max_rank=MAX_RANK + 1)
 
+    def test_candidate_bound_edge_in_dimension_1(self):
+        # |entry| <= 999999 has the even diagonals -999998..999998: 999999
+        # candidates, within the bound; |entry| <= 10^6 has 1000001
+        assert CorpusSpec(1, 999999).max_entry == 999999
+        with pytest.raises(ValidationError, match="^1000001 candidate matrices up to "
+                                                  "dimension 1 exceed the bound 1000000$"):
+            CorpusSpec(1, 1000000)
+
     def test_candidate_bound(self, monkeypatch):
         # dim <= 3, |entry| <= 4: 5 + 5^2 9 + 5^3 9^3 = 91355 candidates, the
         # largest corpus in CI, exactly at a bound of 91355 and just over 91354
