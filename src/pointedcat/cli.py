@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or parse errors, and
 141 (128 + SIGPIPE, as a shell reports it) when the reader closes stdout early.
 All output is deterministic; two runs on the same inputs are byte-identical.
+A CLI job (entry) flushes stdout and stderr and ends with os._exit, with no
+interpreter teardown, so atexit handlers of site, sitecustomize or coverage
+tools do not run in it; in-process callers use main, which returns the code.
 
 Every job runs in a fresh interpreter, so this module imports at start-up
 only what every command needs: the options come from one table (COMMANDS),
@@ -287,11 +290,13 @@ def entry() -> None:
         code = main()
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader closed stdout (as `| head` does). Point stdout at devnull,
-        # so that the flush at exit raises nothing, and end quietly.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader closed stdout (as `| head` does): end quietly
         code = EXIT_CLOSED_STDOUT
-    sys.exit(code)
+    sys.stderr.flush()
+    # The output is complete, and nothing registers an atexit handler or holds
+    # an open file, so the interpreter's teardown would only cost time. An
+    # exception main does not catch never gets here: it leaves with its traceback.
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ is canonical per value.
 
 from __future__ import annotations
 
-import cmath
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -253,6 +252,8 @@ class Cyclotomic:
     def approx_complex(self) -> tuple[float, float]:
         """Floating approximation, for display only: no check and no exponent
         is decided from it. Raises OverflowError beyond float range."""
+        import cmath  # only show --approx gets here
+
         total = 0j
         n = self._conductor
         for k, c in enumerate(self._coeffs):

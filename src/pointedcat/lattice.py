@@ -175,9 +175,11 @@ class DiscriminantGroup:
 def discriminant_group(gram: GramMatrix) -> DiscriminantGroup:
     """Enumerate all |det B| classes of B^{-1}Z^n / Z^n via the Smith form.
     Raises ValidationError when |det B| exceeds MAX_RANK."""
-    if abs(gram.determinant) > MAX_RANK:
-        raise ValidationError(
-            f"|det B| = {abs(gram.determinant)} exceeds the rank bound {MAX_RANK}")
+    det = abs(gram.determinant)
+    if det > MAX_RANK:
+        # compared first, so that no determinant of thousands of digits is printed
+        shown = f"= {det}" if det < 10 ** 40 else "has more than 40 digits and"
+        raise ValidationError(f"|det B| {shown} exceeds the rank bound {MAX_RANK}")
     snf = smith_normal_form(gram)
     # Class combo is V * (combo_j / d_j)_j mod 1; over the exponent e = d_n
     # (every d_j divides it) each coordinate is one integer numerator.

@@ -1,15 +1,17 @@
-"""Mutation audit of the document parse and of the table checks it relies on.
+"""Mutation audit of the document parse, the table checks it relies on, the
+dense checks and the CLI's exit.
 
     python tests/mutation_audit.py
 
 Copies the repository to a temporary directory and, for each mutant below,
 applies one text replacement that must match exactly once, then runs Tier-1
-with -x on the copy: tests/test_serialization.py first, and the whole suite
-if that passes. A mutant is killed when a test fails. A mutant that survives
-must carry a one-line argument that it is equivalent to the code; the script
-exits 1 if any other mutant survives, or if the unmutated copy fails. It
-prints one line per mutant and the kill count. pytest does not collect this
-file (its name does not start with test_).
+with -x on the copy: the test file FIRST names for the mutated module first,
+and the whole suite if that passes. A mutant is killed when a test fails. A
+mutant that survives must carry a one-line argument that it is equivalent to
+the code; the script exits 1 if any other mutant survives, or if the
+unmutated copy fails. It prints one line per mutant, the kill count and the
+time the mutants took. pytest does not collect this file (its name does not
+start with test_).
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# the test file run first against a mutant of each module
+FIRST = {"serialization": "test_serialization.py", "moddata": "test_serialization.py",
+         "dense": "test_kernel.py", "cli": "test_cli.py"}
 
 # (module of src/pointedcat, text, replacement, equivalence argument or None)
 MUTANTS = [
@@ -57,6 +63,27 @@ MUTANTS = [
      "vars(md).update(rank=rank, provenance=None,", None),
     ("moddata", "label_names=label_names,\n                    _exponents=table)",
      "label_names=None,\n                    _exponents=table)", None),
+    # dense: packing, products and the three dense checks
+    ("dense", "(bound.bit_length() + 9) // 8 * 8", "(bound.bit_length() + 7) // 8 * 8", None),
+    ("dense", "for start in range(0, slots, n):", "for start in range(0, slots - n, n):", None),
+    ("dense", "width = slot_width(sum(map(mul, *norms)))", "width = slot_width(sum(next(norms)))",
+     None),
+    ("dense", "[max(1, *(sum(", "[max(0, *(sum(", None),
+    ("dense", "if r or m < 0 or x !=", "if m < 0 or x !=",
+     "with r != 0, x[pivot] = m unit[pivot] + r, so x != m unit already holds"),
+    ("dense", "if r or m < 0 or x !=", "if r or x !=", None),
+    ("dense", "return all(map(eq, products(n, a, st), expected))",
+     "return next(products(n, a, st)) == expected[0]", None),
+    ("dense", "    if md._unitary:\n        return p.duals", "    if True:\n        return p.duals",
+     None),
+    ("dense", "len(hits) == 1 and row[hits[0]] == unit", "row[hits[0]] == unit", None),
+    ("dense", "raw[-shift:] + raw[:-shift]", "raw[shift:] + raw[:shift]", None),
+    ("dense", "if any(d.is_zero() for d in dims):", "if False:", None),
+    # cli.entry: the output must be complete, and the code kept, before os._exit
+    ("cli", "        sys.stdout.flush()\n", "", None),
+    ("cli", "os._exit(code)", "os._exit(0)", None),
+    ("cli", "    sys.stderr.flush()\n", "",
+     "stderr is line-buffered (Python 3.9 on) and every write to it ends in a newline"),
 ]
 
 
@@ -76,6 +103,7 @@ def main() -> int:
             print("the unmutated copy fails Tier-1")
             return 1
         killed = unexplained = 0
+        audit_start = time.perf_counter()
         for number, (module, text, replacement, equivalent) in enumerate(MUTANTS, start=1):
             path = copy / "src" / "pointedcat" / f"{module}.py"
             source = path.read_text()
@@ -84,7 +112,7 @@ def main() -> int:
                 return 1
             path.write_text(source.replace(text, replacement))
             start = time.perf_counter()
-            dead = _fails(copy, "tests/test_serialization.py") or _fails(copy, "tests")
+            dead = _fails(copy, f"tests/{FIRST[module]}") or _fails(copy, "tests")
             seconds = time.perf_counter() - start
             path.write_text(source)
             killed += dead
@@ -93,7 +121,8 @@ def main() -> int:
             print(f"mutant {number} ({module}: {text.strip()!r}) {status} in {seconds:.1f} s",
                   flush=True)
         print(f"{killed} of {len(MUTANTS)} mutants killed, "
-              f"{len(MUTANTS) - killed - unexplained} argued equivalent, {unexplained} survived")
+              f"{len(MUTANTS) - killed - unexplained} argued equivalent, {unexplained} survived, "
+              f"in {time.perf_counter() - audit_start:.0f} s after the unmutated run")
         return 1 if unexplained else 0
 
 

@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from pointedcat import (
     parse,
     root_of_unity,
     serialize,
+    verify_all,
 )
 from pointedcat.cli import main
 from pointedcat.cyclo import format_root, format_value, parse_value
@@ -617,9 +619,11 @@ def test_echoes_are_cut_at_a_byte_budget(tmp_path, capsys, name, echo):
 
 def run_cli(args, **kwargs):
     """python -m pointedcat.cli ARGS in a fresh interpreter without site or a
-    bytecode cache, so every module it imports is compiled and listed."""
+    bytecode cache, so every module it imports is compiled and listed, and
+    without PYTHONUNBUFFERED, so stdout is block-buffered as in a shell pipe."""
     src = str(Path(pointedcat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.Popen([sys.executable, "-S", *args], env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, **kwargs)
 
@@ -651,7 +655,7 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
         assert code == 0 and "pointedcat.serialization" in names
         assert names.isdisjoint(never | values), (args, names & (never | values))
     # show and fusion print values, and pointed data that fails its cube check
-    # gets exact Gauss sums, so these load cyclo
+    # gets exact Gauss sums, so these load cyclo; only show --approx loads cmath
     corrupt = tmp_path / "corrupt.data"
     corrupt.write_text(CORRUPT_SEMION)
     for args, expected in ((["show", "--data", semion_data], 0),
@@ -659,7 +663,9 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
                            (["verify", "--data", str(corrupt)], 1)):
         code, names = imported_modules(args)
         assert code == expected and "pointedcat.cyclo" in names
-        assert names.isdisjoint(never), (args, names & never)
+        assert names.isdisjoint(never | {"cmath"}), (args, names & (never | {"cmath"}))
+    code, names = imported_modules(["show", "--data", semion_data, "--approx"])
+    assert code == 0 and "cmath" in names
     # enumerate runs on integer exponent tables: no cyclotomic values, no
     # ModularData and no documents, nor the standard modules cyclo needs
     code, names = imported_modules(["enumerate", "--max-dim", "2", "--max-entry", "2"])
@@ -677,7 +683,7 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
     generic.write_text(serialize(su2(3)).body)
     code, names = imported_modules(["verify", "--data", str(generic)])
     assert code == 0 and {"pointedcat.dense", "pointedcat.cyclo"} <= names
-    assert "pointedcat.lattice" not in names
+    assert names.isdisjoint({"pointedcat.lattice", "cmath"})
 
 
 def test_closed_stdout_ends_quietly(tmp_path):
@@ -693,6 +699,27 @@ def test_closed_stdout_ends_quietly(tmp_path):
     assert head == ["rank: 128\n", "quantum dimensions: " + ", ".join(["1"] * 128) + "\n",
                     "D^2: 128\n"]
     assert err == ""
+
+
+def test_output_is_complete_before_the_fast_exit(tmp_path, semion_file, semion_data):
+    # entry ends with os._exit, which flushes nothing, so block-buffered stdout
+    # reaches the reader only through entry's own flush
+    corrupt = tmp_path / "corrupt.data"
+    corrupt.write_text(CORRUPT_SEMION)
+    semion = from_lattice(check_gram([[2]]))
+    usage = "usage: pointedcat construct --b FILE [--out FILE]\n"
+    cases = [
+        (["verify", "--data", semion_data], serialize(verify_all(semion)).body, "", 0),
+        (["verify", "--data", str(corrupt)],
+         serialize(verify_all(parse(Document("modular_data", CORRUPT_SEMION)))).body, "", 1),
+        (["construct", "--b", semion_file], serialize(semion).body, "", 0),
+        (["construct"], "", usage + "error: missing required option --b\n", 2),
+    ]
+    for argv, out, err, code in cases:
+        proc = run_cli(["-m", "pointedcat.cli", *argv])
+        assert proc.communicate(timeout=60) == (out, err)
+        assert proc.returncode == code
+    assert cases[0][1].endswith("result: pass\n") and cases[1][1].endswith("result: fail\n")
 
 
 class TestDeterminism:
@@ -746,6 +773,27 @@ class TestInputBounds:
         code, seconds = self._exit_code_and_seconds(["construct", "--b", str(path)])
         assert code == 2 and seconds < 1.0
         assert "exceeds the rank bound 512" in capsys.readouterr().err
+
+    def test_rank_bound_message_has_a_byte_budget(self, tmp_path, capsys):
+        # |det B| is printed only up to 40 digits: a seeded 128 x 128 matrix of
+        # entries up to 6 wrote a 227-byte line, and a determinant past 4300
+        # digits failed its own str() in an error line that named no bound
+        rng = random.Random(128)
+        rows = [[0] * 128 for _ in range(128)]
+        for i in range(128):
+            rows[i][i] = rng.choice(range(-6, 7, 2))
+            for j in range(i + 1, 128):
+                rows[i][j] = rows[j][i] = rng.randint(-6, 6)
+        big = 2 * 10 ** 4000
+        long = "error: |det B| has more than 40 digits and exceeds the rank bound 512\n"
+        for matrix, line in ((rows, long), ([[big, 1], [1, big]], long), ([[10 ** 40]], long),
+                             ([[10 ** 40 - 2]], f"error: |det B| = {10 ** 40 - 2} "
+                                                "exceeds the rank bound 512\n")):
+            path = tmp_path / "b.mat"
+            path.write_text("".join(" ".join(map(str, row)) + "\n" for row in matrix))
+            assert main(["construct", "--b", str(path)]) == 2
+            assert capsys.readouterr() == ("", line)
+            assert len(line.encode()) < 120
 
     def test_gram_dimension_bound(self, tmp_path, capsys):
         # A_600 (2 on the diagonal, 1 next to it, |det B| = 601) ran 9-13 s
