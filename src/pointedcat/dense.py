@@ -4,8 +4,9 @@ Pointed data whose rows form a group under the entrywise product is checked
 in moddata through that group law (ModularData._law): the law alone gives
 unitarity and D^2 = rank, N_ij^k = delta(k, i.j), C(i) = i^-1, and (S~ T)^3
 as a rank^2 integer check on the twists. Every other input comes here: data
-that is not all roots of unity, and pointed data whose rows are not distinct
-or not closed, within errors.MAX_DENSE_WORK. S~ and conj(S~) become integer
+that is not all roots of unity, and exponent tables with no law, because row
+0 is not all 1 (only the law reads it) or the rows are not distinct or not
+closed, within errors.MAX_DENSE_WORK. S~ and conj(S~) become integer
 rows at the conductor of S~, with the row of S~ that each conj row equals
 (Packed, the one dense cache of a ModularData), S~ and S~T at the lcm with
 T's for the one (S~ T)^3 check only (twisted), and every check sums products

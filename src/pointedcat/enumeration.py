@@ -143,15 +143,6 @@ class ModularClass:
 class ClassificationResult:
     by_rank: tuple[tuple[int, tuple[ModularClass, ...]], ...]
 
-    def classes(self, rank: int) -> tuple[ModularClass, ...]:
-        for r, cs in self.by_rank:
-            if r == rank:
-                return cs
-        return ()
-
-    def class_count(self, rank: int) -> int:
-        return len(self.classes(rank))
-
 
 def canonical_key(twist_tok: list[str], s_tok: list[list[str]]) -> bytes:
     """Lexicographically minimal serialization ``twists:...|s:...`` of a token

@@ -4,11 +4,11 @@ colored framed-link invariants and canonical forms.
 The central object pairs an unnormalized Hopf-link matrix with a vector of
 twists. Everything else (quantum dimensions, global dimension, Gauss sums,
 fusion multiplicities, charge conjugation) is derived from those two fields
-and checked with exact cyclotomic arithmetic. Pointed data from a lattice or
-from a document of root tokens is held as its integer exponent table
-(_Exponents) instead, and its checks, its document and its link invariants
-read only that table. cyclo is imported on first use, by the code that
-builds or reads Cyclotomic values.
+and checked with exact cyclotomic arithmetic. Data from a lattice or from a
+document of root tokens is held as its integer exponent table (_Exponents)
+instead. Its document and canonical form read only that table, and so do the
+checks and link invariants of pointed data with a group law (_law). cyclo is
+imported on first use, by the code that builds or reads Cyclotomic values.
 """
 
 from __future__ import annotations
@@ -84,11 +84,9 @@ class ModularData:
 
     @cached_property
     def _exponents(self) -> _Exponents | None:
-        """S~ and T as integer exponents, or None unless row 0 is all 1 and
-        every entry and twist is a root of unity. An instance made by
-        from_table holds its table from the start."""
-        if any(d != 1 for d in self.s_tilde[0]):
-            return None
+        """S~ and T as integer exponents, or None unless every entry and
+        twist is a root of unity; row 0 may hold any roots (only _law reads
+        it). An instance made by from_table holds its table from the start."""
         roots = {}
         for x in itertools.chain(*self.s_tilde, self.twists):
             if id(x) not in roots:
@@ -103,7 +101,8 @@ class ModularData:
     def _law(self) -> tuple[tuple[int, ...], ...] | None:
         """The group law of pointed data (_Exponents): law[i][j] = k where
         S~_i S~_j = S~_k entrywise, or None unless there is an exponent table
-        and its rows are distinct and closed under that product.
+        whose row 0 is all exponent 0 and whose rows are distinct and closed
+        under that product. This is the one reader of row 0 of a table.
 
         Row 0 is the unit. Each label g not yet reached is a generator: its
         translation tau_g(x) = g.x is one row lookup per label x, and the
@@ -113,7 +112,7 @@ class ModularData:
         of such lookups, so a complete table proves closure.
         """
         table = self._exponents
-        if table is None:
+        if table is None or any(table.s[0]):
             return None
         n, s = table.n, table.s
         index = {row: k for k, row in enumerate(s)}
@@ -197,13 +196,15 @@ def check_fields(rank, rows, twists, label_names, one) -> None:
 
 @record
 class _Exponents:
-    """Pointed data as integers, in the form of lattice.pairing_exponents:
-    S~_ij = e(s[i][j]/n) and theta_a = e(t[a]/2n).
+    """Data of roots of unity as integers, in the form of
+    lattice.pairing_exponents: S~_ij = e(s[i][j]/n) and theta_a = e(t[a]/2n).
 
-    Row 0 is all exponent 0, so every d_a is 1. If the rows are distinct and
-    closed under the entrywise product, ModularData._law holds that product,
-    k = i.j where S~_i S~_j = S~_k, and since S~ is symmetric (Drinfeld,
-    Gelaki, Nikshych and Ostrik, "On braided fusion categories I", 2010):
+    This is the one form of data whose every entry and twist is a root of
+    unity, whatever its row 0. If row 0 is all exponent 0 (every d_a is 1)
+    and the rows are distinct and closed under the entrywise product,
+    ModularData._law holds that product, k = i.j where S~_i S~_j = S~_k,
+    and since S~ is symmetric (Drinfeld, Gelaki, Nikshych and Ostrik, "On
+    braided fusion categories I", 2010):
 
     - the labels form a group A with unit 0;
     - every row is a distinct character of A, so the rows are orthogonal:
@@ -401,9 +402,6 @@ class RelationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failing(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.checks if not c.passed)
 
 
 def check_modular_relations(md: ModularData) -> RelationReport:

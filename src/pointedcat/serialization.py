@@ -25,10 +25,11 @@ reads each line and each distinct chunk between separators once: a root token
 as serialize writes it (``1``, ``-1`` or ``e(a/b)`` in lowest terms,
 0 <= a < b) becomes its (a, b), and any other chunk its Cyclotomic value
 (cyclo.parse_value, imported at the first such chunk). A document of root
-tokens whose row 0 is all 1 and whose table is that of its provenance
-lattice, if any, becomes its exponent table and is checked on integers; any
-other document is built from Cyclotomic values, and a provenance lattice
-names its first bad twist or S~ entry.
+tokens becomes its exponent table (moddata.from_table), whatever its row 0,
+and is checked on integers; any other document is built from Cyclotomic
+values. A provenance lattice is one comparison of the data's exponent table
+with the lattice's; on a mismatch, the document's values name its first bad
+twist or S~ entry.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import itertools
 from math import gcd
 
 from .errors import MAX_CONDUCTOR, ParseError, ValidationError, check_conductor, quoted
-from .moddata import ModularData, RelationReport, check_fields, exponent_table, from_table
+from .moddata import (ModularData, RelationReport, _Exponents, check_fields, exponent_table,
+                      from_table)
 from .record import record
 
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_+-")
@@ -101,7 +103,7 @@ def parse(doc: Document) -> ModularData:
     # b, and 1 and -1 conductor 1, as in cyclo
     check_conductor(x.conductor if not isinstance(x, tuple) else x[1] if x[1] > 2 else 1
                     for x in chunks.values())
-    gram = md = table = None
+    gram = None
     if "provenance" in fields:
         from .lattice import check_gram, discriminant_group, pairing_exponents
 
@@ -113,19 +115,16 @@ def parse(doc: Document) -> ModularData:
     if all(isinstance(x, tuple) for x in chunks.values()):
         table = exponent_table(fields["s_tilde"], fields["twists"], chunks)
         check_fields(rank, table.s, table.t, labels, 0)
+        md = from_table(rank, table, gram, labels)
     else:
         md = _from_values(fields, chunks, gram)
-    if gram is not None:
-        if group.order != rank:
-            raise ValidationError(f"provenance has |det B| = {group.order}, but rank is {rank}")
-        implied = pairing_exponents(gram, group)
-    # a document that matches its lattice has the lattice's table, n included
-    if table is not None and not any(table.s[0]) and (
-            gram is None or (table.n, table.s, table.t) == implied):
-        return from_table(rank, table, gram, labels)
-    if md is None:
-        md = _from_values(fields, chunks, gram)
     if gram is None:
+        return md
+    if group.order != rank:
+        raise ValidationError(f"provenance has |det B| = {group.order}, but rank is {rank}")
+    # a document that matches its lattice has the lattice's table, n included
+    n, s, t = pairing_exponents(gram, group)
+    if md._exponents == _Exponents(n, s, t):
         return md
     # The twists and S~ must be those the provenance lattice implies.
     from fractions import Fraction
@@ -133,7 +132,6 @@ def parse(doc: Document) -> ModularData:
     from .cyclo import format_root, format_value
     from .lattice import root_token, value_token
 
-    n, s, t = implied
     for i, (twist, k) in enumerate(zip(md.twists, t)):
         if twist.root_exponent() != Fraction(k, 2 * n):
             raise ValidationError(f"twist {i} is {format_root(twist)}, "

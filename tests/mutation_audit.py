@@ -1,5 +1,6 @@
 """Mutation audit of the document parse, the table checks it relies on, the
-dense checks and the CLI's exit.
+dense checks, the CLI's exit, cyclotomic arithmetic, the lattice algebra and
+the enumeration.
 
     python tests/mutation_audit.py
 
@@ -28,15 +29,16 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # the test file run first against a mutant of each module
 FIRST = {"serialization": "test_serialization.py", "moddata": "test_serialization.py",
-         "dense": "test_kernel.py", "cli": "test_cli.py"}
+         "dense": "test_kernel.py", "cli": "test_cli.py", "cyclo": "test_cyclo.py",
+         "lattice": "test_lattice.py", "enumeration": "test_enumeration.py"}
 
 # (module of src/pointedcat, text, replacement, equivalence argument or None)
 MUTANTS = [
     # serialization.parse and its helpers
-    ("serialization", "gram is None or (table.n, table.s, table.t) == implied)", "True)", None),
+    ("serialization", "if md._exponents == _Exponents(n, s, t):", "if True:", None),
     ("serialization", "    check_conductor(x.conductor if", "    list(x.conductor if", None),
     ("serialization", "x[1] if x[1] > 2 else 1", "x[1]", None),
-    ("serialization", "not any(table.s[0]) and (", "(", None),
+    ("moddata", "if table is None or any(table.s[0]):", "if table is None:", None),
     ("serialization", "        check_fields(rank, table.s, table.t, labels, 0)\n", "", None),
     ("serialization", "and 0 <= a < b", "and 0 <= a and b", None),
     ("serialization", " and gcd(a, b) == 1", "", None),
@@ -84,6 +86,31 @@ MUTANTS = [
     ("cli", "os._exit(code)", "os._exit(0)", None),
     ("cli", "    sys.stderr.flush()\n", "",
      "stderr is line-buffered (Python 3.9 on) and every write to it ends in a newline"),
+    # cyclo: reduction, the root test, coercion and the rational cases
+    ("cyclo", "for start in range(0, top, step):", "for start in range(0, top - step, step):",
+     None),
+    ("cyclo", "support[0][1] in (1, -1)", "support[0][1] == 1", None),
+    ("cyclo", "isinstance(value, (int, Fraction))", "isinstance(value, int)", None),
+    ("cyclo", "raw[(n - j) % n] += c", "raw[j] += c", None),
+    ("cyclo", "Cyclotomic.from_rational(1 / Fraction(self._coeffs[0]))",
+     "Cyclotomic.from_rational(Fraction(self._coeffs[0]))", None),
+    ("cyclo", "        if not self.is_rational():\n            raise", "        if False:\n            raise",
+     None),
+    # lattice: the Gram checks, determinant, Smith form and the form tokens
+    ("lattice", "            if rows[i][j] != rows[j][i]:", "            if False:", None),
+    ("lattice", "        if rows[i][i] % 2:", "        if False:", None),
+    ("lattice", "            sign = -sign\n", "", None),
+    ("lattice", "        if a[t][t] < 0:", "        if False:", None),
+    ("lattice", "s[i][i] = t[i] % n", "s[i][i] = t[i]", None),
+    ("lattice", 'return "-1" if 2 * k == n else root_token(k, n)', "return root_token(k, n)", None),
+    # enumeration: generation, the orbit skip, canonical keys and classes
+    ("enumeration", "        lo += lo % 2\n", "", None),
+    ("enumeration", "entries += tuple([-x for x in entries])", "entries += entries", None),
+    ("enumeration", "key=lambda token: token + \",\"", "key=lambda token: token", None),
+    ("enumeration", "rows > best_rows[:len(rows)]", "rows >= best_rows[:len(rows)]", None),
+    ("enumeration", "tokens = [value_token(k, n) for k in range(n)]",
+     "tokens = [root_token(k, n) for k in range(n)]", None),
+    ("enumeration", "for k in sorted(t)))", "for k in t))", None),
 ]
 
 

@@ -47,6 +47,14 @@ s_tilde: 1, 0; 0, 1
 twists: e(0/1), e(0/1)
 """
 
+# d_1 = -1: every entry a root token, so an exponent table, but row 0 is not
+# all 1, so no group law, and the checks run dense
+NEGATIVE_DIMENSION = """kind: modular_data
+rank: 2
+s_tilde: 1, -1; -1, 1
+twists: e(0/1), e(1/4)
+"""
+
 
 @pytest.fixture
 def semion_file(tmp_path):
@@ -242,6 +250,24 @@ class TestVerify:
         assert main(["verify", "--data", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_dimension_fails_without_a_group_law(self, tmp_path, capsys):
+        path = tmp_path / "negative.data"
+        path.write_text(NEGATIVE_DIMENSION)
+        md = parse(Document("modular_data", NEGATIVE_DIMENSION))
+        assert md._exponents.s == ((0, 1), (1, 0)) and md._law is None
+        assert main(["verify", "--data", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "kind: report\n"
+            "check: gauss_identity pass: p+ p- = D^2\n"
+            "check: unitarity fail: S~ conj(S~)^t = D^2 I\n"
+            "check: verlinde_integral fail: N(0,0)^1 = -1 is not a non-negative integer\n"
+            "check: twists_unit pass: twist of the unit is 1\n"
+            "check: s_symmetric pass: S~ = S~^t\n"
+            "check: charge_conjugation fail: row 0 of S~^2 is not D^2 times a unit vector\n"
+            "check: conjugation_involution fail: C undefined\n"
+            "check: st_cubed fail: (S~ T)^3 = p+ D^2 I\n"
+            "result: fail\n")
+
 
 class TestFusion:
     def test_semion_outcome(self, semion_data, capsys):
@@ -257,6 +283,14 @@ class TestFusion:
         assert main(["fusion", "--data", str(path), "--i", "0", "--j", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: zero quantum dimension\n"
+
+    def test_negative_dimension_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "negative.data"
+        path.write_text(NEGATIVE_DIMENSION)
+        assert main(["fusion", "--data", str(path), "--i", "1", "--j", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: N(0,0)^1 = -1 is not a non-negative integer\n"
 
 
 class TestLink:
@@ -333,6 +367,15 @@ class TestShow:
             "rank: 2\nlabels: one, semion\nquantum dimensions: 1, 1\n"
             "D^2: 2\np+: 1+e(1/4)\np-: 1+-1*e(1/4)\ntwists: 1, e(1/4)\n"
             "s_tilde:\n  1, 1\n  1, -1\n")
+
+    def test_negative_dimension(self, tmp_path, capsys):
+        path = tmp_path / "negative.data"
+        path.write_text(NEGATIVE_DIMENSION)
+        assert main(["show", "--data", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "rank: 2\nquantum dimensions: 1, -1\n"
+            "D^2: 2\np+: 1+e(1/4)\np-: 1+-1*e(1/4)\ntwists: 1, e(1/4)\n"
+            "s_tilde:\n  1, -1\n  -1, 1\n")
 
     def test_approx(self, semion_data, capsys):
         assert main(["show", "--data", semion_data, "--approx"]) == 0

@@ -1,5 +1,6 @@
 import cmath
 import math
+import operator
 import time
 from fractions import Fraction as F
 
@@ -210,6 +211,19 @@ class TestArithmetic:
         assert (1 / s2) * s2 == 1
         with pytest.raises(ZeroDivisionError):
             x / Cyclotomic.from_rational(0)
+
+    def test_other_types_are_not_values(self):
+        # a str is no operand, either side, and equal to no value
+        for op in ("add", "sub", "mul", "truediv"):
+            for a, b in ((W, "w"), ("w", W)):
+                with pytest.raises(TypeError):
+                    getattr(operator, op)(a, b)
+        assert W != "e(1/3)" and not W == "e(1/3)"
+
+    def test_as_rational_of_an_irrational_raises(self):
+        assert (W + root_of_unity(F(2, 3))).as_rational() == -1
+        with pytest.raises(ValueError, match=r"Cyclotomic\(3, \(0, 1\)\) is not rational"):
+            W.as_rational()
 
     def test_negated_root_times_general(self):
         # regression: -e(1/3) carries exponent 5/6 while living at conductor 3

@@ -178,17 +178,17 @@ class TestClassify:
     def test_semion_chiralities(self):
         corpus = [check_gram([[2]]), check_gram([[-2]])]
         result = classify(corpus)
-        assert result.class_count(2) == 2
+        assert len(dict(result.by_rank)[2]) == 2
 
     def test_trivial_class(self):
         result = classify([check_gram([[0, 1], [1, 0]])])
-        assert result.class_count(1) == 1
+        assert len(dict(result.by_rank)[1]) == 1
 
     def test_rank_four_split(self):
         corpus = [check_gram([[0, 2], [2, 0]]), check_gram([[2, 0], [0, 2]])]
         result = classify(corpus)
-        assert result.class_count(4) == 2
-        twist_sets = {cls.twist_multiset for cls in result.classes(4)}
+        assert len(dict(result.by_rank)[4]) == 2
+        twist_sets = {cls.twist_multiset for cls in dict(result.by_rank)[4]}
         assert ("e(0/1)", "e(0/1)", "e(0/1)", "e(1/2)") in twist_sets
         assert ("e(0/1)", "e(1/4)", "e(1/4)", "e(1/2)") in twist_sets
 
@@ -293,8 +293,8 @@ class TestClassify:
             for b2 in b_list:
                 corpus.append(oracle.direct_sum(b1, b2))
         result = classify(corpus)
-        base = result.class_count(2)
-        assert result.class_count(4) <= base * base
+        counts = {rank: len(classes) for rank, classes in result.by_rank}
+        assert counts[4] <= counts[2] * counts[2]
 
 
 class TestIntegerKey:

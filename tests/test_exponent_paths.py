@@ -182,8 +182,9 @@ class TestCorpusEquivalence:
         assert twist._law is not None and twist._unitary
         assert not verify_all(twist).passed
         assert pair._exponents is not None and pair._law is None and not pair._unitary
-        assert sign._exponents is None and sign._unitary
-        assert "verlinde_integral" in verify_all(sign).failing()
+        # row 1 negated puts a -1 in row 0: still a table, but no law
+        assert sign._exponents is not None and sign._law is None and sign._unitary
+        assert any(c.name == "verlinde_integral" and not c.passed for c in verify_all(sign).checks)
 
 
 def unmemoised(md):

@@ -356,7 +356,7 @@ class TestModularRelations:
     def test_corrupted_fails_cube_only_structure(self, semion):
         report = check_modular_relations(corrupted_semion(semion))
         assert not report.passed
-        failing = report.failing()
+        failing = [c.name for c in report.checks if not c.passed]
         assert "st_cubed" in failing
         assert "s_symmetric" not in failing
 
@@ -380,6 +380,13 @@ class TestConstructionValidation:
     def test_unit_twist_enforced(self, semion):
         with pytest.raises(ValidationError):
             ModularData(rank=2, s_tilde=semion.s_tilde, twists=(I, I))
+
+    def test_unknown_attribute_of_a_table(self):
+        # a table-backed instance builds only s_tilde and twists on first read
+        md = from_lattice(check_gram([[2]]))
+        with pytest.raises(AttributeError, match="'ModularData' object has no attribute 'dims'"):
+            md.dims
+        assert "s_tilde" not in vars(md) and md.twists == (ONE, I)
 
 
 class TestDirectSum:
@@ -518,5 +525,6 @@ class TestVerifyAll:
         rows = [list(row) for row in md.s_tilde]
         rows[1][2] = rows[2][1] = md.twists[0]  # symmetric, not unitary
         broken = ModularData(rank=3, s_tilde=tuple(map(tuple, rows)), twists=md.twists)
-        assert verify_all(broken).failing()[:2] == ("unitarity", "verlinde_integral")
+        failing = [c.name for c in verify_all(broken).checks if not c.passed]
+        assert failing[:2] == ["unitarity", "verlinde_integral"]
         assert calls["gauss"] == 1 and calls["square"] == 1

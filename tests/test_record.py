@@ -80,6 +80,8 @@ class TestRecord:
     def test_bad_declarations_raise_type_error(self):
         with pytest.raises(TypeError, match="follows one with a default"):
             record(type("Bad", (), {"__annotations__": {"a": int, "b": int}, "a": 0}))
+        with pytest.raises(TypeError, match="must differ from 'self' and"):
+            record(type("Spare", (), {"__annotations__": {"_spare1": int}}))
         with pytest.raises(TypeError, match="1 to 7 fields"):
             record(type("Wide", (), {"__annotations__": dict.fromkeys("abcdefgh", int)}))
 

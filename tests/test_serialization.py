@@ -180,6 +180,10 @@ class TestReportGolden:
         with pytest.raises(ParseError):
             parse(serialize(verify_all(semion)))
 
+    def test_other_values_are_not_serialized(self):
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            serialize(object())
+
 
 class TestDeterminism:
     def test_serialize_twice_identical(self, corpus3_data):
@@ -319,7 +323,7 @@ _ROOT_DOCUMENTS = {
         (ValidationError, "s_tilde[0][0] must be 1"),
     "kind: modular_data\nrank: 2\ns_tilde: 1, 1; 1, -1\ntwists: e(1/4), e(1/4)\n":
         (ValidationError, "twist of the tensor unit must be 1"),
-    # d_1 = -1: data, but no table
+    # d_1 = -1: a table, but no group law
     "kind: modular_data\nrank: 2\ns_tilde: 1, -1; -1, 1\ntwists: e(0/1), e(1/4)\n":
         "kind: modular_data\nrank: 2\ns_tilde: 1, -1; -1, 1\ntwists: e(0/1), e(1/4)\n",
     "kind: modular_data\nrank: 3\ns_tilde: 1, 1; 1, -1\ntwists: e(0/1), e(1/4)\n":
@@ -333,8 +337,8 @@ _ROOT_DOCUMENTS = {
 class TestIntegerParse:
     """parse reads each line and each distinct chunk once: a root token as
     serialize writes it becomes its (a, b), any other chunk its Cyclotomic
-    value. A document of root tokens with row 0 all 1 that matches its
-    provenance becomes its exponent table; any other is built from values.
+    value. A document of root tokens becomes its exponent table, whatever
+    its row 0 and with or without provenance; any other is built from values.
     Each outcome is pinned as the previous two-parse design gave it."""
 
     @pytest.mark.parametrize("entry, twist, error", [
@@ -376,11 +380,13 @@ class TestIntegerParse:
             if tail and contradiction:
                 assert got == (ValidationError, contradiction)
                 continue
-            assert "_exponents" not in vars(got)
+            # built from values; the table is formed only to compare it with
+            # the provenance lattice's
+            assert "s_tilde" in vars(got) and ("_exponents" in vars(got)) == bool(tail)
             assert serialize(got).body == f"kind: modular_data\nrank: 2\ns_tilde: {s_tilde}\n" \
                                           f"twists: e(0/1), {twist_1}\n{tail}"
             again = parse(serialize(got))
-            assert "_exponents" in vars(again)
+            assert "_exponents" in vars(again) and "s_tilde" not in vars(again)
             assert again == got and serialize(again).body == serialize(got).body
 
     @pytest.mark.parametrize("body", list(_ROOT_DOCUMENTS))
@@ -390,9 +396,33 @@ class TestIntegerParse:
         if isinstance(outcome, tuple):
             assert got == outcome
         else:
-            # a table exactly when row 0 is all 1
-            assert ("_exponents" in vars(got)) == ("1, -1;" not in body)
+            # always a table; only the group law reads row 0
+            assert "_exponents" in vars(got) and "s_tilde" not in vars(got)
+            if "1, -1;" in body:  # d_1 = -1
+                assert got._law is None
             assert serialize(got).body == outcome
+
+    def test_only_the_group_law_reads_row_0(self):
+        # the toric code with the boson e at label 0: its rows form a group,
+        # but row 0 is not the unit, so the table has no law and every check
+        # runs dense (the report pinned as the parse from values gave it)
+        body = ("kind: modular_data\nrank: 4\n"
+                "s_tilde: 1, 1, -1, -1; 1, 1, 1, 1; -1, 1, 1, -1; -1, 1, -1, 1\n"
+                "twists: e(0/1), e(0/1), e(0/1), e(1/2)\n")
+        md = parse(Document("modular_data", body))
+        assert vars(md)["_exponents"].s[0] == (0, 0, 1, 1) and md._law is None
+        assert serialize(md).body == body
+        assert serialize(verify_all(md)).body == (
+            "kind: report\n"
+            "check: gauss_identity pass: p+ p- = D^2\n"
+            "check: unitarity pass: S~ conj(S~)^t = D^2 I\n"
+            "check: verlinde_integral pass: all N(i,j)^k are non-negative integers\n"
+            "check: twists_unit pass: twist of the unit is 1\n"
+            "check: s_symmetric pass: S~ = S~^t\n"
+            "check: charge_conjugation pass: S~^2 = D^2 C with C a permutation\n"
+            "check: conjugation_involution pass: C^2 = I\n"
+            "check: st_cubed pass: (S~ T)^3 = p+ D^2 I\n"
+            "result: pass\n")
 
     def test_corpus_documents_are_tables(self, corpus3_data):
         # the lattice's own table, n included, so the provenance check is one
