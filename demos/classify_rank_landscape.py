@@ -20,8 +20,8 @@ corpus = generate_gram_matrices(spec)
 print(f"{len(corpus)} matrices with dim <= {spec.max_dim}, "
       f"|entries| <= {spec.max_entry}, rank <= {spec.max_rank}\n")
 
-result = classify(corpus)
-print(format_classification(result))
+by_rank = classify(corpus)
+print(format_classification(by_rank))
 
-total = sum(len(classes) for _, classes in result.by_rank)
+total = sum(len(classes) for _, classes in by_rank)
 print(f"{total} distinct theories in this window")

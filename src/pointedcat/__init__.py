@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 _SUBMODULE_NAMES = {
     "cyclo": ("Cyclotomic", "root_of_unity"),
     "enumeration": (
-        "ClassificationResult", "CorpusSpec", "ModularClass", "classify",
-        "format_classification", "generate_gram_matrices",
+        "CorpusSpec", "ModularClass", "classify", "format_classification",
+        "generate_gram_matrices",
     ),
     "errors": ("NotModular", "ParseError", "PointedCatError", "ValidationError"),
     "lattice": ("DiscriminantGroup", "GramMatrix", "check_gram", "discriminant_group"),

@@ -193,7 +193,10 @@ class Cyclotomic:
         return self + (-other)
 
     def __rsub__(self, other) -> Cyclotomic:
-        return (-self) + other
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other) -> Cyclotomic:
         other = _coerce(other)
@@ -237,7 +240,10 @@ class Cyclotomic:
         return self * other.inverse()
 
     def __rtruediv__(self, other) -> Cyclotomic:
-        return _coerce(other) * self.inverse()
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)

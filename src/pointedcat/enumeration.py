@@ -139,11 +139,6 @@ class ModularClass:
     twist_multiset: tuple[str, ...]
 
 
-@record
-class ClassificationResult:
-    by_rank: tuple[tuple[int, tuple[ModularClass, ...]], ...]
-
-
 def canonical_key(twist_tok: list[str], s_tok: list[list[str]]) -> bytes:
     """Lexicographically minimal serialization ``twists:...|s:...`` of a token
     table (twist tokens, S~ entry tokens) over all relabelings that fix the
@@ -231,8 +226,10 @@ def _orbit_tables(n: int):
     return itemgetter(*[i * n + j for i, j in pairs]), images
 
 
-def classify(corpus) -> ClassificationResult:
-    """Group the pointed data of a corpus by rank, deduplicated by canonical key.
+def classify(corpus) -> tuple[tuple[int, tuple[ModularClass, ...]], ...]:
+    """Group the pointed data of a corpus by rank, deduplicated by canonical
+    key: one (rank, classes) pair per rank, ascending, each class list sorted
+    by key.
 
     The class sets are independent of corpus order; witnesses are the first
     matrix (in the given order) realizing each class. The key of a class is
@@ -274,16 +271,15 @@ def classify(corpus) -> ClassificationResult:
         bucket = buckets.setdefault(len(t), {})
         if key not in bucket:
             bucket[key] = ModularClass(key, gram, tuple(root_token(k, 2 * n) for k in sorted(t)))
-    return ClassificationResult(tuple(
-        (rank, tuple(bucket[key] for key in sorted(bucket)))
-        for rank, bucket in sorted(buckets.items())
-    ))
+    return tuple((rank, tuple(bucket[key] for key in sorted(bucket)))
+                 for rank, bucket in sorted(buckets.items()))
 
 
-def format_classification(result: ClassificationResult) -> str:
-    """Plain-text classification table: rank, class count, witnesses, twists."""
+def format_classification(by_rank) -> str:
+    """Plain-text classification table of classify's (rank, classes) pairs:
+    rank, class count, witnesses, twists."""
     lines = ["rank  classes"]
-    for rank, classes in result.by_rank:
+    for rank, classes in by_rank:
         lines.append(f"{rank:<5} {len(classes)}")
         for idx, cls in enumerate(classes, start=1):
             twists = ",".join(cls.twist_multiset)

@@ -85,17 +85,11 @@ def check_gram(entries) -> GramMatrix:
     return GramMatrix(tuple(tuple(row) for row in rows), det)
 
 
-@record
-class SmithDecomposition:
-    """U * B * V = diag(d_1, ..., d_n) with d_1 | d_2 | ... for unimodular U
-    and V. Only V is formed: the discriminant group reads nothing else."""
-
-    v: tuple[tuple[int, ...], ...]
-    diag: tuple[int, ...]
-
-
-def smith_normal_form(gram: GramMatrix) -> SmithDecomposition:
-    """Exact Smith normal form, pivoting on the minimal nonzero absolute value."""
+def smith_normal_form(gram: GramMatrix):
+    """Exact Smith normal form, pivoting on the minimal nonzero absolute value:
+    (v, diag) with U * B * V = diag(d_1, ..., d_n), d_1 | d_2 | ..., for
+    unimodular U and V. Only V is formed: the discriminant group reads
+    nothing else."""
     n = gram.n
     a = [list(row) for row in gram.entries]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -151,10 +145,7 @@ def smith_normal_form(gram: GramMatrix) -> SmithDecomposition:
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
 
-    return SmithDecomposition(
-        v=tuple(tuple(row) for row in v),
-        diag=tuple(a[i][i] for i in range(n)),
-    )
+    return tuple(map(tuple, v)), tuple(a[i][i] for i in range(n))
 
 
 @record
@@ -180,15 +171,15 @@ def discriminant_group(gram: GramMatrix) -> DiscriminantGroup:
         # compared first, so that no determinant of thousands of digits is printed
         shown = f"= {det}" if det < 10 ** 40 else "has more than 40 digits and"
         raise ValidationError(f"|det B| {shown} exceeds the rank bound {MAX_RANK}")
-    snf = smith_normal_form(gram)
+    v, diag = smith_normal_form(gram)
     # Class combo is V * (combo_j / d_j)_j mod 1; over the exponent e = d_n
     # (every d_j divides it) each coordinate is one integer numerator.
-    e = snf.diag[-1]
-    steps = [[x * (e // d) for x, d in zip(row, snf.diag)] for row in snf.v]
+    e = diag[-1]
+    steps = [[x * (e // d) for x, d in zip(row, diag)] for row in v]
     reps = set()
-    for combo in itertools.product(*(range(d) for d in snf.diag)):
+    for combo in itertools.product(*(range(d) for d in diag)):
         reps.add(tuple(sum(map(mul, row, combo)) % e for row in steps))
-    order = prod(snf.diag)
+    order = prod(diag)
     assert len(reps) == order == abs(gram.determinant)
     return DiscriminantGroup(
         order=order,

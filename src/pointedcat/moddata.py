@@ -5,10 +5,12 @@ The central object pairs an unnormalized Hopf-link matrix with a vector of
 twists. Everything else (quantum dimensions, global dimension, Gauss sums,
 fusion multiplicities, charge conjugation) is derived from those two fields
 and checked with exact cyclotomic arithmetic. Data from a lattice or from a
-document of root tokens is held as its integer exponent table (_Exponents)
-instead. Its document and canonical form read only that table, and so do the
-checks and link invariants of pointed data with a group law (_law). cyclo is
-imported on first use, by the code that builds or reads Cyclotomic values.
+document of root tokens is held as its integer exponent table (n, s, t)
+instead, in the form of lattice.pairing_exponents: S~_ij = e(s[i][j]/n) and
+theta_a = e(t[a]/2n). Its document and canonical form read only that table,
+and so do the checks and link invariants of pointed data with a group law
+(_law). cyclo is imported on first use, by the code that builds or reads
+Cyclotomic values.
 """
 
 from __future__ import annotations
@@ -62,12 +64,11 @@ class ModularData:
 
         # one object per value e(k/2n), shared by S~ (whose e(s/n) is e(2s/2n))
         # and the twists
-        m, double = 2 * table.n, (2).__mul__
-        roots = {k: root_of_unity(Fraction(k, m))
-                 for k in {*table.t, *map(double, set().union(*table.s))}}
+        (n, s, t), double = table, (2).__mul__
+        roots = {k: root_of_unity(Fraction(k, 2 * n)) for k in {*t, *map(double, set().union(*s))}}
         vars(self).update(
-            s_tilde=tuple(tuple(map(roots.__getitem__, map(double, row))) for row in table.s),
-            twists=tuple(map(roots.__getitem__, table.t)))
+            s_tilde=tuple(tuple(map(roots.__getitem__, map(double, row))) for row in s),
+            twists=tuple(map(roots.__getitem__, t)))
         return vars(self)[name]
 
     @cached_property
@@ -83,10 +84,11 @@ class ModularData:
         return GaussData(d_squared, p_plus, p_minus, identity)
 
     @cached_property
-    def _exponents(self) -> _Exponents | None:
-        """S~ and T as integer exponents, or None unless every entry and
-        twist is a root of unity; row 0 may hold any roots (only _law reads
-        it). An instance made by from_table holds its table from the start."""
+    def _exponents(self) -> tuple | None:
+        """S~ and T as the exponent table (n, s, t), or None unless every
+        entry and twist is a root of unity; row 0 may hold any roots (only
+        _law reads it). An instance made by from_table holds its table from
+        the start."""
         roots = {}
         for x in itertools.chain(*self.s_tilde, self.twists):
             if id(x) not in roots:
@@ -99,10 +101,28 @@ class ModularData:
 
     @cached_property
     def _law(self) -> tuple[tuple[int, ...], ...] | None:
-        """The group law of pointed data (_Exponents): law[i][j] = k where
-        S~_i S~_j = S~_k entrywise, or None unless there is an exponent table
-        whose row 0 is all exponent 0 and whose rows are distinct and closed
-        under that product. This is the one reader of row 0 of a table.
+        """The group law of pointed data: law[i][j] = k where S~_i S~_j =
+        S~_k entrywise, or None unless there is an exponent table whose row 0
+        is all exponent 0 (every d_a is 1) and whose rows are distinct and
+        closed under that product. This is the one reader of row 0 of a
+        table. Since S~ is symmetric (Drinfeld, Gelaki, Nikshych and Ostrik,
+        "On braided fusion categories I", 2010):
+
+        - the labels form a group A with unit 0;
+        - every row is a distinct character of A, so the rows are orthogonal:
+          unitarity holds and D^2 = rank;
+        - N_ij^k = delta(k, i.j), and C(i) = i^-1;
+        - (S~ T)^3 = p+ D^2 I holds exactly when theta_(i.j) = theta_i
+          theta_j S~_ij for all i <= j (_cubed). If it does, theta_a S~_ka =
+          theta_(k.a) / theta_k, so sum_a theta_a S~_ka = p+ conj(theta_k):
+          that is entry (i, j) of S~ T S~ = p+ T^-1 conj(S~) T^-1 for k = i.j.
+          Conversely, entry (k, 0) of that identity is sum_a theta_a S~_ka =
+          p+ conj(theta_k), and entry (i, j) then gives the law on theta
+          unless p+ = 0; but p+ = 0 would make every Fourier coefficient of
+          theta vanish, so theta = 0;
+        - if it does, p+ p- = D^2 (verify_all).
+
+        So every check is a lookup in the law or rank^2 integer comparisons.
 
         Row 0 is the unit. Each label g not yet reached is a generator: its
         translation tau_g(x) = g.x is one row lookup per label x, and the
@@ -112,9 +132,9 @@ class ModularData:
         of such lookups, so a complete table proves closure.
         """
         table = self._exponents
-        if table is None or any(table.s[0]):
+        if table is None or any(table[1][0]):
             return None
-        n, s = table.n, table.s
+        n, s, _ = table
         index = {row: k for k, row in enumerate(s)}
         if len(index) < self.rank:
             return None
@@ -142,14 +162,13 @@ class ModularData:
     @cached_property
     def _cubed(self) -> bool | None:
         """(S~ T)^3 = p+ D^2 I by the group law: theta_(i.j) = theta_i theta_j
-        S~_ij for all i <= j (_Exponents), rank^2 integer comparisons; None
-        without a law."""
+        S~_ij for all i <= j (_law), rank^2 integer comparisons; None without
+        a law."""
         law = self._law
         if law is None:
             return None
-        table = self._exponents
-        m, s, t = 2 * table.n, table.s, table.t
-        return all((t[i] + t[j] + 2 * s[i][j] - t[law[i][j]]) % m == 0
+        n, s, t = self._exponents
+        return all((t[i] + t[j] + 2 * s[i][j] - t[law[i][j]]) % (2 * n) == 0
                    for i in range(self.rank) for j in range(i, self.rank))
 
     @cached_property
@@ -194,42 +213,9 @@ def check_fields(rank, rows, twists, label_names, one) -> None:
         raise ValidationError("label_names length does not match rank")
 
 
-@record
-class _Exponents:
-    """Data of roots of unity as integers, in the form of
-    lattice.pairing_exponents: S~_ij = e(s[i][j]/n) and theta_a = e(t[a]/2n).
-
-    This is the one form of data whose every entry and twist is a root of
-    unity, whatever its row 0. If row 0 is all exponent 0 (every d_a is 1)
-    and the rows are distinct and closed under the entrywise product,
-    ModularData._law holds that product, k = i.j where S~_i S~_j = S~_k,
-    and since S~ is symmetric (Drinfeld, Gelaki, Nikshych and Ostrik, "On
-    braided fusion categories I", 2010):
-
-    - the labels form a group A with unit 0;
-    - every row is a distinct character of A, so the rows are orthogonal:
-      unitarity holds and D^2 = rank;
-    - N_ij^k = delta(k, i.j), and C(i) = i^-1;
-    - (S~ T)^3 = p+ D^2 I holds exactly when theta_(i.j) = theta_i theta_j
-      S~_ij for all i <= j. If it does, theta_a S~_ka = theta_(k.a) /
-      theta_k, so sum_a theta_a S~_ka = p+ conj(theta_k): that is entry
-      (i, j) of S~ T S~ = p+ T^-1 conj(S~) T^-1 for k = i.j. Conversely,
-      entry (k, 0) of that identity is sum_a theta_a S~_ka = p+ conj(theta_k),
-      and entry (i, j) then gives the law on theta unless p+ = 0; but p+ = 0
-      would make every Fourier coefficient of theta vanish, so theta = 0;
-    - if it does, p+ p- = D^2 (verify_all).
-
-    So every check is a lookup in the law or rank^2 integer comparisons.
-    """
-
-    n: int
-    s: tuple[tuple[int, ...], ...]
-    t: tuple[int, ...]
-
-
-def exponent_table(rows, twists, roots) -> _Exponents:
-    """The exponent table of a matrix and a twist vector of keys, where
-    roots[key] = (a, b) for the value e(a/b) of that key. n is the least
+def exponent_table(rows, twists, roots) -> tuple:
+    """The exponent table (n, s, t) of a matrix and a twist vector of keys,
+    where roots[key] = (a, b) for the value e(a/b) of that key. n is the least
     integer that every S~ denominator b divides, and every twist denominator
     2n. Keys are token texts (serialization) or object ids (_exponents), so
     each distinct value is converted once."""
@@ -238,16 +224,17 @@ def exponent_table(rows, twists, roots) -> _Exponents:
             *(roots[key][1] // gcd(roots[key][1], 2) for key in t_keys))
     s_of = {key: roots[key][0] * (n // roots[key][1]) for key in s_keys}
     t_of = {key: roots[key][0] * (2 * n // roots[key][1]) for key in t_keys}
-    return _Exponents(n, tuple(tuple(map(s_of.__getitem__, row)) for row in rows),
-                      tuple(map(t_of.__getitem__, twists)))
+    return (n, tuple(tuple(map(s_of.__getitem__, row)) for row in rows),
+            tuple(map(t_of.__getitem__, twists)))
 
 
-def from_table(rank: int, table: _Exponents, provenance: GramMatrix | None = None,
+def from_table(table: tuple, provenance: GramMatrix | None = None,
                label_names: tuple[str, ...] | None = None) -> ModularData:
-    """ModularData that holds only its exponent table, whose fields the caller
-    has checked (check_fields); s_tilde and twists are built on first read."""
+    """ModularData that holds only its exponent table (n, s, t), whose fields
+    the caller has checked (check_fields); its rank is len(t), and s_tilde and
+    twists are built on first read."""
     md = object.__new__(ModularData)
-    vars(md).update(rank=rank, provenance=provenance, label_names=label_names,
+    vars(md).update(rank=len(table[2]), provenance=provenance, label_names=label_names,
                     _exponents=table)
     return md
 
@@ -262,8 +249,7 @@ def from_lattice(gram: GramMatrix) -> ModularData:
     """
     from .lattice import discriminant_group, pairing_exponents
 
-    n, s, t = pairing_exponents(gram, discriminant_group(gram))
-    return from_table(len(t), _Exponents(n, s, t), provenance=gram)
+    return from_table(pairing_exponents(gram, discriminant_group(gram)), provenance=gram)
 
 
 def canonical_form(md: ModularData) -> bytes:
@@ -276,7 +262,7 @@ def canonical_form(md: ModularData) -> bytes:
 
     table = md._exponents
     if table is not None:
-        return _table_key(table.n, table.s, table.t)
+        return _table_key(*table)
     from .cyclo import format_root, format_rows
 
     return canonical_key([format_root(t) for t in md.twists], format_rows(md.s_tilde))
@@ -510,13 +496,13 @@ def link_exponent(md: ModularData, link: FramedLink) -> tuple[int, int]:
         raise ValidationError("link invariants need lattice-constructed data")
     if any(not 0 <= c < md.rank for c in link.colors):
         raise ValidationError("link color out of range")
-    table, colors, linking = md._exponents, link.colors, link.linking
+    (n, s, t), colors, linking = md._exponents, link.colors, link.linking
     exponent = 0
     for i, a in enumerate(colors):
-        exponent += linking[i][i] * table.t[a]
+        exponent += linking[i][i] * t[a]
         for j in range(i + 1, len(colors)):
-            exponent += 2 * linking[i][j] * table.s[a][colors[j]]
-    return exponent % (2 * table.n), 2 * table.n
+            exponent += 2 * linking[i][j] * s[a][colors[j]]
+    return exponent % (2 * n), 2 * n
 
 
 def colored_link_invariant(md: ModularData, link: FramedLink) -> Cyclotomic:

@@ -38,8 +38,7 @@ import itertools
 from math import gcd
 
 from .errors import MAX_CONDUCTOR, ParseError, ValidationError, check_conductor, quoted
-from .moddata import (ModularData, RelationReport, _Exponents, check_fields, exponent_table,
-                      from_table)
+from .moddata import ModularData, RelationReport, check_fields, exponent_table, from_table
 from .record import record
 
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_+-")
@@ -63,10 +62,10 @@ def serialize(value) -> Document:
             lines.append("labels: " + ", ".join(value.label_names))
         table = value._exponents
         if table is not None:
-            n = table.n
-            tokens = {k: value_token(k, n) for k in set().union(*table.s)}
-            rows = [map(tokens.__getitem__, row) for row in table.s]
-            twists = [root_token(k, 2 * n) for k in table.t]
+            n, s, t = table
+            tokens = {k: value_token(k, n) for k in set().union(*s)}
+            rows = [map(tokens.__getitem__, row) for row in s]
+            twists = [root_token(k, 2 * n) for k in t]
         else:
             from . import cyclo
 
@@ -114,8 +113,8 @@ def parse(doc: Document) -> ModularData:
         group = discriminant_group(gram)
     if all(isinstance(x, tuple) for x in chunks.values()):
         table = exponent_table(fields["s_tilde"], fields["twists"], chunks)
-        check_fields(rank, table.s, table.t, labels, 0)
-        md = from_table(rank, table, gram, labels)
+        check_fields(rank, table[1], table[2], labels, 0)
+        md = from_table(table, gram, labels)
     else:
         md = _from_values(fields, chunks, gram)
     if gram is None:
@@ -124,7 +123,7 @@ def parse(doc: Document) -> ModularData:
         raise ValidationError(f"provenance has |det B| = {group.order}, but rank is {rank}")
     # a document that matches its lattice has the lattice's table, n included
     n, s, t = pairing_exponents(gram, group)
-    if md._exponents == _Exponents(n, s, t):
+    if md._exponents == (n, s, t):
         return md
     # The twists and S~ must be those the provenance lattice implies.
     from fractions import Fraction

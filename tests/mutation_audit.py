@@ -1,13 +1,13 @@
 """Mutation audit of the document parse, the table checks it relies on, the
-dense checks, the CLI's exit, cyclotomic arithmetic, the lattice algebra and
-the enumeration.
+Gauss data, fusion probabilities and link invariants, the dense checks, the
+CLI's exit, cyclotomic arithmetic, the lattice algebra and the enumeration.
 
     python tests/mutation_audit.py
 
 Copies the repository to a temporary directory and, for each mutant below,
 applies one text replacement that must match exactly once, then runs Tier-1
-with -x on the copy: the test file FIRST names for the mutated module first,
-and the whole suite if that passes. A mutant is killed when a test fails. A
+with -x on the copy: the test files FIRST names for the mutated module first,
+and the whole suite if they pass. A mutant is killed when a test fails. A
 mutant that survives must carry a one-line argument that it is equivalent to
 the code; the script exits 1 if any other mutant survives, or if the
 unmutated copy fails. It prints one line per mutant, the kill count and the
@@ -27,19 +27,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the test file run first against a mutant of each module
-FIRST = {"serialization": "test_serialization.py", "moddata": "test_serialization.py",
-         "dense": "test_kernel.py", "cli": "test_cli.py", "cyclo": "test_cyclo.py",
-         "lattice": "test_lattice.py", "enumeration": "test_enumeration.py"}
+# the test files run first against a mutant of each module
+FIRST = {"serialization": ("test_serialization.py",),
+         "moddata": ("test_serialization.py", "test_moddata.py", "test_links.py"),
+         "dense": ("test_kernel.py",), "cli": ("test_cli.py",), "cyclo": ("test_cyclo.py",),
+         "lattice": ("test_lattice.py",), "enumeration": ("test_enumeration.py",)}
 
 # (module of src/pointedcat, text, replacement, equivalence argument or None)
 MUTANTS = [
     # serialization.parse and its helpers
-    ("serialization", "if md._exponents == _Exponents(n, s, t):", "if True:", None),
+    ("serialization", "if md._exponents == (n, s, t):", "if True:", None),
     ("serialization", "    check_conductor(x.conductor if", "    list(x.conductor if", None),
     ("serialization", "x[1] if x[1] > 2 else 1", "x[1]", None),
-    ("moddata", "if table is None or any(table.s[0]):", "if table is None:", None),
-    ("serialization", "        check_fields(rank, table.s, table.t, labels, 0)\n", "", None),
+    ("moddata", "if table is None or any(table[1][0]):", "if table is None:", None),
+    ("serialization", "        check_fields(rank, table[1], table[2], labels, 0)\n", "", None),
     ("serialization", "and 0 <= a < b", "and 0 <= a and b", None),
     ("serialization", " and gcd(a, b) == 1", "", None),
     ("serialization", 'token == f"e({a}/{b})" and ', "", None),
@@ -61,10 +62,21 @@ MUTANTS = [
      None),
     ("moddata", "    if one:\n", "    if False:\n", None),
     ("moddata", "roots[key][0] * (n // roots[key][1])", "roots[key][0]", None),
-    ("moddata", "vars(md).update(rank=rank, provenance=provenance,",
-     "vars(md).update(rank=rank, provenance=None,", None),
+    ("moddata", "vars(md).update(rank=len(table[2]), provenance=provenance,",
+     "vars(md).update(rank=len(table[2]), provenance=None,", None),
     ("moddata", "label_names=label_names,\n                    _exponents=table)",
      "label_names=None,\n                    _exponents=table)", None),
+    # moddata: the Gauss data, fusion probabilities and link invariants
+    ("moddata", "p_minus = sum_values(t.conjugate() * s for", "p_minus = sum_values(t * s for",
+     None),
+    ("moddata", "identity = (p_plus * p_minus - d_squared).is_zero()", "identity = True", None),
+    ("moddata", "        if not weight.is_rational():", "        if False:", None),
+    ("moddata", "        if w < 0:", "        if False:", None),
+    ("moddata", "exponent += linking[i][i] * t[a]", "exponent += 0", None),
+    ("moddata", "exponent += 2 * linking[i][j] * s[a][colors[j]]",
+     "exponent += linking[i][j] * s[a][colors[j]]", None),
+    ("moddata", "return exponent % (2 * n), 2 * n", "return exponent % n, 2 * n", None),
+    ("moddata", "if self.linking[i][j] != self.linking[j][i]:", "if False:", None),
     # dense: packing, products and the three dense checks
     ("dense", "(bound.bit_length() + 9) // 8 * 8", "(bound.bit_length() + 7) // 8 * 8", None),
     ("dense", "for start in range(0, slots, n):", "for start in range(0, slots - n, n):", None),
@@ -139,7 +151,8 @@ def main() -> int:
                 return 1
             path.write_text(source.replace(text, replacement))
             start = time.perf_counter()
-            dead = _fails(copy, f"tests/{FIRST[module]}") or _fails(copy, "tests")
+            first = [f"tests/{name}" for name in FIRST[module]]
+            dead = _fails(copy, *first) or _fails(copy, "tests")
             seconds = time.perf_counter() - start
             path.write_text(source)
             killed += dead

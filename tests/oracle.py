@@ -213,16 +213,14 @@ def classify_each(corpus):
     """classify without its cache per exponent table: every matrix gets its
     own from_lattice and canonical_form, and the first matrix of each
     canonical key is its witness."""
-    from pointedcat.enumeration import ClassificationResult, ModularClass
+    from pointedcat.enumeration import ModularClass
 
     buckets = {}
     for gram in corpus:
         rank, key, twists = _class_of(gram)
         buckets.setdefault(rank, {}).setdefault(key, ModularClass(key, gram, twists))
-    return ClassificationResult(tuple(
-        (rank, tuple(bucket[key] for key in sorted(bucket)))
-        for rank, bucket in sorted(buckets.items())
-    ))
+    return tuple((rank, tuple(bucket[key] for key in sorted(bucket)))
+                 for rank, bucket in sorted(buckets.items()))
 
 
 @functools.lru_cache(maxsize=None)

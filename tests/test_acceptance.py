@@ -168,10 +168,10 @@ def test_criterion_8_classification_echo(semion, z3):
     results = []
 
     chiral = classify([check_gram([[2]]), check_gram([[-2]])])
-    results.append(len(dict(chiral.by_rank)[2]) == 2)
+    results.append(len(dict(chiral)[2]) == 2)
 
     rank4 = classify([check_gram([[0, 2], [2, 0]]), check_gram([[2, 0], [0, 2]])])
-    results.append(len(dict(rank4.by_rank)[4]) == 2)
+    results.append(len(dict(rank4)[4]) == 2)
 
     b1 = check_gram([[2]])
     b2 = check_gram([[2, 1], [1, 2]])

@@ -254,7 +254,7 @@ class TestVerify:
         path = tmp_path / "negative.data"
         path.write_text(NEGATIVE_DIMENSION)
         md = parse(Document("modular_data", NEGATIVE_DIMENSION))
-        assert md._exponents.s == ((0, 1), (1, 0)) and md._law is None
+        assert md._exponents[1] == ((0, 1), (1, 0)) and md._law is None
         assert main(["verify", "--data", str(path)]) == 1
         assert capsys.readouterr().out == (
             "kind: report\n"

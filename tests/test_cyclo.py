@@ -213,11 +213,20 @@ class TestArithmetic:
             x / Cyclotomic.from_rational(0)
 
     def test_other_types_are_not_values(self):
-        # a str is no operand, either side, and equal to no value
-        for op in ("add", "sub", "mul", "truediv"):
-            for a, b in ((W, "w"), ("w", W)):
-                with pytest.raises(TypeError):
-                    getattr(operator, op)(a, b)
+        # a str or an object is no operand, either side, and equal to no
+        # value; the TypeError names the operator and the operands in order
+        # (str's own + and * fail as sequence operations, in str's words)
+        for op, symbol in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/")):
+            for other in ("w", object()):
+                for a, b in ((W, other), (other, W)):
+                    with pytest.raises(TypeError) as info:
+                        getattr(operator, op)(a, b)
+                    if other != "w" or symbol in "-/":
+                        names = f"'{type(a).__name__}' and '{type(b).__name__}'"
+                        assert f"for {symbol}: {names}" in str(info.value)
+        # refused before any inverse is formed, so no ZeroDivisionError
+        with pytest.raises(TypeError, match="for /: 'str' and 'Cyclotomic'"):
+            "w" / Cyclotomic.from_rational(0)
         assert W != "e(1/3)" and not W == "e(1/3)"
 
     def test_as_rational_of_an_irrational_raises(self):

@@ -178,17 +178,17 @@ class TestClassify:
     def test_semion_chiralities(self):
         corpus = [check_gram([[2]]), check_gram([[-2]])]
         result = classify(corpus)
-        assert len(dict(result.by_rank)[2]) == 2
+        assert len(dict(result)[2]) == 2
 
     def test_trivial_class(self):
         result = classify([check_gram([[0, 1], [1, 0]])])
-        assert len(dict(result.by_rank)[1]) == 1
+        assert len(dict(result)[1]) == 1
 
     def test_rank_four_split(self):
         corpus = [check_gram([[0, 2], [2, 0]]), check_gram([[2, 0], [0, 2]])]
         result = classify(corpus)
-        assert len(dict(result.by_rank)[4]) == 2
-        twist_sets = {cls.twist_multiset for cls in dict(result.by_rank)[4]}
+        assert len(dict(result)[4]) == 2
+        twist_sets = {cls.twist_multiset for cls in dict(result)[4]}
         assert ("e(0/1)", "e(0/1)", "e(0/1)", "e(1/2)") in twist_sets
         assert ("e(0/1)", "e(1/4)", "e(1/4)", "e(1/2)") in twist_sets
 
@@ -199,7 +199,7 @@ class TestClassify:
         random.Random(99).shuffle(shuffled)
         keys = lambda result: {
             rank: {cls.canonical for cls in classes}
-            for rank, classes in result.by_rank
+            for rank, classes in result
         }
         assert keys(classify(corpus)) == keys(classify(shuffled))
 
@@ -274,7 +274,7 @@ class TestClassify:
     def test_witness_reconstructs_key(self):
         corpus = generate_gram_matrices(CorpusSpec(max_dim=2, max_entry=2, max_rank=8))
         result = classify(corpus)
-        for _, classes in result.by_rank:
+        for _, classes in result:
             for cls in classes:
                 assert canonical_form(from_lattice(cls.witness)) == cls.canonical
 
@@ -283,7 +283,7 @@ class TestClassify:
         corpus = generate_gram_matrices(CorpusSpec(max_dim=3, max_entry=2, max_rank=8))
         assert len(corpus) == 1910
         result = classify(corpus)
-        assert {rank: len(classes) for rank, classes in result.by_rank} == \
+        assert {rank: len(classes) for rank, classes in result} == \
             {1: 1, 2: 2, 3: 2, 4: 8, 5: 1, 6: 4, 8: 9}
 
     def test_direct_sum_respects_product_bound(self):
@@ -293,8 +293,33 @@ class TestClassify:
             for b2 in b_list:
                 corpus.append(oracle.direct_sum(b1, b2))
         result = classify(corpus)
-        counts = {rank: len(classes) for rank, classes in result.by_rank}
+        counts = {rank: len(classes) for rank, classes in result}
         assert counts[4] <= counts[2] * counts[2]
+
+
+class TestCanonicalKey:
+    """The refinement search on token tables, against the exhaustive search."""
+
+    def test_ties_that_are_not_symmetries(self):
+        # Labels 1, 3 and 4 give the same row at position 1; 1 and 4 are
+        # swapped by a symmetry, 3 is not, and only 3 leads to the minimum.
+        adjacency = ((1, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 1, 1, 0),
+                     (0, 0, 1, 0, 0), (0, 1, 0, 0, 0))
+        twists, rows = ["e(0/1)"] * 5, [[str(x) for x in row] for row in adjacency]
+        key = oracle.canonical_form_exhaustive(twists, rows)
+        assert canonical_key(twists, rows) == key
+        perm = (0, 3, 2, 1, 4)  # position i holds label perm[i]
+        assert canonical_key(twists, [[rows[i][j] for j in perm] for i in perm]) == key
+
+    def test_token_that_extends_another_token(self):
+        # "-1" is a prefix of v's token, and "-1," sorts after "-1*": label 2
+        # must precede label 1, which comparing bare tokens gets wrong.
+        v = format_value(-root_of_unity(Fraction(2, 5)) - root_of_unity(Fraction(3, 5)))
+        assert v == "-1*e(2/5)+-1*e(3/5)"
+        twists, rows = ["e(0/1)"] * 3, [["1", "-1", v], ["-1", "1", "1"], [v, "1", "1"]]
+        key = canonical_key(twists, rows)
+        assert key == oracle.canonical_form_exhaustive(twists, rows)
+        assert key.startswith(b"twists:e(0/1),e(0/1),e(0/1)|s:1,-1*e(2/5)+-1*e(3/5),-1;")
 
 
 class TestIntegerKey:

@@ -139,11 +139,13 @@ def assert_paths_agree(md, memo):
     if fast._exponents is None:
         return  # the dense routines are the only path
     with dense_once(memo):
+        slow = fresh(md)
+        assert same_outcome(run(dual_permutation, fast), run(conjugation_from_square, slow))
+        if fast._law is None:
+            return  # the other comparisons would run the same dense routines on both sides
         report = verify_all(fast)
         fusion = run(verlinde_fusion, fast)
-        slow = fresh(md)
         assert same_outcome(fusion, run(dense.verlinde, slow))
-        assert same_outcome(run(dual_permutation, fast), run(conjugation_from_square, slow))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(moddata.ModularData, "_law", property(lambda self: None))
             assert verify_all(slow) == report
@@ -222,8 +224,8 @@ def relabeled(md, sigma):
 
 def table_law(md):
     """The pair loop of tests/oracle.py on the exponent table of md."""
-    table = md._exponents
-    return oracle.group_law_pairs(table.n, table.s)
+    n, s, _ = md._exponents
+    return oracle.group_law_pairs(n, s)
 
 
 class TestGroupLaw:

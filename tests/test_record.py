@@ -88,7 +88,7 @@ class TestRecord:
 
 class TestNamespace:
     def test_every_exported_name_is_its_submodule_object(self):
-        assert len(pointedcat.__all__) == 35
+        assert len(pointedcat.__all__) == 34
         for name in pointedcat.__all__:
             value = getattr(pointedcat, name)
             assert getattr(sys.modules[value.__module__], name) is value

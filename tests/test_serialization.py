@@ -410,7 +410,7 @@ class TestIntegerParse:
                 "s_tilde: 1, 1, -1, -1; 1, 1, 1, 1; -1, 1, 1, -1; -1, 1, -1, 1\n"
                 "twists: e(0/1), e(0/1), e(0/1), e(1/2)\n")
         md = parse(Document("modular_data", body))
-        assert vars(md)["_exponents"].s[0] == (0, 0, 1, 1) and md._law is None
+        assert vars(md)["_exponents"][1][0] == (0, 0, 1, 1) and md._law is None
         assert serialize(md).body == body
         assert serialize(verify_all(md)).body == (
             "kind: report\n"
