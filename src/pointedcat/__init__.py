@@ -22,10 +22,10 @@ _SUBMODULE_NAMES = {
     "errors": ("NotModular", "ParseError", "PointedCatError", "ValidationError"),
     "lattice": ("DiscriminantGroup", "GramMatrix", "check_gram", "discriminant_group"),
     "moddata": (
-        "FramedLink", "FusionTensor", "GaussData", "ModularData", "RelationCheck",
-        "RelationReport", "canonical_form", "colored_link_invariant", "framed_link",
-        "from_lattice", "fusion_probabilities", "gauss_data", "quantum_dimensions",
-        "verify_all", "verlinde_fusion",
+        "FramedLink", "GaussData", "ModularData", "RelationCheck", "RelationReport",
+        "canonical_form", "colored_link_invariant", "framed_link", "from_lattice",
+        "fusion_probabilities", "gauss_data", "quantum_dimensions", "verify_all",
+        "verlinde_fusion",
     ),
     "serialization": ("Document", "parse", "parse_gram_text", "serialize"),
 }

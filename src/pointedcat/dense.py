@@ -27,7 +27,7 @@ from operator import add, eq, mul
 
 from .cyclo import Cyclotomic, _reduce
 from .errors import MAX_DENSE_WORK, NotModular, ValidationError
-from .moddata import FusionTensor, ModularData
+from .moddata import ModularData
 from .record import record
 
 
@@ -186,7 +186,7 @@ def conjugation(md: ModularData) -> list[int | None]:
     return perm
 
 
-def verlinde(md: ModularData) -> FusionTensor:
+def verlinde(md: ModularData) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """N_ij^k = X_ijk / (scale D^2) with X_ijk = sum_a s[i][a] s[j][a] conj[k][a]
     inv[a] and inv[a] = den_inv / d_a, at the conductor of S~. Where conj(row k)
     is row c of S~ (Packed.duals), X_ijk = Y(sorted(i, j, c)) for Y the same sum
@@ -247,7 +247,7 @@ def verlinde(md: ModularData) -> FusionTensor:
                 found[key] = m
             entries.append(found[key])
         fusion[i][j] = fusion[j][i] = tuple(entries)
-    return FusionTensor(tuple(map(tuple, fusion)))
+    return tuple(map(tuple, fusion))
 
 
 def st_cubed(md: ModularData) -> bool:

@@ -5,8 +5,9 @@ bounds, takes the integer exponent table of the pointed data of each, and
 groups the tables by rank up to relabeling equivalence (canonical_key).
 Class counts are emitted as data; nothing here asserts agreement with any
 published table. Everything here is integer arithmetic on exponent tables
-and their tokens, with no cyclo: moddata.canonical_form tokenizes a
-ModularData and calls canonical_key.
+and their tokens, with no cyclo; lattice.table_tokens writes the tokens of a
+table, here and for moddata.canonical_form, which calls canonical_key on the
+tokens of a ModularData.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from operator import itemgetter, mul
 
 from .errors import MAX_CANDIDATES, MAX_CANONICAL_RANK, MAX_RANK, ValidationError
 from .lattice import GramMatrix, discriminant_group, format_gram, pairing_exponents
-from .lattice import _det_bareiss, root_token, value_token
+from .lattice import _det_bareiss, root_token, table_tokens
 from .record import record
 
 
@@ -198,16 +199,6 @@ def _split(cells, tokens):
     return out
 
 
-def _table_key(n: int, s, t) -> bytes:
-    """canonical_key of an exponent table (n, s, t) as lattice.pairing_exponents
-    gives it, S~_ij = e(s[i][j]/n) and theta_i = e(t[i]/2n), tokenized by one
-    gcd per exponent (lattice.root_token, lattice.value_token): the key that
-    formatting the same roots through cyclo gives."""
-    tokens = [value_token(k, n) for k in range(n)]
-    return canonical_key([root_token(k, 2 * n) for k in t],
-                         [[tokens[k] for k in row] for row in s])
-
-
 @lru_cache(maxsize=None)
 def _orbit_tables(n: int):
     """Getters of dimension n, made once, on the row-major entries of B
@@ -233,8 +224,9 @@ def classify(corpus) -> tuple[tuple[int, tuple[ModularClass, ...]], ...]:
 
     The class sets are independent of corpus order; witnesses are the first
     matrix (in the given order) realizing each class. The key of a class is
-    _table_key of its exponent table (n, s, t), integers and tokens only, and
-    its twist multiset is sorted(t) tokenized the same way.
+    canonical_key of the tokens of its exponent table (n, s, t)
+    (lattice.table_tokens), integers and tokens only, and its twist multiset
+    is sorted(t) tokenized the same way.
 
     Two skips keep the result byte-identical to one canonical key per matrix:
 
@@ -266,8 +258,8 @@ def classify(corpus) -> tuple[tuple[int, tuple[ModularClass, ...]], ...]:
         if table in tables:
             continue
         tables.add(table)
-        n, s, t = table
-        key = _table_key(n, s, t)
+        n, _, t = table
+        key = canonical_key(*table_tokens(*table))
         bucket = buckets.setdefault(len(t), {})
         if key not in bucket:
             bucket[key] = ModularClass(key, gram, tuple(root_token(k, 2 * n) for k in sorted(t)))

@@ -5,8 +5,9 @@ its unimodular column transform over exact big integers, and enumerates
 discriminant group representatives together with their bilinear (mod 1) and
 quadratic (mod 2) forms. A class v is stored as its integer numerator
 u = n*v over the group exponent n, so both forms are integer arithmetic.
-The roots of unity of those forms print from their exponents here
-(root_token, value_token), in the text that cyclo prints for the same values.
+The roots of unity of those forms print from their exponents here, in the
+text that cyclo prints for the same values: table_tokens is the one writer of
+the twist and S~ tokens of an exponent table.
 """
 
 from __future__ import annotations
@@ -233,3 +234,11 @@ def value_token(k: int, n: int) -> str:
     if k == 0:
         return "1"
     return "-1" if 2 * k == n else root_token(k, n)
+
+
+def table_tokens(n: int, s, t) -> tuple[list[str], list[list[str]]]:
+    """The tokens of an exponent table (n, s, t): the twists e(t[a]/2n) by
+    root_token and the S~ rows e(s[i][j]/n) by value_token, each distinct
+    S~ exponent printed once."""
+    tokens = {k: value_token(k, n) for k in set().union(*s)}
+    return [root_token(k, 2 * n) for k in t], [list(map(tokens.__getitem__, row)) for row in s]

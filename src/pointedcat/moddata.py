@@ -7,10 +7,11 @@ fusion multiplicities, charge conjugation) is derived from those two fields
 and checked with exact cyclotomic arithmetic. Data from a lattice or from a
 document of root tokens is held as its integer exponent table (n, s, t)
 instead, in the form of lattice.pairing_exponents: S~_ij = e(s[i][j]/n) and
-theta_a = e(t[a]/2n). Its document and canonical form read only that table,
-and so do the checks and link invariants of pointed data with a group law
-(_law). cyclo is imported on first use, by the code that builds or reads
-Cyclotomic values.
+theta_a = e(t[a]/2n). The tokens of its document and canonical form are
+written from that table (_tokens, lattice.table_tokens), and the checks and
+link invariants of pointed data with a group law (_law) read only the table.
+cyclo is imported on first use, by the code that builds or reads Cyclotomic
+values.
 """
 
 from __future__ import annotations
@@ -252,20 +253,27 @@ def from_lattice(gram: GramMatrix) -> ModularData:
     return from_table(pairing_exponents(gram, discriminant_group(gram)), provenance=gram)
 
 
-def canonical_form(md: ModularData) -> bytes:
-    """enumeration.canonical_key of md's twists as format_root and S~ entries
-    as format_value print them: two modular data are equivalent iff their
-    canonical forms agree. Data with an exponent table prints them from its
-    integers (enumeration._table_key). The search is imported on first use,
-    so commands that never classify compile none of it."""
-    from .enumeration import _table_key, canonical_key
-
+def _tokens(md: ModularData) -> tuple[list[str], list[list[str]]]:
+    """The twists of md as cyclo.format_root prints them and its S~ rows as
+    format_value does: from the exponent table when there is one
+    (lattice.table_tokens), else from the values."""
     table = md._exponents
     if table is not None:
-        return _table_key(*table)
+        from .lattice import table_tokens
+
+        return table_tokens(*table)
     from .cyclo import format_root, format_rows
 
-    return canonical_key([format_root(t) for t in md.twists], format_rows(md.s_tilde))
+    return [format_root(t) for t in md.twists], format_rows(md.s_tilde)
+
+
+def canonical_form(md: ModularData) -> bytes:
+    """enumeration.canonical_key of md's tokens (_tokens): two modular data
+    are equivalent iff their canonical forms agree. The search is imported on
+    first use, so commands that never classify compile none of it."""
+    from .enumeration import canonical_key
+
+    return canonical_key(*_tokens(md))
 
 
 def quantum_dimensions(md: ModularData) -> tuple[Cyclotomic, ...]:
@@ -287,19 +295,8 @@ def gauss_data(md: ModularData) -> GaussData:
     return md._gauss
 
 
-@record
-class FusionTensor:
-    """Non-negative integer multiplicities, indexed [i][j][k]."""
-
-    multiplicities: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __getitem__(self, ijk):
-        i, j, k = ijk
-        return self.multiplicities[i][j][k]
-
-
-def verlinde_fusion(md: ModularData) -> FusionTensor:
-    """Reconstruct fusion multiplicities from the Hopf-link matrix:
+def verlinde_fusion(md: ModularData) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Reconstruct fusion multiplicities N[i][j][k] from the Hopf-link matrix:
 
         N_{i,j}^k = (1/D^2) * sum_a S~_{ia} S~_{ja} conj(S~_{ka}) / d_a
 
@@ -318,13 +315,14 @@ def verlinde_fusion(md: ModularData) -> FusionTensor:
         return _dense().verlinde(md)
     zero = (0,) * md.rank
     units = [zero[:k] + (1,) + zero[k + 1:] for k in range(md.rank)]
-    return FusionTensor(tuple(tuple(map(units.__getitem__, row)) for row in law))
+    return tuple(tuple(map(units.__getitem__, row)) for row in law)
 
 
 def fusion_probabilities(
-    md: ModularData, ft: FusionTensor, i: Label, j: Label
+    md: ModularData, ft, i: Label, j: Label
 ) -> tuple[tuple[Label, Fraction], ...]:
-    """Outcome distribution of fusing i with j: P(k) = N_{i,j}^k d_k / (d_i d_j).
+    """Outcome distribution of fusing i with j: P(k) = N_{i,j}^k d_k / (d_i d_j),
+    with ft[i][j][k] = N_{i,j}^k as verlinde_fusion returns it.
 
     Normalisation to 1 follows from the dimension identity; a weight that is
     not a non-negative rational raises ValidationError.
@@ -336,7 +334,7 @@ def fusion_probabilities(
     inv = denom.inverse()
     outcomes = []
     for k in range(md.rank):
-        mult = ft[i, j, k]
+        mult = ft[i][j][k]
         if mult == 0:
             continue
         weight = dims[k] * inv * mult

@@ -19,17 +19,17 @@ repeated runs produce byte-identical documents. Derived quantities are never
 stored: a data file carries only the Hopf-link matrix, twists and optional
 provenance, and everything else is recomputed on load.
 
-Pointed data is read and written as integers. serialize prints data with an
-exponent table from its exponents (lattice.root_token and value_token). parse
-reads each line and each distinct chunk between separators once: a root token
-as serialize writes it (``1``, ``-1`` or ``e(a/b)`` in lowest terms,
-0 <= a < b) becomes its (a, b), and any other chunk its Cyclotomic value
-(cyclo.parse_value, imported at the first such chunk). A document of root
-tokens becomes its exponent table (moddata.from_table), whatever its row 0,
-and is checked on integers; any other document is built from Cyclotomic
-values. A provenance lattice is one comparison of the data's exponent table
-with the lattice's; on a mismatch, the document's values name its first bad
-twist or S~ entry.
+Pointed data is read and written as integers. serialize writes the tokens of
+moddata._tokens, which prints data with an exponent table from its exponents
+(lattice.table_tokens). parse reads each line and each distinct chunk between
+separators once: a root token as serialize writes it (``1``, ``-1`` or
+``e(a/b)`` in lowest terms, 0 <= a < b) becomes its (a, b), and any other
+chunk its Cyclotomic value (cyclo.parse_value, imported at the first such
+chunk). A document of root tokens becomes its exponent table
+(moddata.from_table), whatever its row 0, and is checked on integers; any
+other document is built from Cyclotomic values. A provenance lattice is one
+comparison of the data's exponent table with the lattice's; on a mismatch, the
+document's values name its first bad twist or S~ entry.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import itertools
 from math import gcd
 
 from .errors import MAX_CONDUCTOR, ParseError, ValidationError, check_conductor, quoted
-from .moddata import ModularData, RelationReport, check_fields, exponent_table, from_table
+from .moddata import ModularData, RelationReport, _tokens, check_fields, exponent_table, from_table
 from .record import record
 
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_+-")
@@ -55,25 +55,15 @@ class Document:
 def serialize(value) -> Document:
     """Deterministic document for modular data or a report."""
     if isinstance(value, ModularData):
-        from .lattice import format_gram, root_token, value_token
-
         lines = ["kind: modular_data", f"rank: {value.rank}"]
         if value.label_names is not None:
             lines.append("labels: " + ", ".join(value.label_names))
-        table = value._exponents
-        if table is not None:
-            n, s, t = table
-            tokens = {k: value_token(k, n) for k in set().union(*s)}
-            rows = [map(tokens.__getitem__, row) for row in s]
-            twists = [root_token(k, 2 * n) for k in t]
-        else:
-            from . import cyclo
-
-            rows = cyclo.format_rows(value.s_tilde)
-            twists = [cyclo.format_root(t) for t in value.twists]
+        twists, rows = _tokens(value)
         lines.append("s_tilde: " + "; ".join(map(", ".join, rows)))
         lines.append("twists: " + ", ".join(twists))
         if value.provenance is not None:
+            from .lattice import format_gram
+
             lines.append("provenance: " + format_gram(value.provenance))
         return Document("modular_data", "\n".join(lines) + "\n")
     if isinstance(value, RelationReport):

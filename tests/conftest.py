@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, settings
 
 from pointedcat import (
     CorpusSpec,
@@ -13,6 +14,11 @@ from pointedcat import (
     root_of_unity,
 )
 from pointedcat.cyclo import Cyclotomic, sum_values
+
+# Selected by --hypothesis-profile=mutation-audit (tests/mutation_audit.py):
+# a mutant is killed by the first failing example, so no time goes into
+# shrinking it. Tier-1 runs on the default profile.
+settings.register_profile("mutation-audit", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
 @pytest.fixture

@@ -7,7 +7,9 @@ CLI's exit, cyclotomic arithmetic, the lattice algebra and the enumeration.
 Copies the repository to a temporary directory and, for each mutant below,
 applies one text replacement that must match exactly once, then runs Tier-1
 with -x on the copy: the test files FIRST names for the mutated module first,
-and the whole suite if they pass. A mutant is killed when a test fails. A
+and the whole suite if they pass. A mutant is killed when a test fails.
+Hypothesis runs on the mutation-audit profile of tests/conftest.py, which
+does not shrink a failing example: the first one kills the mutant. A
 mutant that survives must carry a one-line argument that it is equivalent to
 the code; the script exits 1 if any other mutant survives, or if the
 unmutated copy fails. It prints one line per mutant, the kill count and the
@@ -77,6 +79,9 @@ MUTANTS = [
      "exponent += linking[i][j] * s[a][colors[j]]", None),
     ("moddata", "return exponent % (2 * n), 2 * n", "return exponent % n, 2 * n", None),
     ("moddata", "if self.linking[i][j] != self.linking[j][i]:", "if False:", None),
+    # moddata._tokens: a table is written from its exponents, without values
+    ("moddata", "    if table is not None:\n        from .lattice import table_tokens",
+     "    if False:\n        from .lattice import table_tokens", None),
     # dense: packing, products and the three dense checks
     ("dense", "(bound.bit_length() + 9) // 8 * 8", "(bound.bit_length() + 7) // 8 * 8", None),
     ("dense", "for start in range(0, slots, n):", "for start in range(0, slots - n, n):", None),
@@ -115,13 +120,12 @@ MUTANTS = [
     ("lattice", "        if a[t][t] < 0:", "        if False:", None),
     ("lattice", "s[i][i] = t[i] % n", "s[i][i] = t[i]", None),
     ("lattice", 'return "-1" if 2 * k == n else root_token(k, n)', "return root_token(k, n)", None),
+    ("lattice", "tokens = {k: value_token(k, n) for", "tokens = {k: root_token(k, n) for", None),
     # enumeration: generation, the orbit skip, canonical keys and classes
     ("enumeration", "        lo += lo % 2\n", "", None),
     ("enumeration", "entries += tuple([-x for x in entries])", "entries += entries", None),
     ("enumeration", "key=lambda token: token + \",\"", "key=lambda token: token", None),
     ("enumeration", "rows > best_rows[:len(rows)]", "rows >= best_rows[:len(rows)]", None),
-    ("enumeration", "tokens = [value_token(k, n) for k in range(n)]",
-     "tokens = [root_token(k, n) for k in range(n)]", None),
     ("enumeration", "for k in sorted(t)))", "for k in t))", None),
 ]
 
@@ -129,7 +133,8 @@ MUTANTS = [
 def _fails(copy: Path, *paths: str) -> bool:
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                          *paths], cwd=copy, env=env, capture_output=True)
+                          "--hypothesis-profile=mutation-audit", *paths],
+                         cwd=copy, env=env, capture_output=True)
     return run.returncode != 0
 
 

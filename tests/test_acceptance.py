@@ -77,7 +77,7 @@ def test_criterion_3_fusion_ring_oracle(corpus4_data):
         table = oracle.addition_table(
             oracle.brute_representatives([list(r) for r in gram.entries]))
         good = all(
-            tensor[i, j, k] == (1 if table[i][j] == k else 0)
+            tensor[i][j][k] == (1 if table[i][j] == k else 0)
             for i in range(md.rank) for j in range(md.rank) for k in range(md.rank)
         )
         if not good:

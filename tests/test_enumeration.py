@@ -19,7 +19,8 @@ from pointedcat import (
 from pointedcat import enumeration
 from pointedcat.cyclo import format_root, format_rows, format_value
 from pointedcat.enumeration import canonical_key
-from pointedcat.lattice import discriminant_group, pairing_exponents, root_token, value_token
+from pointedcat.lattice import discriminant_group, pairing_exponents, root_token, table_tokens
+from pointedcat.lattice import value_token
 from pointedcat.errors import MAX_CANDIDATES, MAX_CANONICAL_RANK, MAX_RANK, ValidationError
 
 # Corpus sizes frozen from the independent enumeration in tests/oracle.py.
@@ -345,7 +346,7 @@ class TestIntegerKey:
         assert len(firsts) == {(3, 4, 8): 751, (2, 8, 8): 67}[spec]
 
         def table_key(gram):
-            return enumeration._table_key(*pairing_exponents(gram, discriminant_group(gram)))
+            return canonical_key(*table_tokens(*pairing_exponents(gram, discriminant_group(gram))))
 
         rng = random.Random(str(spec))
         for gram in firsts:

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import oracle
 from pointedcat import (
     Document,
-    FusionTensor,
     ModularData,
     NotModular,
     PointedCatError,
@@ -334,9 +333,8 @@ def group_fusion(rows):
     """Fusion tensor of the oracle's group addition: N_ij^k = 1 iff k = i + j."""
     table = oracle.addition_table(oracle.brute_representatives(rows))
     rank = len(table)
-    return FusionTensor(tuple(
-        tuple(tuple(int(table[i][j] == k) for k in range(rank)) for j in range(rank))
-        for i in range(rank)))
+    return tuple(tuple(tuple(int(table[i][j] == k) for k in range(rank)) for j in range(rank))
+                 for i in range(rank))
 
 
 @settings(max_examples=10, derandomize=True, deadline=None,

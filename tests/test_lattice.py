@@ -16,6 +16,7 @@ from pointedcat.lattice import (
     pairing_exponents,
     quadratic_mod2,
     smith_normal_form,
+    table_tokens,
 )
 
 SMALL_MATRICES = [
@@ -205,6 +206,25 @@ class TestForms:
             j = rng.randrange(group.order)
             assert s[plus(i, ip)][j] == (s[i][j] + s[ip][j]) % n
             assert t[plus(i, j)] == (t[i] + t[j] + 2 * s[i][j]) % (2 * n)
+
+
+class TestTableTokens:
+    """The text cyclo prints for the same roots: S~ entries as format_value
+    (1 and -1 bare), twists as format_root, both in lowest terms."""
+
+    def test_lattice_tables(self):
+        gram = check_gram([[2]])
+        assert table_tokens(*pairing_exponents(gram, discriminant_group(gram))) == (
+            ["e(0/1)", "e(1/4)"], [["1", "1"], ["1", "-1"]])
+        gram = check_gram([[2, 1], [1, 2]])
+        assert table_tokens(*pairing_exponents(gram, discriminant_group(gram))) == (
+            ["e(0/1)", "e(1/3)", "e(1/3)"],
+            [["1", "1", "1"], ["1", "e(2/3)", "e(1/3)"], ["1", "e(1/3)", "e(2/3)"]])
+
+    def test_lowest_terms(self):
+        # S~ over n = 6 and twists over 2n = 12
+        assert table_tokens(6, ((0, 3), (2, 4)), (0, 3, 6, 8)) == (
+            ["e(0/1)", "e(1/4)", "e(1/2)", "e(2/3)"], [["1", "-1"], ["e(1/3)", "e(2/3)"]])
 
 
 class TestDirectSum:

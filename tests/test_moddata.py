@@ -7,7 +7,6 @@ import pytest
 
 import oracle
 from pointedcat import (
-    FusionTensor,
     ModularData,
     NotModular,
     ValidationError,
@@ -19,6 +18,7 @@ from pointedcat import (
     gauss_data,
     quantum_dimensions,
     root_of_unity,
+    serialize,
     verify_all,
     verlinde_fusion,
 )
@@ -145,15 +145,15 @@ class TestGaussData:
 class TestVerlindeFusion:
     def test_semion_table(self, semion):
         ft = verlinde_fusion(semion)
-        assert ft[1, 1, 0] == 1 and ft[1, 1, 1] == 0
-        assert ft[0, 1, 1] == 1 and ft[0, 1, 0] == 0
+        assert ft[1][1][0] == 1 and ft[1][1][1] == 0
+        assert ft[0][1][1] == 1 and ft[0][1][0] == 0
 
     def test_unit_row_is_identity(self, z3, toric, ising):
         for md in (z3, toric, ising):
             ft = verlinde_fusion(md)
             for j in range(md.rank):
                 for k in range(md.rank):
-                    assert ft[0, j, k] == (1 if j == k else 0)
+                    assert ft[0][j][k] == (1 if j == k else 0)
 
     @pytest.mark.parametrize("rows", [
         [[2]], [[-2]], [[2, 1], [1, 2]], [[0, 2], [2, 0]], [[2, 3], [3, 2]],
@@ -165,11 +165,11 @@ class TestVerlindeFusion:
         for i in range(md.rank):
             for j in range(md.rank):
                 for k in range(md.rank):
-                    assert ft[i, j, k] == (1 if table[i][j] == k else 0)
+                    assert ft[i][j][k] == (1 if table[i][j] == k else 0)
 
     def test_commutativity_invariant(self, toric):
         ft = verlinde_fusion(toric)
-        mats = [ft.multiplicities[i] for i in range(toric.rank)]
+        mats = [ft[i] for i in range(toric.rank)]
 
         def matmul(a, b):
             n = len(a)
@@ -201,20 +201,20 @@ class TestVerlindeFusion:
 class TestFusionMatrices:
     def test_unit_matrix(self, z3):
         ft = verlinde_fusion(z3)
-        assert ft.multiplicities[0] == tuple(
+        assert ft[0] == tuple(
             tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
 
     def test_semion_regular_representation(self, semion):
         ft = verlinde_fusion(semion)
-        assert ft.multiplicities[1] == ((0, 1), (1, 0))
+        assert ft[1] == ((0, 1), (1, 0))
 
     def test_unit_appears_in_self_dual_product(self, corpus3_data):
         for _, md in corpus3_data[:20]:
             ft = verlinde_fusion(md)
             conj = dual_permutation(md)
             for i in range(md.rank):
-                ni = ft.multiplicities[i]
-                nc = ft.multiplicities[conj[i]]
+                ni = ft[i]
+                nc = ft[conj[i]]
                 n = md.rank
                 product = [[sum(ni[r][t] * nc[t][c] for t in range(n))
                             for c in range(n)] for r in range(n)]
@@ -252,7 +252,7 @@ class TestFusionProbabilities:
         with pytest.raises(ValidationError, match="^zero quantum dimension in the denominator$"):
             fusion_probabilities(md, None, 1, 0)
         md = ModularData(rank=2, s_tilde=((ONE, -ONE), (-ONE, ONE)), twists=(ONE, ONE))
-        ft = FusionTensor((((0, 1), (0, 0)), ((0, 0), (0, 0))))
+        ft = (((0, 1), (0, 0)), ((0, 0), (0, 0)))
         with pytest.raises(ValidationError, match="^weight for outcome 1 is negative: -1$"):
             fusion_probabilities(md, ft, 0, 0)
         md = su2(8)
@@ -468,6 +468,39 @@ class TestCanonicalForm:
         with pytest.raises(ValidationError, match="^rank 9 exceeds the bound 8$"):
             canonical_form(big)
         canonical_form(from_lattice(check_gram([[2, 0], [0, 4]])))  # rank 8, at the bound
+
+
+class TestTokens:
+    """moddata._tokens is the one writer of the token text of modular data:
+    from its exponent table where it has one (lattice.table_tokens), else
+    from its values. Either way it is the text of the per-entry reference
+    (tokens), so serialize and canonical_form cannot tell a table from the
+    same data held as values."""
+
+    def test_tables_and_relabeled_values(self, corpus4_data):
+        rng = random.Random(31)
+        for gram, md in corpus4_data:
+            # a fresh instance, so that the check sees no values built earlier
+            fresh = moddata.from_lattice(gram)
+            assert moddata._tokens(fresh) == tokens(md), gram.entries
+            assert "s_tilde" not in vars(fresh) and "twists" not in vars(fresh)
+            copy = relabel(md, (0, *rng.sample(range(1, md.rank), md.rank - 1)))
+            assert "_exponents" not in vars(copy)
+            assert moddata._tokens(copy) == tokens(copy), gram.entries
+
+    def test_values_without_a_table(self, ising, su2):
+        for md in [ising] + [su2(k) for k in range(2, 9)]:
+            assert md._exponents is None
+            assert moddata._tokens(md) == tokens(md)
+
+    def test_table_and_its_values_write_the_same_text(self, corpus4_data):
+        for gram, md in corpus4_data:
+            values = ModularData(rank=md.rank, s_tilde=md.s_tilde, twists=md.twists,
+                                 provenance=md.provenance, label_names=md.label_names)
+            assert "_exponents" not in vars(values)
+            assert serialize(values) == serialize(md), gram.entries
+            if md.rank <= 8:
+                assert canonical_form(values) == canonical_form(md), gram.entries
 
 
 class TestVerifyAll:
