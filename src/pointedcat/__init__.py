@@ -16,16 +16,14 @@ __version__ = "0.1.0"
 _SUBMODULE_NAMES = {
     "cyclo": ("Cyclotomic", "root_of_unity"),
     "enumeration": (
-        "CorpusSpec", "ModularClass", "classify", "format_classification",
-        "generate_gram_matrices",
+        "CorpusSpec", "classify", "format_classification", "generate_gram_matrices",
     ),
     "errors": ("NotModular", "ParseError", "PointedCatError", "ValidationError"),
-    "lattice": ("DiscriminantGroup", "GramMatrix", "check_gram", "discriminant_group"),
+    "lattice": ("check_gram",),
     "moddata": (
-        "FramedLink", "GaussData", "ModularData", "RelationCheck", "RelationReport",
-        "canonical_form", "colored_link_invariant", "framed_link", "from_lattice",
-        "fusion_probabilities", "gauss_data", "quantum_dimensions", "verify_all",
-        "verlinde_fusion",
+        "ModularData", "canonical_form", "colored_link_invariant", "framed_link",
+        "from_lattice", "fusion_probabilities", "gauss_data", "quantum_dimensions",
+        "verify_all", "verlinde_fusion",
     ),
     "serialization": ("Document", "parse", "parse_gram_text", "serialize"),
 }

@@ -159,7 +159,6 @@ class DiscriminantGroup:
     zero vector first; all indices elsewhere in the package refer to this order.
     """
 
-    order: int
     exponent: int
     representatives: tuple[tuple[int, ...], ...]
 
@@ -180,13 +179,8 @@ def discriminant_group(gram: GramMatrix) -> DiscriminantGroup:
     reps = set()
     for combo in itertools.product(*(range(d) for d in diag)):
         reps.add(tuple(sum(map(mul, row, combo)) % e for row in steps))
-    order = prod(diag)
-    assert len(reps) == order == abs(gram.determinant)
-    return DiscriminantGroup(
-        order=order,
-        exponent=e,
-        representatives=tuple(sorted(reps)),
-    )
+    assert len(reps) == prod(diag) == abs(gram.determinant)
+    return DiscriminantGroup(exponent=e, representatives=tuple(sorted(reps)))
 
 
 def _image(gram: GramMatrix, u, n: int) -> tuple[int, ...]:

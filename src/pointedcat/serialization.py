@@ -109,8 +109,9 @@ def parse(doc: Document) -> ModularData:
         md = _from_values(fields, chunks, gram)
     if gram is None:
         return md
-    if group.order != rank:
-        raise ValidationError(f"provenance has |det B| = {group.order}, but rank is {rank}")
+    if abs(gram.determinant) != rank:
+        raise ValidationError(
+            f"provenance has |det B| = {abs(gram.determinant)}, but rank is {rank}")
     # a document that matches its lattice has the lattice's table, n included
     n, s, t = pairing_exponents(gram, group)
     if md._exponents == (n, s, t):

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, settings
 
+import oracle
+
 from pointedcat import (
     CorpusSpec,
     ModularData,
@@ -13,7 +15,7 @@ from pointedcat import (
     generate_gram_matrices,
     root_of_unity,
 )
-from pointedcat.cyclo import Cyclotomic, sum_values
+from pointedcat.cyclo import Cyclotomic
 
 # Selected by --hypothesis-profile=mutation-audit (tests/mutation_audit.py):
 # a mutant is killed by the first failing example, so no time goes into
@@ -71,18 +73,8 @@ def ising():
 
 @pytest.fixture(scope="session")
 def su2():
-    """Function k -> SU(2)_k: S~_ij = [(i+1)(j+1)]_q with q = e(1/(2(k+2))) and
-    theta_j = e(j(j+2)/(4(k+2))); generic data of rank k+1."""
-    def build(k):
-        period = 2 * (k + 2)
-        qint = [sum_values(root_of_unity(Fraction(n - 1 - 2 * m, period)) for m in range(n))
-                for n in range(period)]
-        rows = tuple(tuple(qint[((i + 1) * (j + 1)) % period] for j in range(k + 1))
-                     for i in range(k + 1))
-        twists = tuple(root_of_unity(Fraction(j * (j + 2), 4 * (k + 2))) for j in range(k + 1))
-        return ModularData(rank=k + 1, s_tilde=rows, twists=twists)
-
-    return build
+    """Function k -> SU(2)_k (oracle.su2): generic data of rank k+1."""
+    return oracle.su2
 
 
 @pytest.fixture(scope="session")

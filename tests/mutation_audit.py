@@ -47,7 +47,7 @@ MUTANTS = [
     ("serialization", " and gcd(a, b) == 1", "", None),
     ("serialization", 'token == f"e({a}/{b})" and ', "", None),
     ("serialization", "        return 1, 2\n", "        return 1, 1\n", None),
-    ("serialization", "if group.order != rank:", "if False:", None),
+    ("serialization", "if abs(gram.determinant) != rank:", "if False:", None),
     ("serialization", "if twist.root_exponent() != Fraction(k, 2 * n):", "if False:", None),
     ("serialization", "for j in range(i, md.rank):", "for j in range(i + 1, md.rank):", None),
     ("serialization", "if chunk == token)", "if chunk)", None),

@@ -6,11 +6,15 @@ by Sylvester inertia of an exact symmetric elimination, corpus counts by
 direct enumeration, group laws by one row lookup per pair of labels,
 canonical forms by trying every relabeling, cyclotomic polynomials by dense
 division, minimal conductors by Fraction Gauss-Jordan
-elimination, and packed integers by one shift per coefficient. Only
-classify_each and direct_sum import the package under test: the first is
+elimination, and packed integers by one shift per coefficient. Of these,
+only classify_each and direct_sum call the package under test: the first is
 the per-matrix classification loop, which classify's cache per exponent
 table must reproduce, and the second validates its block matrix with
 check_gram.
+
+The builders at the end make the test data that several test files share
+(SU(2)_k, Fibonacci, Deligne products, relabelings and corrupted copies) as
+ModularData; they compute no expected value.
 """
 
 from __future__ import annotations
@@ -19,6 +23,17 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+
+from pointedcat import (
+    Cyclotomic,
+    ModularData,
+    canonical_form,
+    check_gram,
+    from_lattice,
+    root_of_unity,
+)
+from pointedcat.cyclo import format_root, sum_values
+from pointedcat.enumeration import ModularClass
 
 
 def det_cofactor(rows):
@@ -201,8 +216,6 @@ def enumerate_even_symmetric(max_dim, max_entry, max_rank=None):
 
 def direct_sum(b1, b2):
     """Block-diagonal join of two Gram matrices, validated by check_gram."""
-    from pointedcat import check_gram
-
     n1, n2 = b1.n, b2.n
     rows = [list(row) + [0] * n2 for row in b1.entries]
     rows += [[0] * n1 + list(row) for row in b2.entries]
@@ -213,8 +226,6 @@ def classify_each(corpus):
     """classify without its cache per exponent table: every matrix gets its
     own from_lattice and canonical_form, and the first matrix of each
     canonical key is its witness."""
-    from pointedcat.enumeration import ModularClass
-
     buckets = {}
     for gram in corpus:
         rank, key, twists = _class_of(gram)
@@ -226,9 +237,6 @@ def classify_each(corpus):
 @functools.lru_cache(maxsize=None)
 def _class_of(gram):
     # memoized per matrix, not per table, so a reordered corpus costs no second pass
-    from pointedcat import Cyclotomic, canonical_form, from_lattice
-    from pointedcat.cyclo import format_root
-
     md = from_lattice(gram)
     twists = tuple(map(format_root, sorted(md.twists, key=Cyclotomic.root_exponent)))
     return md.rank, canonical_form(md), twists
@@ -347,3 +355,59 @@ def minimal_conductor_form(n, coeffs):
                 n, coeffs, changed = n // p, smaller, True
                 break
     return n, tuple(coeffs)
+
+
+# -- test data ----------------------------------------------------------------
+
+ONE = root_of_unity(0)
+
+
+def su2(k):
+    """SU(2)_k: S~_ij = [(i+1)(j+1)]_q with q = e(1/(2(k+2))) and
+    theta_j = e(j(j+2)/(4(k+2))); generic data of rank k+1."""
+    period = 2 * (k + 2)
+    qint = [sum_values(root_of_unity(Fraction(n - 1 - 2 * m, period)) for m in range(n))
+            for n in range(period)]
+    rows = tuple(tuple(qint[((i + 1) * (j + 1)) % period] for j in range(k + 1))
+                 for i in range(k + 1))
+    twists = tuple(root_of_unity(Fraction(j * (j + 2), 4 * (k + 2))) for j in range(k + 1))
+    return ModularData(rank=k + 1, s_tilde=rows, twists=twists)
+
+
+def fibonacci():
+    phi = ONE + root_of_unity(Fraction(1, 5)) + root_of_unity(Fraction(4, 5))  # the golden ratio
+    return ModularData(rank=2, s_tilde=((ONE, phi), (phi, -ONE)),
+                       twists=(ONE, root_of_unity(Fraction(2, 5))))
+
+
+def deligne(a, b):
+    """a ⊠ b: S~ and T as Kronecker products, label (i, x) at i * b.rank + x."""
+    s_tilde = tuple(tuple(x * y for x in ai for y in bx) for ai in a.s_tilde for bx in b.s_tilde)
+    twists = tuple(t * u for t in a.twists for u in b.twists)
+    return ModularData(rank=a.rank * b.rank, s_tilde=s_tilde, twists=twists)
+
+
+def relabel(md, perm):
+    """The data with position i holding old label perm[i], without provenance."""
+    s = tuple(tuple(md.s_tilde[perm[i]][perm[j]] for j in range(md.rank))
+              for i in range(md.rank))
+    return ModularData(rank=md.rank, s_tilde=s, twists=tuple(md.twists[p] for p in perm))
+
+
+def fresh(md):
+    """The same data without provenance or cached values."""
+    return ModularData(rank=md.rank, s_tilde=md.s_tilde, twists=md.twists)
+
+
+def with_twist_one(md):
+    """Twist 1 set to 1: unitarity and fusion stay; (S~ T)^3 breaks for most data."""
+    twists = (md.twists[0], ONE) + md.twists[2:]
+    return ModularData(rank=md.rank, s_tilde=md.s_tilde, twists=twists)
+
+
+def with_pair_one(md):
+    """Entries (1, rank-1) and (rank-1, 1) set to 1: breaks unitarity."""
+    rows = [list(row) for row in md.s_tilde]
+    last = md.rank - 1
+    rows[1][last] = rows[last][1] = ONE
+    return ModularData(rank=md.rank, s_tilde=tuple(map(tuple, rows)), twists=md.twists)

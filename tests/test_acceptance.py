@@ -21,7 +21,6 @@ from pointedcat import (
     check_gram,
     classify,
     colored_link_invariant,
-    discriminant_group,
     framed_link,
     from_lattice,
     gauss_data,
@@ -33,7 +32,7 @@ from pointedcat import (
 )
 from pointedcat.cli import main
 from pointedcat.cyclo import Cyclotomic
-from pointedcat.lattice import pairing_exponents, quadratic_mod2
+from pointedcat.lattice import discriminant_group, pairing_exponents, quadratic_mod2
 from pointedcat.moddata import check_modular_relations, check_unitarity
 
 ONE = Cyclotomic.from_rational(1)

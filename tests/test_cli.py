@@ -22,7 +22,6 @@ from pointedcat import (
     cli,
     cyclo,
     dense,
-    discriminant_group,
     from_lattice,
     parse,
     root_of_unity,
@@ -32,6 +31,7 @@ from pointedcat import (
 from pointedcat.cli import main
 from pointedcat.cyclo import format_root, format_value, parse_value
 from pointedcat.errors import QUOTE_BYTES, quoted
+from pointedcat.lattice import discriminant_group
 
 SEMION_MAT = "2\n"
 HOPF_MAT = "# hopf link, zero framings\n0 1\n1 0\n"

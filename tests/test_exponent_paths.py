@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from oracle import fresh, with_pair_one, with_twist_one
 from pointedcat import (
     Document,
     ModularData,
@@ -38,25 +39,6 @@ from pointedcat.cyclo import Cyclotomic
 from pointedcat.moddata import check_modular_relations, dual_permutation, link_exponent
 
 ONE = root_of_unity(0)
-
-
-def fresh(md):
-    """The same data without provenance or cached values."""
-    return ModularData(rank=md.rank, s_tilde=md.s_tilde, twists=md.twists)
-
-
-def with_twist_one(md):
-    twists = list(md.twists)
-    twists[1] = ONE
-    return ModularData(rank=md.rank, s_tilde=md.s_tilde, twists=tuple(twists))
-
-
-def with_pair_one(md):
-    """Entries (1, rank-1) and (rank-1, 1) set to 1: breaks unitarity."""
-    rows = [list(row) for row in md.s_tilde]
-    last = md.rank - 1
-    rows[1][last] = rows[last][1] = ONE
-    return ModularData(rank=md.rank, s_tilde=tuple(map(tuple, rows)), twists=md.twists)
 
 
 def with_row_sign(md):
@@ -212,15 +194,6 @@ def test_verification_takes_no_float(su2, small_corpus, no_floats):
         assert serialize(md).body == document
 
 
-def relabeled(md, sigma):
-    """The same data with label i renamed sigma[i] (sigma[0] = 0), without provenance."""
-    inv = sorted(range(md.rank), key=sigma.__getitem__)
-    return ModularData(
-        rank=md.rank,
-        s_tilde=tuple(tuple(md.s_tilde[a][b] for b in inv) for a in inv),
-        twists=tuple(md.twists[a] for a in inv))
-
-
 def table_law(md):
     """The pair loop of tests/oracle.py on the exponent table of md."""
     n, s, _ = md._exponents
@@ -246,7 +219,8 @@ class TestGroupLaw:
         for md in cases:
             assert md._law is not None and md._law == table_law(md)
             sigma = [0] + rng.sample(range(1, md.rank), md.rank - 1)
-            moved = relabeled(md, sigma)
+            # label a moves to position sigma[a]
+            moved = oracle.relabel(md, sorted(range(md.rank), key=sigma.__getitem__))
             assert moved._law == table_law(moved)
             labels = range(md.rank)
             assert all(moved._law[sigma[a]][sigma[b]] == sigma[md._law[a][b]]

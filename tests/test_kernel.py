@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from oracle import deligne, fibonacci, fresh, with_pair_one, with_twist_one
 from pointedcat import (
     ModularData,
     NotModular,
@@ -175,24 +176,6 @@ def ref_verlinde(md):
 
 # -- data -------------------------------------------------------------------
 
-def fresh(md):
-    return ModularData(rank=md.rank, s_tilde=md.s_tilde, twists=md.twists)
-
-
-def with_twist_one(md):
-    """Twist 1 set to 1: unitarity and fusion stay, (S~ T)^3 breaks."""
-    twists = (ONE, ONE) + md.twists[2:]
-    return ModularData(rank=md.rank, s_tilde=md.s_tilde, twists=twists)
-
-
-def with_pair_one(md):
-    """Entries (1, rank-1) and (rank-1, 1) set to 1: breaks unitarity."""
-    rows = [list(row) for row in md.s_tilde]
-    last = md.rank - 1
-    rows[1][last] = rows[last][1] = ONE
-    return ModularData(rank=md.rank, s_tilde=tuple(map(tuple, rows)), twists=md.twists)
-
-
 def with_half(md):
     """Entry (1, 1) halved: a denominator, and a non-integral fusion entry."""
     rows = [list(row) for row in md.s_tilde]
@@ -344,19 +327,6 @@ class TestDenseChecks:
 
 
 # -- the symmetric Verlinde pass ----------------------------------------------
-
-def fibonacci():
-    phi = ONE + root_of_unity(F(1, 5)) + root_of_unity(F(4, 5))  # the golden ratio
-    return ModularData(rank=2, s_tilde=((ONE, phi), (phi, -ONE)),
-                       twists=(ONE, root_of_unity(F(2, 5))))
-
-
-def deligne(a, b):
-    """a ⊠ b: S~ and T as Kronecker products, label (i, x) at i * b.rank + x."""
-    s_tilde = tuple(tuple(x * y for x in ai for y in bx) for ai in a.s_tilde for bx in b.s_tilde)
-    twists = tuple(t * u for t in a.twists for u in b.twists)
-    return ModularData(rank=a.rank * b.rank, s_tilde=s_tilde, twists=twists)
-
 
 def copied(md):
     """The same data with every entry a new object (sum_values builds one)."""
