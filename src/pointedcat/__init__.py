@@ -20,10 +20,11 @@ _SUBMODULE_NAMES = {
     ),
     "errors": ("NotModular", "ParseError", "PointedCatError", "ValidationError"),
     "lattice": ("check_gram",),
+    "links": ("framed_link",),
     "moddata": (
-        "ModularData", "canonical_form", "colored_link_invariant", "framed_link",
-        "from_lattice", "fusion_probabilities", "gauss_data", "quantum_dimensions",
-        "verify_all", "verlinde_fusion",
+        "ModularData", "canonical_form", "colored_link_invariant", "from_lattice",
+        "fusion_probabilities", "gauss_data", "quantum_dimensions", "verify_all",
+        "verlinde_fusion",
     ),
     "serialization": ("Document", "parse", "parse_gram_text", "serialize"),
 }

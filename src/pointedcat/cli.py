@@ -7,16 +7,16 @@ A CLI job (entry) flushes stdout and stderr and ends with os._exit, with no
 interpreter teardown, so atexit handlers of site, sitecustomize or coverage
 tools do not run in it; in-process callers use main, which returns the code.
 
-Every job runs in a fresh interpreter, so this module imports at start-up
-only what every command needs: the options come from one table (COMMANDS),
-and errors. Each handler imports the rest on first use: construct, verify,
-fusion, link and show import moddata and serialization, which read and
-write documents. Pointed data stays an integer exponent table through
-construct, verify and link, which import lattice and no cyclo; show and
-fusion print values, and generic data is read as values, so those import
-cyclo, and lattice only for provenance. enumerate imports enumeration,
-which runs on integer exponent tables and loads neither cyclo, moddata nor
-serialization.
+Every job runs in a fresh interpreter and compiles each module it imports,
+so this module holds only the option table (COMMANDS), the dispatch and one
+small handler per command, which imports the rest on first use; usage holds
+the help and usage text, and show the text of show. construct writes the
+document of a lattice's exponent table (serialization, lattice). verify,
+fusion, link and show read a document (serialization, moddata, and lattice
+for provenance); link adds links. Pointed data stays an integer exponent
+table, so pointed verify and link, and fusion by a group law, load no cyclo;
+show prints D^2 and p+- through cyclo, and generic data is read as values.
+enumerate loads enumeration and lattice, and no document module.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import sys
 
-from .errors import MAX_CANONICAL_RANK, PointedCatError, ValidationError, quoted
+from .errors import MAX_CANONICAL_RANK, PointedCatError, quoted
 
 EXIT_CLOSED_STDOUT = 141
 
@@ -44,10 +44,12 @@ def _load_modular_data(path: str):
 
 
 def _cmd_construct(b: str, out: str | None) -> int:
-    from .moddata import from_lattice
-    from .serialization import parse_gram_text, serialize
+    from .lattice import discriminant_group, pairing_exponents, table_tokens
+    from .serialization import data_document, parse_gram_text
 
-    doc = serialize(from_lattice(parse_gram_text(_read(b))))
+    gram = parse_gram_text(_read(b))
+    table = pairing_exponents(gram, discriminant_group(gram))
+    doc = data_document(len(table[2]), *table_tokens(*table), gram)
     if out:
         try:
             with open(out, "w", encoding="utf-8") as handle:
@@ -69,21 +71,23 @@ def _cmd_verify(data: str) -> int:
 
 
 def _cmd_fusion(data: str, i: int, j: int) -> int:
-    from .cyclo import format_rational
     from .moddata import fusion_probabilities, verlinde_fusion
 
     md = _load_modular_data(data)
     if not (0 <= i < md.rank and 0 <= j < md.rank):
         raise PointedCatError(f"labels must lie in [0, {md.rank})")
-    ft = verlinde_fusion(md)
-    for label, probability in fusion_probabilities(md, ft, i, j):
-        sys.stdout.write(f"{label} {format_rational(probability)}\n")
+    for label, probability in fusion_probabilities(md, verlinde_fusion(md), i, j):
+        if probability != 1:  # 1 prints as 1, with no cyclo (a group law's one outcome)
+            from .cyclo import format_rational
+
+            probability = format_rational(probability)
+        sys.stdout.write(f"{label} {probability}\n")
     return 0
 
 
 def _cmd_link(data: str, linking: str, colors: str) -> int:
     from .lattice import value_token
-    from .moddata import framed_link, link_exponent
+    from .links import framed_link, link_exponent
     from .serialization import parse_int_matrix_text
 
     md = _load_modular_data(data)
@@ -97,58 +101,16 @@ def _cmd_link(data: str, linking: str, colors: str) -> int:
 
 
 def _cmd_enumerate(max_dim: int, max_entry: int, max_rank: int) -> int:
-    # imported here, so that no other command compiles it
-    from .enumeration import CorpusSpec, classify, format_classification, generate_gram_matrices
+    from .enumeration import corpus_report
 
-    spec = CorpusSpec(max_dim=max_dim, max_entry=max_entry, max_rank=max_rank)
-    if max_rank > MAX_CANONICAL_RANK:
-        raise ValidationError(
-            f"rank cap {max_rank} exceeds the relabeling bound {MAX_CANONICAL_RANK}")
-    corpus = generate_gram_matrices(spec)
-    result = classify(corpus)
-    sys.stdout.write(f"corpus: {len(corpus)} matrices\n")
-    sys.stdout.write(format_classification(result))
+    sys.stdout.write(corpus_report(max_dim, max_entry, max_rank))
     return 0
 
 
-def _approx(x) -> str:
-    from .cyclo import format_value
-
-    text = format_value(x)
-    try:
-        re, im = x.approx_complex()
-    except OverflowError:
-        return f"{text} (beyond float range)"
-    # each of the terms, and each partial sum, errs by about 2^-52 sum |c|, so
-    # six decimals are right only when that bound is below 5e-7
-    sizes = [abs(c) for c in x._coeffs if c]
-    if (len(sizes) + 3) * sum(sizes) >= 5e-7 * 2 ** 52:
-        return f"{text} (beyond float precision)"
-    return f"{text} ({re:+.6f}{im:+.6f}j)"
-
-
 def _cmd_show(data: str, approx: bool) -> int:
-    from .cyclo import format_rows, format_value
-    from .moddata import gauss_data, quantum_dimensions
+    from .show import show
 
-    md = _load_modular_data(data)
-    gauss = gauss_data(md)
-    # each distinct object is formatted once, as parsed entries share them
-    dims, (d_squared, p_plus, p_minus), twists, *s_tilde = format_rows(
-        [quantum_dimensions(md), (gauss.d_squared, gauss.p_plus, gauss.p_minus), md.twists,
-         *md.s_tilde], _approx if approx else format_value)
-    sys.stdout.write(f"rank: {md.rank}\n")
-    if md.label_names is not None:
-        sys.stdout.write("labels: " + ", ".join(md.label_names) + "\n")
-    sys.stdout.write(f"quantum dimensions: {', '.join(dims)}\n")
-    sys.stdout.write(f"D^2: {d_squared}\np+: {p_plus}\np-: {p_minus}\n")
-    sys.stdout.write("twists: " + ", ".join(twists) + "\ns_tilde:\n")
-    for row in s_tilde:
-        sys.stdout.write("  " + ", ".join(row) + "\n")
-    if md.provenance is not None:
-        from .lattice import format_gram
-
-        sys.stdout.write(f"built from: [{format_gram(md.provenance)}]\n")
+    show(_load_modular_data(data), approx)
     return 0
 
 
@@ -187,33 +149,10 @@ COMMANDS = {
 }
 
 _HELP = ("-h", "--help")
-_USAGE = "usage: pointedcat COMMAND [OPTIONS]\n"
 
 
 class _UsageError(Exception):
     pass
-
-
-def _flag(name: str, kind: type, metavar: str) -> str:
-    return f"--{name}" if kind is bool else f"--{name} {metavar}"
-
-
-def _usage(command: str) -> str:
-    parts = [_flag(name, kind, metavar) if required else f"[{_flag(name, kind, metavar)}]"
-             for name, kind, required, _, metavar, _ in COMMANDS[command][2]]
-    return f"usage: pointedcat {command} " + " ".join(parts) + "\n"
-
-
-def _help(command: str | None) -> str:
-    if command is None:
-        return "".join([
-            _USAGE, "\nConstruct and exactly verify pointed modular data from even lattices.\n",
-            "\ncommands:\n", *(f"  {name:<10} {entry[1]}\n" for name, entry in COMMANDS.items()),
-            "\nRun 'pointedcat COMMAND --help' for the options of one command.\n"])
-    return "".join([
-        _usage(command), f"\n{COMMANDS[command][1]}\n\noptions:\n",
-        *(f"  {_flag(name, kind, metavar):<16} {text}\n"
-          for name, kind, _, _, metavar, text in COMMANDS[command][2])])
 
 
 def _parse_options(command: str, argv: list[str]) -> dict | None:
@@ -224,7 +163,9 @@ def _parse_options(command: str, argv: list[str]) -> dict | None:
     tokens = iter(argv)
     for token in tokens:
         if token in _HELP:
-            sys.stdout.write(_help(command))
+            from .usage import help_text
+
+            sys.stdout.write(help_text(COMMANDS, command))
             return None
         name, has_value, value = token[2:].partition("=")
         if not token.startswith("--") or name not in options:
@@ -256,15 +197,18 @@ def main(argv=None) -> int:
     command = argv[0] if argv else None
     try:
         if command in _HELP:
-            sys.stdout.write(_help(None))
+            from .usage import help_text
+
+            sys.stdout.write(help_text(COMMANDS, None))
             return 0
         if command not in COMMANDS:
             raise _UsageError("no command given" if command is None
                               else f"unknown command {quoted(command)}")
         kwargs = _parse_options(command, argv[1:])
     except _UsageError as exc:
-        usage = _usage(command) if command in COMMANDS else _USAGE
-        sys.stderr.write(f"{usage}error: {exc}\n")
+        from .usage import usage
+
+        sys.stderr.write(f"{usage(COMMANDS, command)}error: {exc}\n")
         return 2
     if kwargs is None:
         return 0

@@ -267,6 +267,18 @@ def classify(corpus) -> tuple[tuple[int, tuple[ModularClass, ...]], ...]:
                  for rank, bucket in sorted(buckets.items()))
 
 
+def corpus_report(max_dim: int, max_entry: int, max_rank: int) -> str:
+    """The text of CLI enumerate: the size of the corpus within the bounds
+    (CorpusSpec), then its classes by rank (format_classification). A rank
+    cap past MAX_CANONICAL_RANK is refused before the corpus is generated."""
+    spec = CorpusSpec(max_dim=max_dim, max_entry=max_entry, max_rank=max_rank)
+    if max_rank > MAX_CANONICAL_RANK:
+        raise ValidationError(
+            f"rank cap {max_rank} exceeds the relabeling bound {MAX_CANONICAL_RANK}")
+    corpus = generate_gram_matrices(spec)
+    return f"corpus: {len(corpus)} matrices\n" + format_classification(classify(corpus))
+
+
 def format_classification(by_rank) -> str:
     """Plain-text classification table of classify's (rank, classes) pairs:
     rank, class count, witnesses, twists."""

@@ -7,7 +7,8 @@ quadratic (mod 2) forms. A class v is stored as its integer numerator
 u = n*v over the group exponent n, so both forms are integer arithmetic.
 The roots of unity of those forms print from their exponents here, in the
 text that cyclo prints for the same values: table_tokens is the one writer of
-the twist and S~ tokens of an exponent table.
+the twist and S~ tokens of an exponent table, which CLI construct writes with
+no moddata, and show prints with no rank^2 values.
 """
 
 from __future__ import annotations

@@ -1,22 +1,19 @@
-"""Modular data: construction from even lattices, exact verification, fusion,
-colored framed-link invariants and canonical forms.
+"""Modular data: construction from even lattices, exact verification, fusion
+and canonical forms.
 
 The central object pairs an unnormalized Hopf-link matrix with a vector of
 twists. Everything else (quantum dimensions, global dimension, Gauss sums,
 fusion multiplicities, charge conjugation) is derived from those two fields
-and checked with exact cyclotomic arithmetic. Data from a lattice or from a
-document of root tokens is held as its integer exponent table (n, s, t)
-instead, in the form of lattice.pairing_exponents: S~_ij = e(s[i][j]/n) and
-theta_a = e(t[a]/2n). The tokens of its document and canonical form are
-written from that table (_tokens, lattice.table_tokens), and the checks and
-link invariants of pointed data with a group law (_law) read only the table.
-cyclo is imported on first use, by the code that builds or reads Cyclotomic
-values.
+and checked exactly. Data from a lattice or from a document of root tokens
+is held as its integer exponent table (n, s, t) instead, in the form of
+lattice.pairing_exponents: S~_ij = e(s[i][j]/n) and theta_a = e(t[a]/2n).
+The checks and fusion of pointed data with a group law (_law) and its link
+invariants (links) read only the table. values and cyclo are imported on
+first use, by the code that builds, reads or prints Cyclotomic values.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 from math import gcd, lcm
 from operator import add
@@ -59,30 +56,43 @@ class ModularData:
         table = vars(self).get("_exponents")
         if table is None or name not in ("s_tilde", "twists"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        from fractions import Fraction
+        from .values import table_values
 
-        from .cyclo import root_of_unity
-
-        # one object per value e(k/2n), shared by S~ (whose e(s/n) is e(2s/2n))
-        # and the twists
-        (n, s, t), double = table, (2).__mul__
-        roots = {k: root_of_unity(Fraction(k, 2 * n)) for k in {*t, *map(double, set().union(*s))}}
-        vars(self).update(
-            s_tilde=tuple(tuple(map(roots.__getitem__, map(double, row))) for row in s),
-            twists=tuple(map(roots.__getitem__, t)))
+        vars(self).update(table_values(*table))
         return vars(self)[name]
 
     @cached_property
     def _gauss(self) -> GaussData:
+        """D^2 = sum d_a^2 and p+- = sum theta_a^(+-1) d_a^2. A table alone
+        (_table_only) gives each distinct pair (t[a], s[0][a]) once, d^2 times
+        its count, on the roots __getattr__ builds: the same values, conductors
+        included, with no rank^2 values built."""
         from .cyclo import sum_values
 
-        squares = [d * d for d in quantum_dimensions(self)]
-        d_squared = sum_values(squares)
-        p_plus = sum_values(t * s for t, s in zip(self.twists, squares))
+        table = self._table_only
+        if table is None:
+            squares = [(theta, d * d) for theta, d in zip(self.twists, quantum_dimensions(self))]
+        else:
+            from collections import Counter
+            from fractions import Fraction
+
+            from .cyclo import root_of_unity
+
+            n, s, t = table
+            dims = {b: root_of_unity(Fraction(b, n)) for b in set(s[0])}
+            squares = [(root_of_unity(Fraction(a, 2 * n)), count * (dims[b] * dims[b]))
+                       for (a, b), count in Counter(zip(t, s[0])).items()]
+        d_squared = sum_values(d2 for _, d2 in squares)
+        p_plus = sum_values(theta * d2 for theta, d2 in squares)
         # twists are roots of unity, so conjugation is inversion
-        p_minus = sum_values(t.conjugate() * s for t, s in zip(self.twists, squares))
+        p_minus = sum_values(theta.conjugate() * d2 for theta, d2 in squares)
         identity = (p_plus * p_minus - d_squared).is_zero()
         return GaussData(d_squared, p_plus, p_minus, identity)
+
+    @property
+    def _table_only(self) -> tuple | None:
+        """The table of data made by from_table whose values are unread, else None."""
+        return None if "twists" in vars(self) else vars(self)["_exponents"]
 
     @cached_property
     def _exponents(self) -> tuple | None:
@@ -90,15 +100,9 @@ class ModularData:
         entry and twist is a root of unity; row 0 may hold any roots (only
         _law reads it). An instance made by from_table holds its table from
         the start."""
-        roots = {}
-        for x in itertools.chain(*self.s_tilde, self.twists):
-            if id(x) not in roots:
-                q = x.root_exponent()
-                if q is None:
-                    return None
-                roots[id(x)] = q.numerator, q.denominator
-        return exponent_table([list(map(id, row)) for row in self.s_tilde],
-                              list(map(id, self.twists)), roots)
+        from .values import value_exponents
+
+        return value_exponents(self.s_tilde, self.twists)
 
     @cached_property
     def _law(self) -> tuple[tuple[int, ...], ...] | None:
@@ -253,27 +257,14 @@ def from_lattice(gram: GramMatrix) -> ModularData:
     return from_table(pairing_exponents(gram, discriminant_group(gram)), provenance=gram)
 
 
-def _tokens(md: ModularData) -> tuple[list[str], list[list[str]]]:
-    """The twists of md as cyclo.format_root prints them and its S~ rows as
-    format_value does: from the exponent table when there is one
-    (lattice.table_tokens), else from the values."""
-    table = md._exponents
-    if table is not None:
-        from .lattice import table_tokens
-
-        return table_tokens(*table)
-    from .cyclo import format_root, format_rows
-
-    return [format_root(t) for t in md.twists], format_rows(md.s_tilde)
-
-
 def canonical_form(md: ModularData) -> bytes:
-    """enumeration.canonical_key of md's tokens (_tokens): two modular data
-    are equivalent iff their canonical forms agree. The search is imported on
-    first use, so commands that never classify compile none of it."""
+    """enumeration.canonical_key of md's tokens (values.tokens): two modular
+    data are equivalent iff their canonical forms agree. The search is
+    imported on first use, so commands that never classify compile none of it."""
     from .enumeration import canonical_key
+    from .values import tokens
 
-    return canonical_key(*_tokens(md))
+    return canonical_key(*tokens(md))
 
 
 def quantum_dimensions(md: ModularData) -> tuple[Cyclotomic, ...]:
@@ -325,8 +316,13 @@ def fusion_probabilities(
     with ft[i][j][k] = N_{i,j}^k as verlinde_fusion returns it.
 
     Normalisation to 1 follows from the dimension identity; a weight that is
-    not a non-negative rational raises ValidationError.
+    not a non-negative rational raises ValidationError. Pointed data with a
+    group law (ModularData._law) has one outcome, i.j, of the integer
+    probability 1, and builds no Cyclotomic value.
     """
+    law = md._law
+    if law is not None:
+        return ((law[i][j], 1),)
     dims = quantum_dimensions(md)
     denom = dims[i] * dims[j]
     if denom.is_zero():
@@ -451,62 +447,11 @@ def verify_all(md: ModularData) -> RelationReport:
     return RelationReport(tuple(checks) + check_modular_relations(md).checks)
 
 
-@record
-class FramedLink:
-    """Symmetric linking matrix (framings on the diagonal) plus a coloring."""
-
-    linking: tuple[tuple[int, ...], ...]
-    colors: tuple[Label, ...]
-
-    def __post_init__(self):
-        m = len(self.linking)
-        if any(len(row) != m for row in self.linking):
-            raise ValidationError("linking matrix is not square")
-        for i in range(m):
-            for j in range(i + 1, m):
-                if self.linking[i][j] != self.linking[j][i]:
-                    raise ValidationError("linking matrix is not symmetric")
-        if len(self.colors) != m:
-            raise ValidationError("need one color per link component")
-
-
-def framed_link(linking, colors) -> FramedLink:
-    return FramedLink(
-        tuple(tuple(int(x) for x in row) for row in linking),
-        tuple(int(c) for c in colors),
-    )
-
-
-def link_exponent(md: ModularData, link: FramedLink) -> tuple[int, int]:
-    """(k, m) with the invariant of a colored framed link e(k/m), 0 <= k < m,
-    for lattice-constructed data.
-
-    Framing of component i contributes its twist exponent, each crossing
-    pair its Hopf-pairing exponent, summed as integers over the exponent
-    table (ModularData._exponents, the lattice's forms over n and 2n):
-
-        m = 2n,  k = sum_i L_ii t[c_i]  +  2 sum_{i<j} L_ij s[c_i][c_j]  mod m
-
-    Unnormalized: the empty link maps to 1, the 0-framed unknot to d_i = 1
-    and the Hopf link to the matrix entry.
-    """
-    if md.provenance is None:
-        raise ValidationError("link invariants need lattice-constructed data")
-    if any(not 0 <= c < md.rank for c in link.colors):
-        raise ValidationError("link color out of range")
-    (n, s, t), colors, linking = md._exponents, link.colors, link.linking
-    exponent = 0
-    for i, a in enumerate(colors):
-        exponent += linking[i][i] * t[a]
-        for j in range(i + 1, len(colors)):
-            exponent += 2 * linking[i][j] * s[a][colors[j]]
-    return exponent % (2 * n), 2 * n
-
-
 def colored_link_invariant(md: ModularData, link: FramedLink) -> Cyclotomic:
-    """The invariant e(k/m) of link_exponent as a Cyclotomic value."""
+    """The invariant e(k/m) of links.link_exponent as a Cyclotomic value."""
     from fractions import Fraction
 
     from .cyclo import root_of_unity
+    from .links import link_exponent
 
     return root_of_unity(Fraction(*link_exponent(md, link)))

@@ -19,17 +19,18 @@ repeated runs produce byte-identical documents. Derived quantities are never
 stored: a data file carries only the Hopf-link matrix, twists and optional
 provenance, and everything else is recomputed on load.
 
-Pointed data is read and written as integers. serialize writes the tokens of
-moddata._tokens, which prints data with an exponent table from its exponents
-(lattice.table_tokens). parse reads each line and each distinct chunk between
-separators once: a root token as serialize writes it (``1``, ``-1`` or
-``e(a/b)`` in lowest terms, 0 <= a < b) becomes its (a, b), and any other
-chunk its Cyclotomic value (cyclo.parse_value, imported at the first such
-chunk). A document of root tokens becomes its exponent table
-(moddata.from_table), whatever its row 0, and is checked on integers; any
-other document is built from Cyclotomic values. A provenance lattice is one
-comparison of the data's exponent table with the lattice's; on a mismatch, the
-document's values name its first bad twist or S~ entry.
+Pointed data is read and written as integers. data_document is the one
+writer of a data document, from tokens: serialize passes those of
+values.tokens, and CLI construct those of a lattice's exponent table
+(lattice.table_tokens), with no moddata. parse reads each line and each
+distinct chunk between separators once: a root token as serialize writes it
+(``1``, ``-1`` or ``e(a/b)`` in lowest terms, 0 <= a < b) becomes its (a, b),
+and any other chunk its Cyclotomic value (cyclo.parse_value, imported at the
+first such chunk). A document of root tokens becomes its exponent table
+(moddata.from_table), whatever its row 0, checked on integers; any other is
+built from values. A provenance lattice is one comparison of exponent
+tables; only on a mismatch does values.check_provenance name the first bad
+twist or S~ entry. moddata, values and cyclo are imported on first use.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import itertools
 from math import gcd
 
 from .errors import MAX_CONDUCTOR, ParseError, ValidationError, check_conductor, quoted
-from .moddata import ModularData, RelationReport, _tokens, check_fields, exponent_table, from_table
 from .record import record
 
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_+-")
@@ -53,19 +53,14 @@ class Document:
 # -- serialization -----------------------------------------------------------
 
 def serialize(value) -> Document:
-    """Deterministic document for modular data or a report."""
-    if isinstance(value, ModularData):
-        lines = ["kind: modular_data", f"rank: {value.rank}"]
-        if value.label_names is not None:
-            lines.append("labels: " + ", ".join(value.label_names))
-        twists, rows = _tokens(value)
-        lines.append("s_tilde: " + "; ".join(map(", ".join, rows)))
-        lines.append("twists: " + ", ".join(twists))
-        if value.provenance is not None:
-            from .lattice import format_gram
+    """Deterministic document for modular data (data_document of its tokens,
+    values.tokens) or a report."""
+    from .moddata import ModularData, RelationReport
 
-            lines.append("provenance: " + format_gram(value.provenance))
-        return Document("modular_data", "\n".join(lines) + "\n")
+    if isinstance(value, ModularData):
+        from .values import tokens
+
+        return data_document(value.rank, *tokens(value), value.provenance, value.label_names)
     if isinstance(value, RelationReport):
         lines = ["kind: report"]
         for check in value.checks:
@@ -77,6 +72,23 @@ def serialize(value) -> Document:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def data_document(rank: int, twists, rows, provenance: GramMatrix | None = None,
+                  label_names: tuple[str, ...] | None = None) -> Document:
+    """The one writer of a data document, from its twist tokens and S~ rows
+    of tokens: serialize writes modular data through it, and CLI construct
+    the tokens of a lattice's exponent table (lattice.table_tokens)."""
+    lines = ["kind: modular_data", f"rank: {rank}"]
+    if label_names is not None:
+        lines.append("labels: " + ", ".join(label_names))
+    lines.append("s_tilde: " + "; ".join(map(", ".join, rows)))
+    lines.append("twists: " + ", ".join(twists))
+    if provenance is not None:
+        from .lattice import format_gram
+
+        lines.append("provenance: " + format_gram(provenance))
+    return Document("modular_data", "\n".join(lines) + "\n")
+
+
 # -- parsing -----------------------------------------------------------------
 
 def parse(doc: Document) -> ModularData:
@@ -84,6 +96,8 @@ def parse(doc: Document) -> ModularData:
     docstring). Raises ParseError or ValidationError for the first of: a bad
     line or chunk, the conductor bound, the provenance matrix, check_fields,
     the rank against |det B|, a bad twist, a bad S~ entry."""
+    from .moddata import check_fields, exponent_table, from_table
+
     if doc.kind != "modular_data":
         raise ParseError(f"unknown document kind {doc.kind!r}")
     fields, chunks = _read_fields(doc.body)
@@ -114,25 +128,10 @@ def parse(doc: Document) -> ModularData:
             f"provenance has |det B| = {abs(gram.determinant)}, but rank is {rank}")
     # a document that matches its lattice has the lattice's table, n included
     n, s, t = pairing_exponents(gram, group)
-    if md._exponents == (n, s, t):
-        return md
-    # The twists and S~ must be those the provenance lattice implies.
-    from fractions import Fraction
+    if md._exponents != (n, s, t):
+        from .values import check_provenance
 
-    from .cyclo import format_root, format_value
-    from .lattice import root_token, value_token
-
-    for i, (twist, k) in enumerate(zip(md.twists, t)):
-        if twist.root_exponent() != Fraction(k, 2 * n):
-            raise ValidationError(f"twist {i} is {format_root(twist)}, "
-                                  f"but provenance gives {root_token(k, 2 * n)}")
-    # S~ is symmetric (checked by ModularData), so the first bad entry in
-    # row-major order lies on or above the diagonal.
-    for i, (row, implied_row) in enumerate(zip(md.s_tilde, s)):
-        for j in range(i, md.rank):
-            if row[j].root_exponent() != Fraction(implied_row[j], n):
-                raise ValidationError(f"s_tilde ({i},{j}) is {format_value(row[j])}, "
-                                      f"but provenance gives {value_token(implied_row[j], n)}")
+        check_provenance(md, n, s, t)
     return md
 
 
@@ -286,6 +285,7 @@ def _from_values(fields: dict, chunks: dict, gram: GramMatrix | None) -> Modular
     """The data of a document as Cyclotomic values: the value of each chunk
     that is no root token, and parse_value of each that is."""
     from .cyclo import parse_value
+    from .moddata import ModularData
 
     values = {chunk: parse_value(chunk.strip()) if isinstance(x, tuple) else x
               for chunk, x in chunks.items()}

@@ -32,13 +32,15 @@ ROOT = Path(__file__).resolve().parent.parent
 # the test files run first against a mutant of each module
 FIRST = {"serialization": ("test_serialization.py",),
          "moddata": ("test_serialization.py", "test_moddata.py", "test_links.py"),
-         "dense": ("test_kernel.py",), "cli": ("test_cli.py",), "cyclo": ("test_cyclo.py",),
-         "lattice": ("test_lattice.py",), "enumeration": ("test_enumeration.py",)}
+         "values": ("test_serialization.py", "test_moddata.py"), "links": ("test_links.py",),
+         "dense": ("test_kernel.py",), "cli": ("test_cli.py",), "show": ("test_cli.py",),
+         "cyclo": ("test_cyclo.py",), "lattice": ("test_lattice.py",),
+         "enumeration": ("test_enumeration.py",)}
 
 # (module of src/pointedcat, text, replacement, equivalence argument or None)
 MUTANTS = [
     # serialization.parse and its helpers
-    ("serialization", "if md._exponents == (n, s, t):", "if True:", None),
+    ("serialization", "if md._exponents != (n, s, t):", "if False:", None),
     ("serialization", "    check_conductor(x.conductor if", "    list(x.conductor if", None),
     ("serialization", "x[1] if x[1] > 2 else 1", "x[1]", None),
     ("moddata", "if table is None or any(table[1][0]):", "if table is None:", None),
@@ -48,8 +50,8 @@ MUTANTS = [
     ("serialization", 'token == f"e({a}/{b})" and ', "", None),
     ("serialization", "        return 1, 2\n", "        return 1, 1\n", None),
     ("serialization", "if abs(gram.determinant) != rank:", "if False:", None),
-    ("serialization", "if twist.root_exponent() != Fraction(k, 2 * n):", "if False:", None),
-    ("serialization", "for j in range(i, md.rank):", "for j in range(i + 1, md.rank):", None),
+    ("values", "if twist.root_exponent() != Fraction(k, 2 * n):", "if False:", None),
+    ("values", "for j in range(i, md.rank):", "for j in range(i + 1, md.rank):", None),
     ("serialization", "if chunk == token)", "if chunk)", None),
     ("serialization", "if chunk in chunks:\n                    continue\n", "pass\n", None),
     ("serialization", "if isinstance(x, tuple) else x\n", "if 1 else x\n", None),
@@ -69,19 +71,38 @@ MUTANTS = [
     ("moddata", "label_names=label_names,\n                    _exponents=table)",
      "label_names=None,\n                    _exponents=table)", None),
     # moddata: the Gauss data, fusion probabilities and link invariants
-    ("moddata", "p_minus = sum_values(t.conjugate() * s for", "p_minus = sum_values(t * s for",
-     None),
+    ("moddata", "sum_values(theta.conjugate() * d2 for", "sum_values(theta * d2 for", None),
     ("moddata", "identity = (p_plus * p_minus - d_squared).is_zero()", "identity = True", None),
     ("moddata", "        if not weight.is_rational():", "        if False:", None),
     ("moddata", "        if w < 0:", "        if False:", None),
-    ("moddata", "exponent += linking[i][i] * t[a]", "exponent += 0", None),
-    ("moddata", "exponent += 2 * linking[i][j] * s[a][colors[j]]",
+    ("links", "exponent += linking[i][i] * t[a]", "exponent += 0", None),
+    ("links", "exponent += 2 * linking[i][j] * s[a][colors[j]]",
      "exponent += linking[i][j] * s[a][colors[j]]", None),
-    ("moddata", "return exponent % (2 * n), 2 * n", "return exponent % n, 2 * n", None),
-    ("moddata", "if self.linking[i][j] != self.linking[j][i]:", "if False:", None),
-    # moddata._tokens: a table is written from its exponents, without values
-    ("moddata", "    if table is not None:\n        from .lattice import table_tokens",
+    ("links", "return exponent % (2 * n), 2 * n", "return exponent % n, 2 * n", None),
+    ("links", "if self.linking[i][j] != self.linking[j][i]:", "if False:", None),
+    # values.tokens: a table is written from its exponents, without values
+    ("values", "    if table is not None:\n        from .lattice import table_tokens",
      "    if False:\n        from .lattice import table_tokens", None),
+    # fusion by the group law: one outcome i.j of probability 1, with no cyclo
+    ("moddata", "    if law is not None:\n        return ((law[i][j], 1),)",
+     "    if False:\n        return ((law[i][j], 1),)", None),
+    ("moddata", "return ((law[i][j], 1),)", "return ((law[i][i], 1),)", None),
+    # the Gauss sums of a table: each distinct (t[a], s[0][a]) once, times its count
+    ("moddata", "root_of_unity(Fraction(a, 2 * n))", "root_of_unity(Fraction(a + 1, 2 * n))",
+     None),
+    ("moddata", "root_of_unity(Fraction(b, n))", "root_of_unity(Fraction(2 * b + 1, 2 * n))",
+     None),
+    ("moddata", "count * (dims[b] * dims[b])", "dims[b] * dims[b]", None),
+    ("moddata", 'return None if "twists" in vars(self) else', "return None if True else", None),
+    # serialization.data_document: the one writer of construct and serialize
+    ("serialization", "    if provenance is not None:\n        from .lattice import format_gram",
+     "    if False:\n        from .lattice import format_gram", None),
+    ("serialization", '''    lines.append("s_tilde: " + "; ".join(map(", ".join, rows)))
+    lines.append("twists: " + ", ".join(twists))''', '''    lines.append("twists: " + ", ".join(twists))
+    lines.append("s_tilde: " + "; ".join(map(", ".join, rows)))''', None),
+    # show: the dimensions, twists and S~ of a table from its tokens
+    ("show", "[value_token(k, 2 * n) for k in t]", "[value_token(k // 2, n) for k in t]", None),
+    ("show", "table = None if approx else md._table_only", "table = None", None),
     # dense: packing, products and the three dense checks
     ("dense", "(bound.bit_length() + 9) // 8 * 8", "(bound.bit_length() + 7) // 8 * 8", None),
     ("dense", "for start in range(0, slots, n):", "for start in range(0, slots - n, n):", None),

@@ -411,3 +411,12 @@ def with_pair_one(md):
     last = md.rank - 1
     rows[1][last] = rows[last][1] = ONE
     return ModularData(rank=md.rank, s_tilde=tuple(map(tuple, rows)), twists=md.twists)
+
+
+def with_row_sign(md):
+    """Row and column 1 multiplied by e(1/2): unitary, but d_1 = -1 breaks Verlinde."""
+    minus = root_of_unity(Fraction(1, 2))
+    rows = tuple(
+        tuple(x * minus if (a == 1) != (b == 1) else x for b, x in enumerate(row))
+        for a, row in enumerate(md.s_tilde))
+    return ModularData(rank=md.rank, s_tilde=rows, twists=md.twists)

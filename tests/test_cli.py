@@ -1,3 +1,7 @@
+import contextlib
+import hashlib
+import importlib.util
+import io
 import os
 import random
 import re
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracle
 import pointedcat
 from pointedcat import (
     CorpusSpec,
@@ -681,52 +686,166 @@ def imported_modules(args, program=("-m", "pointedcat.cli")):
     return proc.returncode, names
 
 
+def compiled_lines(names):
+    """Source lines a CLI job compiles with no bytecode cache: those of its
+    pointedcat modules, and of cli.py, which runs as __main__."""
+    root = Path(pointedcat.__file__).parent
+    stems = {"cli"} | {name.partition(".")[2] or "__init__" for name in names
+                       if name.split(".")[0] == "pointedcat"}
+    return sum(len((root / f"{stem}.py").read_text().splitlines()) for stem in stems)
+
+
 def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semion_data, su2):
-    # Pointed commands need neither argparse, the classification nor the dense
-    # checks, enumerate reads no document, and no module imports dataclasses.
-    # Pointed construct, verify and link run on the integer exponent table, so
-    # they build no cyclotomic value and load neither cyclo nor the standard
-    # modules it needs.
+    # Each pointed command loads exactly its own pointedcat modules. construct
+    # writes the lattice's exponent table, with no moddata; verify, link and
+    # fusion by the group law read only the table, so none loads cyclo or the
+    # standard modules it needs; show formats D^2 and p+- through cyclo, and
+    # only show loads its text module (show), and values only with --approx.
+    # No command needs argparse, the classification or the dense checks, and
+    # no module imports dataclasses.
     hopf = tmp_path / "hopf.mat"
     hopf.write_text(HOPF_MAT)
-    never = {"argparse", "gettext", "dataclasses", "inspect",
-             "pointedcat.dense", "pointedcat.enumeration"}
-    values = {"pointedcat.cyclo", "fractions", "decimal", "cmath"}
-    for args in (["construct", "--b", semion_file], ["verify", "--data", semion_data],
-                 ["link", "--data", semion_data, "--linking", str(hopf), "--colors", "1,1"]):
-        code, names = imported_modules(args)
-        assert code == 0 and "pointedcat.serialization" in names
-        assert names.isdisjoint(never | values), (args, names & (never | values))
-    # show and fusion print values, and pointed data that fails its cube check
-    # gets exact Gauss sums, so these load cyclo; only show --approx loads cmath
     corrupt = tmp_path / "corrupt.data"
     corrupt.write_text(CORRUPT_SEMION)
-    for args, expected in ((["show", "--data", semion_data], 0),
-                           (["fusion", "--data", semion_data, "--i", "1", "--j", "1"], 0),
-                           (["verify", "--data", str(corrupt)], 1)):
+    never = {"argparse", "gettext", "dataclasses", "inspect"}
+    values = {"fractions", "decimal", "cmath"}
+    base = {"pointedcat", "pointedcat.errors", "pointedcat.record", "pointedcat.serialization"}
+    table = base | {"pointedcat.lattice", "pointedcat.moddata"}
+    printed = table | {"pointedcat.cyclo", "pointedcat.show"}
+    cases = [
+        (["construct", "--b", semion_file], 0, base | {"pointedcat.lattice"}, never | values),
+        (["verify", "--data", semion_data], 0, table, never | values),
+        (["fusion", "--data", semion_data, "--i", "1", "--j", "1"], 0, table, never | values),
+        (["link", "--data", semion_data, "--linking", str(hopf), "--colors", "1,1"], 0,
+         table | {"pointedcat.links"}, never | values),
+        (["show", "--data", semion_data], 0, printed, never | {"cmath"}),
+        (["show", "--data", semion_data, "--approx"], 0, printed | {"pointedcat.values"}, never),
+        # a law that fails its cube check gets exact Gauss sums; no provenance, no lattice
+        (["verify", "--data", str(corrupt)], 1, base | {"pointedcat.moddata", "pointedcat.cyclo"},
+         never | {"cmath"}),
+    ]
+    for args, expected, modules, absent in cases:
         code, names = imported_modules(args)
-        assert code == expected and "pointedcat.cyclo" in names
-        assert names.isdisjoint(never | {"cmath"}), (args, names & (never | {"cmath"}))
-    code, names = imported_modules(["show", "--data", semion_data, "--approx"])
-    assert code == 0 and "cmath" in names
+        assert code == expected
+        assert {name for name in names if name.startswith("pointedcat")} == modules, args
+        assert names.isdisjoint(absent), (args, names & absent)
     # enumerate runs on integer exponent tables: no cyclotomic values, no
     # ModularData and no documents, nor the standard modules cyclo needs
     code, names = imported_modules(["enumerate", "--max-dim", "2", "--max-entry", "2"])
-    assert code == 0 and "pointedcat.enumeration" in names
-    assert names.isdisjoint({"pointedcat.cyclo", "pointedcat.moddata", "pointedcat.serialization",
-                             "fractions", "decimal", "cmath", "argparse", "gettext"})
+    assert code == 0 and {name for name in names if name.startswith("pointedcat")} == {
+        "pointedcat", "pointedcat.errors", "pointedcat.record", "pointedcat.lattice",
+        "pointedcat.enumeration"}
+    assert names.isdisjoint(never | values)
+    assert compiled_lines(names) <= 1038
     # importing the CLI loads two modules of its own and, of the standard
     # library, only what its imports name (with what they need in this Python)
     code, names = imported_modules([], program=("-c", "import pointedcat.cli"))
     _, stdlib = imported_modules([], program=("-c", "import __future__, importlib, os"))
     assert code == 0 and names - stdlib == {"pointedcat", "pointedcat.cli", "pointedcat.errors"}
     # generic data takes the dense checks on Cyclotomic values; without
-    # provenance it needs no lattice
+    # provenance it needs no lattice, and show prints its values with no
+    # exponent table, so it needs no values module either
     generic = tmp_path / "su2_3.data"
     generic.write_text(serialize(su2(3)).body)
     code, names = imported_modules(["verify", "--data", str(generic)])
     assert code == 0 and {"pointedcat.dense", "pointedcat.cyclo"} <= names
-    assert names.isdisjoint({"pointedcat.lattice", "cmath"})
+    assert names.isdisjoint({"pointedcat.lattice", "pointedcat.show", "cmath"})
+    assert compiled_lines(names) <= 2120
+    code, names = imported_modules(["show", "--data", str(generic)])
+    assert code == 0 and {name for name in names if name.startswith("pointedcat")} == (
+        base | {"pointedcat.moddata", "pointedcat.cyclo", "pointedcat.show"})
+    assert compiled_lines(names) <= 1834
+
+
+# SHA-256 of transcript(pointed_documents(corpus4)) as written at the commit
+# before pointed show printed tables from their tokens, D^2 and p+- were
+# summed over exponent pairs and fusion read the group law, when each of
+# these jobs printed values through cyclo
+PARENT_TRANSCRIPT_SHA256 = "15a4d81167bdb3cbc10576759acfc57c7db250de5276b0f5b3ed49cdfd3bfe76"
+
+# The toric code with the boson e at label 0 (test_serialization): its rows
+# form a group, but row 0 is not the unit, so the table has no group law
+RELABELED_TORIC = ("kind: modular_data\nrank: 4\n"
+                   "s_tilde: 1, 1, -1, -1; 1, 1, 1, 1; -1, 1, 1, -1; -1, 1, -1, 1\n"
+                   "twists: e(0/1), e(0/1), e(0/1), e(1/2)\n")
+
+
+def load_bench_module(name):
+    """bench/NAME.py, which is not a package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def pointed_documents(corpus4):
+    """Documents of pointed data with and without a group law: every corpus4
+    lattice, the first 16 of rank 2 or more with row and column 1 negated (a
+    table without a law), the relabelled toric code, a corruption as the
+    bench's r20_bad (twist 1 set to 1 and the labels permuted, without
+    provenance: a law whose cube check fails) and [[512]]."""
+    docs = [serialize(from_lattice(gram)).body for gram in corpus4]
+    signed = [md for md in map(from_lattice, corpus4) if md.rank > 1][:16]
+    docs += [serialize(oracle.with_row_sign(md)).body for md in signed]
+    r20 = from_lattice(check_gram([[4, 2], [2, -4]]))
+    perm = [0, *random.Random(20).sample(range(1, 20), 19)]
+    docs += [RELABELED_TORIC, serialize(oracle.relabel(oracle.with_twist_one(r20), perm)).body,
+             serialize(from_lattice(check_gram([[512]]))).body]
+    return docs
+
+
+def transcript(path, documents) -> str:
+    """Exit code, stdout and stderr of main for show and fusion of labels 1
+    and rank - 1 on each document, written to path in turn, as one text."""
+    parts = []
+    for body in documents:
+        path.write_text(body)
+        rank = int(body.split("rank: ", 1)[1].split("\n", 1)[0])
+        for argv in (["show"], ["fusion", "--i", str(1 % rank), "--j", str(rank - 1)]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--data", str(path)])
+            parts.append(f"{' '.join(argv)}: exit {code}\n{out.getvalue()}{err.getvalue()}")
+    return "".join(parts)
+
+
+def test_pointed_show_and_fusion_keep_their_bytes(tmp_path, corpus4):
+    from pointedcat.show import show
+
+    documents = pointed_documents(corpus4)
+    text = transcript(tmp_path / "d.data", documents)
+    assert hashlib.sha256(text.encode()).hexdigest() == PARENT_TRANSCRIPT_SHA256
+    # show --approx prints floats of each value's coefficients at its own
+    # conductor, and this platform's libm, so it is compared with the value
+    # path (the parent's only one) in this process: the Gauss sums of data
+    # that holds only its table are those of the same data held as values,
+    # conductors and coefficients included, and so is the --approx text
+    for k, body in enumerate(documents):
+        table = parse(Document("modular_data", body))
+        gauss = repr(table._gauss)  # summed before any value of the table is built
+        held = ModularData(rank=table.rank, s_tilde=table.s_tilde, twists=table.twists,
+                           provenance=table.provenance, label_names=table.label_names)
+        assert repr(held._gauss) == gauss, body
+        if k % 10 == 0 or k >= len(documents) - 3:
+            printed = []
+            for data in (table, held):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    show(data, True)
+                printed.append(out.getvalue())
+            assert printed[0] == printed[1], body
+
+
+def test_construct_writes_what_serialize_writes(tmp_path, corpus4, capsys):
+    # one writer (serialization.data_document) for construct and serialize
+    bench = load_bench_module("workloads")
+    grams = [gram.entries for gram in corpus4] + list(bench.POINTED.values())
+    path = tmp_path / "b.mat"
+    for entries in grams:
+        path.write_text("".join(" ".join(map(str, row)) + "\n" for row in entries))
+        assert main(["construct", "--b", str(path)]) == 0
+        assert capsys.readouterr().out == serialize(from_lattice(check_gram(entries))).body
 
 
 def test_closed_stdout_ends_quietly(tmp_path):

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from oracle import fresh, with_pair_one, with_twist_one
+from oracle import fresh, with_pair_one, with_row_sign, with_twist_one
 from pointedcat import (
     Document,
     ModularData,
@@ -36,18 +36,10 @@ from pointedcat import (
 )
 from pointedcat import dense, moddata
 from pointedcat.cyclo import Cyclotomic
-from pointedcat.moddata import check_modular_relations, dual_permutation, link_exponent
+from pointedcat.links import link_exponent
+from pointedcat.moddata import check_modular_relations, dual_permutation
 
 ONE = root_of_unity(0)
-
-
-def with_row_sign(md):
-    """Row and column 1 multiplied by e(1/2): unitary, but d_1 = -1 breaks Verlinde."""
-    minus = root_of_unity(F(1, 2))
-    rows = tuple(
-        tuple(x * minus if (a == 1) != (b == 1) else x for b, x in enumerate(row))
-        for a, row in enumerate(md.s_tilde))
-    return ModularData(rank=md.rank, s_tilde=rows, twists=md.twists)
 
 
 CORRUPTIONS = (with_twist_one, with_pair_one, with_row_sign)

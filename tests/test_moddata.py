@@ -25,6 +25,7 @@ from pointedcat import cyclo, moddata
 from pointedcat.cyclo import Cyclotomic, dot
 from pointedcat.lattice import discriminant_group
 from pointedcat.moddata import check_modular_relations, check_unitarity, dual_permutation
+from pointedcat.values import tokens as data_tokens
 
 ONE = Cyclotomic.from_rational(1)
 I = root_of_unity(F(1, 4))
@@ -464,9 +465,9 @@ class TestCanonicalForm:
 
 
 class TestTokens:
-    """moddata._tokens is the one writer of the token text of modular data:
-    from its exponent table where it has one (lattice.table_tokens), else
-    from its values. Either way it is the text of the per-entry reference
+    """values.tokens (data_tokens) is the one writer of the token text of
+    modular data: from its exponent table where it has one
+    (lattice.table_tokens), else from its values. Either way it is the text of the per-entry reference
     (tokens), so serialize and canonical_form cannot tell a table from the
     same data held as values."""
 
@@ -475,16 +476,16 @@ class TestTokens:
         for gram, md in corpus4_data:
             # a fresh instance, so that the check sees no values built earlier
             fresh = moddata.from_lattice(gram)
-            assert moddata._tokens(fresh) == tokens(md), gram.entries
+            assert data_tokens(fresh) == tokens(md), gram.entries
             assert "s_tilde" not in vars(fresh) and "twists" not in vars(fresh)
             copy = oracle.relabel(md, (0, *rng.sample(range(1, md.rank), md.rank - 1)))
             assert "_exponents" not in vars(copy)
-            assert moddata._tokens(copy) == tokens(copy), gram.entries
+            assert data_tokens(copy) == tokens(copy), gram.entries
 
     def test_values_without_a_table(self, ising, su2):
         for md in [ising] + [su2(k) for k in range(2, 9)]:
             assert md._exponents is None
-            assert moddata._tokens(md) == tokens(md)
+            assert data_tokens(md) == tokens(md)
 
     def test_table_and_its_values_write_the_same_text(self, corpus4_data):
         for gram, md in corpus4_data:
