@@ -76,7 +76,8 @@ def _cmd_fusion(data: str, i: int, j: int) -> int:
     md = _load_modular_data(data)
     if not (0 <= i < md.rank and 0 <= j < md.rank):
         raise PointedCatError(f"labels must lie in [0, {md.rank})")
-    for label, probability in fusion_probabilities(md, verlinde_fusion(md), i, j):
+    ft = None if md._law is not None else verlinde_fusion(md)  # a group law reads no ft
+    for label, probability in fusion_probabilities(md, ft, i, j):
         if probability != 1:  # 1 prints as 1, with no cyclo (a group law's one outcome)
             from .cyclo import format_rational
 

@@ -63,13 +63,14 @@ class ModularData:
 
     @cached_property
     def _gauss(self) -> GaussData:
-        """D^2 = sum d_a^2 and p+- = sum theta_a^(+-1) d_a^2. A table alone
-        (_table_only) gives each distinct pair (t[a], s[0][a]) once, d^2 times
-        its count, on the roots __getattr__ builds: the same values, conductors
-        included, with no rank^2 values built."""
+        """D^2 = sum d_a^2 and p+- = sum theta_a^(+-1) d_a^2. Data that holds
+        an exponent table (from_table, or _exponents once computed) gives each
+        distinct pair (t[a], s[0][a]) once, d^2 times its count, on the roots
+        __getattr__ builds: the same values, conductors included, with no
+        rank^2 values built. Other data sums its values."""
         from .cyclo import sum_values
 
-        table = self._table_only
+        table = vars(self).get("_exponents")
         if table is None:
             squares = [(theta, d * d) for theta, d in zip(self.twists, quantum_dimensions(self))]
         else:
@@ -88,11 +89,6 @@ class ModularData:
         p_minus = sum_values(theta.conjugate() * d2 for theta, d2 in squares)
         identity = (p_plus * p_minus - d_squared).is_zero()
         return GaussData(d_squared, p_plus, p_minus, identity)
-
-    @property
-    def _table_only(self) -> tuple | None:
-        """The table of data made by from_table whose values are unread, else None."""
-        return None if "twists" in vars(self) else vars(self)["_exponents"]
 
     @cached_property
     def _exponents(self) -> tuple | None:
@@ -311,14 +307,14 @@ def verlinde_fusion(md: ModularData) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 def fusion_probabilities(
     md: ModularData, ft, i: Label, j: Label
-) -> tuple[tuple[Label, Fraction], ...]:
+) -> tuple[tuple[Label, Fraction | int], ...]:
     """Outcome distribution of fusing i with j: P(k) = N_{i,j}^k d_k / (d_i d_j),
     with ft[i][j][k] = N_{i,j}^k as verlinde_fusion returns it.
 
     Normalisation to 1 follows from the dimension identity; a weight that is
     not a non-negative rational raises ValidationError. Pointed data with a
-    group law (ModularData._law) has one outcome, i.j, of the integer
-    probability 1, and builds no Cyclotomic value.
+    group law (ModularData._law) has one outcome, i.j, of the int probability
+    1 (equal to Fraction(1)); it reads no ft and builds no Cyclotomic value.
     """
     law = md._law
     if law is not None:

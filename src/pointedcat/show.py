@@ -40,7 +40,7 @@ def show(md, approx: bool) -> None:
 
     gauss = gauss_data(md)
     sums = (gauss.d_squared, gauss.p_plus, gauss.p_minus)
-    table = None if approx else md._table_only
+    table = None if approx else vars(md).get("_exponents")
     if table is None:
         # each distinct object is formatted once, as parsed entries share them
         dims, (d_squared, p_plus, p_minus), twists, *s_tilde = format_rows(

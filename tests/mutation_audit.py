@@ -93,7 +93,8 @@ MUTANTS = [
     ("moddata", "root_of_unity(Fraction(b, n))", "root_of_unity(Fraction(2 * b + 1, 2 * n))",
      None),
     ("moddata", "count * (dims[b] * dims[b])", "dims[b] * dims[b]", None),
-    ("moddata", 'return None if "twists" in vars(self) else', "return None if True else", None),
+    ("moddata", 'table = vars(self).get("_exponents")\n        if table is None:\n            squares',
+     "table = None\n        if table is None:\n            squares", None),
     # serialization.data_document: the one writer of construct and serialize
     ("serialization", "    if provenance is not None:\n        from .lattice import format_gram",
      "    if False:\n        from .lattice import format_gram", None),
@@ -102,7 +103,7 @@ MUTANTS = [
     lines.append("s_tilde: " + "; ".join(map(", ".join, rows)))''', None),
     # show: the dimensions, twists and S~ of a table from its tokens
     ("show", "[value_token(k, 2 * n) for k in t]", "[value_token(k // 2, n) for k in t]", None),
-    ("show", "table = None if approx else md._table_only", "table = None", None),
+    ("show", 'table = None if approx else vars(md).get("_exponents")', "table = None", None),
     # dense: packing, products and the three dense checks
     ("dense", "(bound.bit_length() + 9) // 8 * 8", "(bound.bit_length() + 7) // 8 * 8", None),
     ("dense", "for start in range(0, slots, n):", "for start in range(0, slots - n, n):", None),

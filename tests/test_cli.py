@@ -729,6 +729,8 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
         assert code == expected
         assert {name for name in names if name.startswith("pointedcat")} == modules, args
         assert names.isdisjoint(absent), (args, names & absent)
+        # only --approx prints floats, through cmath
+        assert ("cmath" in names) == ("--approx" in args), args
     # enumerate runs on integer exponent tables: no cyclotomic values, no
     # ModularData and no documents, nor the standard modules cyclo needs
     code, names = imported_modules(["enumerate", "--max-dim", "2", "--max-entry", "2"])
@@ -820,21 +822,25 @@ def test_pointed_show_and_fusion_keep_their_bytes(tmp_path, corpus4):
     # conductor, and this platform's libm, so it is compared with the value
     # path (the parent's only one) in this process: the Gauss sums of data
     # that holds only its table are those of the same data held as values,
-    # conductors and coefficients included, and so is the --approx text
+    # conductors and coefficients included, and so is the --approx text.
+    # Values whose table has been computed (as parse computes it to compare a
+    # provenance lattice) sum and print from that table, as the values would.
     for k, body in enumerate(documents):
         table = parse(Document("modular_data", body))
-        gauss = repr(table._gauss)  # summed before any value of the table is built
-        held = ModularData(rank=table.rank, s_tilde=table.s_tilde, twists=table.twists,
-                           provenance=table.provenance, label_names=table.label_names)
-        assert repr(held._gauss) == gauss, body
+        gauss = repr(table._gauss)  # summed from the table the document holds
+        held, known = (ModularData(rank=table.rank, s_tilde=table.s_tilde, twists=table.twists,
+                                   provenance=table.provenance, label_names=table.label_names)
+                       for _ in range(2))
+        assert known._exponents is not None
+        assert repr(held._gauss) == gauss == repr(known._gauss), body
         if k % 10 == 0 or k >= len(documents) - 3:
             printed = []
-            for data in (table, held):
+            for data, approx in ((table, True), (held, True), (held, False), (known, False)):
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
-                    show(data, True)
+                    show(data, approx)
                 printed.append(out.getvalue())
-            assert printed[0] == printed[1], body
+            assert printed[0] == printed[1] and printed[2] == printed[3], body
 
 
 def test_construct_writes_what_serialize_writes(tmp_path, corpus4, capsys):
