@@ -21,16 +21,14 @@ from pointedcat import (
     from_lattice,
     fusion_probabilities,
     root_of_unity,
-    verlinde_fusion,
 )
 from pointedcat.cyclo import format_value
 
 toric = from_lattice(check_gram([[0, 2], [2, 0]]))
-tensor = verlinde_fusion(toric)
 print("toric code fusion (group law, deterministic):")
 for i in range(toric.rank):
     for j in range(i, toric.rank):
-        outcomes = fusion_probabilities(toric, tensor, i, j)
+        outcomes = fusion_probabilities(toric, i, j)
         text = ", ".join(f"{k} with p={p}" for k, p in outcomes)
         print(f"  {i} x {j} -> {text}")
 
@@ -42,9 +40,8 @@ ising = ModularData(
     s_tilde=((one, sqrt2, one), (sqrt2, one - one, -sqrt2), (one, -sqrt2, one)),
     twists=(one, root_of_unity(Fraction(1, 16)), root_of_unity(Fraction(1, 2))),
 )
-tensor = verlinde_fusion(ising)
 print("\nising fusion of the middle label with itself (non-abelian):")
-for k, p in fusion_probabilities(ising, tensor, 1, 1):
+for k, p in fusion_probabilities(ising, 1, 1):
     print(f"  outcome {k} with probability {p}")
 
 print("\nframed links on the toric code:")

@@ -23,8 +23,7 @@ _SUBMODULE_NAMES = {
     "links": ("framed_link",),
     "moddata": (
         "ModularData", "canonical_form", "colored_link_invariant", "from_lattice",
-        "fusion_probabilities", "gauss_data", "quantum_dimensions", "verify_all",
-        "verlinde_fusion",
+        "fusion_probabilities", "gauss_data", "verify_all", "verlinde_fusion",
     ),
     "serialization": ("Document", "parse", "parse_gram_text", "serialize"),
 }

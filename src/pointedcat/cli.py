@@ -44,12 +44,11 @@ def _load_modular_data(path: str):
 
 
 def _cmd_construct(b: str, out: str | None) -> int:
-    from .lattice import discriminant_group, pairing_exponents, table_tokens
+    from .lattice import pairing_exponents, table_tokens
     from .serialization import data_document, parse_gram_text
 
     gram = parse_gram_text(_read(b))
-    table = pairing_exponents(gram, discriminant_group(gram))
-    doc = data_document(len(table[2]), *table_tokens(*table), gram)
+    doc = data_document(*table_tokens(*pairing_exponents(gram)), gram)
     if out:
         try:
             with open(out, "w", encoding="utf-8") as handle:
@@ -71,13 +70,9 @@ def _cmd_verify(data: str) -> int:
 
 
 def _cmd_fusion(data: str, i: int, j: int) -> int:
-    from .moddata import fusion_probabilities, verlinde_fusion
+    from .moddata import fusion_probabilities
 
-    md = _load_modular_data(data)
-    if not (0 <= i < md.rank and 0 <= j < md.rank):
-        raise PointedCatError(f"labels must lie in [0, {md.rank})")
-    ft = None if md._law is not None else verlinde_fusion(md)  # a group law reads no ft
-    for label, probability in fusion_probabilities(md, ft, i, j):
+    for label, probability in fusion_probabilities(_load_modular_data(data), i, j):
         if probability != 1:  # 1 prints as 1, with no cyclo (a group law's one outcome)
             from .cyclo import format_rational
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 from operator import itemgetter, mul
 
 from .errors import MAX_CANDIDATES, MAX_CANONICAL_RANK, MAX_RANK, ValidationError
-from .lattice import GramMatrix, discriminant_group, format_gram, pairing_exponents
+from .lattice import GramMatrix, format_gram, pairing_exponents
 from .lattice import _det_bareiss, root_token, table_tokens
 from .record import record
 
@@ -254,7 +254,7 @@ def classify(corpus) -> tuple[tuple[int, tuple[ModularClass, ...]], ...]:
             continue
         entries += tuple([-x for x in entries])
         seen.update([image(entries) for image in images])
-        table = pairing_exponents(gram, discriminant_group(gram))
+        table = pairing_exponents(gram)
         if table in tables:
             continue
         tables.add(table)

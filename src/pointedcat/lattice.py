@@ -2,9 +2,10 @@
 
 Validates even symmetric Gram matrices, computes the Smith normal form with
 its unimodular column transform over exact big integers, and enumerates
-discriminant group representatives together with their bilinear (mod 1) and
-quadratic (mod 2) forms. A class v is stored as its integer numerator
-u = n*v over the group exponent n, so both forms are integer arithmetic.
+discriminant group representatives, with their bilinear (mod 1) and
+quadratic (mod 2) forms from the Gram matrix alone (pairing_exponents). A
+class v is stored as its integer numerator u = n*v over the group exponent
+n, so both forms are integer arithmetic.
 The roots of unity of those forms print from their exponents here, in the
 text that cyclo prints for the same values: table_tokens is the one writer of
 the twist and S~ tokens of an exponent table, which CLI construct writes with
@@ -150,23 +151,12 @@ def smith_normal_form(gram: GramMatrix):
     return tuple(map(tuple, v)), tuple(a[i][i] for i in range(n))
 
 
-@record
-class DiscriminantGroup:
-    """The finite abelian group B^{-1}Z^n / Z^n with canonical representatives.
-
-    Class v is stored as the integer numerator u = exponent * v with entries
-    in [0, exponent), where the exponent is the last invariant factor (1 for
-    the trivial group). Representatives are sorted lexicographically with the
-    zero vector first; all indices elsewhere in the package refer to this order.
-    """
-
-    exponent: int
-    representatives: tuple[tuple[int, ...], ...]
-
-
-def discriminant_group(gram: GramMatrix) -> DiscriminantGroup:
-    """Enumerate all |det B| classes of B^{-1}Z^n / Z^n via the Smith form.
-    Raises ValidationError when |det B| exceeds MAX_RANK."""
+def discriminant_group(gram: GramMatrix):
+    """(exponent, representatives) of B^{-1}Z^n / Z^n via the Smith form: class
+    v as the integer numerator u = exponent * v, entries in [0, exponent), the
+    exponent the last invariant factor (1 for the trivial group), sorted with
+    the zero vector first; all indices elsewhere in the package refer to this
+    order. Raises ValidationError when |det B| exceeds MAX_RANK."""
     det = abs(gram.determinant)
     if det > MAX_RANK:
         # compared first, so that no determinant of thousands of digits is printed
@@ -181,7 +171,7 @@ def discriminant_group(gram: GramMatrix) -> DiscriminantGroup:
     for combo in itertools.product(*(range(d) for d in diag)):
         reps.add(tuple(sum(map(mul, row, combo)) % e for row in steps))
     assert len(reps) == prod(diag) == abs(gram.determinant)
-    return DiscriminantGroup(exponent=e, representatives=tuple(sorted(reps)))
+    return e, tuple(sorted(reps))
 
 
 def _image(gram: GramMatrix, u, n: int) -> tuple[int, ...]:
@@ -198,15 +188,15 @@ def quadratic_mod2(gram: GramMatrix, u, n: int) -> int:
     return sum(map(mul, u, _image(gram, u, n))) % (2 * n)
 
 
-def pairing_exponents(gram: GramMatrix, group: DiscriminantGroup):
-    """Both forms on every pair of representatives, as integers over the
-    exponent n of the group.
+def pairing_exponents(gram: GramMatrix):
+    """Both forms on every pair of representatives of discriminant_group(gram),
+    as integers over its exponent n.
 
     Returns (n, s, t) with <v_i, v_j> = s[i][j]/n mod 1 and
     v_i^t B v_i / 2 = t[i]/(2n) mod 1. Since n*v_i = u_i and B*v_j are
     integral, n <v_i, v_j> = u_i . B v_j is an integer dot product.
     """
-    n, us = group.exponent, group.representatives
+    n, us = discriminant_group(gram)
     images = [_image(gram, u, n) for u in us]
     t = tuple(sum(map(mul, u, image)) % (2 * n) for u, image in zip(us, images))
     s = [[0] * len(us) for _ in us]

@@ -248,9 +248,9 @@ def from_lattice(gram: GramMatrix) -> ModularData:
     as integer exponents (lattice.pairing_exponents), and that table is the
     data (from_table).
     """
-    from .lattice import discriminant_group, pairing_exponents
+    from .lattice import pairing_exponents
 
-    return from_table(pairing_exponents(gram, discriminant_group(gram)), provenance=gram)
+    return from_table(pairing_exponents(gram), provenance=gram)
 
 
 def canonical_form(md: ModularData) -> bytes:
@@ -306,27 +306,27 @@ def verlinde_fusion(md: ModularData) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 def fusion_probabilities(
-    md: ModularData, ft, i: Label, j: Label
+    md: ModularData, i: Label, j: Label
 ) -> tuple[tuple[Label, Fraction | int], ...]:
     """Outcome distribution of fusing i with j: P(k) = N_{i,j}^k d_k / (d_i d_j),
-    with ft[i][j][k] = N_{i,j}^k as verlinde_fusion returns it.
+    with N from verlinde_fusion, which refuses a zero d_a first.
 
-    Normalisation to 1 follows from the dimension identity; a weight that is
-    not a non-negative rational raises ValidationError. Pointed data with a
-    group law (ModularData._law) has one outcome, i.j, of the int probability
-    1 (equal to Fraction(1)); it reads no ft and builds no Cyclotomic value.
+    Normalisation to 1 follows from the dimension identity; a label outside
+    [0, rank), or a weight that is not a non-negative rational, raises
+    ValidationError. Pointed data with a group law (ModularData._law) has one
+    outcome, i.j, of the int probability 1 (equal to Fraction(1)); it forms
+    no fusion tensor and builds no Cyclotomic value.
     """
+    if not (0 <= i < md.rank and 0 <= j < md.rank):
+        raise ValidationError(f"labels must lie in [0, {md.rank})")
     law = md._law
     if law is not None:
         return ((law[i][j], 1),)
+    multiplicities = verlinde_fusion(md)[i][j]
     dims = quantum_dimensions(md)
-    denom = dims[i] * dims[j]
-    if denom.is_zero():
-        raise ValidationError("zero quantum dimension in the denominator")
-    inv = denom.inverse()
+    inv = (dims[i] * dims[j]).inverse()
     outcomes = []
-    for k in range(md.rank):
-        mult = ft[i][j][k]
+    for k, mult in enumerate(multiplicities):
         if mult == 0:
             continue
         weight = dims[k] * inv * mult

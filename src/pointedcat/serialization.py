@@ -29,8 +29,8 @@ and any other chunk its Cyclotomic value (cyclo.parse_value, imported at the
 first such chunk). A document of root tokens becomes its exponent table
 (moddata.from_table), whatever its row 0, checked on integers; any other is
 built from values. A provenance lattice is one comparison of exponent
-tables; only on a mismatch does values.check_provenance name the first bad
-twist or S~ entry. moddata, values and cyclo are imported on first use.
+tables; on a mismatch, values.check_provenance names the first twist or S~
+entry whose token differs. moddata, values and cyclo are imported on first use.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def serialize(value) -> Document:
     if isinstance(value, ModularData):
         from .values import tokens
 
-        return data_document(value.rank, *tokens(value), value.provenance, value.label_names)
+        return data_document(*tokens(value), value.provenance, value.label_names)
     if isinstance(value, RelationReport):
         lines = ["kind: report"]
         for check in value.checks:
@@ -72,12 +72,12 @@ def serialize(value) -> Document:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def data_document(rank: int, twists, rows, provenance: GramMatrix | None = None,
+def data_document(twists, rows, provenance: GramMatrix | None = None,
                   label_names: tuple[str, ...] | None = None) -> Document:
-    """The one writer of a data document, from its twist tokens and S~ rows
-    of tokens: serialize writes modular data through it, and CLI construct
-    the tokens of a lattice's exponent table (lattice.table_tokens)."""
-    lines = ["kind: modular_data", f"rank: {rank}"]
+    """The one writer of a data document of rank len(twists), from its twist
+    tokens and S~ rows of tokens: serialize writes modular data through it,
+    and CLI construct the tokens of a lattice's exponent table (table_tokens)."""
+    lines = ["kind: modular_data", f"rank: {len(twists)}"]
     if label_names is not None:
         lines.append("labels: " + ", ".join(label_names))
     lines.append("s_tilde: " + "; ".join(map(", ".join, rows)))
@@ -108,13 +108,13 @@ def parse(doc: Document) -> ModularData:
                     for x in chunks.values())
     gram = None
     if "provenance" in fields:
-        from .lattice import check_gram, discriminant_group, pairing_exponents
+        from .lattice import check_gram, pairing_exponents
 
         try:
             gram = check_gram(fields["provenance"])
         except ValidationError as exc:
             raise ValidationError(f"invalid provenance matrix: {exc}") from None
-        group = discriminant_group(gram)
+        implied = pairing_exponents(gram)
     if all(isinstance(x, tuple) for x in chunks.values()):
         table = exponent_table(fields["s_tilde"], fields["twists"], chunks)
         check_fields(rank, table[1], table[2], labels, 0)
@@ -127,11 +127,10 @@ def parse(doc: Document) -> ModularData:
         raise ValidationError(
             f"provenance has |det B| = {abs(gram.determinant)}, but rank is {rank}")
     # a document that matches its lattice has the lattice's table, n included
-    n, s, t = pairing_exponents(gram, group)
-    if md._exponents != (n, s, t):
+    if md._exponents != implied:
         from .values import check_provenance
 
-        check_provenance(md, n, s, t)
+        check_provenance(md, implied)
     return md
 
 

@@ -3,8 +3,9 @@ table (n, s, t) and its tokens, imported with cyclo on first use: the values
 of a table, built on the first read of s_tilde or twists
 (ModularData.__getattr__); the table of values that are all roots of unity
 (ModularData._exponents); the twist and S~ tokens of either (serialize,
-canonical_form); and the first entry of parsed data that differs from its
-provenance lattice's table (serialization.parse). A pointed command that
+canonical_form); and the first entry of parsed data whose token differs
+from that of its provenance lattice's table (serialization.parse), so a
+table document builds no values to report a mismatch. A pointed command that
 checks, links or fuses data by its table never crosses, so it compiles
 neither this module nor cyclo.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .cyclo import format_root, format_rows, format_value, root_of_unity
+from .cyclo import format_root, format_rows, root_of_unity
 from .errors import ValidationError
 from .moddata import exponent_table
 
@@ -55,19 +56,20 @@ def tokens(md) -> tuple[list[str], list[list[str]]]:
     return [format_root(t) for t in md.twists], format_rows(md.s_tilde)
 
 
-def check_provenance(md, n: int, s, t) -> None:
+def check_provenance(md, table) -> None:
     """ValidationError at the first twist of md, then the first S~ entry,
-    that differs from the table (n, s, t) of its provenance lattice."""
-    from .lattice import root_token, value_token
+    whose token (tokens) differs from that of the table of its provenance
+    lattice (lattice.table_tokens): both forms are canonical."""
+    from .lattice import table_tokens
 
-    for i, (twist, k) in enumerate(zip(md.twists, t)):
-        if twist.root_exponent() != Fraction(k, 2 * n):
-            raise ValidationError(f"twist {i} is {format_root(twist)}, "
-                                  f"but provenance gives {root_token(k, 2 * n)}")
+    (twists, rows), (implied_twists, implied_rows) = tokens(md), table_tokens(*table)
+    for i, (token, implied) in enumerate(zip(twists, implied_twists)):
+        if token != implied:
+            raise ValidationError(f"twist {i} is {token}, but provenance gives {implied}")
     # S~ is symmetric (checked by ModularData), so the first bad entry in
     # row-major order lies on or above the diagonal.
-    for i, (row, implied_row) in enumerate(zip(md.s_tilde, s)):
-        for j in range(i, md.rank):
-            if row[j].root_exponent() != Fraction(implied_row[j], n):
-                raise ValidationError(f"s_tilde ({i},{j}) is {format_value(row[j])}, "
-                                      f"but provenance gives {value_token(implied_row[j], n)}")
+    for i, (row, implied_row) in enumerate(zip(rows, implied_rows)):
+        for j in range(i, len(row)):
+            if row[j] != implied_row[j]:
+                raise ValidationError(
+                    f"s_tilde ({i},{j}) is {row[j]}, but provenance gives {implied_row[j]}")

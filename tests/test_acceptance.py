@@ -24,7 +24,6 @@ from pointedcat import (
     framed_link,
     from_lattice,
     gauss_data,
-    quantum_dimensions,
     root_of_unity,
     serialize,
     parse,
@@ -33,7 +32,7 @@ from pointedcat import (
 from pointedcat.cli import main
 from pointedcat.cyclo import Cyclotomic
 from pointedcat.lattice import discriminant_group, pairing_exponents, quadratic_mod2
-from pointedcat.moddata import check_modular_relations, check_unitarity
+from pointedcat.moddata import check_modular_relations, check_unitarity, quantum_dimensions
 
 ONE = Cyclotomic.from_rational(1)
 
@@ -128,8 +127,8 @@ def test_criterion_6_representative_independence(corpus4):
     while checked < 1000:
         gram = rng.choice(pool)
         if gram not in tables:
-            group = discriminant_group(from_lattice(gram).provenance)
-            tables[gram] = group.representatives, pairing_exponents(gram, group)
+            tables[gram] = (discriminant_group(from_lattice(gram).provenance)[1],
+                            pairing_exponents(gram))
         reps, (n, s, _) = tables[gram]
         i = rng.choice(range(len(reps)))
         j = rng.choice(range(len(reps)))

@@ -16,10 +16,10 @@ from pointedcat import (
     generate_gram_matrices,
     root_of_unity,
 )
-from pointedcat import enumeration
+from pointedcat import enumeration, lattice
 from pointedcat.cyclo import format_root, format_rows, format_value
 from pointedcat.enumeration import canonical_key
-from pointedcat.lattice import discriminant_group, pairing_exponents, root_token, table_tokens
+from pointedcat.lattice import pairing_exponents, root_token, table_tokens
 from pointedcat.lattice import value_token
 from pointedcat.errors import MAX_CANDIDATES, MAX_CANONICAL_RANK, MAX_RANK, ValidationError
 
@@ -227,9 +227,9 @@ class TestClassify:
         firsts = {}
         for gram in deep_corpus:
             firsts.setdefault(orbit(gram), gram)
-        original = enumeration.discriminant_group
+        original = lattice.discriminant_group
         calls = []
-        monkeypatch.setattr(enumeration, "discriminant_group",
+        monkeypatch.setattr(lattice, "discriminant_group",
                             lambda gram: calls.append(gram) or original(gram))
         classify(deep_corpus)
         assert calls == list(firsts.values()) and len(calls) == 67
@@ -338,15 +338,16 @@ class TestIntegerKey:
     def test_table_key_is_canonical_form(self, spec, monkeypatch):
         # every orbit representative, that is every matrix classify takes the
         # Smith form of, and a seeded signed permutation of each
-        original = enumeration.discriminant_group
+        original = lattice.discriminant_group
         firsts = []
-        monkeypatch.setattr(enumeration, "discriminant_group",
+        monkeypatch.setattr(lattice, "discriminant_group",
                             lambda gram: firsts.append(gram) or original(gram))
         classify(generate_gram_matrices(CorpusSpec(*spec)))
+        monkeypatch.undo()
         assert len(firsts) == {(3, 4, 8): 751, (2, 8, 8): 67}[spec]
 
         def table_key(gram):
-            return canonical_key(*table_tokens(*pairing_exponents(gram, discriminant_group(gram))))
+            return canonical_key(*table_tokens(*pairing_exponents(gram)))
 
         rng = random.Random(str(spec))
         for gram in firsts:

@@ -101,37 +101,31 @@ class TestSmithNormalForm:
 
 class TestDiscriminantGroup:
     def test_order_two(self):
-        group = discriminant_group(check_gram([[2]]))
-        assert group.representatives == ((0,), (1,))
-        assert group.exponent == 2
+        assert discriminant_group(check_gram([[2]])) == (2, ((0,), (1,)))
         assert smith_normal_form(check_gram([[2]]))[1] == (2,)
 
     def test_klein_four(self):
-        group = discriminant_group(check_gram([[0, 2], [2, 0]]))
-        assert group.representatives == ((0, 0), (0, 1), (1, 0), (1, 1))
-        assert group.exponent == 2
+        assert discriminant_group(check_gram([[0, 2], [2, 0]])) == (
+            2, ((0, 0), (0, 1), (1, 0), (1, 1)))
         assert smith_normal_form(check_gram([[0, 2], [2, 0]]))[1] == (2, 2)
 
     def test_unimodular_is_trivial(self):
-        group = discriminant_group(check_gram([[0, 1], [1, 0]]))
-        assert len(group.representatives) == 1
-        assert group.representatives == ((0, 0),)
-        assert group.exponent == 1
+        assert discriminant_group(check_gram([[0, 1], [1, 0]])) == (1, ((0, 0),))
         assert smith_normal_form(check_gram([[0, 1], [1, 0]]))[1] == (1, 1)
 
     @pytest.mark.parametrize("rows", SMALL_MATRICES)
     def test_matches_brute_force(self, rows):
-        group = discriminant_group(check_gram(rows))
-        vectors = [tuple(F(k, group.exponent) for k in u) for u in group.representatives]
+        exponent, representatives = discriminant_group(check_gram(rows))
+        vectors = [tuple(F(k, exponent) for k in u) for u in representatives]
         assert vectors == oracle.brute_representatives(rows)
 
     @pytest.mark.parametrize("rows", SMALL_MATRICES)
     def test_group_closure_and_zero_first(self, rows):
-        group = discriminant_group(check_gram(rows))
-        n, reps = group.exponent, set(group.representatives)
-        assert not any(group.representatives[0])
-        for u in group.representatives:
-            for w in group.representatives:
+        n, representatives = discriminant_group(check_gram(rows))
+        reps = set(representatives)
+        assert not any(representatives[0])
+        for u in representatives:
+            for w in representatives:
                 assert tuple((a + b) % n for a, b in zip(u, w)) in reps
 
     def test_order_equals_det(self):
@@ -139,9 +133,9 @@ class TestDiscriminantGroup:
         for _ in range(50):
             rows = _random_gram(rng, max_dim=3, max_entry=3)
             gram = check_gram(rows)
-            group = discriminant_group(gram)
-            assert len(group.representatives) == abs(gram.determinant)
-            assert math.prod(smith_normal_form(gram)[1]) == len(group.representatives)
+            _, representatives = discriminant_group(gram)
+            assert len(representatives) == abs(gram.determinant)
+            assert math.prod(smith_normal_form(gram)[1]) == len(representatives)
 
 
 class TestForms:
@@ -150,9 +144,9 @@ class TestForms:
 
     def test_bilinear_examples(self):
         gram = check_gram([[2]])
-        assert pairing_exponents(gram, discriminant_group(gram))[1][1][1] == 1  # <1/2, 1/2> = 1/2
+        assert pairing_exponents(gram)[1][1][1] == 1  # <1/2, 1/2> = 1/2
         gram = check_gram([[0, 2], [2, 0]])
-        n, s, _ = pairing_exponents(gram, discriminant_group(gram))
+        n, s, _ = pairing_exponents(gram)
         assert n == 2
         assert s[2][1] == 1  # <(1/2, 0), (0, 1/2)> = 1/2
         assert s[0][3] == 0  # <(0, 0), (1/2, 1/2)> = 0
@@ -175,11 +169,11 @@ class TestForms:
     def test_representative_independence(self, pick, data):
         rows = SMALL_MATRICES[pick]
         gram = check_gram(rows)
-        group = discriminant_group(gram)
-        n, s, _ = pairing_exponents(gram, group)
-        i = data.draw(st.integers(0, len(group.representatives) - 1))
-        j = data.draw(st.integers(0, len(group.representatives) - 1))
-        u, w = group.representatives[i], group.representatives[j]
+        _, representatives = discriminant_group(gram)
+        n, s, _ = pairing_exponents(gram)
+        i = data.draw(st.integers(0, len(representatives) - 1))
+        j = data.draw(st.integers(0, len(representatives) - 1))
+        u, w = representatives[i], representatives[j]
         shift = data.draw(st.lists(
             st.integers(-3, 3), min_size=gram.n, max_size=gram.n))
         shifted = tuple(a + n * z for a, z in zip(u, shift))
@@ -191,9 +185,8 @@ class TestForms:
     @pytest.mark.parametrize("rows", SMALL_MATRICES)
     def test_bilinearity_and_polarization(self, rows):
         gram = check_gram(rows)
-        group = discriminant_group(gram)
-        n, s, t = pairing_exponents(gram, group)
-        reps = group.representatives
+        _, reps = discriminant_group(gram)
+        n, s, t = pairing_exponents(gram)
         index = {u: k for k, u in enumerate(reps)}
 
         def plus(i, j):
@@ -214,10 +207,10 @@ class TestTableTokens:
 
     def test_lattice_tables(self):
         gram = check_gram([[2]])
-        assert table_tokens(*pairing_exponents(gram, discriminant_group(gram))) == (
+        assert table_tokens(*pairing_exponents(gram)) == (
             ["e(0/1)", "e(1/4)"], [["1", "1"], ["1", "-1"]])
         gram = check_gram([[2, 1], [1, 2]])
-        assert table_tokens(*pairing_exponents(gram, discriminant_group(gram))) == (
+        assert table_tokens(*pairing_exponents(gram)) == (
             ["e(0/1)", "e(1/3)", "e(1/3)"],
             [["1", "1", "1"], ["1", "e(2/3)", "e(1/3)"], ["1", "e(1/3)", "e(2/3)"]])
 

@@ -15,7 +15,6 @@ from pointedcat import (
     from_lattice,
     fusion_probabilities,
     gauss_data,
-    quantum_dimensions,
     root_of_unity,
     serialize,
     verify_all,
@@ -24,7 +23,9 @@ from pointedcat import (
 from pointedcat import cyclo, moddata
 from pointedcat.cyclo import Cyclotomic, dot
 from pointedcat.lattice import discriminant_group
-from pointedcat.moddata import check_modular_relations, check_unitarity, dual_permutation
+from pointedcat.moddata import (
+    check_modular_relations, check_unitarity, dual_permutation, quantum_dimensions,
+)
 from pointedcat.values import tokens as data_tokens
 
 ONE = Cyclotomic.from_rational(1)
@@ -64,11 +65,11 @@ class TestFixtures:
     def test_toric_values(self, toric):
         assert toric.rank == 4
         assert [*toric.twists] == [root_of_unity(q) for q in TORIC_TWIST_EXPONENTS]
-        group = discriminant_group(toric.provenance)
-        assert group.exponent == 2
+        exponent, representatives = discriminant_group(toric.provenance)
+        assert exponent == 2
         # entries (-1)^(ad+bc) over the integer labels (a,b) = u_i, (c,d) = u_j
-        for i, (a, b) in enumerate(group.representatives):
-            for j, (c, d) in enumerate(group.representatives):
+        for i, (a, b) in enumerate(representatives):
+            for j, (c, d) in enumerate(representatives):
                 assert toric.s_tilde[i][j] == (-1) ** ((a * d + b * c) % 2)
 
     def test_z3_values(self, z3):
@@ -217,42 +218,49 @@ class TestFusionMatrices:
 
 class TestFusionProbabilities:
     def test_deterministic_for_pointed(self, semion, toric):
-        ft = verlinde_fusion(semion)
-        assert fusion_probabilities(semion, ft, 1, 1) == ((0, F(1)),)
-        assert fusion_probabilities(semion, ft, 0, 1) == ((1, F(1)),)
-        ft = verlinde_fusion(toric)
-        assert fusion_probabilities(toric, ft, 1, 2) == ((3, F(1)),)
+        assert fusion_probabilities(semion, 1, 1) == ((0, F(1)),)
+        assert fusion_probabilities(semion, 0, 1) == ((1, F(1)),)
+        assert fusion_probabilities(toric, 1, 2) == ((3, F(1)),)
 
     def test_unit_fuses_trivially(self, z3):
-        ft = verlinde_fusion(z3)
         for j in range(z3.rank):
-            assert fusion_probabilities(z3, ft, 0, j) == ((j, F(1)),)
+            assert fusion_probabilities(z3, 0, j) == ((j, F(1)),)
 
     def test_split_outcome_for_ising(self, ising):
-        ft = verlinde_fusion(ising)
-        assert fusion_probabilities(ising, ft, 1, 1) == ((0, F(1, 2)), (2, F(1, 2)))
+        assert fusion_probabilities(ising, 1, 1) == ((0, F(1, 2)), (2, F(1, 2)))
 
     def test_probabilities_sum_to_one(self, toric, z3, ising):
         for md in (toric, z3, ising):
-            ft = verlinde_fusion(md)
             for i in range(md.rank):
                 for j in range(md.rank):
-                    total = sum(p for _, p in fusion_probabilities(md, ft, i, j))
+                    total = sum(p for _, p in fusion_probabilities(md, i, j))
                     assert total == 1
+
+    def test_labels_outside_the_range_rejected(self, toric, ising):
+        # on data with a group law (toric) and on dense data (Ising)
+        for md in (toric, ising):
+            for i, j in ((-1, 0), (0, -1), (md.rank, 0), (0, md.rank)):
+                with pytest.raises(ValidationError, match=re.escape(
+                        f"labels must lie in [0, {md.rank})")):
+                    fusion_probabilities(md, i, j)
 
     def test_weights_that_are_not_probabilities_rejected(self, su2):
         zero = Cyclotomic.from_rational(0)
         md = ModularData(rank=2, s_tilde=((ONE, zero), (zero, ONE)), twists=(ONE, ONE))
-        with pytest.raises(ValidationError, match="^zero quantum dimension in the denominator$"):
-            fusion_probabilities(md, None, 1, 0)
-        md = ModularData(rank=2, s_tilde=((ONE, -ONE), (-ONE, ONE)), twists=(ONE, ONE))
-        ft = (((0, 1), (0, 0)), ((0, 0), (0, 0)))
+        # verlinde_fusion refuses the zero dimension before any weight is formed
+        with pytest.raises(ValidationError, match="^zero quantum dimension$"):
+            fusion_probabilities(md, 1, 0)
+        # N from verlinde_fusion is a non-negative integer, but d_1 = -1
+        # makes the weight of outcome 1 of 0 x 0 negative
+        three = Cyclotomic.from_rational(3)
+        md = ModularData(rank=2, s_tilde=((ONE, -ONE), (-ONE, -three)), twists=(ONE, ONE))
+        assert verlinde_fusion(md)[0][0] == (1, 1)
         with pytest.raises(ValidationError, match="^weight for outcome 1 is negative: -1$"):
-            fusion_probabilities(md, ft, 0, 0)
+            fusion_probabilities(md, 0, 0)
         md = su2(8)
         with pytest.raises(ValidationError, match=re.escape(
                 "weight for outcome 1 is irrational: -3+-2*e(2/5)+-2*e(3/5)")):
-            fusion_probabilities(md, verlinde_fusion(md), 2, 3)
+            fusion_probabilities(md, 2, 3)
 
 
 class TestDualPermutation:

@@ -19,7 +19,7 @@ from pointedcat import (
     serialize,
     verify_all,
 )
-from pointedcat import cyclo, serialization
+from pointedcat import cyclo, serialization, values
 from pointedcat.cyclo import Cyclotomic, sum_values
 from pointedcat.errors import MAX_CONDUCTOR
 
@@ -130,6 +130,30 @@ class TestModularDataDocuments:
         with pytest.raises(ValidationError) as info:
             parse(Document("modular_data", bad))
         assert str(info.value) == "s_tilde (1,1) is 1, but provenance gives -1"
+
+    @pytest.mark.parametrize("rows, twists, message", [
+        # twist 2, then S~ entry (1,2) = (2,1), then the diagonal entry (3,3)
+        ("1, 1, 1, 1; 1, 1, -1, -1; 1, -1, 1, -1; 1, -1, -1, 1", "e(0/1), e(0/1), e(1/2), e(1/2)",
+         "twist 2 is e(1/2), but provenance gives e(0/1)"),
+        ("1, 1, 1, 1; 1, 1, 1, -1; 1, 1, 1, -1; 1, -1, -1, 1", "e(0/1), e(0/1), e(0/1), e(1/2)",
+         "s_tilde (1,2) is 1, but provenance gives -1"),
+        ("1, 1, 1, 1; 1, 1, -1, -1; 1, -1, 1, -1; 1, -1, -1, -1", "e(0/1), e(0/1), e(0/1), e(1/2)",
+         "s_tilde (3,3) is -1, but provenance gives 1"),
+    ])
+    def test_provenance_mismatch_of_a_table_builds_no_values(self, rows, twists, message,
+                                                             monkeypatch):
+        # a document of root tokens under the toric code's lattice is compared
+        # with it by tokens: no rank^2 values are built to name the entry
+        doc = Document("modular_data", f"kind: modular_data\nrank: 4\ns_tilde: {rows}\n"
+                                       f"twists: {twists}\nprovenance: 0 2; 2 0\n")
+
+        def refuse(*table):
+            raise AssertionError("table values built")
+
+        monkeypatch.setattr(values, "table_values", refuse)
+        with pytest.raises(ValidationError) as info:
+            parse(doc)
+        assert str(info.value) == message
 
     def test_provenance_checked_on_corpus_documents(self, corpus3_data):
         for _, md in corpus3_data[::5]:
