@@ -61,14 +61,10 @@ def _det_bareiss(rows: list[list[int]]) -> int:
 
 
 def check_gram(entries) -> GramMatrix:
-    """Validate a square integer matrix as a construction input.
-
-    Raises ValidationError unless the matrix is nonempty, square, of
-    dimension at most MAX_GRAM_DIM, symmetric, even on the diagonal and
-    nonsingular; symmetry is required even though only evenness and
-    integrality are obvious from the shape of the pairing, because an
-    asymmetric matrix would give an asymmetric pairing.
-    """
+    """Validate a square integer matrix as a construction input: ValidationError
+    unless it is nonempty, square, of dimension at most MAX_GRAM_DIM, symmetric
+    (an asymmetric matrix would give an asymmetric pairing), even on the
+    diagonal and nonsingular."""
     rows = [list(map(int, row)) for row in entries]
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
@@ -151,17 +147,21 @@ def smith_normal_form(gram: GramMatrix):
     return tuple(map(tuple, v)), tuple(a[i][i] for i in range(n))
 
 
+def check_rank_bound(gram: GramMatrix) -> None:
+    """ValidationError when |det B|, the rank of the lattice's data, exceeds MAX_RANK."""
+    det = abs(gram.determinant)
+    if det > MAX_RANK:  # compared first, so no determinant of thousands of digits is printed
+        shown = f"= {det}" if det < 10 ** 40 else "has more than 40 digits and"
+        raise ValidationError(f"|det B| {shown} exceeds the rank bound {MAX_RANK}")
+
+
 def discriminant_group(gram: GramMatrix):
     """(exponent, representatives) of B^{-1}Z^n / Z^n via the Smith form: class
     v as the integer numerator u = exponent * v, entries in [0, exponent), the
     exponent the last invariant factor (1 for the trivial group), sorted with
     the zero vector first; all indices elsewhere in the package refer to this
-    order. Raises ValidationError when |det B| exceeds MAX_RANK."""
-    det = abs(gram.determinant)
-    if det > MAX_RANK:
-        # compared first, so that no determinant of thousands of digits is printed
-        shown = f"= {det}" if det < 10 ** 40 else "has more than 40 digits and"
-        raise ValidationError(f"|det B| {shown} exceeds the rank bound {MAX_RANK}")
+    order. Raises ValidationError when |det B| exceeds MAX_RANK (check_rank_bound)."""
+    check_rank_bound(gram)
     v, diag = smith_normal_form(gram)
     # Class combo is V * (combo_j / d_j)_j mod 1; over the exponent e = d_n
     # (every d_j divides it) each coordinate is one integer numerator.

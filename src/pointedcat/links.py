@@ -45,9 +45,10 @@ def link_exponent(md: ModularData, link: FramedLink) -> tuple[int, int]:
         m = 2n,  k = sum_i L_ii t[c_i]  +  2 sum_{i<j} L_ij s[c_i][c_j]  mod m
 
     Unnormalized: the empty link maps to 1, the 0-framed unknot to d_i = 1
-    and the Hopf link to the matrix entry.
+    and the Hopf link to the matrix entry. Data without a provenance or
+    without a table raises ValidationError.
     """
-    if md.provenance is None:
+    if md.provenance is None or md._exponents is None:
         raise ValidationError("link invariants need lattice-constructed data")
     if any(not 0 <= c < md.rank for c in link.colors):
         raise ValidationError("link color out of range")

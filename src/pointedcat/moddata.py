@@ -4,17 +4,18 @@ and canonical forms.
 The central object pairs an unnormalized Hopf-link matrix with a vector of
 twists. Everything else (quantum dimensions, global dimension, Gauss sums,
 fusion multiplicities, charge conjugation) is derived from those two fields
-and checked exactly. Data from a lattice or from a document of root tokens
-is held as its integer exponent table (n, s, t) instead, in the form of
-lattice.pairing_exponents: S~_ij = e(s[i][j]/n) and theta_a = e(t[a]/2n).
-The checks and fusion of pointed data with a group law (_law) and its link
-invariants (links) read only the table. values and cyclo are imported on
-first use, by the code that builds, reads or prints Cyclotomic values.
+and checked exactly. Data of roots of unity holds its integer exponent table
+(n, s, t) from construction on, in the form of lattice.pairing_exponents:
+S~_ij = e(s[i][j]/n), theta_a = e(t[a]/2n); data from a lattice or a document
+of root tokens holds only the table. Group-law checks, fusion (_law) and link
+invariants (links) read only the table; values and cyclo are imported on
+first use, by code that builds, reads or prints Cyclotomic values.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from operator import add
 
@@ -30,10 +31,10 @@ class ModularData:
 
     Row 0 of the matrix lists the quantum dimensions. Construction checks the
     cheap invariants (check_fields: shape, symmetry, unit entries, twists are
-    roots of unity); nondegeneracy is established by the verification
-    operations. Values shared by several checks are computed once per
-    instance: the Gauss data, the exponent table and group law, and one dense
-    cache (_packed).
+    roots of unity) and stores _exponents (value_exponents); nondegeneracy is
+    established by the verification operations. Values shared by several
+    checks are computed once per instance: the Gauss data, the group law and
+    one dense cache (_packed).
 
     An instance made by from_table holds only its exponent table at first;
     s_tilde and twists are built from it as Cyclotomic values, one object per
@@ -49,6 +50,7 @@ class ModularData:
 
     def __post_init__(self):
         check_fields(self.rank, self.s_tilde, self.twists, self.label_names, 1)
+        vars(self)["_exponents"] = value_exponents(self.s_tilde, self.twists)
 
     def __getattr__(self, name):
         # reached only when normal lookup fails: the values of a table-backed
@@ -63,14 +65,14 @@ class ModularData:
 
     @cached_property
     def _gauss(self) -> GaussData:
-        """D^2 = sum d_a^2 and p+- = sum theta_a^(+-1) d_a^2. Data that holds
-        an exponent table (from_table, or _exponents once computed) gives each
-        distinct pair (t[a], s[0][a]) once, d^2 times its count, on the roots
-        __getattr__ builds: the same values, conductors included, with no
-        rank^2 values built. Other data sums its values."""
+        """D^2 = sum d_a^2 and p+- = sum theta_a^(+-1) d_a^2. Data with an
+        exponent table gives each distinct pair (t[a], s[0][a]) once, d^2
+        times its count, on the roots __getattr__ builds: the same values,
+        conductors included, with no rank^2 values built. Other data sums its
+        values."""
         from .cyclo import sum_values
 
-        table = vars(self).get("_exponents")
+        table = self._exponents
         if table is None:
             squares = [(theta, d * d) for theta, d in zip(self.twists, quantum_dimensions(self))]
         else:
@@ -89,16 +91,6 @@ class ModularData:
         p_minus = sum_values(theta.conjugate() * d2 for theta, d2 in squares)
         identity = (p_plus * p_minus - d_squared).is_zero()
         return GaussData(d_squared, p_plus, p_minus, identity)
-
-    @cached_property
-    def _exponents(self) -> tuple | None:
-        """S~ and T as the exponent table (n, s, t), or None unless every
-        entry and twist is a root of unity; row 0 may hold any roots (only
-        _law reads it). An instance made by from_table holds its table from
-        the start."""
-        from .values import value_exponents
-
-        return value_exponents(self.s_tilde, self.twists)
 
     @cached_property
     def _law(self) -> tuple[tuple[int, ...], ...] | None:
@@ -218,8 +210,8 @@ def exponent_table(rows, twists, roots) -> tuple:
     """The exponent table (n, s, t) of a matrix and a twist vector of keys,
     where roots[key] = (a, b) for the value e(a/b) of that key. n is the least
     integer that every S~ denominator b divides, and every twist denominator
-    2n. Keys are token texts (serialization) or object ids (_exponents), so
-    each distinct value is converted once."""
+    2n. Keys are token texts (serialization) or object ids (value_exponents),
+    so each distinct value is converted once."""
     s_keys, t_keys = set().union(*rows), set(twists)
     n = lcm(*(roots[key][1] for key in s_keys),
             *(roots[key][1] // gcd(roots[key][1], 2) for key in t_keys))
@@ -227,6 +219,20 @@ def exponent_table(rows, twists, roots) -> tuple:
     t_of = {key: roots[key][0] * (2 * n // roots[key][1]) for key in t_keys}
     return (n, tuple(tuple(map(s_of.__getitem__, row)) for row in rows),
             tuple(map(t_of.__getitem__, twists)))
+
+
+def value_exponents(rows, twists) -> tuple | None:
+    """The exponent table (n, s, t) of S~ rows and twists given as values, or
+    None unless every one is a root of unity; row 0 may hold any roots (only
+    ModularData._law reads it). Each distinct object is converted once."""
+    roots = {}
+    for x in chain(*rows, twists):
+        if id(x) not in roots:
+            q = x.root_exponent()
+            if q is None:
+                return None
+            roots[id(x)] = q.numerator, q.denominator
+    return exponent_table([list(map(id, row)) for row in rows], list(map(id, twists)), roots)
 
 
 def from_table(table: tuple, provenance: GramMatrix | None = None,

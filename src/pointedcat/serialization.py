@@ -108,13 +108,13 @@ def parse(doc: Document) -> ModularData:
                     for x in chunks.values())
     gram = None
     if "provenance" in fields:
-        from .lattice import check_gram, pairing_exponents
+        from .lattice import check_gram, check_rank_bound, pairing_exponents
 
         try:
             gram = check_gram(fields["provenance"])
         except ValidationError as exc:
             raise ValidationError(f"invalid provenance matrix: {exc}") from None
-        implied = pairing_exponents(gram)
+        check_rank_bound(gram)
     if all(isinstance(x, tuple) for x in chunks.values()):
         table = exponent_table(fields["s_tilde"], fields["twists"], chunks)
         check_fields(rank, table[1], table[2], labels, 0)
@@ -127,6 +127,7 @@ def parse(doc: Document) -> ModularData:
         raise ValidationError(
             f"provenance has |det B| = {abs(gram.determinant)}, but rank is {rank}")
     # a document that matches its lattice has the lattice's table, n included
+    implied = pairing_exponents(gram)
     if md._exponents != implied:
         from .values import check_provenance
 

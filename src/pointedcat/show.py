@@ -2,12 +2,13 @@
 twists, S~ rows and provenance of one data document. Only show imports this
 module.
 
-Data with an exponent table prints its dimensions, twists and S~ rows from
-the table's tokens (lattice.table_tokens and value_token, which print what
-cyclo.format_value prints for a root), so it builds no rank^2 values: only
-D^2, p+ and p- are Cyclotomic values, summed over the table's distinct
-twist and dimension exponents (ModularData._gauss). Other data, and
---approx, format each distinct value through cyclo once.
+Data with an exponent table, which is all data of roots of unity from its
+construction on (ModularData._exponents), prints its dimensions, twists and
+S~ rows from the table's tokens (lattice.table_tokens and value_token,
+which print what cyclo.format_value prints for a root), so it formats no
+rank^2 values: only D^2, p+ and p- go through cyclo, summed over the
+table's distinct twist and dimension exponents (ModularData._gauss). Other
+data, and --approx, format each distinct value through cyclo once.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def show(md, approx: bool) -> None:
 
     gauss = gauss_data(md)
     sums = (gauss.d_squared, gauss.p_plus, gauss.p_minus)
-    table = None if approx else vars(md).get("_exponents")
+    table = None if approx else md._exponents
     if table is None:
         # each distinct object is formatted once, as parsed entries share them
         dims, (d_squared, p_plus, p_minus), twists, *s_tilde = format_rows(

@@ -1,8 +1,7 @@
 """The crossings between the Cyclotomic values of modular data, its exponent
 table (n, s, t) and its tokens, imported with cyclo on first use: the values
 of a table, built on the first read of s_tilde or twists
-(ModularData.__getattr__); the table of values that are all roots of unity
-(ModularData._exponents); the twist and S~ tokens of either (serialize,
+(ModularData.__getattr__); the twist and S~ tokens of either (serialize,
 canonical_form); and the first entry of parsed data whose token differs
 from that of its provenance lattice's table (serialization.parse), so a
 table document builds no values to report a mismatch. A pointed command that
@@ -12,12 +11,10 @@ neither this module nor cyclo.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .cyclo import format_root, format_rows, root_of_unity
 from .errors import ValidationError
-from .moddata import exponent_table
 
 
 def table_values(n: int, s, t) -> dict:
@@ -28,20 +25,6 @@ def table_values(n: int, s, t) -> dict:
     roots = {k: root_of_unity(Fraction(k, 2 * n)) for k in {*t, *map(double, set().union(*s))}}
     return {"s_tilde": tuple(tuple(map(roots.__getitem__, map(double, row))) for row in s),
             "twists": tuple(map(roots.__getitem__, t))}
-
-
-def value_exponents(rows, twists) -> tuple | None:
-    """The exponent table (n, s, t) of S~ rows and twists given as values, or
-    None unless every one is a root of unity; each distinct object is
-    converted once."""
-    roots = {}
-    for x in itertools.chain(*rows, twists):
-        if id(x) not in roots:
-            q = x.root_exponent()
-            if q is None:
-                return None
-            roots[id(x)] = q.numerator, q.denominator
-    return exponent_table([list(map(id, row)) for row in rows], list(map(id, twists)), roots)
 
 
 def tokens(md) -> tuple[list[str], list[list[str]]]:

@@ -50,6 +50,9 @@ MUTANTS = [
     ("serialization", 'token == f"e({a}/{b})" and ', "", None),
     ("serialization", "        return 1, 2\n", "        return 1, 1\n", None),
     ("serialization", "if abs(gram.determinant) != rank:", "if False:", None),
+    # the rank bound of a provenance lattice, checked before its table is formed
+    ("serialization", "        check_rank_bound(gram)\n    if all", "    if all", None),
+    ("lattice", "    check_rank_bound(gram)\n    v, diag", "    v, diag", None),
     ("values", "        if token != implied:", "        if False:", None),
     ("values", "if row[j] != implied_row[j]:", "if False:", None),
     ("values", "for j in range(i, len(row)):", "for j in range(i + 1, len(row)):", None),
@@ -82,6 +85,8 @@ MUTANTS = [
      "exponent += linking[i][j] * s[a][colors[j]]", None),
     ("links", "return exponent % (2 * n), 2 * n", "return exponent % n, 2 * n", None),
     ("links", "if self.linking[i][j] != self.linking[j][i]:", "if False:", None),
+    ("links", "if md.provenance is None or md._exponents is None:", "if md.provenance is None:",
+     None),
     # values.tokens: a table is written from its exponents, without values
     ("values", "    if table is not None:\n        from .lattice import table_tokens",
      "    if False:\n        from .lattice import table_tokens", None),
@@ -95,8 +100,11 @@ MUTANTS = [
     ("moddata", "root_of_unity(Fraction(b, n))", "root_of_unity(Fraction(2 * b + 1, 2 * n))",
      None),
     ("moddata", "count * (dims[b] * dims[b])", "dims[b] * dims[b]", None),
-    ("moddata", 'table = vars(self).get("_exponents")\n        if table is None:\n            squares',
+    ("moddata", "table = self._exponents\n        if table is None:\n            squares",
      "table = None\n        if table is None:\n            squares", None),
+    # data built from values of roots of unity holds its table from construction
+    ("moddata", 'vars(self)["_exponents"] = value_exponents(self.s_tilde, self.twists)',
+     'vars(self)["_exponents"] = None', None),
     # serialization.data_document: the one writer of construct and serialize
     ("serialization", "    if provenance is not None:\n        from .lattice import format_gram",
      "    if False:\n        from .lattice import format_gram", None),
@@ -105,7 +113,7 @@ MUTANTS = [
     lines.append("s_tilde: " + "; ".join(map(", ".join, rows)))''', None),
     # show: the dimensions, twists and S~ of a table from its tokens
     ("show", "[value_token(k, 2 * n) for k in t]", "[value_token(k // 2, n) for k in t]", None),
-    ("show", 'table = None if approx else vars(md).get("_exponents")', "table = None", None),
+    ("show", "table = None if approx else md._exponents", "table = None", None),
     # dense: packing, products and the three dense checks
     ("dense", "(bound.bit_length() + 9) // 8 * 8", "(bound.bit_length() + 7) // 8 * 8", None),
     ("dense", "for start in range(0, slots, n):", "for start in range(0, slots - n, n):", None),

@@ -3,7 +3,8 @@
 Discriminant-group data is recovered by scanning the (1/|det|)-grid instead
 of any matrix decomposition, determinants by cofactor expansion, signatures
 by Sylvester inertia of an exact symmetric elimination, corpus counts by
-direct enumeration, group laws by one row lookup per pair of labels,
+direct enumeration, group laws by one row lookup per pair of labels, Gauss
+sums by one sum over the values,
 canonical forms by trying every relabeling, cyclotomic polynomials by dense
 division, minimal conductors by Fraction Gauss-Jordan
 elimination, and packed integers by one shift per coefficient. Of these,
@@ -160,6 +161,15 @@ def twist_exponents(rows):
     """Self-pairing exponents halved: entry i is (v_i^t B v_i mod 2) / 2."""
     reps = brute_representatives(rows)
     return [quadratic_fraction(rows, v) / 2 for v in reps]
+
+
+def gauss_sums(md):
+    """(D^2, p+, p-) of md summed over its values, with d_a row 0 of S~:
+    sum d_a^2, sum theta_a d_a^2 and sum conj(theta_a) d_a^2."""
+    squares = [(theta, d * d) for theta, d in zip(md.twists, md.s_tilde[0])]
+    return (sum_values(d2 for _, d2 in squares),
+            sum_values(theta * d2 for theta, d2 in squares),
+            sum_values(theta.conjugate() * d2 for theta, d2 in squares))
 
 
 def canonical_form_exhaustive(twist_tokens, s_tokens):

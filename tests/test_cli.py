@@ -424,6 +424,27 @@ class TestShow:
             out = capsys.readouterr().out
             assert out.count("\n  ") == 64 and "built from: [64]" in out
 
+    def test_value_data_prints_from_its_table(self, monkeypatch, capsys):
+        # data of roots of unity built from values holds its exponent table
+        # from construction, so show formats only D^2, p+ and p- through
+        # cyclo, and prints the same text before and after verify_all
+        from pointedcat.show import show
+
+        md = from_lattice(check_gram([[4, 4], [4, -4]]))
+        values = ModularData(rank=md.rank, s_tilde=md.s_tilde, twists=md.twists,
+                             provenance=md.provenance)
+        show(md, False)
+        want = capsys.readouterr().out
+        render, calls = cyclo.format_value, []
+        monkeypatch.setattr(cyclo, "format_value", lambda x: calls.append(x) or render(x))
+        for _ in range(2):
+            del calls[:]
+            show(values, False)
+            assert capsys.readouterr().out == want
+            gauss = values._gauss
+            assert calls == [gauss.d_squared, gauss.p_plus, gauss.p_minus]
+            assert verify_all(values).passed
+
 
 @pytest.mark.parametrize("middle, error", [
     ("rank: 2\nrank: 2\n", "line 3, column 1: duplicate key 'rank'"),
@@ -821,21 +842,21 @@ def test_pointed_show_and_fusion_keep_their_bytes(tmp_path, corpus4):
     # show --approx prints floats of each value's coefficients at its own
     # conductor, and this platform's libm, so it is compared with the value
     # path (the parent's only one) in this process: the Gauss sums of data
-    # that holds only its table are those of the same data held as values,
-    # conductors and coefficients included, and so is the --approx text.
-    # Values whose table has been computed (as parse computes it to compare a
-    # provenance lattice) sum and print from that table, as the values would.
+    # that holds only its table are the sums over its values (oracle), and
+    # those of the same data built from values, which holds the same table
+    # from construction; conductors and coefficients are included, and so is
+    # the --approx text.
     for k, body in enumerate(documents):
         table = parse(Document("modular_data", body))
-        gauss = repr(table._gauss)  # summed from the table the document holds
-        held, known = (ModularData(rank=table.rank, s_tilde=table.s_tilde, twists=table.twists,
-                                   provenance=table.provenance, label_names=table.label_names)
-                       for _ in range(2))
-        assert known._exponents is not None
-        assert repr(held._gauss) == gauss == repr(known._gauss), body
+        gauss = table._gauss  # summed from the table the document holds
+        held = ModularData(rank=table.rank, s_tilde=table.s_tilde, twists=table.twists,
+                           provenance=table.provenance, label_names=table.label_names)
+        assert repr(held._gauss) == repr(gauss), body
+        assert repr((gauss.d_squared, gauss.p_plus, gauss.p_minus)) == repr(
+            oracle.gauss_sums(held)), body
         if k % 10 == 0 or k >= len(documents) - 3:
             printed = []
-            for data, approx in ((table, True), (held, True), (held, False), (known, False)):
+            for data, approx in ((table, True), (held, True), (table, False), (held, False)):
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
                     show(data, approx)

@@ -6,12 +6,14 @@ import oracle
 from pointedcat import (
     ModularData,
     ValidationError,
+    check_gram,
     colored_link_invariant,
     framed_link,
     parse,
     root_of_unity,
     serialize,
 )
+from pointedcat.links import link_exponent
 from pointedcat.moddata import dual_permutation
 
 HOPF = [[0, 1], [1, 0]]
@@ -131,3 +133,13 @@ class TestProvenanceGuard:
         stripped = ModularData(rank=2, s_tilde=semion.s_tilde, twists=semion.twists)
         with pytest.raises(ValidationError, match="link invariants need lattice-constructed data"):
             colored_link_invariant(stripped, framed_link(HOPF, [0, 1]))
+
+    def test_values_without_a_table_refused_under_a_provenance(self, su2):
+        # SU(2)_2 has a quantum dimension sqrt(2), so it holds no exponent
+        # table, whatever provenance it carries
+        md = su2(2)
+        carried = ModularData(md.rank, md.s_tilde, md.twists, check_gram([[2]]))
+        for invariant in (colored_link_invariant, link_exponent):
+            with pytest.raises(ValidationError,
+                               match="link invariants need lattice-constructed data"):
+                invariant(carried, framed_link(HOPF, [0, 1]))

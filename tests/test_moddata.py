@@ -486,8 +486,12 @@ class TestTokens:
             fresh = moddata.from_lattice(gram)
             assert data_tokens(fresh) == tokens(md), gram.entries
             assert "s_tilde" not in vars(fresh) and "twists" not in vars(fresh)
-            copy = oracle.relabel(md, (0, *rng.sample(range(1, md.rank), md.rank - 1)))
-            assert "_exponents" not in vars(copy)
+            perm = (0, *rng.sample(range(1, md.rank), md.rank - 1))
+            copy = oracle.relabel(md, perm)
+            # built from values, it holds the lattice's table relabelled
+            n, s, t = vars(md)["_exponents"]
+            assert vars(copy)["_exponents"] == (
+                n, tuple(tuple(s[a][b] for b in perm) for a in perm), tuple(t[a] for a in perm))
             assert data_tokens(copy) == tokens(copy), gram.entries
 
     def test_values_without_a_table(self, ising, su2):
@@ -499,7 +503,7 @@ class TestTokens:
         for gram, md in corpus4_data:
             values = ModularData(rank=md.rank, s_tilde=md.s_tilde, twists=md.twists,
                                  provenance=md.provenance, label_names=md.label_names)
-            assert "_exponents" not in vars(values)
+            assert vars(values)["_exponents"] == vars(md)["_exponents"]
             assert serialize(values) == serialize(md), gram.entries
             if md.rank <= 8:
                 assert canonical_form(values) == canonical_form(md), gram.entries

@@ -19,7 +19,7 @@ from pointedcat import (
     serialize,
     verify_all,
 )
-from pointedcat import cyclo, serialization, values
+from pointedcat import cyclo, lattice, serialization, values
 from pointedcat.cyclo import Cyclotomic, sum_values
 from pointedcat.errors import MAX_CONDUCTOR
 
@@ -404,14 +404,15 @@ class TestIntegerParse:
             if tail and contradiction:
                 assert got == (ValidationError, contradiction)
                 continue
-            # built from values; the table is formed only to compare it with
-            # the provenance lattice's
-            assert "s_tilde" in vars(got) and ("_exponents" in vars(got)) == bool(tail)
-            assert serialize(got).body == f"kind: modular_data\nrank: 2\ns_tilde: {s_tilde}\n" \
-                                          f"twists: e(0/1), {twist_1}\n{tail}"
-            again = parse(serialize(got))
+            # built from values, whose exponent table, formed at
+            # construction, is that of the same data in root tokens
+            want = f"kind: modular_data\nrank: 2\ns_tilde: {s_tilde}\n" \
+                   f"twists: e(0/1), {twist_1}\n{tail}"
+            again = parse(Document("modular_data", want))
             assert "_exponents" in vars(again) and "s_tilde" not in vars(again)
-            assert again == got and serialize(again).body == serialize(got).body
+            assert "s_tilde" in vars(got) and vars(got)["_exponents"] == vars(again)["_exponents"]
+            assert serialize(got).body == want
+            assert again == got and serialize(again).body == want
 
     @pytest.mark.parametrize("body", list(_ROOT_DOCUMENTS))
     def test_root_documents_match_the_cyclotomic_parse(self, body):
@@ -456,7 +457,22 @@ class TestIntegerParse:
             assert vars(parsed)["_exponents"] == vars(md)["_exponents"]
             built = ModularData(rank=md.rank, s_tilde=md.s_tilde, twists=md.twists,
                                 provenance=gram)
-            assert "_exponents" not in vars(built) and parsed == built
+            assert vars(built)["_exponents"] == vars(parsed)["_exponents"] and parsed == built
+
+    def test_provenance_table_is_formed_after_the_rank_check(self, monkeypatch):
+        # a rank that contradicts a large provenance lattice is refused before
+        # the lattice's table is formed, and the rank bound still comes before
+        # check_fields in the error order
+        def refused(gram):
+            raise AssertionError("pairing_exponents was called")
+
+        monkeypatch.setattr(lattice, "pairing_exponents", refused)
+        for tail, error in (
+                ("provenance: 512\n", "provenance has |det B| = 512, but rank is 2"),
+                ("labels: a, b, c\nprovenance: 600\n",
+                 "|det B| = 600 exceeds the rank bound 512")):
+            got = _outcome(lambda: parse(Document("modular_data", _semion_body(tail=tail))))
+            assert got == (ValidationError, error)
 
     def test_generic_document_is_read_once(self, monkeypatch, su2):
         # every content line is read once, and each distinct chunk goes
