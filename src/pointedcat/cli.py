@@ -19,8 +19,6 @@ show prints D^2 and p+- through cyclo, and generic data is read as values.
 enumerate loads enumeration and lattice, and no document module.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 
@@ -30,9 +28,10 @@ EXIT_CLOSED_STDOUT = 141
 
 
 def _read(path: str) -> str:
+    # a leading byte-order mark is dropped here: utf-8-sig loads one more module
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
+            return handle.read().removeprefix("\ufeff")
     except OSError as exc:
         raise PointedCatError(f"cannot read {path}: {exc}") from None
 

@@ -18,8 +18,6 @@ subfield coefficients off the power basis (``_descend``), so the textual form
 is canonical per value.
 """
 
-from __future__ import annotations
-
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -123,7 +121,7 @@ class Cyclotomic:
         self._root = None  # memo of root_exponent(), when it is a root
 
     @classmethod
-    def from_rational(cls, value: Fraction | int) -> Cyclotomic:
+    def from_rational(cls, value: Fraction | int) -> "Cyclotomic":
         value = Fraction(value)
         return cls(1, (value.numerator if value.denominator == 1 else value,))
 
@@ -175,7 +173,7 @@ class Cyclotomic:
             if c:
                 raw[j * stride] += c
 
-    def __add__(self, other) -> Cyclotomic:
+    def __add__(self, other) -> "Cyclotomic":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -183,22 +181,22 @@ class Cyclotomic:
 
     __radd__ = __add__
 
-    def __neg__(self) -> Cyclotomic:
+    def __neg__(self) -> "Cyclotomic":
         return Cyclotomic(self._conductor, tuple(-c for c in self._coeffs))
 
-    def __sub__(self, other) -> Cyclotomic:
+    def __sub__(self, other) -> "Cyclotomic":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> Cyclotomic:
+    def __rsub__(self, other) -> "Cyclotomic":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other - self
 
-    def __mul__(self, other) -> Cyclotomic:
+    def __mul__(self, other) -> "Cyclotomic":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -215,7 +213,7 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> Cyclotomic:
+    def conjugate(self) -> "Cyclotomic":
         """Complex conjugate; on roots of unity, e(q) -> e(-q)."""
         if self.is_rational():
             return self
@@ -226,20 +224,20 @@ class Cyclotomic:
                 raw[(n - j) % n] += c
         return Cyclotomic(n, _reduce(n, raw))
 
-    def inverse(self) -> Cyclotomic:
+    def inverse(self) -> "Cyclotomic":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
         if self.is_rational():
             return Cyclotomic.from_rational(1 / Fraction(self._coeffs[0]))
         return _field_inverse(self)
 
-    def __truediv__(self, other) -> Cyclotomic:
+    def __truediv__(self, other) -> "Cyclotomic":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other) -> Cyclotomic:
+    def __rtruediv__(self, other) -> "Cyclotomic":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -269,7 +267,7 @@ class Cyclotomic:
             raise OverflowError(f"{self!r} is beyond float range")
         return total.real, total.imag
 
-    def minimal(self) -> Cyclotomic:
+    def minimal(self) -> "Cyclotomic":
         """Equal value at its minimal conductor, by structural descent one
         prime p at a time (Breuer 1997; see _descend). Where p^2 | n the value
         descends when its support is on multiples of p; where p || n, when its

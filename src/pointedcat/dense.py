@@ -17,8 +17,6 @@ sorted triple. moddata imports this module on first use, so commands on
 pointed data with a group law never compile it.
 """
 
-from __future__ import annotations
-
 import itertools
 from fractions import Fraction
 from functools import lru_cache

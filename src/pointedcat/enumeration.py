@@ -10,8 +10,6 @@ table, here and for moddata.canonical_form, which calls canonical_key on the
 tokens of a ModularData.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import lru_cache
 from operator import itemgetter, mul

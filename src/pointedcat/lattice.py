@@ -12,8 +12,6 @@ the twist and S~ tokens of an exponent table, which CLI construct writes with
 no moddata, and show prints with no rank^2 values.
 """
 
-from __future__ import annotations
-
 import itertools
 from math import gcd, prod
 from operator import mul

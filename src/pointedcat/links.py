@@ -2,8 +2,6 @@
 integers (k, m) read off the exponent table. Only CLI link and
 moddata.colored_link_invariant import this module."""
 
-from __future__ import annotations
-
 from .errors import ValidationError
 from .record import record
 
@@ -34,7 +32,7 @@ def framed_link(linking, colors) -> FramedLink:
     )
 
 
-def link_exponent(md: ModularData, link: FramedLink) -> tuple[int, int]:
+def link_exponent(md: "ModularData", link: FramedLink) -> tuple[int, int]:
     """(k, m) with the invariant of a colored framed link e(k/m), 0 <= k < m,
     for lattice-constructed data.
 

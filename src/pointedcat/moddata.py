@@ -12,8 +12,6 @@ invariants (links) read only the table; values and cyclo are imported on
 first use, by code that builds, reads or prints Cyclotomic values.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
@@ -43,9 +41,9 @@ class ModularData:
     """
 
     rank: int
-    s_tilde: tuple[tuple[Cyclotomic, ...], ...]
-    twists: tuple[Cyclotomic, ...]
-    provenance: GramMatrix | None = None
+    s_tilde: "tuple[tuple[Cyclotomic, ...], ...]"
+    twists: "tuple[Cyclotomic, ...]"
+    provenance: "GramMatrix | None" = None
     label_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -64,7 +62,7 @@ class ModularData:
         return vars(self)[name]
 
     @cached_property
-    def _gauss(self) -> GaussData:
+    def _gauss(self) -> "GaussData":
         """D^2 = sum d_a^2 and p+- = sum theta_a^(+-1) d_a^2. Data with an
         exponent table gives each distinct pair (t[a], s[0][a]) once, d^2
         times its count, on the roots __getattr__ builds: the same values,
@@ -235,7 +233,7 @@ def value_exponents(rows, twists) -> tuple | None:
     return exponent_table([list(map(id, row)) for row in rows], list(map(id, twists)), roots)
 
 
-def from_table(table: tuple, provenance: GramMatrix | None = None,
+def from_table(table: tuple, provenance: "GramMatrix | None" = None,
                label_names: tuple[str, ...] | None = None) -> ModularData:
     """ModularData that holds only its exponent table (n, s, t), whose fields
     the caller has checked (check_fields); its rank is len(t), and s_tilde and
@@ -246,7 +244,7 @@ def from_table(table: tuple, provenance: GramMatrix | None = None,
     return md
 
 
-def from_lattice(gram: GramMatrix) -> ModularData:
+def from_lattice(gram: "GramMatrix") -> ModularData:
     """Pointed modular data of an even lattice: rank |det B|, all d_i = 1.
 
     Entry (i,j) is e(<v_i, v_j> mod 1) and twist i is e((v_i^t B v_i mod 2)/2),
@@ -269,16 +267,16 @@ def canonical_form(md: ModularData) -> bytes:
     return canonical_key(*tokens(md))
 
 
-def quantum_dimensions(md: ModularData) -> tuple[Cyclotomic, ...]:
+def quantum_dimensions(md: ModularData) -> "tuple[Cyclotomic, ...]":
     """Unknot invariants d_i: row 0 of the Hopf-link matrix."""
     return md.s_tilde[0]
 
 
 @record
 class GaussData:
-    d_squared: Cyclotomic
-    p_plus: Cyclotomic
-    p_minus: Cyclotomic
+    d_squared: "Cyclotomic"
+    p_plus: "Cyclotomic"
+    p_minus: "Cyclotomic"
     identity_holds: bool
 
 
@@ -313,7 +311,7 @@ def verlinde_fusion(md: ModularData) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 def fusion_probabilities(
     md: ModularData, i: Label, j: Label
-) -> tuple[tuple[Label, Fraction | int], ...]:
+) -> "tuple[tuple[Label, Fraction | int], ...]":
     """Outcome distribution of fusing i with j: P(k) = N_{i,j}^k d_k / (d_i d_j),
     with N from verlinde_fusion, which refuses a zero d_a first.
 
@@ -449,7 +447,7 @@ def verify_all(md: ModularData) -> RelationReport:
     return RelationReport(tuple(checks) + check_modular_relations(md).checks)
 
 
-def colored_link_invariant(md: ModularData, link: FramedLink) -> Cyclotomic:
+def colored_link_invariant(md: ModularData, link: "FramedLink") -> "Cyclotomic":
     """The invariant e(k/m) of links.link_exponent as a Cyclotomic value."""
     from fractions import Fraction
 

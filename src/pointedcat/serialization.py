@@ -33,8 +33,6 @@ tables; on a mismatch, values.check_provenance names the first twist or S~
 entry whose token differs. moddata, values and cyclo are imported on first use.
 """
 
-from __future__ import annotations
-
 import itertools
 from math import gcd
 
@@ -72,7 +70,7 @@ def serialize(value) -> Document:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def data_document(twists, rows, provenance: GramMatrix | None = None,
+def data_document(twists, rows, provenance: "GramMatrix | None" = None,
                   label_names: tuple[str, ...] | None = None) -> Document:
     """The one writer of a data document of rank len(twists), from its twist
     tokens and S~ rows of tokens: serialize writes modular data through it,
@@ -91,7 +89,7 @@ def data_document(twists, rows, provenance: GramMatrix | None = None,
 
 # -- parsing -----------------------------------------------------------------
 
-def parse(doc: Document) -> ModularData:
+def parse(doc: Document) -> "ModularData":
     """Exact inverse of serialize on data documents (see the module
     docstring). Raises ParseError or ValidationError for the first of: a bad
     line or chunk, the conductor bound, the provenance matrix, check_fields,
@@ -154,7 +152,7 @@ def parse_int_matrix_text(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def parse_gram_text(text: str) -> GramMatrix:
+def parse_gram_text(text: str) -> "GramMatrix":
     """A matrix file as a Gram matrix: ParseError unless it is square, then
     ValidationError unless check_gram accepts it."""
     from .lattice import check_gram
@@ -281,7 +279,7 @@ def _root_of(token: str) -> tuple[int, int] | None:
     return None
 
 
-def _from_values(fields: dict, chunks: dict, gram: GramMatrix | None) -> ModularData:
+def _from_values(fields: dict, chunks: dict, gram: "GramMatrix | None") -> "ModularData":
     """The data of a document as Cyclotomic values: the value of each chunk
     that is no root token, and parse_value of each that is."""
     from .cyclo import parse_value

@@ -11,8 +11,6 @@ table's distinct twist and dimension exponents (ModularData._gauss). Other
 data, and --approx, format each distinct value through cyclo once.
 """
 
-from __future__ import annotations
-
 import sys
 
 from .moddata import gauss_data, quantum_dimensions

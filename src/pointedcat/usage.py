@@ -2,8 +2,6 @@
 (cli.COMMANDS, passed in, since cli may run as __main__). Imported only for
 --help and on a usage error, so no job that runs compiles it."""
 
-from __future__ import annotations
-
 USAGE = "usage: pointedcat COMMAND [OPTIONS]\n"
 
 

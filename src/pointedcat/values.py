@@ -9,8 +9,6 @@ checks, links or fuses data by its table never crosses, so it compiles
 neither this module nor cyclo.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .cyclo import format_root, format_rows, root_of_unity

@@ -99,12 +99,30 @@ class TestConstruct:
         path.write_text("1\n")
         assert main(["construct", "--b", str(path)]) == 2
 
+    def test_matrix_files_may_begin_with_a_byte_order_mark(self, tmp_path, semion_data, capsys):
+        # a UTF-8 byte-order mark is read as no text; the document is written without one
+        path, hopf, out = tmp_path / "bom.mat", tmp_path / "hopf.mat", tmp_path / "bom.data"
+        path.write_text("\ufeff" + SEMION_MAT, encoding="utf-8")
+        hopf.write_text("\ufeff" + HOPF_MAT, encoding="utf-8")
+        assert main(["construct", "--b", str(path), "--out", str(out)]) == 0
+        assert out.read_bytes() == Path(semion_data).read_bytes()
+        assert main(["link", "--data", semion_data, "--linking", str(hopf), "--colors", "1,1"]) == 0
+        assert capsys.readouterr() == ("-1\n", "")
+
 
 class TestVerify:
     def test_constructed_data_passes(self, semion_data, capsys):
         assert main(["verify", "--data", semion_data]) == 0
         out = capsys.readouterr().out
         assert "result: pass" in out
+
+    def test_documents_may_begin_with_a_byte_order_mark(self, tmp_path, semion_data, capsys):
+        assert main(["verify", "--data", semion_data]) == 0
+        report = capsys.readouterr().out
+        path = tmp_path / "bom.data"
+        path.write_text("\ufeff" + Path(semion_data).read_text(), encoding="utf-8")
+        assert main(["verify", "--data", str(path)]) == 0
+        assert capsys.readouterr() == (report, "")
 
     @pytest.mark.parametrize("body", [
         CORRUPT_SEMION.replace("e(0/1)\n", "e(3/4)\nprovenance: 2\n"),
@@ -722,13 +740,15 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
     # fusion by the group law read only the table, so none loads cyclo or the
     # standard modules it needs; show formats D^2 and p+- through cyclo, and
     # only show loads its text module (show), and values only with --approx.
-    # No command needs argparse, the classification or the dense checks, and
-    # no module imports dataclasses.
+    # No command needs argparse, the classification or the dense checks, no
+    # module imports dataclasses or __future__, and a byte-order mark is
+    # dropped with no codec module but utf-8.
     hopf = tmp_path / "hopf.mat"
     hopf.write_text(HOPF_MAT)
     corrupt = tmp_path / "corrupt.data"
     corrupt.write_text(CORRUPT_SEMION)
-    never = {"argparse", "gettext", "dataclasses", "inspect"}
+    never = {"argparse", "gettext", "dataclasses", "inspect", "__future__",
+             "encodings.utf_8_sig"}
     values = {"fractions", "decimal", "cmath"}
     base = {"pointedcat", "pointedcat.errors", "pointedcat.record", "pointedcat.serialization"}
     table = base | {"pointedcat.lattice", "pointedcat.moddata"}
@@ -763,7 +783,7 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
     # importing the CLI loads two modules of its own and, of the standard
     # library, only what its imports name (with what they need in this Python)
     code, names = imported_modules([], program=("-c", "import pointedcat.cli"))
-    _, stdlib = imported_modules([], program=("-c", "import __future__, importlib, os"))
+    _, stdlib = imported_modules([], program=("-c", "import importlib, os"))
     assert code == 0 and names - stdlib == {"pointedcat", "pointedcat.cli", "pointedcat.errors"}
     # generic data takes the dense checks on Cyclotomic values; without
     # provenance it needs no lattice, and show prints its values with no
@@ -772,11 +792,12 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
     generic.write_text(serialize(su2(3)).body)
     code, names = imported_modules(["verify", "--data", str(generic)])
     assert code == 0 and {"pointedcat.dense", "pointedcat.cyclo"} <= names
-    assert names.isdisjoint({"pointedcat.lattice", "pointedcat.show", "cmath"})
+    assert names.isdisjoint({"pointedcat.lattice", "pointedcat.show", "cmath", "__future__"})
     assert compiled_lines(names) <= 2120
     code, names = imported_modules(["show", "--data", str(generic)])
     assert code == 0 and {name for name in names if name.startswith("pointedcat")} == (
         base | {"pointedcat.moddata", "pointedcat.cyclo", "pointedcat.show"})
+    assert "__future__" not in names
     assert compiled_lines(names) <= 1834
 
 
