@@ -14,8 +14,8 @@ the help and usage text, and show the text of show. construct writes the
 document of a lattice's exponent table (serialization, lattice). verify,
 fusion, link and show read a document (serialization, moddata, and lattice
 for provenance); link adds links. Pointed data stays an integer exponent
-table, so pointed verify and link, and fusion by a group law, load no cyclo;
-show prints D^2 and p+- through cyclo, and generic data is read as values.
+table, so no pointed job loads cyclo (show prints D^2 and p+- from integer
+vectors of cyclo_core); generic data and show --approx are read as values.
 enumerate loads enumeration and lattice, and no document module.
 """
 
@@ -73,7 +73,7 @@ def _cmd_fusion(data: str, i: int, j: int) -> int:
 
     for label, probability in fusion_probabilities(_load_modular_data(data), i, j):
         if probability != 1:  # 1 prints as 1, with no cyclo (a group law's one outcome)
-            from .cyclo import format_rational
+            from .cyclo_core import format_rational
 
             probability = format_rational(probability)
         sys.stdout.write(f"{label} {probability}\n")

@@ -14,96 +14,20 @@ on a value, ``_root``, is the memo of ``root_exponent``: no operation reads
 it. The hot checks run on integer exponent tables or packed integers instead;
 this arithmetic is their exact reference and the cold path. Serialization
 descends to the true minimal conductor, one prime at a time, by reading the
-subfield coefficients off the power basis (``_descend``), so the textual form
-is canonical per value.
+subfield coefficients off the power basis, so the textual form is canonical
+per value. The reduction, the root test, that descent and the text work on
+coefficient vectors alone, in cyclo_core, which jobs that build no value
+load without this module.
 """
 
 import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, tau
-from operator import sub
 
-from .errors import ValidationError, check_conductor, quoted
-
-
-@lru_cache(maxsize=None)
-def _prime_divisors(n: int) -> tuple[int, ...]:
-    primes = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
-    return tuple(primes)
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, ascending degree, monic, length phi(n)+1.
-
-    For n > 1, Phi_n = prod over d | n of (1 - x^d)^mu(n/d) (the signs cancel),
-    taken as a power series cut after degree phi(n): multiplying by 1 - x^d is
-    one descending pass, dividing by it one ascending pass.
-    """
-    if n == 1:
-        return (-1, 1)
-    mobius = [(1, 1)]  # (s, mu(s)) for every squarefree s | n
-    for p in _prime_divisors(n):
-        mobius += [(s * p, -mu) for s, mu in mobius]
-    deg = sum(mu * (n // s) for s, mu in mobius)  # phi(n)
-    poly = [1] + [0] * deg
-    for s, mu in mobius:
-        d = n // s
-        if mu > 0:
-            for i in range(deg, d - 1, -1):
-                poly[i] -= poly[i - d]
-        else:
-            for i in range(d, deg + 1):
-                poly[i] += poly[i - d]
-    return tuple(poly)
-
-
-@lru_cache(maxsize=None)
-def _reduction_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    # Degree of Phi_n plus its nonzero sub-leading terms, for synthetic division.
-    poly = _cyclotomic_poly(n)
-    deg = len(poly) - 1
-    return deg, tuple((i, c) for i, c in enumerate(poly[:-1]) if c)
-
-
-def _reduce(n: int, raw: list) -> tuple:
-    """Reduce the coefficients of 1, x, ..., x^(n-1) modulo Phi_n. The p-th roots
-    of unity sum to zero (p the least prime of n), so the top 1/p folds first;
-    synthetic division by Phi_n reduces the rest."""
-    if n == 1:
-        return tuple(raw)
-    step = n // _prime_divisors(n)[0]
-    top = n - step
-    folded = []
-    for start in range(0, top, step):
-        folded.extend(map(sub, raw[start:start + step], raw[top:]))
-    deg, tail = _reduction_tail(n)
-    for k in range(top - 1, deg - 1, -1):
-        c = folded[k]
-        if c:
-            base = k - deg
-            for i, t in tail:
-                folded[base + i] -= c * t
-    return tuple(folded[:deg])
-
-
-@lru_cache(maxsize=None)
-def _monomial(n: int, k: int) -> tuple[int, ...]:
-    """Canonical coefficients of zeta_n^k (0 <= k < n)."""
-    raw = [0] * n
-    raw[k] = 1
-    return _reduce(n, raw)
+from . import cyclo_core
+from .cyclo_core import _cyclotomic_poly, _monomial, _reduce
+from .errors import check_conductor, quoted
 
 
 class Cyclotomic:
@@ -143,26 +67,14 @@ class Cyclotomic:
         return Fraction(self._coeffs[0])
 
     def root_exponent(self) -> Fraction | None:
-        """Exponent q in [0,1) with self == e(q), or None if not a root of unity.
-
-        The roots of unity in Q(zeta_N) are the +-zeta_N^k, and for k < phi(N)
-        the canonical coefficients of +-zeta_N^k are +-1 at position k and 0
-        elsewhere. So the value is a root exactly when self * zeta_N^(-s) has
-        such coefficients for one shift s in 0, phi(N), 2 phi(N), ... below N,
-        and then q = (s + k)/N, plus 1/2 for the minus sign: at most
-        ceil(N/phi(N)) exact reductions at the value's own conductor N.
-        """
-        if self._root is not None:
-            return self._root
-        n, coeffs = self._conductor, self._coeffs
-        raw = list(coeffs) + [0] * (n - len(coeffs))
-        for s in range(0, n, len(coeffs)):
-            support = [(k, c) for k, c in enumerate(_reduce(n, raw[s:] + raw[:s])) if c]
-            if len(support) == 1 and support[0][1] in (1, -1):
-                k, c = support[0]
-                self._root = Fraction(2 * (s + k) + n * (c < 0), 2 * n) % 1
-                return self._root
-        return None
+        """Exponent q in [0,1) with self == e(q), or None if not a root of
+        unity (cyclo_core.root_exponent, at the value's own conductor)."""
+        if self._root is None:
+            root = cyclo_core.root_exponent(self._conductor, self._coeffs)
+            if root is None:
+                return None
+            self._root = Fraction(*root)
+        return self._root
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -268,19 +180,10 @@ class Cyclotomic:
         return total.real, total.imag
 
     def minimal(self) -> "Cyclotomic":
-        """Equal value at its minimal conductor, by structural descent one
-        prime p at a time (Breuer 1997; see _descend). Where p^2 | n the value
-        descends when its support is on multiples of p; where p || n, when its
-        CRT parts along zeta_p, ..., zeta_p^(p-1) agree. The conductors whose
-        field holds the value are closed under gcd, so one pass over the
-        primes, each descended as far as it goes, reaches the least one."""
+        """Equal value at its minimal conductor (cyclo_core.minimal)."""
         if self.is_rational():
             return self
-        n, coeffs = self._conductor, self._coeffs
-        for p in _prime_divisors(n):
-            while n % p == 0 and (smaller := _descend(n, coeffs, p)) is not None:
-                n, coeffs = n // p, smaller
-        return Cyclotomic(n, coeffs)
+        return Cyclotomic(*cyclo_core.minimal(self._conductor, self._coeffs))
 
     def __repr__(self) -> str:
         return f"Cyclotomic({self._conductor}, {self._coeffs!r})"
@@ -345,35 +248,6 @@ def _field_inverse(x: Cyclotomic) -> Cyclotomic:
     return Cyclotomic(n, _reduce(n, raw))
 
 
-def _descend(n: int, coeffs: tuple, p: int) -> tuple | None:
-    """Coefficients of the same value at conductor m = n/p (p a prime factor
-    of n), or None if the value is not in Q(zeta_m) (Breuer, "Integral bases
-    for subfields of cyclotomic fields", AAECC 8, 1997).
-
-    If p^2 | n, Phi_n(x) = Phi_m(x^p), so the power basis of Q(zeta_m) is
-    every p-th one of Q(zeta_n): the value descends exactly when its support
-    lies on multiples of p. If p || n, zeta_n^k = zeta_m^(ka) zeta_p^(kb) by
-    the CRT, with a = p^-1 mod m and b = m^-1 mod p, which groups the value
-    as sum_b y_b zeta_p^b with each y_b in Q(zeta_m). Over Q(zeta_m) the basis
-    is 1, zeta_p, ..., zeta_p^(p-2), and zeta_p^(p-1) is minus their sum, so
-    the value descends exactly when y_1 = ... = y_(p-1), and is y_0 - y_(p-1).
-    """
-    m = n // p
-    if m % p == 0:
-        if any(c for k, c in enumerate(coeffs) if k % p):
-            return None
-        return coeffs[::p]
-    a, b = pow(p, -1, m), pow(m, -1, p)
-    raws = [[0] * m for _ in range(p)]
-    for k, c in enumerate(coeffs):
-        if c:
-            raws[k * b % p][k * a % m] += c
-    ys = [_reduce(m, raw) for raw in raws]
-    if any(y != ys[-1] for y in ys[1:-1]):
-        return None
-    return tuple(map(sub, ys[0], ys[-1]))
-
-
 def sum_values(values) -> Cyclotomic:
     """Exact sum of an iterable of Cyclotomic, reducing once at the end."""
     values = list(values)
@@ -398,18 +272,7 @@ def dot(xs, ys) -> Cyclotomic:
 #
 # Roots print with an explicit denominator ("e(0/1)", "e(1/4)"); rational
 # values print bare ("1", "-1", "1/2"). This grammar is shared with the
-# document serialization layer.
-
-def format_rational(r: Fraction) -> str:
-    """Raises ValidationError for an integer of more decimal digits than
-    sys.get_int_max_str_digits(), which str() refuses to convert."""
-    r = Fraction(r)
-    try:
-        return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
-    except ValueError:
-        raise ValidationError(f"cannot print an integer of more than "
-                              f"{sys.get_int_max_str_digits()} digits") from None
-
+# document serialization layer; cyclo_core.format_vector writes it.
 
 def format_root(x: Cyclotomic) -> str:
     """Textual form e(a/b) of a root of unity; raises if x is not one."""
@@ -420,26 +283,9 @@ def format_root(x: Cyclotomic) -> str:
 
 
 def format_value(x: Cyclotomic) -> str:
-    """Canonical textual form of any value (minimal conductor, fixed term order)."""
-    if x.is_rational():
-        return format_rational(x.as_rational())
-    q = x.root_exponent()
-    if q is not None:
-        return f"e({q.numerator}/{q.denominator})"
-    m = x.minimal()
-    parts = []
-    n = m.conductor
-    for k, c in enumerate(m._coeffs):
-        if not c:
-            continue
-        c = Fraction(c)
-        if k == 0:
-            parts.append(format_rational(c))
-            continue
-        e = Fraction(k, n)
-        root = f"e({e.numerator}/{e.denominator})"
-        parts.append(root if c == 1 else f"{format_rational(c)}*{root}")
-    return "+".join(parts)
+    """Canonical textual form of any value (minimal conductor, fixed term
+    order): cyclo_core.format_vector of its coefficients."""
+    return cyclo_core.format_vector(x._conductor, x._coeffs)
 
 
 def format_rows(rows, render=None) -> list[list[str]]:

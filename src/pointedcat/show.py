@@ -5,9 +5,10 @@ module.
 Data with an exponent table, which is all data of roots of unity from its
 construction on (ModularData._exponents), prints its dimensions, twists and
 S~ rows from the table's tokens (lattice.table_tokens and value_token,
-which print what cyclo.format_value prints for a root), so it formats no
-rank^2 values: only D^2, p+ and p- go through cyclo, summed over the
-table's distinct twist and dimension exponents (ModularData._gauss). Other
+which print what cyclo.format_value prints for a root), and D^2, p+ and p-
+from the integer vectors summed over the table's distinct twist and dimension
+exponents (ModularData._sums) by cyclo_core.format_vector, which
+cyclo.format_value calls too: it builds no value and loads no cyclo. Other
 data, and --approx, format each distinct value through cyclo once.
 """
 
@@ -35,23 +36,23 @@ def _approx(x) -> str:
 def show(md, approx: bool) -> None:
     """Write the show text of md to stdout, with floating approximations
     appended to every value when approx is set."""
-    from .cyclo import format_rows, format_value
-
-    gauss = gauss_data(md)
-    sums = (gauss.d_squared, gauss.p_plus, gauss.p_minus)
     table = None if approx else md._exponents
     if table is None:
+        from .cyclo import format_rows, format_value
+
+        gauss = gauss_data(md)
         # each distinct object is formatted once, as parsed entries share them
         dims, (d_squared, p_plus, p_minus), twists, *s_tilde = format_rows(
-            [quantum_dimensions(md), sums, md.twists, *md.s_tilde],
-            _approx if approx else format_value)
+            [quantum_dimensions(md), (gauss.d_squared, gauss.p_plus, gauss.p_minus),
+             md.twists, *md.s_tilde], _approx if approx else format_value)
     else:
+        from .cyclo_core import format_vector
         from .lattice import table_tokens, value_token
 
         n, s, t = table
         s_tilde = table_tokens(n, s, t)[1]
         dims, twists = s_tilde[0], [value_token(k, 2 * n) for k in t]
-        d_squared, p_plus, p_minus = map(format_value, sums)
+        d_squared, p_plus, p_minus = (format_vector(*x) for x in md._sums[0])
     sys.stdout.write(f"rank: {md.rank}\n")
     if md.label_names is not None:
         sys.stdout.write("labels: " + ", ".join(md.label_names) + "\n")

@@ -5,8 +5,8 @@ of a table, built on the first read of s_tilde or twists
 canonical_form); and the first entry of parsed data whose token differs
 from that of its provenance lattice's table (serialization.parse), so a
 table document builds no values to report a mismatch. A pointed command that
-checks, links or fuses data by its table never crosses, so it compiles
-neither this module nor cyclo.
+checks, links, fuses or shows data by its table never crosses (show --approx
+does), so it compiles neither this module nor cyclo.
 """
 
 from fractions import Fraction

@@ -1,6 +1,7 @@
 """Mutation audit of the document parse, the table checks it relies on, the
 Gauss data, fusion probabilities and link invariants, the dense checks, the
-CLI's exit, cyclotomic arithmetic, the lattice algebra and the enumeration.
+CLI's exit, cyclotomic arithmetic and its integer core, the lattice algebra
+and the enumeration.
 
     python tests/mutation_audit.py
 
@@ -35,8 +36,8 @@ FIRST = {"serialization": ("test_serialization.py",),
          "moddata": ("test_serialization.py", "test_moddata.py", "test_links.py"),
          "values": ("test_serialization.py", "test_moddata.py"), "links": ("test_links.py",),
          "dense": ("test_kernel.py",), "cli": ("test_cli.py",), "show": ("test_cli.py",),
-         "cyclo": ("test_cyclo.py",), "lattice": ("test_lattice.py",),
-         "enumeration": ("test_enumeration.py",)}
+         "cyclo": ("test_cyclo.py",), "cyclo_core": ("test_cyclo.py", "test_moddata.py"),
+         "lattice": ("test_lattice.py",), "enumeration": ("test_enumeration.py",)}
 
 # (module of src/pointedcat, text, replacement, equivalence argument or None)
 MUTANTS = [
@@ -77,10 +78,12 @@ MUTANTS = [
      "label_names=None,\n                    _exponents=table)", None),
     # moddata: the Gauss data, fusion probabilities and link invariants
     ("moddata", "sum_values(theta.conjugate() * d2 for", "sum_values(theta * d2 for", None),
-    ("moddata", "identity = (p_plus * p_minus - d_squared).is_zero()", "identity = True", None),
+    ("cyclo_core", "return not any(_reduce(size, raw))", "return True", None),
     ("moddata", "0 <= i < md.rank and 0 <= j < md.rank", "0 <= i < md.rank and j < md.rank", None),
     ("moddata", "        if not weight.is_rational():", "        if False:", None),
     ("moddata", "        if w < 0:", "        if False:", None),
+    # verify_all forms the fusion tensor of data without a group law
+    ("moddata", "        if md._law is None:  # a group law", "        if False:  # a group law", None),
     ("links", "exponent += linking[i][i] * t[a]", "exponent += 0", None),
     ("links", "exponent += 2 * linking[i][j] * s[a][colors[j]]",
      "exponent += linking[i][j] * s[a][colors[j]]", None),
@@ -95,14 +98,15 @@ MUTANTS = [
     ("moddata", "    if law is not None:\n        return ((law[i][j], 1),)",
      "    if False:\n        return ((law[i][j], 1),)", None),
     ("moddata", "return ((law[i][j], 1),)", "return ((law[i][i], 1),)", None),
-    # the Gauss sums of a table: each distinct (t[a], s[0][a]) once, times its count
-    ("moddata", "root_of_unity(Fraction(a, 2 * n))", "root_of_unity(Fraction(a + 1, 2 * n))",
-     None),
-    ("moddata", "root_of_unity(Fraction(b, n))", "root_of_unity(Fraction(2 * b + 1, 2 * n))",
-     None),
-    ("moddata", "count * (dims[b] * dims[b])", "dims[b] * dims[b]", None),
-    ("moddata", "table = self._exponents\n        if table is None:\n            squares",
-     "table = None\n        if table is None:\n            squares", None),
+    # the Gauss sums of a table: integer vectors from each distinct (t[a], s[0][a])
+    # once, times its count, at the conductors the values would have
+    ("cyclo_core", "(4 * b, 4 * b + a, 4 * b - a)", "(4 * b, 4 * b + a + 1, 4 * b - a)", None),
+    ("cyclo_core", "(4 * b, 4 * b + a, 4 * b - a)", "(2 * b, 2 * b + a, 2 * b - a)", None),
+    ("cyclo_core", "counts[i].get(k, 0) + count", "counts[i].get(k, 0) + 1", None),
+    ("cyclo_core", "square = root(2 * b) if root(4 * b) > 1 else 1", "square = root(2 * b)", None),
+    ("cyclo_core", "raw[(x - m) // 2] -= count", "raw[(x - m) // 2] += count", None),
+    ("moddata", "if self._exponents is not None:\n            from .cyclo import Cyclotomic",
+     "if False:\n            from .cyclo import Cyclotomic", None),
     # data built from values of roots of unity holds its table from construction
     ("moddata", 'vars(self)["_exponents"] = value_exponents(self.s_tilde, self.twists)',
      'vars(self)["_exponents"] = None', None),
@@ -138,10 +142,15 @@ MUTANTS = [
      "stderr is line-buffered (Python 3.9 on) and every write to it ends in a newline"),
     # cli._read: a file may begin with a UTF-8 byte-order mark
     ("cli", '.removeprefix("\\ufeff")', "", None),
-    # cyclo: reduction, the root test, coercion and the rational cases
-    ("cyclo", "for start in range(0, top, step):", "for start in range(0, top - step, step):",
+    # cyclo_core: reduction, the root test and the descent to the minimal conductor
+    ("cyclo_core", "for start in range(0, top, step):", "for start in range(0, top - step, step):",
      None),
-    ("cyclo", "support[0][1] in (1, -1)", "support[0][1] == 1", None),
+    ("cyclo_core", "support[0][1] in (1, -1)", "support[0][1] == 1", None),
+    ("cyclo_core", "a = (2 * (s + k) + n * (c < 0)) % (2 * n)", "a = (2 * (s + k)) % (2 * n)",
+     None),
+    ("cyclo_core", "for p in _prime_divisors(n):\n        while", "for p in ():\n        while",
+     None),
+    # cyclo: coercion and the rational cases
     ("cyclo", "isinstance(value, (int, Fraction))", "isinstance(value, int)", None),
     ("cyclo", "raw[(n - j) % n] += c", "raw[j] += c", None),
     ("cyclo", "Cyclotomic.from_rational(1 / Fraction(self._coeffs[0]))",

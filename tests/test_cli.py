@@ -444,8 +444,9 @@ class TestShow:
 
     def test_value_data_prints_from_its_table(self, monkeypatch, capsys):
         # data of roots of unity built from values holds its exponent table
-        # from construction, so show formats only D^2, p+ and p- through
-        # cyclo, and prints the same text before and after verify_all
+        # from construction, so show formats no value through cyclo: D^2, p+
+        # and p- print from the integer vectors of the table's Gauss sums, as
+        # the values print, and the text is the same before and after verify_all
         from pointedcat.show import show
 
         md = from_lattice(check_gram([[4, 4], [4, -4]]))
@@ -458,9 +459,11 @@ class TestShow:
         for _ in range(2):
             del calls[:]
             show(values, False)
-            assert capsys.readouterr().out == want
+            assert capsys.readouterr().out == want and calls == []
             gauss = values._gauss
-            assert calls == [gauss.d_squared, gauss.p_plus, gauss.p_minus]
+            sums = "D^2: {}\np+: {}\np-: {}\n".format(
+                *map(render, (gauss.d_squared, gauss.p_plus, gauss.p_minus)))
+            assert sums in want
             assert verify_all(values).passed
 
 
@@ -738,8 +741,11 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
     # Each pointed command loads exactly its own pointedcat modules. construct
     # writes the lattice's exponent table, with no moddata; verify, link and
     # fusion by the group law read only the table, so none loads cyclo or the
-    # standard modules it needs; show formats D^2 and p+- through cyclo, and
-    # only show loads its text module (show), and values only with --approx.
+    # standard modules it needs; show prints D^2 and p+- from the integer
+    # vectors of the table's Gauss sums through the integer core of cyclo
+    # (cyclo_core), as verify decides p+ p- = D^2 on them when the cube check
+    # fails, so neither loads cyclo either; only show loads its text module
+    # (show), and cyclo and values only with --approx.
     # No command needs argparse, the classification or the dense checks, no
     # module imports dataclasses or __future__, and a byte-order mark is
     # dropped with no codec module but utf-8.
@@ -749,21 +755,22 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
     corrupt.write_text(CORRUPT_SEMION)
     never = {"argparse", "gettext", "dataclasses", "inspect", "__future__",
              "encodings.utf_8_sig"}
-    values = {"fractions", "decimal", "cmath"}
+    values = {"fractions", "decimal", "numbers", "cmath"}
     base = {"pointedcat", "pointedcat.errors", "pointedcat.record", "pointedcat.serialization"}
     table = base | {"pointedcat.lattice", "pointedcat.moddata"}
-    printed = table | {"pointedcat.cyclo", "pointedcat.show"}
+    printed = table | {"pointedcat.cyclo_core", "pointedcat.show"}
     cases = [
         (["construct", "--b", semion_file], 0, base | {"pointedcat.lattice"}, never | values),
         (["verify", "--data", semion_data], 0, table, never | values),
         (["fusion", "--data", semion_data, "--i", "1", "--j", "1"], 0, table, never | values),
         (["link", "--data", semion_data, "--linking", str(hopf), "--colors", "1,1"], 0,
          table | {"pointedcat.links"}, never | values),
-        (["show", "--data", semion_data], 0, printed, never | {"cmath"}),
-        (["show", "--data", semion_data, "--approx"], 0, printed | {"pointedcat.values"}, never),
+        (["show", "--data", semion_data], 0, printed, never | values),
+        (["show", "--data", semion_data, "--approx"], 0,
+         printed | {"pointedcat.cyclo", "pointedcat.values"}, never),
         # a law that fails its cube check gets exact Gauss sums; no provenance, no lattice
-        (["verify", "--data", str(corrupt)], 1, base | {"pointedcat.moddata", "pointedcat.cyclo"},
-         never | {"cmath"}),
+        (["verify", "--data", str(corrupt)], 1,
+         base | {"pointedcat.moddata", "pointedcat.cyclo_core"}, never | values),
     ]
     for args, expected, modules, absent in cases:
         code, names = imported_modules(args)
@@ -772,6 +779,8 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
         assert names.isdisjoint(absent), (args, names & absent)
         # only --approx prints floats, through cmath
         assert ("cmath" in names) == ("--approx" in args), args
+        if args[0] == "show" and "--approx" not in args:
+            assert compiled_lines(names) <= 1750
     # enumerate runs on integer exponent tables: no cyclotomic values, no
     # ModularData and no documents, nor the standard modules cyclo needs
     code, names = imported_modules(["enumerate", "--max-dim", "2", "--max-entry", "2"])
@@ -796,9 +805,12 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
     assert compiled_lines(names) <= 2120
     code, names = imported_modules(["show", "--data", str(generic)])
     assert code == 0 and {name for name in names if name.startswith("pointedcat")} == (
-        base | {"pointedcat.moddata", "pointedcat.cyclo", "pointedcat.show"})
+        base | {"pointedcat.moddata", "pointedcat.cyclo", "pointedcat.cyclo_core",
+                "pointedcat.show"})
     assert "__future__" not in names
-    assert compiled_lines(names) <= 1834
+    # cyclo_core holds the Gauss sums of exponent tables too, which generic
+    # jobs compile unused: 1780 lines before it was split out of cyclo
+    assert compiled_lines(names) <= 1870
 
 
 # SHA-256 of transcript(pointed_documents(corpus4)) as written at the commit
@@ -976,13 +988,22 @@ class TestInputBounds:
         code = main(argv)
         return code, time.perf_counter() - start
 
-    def test_rank_bound(self, tmp_path, capsys):
-        # 200000 classes: a MemoryError under a 1 GB address-space limit before the bound
+    def test_rank_bound(self, tmp_path):
+        # 200000 classes: a MemoryError under a 1 GB address-space limit before
+        # the bound, so the job runs in a child process under that limit
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
         path = tmp_path / "big.mat"
         path.write_text("200000\n")
-        code, seconds = self._exit_code_and_seconds(["construct", "--b", str(path)])
-        assert code == 2 and seconds < 1.0
-        assert "exceeds the rank bound 512" in capsys.readouterr().err
+        start = time.perf_counter()
+        proc = run_cli(["-m", "pointedcat.cli", "construct", "--b", str(path)], preexec_fn=limit)
+        _, err = proc.communicate(timeout=60)
+        seconds = time.perf_counter() - start
+        assert proc.returncode == 2 and seconds < 1.0
+        assert "exceeds the rank bound 512" in err
 
     def test_rank_bound_message_has_a_byte_budget(self, tmp_path, capsys):
         # |det B| is printed only up to 40 digits: a seeded 128 x 128 matrix of

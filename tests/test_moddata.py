@@ -122,6 +122,36 @@ class TestGaussData:
     def test_corrupted_fails(self, semion):
         assert not gauss_data(corrupted_semion(semion)).identity_holds
 
+    def test_table_sums_are_those_of_its_values(self):
+        # The Gauss sums of an exponent table are integer vectors at the
+        # conductors that summing its values gives (oracle.gauss_sums),
+        # whatever its row 0: d_a = e(1/4), whose square is rational, roots of
+        # odd order beside -1, and so on. Their identity and text agree too.
+        from pointedcat.cyclo_core import format_vector
+        from pointedcat.moddata import from_table
+
+        rng = random.Random(38)
+        # theta_1 d_1^2 = e(1/3) e(1/4)^2 is formed at conductor 3, not 12
+        tables = [(12, (0, 3), (0, 8)), (4, (0, 1, 3, 2), (0, 1, 3, 6)),
+                  (6, (0, 2, 3, 1), (0, 3, 4, 6))]
+        for n in (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15):
+            for rank in (1, 2, 3, 4, 6):
+                for _ in range(3):
+                    tables.append((n, (0, *(rng.randrange(n) for _ in range(rank - 1))),
+                                   (0, *(rng.randrange(2 * n) for _ in range(rank - 1)))))
+        identities = set()
+        for n, row, t in tables:
+            s = (row, *((b,) + (0,) * (len(row) - 1) for b in row[1:]))  # symmetric
+            md = from_table((n, s, t))
+            gauss = gauss_data(md)
+            assert "s_tilde" not in vars(md)  # summed with no value of the table built
+            want = oracle.gauss_sums(md)
+            assert repr((gauss.d_squared, gauss.p_plus, gauss.p_minus)) == repr(want), (n, s, t)
+            assert gauss.identity_holds == (want[1] * want[2] - want[0]).is_zero(), (n, s, t)
+            assert [format_vector(*x) for x in md._sums[0]] == list(map(cyclo.format_value, want))
+            identities.add(gauss.identity_holds)
+        assert identities == {True, False}
+
     def test_milgram_formula_on_corpus(self, corpus4_data):
         # p+ = sqrt(|det B|) e(sigma(B)/8), with sigma from the oracle's exact
         # inertia: this pins the twists the cube check rests on. The square
