@@ -284,7 +284,11 @@ def format_root(x: Cyclotomic) -> str:
 
 def format_value(x: Cyclotomic) -> str:
     """Canonical textual form of any value (minimal conductor, fixed term
-    order): cyclo_core.format_vector of its coefficients."""
+    order): cyclo_core.format_vector of its coefficients, or of its root
+    exponent when root_exponent has memoised one."""
+    q = x._root
+    if q is not None and not x.is_rational():
+        return f"e({q.numerator}/{q.denominator})"
     return cyclo_core.format_vector(x._conductor, x._coeffs)
 
 

@@ -1,14 +1,12 @@
 """The integer core of Q(zeta_N) on canonical coefficient vectors (_reduce),
 for int or Fraction coefficients with no fractions module: the root test, the
-descent to the minimal conductor and the text, which cyclo calls, and the
-Gauss sums of an exponent table, which pointed show prints and verify tests
-for p+ p- = D^2 with no cyclo.
+descent to the minimal conductor and the text, which cyclo calls, and which
+pointed show and the Gauss check of a table (gauss) run with no cyclo.
 """
 
 import sys
-from collections import Counter
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import sub
 
 from .errors import ValidationError
@@ -170,52 +168,3 @@ def format_vector(n: int, coeffs: tuple) -> str:
         parts.append(root if c == 1 else f"{format_rational(c)}*{root}")
     return "+".join(parts)
 
-
-# -- the Gauss sums of an exponent table -----------------------------------
-
-def gauss_sums(n: int, s, t) -> tuple[tuple, tuple]:
-    """(vectors, counts) of D^2 = sum d_a^2 and p+- = sum theta_a^(+-1) d_a^2 of
-    the table (n, s, t), d_a = e(s[0][a]/n), theta_a = e(t[a]/2n), summed over
-    the distinct pairs (t[a], s[0][a]). counts holds each as {k: multiplicity
-    of e(k/2n)}; vectors as (conductor, coefficients) at the conductor that
-    Cyclotomic arithmetic gives the sum of the values: the lcm of its terms',
-    a product's the lcm of its factors', a root's its denominator, 1 for +-1."""
-    size = 2 * n
-
-    def root(k):  # the conductor of e(k/2n)
-        return 1 if 2 * k % size == 0 else size // gcd(k, size)
-
-    counts, conductors = ({}, {}, {}), [1, 1, 1]
-    for (a, b), count in Counter(zip(t, s[0])).items():
-        square = root(2 * b) if root(4 * b) > 1 else 1  # d_a^2, formed at d_a's conductor
-        for i, k in enumerate((4 * b, 4 * b + a, 4 * b - a)):
-            k %= size
-            counts[i][k] = counts[i].get(k, 0) + count
-            if root(k) > 1:  # d_a^2, or its product with theta_a^(+-1)
-                conductors[i] = lcm(conductors[i], square, root(a) if i else 1)
-    vectors = []
-    for terms, m in zip(counts, conductors):
-        raw = [0] * m
-        for k, count in terms.items():
-            x = k * m // n  # e(k/2n) = e(x/2m): an integer, as the term lies in Q(zeta_m)
-            if x % 2:  # then m is odd, and e(x/2m) = -zeta_m^((x - m)/2)
-                raw[(x - m) // 2] -= count
-            else:
-                raw[x // 2] += count
-        coeffs = _reduce(m, raw)
-        vectors.append((m, coeffs) if any(coeffs[1:]) else (1, coeffs[:1]))
-    return tuple(vectors), counts
-
-
-def gauss_identity(n: int, counts) -> bool:
-    """p+ p- = D^2 on the counts of gauss_sums: one cyclic convolution of the
-    roots e(k/2n), less D^2, reduces to zero modulo Phi_2n."""
-    d_squared, p_plus, p_minus = counts
-    size = 2 * n
-    raw = [0] * size
-    for k, count in d_squared.items():
-        raw[k] -= count
-    for j, x in p_plus.items():
-        for k, y in p_minus.items():
-            raw[(j + k) % size] += x * y
-    return not any(_reduce(size, raw))

@@ -8,8 +8,9 @@ and checked exactly. Data of roots of unity holds its integer exponent table
 (n, s, t) from construction on, in the form of lattice.pairing_exponents:
 S~_ij = e(s[i][j]/n), theta_a = e(t[a]/2n); data from a lattice or a document
 of root tokens holds only the table. Group-law checks, fusion (_law) and link
-invariants (links) read only the table; values and cyclo are imported on
-first use, by code that builds, reads or prints Cyclotomic values.
+invariants (links) read only the table, and its Gauss sums are integer
+vectors (gauss); values and cyclo are imported on first use, by code that
+builds, reads or prints Cyclotomic values.
 """
 
 from functools import cached_property
@@ -82,8 +83,8 @@ class ModularData:
 
     @cached_property
     def _sums(self):
-        """Gauss sums of an exponent table on integers (cyclo_core.gauss_sums)."""
-        from .cyclo_core import gauss_sums
+        """Gauss sums of an exponent table on integers (gauss.gauss_sums)."""
+        from .gauss import gauss_sums
 
         return gauss_sums(*self._exponents)
 
@@ -92,7 +93,7 @@ class ModularData:
         """p+ p- = D^2, on the integers of _sums when there is an exponent table."""
         if self._exponents is None:
             return self._gauss.identity_holds
-        from .cyclo_core import gauss_identity
+        from .gauss import gauss_identity
 
         return gauss_identity(self._exponents[0], self._sums[1])
 

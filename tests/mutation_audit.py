@@ -1,7 +1,7 @@
 """Mutation audit of the document parse, the table checks it relies on, the
 Gauss data, fusion probabilities and link invariants, the dense checks, the
-CLI's exit, cyclotomic arithmetic and its integer core, the lattice algebra
-and the enumeration.
+CLI's exit, cyclotomic arithmetic, its integer core and a table's Gauss sums
+on it, the lattice algebra and the enumeration.
 
     python tests/mutation_audit.py
 
@@ -37,6 +37,7 @@ FIRST = {"serialization": ("test_serialization.py",),
          "values": ("test_serialization.py", "test_moddata.py"), "links": ("test_links.py",),
          "dense": ("test_kernel.py",), "cli": ("test_cli.py",), "show": ("test_cli.py",),
          "cyclo": ("test_cyclo.py",), "cyclo_core": ("test_cyclo.py", "test_moddata.py"),
+         "gauss": ("test_moddata.py", "test_cli.py"),
          "lattice": ("test_lattice.py",), "enumeration": ("test_enumeration.py",)}
 
 # (module of src/pointedcat, text, replacement, equivalence argument or None)
@@ -78,7 +79,8 @@ MUTANTS = [
      "label_names=None,\n                    _exponents=table)", None),
     # moddata: the Gauss data, fusion probabilities and link invariants
     ("moddata", "sum_values(theta.conjugate() * d2 for", "sum_values(theta * d2 for", None),
-    ("cyclo_core", "return not any(_reduce(size, raw))", "return True", None),
+    ("moddata", "identity = (p_plus * p_minus - d_squared).is_zero()", "identity = True", None),
+    ("gauss", "return not any(_reduce(size, raw))", "return True", None),
     ("moddata", "0 <= i < md.rank and 0 <= j < md.rank", "0 <= i < md.rank and j < md.rank", None),
     ("moddata", "        if not weight.is_rational():", "        if False:", None),
     ("moddata", "        if w < 0:", "        if False:", None),
@@ -100,11 +102,11 @@ MUTANTS = [
     ("moddata", "return ((law[i][j], 1),)", "return ((law[i][i], 1),)", None),
     # the Gauss sums of a table: integer vectors from each distinct (t[a], s[0][a])
     # once, times its count, at the conductors the values would have
-    ("cyclo_core", "(4 * b, 4 * b + a, 4 * b - a)", "(4 * b, 4 * b + a + 1, 4 * b - a)", None),
-    ("cyclo_core", "(4 * b, 4 * b + a, 4 * b - a)", "(2 * b, 2 * b + a, 2 * b - a)", None),
-    ("cyclo_core", "counts[i].get(k, 0) + count", "counts[i].get(k, 0) + 1", None),
-    ("cyclo_core", "square = root(2 * b) if root(4 * b) > 1 else 1", "square = root(2 * b)", None),
-    ("cyclo_core", "raw[(x - m) // 2] -= count", "raw[(x - m) // 2] += count", None),
+    ("gauss", "(4 * b, 4 * b + a, 4 * b - a)", "(4 * b, 4 * b + a + 1, 4 * b - a)", None),
+    ("gauss", "(4 * b, 4 * b + a, 4 * b - a)", "(2 * b, 2 * b + a, 2 * b - a)", None),
+    ("gauss", "counts[i].get(k, 0) + count", "counts[i].get(k, 0) + 1", None),
+    ("gauss", "square = root(2 * b) if root(4 * b) > 1 else 1", "square = root(2 * b)", None),
+    ("gauss", "raw[(x - m) // 2] -= count", "raw[(x - m) // 2] += count", None),
     ("moddata", "if self._exponents is not None:\n            from .cyclo import Cyclotomic",
      "if False:\n            from .cyclo import Cyclotomic", None),
     # data built from values of roots of unity holds its table from construction
@@ -150,7 +152,8 @@ MUTANTS = [
      None),
     ("cyclo_core", "for p in _prime_divisors(n):\n        while", "for p in ():\n        while",
      None),
-    # cyclo: coercion and the rational cases
+    # cyclo: the root memo of format_value, coercion and the rational cases
+    ("cyclo", "if q is not None and not x.is_rational():", "if q is not None:", None),
     ("cyclo", "isinstance(value, (int, Fraction))", "isinstance(value, int)", None),
     ("cyclo", "raw[(n - j) % n] += c", "raw[j] += c", None),
     ("cyclo", "Cyclotomic.from_rational(1 / Fraction(self._coeffs[0]))",

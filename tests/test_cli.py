@@ -742,9 +742,9 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
     # writes the lattice's exponent table, with no moddata; verify, link and
     # fusion by the group law read only the table, so none loads cyclo or the
     # standard modules it needs; show prints D^2 and p+- from the integer
-    # vectors of the table's Gauss sums through the integer core of cyclo
-    # (cyclo_core), as verify decides p+ p- = D^2 on them when the cube check
-    # fails, so neither loads cyclo either; only show loads its text module
+    # vectors of the table's Gauss sums (gauss) through the integer core of
+    # cyclo (cyclo_core), as verify decides p+ p- = D^2 on them when the cube
+    # check fails, so neither loads cyclo either; only show loads its text module
     # (show), and cyclo and values only with --approx.
     # No command needs argparse, the classification or the dense checks, no
     # module imports dataclasses or __future__, and a byte-order mark is
@@ -758,7 +758,7 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
     values = {"fractions", "decimal", "numbers", "cmath"}
     base = {"pointedcat", "pointedcat.errors", "pointedcat.record", "pointedcat.serialization"}
     table = base | {"pointedcat.lattice", "pointedcat.moddata"}
-    printed = table | {"pointedcat.cyclo_core", "pointedcat.show"}
+    printed = table | {"pointedcat.cyclo_core", "pointedcat.gauss", "pointedcat.show"}
     cases = [
         (["construct", "--b", semion_file], 0, base | {"pointedcat.lattice"}, never | values),
         (["verify", "--data", semion_data], 0, table, never | values),
@@ -770,7 +770,8 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
          printed | {"pointedcat.cyclo", "pointedcat.values"}, never),
         # a law that fails its cube check gets exact Gauss sums; no provenance, no lattice
         (["verify", "--data", str(corrupt)], 1,
-         base | {"pointedcat.moddata", "pointedcat.cyclo_core"}, never | values),
+         base | {"pointedcat.moddata", "pointedcat.cyclo_core", "pointedcat.gauss"},
+         never | values),
     ]
     for args, expected, modules, absent in cases:
         code, names = imported_modules(args)
@@ -808,9 +809,7 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
         base | {"pointedcat.moddata", "pointedcat.cyclo", "pointedcat.cyclo_core",
                 "pointedcat.show"})
     assert "__future__" not in names
-    # cyclo_core holds the Gauss sums of exponent tables too, which generic
-    # jobs compile unused: 1780 lines before it was split out of cyclo
-    assert compiled_lines(names) <= 1870
+    assert compiled_lines(names) <= 1834
 
 
 # SHA-256 of transcript(pointed_documents(corpus4)) as written at the commit

@@ -122,6 +122,15 @@ class TestGaussData:
     def test_corrupted_fails(self, semion):
         assert not gauss_data(corrupted_semion(semion)).identity_holds
 
+    def test_corrupted_values_fail(self, su2):
+        # data whose values are not all roots of unity holds no exponent
+        # table, so p+ p- = D^2 is decided on the sums of its values:
+        # SU(2)_3 with the twist of label 1 replaced by 1
+        md = su2(3)
+        bad = ModularData(rank=md.rank, s_tilde=md.s_tilde, twists=(ONE, ONE, *md.twists[2:]))
+        assert md._exponents is None and bad._exponents is None
+        assert gauss_data(md).identity_holds and not gauss_data(bad).identity_holds
+
     def test_table_sums_are_those_of_its_values(self):
         # The Gauss sums of an exponent table are integer vectors at the
         # conductors that summing its values gives (oracle.gauss_sums),
