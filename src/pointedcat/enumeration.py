@@ -32,7 +32,7 @@ class CorpusSpec:
         if self.max_dim < 1 or self.max_entry < 1:
             raise ValidationError("bounds must be positive")
         if self.max_rank < 1:
-            raise ValidationError("max_rank must be positive when set")
+            raise ValidationError("max_rank must be positive")
         if self.max_rank > MAX_RANK:
             raise ValidationError(f"max_rank {self.max_rank} exceeds the rank bound {MAX_RANK}")
         # dimension n has (e + 1)^n even diagonals, |d| <= e, and (2 max_entry + 1)

@@ -8,9 +8,10 @@ and checked exactly. Data of roots of unity holds its integer exponent table
 (n, s, t) from construction on, in the form of lattice.pairing_exponents:
 S~_ij = e(s[i][j]/n), theta_a = e(t[a]/2n); data from a lattice or a document
 of root tokens holds only the table. Group-law checks, fusion (_law) and link
-invariants (links) read only the table, and its Gauss sums are integer
-vectors (gauss); values and cyclo are imported on first use, by code that
-builds, reads or prints Cyclotomic values.
+invariants (links) read only the table, and so does the Gauss identity of a
+table (gauss); values and cyclo are imported on first use, by code that
+builds, reads or prints Cyclotomic values, such as gauss_data, which sums
+the values of any datum.
 """
 
 from functools import cached_property
@@ -64,13 +65,8 @@ class ModularData:
 
     @cached_property
     def _gauss(self) -> "GaussData":
-        """D^2 = sum d_a^2 and p+- = sum theta_a^(+-1) d_a^2 as Cyclotomic
-        values: those of _sums for data with an exponent table, conductors
-        included, else the sums of its values."""
-        if self._exponents is not None:
-            from .cyclo import Cyclotomic
-
-            return GaussData(*(Cyclotomic(*x) for x in self._sums[0]), self._identity)
+        """D^2 = sum d_a^2 and p+- = sum theta_a^(+-1) d_a^2, the sums of the
+        values, and whether p+ p- = D^2."""
         from .cyclo import sum_values
 
         squares = [(theta, d * d) for theta, d in zip(self.twists, quantum_dimensions(self))]
@@ -82,20 +78,14 @@ class ModularData:
         return GaussData(d_squared, p_plus, p_minus, identity)
 
     @cached_property
-    def _sums(self):
-        """Gauss sums of an exponent table on integers (gauss.gauss_sums)."""
-        from .gauss import gauss_sums
-
-        return gauss_sums(*self._exponents)
-
-    @cached_property
     def _identity(self) -> bool:
-        """p+ p- = D^2, on the integers of _sums when there is an exponent table."""
+        """p+ p- = D^2: on the integers of the exponent table (gauss) when
+        there is one, with no value built, else from _gauss."""
         if self._exponents is None:
             return self._gauss.identity_holds
         from .gauss import gauss_identity
 
-        return gauss_identity(self._exponents[0], self._sums[1])
+        return gauss_identity(*self._exponents)
 
     @cached_property
     def _law(self) -> tuple[tuple[int, ...], ...] | None:
@@ -289,7 +279,7 @@ class GaussData:
 
 def gauss_data(md: ModularData) -> GaussData:
     """Global dimension D^2 = sum d_i^2, Gauss sums p+- = sum theta_i^{+-1} d_i^2,
-    and the exact check p+ * p- == D^2."""
+    and the exact check p+ * p- == D^2, all summed from the values."""
     return md._gauss
 
 

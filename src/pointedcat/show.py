@@ -6,10 +6,12 @@ Data with an exponent table, which is all data of roots of unity from its
 construction on (ModularData._exponents), prints its dimensions, twists and
 S~ rows from the table's tokens (lattice.table_tokens and value_token,
 which print what cyclo.format_value prints for a root), and D^2, p+ and p-
-from the integer vectors summed over the table's distinct twist and dimension
-exponents (ModularData._sums) by cyclo_core.format_vector, which
-cyclo.format_value calls too: it builds no value and loads no cyclo. Other
-data, and --approx, format each distinct value through cyclo once.
+from the counts of the roots e(k/2n) in them, reduced at conductor 2n
+(gauss.gauss_vectors), by cyclo_core.format_vector, which cyclo.format_value
+calls too and which prints a value the same at any conductor: it builds no
+value and loads no cyclo. Other data, and --approx, format each distinct
+value through cyclo once, D^2 and p+- as the sums of the values
+(moddata.gauss_data).
 """
 
 import sys
@@ -47,12 +49,13 @@ def show(md, approx: bool) -> None:
              md.twists, *md.s_tilde], _approx if approx else format_value)
     else:
         from .cyclo_core import format_vector
+        from .gauss import gauss_vectors
         from .lattice import table_tokens, value_token
 
         n, s, t = table
         s_tilde = table_tokens(n, s, t)[1]
         dims, twists = s_tilde[0], [value_token(k, 2 * n) for k in t]
-        d_squared, p_plus, p_minus = (format_vector(*x) for x in md._sums[0])
+        d_squared, p_plus, p_minus = (format_vector(2 * n, x) for x in gauss_vectors(n, s, t))
     sys.stdout.write(f"rank: {md.rank}\n")
     if md.label_names is not None:
         sys.stdout.write("labels: " + ", ".join(md.label_names) + "\n")

@@ -100,15 +100,12 @@ MUTANTS = [
     ("moddata", "    if law is not None:\n        return ((law[i][j], 1),)",
      "    if False:\n        return ((law[i][j], 1),)", None),
     ("moddata", "return ((law[i][j], 1),)", "return ((law[i][i], 1),)", None),
-    # the Gauss sums of a table: integer vectors from each distinct (t[a], s[0][a])
-    # once, times its count, at the conductors the values would have
+    # the Gauss sums of a table: the count of each root e(k/2n) in D^2 and
+    # p+-, over every label, printed at conductor 2n
     ("gauss", "(4 * b, 4 * b + a, 4 * b - a)", "(4 * b, 4 * b + a + 1, 4 * b - a)", None),
     ("gauss", "(4 * b, 4 * b + a, 4 * b - a)", "(2 * b, 2 * b + a, 2 * b - a)", None),
-    ("gauss", "counts[i].get(k, 0) + count", "counts[i].get(k, 0) + 1", None),
-    ("gauss", "square = root(2 * b) if root(4 * b) > 1 else 1", "square = root(2 * b)", None),
-    ("gauss", "raw[(x - m) // 2] -= count", "raw[(x - m) // 2] += count", None),
-    ("moddata", "if self._exponents is not None:\n            from .cyclo import Cyclotomic",
-     "if False:\n            from .cyclo import Cyclotomic", None),
+    ("gauss", "raw[k % size] += 1", "raw[k % size] = 1", None),
+    ("gauss", "_reduce(2 * n, raw)", "_reduce(n, raw)", None),
     # data built from values of roots of unity holds its table from construction
     ("moddata", 'vars(self)["_exponents"] = value_exponents(self.s_tilde, self.twists)',
      'vars(self)["_exponents"] = None', None),

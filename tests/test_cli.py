@@ -741,11 +741,12 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
     # Each pointed command loads exactly its own pointedcat modules. construct
     # writes the lattice's exponent table, with no moddata; verify, link and
     # fusion by the group law read only the table, so none loads cyclo or the
-    # standard modules it needs; show prints D^2 and p+- from the integer
-    # vectors of the table's Gauss sums (gauss) through the integer core of
-    # cyclo (cyclo_core), as verify decides p+ p- = D^2 on them when the cube
-    # check fails, so neither loads cyclo either; only show loads its text module
-    # (show), and cyclo and values only with --approx.
+    # standard modules it needs; show prints D^2 and p+- from the counts of
+    # the roots e(k/2n) in the table's Gauss sums (gauss) through the integer
+    # core of cyclo (cyclo_core), as verify decides p+ p- = D^2 on those counts
+    # when the cube check fails, so neither loads cyclo either; only show loads
+    # its text module (show), and cyclo and values only with --approx, which
+    # sums the values and so loads no gauss.
     # No command needs argparse, the classification or the dense checks, no
     # module imports dataclasses or __future__, and a byte-order mark is
     # dropped with no codec module but utf-8.
@@ -758,16 +759,16 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
     values = {"fractions", "decimal", "numbers", "cmath"}
     base = {"pointedcat", "pointedcat.errors", "pointedcat.record", "pointedcat.serialization"}
     table = base | {"pointedcat.lattice", "pointedcat.moddata"}
-    printed = table | {"pointedcat.cyclo_core", "pointedcat.gauss", "pointedcat.show"}
+    shown = table | {"pointedcat.cyclo_core", "pointedcat.show"}
     cases = [
         (["construct", "--b", semion_file], 0, base | {"pointedcat.lattice"}, never | values),
         (["verify", "--data", semion_data], 0, table, never | values),
         (["fusion", "--data", semion_data, "--i", "1", "--j", "1"], 0, table, never | values),
         (["link", "--data", semion_data, "--linking", str(hopf), "--colors", "1,1"], 0,
          table | {"pointedcat.links"}, never | values),
-        (["show", "--data", semion_data], 0, printed, never | values),
+        (["show", "--data", semion_data], 0, shown | {"pointedcat.gauss"}, never | values),
         (["show", "--data", semion_data, "--approx"], 0,
-         printed | {"pointedcat.cyclo", "pointedcat.values"}, never),
+         shown | {"pointedcat.cyclo", "pointedcat.values"}, never),
         # a law that fails its cube check gets exact Gauss sums; no provenance, no lattice
         (["verify", "--data", str(corrupt)], 1,
          base | {"pointedcat.moddata", "pointedcat.cyclo_core", "pointedcat.gauss"},
@@ -781,7 +782,7 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
         # only --approx prints floats, through cmath
         assert ("cmath" in names) == ("--approx" in args), args
         if args[0] == "show" and "--approx" not in args:
-            assert compiled_lines(names) <= 1750
+            assert compiled_lines(names) <= 1725
     # enumerate runs on integer exponent tables: no cyclotomic values, no
     # ModularData and no documents, nor the standard modules cyclo needs
     code, names = imported_modules(["enumerate", "--max-dim", "2", "--max-entry", "2"])
@@ -874,13 +875,13 @@ def test_pointed_show_and_fusion_keep_their_bytes(tmp_path, corpus4):
     # show --approx prints floats of each value's coefficients at its own
     # conductor, and this platform's libm, so it is compared with the value
     # path (the parent's only one) in this process: the Gauss sums of data
-    # that holds only its table are the sums over its values (oracle), and
-    # those of the same data built from values, which holds the same table
-    # from construction; conductors and coefficients are included, and so is
-    # the --approx text.
+    # that holds only its table are the sums over the values built from it,
+    # as the oracle sums them, and those of the same data built from values,
+    # which holds the same table from construction; conductors and
+    # coefficients are included, and so is the --approx text.
     for k, body in enumerate(documents):
         table = parse(Document("modular_data", body))
-        gauss = table._gauss  # summed from the table the document holds
+        gauss = table._gauss  # summed over the values built from the table
         held = ModularData(rank=table.rank, s_tilde=table.s_tilde, twists=table.twists,
                            provenance=table.provenance, label_names=table.label_names)
         assert repr(held._gauss) == repr(gauss), body

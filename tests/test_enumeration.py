@@ -145,7 +145,7 @@ class TestGeneration:
         for max_dim, max_entry in ((0, 3), (1, 0)):
             with pytest.raises(ValidationError, match="^bounds must be positive$"):
                 CorpusSpec(max_dim=max_dim, max_entry=max_entry)
-        with pytest.raises(ValidationError, match="^max_rank must be positive when set$"):
+        with pytest.raises(ValidationError, match="^max_rank must be positive$"):
             CorpusSpec(max_dim=1, max_entry=2, max_rank=0)
         with pytest.raises(ValidationError, match="^max_rank 513 exceeds the rank bound 512$"):
             CorpusSpec(max_dim=1, max_entry=2, max_rank=MAX_RANK + 1)

@@ -132,15 +132,19 @@ class TestGaussData:
         assert gauss_data(md).identity_holds and not gauss_data(bad).identity_holds
 
     def test_table_sums_are_those_of_its_values(self):
-        # The Gauss sums of an exponent table are integer vectors at the
-        # conductors that summing its values gives (oracle.gauss_sums),
-        # whatever its row 0: d_a = e(1/4), whose square is rational, roots of
-        # odd order beside -1, and so on. Their identity and text agree too.
+        # A table's Gauss sums are counts of the roots e(k/2n), printed at
+        # conductor 2n (gauss.gauss_vectors) as the sums of its values print
+        # (oracle.gauss_sums), and tested for p+ p- = D^2 on the integers
+        # (gauss.gauss_identity), whatever its row 0: d_a = e(1/4), whose
+        # square is rational, roots of odd order beside -1, and so on. Its
+        # gauss_data is the sums of its values, those of the same data built
+        # from values, repr included.
         from pointedcat.cyclo_core import format_vector
+        from pointedcat.gauss import gauss_identity, gauss_vectors
         from pointedcat.moddata import from_table
 
         rng = random.Random(38)
-        # theta_1 d_1^2 = e(1/3) e(1/4)^2 is formed at conductor 3, not 12
+        # theta_1 d_1^2 = e(1/3) e(1/4)^2 lies at conductor 3, not 12 or 24
         tables = [(12, (0, 3), (0, 8)), (4, (0, 1, 3, 2), (0, 1, 3, 6)),
                   (6, (0, 2, 3, 1), (0, 3, 4, 6))]
         for n in (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15):
@@ -152,13 +156,17 @@ class TestGaussData:
         for n, row, t in tables:
             s = (row, *((b,) + (0,) * (len(row) - 1) for b in row[1:]))  # symmetric
             md = from_table((n, s, t))
-            gauss = gauss_data(md)
-            assert "s_tilde" not in vars(md)  # summed with no value of the table built
             want = oracle.gauss_sums(md)
-            assert repr((gauss.d_squared, gauss.p_plus, gauss.p_minus)) == repr(want), (n, s, t)
-            assert gauss.identity_holds == (want[1] * want[2] - want[0]).is_zero(), (n, s, t)
-            assert [format_vector(*x) for x in md._sums[0]] == list(map(cyclo.format_value, want))
-            identities.add(gauss.identity_holds)
+            text = [format_vector(2 * n, x) for x in gauss_vectors(n, s, t)]
+            assert text == list(map(cyclo.format_value, want)), (n, s, t)
+            identity = gauss_identity(n, s, t)
+            assert identity == (want[1] * want[2] - want[0]).is_zero(), (n, s, t)
+            identities.add(identity)
+            values = ModularData(
+                rank=len(t), twists=tuple(root_of_unity(F(a, 2 * n)) for a in t),
+                s_tilde=tuple(tuple(root_of_unity(F(x, n)) for x in r) for r in s))
+            assert repr(gauss_data(md)) == repr(gauss_data(values)), (n, s, t)
+            assert gauss_data(md) == gauss_data(values), (n, s, t)
         assert identities == {True, False}
 
     def test_milgram_formula_on_corpus(self, corpus4_data):
