@@ -1,41 +1,30 @@
 """Dense exact checks of any modular data, on Kronecker-packed integers.
 
-Pointed data whose rows form a group under the entrywise product is checked
-in moddata through that group law (ModularData._law): the law alone gives
-unitarity and D^2 = rank, N_ij^k = delta(k, i.j), C(i) = i^-1, and (S~ T)^3
-as a rank^2 integer check on the twists. Every other input comes here: data
-that is not all roots of unity, and exponent tables with no law, because row
-0 is not all 1 (only the law reads it) or the rows are not distinct or not
-closed, within errors.MAX_DENSE_WORK. S~ and conj(S~) become integer
-rows at the conductor of S~, with the row of S~ that each conj row equals
-(Packed, the one dense cache of a ModularData), S~ and S~T at the lcm with
-T's for the one (S~ T)^3 check only (twisted), and every check sums products
-of rows packed into big integers (pack) and compares integer rows. Every
-matrix product is symmetric or Hermitian, so only its entries j >= i are
-formed, and the Verlinde sum, symmetric in its three rows, is formed once per
-sorted triple. moddata imports this module on first use, so commands on
-pointed data with a group law never compile it.
+Data with no group law (ModularData._law) is checked here, within MAX_DENSE_WORK: S~
+and conj(S~) as integer rows at the conductor of S~ (Packed, the one dense cache of a
+ModularData), S~ and S~T at the lcm with T's for (S~ T)^3 (twisted). Each check sums
+products of packed rows (pack), decides each entry on its sum reduced as one integer
+(reduced), and forms only the entries j >= i of its symmetric or Hermitian products.
 """
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
-from operator import add, eq, mul
+from operator import mul
 
 from .cyclo import Cyclotomic, _reduce
+from .cyclo_core import _cyclotomic_poly
 from .errors import MAX_DENSE_WORK, NotModular, ValidationError
 from .moddata import ModularData
 from .record import record
 
 
-# Integer coefficients c_i pack into the integer sum_i c_i 2^(width*i), so a
-# sum of polynomial products is one sum of big-integer products. No coefficient
-# of sum_t u_t v_t exceeds sum_t |u_t|_1 |v_t|_1 =: bound, so slot_width(bound)
-# keeps each in its slot, signed, as it does every input of size at most bound.
-# Slots are whole bytes: adding 2^(width-1) to every slot makes the packed
-# value a non-negative byte string, so packing and unpacking are one
-# int.to_bytes or int.from_bytes each and linear in the length.
+# Coefficients c_i pack into sum_i c_i 2^(width*i), so a sum of polynomial products is
+# one sum of big-integer products, f(2^width). For r = f reduced modulo Phi_n, f(2^width)
+# = r(2^width) modulo Phi_n(2^width), the symmetric residue once every |r_k| < 2^(width-2)
+# (ring), and two such packed values are equal exactly when their slots are. Slots are
+# whole bytes (2^(width-1) added to each is a non-negative byte string): pack is linear.
 
 def integer_coefficients(values, n: int) -> tuple[int, list[tuple[int, ...]]]:
     """(den, rows): the coefficients of each value at conductor n (which its
@@ -54,6 +43,12 @@ def integer_coefficients(values, n: int) -> tuple[int, list[tuple[int, ...]]]:
     rows = {key: tuple(c.numerator * (den // c.denominator) for c in row)
             for key, row in rows.items()}
     return den, [rows[key] for key in keys]
+
+
+def scaled(n: int, values, scale: int) -> list[tuple[int, ...]]:
+    """The coefficient rows at conductor n of values times scale (integral)."""
+    den, coeffs = integer_coefficients(values, n)
+    return [tuple(c * scale // den for c in x) for x in coeffs]
 
 
 def slot_width(bound: int) -> int:
@@ -76,31 +71,43 @@ def pack(coeffs, width: int) -> int:
     return int.from_bytes(data, "little") - _bias(len(coeffs), size)
 
 
-def unpack(value: int, width: int, n: int) -> tuple[int, ...]:
-    """Integer coefficients modulo Phi_n of a packed polynomial: its signed
-    slots, folded by x^n = 1 and reduced once."""
+def slots(value: int, width: int, count: int) -> tuple[int, ...]:
+    """The first count signed slots (each below 2^(width-1)) of a packed value."""
     size, half = width >> 3, 1 << (width - 1)
-    slots = value.bit_length() // width + 2  # enough for every signed slot
-    data = (value + _bias(slots, size)).to_bytes(slots * size, "little")
-    coeffs = [int.from_bytes(data[k:k + size], "little") - half
-              for k in range(0, len(data), size)]
-    counts = [0] * n
-    for start in range(0, slots, n):
-        block = coeffs[start:start + n]
-        counts[:len(block)] = map(add, counts, block)
-    return _reduce(n, counts)
+    data = (value + _bias(count, size)).to_bytes(count * size, "little")
+    return tuple([int.from_bytes(data[k:k + size], "little") - half
+                  for k in range(0, len(data), size)])
 
 
-def from_integers(n: int, coeffs, den: int) -> Cyclotomic:
-    """The value with coefficients coeffs / den at conductor n (reduced)."""
-    return Cyclotomic(n, tuple(Fraction(c, den) for c in coeffs) if den != 1 else coeffs)
+def ring(n: int, bound: int) -> tuple[int, tuple[int, int, int]]:
+    """(width, (Phi_n(2^width), width, n)) for sums of 1-norm at most bound: bound times
+    the largest |coefficient| of x^k reduced modulo Phi_n, k < n (x^n = 1),
+    bounds their reduced coefficients, and is at least each of Phi_n's."""
+    phi = _cyclotomic_poly(n)
+    row, top = [0] * (len(phi) - 2) + [1], 1
+    for _ in range(n - len(phi) + 1):  # x^(k+1) is x x^k less its top times Phi_n
+        row = [c - row[-1] * t for c, t in zip([0] + row[:-1], phi)]
+        top = max(top, *map(abs, row))
+    width = slot_width(bound * top)
+    return width, (pack(phi, width), width, n)
+
+
+def reduced(value: int, field: tuple[int, int, int]) -> int:
+    """A packed sum reduced modulo Phi_n: its symmetric residue modulo Phi_n(2^width).
+    Past 3072 + 64 n bits, where CPython's quadratic division was measured to lose,
+    it starts from the sum's slots, folded by x^n = 1 and reduced."""
+    modulus, width, n = field
+    if modulus.bit_length() > 3072 + 64 * n:
+        raw = slots(value, width, value.bit_length() // width + 2)
+        raw = _reduce(n, [sum(raw[k::n]) for k in range(n)])
+        value = sum(c << width * k for k, c in enumerate(raw))
+    return (value + (modulus >> 1)) % modulus - (modulus >> 1)
 
 
 @record
 class Packed:
-    """S~ and conj(S~) as integer coefficient rows at the conductor n of S~,
-    times den (ModularData._packed), and for each row i the c with
-    conj(row i) = row c, or None (duals)."""
+    """S~ and conj(S~) as integer rows at the conductor n of S~, times den, and
+    for each row i the c with conj(row i) = row c, or None (duals)."""
 
     n: int
     den: int
@@ -109,27 +116,21 @@ class Packed:
     duals: list
 
 
-def diagonal(n: int, values, scale: int) -> list[list[tuple[int, ...]]]:
-    """Upper rows (entries j >= i) of the diagonal matrix of values times scale,
-    at conductor n; scale must make them integral."""
-    den, coeffs = integer_coefficients(values, n)
-    zero = (0,) * len(coeffs[0])
-    return [[tuple(c * scale // den for c in x)] + [zero] * (len(values) - 1 - i)
-            for i, x in enumerate(coeffs)]
+def column_norms(rows) -> list[int]:
+    """The largest 1-norm in each column, counted as at least 1."""
+    return [max(1, *(sum(map(abs, c)) for c in col)) for col in zip(*rows)]
 
 
-def products(n: int, left, right):
-    """Upper rows: row i of sum_a left[i][a] right[j][a] for j >= i, reduced at
-    conductor n. Every product the checks take is symmetric or Hermitian. The
-    width comes from the column 1-norms, whose products bound every slot; each
-    norm counts as at least 1, so the bound covers every input too."""
-    norms = ([max(1, *(sum(map(abs, c)) for c in col)) for col in zip(*rows)]
-             for rows in (left, right))
-    width = slot_width(sum(map(mul, *norms)))
-    right = [[pack(c, width) for c in row] for row in right]
-    for i, row in enumerate(left):
-        row = [pack(c, width) for c in row]
-        yield [unpack(sum(map(mul, row, r)), width, n) for r in right[i:]]
+def products(n: int, left, right, *compared):
+    """(width, packed, rows): rows yields the upper rows (j >= i) of sum_a left[i][a]
+    right[j][a] over coefficient rows at conductor n (each distinct one packed once),
+    reduced: an entry is packed[t] exactly when its sum is compared[t] mod Phi_n."""
+    bound = sum(map(mul, column_norms(left), column_norms(right)))
+    width, field = ring(n, max([bound, *column_norms([compared])]))
+    packs = {c: pack(c, width) for c in {*itertools.chain(*left, *right, compared)}}
+    left, right = ([list(map(packs.__getitem__, row)) for row in rows] for rows in (left, right))
+    return width, list(map(packs.__getitem__, compared)), (
+        [reduced(sum(map(mul, row, r)), field) for r in right[i:]] for i, row in enumerate(left))
 
 
 def mirrored(upper):
@@ -162,39 +163,35 @@ def packed(md: ModularData) -> Packed:
 
 def unitary(md: ModularData) -> bool:
     p = md._packed
-    expected = diagonal(p.n, [md._gauss.d_squared] * md.rank, p.den ** 2)
-    return all(map(eq, products(p.n, p.s, p.conj), expected))
+    _, (unit,), rows = products(p.n, p.s, p.conj, *scaled(p.n, [md._gauss.d_squared], p.den ** 2))
+    return all(row == [unit] + [0] * (len(row) - 1) for row in rows)
 
 
 def conjugation(md: ModularData) -> list[int | None]:
-    """For each row i, the c with row i of S~^2 equal to D^2 e_c, or None.
-
-    With unitarity, S~ conj(S~) = D^2 I, so that row is D^2 e_c exactly when
-    conj(row i) is row c: a lookup, with no product. Otherwise the upper rows
-    of S~^2 are formed, mirrored and compared with D^2 as integer rows.
-    """
+    """For each row i, the c with row i of S~^2 equal to D^2 e_c, or None. With
+    unitarity (S~ conj(S~) = D^2 I) it is the row c equal to conj(row i), with no
+    product; otherwise S~^2 is formed, mirrored and compared with D^2 packed."""
     p = md._packed
     if md._unitary:
         return p.duals
-    unit = diagonal(p.n, [md._gauss.d_squared], p.den ** 2)[0][0]
+    _, (unit,), rows = products(p.n, p.s, p.s, *scaled(p.n, [md._gauss.d_squared], p.den ** 2))
     perm = []
-    for row in mirrored(list(products(p.n, p.s, p.s))):
-        hits = [j for j, x in enumerate(row) if any(x)]
+    for row in mirrored(list(rows)):
+        hits = [j for j, x in enumerate(row) if x]
         perm.append(hits[0] if len(hits) == 1 and row[hits[0]] == unit else None)
     return perm
 
 
 def verlinde(md: ModularData) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """N_ij^k = X_ijk / (scale D^2) with X_ijk = sum_a s[i][a] s[j][a] conj[k][a]
-    inv[a] and inv[a] = den_inv / d_a, at the conductor of S~. Where conj(row k)
-    is row c of S~ (Packed.duals), X_ijk = Y(sorted(i, j, c)) for Y the same sum
-    over rows of S~, which is symmetric; any other conj row k gets the index
-    rank + k. Entries are read in naming order (i <= j, then k), and each Y is
-    formed and checked when first read, so the first bad read names the first
-    bad entry in that order.
-    """
-    rank = md.rank
-    dims = md.s_tilde[0]
+    """N_ij^k = X_ijk / (scale D^2), X_ijk = sum_a s[i][a] s[j][a] conj[k][a] inv[a] and
+    inv[a] = den_inv / d_a, at the conductor of S~. Where conj(row k) is row c of S~
+    (Packed.duals), X_ijk = Y(sorted(i, j, c)) for Y the same sum over rows of S~, which
+    is symmetric; any other conj row k gets the index rank + k. Entries are read in
+    naming order (i <= j, then k), each Y formed and checked when first read, so the
+    first bad read names the first bad entry. X = m unit (unit = D^2 scale) exactly
+    when its reduced sum is m times unit packed and m unit fits the slots (m <= limit):
+    one exact division; slots are read only to name a failure."""
+    rank, dims = md.rank, md.s_tilde[0]
     if any(d.is_zero() for d in dims):
         raise ValidationError("zero quantum dimension")
     d_squared = md._gauss.d_squared
@@ -204,27 +201,19 @@ def verlinde(md: ModularData) -> tuple[tuple[tuple[int, ...], ...], ...]:
     dual = [rank + k if c is None else c for k, c in enumerate(p.duals)]
     # each distinct dimension is inverted once (on SU(2)_k, d_a = d_(k-a)); the
     # packed row of d_a is its unique coefficient row at p.n, whatever its conductor
-    inverses = {}
-    for d, row in zip(dims, p.s[0]):
-        if row not in inverses:
-            inverses[row] = d.inverse()
+    inverses = {row: d for d, row in zip(dims, p.s[0])}
+    inverses = {row: d.inverse() for row, d in inverses.items()}
     den_inv, inv = integer_coefficients([inverses[row] for row in p.s[0]], p.n)
     scale = p.den ** 3 * den_inv
-    unit = diagonal(p.n, [d_squared], scale)[0][0]
-    pivot = next(q for q, c in enumerate(unit) if c)
-    # weights conj[k][a] inv[a], reduced once, so each product below is 2:1 in
-    # length; row 0 (d_a) and inv[a] are nonzero, so each bound covers the inputs
-    inv_norms = [sum(map(abs, v)) for v in inv]
-    width = slot_width(max(sum(map(abs, c)) * v for row in p.conj
-                           for c, v in zip(row, inv_norms)))
-    packed_inv = [pack(v, width) for v in inv]
-    weights = [[unpack(pack(c, width) * v, width, p.n) for c, v in zip(row, packed_inv)]
-               for row in p.conj]
-    norms = ([max(sum(map(abs, c)) for c in col) for col in zip(*rows)]
-             for rows in (p.s, weights))
-    width = slot_width(sum(a * a * w for a, w in zip(*norms)))
-    s = [[pack(c, width) for c in row] for row in p.s]
-    weights = [[pack(c, width) for c in row] for row in weights]
+    unit = scaled(p.n, [d_squared], scale)[0]
+    # |X|_1 <= sum_a |s col a|^2 |conj col a| |inv[a]|_1; weights reduced once
+    norms = zip(column_norms(p.s), column_norms(p.conj), column_norms([inv]))
+    width, field = ring(p.n, max(sum(a * a * c * v for a, c, v in norms), sum(map(abs, unit))))
+    limit = ((1 << width - 2) - 1) // max(map(abs, unit))
+    unit, inv = pack(unit, width), [pack(v, width) for v in inv]
+    packs = {c: pack(c, width) for c in {*itertools.chain(*p.s, *p.conj)}}  # once per distinct row
+    weights = [[reduced(packs[c] * v, field) for c, v in zip(row, inv)] for row in p.conj]
+    s = [list(map(packs.__getitem__, row)) for row in p.s]
     found, fusion = {}, [[None] * rank for _ in range(rank)]
     for i, j in itertools.combinations_with_replacement(range(rank), 2):
         prods = list(map(mul, s[i], s[j]))
@@ -232,10 +221,11 @@ def verlinde(md: ModularData) -> tuple[tuple[tuple[int, ...], ...], ...]:
         for k, c in enumerate(dual):
             key = tuple(sorted((i, j, c)))
             if key not in found:
-                x = unpack(sum(map(mul, prods, weights[k])), width, p.n)
-                m, r = divmod(x[pivot], unit[pivot])
-                if r or m < 0 or x != tuple(m * u for u in unit):
-                    value = from_integers(p.n, x, scale) / d_squared
+                x = reduced(sum(map(mul, prods, weights[k])), field)
+                m, rest = divmod(x, unit)
+                if rest or not 0 <= m <= limit:
+                    x = (Fraction(v, scale) for v in slots(x, width, len(p.s[0][0])))
+                    value = Cyclotomic(p.n, tuple(x)) / d_squared
                     entry = f"N({i},{j})^{k}"
                     try:
                         message = f"{entry} = {value} is not a non-negative integer"
@@ -253,16 +243,19 @@ def st_cubed(md: ModularData) -> bool:
     holds exactly when S~ T S~ T S~ = p+ D^2 T^-1 (Bakalov and Kirillov,
     "Lectures on tensor categories and modular functors", 2001, 3.1). S~ is
     symmetric, so A = S~ T S~ has A_ij = sum_a st[i][a] s[j][a], and
-    (A T S~)_ij = sum_a A_ia st[j][a]; both are symmetric and formed on
-    j >= i. The comparison stops at the first bad row of A T S~."""
+    (A T S~)_ij = sum_a A_ia st[j][a]; both are symmetric and formed on j >= i.
+    A's slots size the second product, which stops at a bad row."""
     md._packed  # the work bound, checked before any product
     n, den, s, st = twisted(md)
-    a = mirrored(list(products(n, st, s)))
     target = md._gauss.p_plus * md._gauss.d_squared
     # st carries den^2 and s den, so A T S~ carries den^5, and the target's
     # denominator divides den^4
-    expected = diagonal(n, [target * t.conjugate() for t in md.twists], den ** 5)
-    return all(map(eq, products(n, a, st), expected))
+    expected = scaled(n, [target * t.conjugate() for t in md.twists], den ** 5)
+    width, _, a = products(n, st, s)
+    read = lru_cache(maxsize=None)(slots)  # A's entries repeat
+    a = mirrored([[read(x, width, len(s[0][0])) for x in row] for row in a])
+    _, expected, rows = products(n, a, st, *expected)
+    return all(row == [e] + [0] * (len(row) - 1) for row, e in zip(rows, expected))
 
 
 def twisted(md: ModularData):

@@ -89,19 +89,24 @@ class ModularData:
 
     @cached_property
     def _law(self) -> tuple[tuple[int, ...], ...] | None:
-        """The group law of pointed data: law[i][j] = k where S~_i S~_j =
-        S~_k entrywise, or None unless there is an exponent table whose row 0
-        is all exponent 0 (every d_a is 1) and whose rows are distinct and
-        closed under that product. This is the one reader of row 0 of a
-        table. Since S~ is symmetric (Drinfeld, Gelaki, Nikshych and Ostrik,
+        """The group law of pointed data (_group), or None."""
+        return None if self._group is None else self._group[0]
+
+    @cached_property
+    def _group(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
+        """(law, generators): the group law of pointed data, law[i][j] = k
+        where S~_i S~_j = S~_k entrywise, and labels that generate it; None
+        unless there is an exponent table whose row 0 is all exponent 0 (every
+        d_a is 1) and whose rows are distinct and closed under that product.
+        This is the one reader of row 0 of a table. Since S~ is symmetric (Drinfeld, Gelaki, Nikshych and Ostrik,
         "On braided fusion categories I", 2010):
 
         - the labels form a group A with unit 0;
         - every row is a distinct character of A, so the rows are orthogonal:
           unitarity holds and D^2 = rank;
         - N_ij^k = delta(k, i.j), and C(i) = i^-1;
-        - (S~ T)^3 = p+ D^2 I holds exactly when theta_(i.j) = theta_i
-          theta_j S~_ij for all i <= j (_cubed). If it does, theta_a S~_ka =
+        - (S~ T)^3 = p+ D^2 I holds exactly when theta_(i.j) = theta_i theta_j
+          S~_ij for every i and generator j (_cubed). If it does, theta_a S~_ka =
           theta_(k.a) / theta_k, so sum_a theta_a S~_ka = p+ conj(theta_k):
           that is entry (i, j) of S~ T S~ = p+ T^-1 conj(S~) T^-1 for k = i.j.
           Conversely, entry (k, 0) of that identity is sum_a theta_a S~_ka =
@@ -110,7 +115,7 @@ class ModularData:
           theta vanish, so theta = 0;
         - if it does, p+ p- = D^2 (verify_all).
 
-        So every check is a lookup in the law or rank^2 integer comparisons.
+        So every check is a lookup in the law or rank log2(rank) integer steps.
 
         Row 0 is the unit. Each label g not yet reached is a generator: its
         translation tau_g(x) = g.x is one row lookup per label x, and the
@@ -128,10 +133,11 @@ class ModularData:
             return None
         law = [None] * self.rank
         law[0] = tuple(range(self.rank))
-        reached = [0]
+        reached, generators = [0], []
         for g, row in enumerate(s):
             if law[g] is not None:
                 continue
+            generators.append(g)
             tau = [index.get(tuple(map(n.__rmod__, map(add, other, row)))) for other in s]
             if None in tau:
                 return None
@@ -145,19 +151,20 @@ class ModularData:
                         new.append(k)
                 reached += new
                 frontier = new
-        return tuple(law)
+        return tuple(law), tuple(generators)
 
     @cached_property
     def _cubed(self) -> bool | None:
-        """(S~ T)^3 = p+ D^2 I by the group law: theta_(i.j) = theta_i theta_j
-        S~_ij for all i <= j (_law), rank^2 integer comparisons; None without
-        a law."""
+        """(S~ T)^3 = p+ D^2 I by the law (None without one): theta_(x.g) = theta_x
+        theta_g S~_xg for every x and generator g. The h passing for every x hold 0
+        and are closed under the law, S~ being a bicharacter: theta_(x.h.g) = theta_x
+        theta_h theta_g S~_xh S~_xg S~_hg = theta_x theta_(h.g) S~_x(h.g)."""
         law = self._law
         if law is None:
             return None
         n, s, t = self._exponents
-        return all((t[i] + t[j] + 2 * s[i][j] - t[law[i][j]]) % (2 * n) == 0
-                   for i in range(self.rank) for j in range(i, self.rank))
+        return all((t[x] + t[g] + 2 * s[x][g] - t[law[x][g]]) % (2 * n) == 0
+                   for g in self._group[1] for x in range(self.rank))
 
     @cached_property
     def _packed(self):
@@ -394,7 +401,7 @@ def check_modular_relations(md: ModularData) -> RelationReport:
 
     Pointed data with a group law (ModularData._law) has C(i) = i^-1, and
     its cube relation holds exactly when theta_(i.j) = theta_i theta_j S~_ij
-    for all i <= j, a rank^2 integer check (ModularData._cubed). Other data takes
+    for every label i and generator j of the law (ModularData._cubed). Other data takes
     the one exact check of pointedcat.dense, S~ T S~ T S~ = p+ D^2 T^-1,
     which needs no unitarity. T[0][0] = 1 and the symmetry of S~ hold for
     every ModularData, whose construction rejects anything else.

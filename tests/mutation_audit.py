@@ -84,6 +84,11 @@ MUTANTS = [
     ("moddata", "0 <= i < md.rank and 0 <= j < md.rank", "0 <= i < md.rank and j < md.rank", None),
     ("moddata", "        if not weight.is_rational():", "        if False:", None),
     ("moddata", "        if w < 0:", "        if False:", None),
+    # _cubed checks every label against each generator of the law: a generator
+    # skipped, or row 0 alone checked
+    ("moddata", 'for g in self._group[1] for x',
+     'for g in self._group[1][1:] for x', None),
+    ("moddata", 'for x in range(self.rank))', 'for x in range(1))', None),
     # verify_all forms the fusion tensor of data without a group law
     ("moddata", "        if md._law is None:  # a group law", "        if False:  # a group law", None),
     ("links", "exponent += linking[i][i] * t[a]", "exponent += 0", None),
@@ -118,17 +123,34 @@ MUTANTS = [
     # show: the dimensions, twists and S~ of a table from its tokens
     ("show", "[value_token(k, 2 * n) for k in t]", "[value_token(k // 2, n) for k in t]", None),
     ("show", "table = None if approx else md._exponents", "table = None", None),
-    # dense: packing, products and the three dense checks
+    # dense: packing, reduction as one integer, products and the three dense checks
     ("dense", "(bound.bit_length() + 9) // 8 * 8", "(bound.bit_length() + 7) // 8 * 8", None),
-    ("dense", "for start in range(0, slots, n):", "for start in range(0, slots - n, n):", None),
-    ("dense", "width = slot_width(sum(map(mul, *norms)))", "width = slot_width(sum(next(norms)))",
-     None),
+    ("dense", "bound = sum(map(mul, column_norms(left), column_norms(right)))",
+     "bound = sum(column_norms(left))", None),
     ("dense", "[max(1, *(sum(", "[max(0, *(sum(", None),
-    ("dense", "if r or m < 0 or x !=", "if m < 0 or x !=",
-     "with r != 0, x[pivot] = m unit[pivot] + r, so x != m unit already holds"),
-    ("dense", "if r or m < 0 or x !=", "if r or x !=", None),
-    ("dense", "return all(map(eq, products(n, a, st), expected))",
-     "return next(products(n, a, st)) == expected[0]", None),
+    # the modulus Phi_n(2^width): x^n = 1 alone (2^(width n) - 1), or the
+    # slots of Phi_n one byte short
+    ("dense", "return width, (pack(phi, width), width, n)",
+     "return width, ((1 << width * n) - 1, width, n)", None),
+    ("dense", "return width, (pack(phi, width), width, n)",
+     "return width, (pack(phi, width - 8), width, n)", None),
+    # the width without the largest reduced monomial, or that read off a
+    # wrong shift of x^k
+    ("dense", "width = slot_width(bound * top)", "width = slot_width(bound)", None),
+    ("dense", "zip([0] + row[:-1], phi)", "zip([0] + row, phi)", None),
+    # a long modulus: the slots of a sum, folded by x^n = 1 or not; the slot
+    # path for every modulus, or for none (division alone)
+    ("dense", "[sum(raw[k::n]) for k in range(n)]", "list(raw[:n])", None),
+    ("dense", "if modulus.bit_length() > 3072 + 64 * n:", "if modulus.bit_length() > 0:", None),
+    ("dense", "if modulus.bit_length() > 3072 + 64 * n:", "if False:", None),
+    # the symmetric residue dropped: the residue in [0, modulus)
+    ("dense", "return (value + (modulus >> 1)) % modulus - (modulus >> 1)",
+     "return value % modulus", None),
+    ("dense", "if rest or not 0 <= m <= limit:", "if not 0 <= m <= limit:", None),
+    ("dense", "if rest or not 0 <= m <= limit:", "if rest or not m <= limit:", None),
+    ("dense", "if rest or not 0 <= m <= limit:", "if rest or not 0 <= m:", None),
+    ("dense", "return all(row == [e] + [0] * (len(row) - 1) for row, e in zip(rows, expected))",
+     "return next(rows) == [expected[0]] + [0] * (len(s) - 1)", None),
     ("dense", "    if md._unitary:\n        return p.duals", "    if True:\n        return p.duals",
      None),
     ("dense", "len(hits) == 1 and row[hits[0]] == unit", "row[hits[0]] == unit", None),

@@ -1,18 +1,20 @@
 """The packed-integer kernel against plain Cyclotomic arithmetic.
 
 The checks of pointedcat.dense (unitarity, S~^2, (S~ T)^3 and Verlinde)
-pack integer coefficients into big integers (Kronecker substitution). Each
-is compared here with a reference that multiplies and adds Cyclotomic values
-one at a time, as cyclo.dot does.
+pack integer coefficients into big integers (Kronecker substitution) and
+reduce each sum modulo Phi_n as one integer. Each is compared here with a
+reference that multiplies and adds Cyclotomic values one at a time, as
+cyclo.dot does, and the reduction with oracle.reduce_mod_phi.
 """
 
 import random
 import time
 from fractions import Fraction as F
 from math import comb, lcm
+from operator import mul
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -31,10 +33,16 @@ from pointedcat import (
     verify_all,
 )
 from pointedcat.cyclo import Cyclotomic, dot, sum_values
-from pointedcat.dense import from_integers, integer_coefficients, pack, slot_width, unpack
+from pointedcat.cyclo_core import _cyclotomic_poly
+from pointedcat.dense import integer_coefficients, pack, reduced, ring, slot_width, slots
 
 ONE = root_of_unity(0)
 BIG = 2 ** 70
+
+
+def from_integers(n, coeffs, den):
+    """The value with coefficients coeffs / den at conductor n (reduced)."""
+    return Cyclotomic(n, tuple(F(c, den) for c in coeffs))
 
 
 def values_at(n):
@@ -50,16 +58,18 @@ def values_at(n):
 
 def packed_dot(xs, ys):
     """sum_i xs[i]*ys[i] on the dense kernel: the values' integer coefficients
-    are packed, the products summed as integers, and the sum unpacked once."""
+    are packed, the products summed as integers, and the sum reduced once and
+    its slots read."""
     values = [v for pair in zip(xs, ys) for v in pair]
     n = lcm(*(v.conductor for v in values))
     den, rows = integer_coefficients(values, n)
     pairs = list(zip(rows[0::2], rows[1::2]))
     # each 1-norm counts as at least 1, so the bound covers every input too
     bound = sum(max(1, sum(map(abs, u))) * max(1, sum(map(abs, v))) for u, v in pairs)
-    width = slot_width(bound)
+    width, field = ring(n, bound)
     total = sum(pack(u, width) * pack(v, width) for u, v in pairs)
-    return from_integers(n, unpack(total, width, n), den * den)
+    phi = len(_cyclotomic_poly(n)) - 1
+    return from_integers(n, slots(reduced(total, field), width, phi), den * den)
 
 
 pair_lists = st.integers(1, 60).flatmap(
@@ -92,28 +102,120 @@ signed_rows = st.integers(1, 2 ** 80).flatmap(
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(signed_rows, st.integers(1, 60))
-@example((255, [255, -255, 0, -1, 1]), 3)  # the slot bound, at a byte boundary
-@example((2 ** 64, [-(2 ** 64)] * 9), 4)
-def test_pack_and_unpack_match_shift_loops(row, n):
+@given(signed_rows)
+@example((255, [255, -255, 0, -1, 1]))  # the slot bound, at a byte boundary
+@example((2 ** 64, [-(2 ** 64)] * 9))
+def test_pack_and_slots_match_shift_loops(row):
     bound, coeffs = row
     width = slot_width(bound)
     assert width % 8 == 0 and width >= bound.bit_length() + 2
     value = pack(coeffs, width)
     assert value == oracle.pack_by_shifts(coeffs, width)
-    folded = oracle.unpack_by_shifts(value, width, n)
-    assert unpack(value, width, n) == oracle.reduce_mod_phi(n, folded)
+    digits = oracle.unpack_by_shifts(value, width, len(coeffs))
+    assert list(slots(value, width, len(coeffs))) == digits
+    assert slots(value, width, len(coeffs) + 2) == (*coeffs, 0, 0)
 
 
-def test_pack_and_unpack_are_linear():
-    # 100k coefficients at width 40: the shift loops took 20 s to pack and 30 s to unpack
+def test_pack_and_reduced_are_linear():
+    # 100k coefficients: at width 40 the shift loops took 20 s to pack and 30 s
+    # to unpack; reduced modulo Phi_2 = x + 1 (a 1-norm of about 2^52, width 56)
     rng = random.Random(20)
     coeffs = [rng.randint(-2 ** 37, 2 ** 37) for _ in range(100_000)]
-    width = slot_width(2 ** 37)
+    width, field = ring(2, sum(map(abs, coeffs)))
     start = time.perf_counter()
-    folded = unpack(pack(coeffs, width), width, 2)  # modulo Phi_2 = x + 1
+    folded = slots(reduced(pack(coeffs, width), field), width, 1)
     assert time.perf_counter() - start < 1.0
-    assert width == 40 and folded == (sum(coeffs[0::2]) - sum(coeffs[1::2]),)
+    assert width == 56 and folded == (sum(coeffs[0::2]) - sum(coeffs[1::2]),)
+
+
+# -- reduction modulo Phi_n as one integer, against the synthetic division -----
+
+# 105 = 3 5 7 is the least n with a coefficient of Phi_n (and of some x^k
+# reduced) of 2, and 595 = 5 7 17 has an x^k reduced with a coefficient of 4,
+# more than the two spare bits of slot_width cover
+CONDUCTORS = [1, 2, 4, 8, 9, 12, 15, 36, 68, 72, 105, 595]
+
+
+def reduced_rows(n, bound):
+    """Raw coefficients of 1-norm about bound (up to 2n of them, as in a sum
+    of products of reduced rows): a multiple of Phi_n, or anything."""
+    phi = _cyclotomic_poly(n)
+
+    def times_phi(q):
+        out = [0] * (len(q) + len(phi) - 1)
+        for i, c in enumerate(q):
+            for j, t in enumerate(phi):
+                out[i + j] += c * t
+        return out
+
+    multiple = st.lists(st.integers(-3, 3), min_size=1, max_size=n + 1).filter(any).map(times_phi)
+    anything = st.lists(st.integers(-3, 3), min_size=1, max_size=2 * n).filter(any)
+    return st.one_of(multiple, anything).map(
+        lambda raw: [c * max(1, bound // sum(map(abs, raw))) for c in raw])
+
+
+# bounds at byte boundaries, and one whose Phi_n(2^width) is long enough
+# (past 3072 + 64 n bits) to be reduced from its slots
+BOUNDS = [1, 63, 2 ** 14 - 1, 2 ** 40 + 5, 2 ** 62 - 1, 2 ** 9000 + 5]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.sampled_from(CONDUCTORS).flatmap(lambda n: st.tuples(
+    st.just(n), st.sampled_from(BOUNDS).flatmap(lambda bound: reduced_rows(n, bound)))))
+@example((595, [0] * 401 + [2 ** 14 - 1]))  # a slot of 4 (2^14 - 1) once reduced
+@example((105, [0] * 48 + [-(2 ** 14 - 1)]))
+@example((12, [0] * 4 + [63, 0, -63, 0, 63]))  # 63 x^4 Phi_12 = 0 modulo Phi_12
+def test_reduced_matches_synthetic_division(case):
+    n, raw = case
+    bound = sum(map(abs, raw))  # the sum is at its bound
+    expected = oracle.reduce_mod_phi(n, raw)
+    width, field = ring(n, bound)
+    assert field == (oracle.pack_by_shifts(oracle.cyclotomic_poly(n), width), width, n)
+    x = reduced(pack(raw, width), field)  # at 2^9000 + 5, by its slots
+    event("zero" if not any(expected) else "nonzero")
+    assert slots(x, width, len(expected)) == tuple(expected)
+    assert x == pack(expected, width) and (x == 0) == (not any(expected))
+    # X = m unit exactly when the residue is m times unit packed, m unit in range
+    unit = expected if any(expected) else (1,) + (0,) * (len(expected) - 1)
+    for m in range(3):
+        target = oracle.reduce_mod_phi(n, [m * c for c in unit])
+        assert (x == m * pack(unit, width)) == (tuple(expected) == target)
+
+
+def test_long_moduli_are_reduced_from_the_slots():
+    # CPython divides in quadratic time: at n = 12 and 16k bits of Phi_n(2^w),
+    # reading, folding and reducing the slots of a sum of products was
+    # measured 8x faster than dividing it alone
+    n, width, rng = 12, 4096, random.Random(5)
+    field = (pack(_cyclotomic_poly(n), width), width, n)
+    half = field[0] >> 1
+    rows = [pack([rng.randrange(-2 ** 2000, 2 ** 2000) for _ in range(4)], width)
+            for _ in range(84)]
+    values = [sum(map(mul, rows[k:k + 7], rows[k + 7:k + 14])) for k in range(0, 84, 14)]
+
+    def best(reduce):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            out = [reduce(x) for x in values]
+            times.append(time.perf_counter() - start)
+        return min(times), out
+
+    fast, out = best(lambda x: reduced(x, field))
+    slow, expected = best(lambda x: (x + half) % field[0] - half)
+    assert out == expected
+    assert 3 * fast < slow
+
+
+def test_ring_width_covers_the_largest_reduced_monomial():
+    for n in list(range(1, 73)) + [105]:
+        top = max(max(map(abs, oracle.reduce_mod_phi(n, [0] * k + [1]))) for k in range(n))
+        for bound in (1, 63, 2 ** 14 - 1):
+            assert ring(n, bound)[0] == slot_width(bound * top), n
+    # the largest is 1 for 104, 2 for 105, 3 for 385 and 4 for 595
+    assert [ring(n, 63)[0] for n in (104, 105, 385)] == [8, 16, 16]
+    assert -4 in oracle.reduce_mod_phi(595, [0] * 401 + [1])
+    assert ring(595, 2 ** 14 - 1)[0] == slot_width(4 * (2 ** 14 - 1)) == 24
 
 
 # -- plain references -------------------------------------------------------
@@ -221,13 +323,15 @@ class TestDenseChecks:
 
     def test_unitarity_and_square(self, cases):
         # S~ conj(S~)^t against D^2 I, and the packed S~^2 that conjugation
-        # reads without unitarity, against the plain products
+        # reads without unitarity, reduced and read, against the plain products
         for md in cases:
             assert dense.unitary(md) == ref_unitary(md)
             p = md._packed
-            square = dense.mirrored(list(dense.products(p.n, p.s, p.s)))
-            assert [[from_integers(p.n, x, p.den ** 2) for x in row]
-                    for row in square] == list(map(list, ref_square(md)))
+            width, _, rows = dense.products(p.n, p.s, p.s)
+            phi = len(p.s[0][0])
+            square = [[from_integers(p.n, slots(x, width, phi), p.den ** 2) for x in row]
+                      for row in dense.mirrored(list(rows))]
+            assert square == list(map(list, ref_square(md)))
 
     def test_conjugation(self, cases):
         # the unitary lookup and the formed S~^2 against the plain S~^2
@@ -269,10 +373,12 @@ class TestDenseChecks:
         assert [c.name for c in verify_all(md).checks if not c.passed] == ["st_cubed"]
         assert dense.st_cubed(md) is ref_st_cubed(md) is False
         n, den, s, st = dense.twisted(md)
-        a = dense.mirrored(list(dense.products(n, st, s)))
+        width, _, a = dense.products(n, st, s)
+        a = dense.mirrored([[slots(x, width, len(s[0][0])) for x in row] for row in a])
         target = md._gauss.p_plus * md._gauss.d_squared
-        expected = dense.diagonal(n, [target * t.conjugate() for t in md.twists], den ** 5)
-        assert [row == want for row, want in zip(dense.products(n, a, st), expected)] == \
+        expected = dense.scaled(n, [target * t.conjugate() for t in md.twists], den ** 5)
+        _, expected, rows = dense.products(n, a, st, *expected)
+        assert [row == [want] + [0] * (len(row) - 1) for row, want in zip(rows, expected)] == \
             [True, True, False, False, False, False]
 
     def test_zero_side_leaves_room_for_the_other(self):
@@ -286,13 +392,14 @@ class TestDenseChecks:
         assert dense.st_cubed(md) is ref_st_cubed(md) is True
 
     def test_products_form_the_upper_triangle_only(self, su2, monkeypatch):
-        # S~ conj(S~)^t, S~^2, S~ T S~ and S~ T S~ T S~ are symmetric or Hermitian
+        # S~ conj(S~)^t, S~^2, S~ T S~ and S~ T S~ T S~ are symmetric or Hermitian;
+        # each sum the kernel forms is reduced once
         md = su2(6)
         pair = with_pair_one(md)  # S~^2 is formed only without unitarity
         r = md.rank
-        md._packed, pair._packed  # packing converts coefficients, with no unpack
+        md._packed, pair._packed  # packing converts coefficients, with no sum
         assert not pair._unitary
-        calls = counting(monkeypatch, dense, "unpack")
+        calls = counting(monkeypatch, dense, "reduced")
         assert dense.unitary(md)
         assert len(calls) == r * (r + 1) // 2
         del calls[:]
@@ -302,6 +409,19 @@ class TestDenseChecks:
         assert dense.st_cubed(md)
         assert len(calls) == r * (r + 1)
 
+    def test_passing_data_reads_no_decided_entry(self, su2, monkeypatch):
+        # a passing SU(2)_16 verify decides every entry of unitarity, Verlinde
+        # and the cube on its reduced integer, each sum reduced once; slots
+        # reads only the entries of S~ T S~, each distinct one once, whose
+        # 1-norms size the second cube product
+        md = parse(serialize(su2(16)))
+        sums = counting(monkeypatch, dense, "reduced")
+        reads = counting(monkeypatch, dense, "slots")
+        assert verify_all(md).passed
+        r = md.rank
+        assert len(sums) == r * (r + 1) // 2 + comb(r + 2, 3) + r * r + r * (r + 1)
+        assert len(set(reads)) == len(reads) < r * (r + 1) // 2
+
     def test_cube_check_alone_is_work_bounded(self, su2, monkeypatch):
         # S~_ij (i, j >= 1) times 10^4000 + 7: 53 s of dense work, refused by
         # the cube check before any product when it is the first dense call
@@ -309,7 +429,7 @@ class TestDenseChecks:
         rows = tuple(tuple(x if 0 in (i, j) else x * f for j, x in enumerate(row))
                      for i, row in enumerate(md.s_tilde))
         scaled = ModularData(rank=md.rank, s_tilde=rows, twists=md.twists)
-        calls = counting(monkeypatch, dense, "unpack")
+        calls = counting(monkeypatch, dense, "reduced")
         with pytest.raises(ValidationError, match="exceeds the bound 2500000000"):
             dense.st_cubed(scaled)
         assert calls == []
@@ -359,10 +479,10 @@ class TestSymmetricVerlinde:
         duals = md._packed.duals
         assert None not in duals and duals != list(range(md.rank))  # C is not the identity
         expected = ref_verlinde(md)
-        unpacks = counting(monkeypatch, dense, "unpack")
+        sums = counting(monkeypatch, dense, "reduced")
         assert dense.verlinde(md) == expected
         # one sum per i <= j <= k, and one reduction per weight S~_ka / d_a
-        assert len(unpacks) == comb(md.rank + 2, 3) + md.rank ** 2
+        assert len(sums) == comb(md.rank + 2, 3) + md.rank ** 2
         assert verify_all(fresh(md)).passed
 
     def test_conj_rows_are_rows_but_fusion_is_not_integral(self, monkeypatch):
@@ -373,10 +493,10 @@ class TestSymmetricVerlinde:
         assert md._packed.duals == [0, 1]
         expected = (NotModular, "N(1,1)^1 = 3/2 is not a non-negative integer")
         assert outcome(ref_verlinde, md) == expected
-        unpacks = counting(monkeypatch, dense, "unpack")
+        sums = counting(monkeypatch, dense, "reduced")
         assert outcome(dense.verlinde, md) == expected
         # one reduction per weight, then one sum per sorted triple up to (1, 1, 1)
-        assert len(unpacks) == 4 + comb(4, 3)
+        assert len(sums) == 4 + comb(4, 3)
 
     def test_conj_rows_that_are_no_rows(self, z3, monkeypatch):
         # S~_12 = S~_21 = 1 in Z/3: conj(row 1) and conj(row 2) are no rows of S~
@@ -386,11 +506,11 @@ class TestSymmetricVerlinde:
         assert md._packed.duals == [0, None, None]
         expected = outcome(ref_verlinde, md)
         assert expected == (NotModular, "N(0,0)^1 = 2/3+1/3*e(1/3) is not a non-negative integer")
-        unpacks = counting(monkeypatch, dense, "unpack")
+        sums = counting(monkeypatch, dense, "reduced")
         assert outcome(dense.verlinde, md) == expected
         r, e = md.rank, 2
-        assert len(unpacks) <= r * (r + e) + comb(r + 2, 3) + e * comb(r + 1, 2)
-        assert len(unpacks) == r * r + 2  # the weights, then (0, 0)^0 and (0, 0)^1
+        assert len(sums) <= r * (r + e) + comb(r + 2, 3) + e * comb(r + 1, 2)
+        assert len(sums) == r * r + 2  # the weights, then (0, 0)^0 and (0, 0)^1
 
     @pytest.mark.parametrize("corrupt", ["pair", "doubled"])
     def test_failing_su2_8_forms_each_sum_once(self, su2, monkeypatch, corrupt):
@@ -406,9 +526,9 @@ class TestSymmetricVerlinde:
         assert md._packed.duals == list(range(md.rank))
         expected = outcome(ref_verlinde, md)
         assert expected[0] is NotModular and expected[1].startswith("N(0,0)^1 = ")
-        unpacks = counting(monkeypatch, dense, "unpack")
+        sums = counting(monkeypatch, dense, "reduced")
         assert outcome(dense.verlinde, md) == expected
-        assert len(unpacks) == 83
+        assert len(sums) == 83
 
     def test_first_bad_entry_is_named_after_a_symmetric_failure(self, z3):
         # R is orthogonal with R^2 = 9 I, but sum_a R_1a^3 / d_a = 9/2. In R ⊠ Z3,
@@ -425,6 +545,15 @@ class TestSymmetricVerlinde:
                          twists=tuple(md.twists[a] for a in order))
         assert md._packed.duals == [0, 2, 1, 4, 3, 5, 6, 8, 7] and md._unitary
         expected = (NotModular, "N(3,3)^4 = 1/2 is not a non-negative integer")
+        assert outcome(ref_verlinde, md) == expected
+        assert outcome(dense.verlinde, md) == expected
+
+    def test_an_entry_d2_times_a_root_of_unity_is_no_integer(self):
+        # S~_11 = -1 - 2i: X(0,0,1) = 1 + conj(S~_11) = 2i is D^2 i, whose
+        # reduced sum is exactly 2^width times D^2 packed, past the slots
+        x = Cyclotomic.from_rational(-1) - 2 * root_of_unity(F(1, 4))
+        md = ModularData(rank=2, s_tilde=((ONE, ONE), (ONE, x)), twists=(ONE, ONE))
+        expected = (NotModular, "N(0,0)^1 = e(1/4) is not a non-negative integer")
         assert outcome(ref_verlinde, md) == expected
         assert outcome(dense.verlinde, md) == expected
 

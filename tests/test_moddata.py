@@ -576,9 +576,9 @@ class TestVerifyAll:
             calls["sum_values"] += 1
             return sum_values(values)
 
-        def counting_squares(n, left, right):
+        def counting_squares(n, left, right, *compared):
             calls["square"] += left is right  # S~ S~, the only product of a matrix with itself
-            return products(n, left, right)
+            return products(n, left, right, *compared)
 
         monkeypatch.setattr(moddata, "GaussData", counting_gauss)
         monkeypatch.setattr(cyclo, "sum_values", counting_sums)
