@@ -8,7 +8,8 @@ package can be checked with zero numerical tolerance.
 
 Each operation has one exact code path: it embeds the operands at the least
 common conductor, combines them there and reduces once modulo Phi_N
-(``_reduce``). Results keep that conductor (no aggressive reduction), except
+(``_reduce``); an inverse is a cofactor over an integer norm, formed on packed
+rows within a work bound (dense.inverse_work). Results keep their conductor, except
 that values which turn out rational are normalised to conductor 1. The one tag
 on a value, ``_root``, is the memo of ``root_exponent``: no operation reads
 it. The hot checks run on integer exponent tables or packed integers instead;
@@ -26,7 +27,7 @@ from functools import lru_cache
 from math import lcm, tau
 
 from . import cyclo_core
-from .cyclo_core import _cyclotomic_poly, _monomial, _reduce
+from .cyclo_core import _monomial, _reduce
 from .errors import check_conductor, quoted
 
 
@@ -78,13 +79,6 @@ class Cyclotomic:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _embed_raw(self, n: int, raw: list) -> None:
-        # Scatter this value into a raw length-n buffer at conductor n.
-        stride = n // self._conductor
-        for j, c in enumerate(self._coeffs):
-            if c:
-                raw[j * stride] += c
-
     def __add__(self, other) -> "Cyclotomic":
         other = _coerce(other)
         if other is NotImplemented:
@@ -126,22 +120,24 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def conjugate(self) -> "Cyclotomic":
-        """Complex conjugate; on roots of unity, e(q) -> e(-q)."""
+        """Complex conjugate, sigma_(-1); on roots of unity, e(q) -> e(-q)."""
         if self.is_rational():
             return self
-        n = self._conductor
-        raw = [0] * n
-        for j, c in enumerate(self._coeffs):
-            if c:
-                raw[(n - j) % n] += c
-        return Cyclotomic(n, _reduce(n, raw))
+        return Cyclotomic(self._conductor, _galois(self._conductor, self._coeffs, -1))
 
     def inverse(self) -> "Cyclotomic":
+        """c / (content N) for self = content y, y c = N (dense.norm_cofactor), or
+        ValidationError if its estimated work (dense.inverse_work) exceeds MAX_DENSE_WORK."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
         if self.is_rational():
             return Cyclotomic.from_rational(1 / Fraction(self._coeffs[0]))
-        return _field_inverse(self)
+        from . import dense  # only Verlinde, fusion weights and division invert
+
+        work, content, y = dense.inverse_work(self)
+        dense.bounded("inverse", work)
+        cofactor, norm = dense.norm_cofactor(self._conductor, y)
+        return Cyclotomic(self._conductor, tuple(c / (content * norm) for c in cofactor))
 
     def __truediv__(self, other) -> "Cyclotomic":
         other = _coerce(other)
@@ -208,44 +204,18 @@ def root_of_unity(q: Fraction | int) -> Cyclotomic:
     return x
 
 
-def _field_inverse(x: Cyclotomic) -> Cyclotomic:
-    # Extended Euclid over Q[t] against Phi_n; Phi_n is irreducible, so any
-    # nonzero residue is invertible and the final remainder is a constant.
-    n = x.conductor
-    r0 = [Fraction(c) for c in _cyclotomic_poly(n)]
-    r1 = [Fraction(c) for c in x._coeffs]
-    t0: list[Fraction] = [Fraction(0)]
-    t1: list[Fraction] = [Fraction(1)]
+def _scatter(raw: list, coeffs, k: int) -> list:
+    """raw plus sum_j c_j x^(jk), with x^n = 1 for n = len(raw)."""
+    n = len(raw)
+    for j, c in enumerate(coeffs):
+        if c:
+            raw[j * k % n] += c
+    return raw
 
-    def trim(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
 
-    r0, r1 = trim(r0), trim(r1)
-    while len(r1) > 1:
-        q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-        rem = list(r0)
-        for k in range(len(rem) - 1, len(r1) - 2, -1):
-            c = rem[k] / r1[-1]
-            if c:
-                q[k - (len(r1) - 1)] = c
-                for i, t in enumerate(r1):
-                    rem[k - (len(r1) - 1) + i] -= c * t
-        rem = trim(rem)
-        new_t = list(t0) + [Fraction(0)] * max(0, len(q) + len(t1) - 1 - len(t0))
-        for i, qc in enumerate(q):
-            if qc:
-                for j, tc in enumerate(t1):
-                    new_t[i + j] -= qc * tc
-        r0, r1 = r1, rem if rem else [Fraction(0)]
-        t0, t1 = t1, trim(new_t) or [Fraction(0)]
-    g = r1[0]
-    inv = [c / g for c in t1]
-    raw = [Fraction(0)] * n
-    for i, c in enumerate(inv):
-        raw[i % n] += c  # inv may exceed degree phi(n); fold via zeta^n = 1
-    return Cyclotomic(n, _reduce(n, raw))
+def _galois(n: int, coeffs, k: int) -> tuple:
+    """sum_j c_j zeta_n^(jk) at n: sigma_k, or for k = n/m and a row at m, its value at n."""
+    return _reduce(n, _scatter([0] * n, coeffs, k))
 
 
 def sum_values(values) -> Cyclotomic:
@@ -254,7 +224,7 @@ def sum_values(values) -> Cyclotomic:
     n = lcm(*(v._conductor for v in values))
     raw = [0] * n
     for v in values:
-        v._embed_raw(n, raw)
+        _scatter(raw, v._coeffs, n // v._conductor)
     return Cyclotomic(n, _reduce(n, raw))
 
 

@@ -5,16 +5,17 @@ and conj(S~) as integer rows at the conductor of S~ (Packed, the one dense cache
 ModularData), S~ and S~T at the lcm with T's for (S~ T)^3 (twisted). Each check sums
 products of packed rows (pack), decides each entry on its sum reduced as one integer
 (reduced), and forms only the entries j >= i of its symmetric or Hermitian products.
+Exact inverses in Q(zeta_n) multiply packed rows too, down a tower of norms (norm_cofactor).
 """
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
-from .cyclo import Cyclotomic, _reduce
-from .cyclo_core import _cyclotomic_poly
+from .cyclo import Cyclotomic, _galois, _reduce
+from .cyclo_core import _cyclotomic_poly, _descend, _prime_divisors
 from .errors import MAX_DENSE_WORK, NotModular, ValidationError
 from .moddata import ModularData
 from .record import record
@@ -33,12 +34,7 @@ def integer_coefficients(values, n: int) -> tuple[int, list[tuple[int, ...]]]:
     keys = [(v._conductor, v._coeffs) for v in values]
     rows = dict.fromkeys(keys)
     for conductor, coeffs in rows:
-        row = coeffs
-        if conductor != n:
-            row = [0] * n
-            Cyclotomic(conductor, coeffs)._embed_raw(n, row)
-            row = _reduce(n, row)
-        rows[conductor, coeffs] = row
+        rows[conductor, coeffs] = coeffs if conductor == n else _galois(n, coeffs, n // conductor)
     den = lcm(*(c.denominator for row in rows.values() for c in row))
     rows = {key: tuple(c.numerator * (den // c.denominator) for c in row)
             for key, row in rows.items()}
@@ -77,6 +73,55 @@ def slots(value: int, width: int, count: int) -> tuple[int, ...]:
     data = (value + _bias(count, size)).to_bytes(count * size, "little")
     return tuple([int.from_bytes(data[k:k + size], "little") - half
                   for k in range(0, len(data), size)])
+
+
+def _times(n: int, x, y) -> tuple:
+    # one big-integer product of rows at conductor n, folded by x^n = 1 and reduced
+    width = slot_width(sum(map(abs, x)) * sum(map(abs, y)))
+    raw = slots(pack(x, width) * pack(y, width), width, len(x) + len(y) - 1)
+    return _reduce(n, [sum(raw[k::n]) for k in range(n)])
+
+
+def norm_cofactor(n: int, y) -> tuple[tuple, int]:
+    """(c, N) with y c = N, a nonzero integer, for a nonzero integer row y at conductor n.
+    For the largest prime p | n and m = n/p, K = Gal(Q(zeta_n)/Q(zeta_m)), the kernel of
+    (Z/n)^x -> (Z/m)^x, is cyclic: if p | m, (1 + m)^j = 1 + jm mod n, so g = 1 + m has
+    order |K| = p; else (Z/n)^x = (Z/m)^x (Z/p)^x (CRT), and g = 1 mod m, r mod p, for r a
+    primitive root mod p, has order p - 1. So for c = P_(|K|-1), P_a = prod_(0<j<=a)
+    sigma_(g^j)(y), y c is the norm of y to Q(zeta_m), fixed by K and nonzero: _descend
+    writes it at m, where y c c' = N follows (c' embedded by zeta_m = zeta_n^p). By doubling,
+    P_2a = P_a sigma_(g^a)(P_a) and P_(2a+1) = P_2a sigma_(g^(2a+1))(y). At n <= 2, y = (N,)."""
+    if n <= 2:
+        return (1,), y[0]
+    p = _prime_divisors(n)[-1]
+    m, g, order = n // p, 1 + n // p, p
+    if m % p:
+        qs = _prime_divisors(p - 1)
+        r = next(r for r in range(2, p) if all(pow(r, (p - 1) // q, p) != 1 for q in qs))
+        g, order = 1 + m * ((r - 1) * pow(m, -1, p) % p), p - 1
+    c, a = _galois(n, y, g), 1  # P_a
+    for bit in bin(order - 1)[3:]:
+        c, a = _times(n, c, _galois(n, c, pow(g, a, n))), 2 * a
+        if bit == "1":
+            c, a = _times(n, c, _galois(n, y, pow(g, a + 1, n))), a + 1
+    lower, norm = norm_cofactor(m, _descend(n, _times(n, y, c), p))
+    return _times(n, c, _galois(n, lower, p)), norm
+
+
+def inverse_work(x: Cyclotomic) -> tuple[int, Fraction, list[int]]:
+    """(work, content, y): x = content y, y a row of coprime integers, and the estimated work
+    of x.inverse(): 20 L isqrt(L) for the L = phi(n)^2 b / 64 words of its cofactor and largest
+    products, b the bits of |y|_1, fitted at the primes near MAX_CONDUCTOR."""
+    num, den = zip(*(c.as_integer_ratio() for c in x._coeffs))
+    content = Fraction(gcd(*num), lcm(*den))
+    y = [int(c / content) for c in x._coeffs]
+    words = len(y) ** 2 * sum(map(abs, y)).bit_length() // 64 + 1
+    return 20 * words * isqrt(words), content, y
+
+
+def bounded(what: str, work: int) -> None:
+    if work > MAX_DENSE_WORK:
+        raise ValidationError(f"estimated {what} work {work} exceeds the bound {MAX_DENSE_WORK}")
 
 
 def ring(n: int, bound: int) -> tuple[int, tuple[int, int, int]]:
@@ -140,8 +185,8 @@ def mirrored(upper):
 
 def packed(md: ModularData) -> Packed:
     """S~ and conj(S~) of md as integer coefficient rows at the conductor of S~;
-    ValidationError if the estimated work of every dense check, the cube check
-    at the lcm conductor of S~ and T included, exceeds MAX_DENSE_WORK."""
+    ValidationError if the estimated work of every dense check (the cube check at
+    the lcm conductor of S~ and T, and Verlinde's inverses) exceeds MAX_DENSE_WORK."""
     rank = md.rank
     values = list(itertools.chain(*md.s_tilde))
     n = lcm(*(x.conductor for x in values))
@@ -152,9 +197,9 @@ def packed(md: ModularData) -> Packed:
     # w: 64-bit words of the largest packed coefficient, den included
     top = max(den, max(map(abs, itertools.chain.from_iterable(coeffs))))
     w = max(1, (top.bit_length() + 63) // 64)
-    work = rank ** 4 * (n_all + 4) * w * isqrt(w)
-    if work > MAX_DENSE_WORK:
-        raise ValidationError(f"estimated dense work {work} exceeds the bound {MAX_DENSE_WORK}")
+    bounded("dense", rank ** 4 * (n_all + 4) * w * isqrt(w))
+    dims = dict(zip(coeffs[:rank], md.s_tilde[0]))  # as verlinde inverts them
+    bounded("inverse", sum(inverse_work(d)[0] for d in dims.values() if not d.is_rational()))
     rows = [tuple(coeffs[k:k + rank]) for k in range(0, len(coeffs), rank)]
     s, conj = tuple(rows[:rank]), tuple(rows[rank:])
     index = {row: c for c, row in enumerate(s)}
@@ -201,8 +246,7 @@ def verlinde(md: ModularData) -> tuple[tuple[tuple[int, ...], ...], ...]:
     dual = [rank + k if c is None else c for k, c in enumerate(p.duals)]
     # each distinct dimension is inverted once (on SU(2)_k, d_a = d_(k-a)); the
     # packed row of d_a is its unique coefficient row at p.n, whatever its conductor
-    inverses = {row: d for d, row in zip(dims, p.s[0])}
-    inverses = {row: d.inverse() for row, d in inverses.items()}
+    inverses = {row: d.inverse() for row, d in dict(zip(p.s[0], dims)).items()}
     den_inv, inv = integer_coefficients([inverses[row] for row in p.s[0]], p.n)
     scale = p.den ** 3 * den_inv
     unit = scaled(p.n, [d_squared], scale)[0]
@@ -224,12 +268,13 @@ def verlinde(md: ModularData) -> tuple[tuple[tuple[int, ...], ...], ...]:
                 x = reduced(sum(map(mul, prods, weights[k])), field)
                 m, rest = divmod(x, unit)
                 if rest or not 0 <= m <= limit:
-                    x = (Fraction(v, scale) for v in slots(x, width, len(p.s[0][0])))
-                    value = Cyclotomic(p.n, tuple(x)) / d_squared
                     entry = f"N({i},{j})^{k}"
-                    try:
+                    try:  # X / (scale D^2), for row / den = 1 / D^2
+                        den, (row,) = integer_coefficients([d_squared.inverse()], p.n)
+                        x = _times(p.n, slots(x, width, len(row)), row)
+                        value = Cyclotomic(p.n, tuple(Fraction(v, scale * den) for v in x))
                         message = f"{entry} = {value} is not a non-negative integer"
-                    except ValidationError as exc:  # too many digits to print
+                    except ValidationError as exc:  # 1/D^2 beyond its bound, or too many digits
                         message = f"{entry} is not a non-negative integer ({exc})"
                     raise NotModular(message)
                 found[key] = m
@@ -266,12 +311,10 @@ def twisted(md: ModularData):
     exponents = [t.root_exponent() for t in md.twists]
     n = lcm(*(x.conductor for x in values), *(q.denominator for q in exponents))
     den, coeffs = integer_coefficients(values, n)
-    # S~_ia theta_a with theta_a = e(t/n): the coefficients rotated by t places
-    # (x^n = 1), then reduced
+    # S~_ia e(t_a/n): the row rotated by t_a places (x^n = 1), reduced once per (row, t_a)
     t = [q.numerator * (n // q.denominator) for q in exponents]
-    st = []
-    for k, x in enumerate(coeffs):
-        raw, shift = list(x) + [0] * (n - len(x)), t[k % rank]
-        st.append(tuple(den * c for c in _reduce(n, raw[-shift:] + raw[:-shift])))
+    keys = [(x + (0,) * (n - len(x)), t[k % rank]) for k, x in enumerate(coeffs)]
+    st = {(x, s): tuple(den * c for c in _reduce(n, x[-s:] + x[:-s])) for x, s in set(keys)}
+    st = [st[key] for key in keys]
     s, st = ([rows[k:k + rank] for k in range(0, len(rows), rank)] for rows in (coeffs, st))
     return n, den, s, st

@@ -35,7 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 FIRST = {"serialization": ("test_serialization.py",),
          "moddata": ("test_serialization.py", "test_moddata.py", "test_links.py"),
          "values": ("test_serialization.py", "test_moddata.py"), "links": ("test_links.py",),
-         "dense": ("test_kernel.py",), "cli": ("test_cli.py",), "show": ("test_cli.py",),
+         "dense": ("test_kernel.py", "test_cyclo.py"), "cli": ("test_cli.py",),
+         "show": ("test_cli.py",),
          "cyclo": ("test_cyclo.py",), "cyclo_core": ("test_cyclo.py", "test_moddata.py"),
          "gauss": ("test_moddata.py", "test_cli.py"),
          "lattice": ("test_lattice.py",), "enumeration": ("test_enumeration.py",)}
@@ -140,7 +141,8 @@ MUTANTS = [
     ("dense", "zip([0] + row[:-1], phi)", "zip([0] + row, phi)", None),
     # a long modulus: the slots of a sum, folded by x^n = 1 or not; the slot
     # path for every modulus, or for none (division alone)
-    ("dense", "[sum(raw[k::n]) for k in range(n)]", "list(raw[:n])", None),
+    ("dense", "raw = _reduce(n, [sum(raw[k::n]) for k in range(n)])",
+     "raw = _reduce(n, list(raw[:n]))", None),
     ("dense", "if modulus.bit_length() > 3072 + 64 * n:", "if modulus.bit_length() > 0:", None),
     ("dense", "if modulus.bit_length() > 3072 + 64 * n:", "if False:", None),
     # the symmetric residue dropped: the residue in [0, modulus)
@@ -154,8 +156,38 @@ MUTANTS = [
     ("dense", "    if md._unitary:\n        return p.duals", "    if True:\n        return p.duals",
      None),
     ("dense", "len(hits) == 1 and row[hits[0]] == unit", "row[hits[0]] == unit", None),
-    ("dense", "raw[-shift:] + raw[:-shift]", "raw[shift:] + raw[:shift]", None),
+    ("dense", "x[-s:] + x[:-s]", "x[s:] + x[:s]", None),
     ("dense", "if any(d.is_zero() for d in dims):", "if False:", None),
+    # dense.norm_cofactor, the exact inverse: one conjugate dropped from c, a
+    # wrong doubling exponent, the odd step skipped, the cofactor of the lower
+    # level left out, 2 taken for a primitive root, the smallest prime of n
+    # taken, g not 1 mod m, and a packed product one slot short or too narrow
+    ("dense", "bin(order - 1)[3:]", "bin(order - 2)[3:]", None),
+    ("dense", "_galois(n, c, pow(g, a, n))", "_galois(n, c, pow(g, a // 2 + 1, n))", None),
+    ("dense", '        if bit == "1":\n', "        if False:\n", None),
+    ("dense", "return _times(n, c, _galois(n, lower, p)), norm", "return c, norm", None),
+    ("dense", "r = next(r for r in range(2, p) if", "r = 2 or next(r for r in range(2, p) if",
+     None),
+    ("dense", "p = _prime_divisors(n)[-1]", "p = _prime_divisors(n)[0]", None),
+    ("dense", "g, order = 1 + m * ((r - 1) * pow(m, -1, p) % p), p - 1", "g, order = r, p - 1",
+     None),
+    ("dense", "width, len(x) + len(y) - 1)", "width, len(x) + len(y) - 2)", None),
+    ("dense", "slot_width(sum(map(abs, x)) * sum(map(abs, y)))",
+     "slot_width(max(map(abs, x)) * max(map(abs, y)))", None),
+    # dense.inverse_work: the content of x kept in its row, the work estimated
+    # for one coefficient in place of phi(n), and Verlinde's inverses left out
+    # of the bound checked before any check runs
+    ("dense", "content = Fraction(gcd(*num), lcm(*den))", "content = Fraction(1, lcm(*den))",
+     None),
+    ("dense", "len(y) ** 2 * sum", "len(y) * sum", None),
+    ("dense", '    bounded("inverse", sum(inverse_work(d)[0] for d in dims.values() if not',
+     '    (sum(inverse_work(d)[0] for d in dims.values() if not', None),
+    # a Verlinde failure named as X / (scale D^2): the row of 1/D^2, its
+    # denominator or the scale left out
+    ("dense", "x = _times(p.n, slots(x, width, len(row)), row)",
+     "x = slots(x, width, len(row))", None),
+    ("dense", "Fraction(v, scale * den)", "Fraction(v, scale)", None),
+    ("dense", "Fraction(v, scale * den)", "Fraction(v, den)", None),
     # cli.entry: the output must be complete, and the code kept, before os._exit
     ("cli", "        sys.stdout.flush()\n", "", None),
     ("cli", "os._exit(code)", "os._exit(0)", None),
@@ -174,7 +206,12 @@ MUTANTS = [
     # cyclo: the root memo of format_value, coercion and the rational cases
     ("cyclo", "if q is not None and not x.is_rational():", "if q is not None:", None),
     ("cyclo", "isinstance(value, (int, Fraction))", "isinstance(value, int)", None),
-    ("cyclo", "raw[(n - j) % n] += c", "raw[j] += c", None),
+    # cyclo: conjugation as sigma_(-1), the Galois index map, and the inverse
+    # divided by the content of the value
+    ("cyclo", "_galois(self._conductor, self._coeffs, -1)",
+     "_galois(self._conductor, self._coeffs, 1)", None),
+    ("cyclo", "raw[j * k % n] += c", "raw[j * k % n - 1] += c", None),
+    ("cyclo", "c / (content * norm)", "c / norm", None),
     ("cyclo", "Cyclotomic.from_rational(1 / Fraction(self._coeffs[0]))",
      "Cyclotomic.from_rational(Fraction(self._coeffs[0]))", None),
     ("cyclo", "        if not self.is_rational():\n            raise", "        if False:\n            raise",

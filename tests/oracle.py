@@ -7,7 +7,8 @@ direct enumeration, group laws by one row lookup per pair of labels, Gauss
 sums by one sum over the values,
 canonical forms by trying every relabeling, cyclotomic polynomials by dense
 division, minimal conductors by Fraction Gauss-Jordan
-elimination, and packed integers by one shift per coefficient. Of these,
+elimination, inverses by the extended Euclid over Q[x] against Phi_n, and
+packed integers by one shift per coefficient. Of these,
 only classify_each and direct_sum call the package under test: the first is
 the per-matrix classification loop, which classify's cache per exponent
 table must reproduce, and the second validates its block matrix with
@@ -365,6 +366,48 @@ def minimal_conductor_form(n, coeffs):
                 n, coeffs, changed = n // p, smaller, True
                 break
     return n, tuple(coeffs)
+
+
+def field_inverse(x):
+    """x^-1 for a nonzero x by the extended Euclid over Q[t] against Phi_n, in
+    Fractions: Phi_n is irreducible, so any nonzero residue is invertible and
+    the final remainder is a constant. Its coefficients blow up with n (36.9 s
+    for one value at n = 256), so tests call it at small conductors only."""
+    n = x.conductor
+    r0 = [Fraction(c) for c in cyclotomic_poly(n)]
+    r1 = [Fraction(c) for c in x._coeffs]
+    t0: list[Fraction] = [Fraction(0)]
+    t1: list[Fraction] = [Fraction(1)]
+
+    def trim(p):
+        while p and not p[-1]:
+            p.pop()
+        return p
+
+    r0, r1 = trim(r0), trim(r1)
+    while len(r1) > 1:
+        q = [Fraction(0)] * (len(r0) - len(r1) + 1)
+        rem = list(r0)
+        for k in range(len(rem) - 1, len(r1) - 2, -1):
+            c = rem[k] / r1[-1]
+            if c:
+                q[k - (len(r1) - 1)] = c
+                for i, t in enumerate(r1):
+                    rem[k - (len(r1) - 1) + i] -= c * t
+        rem = trim(rem)
+        new_t = list(t0) + [Fraction(0)] * max(0, len(q) + len(t1) - 1 - len(t0))
+        for i, qc in enumerate(q):
+            if qc:
+                for j, tc in enumerate(t1):
+                    new_t[i + j] -= qc * tc
+        r0, r1 = r1, rem if rem else [Fraction(0)]
+        t0, t1 = t1, trim(new_t) or [Fraction(0)]
+    g = r1[0]
+    inv = [c / g for c in t1]
+    raw = [Fraction(0)] * n
+    for i, c in enumerate(inv):
+        raw[i % n] += c  # inv may exceed degree phi(n); fold via zeta^n = 1
+    return Cyclotomic(n, reduce_mod_phi(n, raw))
 
 
 # -- test data ----------------------------------------------------------------

@@ -206,6 +206,53 @@ class TestVerify:
             "check: st_cubed fail: (S~ T)^3 = p+ D^2 I\n"
             "result: fail\n")
 
+    def test_failure_at_conductor_256_is_named_quickly(self, tmp_path, capsys):
+        # Naming the non-integral N(0,0)^0 divides by D^2 = 1 + |S~_01|^2 at
+        # conductor 256, which the extended Euclid over Q[x] took 34-48 s to
+        # invert; the report is 38855 bytes, nearly all of it that entry
+        entry = "-1*e(11/256)+2*e(23/256)+2*e(3/16)+-3*e(107/256)+-2*e(7/16)"
+        path = tmp_path / "c256.data"
+        path.write_text(f"kind: modular_data\nrank: 2\ns_tilde: 1, {entry}; {entry}, -1\n"
+                        "twists: e(0/1), e(1/4)\n")
+        start = time.perf_counter()
+        assert main(["verify", "--data", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr().out
+        assert out.splitlines()[:3] == ["kind: report", "check: gauss_identity fail: p+ p- = D^2",
+                                        "check: unitarity fail: S~ conj(S~)^t = D^2 I"]
+        assert len(out.encode()) == 38855 and hashlib.sha256(out.encode()).hexdigest() == (
+            "f12d14873c51a79db92897d8ad6e7469ec8c05f1665aeaeba5dfcb4ff806ae17")
+
+    def test_a_scaled_root_at_a_large_prime_ends_within_the_bound(self, tmp_path, capsys):
+        # d_1 = 10^100 e(1/1021) is inverted as the root e(1/1021), its primitive
+        # row; D^2 = 1 + 10^200 e(2/1021) is beyond the inverse's work bound, so
+        # the bad entry is named without its value. At full size the descent on
+        # d_1 would multiply integers of about 40 MB; the report took 0.2-0.7 s.
+        big = "1" + "0" * 100 + "*e(1/1021)"
+        path = tmp_path / "big.data"
+        path.write_text(f"kind: modular_data\nrank: 2\ns_tilde: 1, {big}; {big}, -1\n"
+                        "twists: e(0/1), e(1/1021)\n")
+        start = time.perf_counter()
+        assert main(["verify", "--data", str(path)]) == 1
+        assert time.perf_counter() - start < 10.0
+        assert capsys.readouterr().out.splitlines()[1:5] == [
+            "check: gauss_identity fail: p+ p- = D^2",
+            "check: unitarity fail: S~ conj(S~)^t = D^2 I",
+            "check: verlinde_integral fail: N(0,0)^0 is not a non-negative integer"
+            " (estimated inverse work 710676156180 exceeds the bound 2500000000)",
+            "check: twists_unit pass: twist of the unit is 1"]
+
+    def test_a_dimension_beyond_the_inverse_bound_is_rejected(self, tmp_path, capsys):
+        # 1/d_1 for d_1 = 1 + 10^6 e(1/1021) is estimated before any check runs;
+        # its descent took 15-20 s
+        path = tmp_path / "wide.data"
+        path.write_text("kind: modular_data\nrank: 2\n"
+                        "s_tilde: 1, 1+1000000*e(1/1021); 1+1000000*e(1/1021), -1\n"
+                        "twists: e(0/1), e(1/1021)\n")
+        assert main(["verify", "--data", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: estimated inverse work 3706436400 exceeds the bound 2500000000\n")
+
     def test_zero_quantum_dimension_fails_verlinde_only(self, tmp_path, capsys):
         path = tmp_path / "zero.data"
         path.write_text(ZERO_DIMENSION)

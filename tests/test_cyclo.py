@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from pointedcat import dense
 from pointedcat.cyclo import (
     Cyclotomic,
-    _cyclotomic_poly,
     _monomial,
     _reduce,
     dot,
@@ -21,6 +21,8 @@ from pointedcat.cyclo import (
     root_of_unity,
     sum_values,
 )
+from pointedcat.cyclo_core import _cyclotomic_poly
+from pointedcat.errors import MAX_DENSE_WORK, ValidationError
 
 ONE = Cyclotomic.from_rational(1)
 I = root_of_unity(F(1, 4))
@@ -254,10 +256,102 @@ class TestArithmetic:
         assert (x + (-x)).is_zero()
 
 
+# Small conductors; 105 = 3 5 7, where Phi_n first has a coefficient 2; 136 =
+# 8 17 and 255 = 3 5 17, which descend by p = 17 first (|K| = 16); 256 and 1024,
+# towers of steps p = 2 (|K| = 2); 595 = 5 7 17; and the primes 1019 and 1021,
+# one step of |K| = p - 1 conjugates, formed by doubling
+INVERSE_CONDUCTORS = [1, 2, 4, 7, 12, 60, 105, 136, 255, 256, 595, 1019, 1021, 1024]
+
+
+def sparse_at(n):
+    """Sums of one to three terms c e(k/n), c = +-1, +-2 or +-1/2: nonzero, and
+    irrational where Q(zeta_n) is not Q."""
+    coeff = st.builds(F, st.sampled_from([-2, -1, 1, 2]), st.integers(1, 2))
+    terms = st.lists(st.tuples(coeff, st.integers(0, n - 1)), min_size=1, max_size=3)
+    return terms.map(lambda terms: sum_values([
+        Cyclotomic.from_rational(c) * root_of_unity(F(k, n)) for c, k in terms])).filter(
+            lambda x: not x.is_zero() and (n <= 2 or not x.is_rational()))
+
+
+def integral(x):
+    """(d x, d) for the least d making every coefficient of x an integer."""
+    d = math.lcm(*(F(c).denominator for c in x._coeffs))
+    return Cyclotomic(x.conductor, tuple(int(c * d) for c in x._coeffs)), d
+
+
+def assert_inverse(x, inverse):
+    # x x^-1 = 1, multiplied with integer coefficients, (dx x)(di x^-1) = dx di:
+    # exact, with no Fraction product
+    (a, da), (b, db) = integral(x), integral(inverse)
+    assert a * b == da * db
+
+
+class TestInverse:
+    @pytest.mark.parametrize("n", INVERSE_CONDUCTORS)
+    @settings(max_examples=2, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_inverse_is_exact(self, n, data):
+        # the relative-norm descent, and against the extended Euclid of
+        # tests/oracle.py where that finishes within the budget (n <= 136)
+        x = data.draw(sparse_at(n))
+        inverse = x.inverse()
+        assert_inverse(x, inverse)
+        if x.conductor <= 136:
+            assert inverse == oracle.field_inverse(x)
+
+    @staticmethod
+    def widths(monkeypatch):
+        """Bits of the first packed operand of each product dense._times forms."""
+        widths, times = [], dense._times
+
+        def counted(n, x, y):
+            widths.append(len(x) * dense.slot_width(sum(map(abs, x)) * sum(map(abs, y))))
+            return times(n, x, y)
+
+        monkeypatch.setattr(dense, "_times", counted)
+        return widths
+
+    def test_values_the_extended_euclid_took_seconds_on(self, monkeypatch):
+        # D^2 of the rank-2 document with this S~_01 and S~_11 = -1, at conductor
+        # 256 (34 s by the extended Euclid), and D^2 = 1 + e(2/1021) of the
+        # conductor-1021 document of test_cli, a unit. Each inverse took 4 ms and
+        # 45 ms in-process on a 2-core Xeon; their work is pinned, not their time:
+        # the packed products and the bits of the widest operand.
+        entry = parse_value("-1*e(11/256)+2*e(23/256)+2*e(3/16)+-3*e(107/256)+-2*e(7/16)")
+        for x, count, widest in ((1 + entry * entry.conjugate(), 14, 65536),
+                                 (1 + root_of_unity(F(2, 1021)), 19, 57120)):
+            widths = self.widths(monkeypatch)
+            inverse = x.inverse()
+            assert len(widths) == count and max(widths) == widest
+            assert_inverse(x, inverse)
+
+    def test_a_scaled_root_at_a_large_prime_is_inverted_as_the_root(self, monkeypatch):
+        # 10^100 e(1/1021) has content 10^100 and the primitive row of e(1/1021):
+        # its norm is 1, not the 10^102000 of the row as it stands, whose
+        # descent would multiply integers of about 40 MB
+        x = 10 ** 100 * root_of_unity(F(1, 1021))
+        assert dense.inverse_work(x)[0] < MAX_DENSE_WORK // 50
+        widths = self.widths(monkeypatch)
+        assert x.inverse() == root_of_unity(F(-1, 1021)) / 10 ** 100
+        assert len(widths) == 19 and max(widths) == 16320
+
+    def test_an_inverse_beyond_the_work_bound_is_refused_before_any_product(self, monkeypatch):
+        # 1 + 10^100 e(1/1021) is primitive: its norm has about 340000 bits, and
+        # the extended Euclid took 140 s on it
+        x = 1 + 10 ** 100 * root_of_unity(F(1, 1021))
+        widths = self.widths(monkeypatch)
+        work = dense.inverse_work(x)[0]
+        assert work > 100 * MAX_DENSE_WORK
+        with pytest.raises(ValidationError, match=(
+                f"^estimated inverse work {work} exceeds the bound {MAX_DENSE_WORK}$")):
+            x.inverse()
+        assert widths == []
+
+
 class TestInverseOfRoots:
     def test_inverse_of_a_root_is_its_conjugate(self):
-        # all 712 values e(a/b) with b <= 48: the extended Euclid against Phi_b
-        # (_field_inverse) gives e(-a/b), the conjugate
+        # all 712 values e(a/b) with b <= 48: the descent's cofactor over N = +-1
+        # gives e(-a/b), the conjugate
         for b in range(1, 49):
             for a in range(b):
                 if math.gcd(a, b) == 1:

@@ -413,14 +413,30 @@ class TestDenseChecks:
         # a passing SU(2)_16 verify decides every entry of unitarity, Verlinde
         # and the cube on its reduced integer, each sum reduced once; slots
         # reads only the entries of S~ T S~, each distinct one once, whose
-        # 1-norms size the second cube product
+        # 1-norms size the second cube product. The inverses of the 9 distinct
+        # d_a read the slots of their own products, each once, and are counted
+        # apart.
         md = parse(serialize(su2(16)))
         sums = counting(monkeypatch, dense, "reduced")
         reads = counting(monkeypatch, dense, "slots")
+        products = counting(monkeypatch, dense, "_times")
+        inverse, inverted, inverse_reads = Cyclotomic.inverse, [], []
+
+        def counted_inverse(x):
+            inverted.append(x)
+            before = len(reads)
+            result = inverse(x)
+            inverse_reads.extend(reads[before:])
+            del reads[before:]
+            return result
+
+        monkeypatch.setattr(Cyclotomic, "inverse", counted_inverse)
         assert verify_all(md).passed
         r = md.rank
         assert len(sums) == r * (r + 1) // 2 + comb(r + 2, 3) + r * r + r * (r + 1)
         assert len(set(reads)) == len(reads) < r * (r + 1) // 2
+        assert len(inverted) == 9 and sum(not x.is_rational() for x in inverted) == 8
+        assert 8 <= len(inverse_reads) == len(products)
 
     def test_cube_check_alone_is_work_bounded(self, su2, monkeypatch):
         # S~_ij (i, j >= 1) times 10^4000 + 7: 53 s of dense work, refused by
@@ -557,6 +573,24 @@ class TestSymmetricVerlinde:
         assert outcome(ref_verlinde, md) == expected
         assert outcome(dense.verlinde, md) == expected
 
+    def test_a_rational_d2_at_a_large_conductor_takes_no_descent(self, monkeypatch):
+        # d_1 = e(1/251) and d_2 = i d_1 give D^2 = 1 + d_1^2 - d_1^2 = 1 at
+        # conductor 1004. The failure is named by 1/D^2 = 1, a rational, with no
+        # norm descent: the only descents are those of 1/d_1 from 251 and 1/d_2
+        # from 1004, each down to conductor 1 or 2.
+        d = root_of_unity(F(1, 251))
+        minus = Cyclotomic.from_rational(-1)
+        i = root_of_unity(F(1, 4))
+        md = ModularData(rank=3, s_tilde=((ONE, d, i * d), (d, minus, ONE), (i * d, ONE, minus)),
+                         twists=(ONE,) * 3)
+        assert md._gauss.d_squared == 1 and md._packed.n == 1004
+        descents = counting(monkeypatch, dense, "norm_cofactor")
+        expected = (NotModular, "N(0,0)^1 = -1*e(1/251)+e(255/1004)+-1*e(249/502)"
+                                " is not a non-negative integer")
+        assert outcome(dense.verlinde, md) == expected
+        assert [n for n, _ in descents] == [251, 1, 1004, 4, 2]
+        assert outcome(ref_verlinde, md) == expected
+
     def test_equal_entries_as_distinct_objects(self, su2):
         for md in (su2(8), with_half(su2(8))):
             copy = copied(md)
@@ -597,8 +631,8 @@ def test_integer_coefficients_converts_each_distinct_value_once(monkeypatch):
     third = root_of_unity(F(1, 3))
     values = [sum_values([third]) for _ in range(4)] + [Cyclotomic.from_rational(F(1, 2))] * 3
     values += [third * F(2, 5)]
-    reductions = counting(monkeypatch, dense, "_reduce")
+    conversions = counting(monkeypatch, dense, "_galois")
     den, rows = integer_coefficients(values, 12)
-    assert len(reductions) == 3 and den == 10
+    assert len(conversions) == 3 and den == 10
     assert all(from_integers(12, row, den) == x for row, x in zip(rows, values))
     assert len(rows) == len(values) and rows[0] is rows[3]
