@@ -106,15 +106,12 @@ class Cyclotomic:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # self zeta_m^k d (zeta_m = zeta_n^(n/m)) for each term d zeta_m^k of other at m
         n = lcm(self._conductor, other._conductor)
-        raw = [0] * n
-        sa = n // self._conductor
-        sb = n // other._conductor
-        for j, c in enumerate(self._coeffs):
-            if c:
-                for k, d in enumerate(other._coeffs):
-                    if d:
-                        raw[(j * sa + k * sb) % n] += c * d
+        raw, sa, sb = [0] * n, n // self._conductor, n // other._conductor
+        for k, d in enumerate(other._coeffs):
+            if d:
+                _scatter(raw, [c * d for c in self._coeffs], sa, k * sb)
         return Cyclotomic(n, _reduce(n, raw))
 
     __rmul__ = __mul__
@@ -204,18 +201,19 @@ def root_of_unity(q: Fraction | int) -> Cyclotomic:
     return x
 
 
-def _scatter(raw: list, coeffs, k: int) -> list:
-    """raw plus sum_j c_j x^(jk), with x^n = 1 for n = len(raw)."""
+def _scatter(raw: list, coeffs, k: int, s: int = 0) -> list:
+    """raw plus sum_j c_j x^(jk + s), with x^n = 1 for n = len(raw)."""
     n = len(raw)
     for j, c in enumerate(coeffs):
         if c:
-            raw[j * k % n] += c
+            raw[(j * k + s) % n] += c
     return raw
 
 
-def _galois(n: int, coeffs, k: int) -> tuple:
-    """sum_j c_j zeta_n^(jk) at n: sigma_k, or for k = n/m and a row at m, its value at n."""
-    return _reduce(n, _scatter([0] * n, coeffs, k))
+def _galois(n: int, coeffs, k: int, s: int = 0) -> tuple:
+    """sum_j c_j zeta_n^(jk + s) at n: sigma_k (or for k = n/m and a row at m, its
+    value at n) times zeta_n^s. At k = 1, a row longer than n is folded by x^n = 1."""
+    return _reduce(n, _scatter([0] * n, coeffs, k, s))
 
 
 def sum_values(values) -> Cyclotomic:

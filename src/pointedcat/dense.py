@@ -1,8 +1,9 @@
 """Dense exact checks of any modular data, on Kronecker-packed integers.
 
-Data with no group law (ModularData._law) is checked here, within MAX_DENSE_WORK: S~
-and conj(S~) as integer rows at the conductor of S~ (Packed, the one dense cache of a
-ModularData), S~ and S~T at the lcm with T's for (S~ T)^3 (twisted). Each check sums
+Data with no group law (ModularData._law) is checked here, within MAX_DENSE_WORK. S~ is
+converted once, to integer rows at its conductor (Packed, the one dense cache of a
+ModularData); conj(S~), S~ and S~T at the lcm with T's for (S~ T)^3 (twisted), and its
+right side are those rows under sigma_k, then times zeta^s (cyclo._galois). Each check sums
 products of packed rows (pack), decides each entry on its sum reduced as one integer
 (reduced), and forms only the entries j >= i of its symmetric or Hermitian products.
 Exact inverses in Q(zeta_n) multiply packed rows too, down a tower of norms (norm_cofactor).
@@ -14,7 +15,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .cyclo import Cyclotomic, _galois, _reduce
+from .cyclo import Cyclotomic, _galois
 from .cyclo_core import _cyclotomic_poly, _descend, _prime_divisors
 from .errors import MAX_DENSE_WORK, NotModular, ValidationError
 from .moddata import ModularData
@@ -78,8 +79,7 @@ def slots(value: int, width: int, count: int) -> tuple[int, ...]:
 def _times(n: int, x, y) -> tuple:
     # one big-integer product of rows at conductor n, folded by x^n = 1 and reduced
     width = slot_width(sum(map(abs, x)) * sum(map(abs, y)))
-    raw = slots(pack(x, width) * pack(y, width), width, len(x) + len(y) - 1)
-    return _reduce(n, [sum(raw[k::n]) for k in range(n)])
+    return _galois(n, slots(pack(x, width) * pack(y, width), width, len(x) + len(y) - 1), 1)
 
 
 def norm_cofactor(n: int, y) -> tuple[tuple, int]:
@@ -143,22 +143,24 @@ def reduced(value: int, field: tuple[int, int, int]) -> int:
     it starts from the sum's slots, folded by x^n = 1 and reduced."""
     modulus, width, n = field
     if modulus.bit_length() > 3072 + 64 * n:
-        raw = slots(value, width, value.bit_length() // width + 2)
-        raw = _reduce(n, [sum(raw[k::n]) for k in range(n)])
+        raw = _galois(n, slots(value, width, value.bit_length() // width + 2), 1)
         value = sum(c << width * k for k, c in enumerate(raw))
     return (value + (modulus >> 1)) % modulus - (modulus >> 1)
 
 
 @record
 class Packed:
-    """S~ and conj(S~) as integer rows at the conductor n of S~, times den, and
-    for each row i the c with conj(row i) = row c, or None (duals)."""
+    """S~ and conj(S~) as integer rows at the conductor n of S~, times den; for each
+    row i the c with conj(row i) = row c, or None (duals); the lcm n_t of n and the
+    conductors of T, and the twists theta_a = e(t[a]/n_t)."""
 
     n: int
     den: int
     s: tuple
     conj: tuple
     duals: list
+    n_t: int
+    t: tuple
 
 
 def column_norms(rows) -> list[int]:
@@ -184,26 +186,28 @@ def mirrored(upper):
 
 
 def packed(md: ModularData) -> Packed:
-    """S~ and conj(S~) of md as integer coefficient rows at the conductor of S~;
-    ValidationError if the estimated work of every dense check (the cube check at
-    the lcm conductor of S~ and T, and Verlinde's inverses) exceeds MAX_DENSE_WORK."""
+    """S~ of md as integer coefficient rows at the conductor of S~, converted once,
+    and conj(S~) as sigma_(-1) of them, once per distinct row; ValidationError if the
+    estimated work of every dense check (the cube check at n_t, and Verlinde's
+    inverses) exceeds MAX_DENSE_WORK."""
     rank = md.rank
     values = list(itertools.chain(*md.s_tilde))
     n = lcm(*(x.conductor for x in values))
-    n_all = lcm(n, *(t.root_exponent().denominator for t in md.twists))
-    conj = {id(x): x for x in values}  # parsed entries share equal values
-    conj = {key: x.conjugate() for key, x in conj.items()}
-    den, coeffs = integer_coefficients(values + [conj[id(x)] for x in values], n)
+    exponents = [t.root_exponent() for t in md.twists]
+    n_t = lcm(n, *(q.denominator for q in exponents))
+    den, coeffs = integer_coefficients(values, n)
+    conj = {x: _galois(n, x, -1) for x in set(coeffs)}
     # w: 64-bit words of the largest packed coefficient, den included
-    top = max(den, max(map(abs, itertools.chain.from_iterable(coeffs))))
+    top = max(den, max(map(abs, itertools.chain(*coeffs, *conj.values()))))
     w = max(1, (top.bit_length() + 63) // 64)
-    bounded("dense", rank ** 4 * (n_all + 4) * w * isqrt(w))
+    bounded("dense", rank ** 4 * (n_t + 4) * w * isqrt(w))
     dims = dict(zip(coeffs[:rank], md.s_tilde[0]))  # as verlinde inverts them
     bounded("inverse", sum(inverse_work(d)[0] for d in dims.values() if not d.is_rational()))
-    rows = [tuple(coeffs[k:k + rank]) for k in range(0, len(coeffs), rank)]
-    s, conj = tuple(rows[:rank]), tuple(rows[rank:])
+    s = tuple(tuple(coeffs[k:k + rank]) for k in range(0, len(coeffs), rank))
+    conj = tuple(tuple(map(conj.__getitem__, row)) for row in s)
     index = {row: c for c, row in enumerate(s)}
-    return Packed(n, den, s, conj, [index.get(row) for row in conj])
+    return Packed(n, den, s, conj, [index.get(row) for row in conj], n_t,
+                  tuple(q.numerator * (n_t // q.denominator) for q in exponents))
 
 
 def unitary(md: ModularData) -> bool:
@@ -290,12 +294,11 @@ def st_cubed(md: ModularData) -> bool:
     symmetric, so A = S~ T S~ has A_ij = sum_a st[i][a] s[j][a], and
     (A T S~)_ij = sum_a A_ia st[j][a]; both are symmetric and formed on j >= i.
     A's slots size the second product, which stops at a bad row."""
-    md._packed  # the work bound, checked before any product
-    n, den, s, st = twisted(md)
-    target = md._gauss.p_plus * md._gauss.d_squared
+    n, den, s, st = twisted(md)  # after the work bound, checked in md._packed
     # st carries den^2 and s den, so A T S~ carries den^5, and the target's
-    # denominator divides den^4
-    expected = scaled(n, [target * t.conjugate() for t in md.twists], den ** 5)
+    # denominator divides den^4; row a of the right side is target zeta_n^(-t[a])
+    (target,) = scaled(n, [md._gauss.p_plus * md._gauss.d_squared], den ** 5)
+    expected = [_galois(n, target, 1, -t) for t in md._packed.t]
     width, _, a = products(n, st, s)
     read = lru_cache(maxsize=None)(slots)  # A's entries repeat
     a = mirrored([[read(x, width, len(s[0][0])) for x in row] for row in a])
@@ -304,17 +307,14 @@ def st_cubed(md: ModularData) -> bool:
 
 
 def twisted(md: ModularData):
-    """(n, den, s, st): the rows of S~ times den and of S~ T times den^2, as
-    integer coefficients at the lcm n of the conductors of S~ and T."""
-    rank = md.rank
-    values = list(itertools.chain(*md.s_tilde))
-    exponents = [t.root_exponent() for t in md.twists]
-    n = lcm(*(x.conductor for x in values), *(q.denominator for q in exponents))
-    den, coeffs = integer_coefficients(values, n)
-    # S~_ia e(t_a/n): the row rotated by t_a places (x^n = 1), reduced once per (row, t_a)
-    t = [q.numerator * (n // q.denominator) for q in exponents]
-    keys = [(x + (0,) * (n - len(x)), t[k % rank]) for k, x in enumerate(coeffs)]
-    st = {(x, s): tuple(den * c for c in _reduce(n, x[-s:] + x[:-s])) for x, s in set(keys)}
-    st = [st[key] for key in keys]
-    s, st = ([rows[k:k + rank] for k in range(0, len(rows), rank)] for rows in (coeffs, st))
-    return n, den, s, st
+    """(n, den, s, st): the rows of S~ times den and of S~ T times den^2, as integer
+    coefficients at n = Packed.n_t, from the packed rows of S~ by the embedding
+    sigma_k, k = n_t / n, times zeta^t[a] in column a of S~ T (_galois), each
+    distinct (row, shift) once."""
+    p = md._packed
+    n, k = p.n_t, p.n_t // p.n
+    pairs = {*itertools.chain(*(zip(row, p.t) for row in p.s))}
+    s = {x: _galois(n, x, k) for x in {x for x, _ in pairs}}
+    st = {(x, t): _galois(n, [p.den * c for c in x], k, t) for x, t in pairs}
+    return (n, p.den, [[s[x] for x in row] for row in p.s],
+            [[st[pair] for pair in zip(row, p.t)] for row in p.s])

@@ -168,7 +168,7 @@ class ModularData:
 
     @cached_property
     def _packed(self):
-        """S~ and conj(S~) as integer coefficient rows at the conductor of S~ (dense.Packed)."""
+        """S~ as integer rows at its conductor, conj(S~) and T's exponents (dense.Packed)."""
         return _dense().packed(self)
 
     @cached_property

@@ -141,8 +141,8 @@ MUTANTS = [
     ("dense", "zip([0] + row[:-1], phi)", "zip([0] + row, phi)", None),
     # a long modulus: the slots of a sum, folded by x^n = 1 or not; the slot
     # path for every modulus, or for none (division alone)
-    ("dense", "raw = _reduce(n, [sum(raw[k::n]) for k in range(n)])",
-     "raw = _reduce(n, list(raw[:n]))", None),
+    ("dense", "_galois(n, slots(value, width, value.bit_length() // width + 2), 1)",
+     "_galois(n, slots(value, width, value.bit_length() // width + 2)[:n], 1)", None),
     ("dense", "if modulus.bit_length() > 3072 + 64 * n:", "if modulus.bit_length() > 0:", None),
     ("dense", "if modulus.bit_length() > 3072 + 64 * n:", "if False:", None),
     # the symmetric residue dropped: the residue in [0, modulus)
@@ -156,7 +156,14 @@ MUTANTS = [
     ("dense", "    if md._unitary:\n        return p.duals", "    if True:\n        return p.duals",
      None),
     ("dense", "len(hits) == 1 and row[hits[0]] == unit", "row[hits[0]] == unit", None),
-    ("dense", "x[-s:] + x[:-s]", "x[s:] + x[:s]", None),
+    # rows derived from the packed S~ by the Galois map: conj(S~) by sigma_1, S~
+    # and S~ T not embedded (k = 1), S~ T with no shift or the opposite one, and
+    # the cube's right side shifted by +t
+    ("dense", "conj = {x: _galois(n, x, -1)", "conj = {x: _galois(n, x, 1)", None),
+    ("dense", "n, k = p.n_t, p.n_t // p.n", "n, k = p.n_t, 1", None),
+    ("dense", "for c in x], k, t)", "for c in x], k, 0)", None),
+    ("dense", "for c in x], k, t)", "for c in x], k, -t)", None),
+    ("dense", "_galois(n, target, 1, -t)", "_galois(n, target, 1, t)", None),
     ("dense", "if any(d.is_zero() for d in dims):", "if False:", None),
     # dense.norm_cofactor, the exact inverse: one conjugate dropped from c, a
     # wrong doubling exponent, the odd step skipped, the cofactor of the lower
@@ -206,11 +213,14 @@ MUTANTS = [
     # cyclo: the root memo of format_value, coercion and the rational cases
     ("cyclo", "if q is not None and not x.is_rational():", "if q is not None:", None),
     ("cyclo", "isinstance(value, (int, Fraction))", "isinstance(value, int)", None),
-    # cyclo: conjugation as sigma_(-1), the Galois index map, and the inverse
-    # divided by the content of the value
+    # cyclo: conjugation as sigma_(-1), the Galois index map (one place off, or
+    # with no shift), a product's shift without the scale n/m of the other
+    # operand, and the inverse divided by the content of the value
     ("cyclo", "_galois(self._conductor, self._coeffs, -1)",
      "_galois(self._conductor, self._coeffs, 1)", None),
-    ("cyclo", "raw[j * k % n] += c", "raw[j * k % n - 1] += c", None),
+    ("cyclo", "raw[(j * k + s) % n] += c", "raw[(j * k + s) % n - 1] += c", None),
+    ("cyclo", "raw[(j * k + s) % n] += c", "raw[j * k % n] += c", None),
+    ("cyclo", "sa, k * sb)", "sa, k)", None),
     ("cyclo", "c / (content * norm)", "c / norm", None),
     ("cyclo", "Cyclotomic.from_rational(1 / Fraction(self._coeffs[0]))",
      "Cyclotomic.from_rational(Fraction(self._coeffs[0]))", None),

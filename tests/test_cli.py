@@ -851,13 +851,13 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
     code, names = imported_modules(["verify", "--data", str(generic)])
     assert code == 0 and {"pointedcat.dense", "pointedcat.cyclo"} <= names
     assert names.isdisjoint({"pointedcat.lattice", "pointedcat.show", "cmath", "__future__"})
-    assert compiled_lines(names) <= 2120
+    assert compiled_lines(names) <= 2028
     code, names = imported_modules(["show", "--data", str(generic)])
     assert code == 0 and {name for name in names if name.startswith("pointedcat")} == (
         base | {"pointedcat.moddata", "pointedcat.cyclo", "pointedcat.cyclo_core",
                 "pointedcat.show"})
     assert "__future__" not in names
-    assert compiled_lines(names) <= 1834
+    assert compiled_lines(names) <= 1778
 
 
 # SHA-256 of transcript(pointed_documents(corpus4)) as written at the commit

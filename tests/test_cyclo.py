@@ -12,6 +12,7 @@ import oracle
 from pointedcat import dense
 from pointedcat.cyclo import (
     Cyclotomic,
+    _galois,
     _monomial,
     _reduce,
     dot,
@@ -472,6 +473,64 @@ def test_reduce_matches_dense_division(case):
     for k, c in terms:
         raw[k] += c
     assert _reduce(n, raw) == oracle.reduce_mod_phi(n, raw)
+
+
+# -- the one Galois map: sigma_k, then times zeta_n^s ---------------------------
+
+def _sparse_row(length):
+    """A row of at most length entries, up to 12 of them nonzero."""
+    def build(terms):
+        row = [0] * (1 + max((j for j, _ in terms), default=-1))
+        for j, c in terms:
+            row[j] += c
+        return row
+
+    return st.lists(st.tuples(st.integers(0, length - 1), _raw_entries), max_size=12).map(build)
+
+
+def _galois_cases(n):
+    """(n, k, row, s): k = -1 or a unit mod n, with a row of up to 2n + 1 entries
+    (longer than n, so the scatter folds), or k = n/m for a row at m | n; s one of
+    0, +-1, n/2 and n - 1."""
+    units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+    divisors = [m for m in range(1, n + 1) if n % m == 0]
+    acting = st.sampled_from([-1] + units).flatmap(
+        lambda k: st.tuples(st.just(k), _sparse_row(2 * n + 1)))
+    embedding = st.sampled_from(divisors).flatmap(
+        lambda m: st.tuples(st.just(n // m), _sparse_row(len(_cyclotomic_poly(m)) - 1)))
+    return st.tuples(st.just(n), st.one_of(acting, embedding),
+                     st.sampled_from([0, 1, -1, n // 2, n - 1]))
+
+
+@given(st.sampled_from([1, 2, 4, 12, 15, 36, 68, 105, 136, 595]).flatmap(_galois_cases))
+@example((12, (-1, [0, 1]), 0))  # conj(zeta_12) = zeta_12^11 = zeta_12 - zeta_12^3
+@example((136, (2, [F(1, 3)] * 32), 68))  # a full row at 68, embedded and negated
+@example((15, (1, [0] * 30 + [5]), -1))  # x^30 folds to 1, times zeta_15^-1
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_galois_matches_brute_force_scatter(case):
+    n, (k, row), s = case
+    raw = [0] * n
+    for j, c in enumerate(row):
+        raw[(j * k + s) % n] += c
+    assert _galois(n, row, k, s) == oracle.reduce_mod_phi(n, raw)
+
+
+@given(_elements, _elements)
+@example(root_of_unity(F(1, 3)), root_of_unity(F(1, 4)))
+@example(Cyclotomic.from_rational(F(-2, 3)), root_of_unity(F(5, 8)) * F(1, 2))
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_product_matches_brute_force(x, y):
+    # every pair of terms multiplied at the lcm conductor, reduced by division by Phi_n
+    n = math.lcm(x.conductor, y.conductor)
+    raw = [0] * n
+    for j, c in enumerate(x._coeffs):
+        for k, d in enumerate(y._coeffs):
+            raw[(j * (n // x.conductor) + k * (n // y.conductor)) % n] += c * d
+    expected = oracle.reduce_mod_phi(n, raw)
+    if not any(expected[1:]):
+        n, expected = 1, expected[:1]
+    product = x * y
+    assert (product.conductor, product._coeffs) == (n, expected)
 
 
 def _assert_minimal_matches_oracle(x):

@@ -303,16 +303,30 @@ def cases(ising, su2):
             for corrupt in (fresh, with_twist_one, with_pair_one, with_half)] + [pivot]
 
 
+def z3_fibonacci():
+    """Z/3 from [[2,1],[1,2]] with both non-unit twists set to e(2/3), times
+    Fibonacci: rank 6, not self-dual, on the dense path; its cube check fails."""
+    z3 = from_lattice(check_gram([[2, 1], [1, 2]]))
+    z3_t = (ONE, root_of_unity(F(2, 3)), root_of_unity(F(2, 3)))
+    phi = ONE + root_of_unity(F(1, 5)) + root_of_unity(F(4, 5))
+    fib_s, fib_t = ((ONE, phi), (phi, -ONE)), (ONE, root_of_unity(F(2, 5)))
+    labels = [(a, f) for a in range(3) for f in range(2)]
+    return ModularData(rank=6, twists=tuple(z3_t[a] * fib_t[f] for a, f in labels),
+                       s_tilde=tuple(tuple(z3.s_tilde[a][b] * fib_s[f][g] for b, g in labels)
+                                     for a, f in labels))
+
+
 class TestDenseChecks:
     def test_packed_rows(self, cases):
         # S~ and conj(S~) pack at the conductor of S~; the cube check takes S~
-        # and S~T at the lcm with the twists'
+        # and S~T at the lcm n_t with the twists', theta_a = e(t[a]/n_t)
         assert max(md._packed.den for md in cases) == 2  # the halved entries
         for md in cases:
             p = md._packed
             n, den, s, st = dense.twisted(md)
             assert p.n == lcm(*(x.conductor for row in md.s_tilde for x in row))
-            assert n == lcm(p.n, *(t.root_exponent().denominator for t in md.twists))
+            assert p.n_t == n == lcm(p.n, *(t.root_exponent().denominator for t in md.twists))
+            assert [root_of_unity(F(t, p.n_t)) for t in p.t] == list(md.twists)
             assert den == p.den
             for i, row in enumerate(md.s_tilde):
                 for j, x in enumerate(row):
@@ -356,19 +370,11 @@ class TestDenseChecks:
         assert {(True, True), (True, False), (False, False)} <= outcomes
 
     def test_st_cubed_reads_every_row(self):
-        # Z/3 from [[2,1],[1,2]] with both non-unit twists set to e(2/3), times
-        # Fibonacci: rank 6, on the dense path. Charge conjugation swaps the two
-        # non-unit Z/3 labels and fixes 0, and the corruption is C-symmetric, so
-        # row 0 of S~ T S~ T S~ (and row 1) is right; rows 2-5 are not. A cube
-        # check that compared row 0 only would pass this data.
-        z3 = from_lattice(check_gram([[2, 1], [1, 2]]))
-        z3_t = (ONE, root_of_unity(F(2, 3)), root_of_unity(F(2, 3)))
-        phi = ONE + root_of_unity(F(1, 5)) + root_of_unity(F(4, 5))
-        fib_s, fib_t = ((ONE, phi), (phi, -ONE)), (ONE, root_of_unity(F(2, 5)))
-        labels = [(a, f) for a in range(3) for f in range(2)]
-        md = ModularData(rank=6, twists=tuple(z3_t[a] * fib_t[f] for a, f in labels),
-                         s_tilde=tuple(tuple(z3.s_tilde[a][b] * fib_s[f][g] for b, g in labels)
-                                       for a, f in labels))
+        # Charge conjugation swaps the two non-unit Z/3 labels and fixes 0, and
+        # the corruption is C-symmetric, so row 0 of S~ T S~ T S~ (and row 1) is
+        # right; rows 2-5 are not. A cube check that compared row 0 only would
+        # pass this data.
+        md = z3_fibonacci()
         assert md._exponents is None
         assert [c.name for c in verify_all(md).checks if not c.passed] == ["st_cubed"]
         assert dense.st_cubed(md) is ref_st_cubed(md) is False
@@ -380,6 +386,22 @@ class TestDenseChecks:
         _, expected, rows = dense.products(n, a, st, *expected)
         assert [row == [want] + [0] * (len(row) - 1) for row, want in zip(rows, expected)] == \
             [True, True, False, False, False, False]
+
+    def test_s_tilde_is_converted_once(self, su2, monkeypatch):
+        # conj(S~), S~ T and the cube's right side are the Galois map of the
+        # packed rows of S~: packing converts the values once and conjugates
+        # none, and the cube check multiplies two values, p+ and D^2
+        conjugates = counting(monkeypatch, Cyclotomic, "conjugate")
+        conversions = counting(monkeypatch, dense, "integer_coefficients")
+        products = counting(monkeypatch, Cyclotomic, "__mul__")
+        for md, passes in ((fresh(su2(8)), True), (z3_fibonacci(), False)):
+            del conjugates[:], conversions[:]
+            md._packed
+            assert conjugates == [] and len(conversions) == 1
+            md._gauss
+            del conjugates[:], products[:]
+            assert dense.st_cubed(md) is passes
+            assert len(products) == 1 and conjugates == []
 
     def test_zero_side_leaves_room_for_the_other(self):
         # S~ T S~ = 0 and p+ = 1 - 169/25 + 144/25 = 0, so (S~ T S~) T S~ multiplies
