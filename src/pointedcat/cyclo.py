@@ -10,10 +10,11 @@ Each operation has one exact code path: it embeds the operands at the least
 common conductor, combines them there and reduces once modulo Phi_N
 (``_reduce``); an inverse is a cofactor over an integer norm, formed on packed
 rows within a work bound (dense.inverse_work). Results keep their conductor, except
-that values which turn out rational are normalised to conductor 1. The one tag
-on a value, ``_root``, is the memo of ``root_exponent``: no operation reads
-it. The hot checks run on integer exponent tables or packed integers instead;
-this arithmetic is their exact reference and the cold path. Serialization
+that values which turn out rational are normalised to conductor 1. A value
+is its conductor and coefficients and nothing else: a root of unity is found
+and printed from its vector alone. The hot checks run on integer exponent
+tables or packed integers instead; this arithmetic is their exact
+reference and the cold path. Serialization
 descends to the true minimal conductor, one prime at a time, by reading the
 subfield coefficients off the power basis, so the textual form is canonical
 per value. The reduction, the root test, that descent and the text work on
@@ -34,7 +35,7 @@ from .errors import check_conductor, quoted
 class Cyclotomic:
     """An exact element of Q(zeta_N). Immutable; all operations are pure."""
 
-    __slots__ = ("_conductor", "_coeffs", "_root")
+    __slots__ = ("_conductor", "_coeffs")
 
     def __init__(self, conductor: int, coeffs: tuple):
         # Internal constructor: coeffs must already be reduced mod Phi_conductor.
@@ -43,7 +44,6 @@ class Cyclotomic:
             conductor, coeffs = 1, (coeffs[0],)
         self._conductor = conductor
         self._coeffs = coeffs
-        self._root = None  # memo of root_exponent(), when it is a root
 
     @classmethod
     def from_rational(cls, value: Fraction | int) -> "Cyclotomic":
@@ -70,12 +70,8 @@ class Cyclotomic:
     def root_exponent(self) -> Fraction | None:
         """Exponent q in [0,1) with self == e(q), or None if not a root of
         unity (cyclo_core.root_exponent, at the value's own conductor)."""
-        if self._root is None:
-            root = cyclo_core.root_exponent(self._conductor, self._coeffs)
-            if root is None:
-                return None
-            self._root = Fraction(*root)
-        return self._root
+        root = cyclo_core.root_exponent(self._conductor, self._coeffs)
+        return None if root is None else Fraction(*root)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -118,8 +114,6 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugate, sigma_(-1); on roots of unity, e(q) -> e(-q)."""
-        if self.is_rational():
-            return self
         return Cyclotomic(self._conductor, _galois(self._conductor, self._coeffs, -1))
 
     def inverse(self) -> "Cyclotomic":
@@ -196,9 +190,7 @@ def _coerce(value) -> Cyclotomic:
 def root_of_unity(q: Fraction | int) -> Cyclotomic:
     """The exact value e(q) := exp(2 pi i q); q is reduced mod 1 first."""
     q = Fraction(q) % 1
-    x = Cyclotomic(q.denominator, _monomial(q.denominator, q.numerator))
-    x._root = q
-    return x
+    return Cyclotomic(q.denominator, _monomial(q.denominator, q.numerator))
 
 
 def _scatter(raw: list, coeffs, k: int, s: int = 0) -> list:
@@ -252,11 +244,7 @@ def format_root(x: Cyclotomic) -> str:
 
 def format_value(x: Cyclotomic) -> str:
     """Canonical textual form of any value (minimal conductor, fixed term
-    order): cyclo_core.format_vector of its coefficients, or of its root
-    exponent when root_exponent has memoised one."""
-    q = x._root
-    if q is not None and not x.is_rational():
-        return f"e({q.numerator}/{q.denominator})"
+    order): cyclo_core.format_vector of its coefficients."""
     return cyclo_core.format_vector(x._conductor, x._coeffs)
 
 

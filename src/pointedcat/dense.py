@@ -18,7 +18,6 @@ from operator import mul
 from .cyclo import Cyclotomic, _galois
 from .cyclo_core import _cyclotomic_poly, _descend, _prime_divisors
 from .errors import MAX_DENSE_WORK, NotModular, ValidationError
-from .moddata import ModularData
 from .record import record
 
 
@@ -185,7 +184,7 @@ def mirrored(upper):
     return [[upper[j][i - j] for j in range(i)] + row for i, row in enumerate(upper)]
 
 
-def packed(md: ModularData) -> Packed:
+def packed(md: "ModularData") -> Packed:
     """S~ of md as integer coefficient rows at the conductor of S~, converted once,
     and conj(S~) as sigma_(-1) of them, once per distinct row; ValidationError if the
     estimated work of every dense check (the cube check at n_t, and Verlinde's
@@ -210,13 +209,13 @@ def packed(md: ModularData) -> Packed:
                   tuple(q.numerator * (n_t // q.denominator) for q in exponents))
 
 
-def unitary(md: ModularData) -> bool:
+def unitary(md: "ModularData") -> bool:
     p = md._packed
     _, (unit,), rows = products(p.n, p.s, p.conj, *scaled(p.n, [md._gauss.d_squared], p.den ** 2))
     return all(row == [unit] + [0] * (len(row) - 1) for row in rows)
 
 
-def conjugation(md: ModularData) -> list[int | None]:
+def conjugation(md: "ModularData") -> list[int | None]:
     """For each row i, the c with row i of S~^2 equal to D^2 e_c, or None. With
     unitarity (S~ conj(S~) = D^2 I) it is the row c equal to conj(row i), with no
     product; otherwise S~^2 is formed, mirrored and compared with D^2 packed."""
@@ -231,7 +230,7 @@ def conjugation(md: ModularData) -> list[int | None]:
     return perm
 
 
-def verlinde(md: ModularData) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def verlinde(md: "ModularData") -> tuple[tuple[tuple[int, ...], ...], ...]:
     """N_ij^k = X_ijk / (scale D^2), X_ijk = sum_a s[i][a] s[j][a] conj[k][a] inv[a] and
     inv[a] = den_inv / d_a, at the conductor of S~. Where conj(row k) is row c of S~
     (Packed.duals), X_ijk = Y(sorted(i, j, c)) for Y the same sum over rows of S~, which
@@ -287,7 +286,7 @@ def verlinde(md: ModularData) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(map(tuple, fusion))
 
 
-def st_cubed(md: ModularData) -> bool:
+def st_cubed(md: "ModularData") -> bool:
     """(S~ T)^3 = p+ D^2 I, exactly and for any data. T is invertible, so this
     holds exactly when S~ T S~ T S~ = p+ D^2 T^-1 (Bakalov and Kirillov,
     "Lectures on tensor categories and modular functors", 2001, 3.1). S~ is
@@ -306,7 +305,7 @@ def st_cubed(md: ModularData) -> bool:
     return all(row == [e] + [0] * (len(row) - 1) for row, e in zip(rows, expected))
 
 
-def twisted(md: ModularData):
+def twisted(md: "ModularData"):
     """(n, den, s, st): the rows of S~ times den and of S~ T times den^2, as integer
     coefficients at n = Packed.n_t, from the packed rows of S~ by the embedding
     sigma_k, k = n_t / n, times zeta^t[a] in column a of S~ T (_galois), each

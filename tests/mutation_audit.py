@@ -210,8 +210,9 @@ MUTANTS = [
      None),
     ("cyclo_core", "for p in _prime_divisors(n):\n        while", "for p in ():\n        while",
      None),
-    # cyclo: the root memo of format_value, coercion and the rational cases
-    ("cyclo", "if q is not None and not x.is_rational():", "if q is not None:", None),
+    # cyclo_core: the text of a value prints a rational bare, not as a root
+    ("cyclo_core", "if not any(coeffs[1:]):", "if False:", None),
+    # cyclo: coercion and the rational cases
     ("cyclo", "isinstance(value, (int, Fraction))", "isinstance(value, int)", None),
     # cyclo: conjugation as sigma_(-1), the Galois index map (one place off, or
     # with no shift), a product's shift without the scale n/m of the other

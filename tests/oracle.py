@@ -7,8 +7,9 @@ direct enumeration, group laws by one row lookup per pair of labels, Gauss
 sums by one sum over the values,
 canonical forms by trying every relabeling, cyclotomic polynomials by dense
 division, minimal conductors by Fraction Gauss-Jordan
-elimination, inverses by the extended Euclid over Q[x] against Phi_n, and
-packed integers by one shift per coefficient. Of these,
+elimination, inverses by the extended Euclid over Q[x] against Phi_n,
+packed integers by one shift per coefficient, and Galois conjugates by one
+index map per coefficient, reduced by dense division. Of these,
 only classify_each and direct_sum call the package under test: the first is
 the per-matrix classification loop, which classify's cache per exponent
 table must reproduce, and the second validates its block matrix with
@@ -408,6 +409,29 @@ def field_inverse(x):
     for i, c in enumerate(inv):
         raw[i % n] += c  # inv may exceed degree phi(n); fold via zeta^n = 1
     return Cyclotomic(n, reduce_mod_phi(n, raw))
+
+
+def galois_conjugate(md, ell):
+    """sigma_ell of every entry and twist, without provenance: at a value's
+    conductor m (ell coprime to m), zeta_m^j -> zeta_m^(j ell mod m), reduced
+    mod Phi_m; once per distinct object, so equal entries stay shared."""
+    images = {}
+
+    def sigma(x):
+        if id(x) not in images:
+            m = x.conductor
+            raw = [0] * m
+            for j, c in enumerate(x._coeffs):
+                raw[j * ell % m] += c
+            images[id(x)] = Cyclotomic(m, reduce_mod_phi(m, raw))
+        return images[id(x)]
+
+    return ModularData(rank=md.rank, s_tilde=tuple(tuple(map(sigma, row)) for row in md.s_tilde),
+                       twists=tuple(map(sigma, md.twists)))
+
+
+def least_prime_coprime(n):
+    return next(p for p in itertools.count(2) if n % p and all(p % q for q in range(2, p)))
 
 
 # -- test data ----------------------------------------------------------------

@@ -78,8 +78,9 @@ def _roots_up_to(bound):
 
 
 class TestRootExponentAfterArithmetic:
-    """Only root_of_unity records an exponent; every arithmetic result finds
-    its own from the coefficients, which this covers for all e(a/b), b <= 48."""
+    """No value records its exponent: root_of_unity's result and every
+    arithmetic result find it from the coefficients, which this covers for
+    all e(a/b), b <= 48."""
 
     @staticmethod
     def assert_root(x, q):
@@ -146,9 +147,8 @@ class TestRootExponentAgainstCandidates:
         values += [ONE + I, 2 * W, ONE - W, W + W * W + I, -W * I, (ONE + I) * F(1, 2)]
         found = 0
         for x in values:
-            fresh = Cyclotomic(x.conductor, x._coeffs)  # no memo
-            assert fresh.root_exponent() == candidate_root_exponent(x)
-            found += fresh.root_exponent() is not None
+            assert x.root_exponent() == candidate_root_exponent(x)
+            found += x.root_exponent() is not None
         assert 0 < found < len(values)
 
 

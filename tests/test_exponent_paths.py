@@ -165,7 +165,8 @@ class TestCorpusEquivalence:
 
 def unmemoised(md):
     """The same data, without provenance, with each distinct entry and twist
-    rebuilt from its coefficients, so that no root_exponent memo is set."""
+    rebuilt from its coefficients as a new object, shared only where md
+    shares it."""
     copies = {}
 
     def copy(x):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -413,6 +414,31 @@ class TestModularRelations:
         assert check_unitarity(semion)
         assert check_unitarity(toric)
         assert check_unitarity(z3)
+
+
+class TestGaloisConjugates:
+    """sigma_ell maps every identity of S~ and T to the same identity of their
+    conjugates, and fixes the integers N(i,j)^k: each check of a datum and of
+    its conjugate decides alike, for ell = -1 and the least prime coprime to
+    the lcm of the datum's conductors."""
+
+    def test_checks_agree(self, su2):
+        fib = oracle.fibonacci()
+        compared = 0
+        for md in [su2(k) for k in range(2, 9)] + [fib, oracle.deligne(fib, fib)]:
+            for datum in (md, oracle.with_twist_one(md), oracle.with_pair_one(md),
+                          oracle.with_row_sign(md)):
+                conductor = math.lcm(*(x.conductor for row in datum.s_tilde for x in row),
+                                     *(t.conductor for t in datum.twists))
+                report = verify_all(datum)
+                for ell in (-1, oracle.least_prime_coprime(conductor)):
+                    image = verify_all(oracle.galois_conjugate(datum, ell))
+                    assert [(c.name, c.passed) for c in image.checks] == [
+                        (c.name, c.passed) for c in report.checks], (md.rank, ell)
+                    if report.passed:
+                        assert serialize(image).body == serialize(report).body
+                    compared += 1
+        assert compared == 72
 
 
 class TestConstructionValidation:
