@@ -17,9 +17,9 @@ tables or packed integers instead; this arithmetic is their exact
 reference and the cold path. Serialization
 descends to the true minimal conductor, one prime at a time, by reading the
 subfield coefficients off the power basis, so the textual form is canonical
-per value. The reduction, the root test, that descent and the text work on
-coefficient vectors alone, in cyclo_core, which jobs that build no value
-load without this module.
+per value. The reduction, the Galois map (_galois), the root test, that descent
+and the text work on coefficient vectors alone, in cyclo_core, which jobs that
+build no value load without this module.
 """
 
 import sys
@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import lcm, tau
 
 from . import cyclo_core
-from .cyclo_core import _monomial, _reduce
+from .cyclo_core import _galois, _reduce, _scatter
 from .errors import check_conductor, quoted
 
 
@@ -187,25 +187,11 @@ def _coerce(value) -> Cyclotomic:
     return NotImplemented
 
 
+@lru_cache(maxsize=None)
 def root_of_unity(q: Fraction | int) -> Cyclotomic:
-    """The exact value e(q) := exp(2 pi i q); q is reduced mod 1 first."""
+    """The exact value e(q) := exp(2 pi i q), q reduced mod 1: one object per q."""
     q = Fraction(q) % 1
-    return Cyclotomic(q.denominator, _monomial(q.denominator, q.numerator))
-
-
-def _scatter(raw: list, coeffs, k: int, s: int = 0) -> list:
-    """raw plus sum_j c_j x^(jk + s), with x^n = 1 for n = len(raw)."""
-    n = len(raw)
-    for j, c in enumerate(coeffs):
-        if c:
-            raw[(j * k + s) % n] += c
-    return raw
-
-
-def _galois(n: int, coeffs, k: int, s: int = 0) -> tuple:
-    """sum_j c_j zeta_n^(jk + s) at n: sigma_k (or for k = n/m and a row at m, its
-    value at n) times zeta_n^s. At k = 1, a row longer than n is folded by x^n = 1."""
-    return _reduce(n, _scatter([0] * n, coeffs, k, s))
+    return Cyclotomic(q.denominator, _galois(q.denominator, (1,), 1, q.numerator))
 
 
 def sum_values(values) -> Cyclotomic:

@@ -1,7 +1,7 @@
 """The integer core of Q(zeta_N) on canonical coefficient vectors (_reduce),
-for int or Fraction coefficients with no fractions module: the root test, the
-descent to the minimal conductor and the text, which cyclo calls, and which
-pointed show and the Gauss check of a table (gauss) run with no cyclo.
+for int or Fraction coefficients with no fractions module: sigma_k times zeta^s
+(_galois), the root test, the descent to the minimal conductor and the text,
+which cyclo, dense and gauss call; pointed show and gauss run it with no cyclo.
 """
 
 import sys
@@ -76,23 +76,31 @@ def _reduce(n: int, raw: list) -> tuple:
     return tuple(folded[:deg])
 
 
-@lru_cache(maxsize=None)
-def _monomial(n: int, k: int) -> tuple[int, ...]:
-    """Canonical coefficients of zeta_n^k (0 <= k < n)."""
-    raw = [0] * n
-    raw[k] = 1
-    return _reduce(n, raw)
+def _scatter(raw: list, coeffs, k: int, s: int = 0) -> list:
+    """raw plus sum_j c_j x^(jk + s), with x^n = 1 for n = len(raw)."""
+    n = len(raw)
+    for j, c in enumerate(coeffs):
+        if c:
+            raw[(j * k + s) % n] += c
+    return raw
+
+
+def _galois(n: int, coeffs, k: int, s: int = 0) -> tuple:
+    """sum_j c_j zeta_n^(jk + s) at n: sigma_k (or for k = n/m and a row at m, its
+    value at n) times zeta_n^s. At k = 1, a row longer than n is folded by x^n = 1."""
+    return _reduce(n, _scatter([0] * n, coeffs, k, s))
 
 
 def root_exponent(n: int, coeffs: tuple) -> tuple[int, int] | None:
     """(a, b) in lowest terms, 0 <= a < b, if the value is e(a/b), else None.
-    The roots in Q(zeta_n) are the +-zeta_n^k, whose canonical coefficients
-    for k < phi(n) are +-1 at k alone; so the value is a root when its product
-    with zeta_n^(-s) is such for a shift s in 0, phi(n), ... below n, and
-    then a/b = (s + k)/n, plus 1/2 for the minus sign."""
-    raw = list(coeffs) + [0] * (n - len(coeffs))
+    The roots in Q(zeta_n) are the +-zeta_n^k, whose canonical coefficients are
+    integers, and for k < phi(n) +-1 at k alone; so the value is a root when its
+    product with zeta_n^(-s) is such for a shift s in 0, phi(n), ... below n,
+    and then a/b = (s + k)/n, plus 1/2 for the minus sign."""
+    if any(c.denominator != 1 for c in coeffs):
+        return None
     for s in range(0, n, len(coeffs)):
-        support = [(k, c) for k, c in enumerate(_reduce(n, raw[s:] + raw[:s])) if c]
+        support = [(k, c) for k, c in enumerate(_galois(n, coeffs, 1, -s)) if c]
         if len(support) == 1 and support[0][1] in (1, -1):
             k, c = support[0]
             a = (2 * (s + k) + n * (c < 0)) % (2 * n)
@@ -106,20 +114,16 @@ def _descend(n: int, coeffs: tuple, p: int) -> tuple | None:
     not in Q(zeta_m) (Breuer, "Integral bases for subfields of cyclotomic
     fields", AAECC 8, 1997). If p^2 | n, Phi_n(x) = Phi_m(x^p): the value
     descends when its support lies on multiples of p. If p || n, zeta_n^k =
-    zeta_m^(ka) zeta_p^(kb) (a = p^-1 mod m, b = m^-1 mod p) groups it as
-    sum_b y_b zeta_p^b over Q(zeta_m), where zeta_p^(p-1) is minus the sum of
-    the lower powers: it descends when y_1 = ... = y_(p-1), to y_0 - y_(p-1)."""
+    zeta_m^(ka) zeta_p^(kb) (a = p^-1 mod m, b = m^-1 mod p) makes it sum_r y_r zeta_p^r, with
+    y_r = zeta_m^(k0 a) sum_j c_(k0+pj) zeta_m^j, k0 = rm mod p (pa = 1 mod m); the zeta_p^r
+    sum to 0, so it descends when y_1 = ... = y_(p-1), to y_0 - y_(p-1)."""
     m = n // p
     if m % p == 0:
         if any(c for k, c in enumerate(coeffs) if k % p):
             return None
         return coeffs[::p]
-    a, b = pow(p, -1, m), pow(m, -1, p)
-    raws = [[0] * m for _ in range(p)]
-    for k, c in enumerate(coeffs):
-        if c:
-            raws[k * b % p][k * a % m] += c
-    ys = [_reduce(m, raw) for raw in raws]
+    a = pow(p, -1, m)
+    ys = [_galois(m, coeffs[r * m % p::p], 1, r * m % p * a) for r in range(p)]
     if any(y != ys[-1] for y in ys[1:-1]):
         return None
     return tuple(map(sub, ys[0], ys[-1]))

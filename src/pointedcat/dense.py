@@ -3,9 +3,9 @@
 Data with no group law (ModularData._law) is checked here, within MAX_DENSE_WORK. S~ is
 converted once, to integer rows at its conductor (Packed, the one dense cache of a
 ModularData); conj(S~), S~ and S~T at the lcm with T's for (S~ T)^3 (twisted), and its
-right side are those rows under sigma_k, then times zeta^s (cyclo._galois). Each check sums
-products of packed rows (pack), decides each entry on its sum reduced as one integer
-(reduced), and forms only the entries j >= i of its symmetric or Hermitian products.
+right side are those rows under sigma_k, then times zeta^s (cyclo_core._galois). Each
+check sums products of packed rows (pack), decides each entry on its sum reduced as one
+integer (reduced), and forms only the entries j >= i of its symmetric or Hermitian products.
 Exact inverses in Q(zeta_n) multiply packed rows too, down a tower of norms (norm_cofactor).
 """
 
@@ -15,8 +15,8 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .cyclo import Cyclotomic, _galois
-from .cyclo_core import _cyclotomic_poly, _descend, _prime_divisors
+from .cyclo import Cyclotomic
+from .cyclo_core import _cyclotomic_poly, _descend, _galois, _prime_divisors
 from .errors import MAX_DENSE_WORK, NotModular, ValidationError
 from .record import record
 
@@ -123,15 +123,22 @@ def bounded(what: str, work: int) -> None:
         raise ValidationError(f"estimated {what} work {work} exceeds the bound {MAX_DENSE_WORK}")
 
 
-def ring(n: int, bound: int) -> tuple[int, tuple[int, int, int]]:
-    """(width, (Phi_n(2^width), width, n)) for sums of 1-norm at most bound: bound times
-    the largest |coefficient| of x^k reduced modulo Phi_n, k < n (x^n = 1),
-    bounds their reduced coefficients, and is at least each of Phi_n's."""
+@lru_cache(maxsize=None)
+def _largest_monomial(n: int) -> int:
+    # the largest |coefficient| of x^k reduced modulo Phi_n, k < n, and at least 1
     phi = _cyclotomic_poly(n)
     row, top = [0] * (len(phi) - 2) + [1], 1
     for _ in range(n - len(phi) + 1):  # x^(k+1) is x x^k less its top times Phi_n
         row = [c - row[-1] * t for c, t in zip([0] + row[:-1], phi)]
         top = max(top, *map(abs, row))
+    return top
+
+
+def ring(n: int, bound: int) -> tuple[int, tuple[int, int, int]]:
+    """(width, (Phi_n(2^width), width, n)) for sums of 1-norm at most bound: bound times
+    the largest |coefficient| of x^k reduced modulo Phi_n, k < n (x^n = 1, found once
+    per n), bounds their reduced coefficients, and is at least each of Phi_n's."""
+    phi, top = _cyclotomic_poly(n), _largest_monomial(n)
     width = slot_width(bound * top)
     return width, (pack(phi, width), width, n)
 

@@ -5,7 +5,7 @@ one conductor 2n (gauss_vectors) and verify tests for p+ p- = D^2
 first use.
 """
 
-from .cyclo_core import _reduce
+from .cyclo_core import _reduce, _scatter
 
 
 def _counts(n: int, s, t) -> list[list[int]]:
@@ -26,14 +26,11 @@ def gauss_vectors(n: int, s, t) -> tuple:
 
 
 def gauss_identity(n: int, s, t) -> bool:
-    """p+ p- = D^2 for the table: one cyclic convolution of the roots
-    e(k/2n), less D^2, reduces to zero modulo Phi_2n."""
+    """p+ p- = D^2 for the table: the sum over terms x e(j/2n) of p+ of
+    x e(j/2n) p- (_scatter), less D^2, reduces to zero modulo Phi_2n."""
     d_squared, p_plus, p_minus = _counts(n, s, t)
-    size = 2 * n
     raw = [-count for count in d_squared]
-    minus = [(k, y) for k, y in enumerate(p_minus) if y]
     for j, x in enumerate(p_plus):
         if x:
-            for k, y in minus:
-                raw[(j + k) % size] += x * y
-    return not any(_reduce(size, raw))
+            _scatter(raw, [x * y for y in p_minus], 1, j)
+    return not any(_reduce(2 * n, raw))

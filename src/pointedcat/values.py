@@ -1,17 +1,14 @@
 """The crossings between the Cyclotomic values of modular data, its exponent
-table (n, s, t) and its tokens, imported with cyclo on first use: the values
-of a table, built on the first read of s_tilde or twists
-(ModularData.__getattr__); the twist and S~ tokens of either (serialize,
-canonical_form); and the first entry of parsed data whose token differs
-from that of its provenance lattice's table (serialization.parse), so a
-table document builds no values to report a mismatch. A pointed command that
+table (n, s, t) and its tokens, imported on first use: the values of a table,
+built on the first read of s_tilde or twists (ModularData.__getattr__); the
+twist and S~ tokens of either (serialize, canonical_form); and the first entry
+of parsed data whose token differs from that of its provenance lattice's table
+(serialization.parse). Only values load cyclo and fractions, so table data is
+serialized, and its mismatch reported, with neither. A pointed command that
 checks, links, fuses or shows data by its table never crosses (show --approx
 does), so it compiles neither this module nor cyclo.
 """
 
-from fractions import Fraction
-
-from .cyclo import format_root, format_rows, root_of_unity
 from .errors import ValidationError
 
 
@@ -19,6 +16,10 @@ def table_values(n: int, s, t) -> dict:
     """s_tilde and twists of the table (n, s, t): S~_ij = e(s[i][j]/n) and
     theta_a = e(t[a]/2n), one object per value e(k/2n), shared by S~ (whose
     e(s/n) is e(2s/2n)) and the twists."""
+    from fractions import Fraction
+
+    from .cyclo import root_of_unity
+
     double = (2).__mul__
     roots = {k: root_of_unity(Fraction(k, 2 * n)) for k in {*t, *map(double, set().union(*s))}}
     return {"s_tilde": tuple(tuple(map(roots.__getitem__, map(double, row))) for row in s),
@@ -34,6 +35,8 @@ def tokens(md) -> tuple[list[str], list[list[str]]]:
         from .lattice import table_tokens
 
         return table_tokens(*table)
+    from .cyclo import format_root, format_rows
+
     return [format_root(t) for t in md.twists], format_rows(md.s_tilde)
 
 

@@ -81,7 +81,7 @@ MUTANTS = [
     # moddata: the Gauss data, fusion probabilities and link invariants
     ("moddata", "sum_values(theta.conjugate() * d2 for", "sum_values(theta * d2 for", None),
     ("moddata", "identity = (p_plus * p_minus - d_squared).is_zero()", "identity = True", None),
-    ("gauss", "return not any(_reduce(size, raw))", "return True", None),
+    ("gauss", "return not any(_reduce(2 * n, raw))", "return True", None),
     ("moddata", "0 <= i < md.rank and 0 <= j < md.rank", "0 <= i < md.rank and j < md.rank", None),
     ("moddata", "        if not weight.is_rational():", "        if False:", None),
     ("moddata", "        if w < 0:", "        if False:", None),
@@ -111,7 +111,9 @@ MUTANTS = [
     ("gauss", "(4 * b, 4 * b + a, 4 * b - a)", "(4 * b, 4 * b + a + 1, 4 * b - a)", None),
     ("gauss", "(4 * b, 4 * b + a, 4 * b - a)", "(2 * b, 2 * b + a, 2 * b - a)", None),
     ("gauss", "raw[k % size] += 1", "raw[k % size] = 1", None),
-    ("gauss", "_reduce(2 * n, raw)", "_reduce(n, raw)", None),
+    ("gauss", "tuple(_reduce(2 * n, raw)", "tuple(_reduce(n, raw)", None),
+    # p+ p- as one scatter of p- per term x e(j/2n) of p+, shifted by j
+    ("gauss", "1, j)", "1, -j)", None),
     # data built from values of roots of unity holds its table from construction
     ("moddata", 'vars(self)["_exponents"] = value_exponents(self.s_tilde, self.twists)',
      'vars(self)["_exponents"] = None', None),
@@ -139,6 +141,8 @@ MUTANTS = [
     # wrong shift of x^k
     ("dense", "width = slot_width(bound * top)", "width = slot_width(bound)", None),
     ("dense", "zip([0] + row[:-1], phi)", "zip([0] + row, phi)", None),
+    # the largest reduced monomial found on every call of ring, not once per n
+    ("dense", "@lru_cache(maxsize=None)\ndef _largest_monomial", "def _largest_monomial", None),
     # a long modulus: the slots of a sum, folded by x^n = 1 or not; the slot
     # path for every modulus, or for none (division alone)
     ("dense", "_galois(n, slots(value, width, value.bit_length() // width + 2), 1)",
@@ -210,17 +214,25 @@ MUTANTS = [
      None),
     ("cyclo_core", "for p in _prime_divisors(n):\n        while", "for p in ():\n        while",
      None),
+    # the root test: the value times zeta^s in place of zeta^(-s), and a value
+    # with a fraction among its coefficients tested, or every integral one refused
+    ("cyclo_core", "_galois(n, coeffs, 1, -s)", "_galois(n, coeffs, 1, s)", None),
+    ("cyclo_core", "c.denominator != 1", "c.denominator == 1", None),
+    # the descent at p || n: row r read from k = r mod p, or shifted by r a,
+    # in place of k = rm mod p and its shift rm mod p times a
+    ("cyclo_core", "coeffs[r * m % p::p]", "coeffs[r::p]", None),
+    ("cyclo_core", "1, r * m % p * a)", "1, r * a)", None),
+    # cyclo_core._scatter, the Galois index map: one place off, or with no shift
+    ("cyclo_core", "raw[(j * k + s) % n] += c", "raw[(j * k + s) % n - 1] += c", None),
+    ("cyclo_core", "raw[(j * k + s) % n] += c", "raw[j * k % n] += c", None),
     # cyclo_core: the text of a value prints a rational bare, not as a root
     ("cyclo_core", "if not any(coeffs[1:]):", "if False:", None),
     # cyclo: coercion and the rational cases
     ("cyclo", "isinstance(value, (int, Fraction))", "isinstance(value, int)", None),
-    # cyclo: conjugation as sigma_(-1), the Galois index map (one place off, or
-    # with no shift), a product's shift without the scale n/m of the other
-    # operand, and the inverse divided by the content of the value
+    # cyclo: conjugation as sigma_(-1), a product's shift without the scale n/m
+    # of the other operand, and the inverse divided by the content of the value
     ("cyclo", "_galois(self._conductor, self._coeffs, -1)",
      "_galois(self._conductor, self._coeffs, 1)", None),
-    ("cyclo", "raw[(j * k + s) % n] += c", "raw[(j * k + s) % n - 1] += c", None),
-    ("cyclo", "raw[(j * k + s) % n] += c", "raw[j * k % n] += c", None),
     ("cyclo", "sa, k * sb)", "sa, k)", None),
     ("cyclo", "c / (content * norm)", "c / norm", None),
     ("cyclo", "Cyclotomic.from_rational(1 / Fraction(self._coeffs[0]))",

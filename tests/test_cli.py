@@ -793,7 +793,9 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
     # core of cyclo (cyclo_core), as verify decides p+ p- = D^2 on those counts
     # when the cube check fails, so neither loads cyclo either; only show loads
     # its text module (show), and cyclo and values only with --approx, which
-    # sums the values and so loads no gauss.
+    # sums the values and so loads no gauss. A table document whose twist
+    # contradicts its provenance lattice is refused on the tokens of the two
+    # tables (values), with no value built, so it loads no cyclo either.
     # No command needs argparse, the classification or the dense checks, no
     # module imports dataclasses or __future__, and a byte-order mark is
     # dropped with no codec module but utf-8.
@@ -801,6 +803,8 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
     hopf.write_text(HOPF_MAT)
     corrupt = tmp_path / "corrupt.data"
     corrupt.write_text(CORRUPT_SEMION)
+    mismatch = tmp_path / "mismatch.data"
+    mismatch.write_text(CORRUPT_SEMION.replace("e(0/1)\n", "e(3/4)\nprovenance: 2\n"))
     never = {"argparse", "gettext", "dataclasses", "inspect", "__future__",
              "encodings.utf_8_sig"}
     values = {"fractions", "decimal", "numbers", "cmath"}
@@ -820,6 +824,7 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
         (["verify", "--data", str(corrupt)], 1,
          base | {"pointedcat.moddata", "pointedcat.cyclo_core", "pointedcat.gauss"},
          never | values),
+        (["verify", "--data", str(mismatch)], 2, table | {"pointedcat.values"}, never | values),
     ]
     for args, expected, modules, absent in cases:
         code, names = imported_modules(args)
@@ -859,13 +864,13 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
     code, names = imported_modules(["verify", "--data", str(generic)])
     assert code == 0 and {"pointedcat.dense", "pointedcat.cyclo"} <= names
     assert names.isdisjoint({"pointedcat.lattice", "pointedcat.show", "cmath", "__future__"})
-    assert compiled_lines(names) <= 2013
+    assert compiled_lines(names) <= 2010
     code, names = imported_modules(["show", "--data", str(generic)])
     assert code == 0 and {name for name in names if name.startswith("pointedcat")} == (
         base | {"pointedcat.moddata", "pointedcat.cyclo", "pointedcat.cyclo_core",
                 "pointedcat.show"})
     assert "__future__" not in names
-    assert compiled_lines(names) <= 1764
+    assert compiled_lines(names) <= 1754
 
 
 # SHA-256 of transcript(pointed_documents(corpus4)) as written at the commit

@@ -9,11 +9,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from pointedcat import dense
+from pointedcat import cyclo_core, dense
 from pointedcat.cyclo import (
     Cyclotomic,
     _galois,
-    _monomial,
     _reduce,
     dot,
     format_root,
@@ -133,7 +132,7 @@ class TestRootExponentAgainstCandidates:
             for j in range(n):
                 for sign in (1, -1):
                     # a fresh object at conductor n, which need not be minimal
-                    x = Cyclotomic(n, tuple(sign * c for c in _monomial(n, j)))
+                    x = Cyclotomic(n, tuple(sign * c for c in _galois(n, (1,), 1, j)))
                     expected = candidate_root_exponent(x)
                     assert expected == (F(j, n) + F(1 - sign, 4)) % 1
                     cases.append((Cyclotomic(n, x._coeffs), expected))
@@ -150,6 +149,20 @@ class TestRootExponentAgainstCandidates:
             assert x.root_exponent() == candidate_root_exponent(x)
             found += x.root_exponent() is not None
         assert 0 < found < len(values)
+
+    def test_a_fraction_coefficient_is_no_root(self, monkeypatch):
+        # every +-zeta^k has integer coefficients, so a value with a fraction
+        # among its own is refused before any shift is reduced
+        refused = [root_of_unity(F(1, 1024)) * F(1, 2), (1 + root_of_unity(F(1, 1020))) / 3,
+                   (ONE + I) * F(1, 2), W + F(1, 3)]
+        reductions, reduce = [], cyclo_core._reduce
+        monkeypatch.setattr(cyclo_core, "_reduce",
+                            lambda n, raw: reductions.append(n) or reduce(n, raw))
+        assert [x.root_exponent() for x in refused] == [None] * 4
+        assert reductions == []
+        # coefficients that are Fractions of denominator 1 are integers
+        x = root_of_unity(F(1, 12)) * F(1, 2) * 2
+        assert any(isinstance(c, F) for c in x._coeffs) and x.root_exponent() == F(1, 12)
 
 
 def brute_root_exponent(x):

@@ -218,6 +218,16 @@ def test_ring_width_covers_the_largest_reduced_monomial():
     assert ring(595, 2 ** 14 - 1)[0] == slot_width(4 * (2 ** 14 - 1)) == 24
 
 
+def test_ring_finds_its_bound_once_per_conductor(monkeypatch):
+    # ring reads Phi_n on each call, and the O(n phi(n)) recurrence for the
+    # largest reduced monomial reads it once more, on the first call at n only
+    dense._largest_monomial.cache_clear()
+    polys = counting(monkeypatch, dense, "_cyclotomic_poly")
+    widths = [ring(n, bound)[0] for n in (1020, 1024, 1020) for bound in (1, 63, 2 ** 14 - 1)]
+    assert len(polys) == len(widths) + 2
+    assert widths[:3] == widths[6:] and widths[3:6] == [8, 8, 16]
+
+
 # -- plain references -------------------------------------------------------
 
 def product(a, b):

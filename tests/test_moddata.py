@@ -441,6 +441,48 @@ class TestGaloisConjugates:
         assert compared == 72
 
 
+def checks(report):
+    return [(c.name, c.passed) for c in report.checks]
+
+
+class TestDeligneAndRelabelling:
+    """A ⊠ B with A modular decides each check as B does: S~, T, D^2, p+ and
+    the fusion rules of A ⊠ B are Kronecker products with A's, which are
+    invertible or nonzero, and N_A(0,0)^0 = 1. A relabelling that fixes the
+    unit permutes every identity, so each check decides alike and a passing
+    report is unchanged."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, semion, z3, su2):
+        fib = oracle.fibonacci()
+        return [datum for md in (semion, z3, fib, su2(2), su2(3), su2(4))
+                for datum in (md, oracle.with_twist_one(md), oracle.with_pair_one(md),
+                              oracle.with_row_sign(md))]
+
+    def test_deligne_products(self, cases, su2):
+        compared = 0
+        for a in (oracle.fibonacci(), su2(2)):
+            assert verify_all(a).passed
+            for b in cases:
+                assert checks(verify_all(oracle.deligne(a, b))) == checks(verify_all(b)), (
+                    a.rank, b.rank)
+                compared += 1
+        assert compared == 48
+
+    def test_relabelings(self, cases):
+        compared = 0
+        for b in (b for b in cases if b.rank >= 3):
+            report = verify_all(b)
+            for seed in (1, 2):
+                perm = [0] + random.Random(seed).sample(range(1, b.rank), b.rank - 1)
+                image = verify_all(oracle.relabel(b, perm))
+                assert checks(image) == checks(report), (b.rank, perm)
+                if report.passed:
+                    assert serialize(image).body == serialize(report).body
+                compared += 1
+        assert compared == 32
+
+
 class TestConstructionValidation:
     def test_twist_must_be_root(self, semion):
         with pytest.raises(ValidationError):
