@@ -10,6 +10,7 @@ Exact inverses in Q(zeta_n) multiply packed rows too, down a tower of norms (nor
 """
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -18,7 +19,6 @@ from operator import mul
 from .cyclo import Cyclotomic
 from .cyclo_core import _cyclotomic_poly, _descend, _galois, _prime_divisors
 from .errors import MAX_DENSE_WORK, NotModular, ValidationError
-from .record import record
 
 
 # Coefficients c_i pack into sum_i c_i 2^(width*i), so a sum of polynomial products is
@@ -154,19 +154,10 @@ def reduced(value: int, field: tuple[int, int, int]) -> int:
     return (value + (modulus >> 1)) % modulus - (modulus >> 1)
 
 
-@record
-class Packed:
-    """S~ and conj(S~) as integer rows at the conductor n of S~, times den; for each
-    row i the c with conj(row i) = row c, or None (duals); the lcm n_t of n and the
-    conductors of T, and the twists theta_a = e(t[a]/n_t)."""
-
-    n: int
-    den: int
-    s: tuple
-    conj: tuple
-    duals: list
-    n_t: int
-    t: tuple
+# S~ and conj(S~) as integer rows at the conductor n of S~, times den; for each
+# row i the c with conj(row i) = row c, or None (duals); the lcm n_t of n and the
+# conductors of T, and the twists theta_a = e(t[a]/n_t)
+Packed = namedtuple("Packed", "n den s conj duals n_t t")
 
 
 def column_norms(rows) -> list[int]:

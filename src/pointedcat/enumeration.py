@@ -11,39 +11,37 @@ tokens of a ModularData.
 """
 
 import itertools
+from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter, mul
 
 from .errors import MAX_CANDIDATES, MAX_CANONICAL_RANK, MAX_RANK, ValidationError
 from .lattice import GramMatrix, format_gram, pairing_exponents
 from .lattice import _det_bareiss, root_token, table_tokens
-from .record import record
 
 
-@record
-class CorpusSpec:
+class CorpusSpec(namedtuple("CorpusSpec", "max_dim max_entry max_rank")):
     """Finite, deterministic generation bounds; ValidationError outside them."""
 
-    max_dim: int
-    max_entry: int
-    max_rank: int = MAX_RANK
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_dim < 1 or self.max_entry < 1:
+    def __new__(cls, max_dim, max_entry, max_rank=MAX_RANK):
+        if max_dim < 1 or max_entry < 1:
             raise ValidationError("bounds must be positive")
-        if self.max_rank < 1:
+        if max_rank < 1:
             raise ValidationError("max_rank must be positive")
-        if self.max_rank > MAX_RANK:
-            raise ValidationError(f"max_rank {self.max_rank} exceeds the rank bound {MAX_RANK}")
+        if max_rank > MAX_RANK:
+            raise ValidationError(f"max_rank {max_rank} exceeds the rank bound {MAX_RANK}")
         # dimension n has (e + 1)^n even diagonals, |d| <= e, and (2 max_entry + 1)
         # choices for each of its n(n-1)/2 off-diagonal entries
-        even = self.max_entry - self.max_entry % 2
+        even = max_entry - max_entry % 2
         candidates = 0
-        for n in range(1, self.max_dim + 1):
-            candidates += (even + 1) ** n * (2 * self.max_entry + 1) ** (n * (n - 1) // 2)
+        for n in range(1, max_dim + 1):
+            candidates += (even + 1) ** n * (2 * max_entry + 1) ** (n * (n - 1) // 2)
             if candidates > MAX_CANDIDATES:
                 raise ValidationError(f"{candidates} candidate matrices up to dimension {n} "
                                       f"exceed the bound {MAX_CANDIDATES}")
+        return super().__new__(cls, max_dim, max_entry, max_rank)
 
 
 def generate_gram_matrices(spec: CorpusSpec) -> list[GramMatrix]:
@@ -129,13 +127,8 @@ def _leading_block(upper, m):
     return tuple(map(tuple, rows)), det(rows), adj
 
 
-@record
-class ModularClass:
-    """One equivalence class: canonical key, first witness, twist multiset."""
-
-    canonical: bytes
-    witness: GramMatrix
-    twist_multiset: tuple[str, ...]
+# one equivalence class: canonical key, first witness, twist multiset
+ModularClass = namedtuple("ModularClass", "canonical witness twist_multiset")
 
 
 def canonical_key(twist_tok: list[str], s_tok: list[list[str]]) -> bytes:

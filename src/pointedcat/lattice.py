@@ -13,19 +13,17 @@ no moddata, and show prints with no rank^2 values.
 """
 
 import itertools
+from collections import namedtuple
 from math import gcd, prod
 from operator import mul
 
 from .errors import MAX_GRAM_DIM, MAX_RANK, ValidationError
-from .record import record
 
 
-@record
-class GramMatrix:
+class GramMatrix(namedtuple("GramMatrix", "entries determinant")):
     """Validated symmetric, even, nonsingular integer matrix."""
 
-    entries: tuple[tuple[int, ...], ...]
-    determinant: int
+    __slots__ = ()
 
     @property
     def n(self) -> int:

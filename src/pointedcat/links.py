@@ -2,27 +2,27 @@
 integers (k, m) read off the exponent table. Only CLI link and
 moddata.colored_link_invariant import this module."""
 
+from collections import namedtuple
+
 from .errors import ValidationError
-from .record import record
 
 
-@record
-class FramedLink:
+class FramedLink(namedtuple("FramedLink", "linking colors")):
     """Symmetric linking matrix (framings on the diagonal) plus a coloring."""
 
-    linking: tuple[tuple[int, ...], ...]
-    colors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = len(self.linking)
-        if any(len(row) != m for row in self.linking):
+    def __new__(cls, linking, colors):
+        m = len(linking)
+        if any(len(row) != m for row in linking):
             raise ValidationError("linking matrix is not square")
         for i in range(m):
             for j in range(i + 1, m):
-                if self.linking[i][j] != self.linking[j][i]:
+                if linking[i][j] != linking[j][i]:
                     raise ValidationError("linking matrix is not symmetric")
-        if len(self.colors) != m:
+        if len(colors) != m:
             raise ValidationError("need one color per link component")
+        return super().__new__(cls, linking, colors)
 
 
 def framed_link(linking, colors) -> FramedLink:

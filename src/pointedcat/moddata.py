@@ -14,27 +14,32 @@ builds, reads or prints Cyclotomic values, such as gauss_data, which sums
 the values of any datum.
 """
 
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from operator import add
+from operator import add, attrgetter
 
 from .errors import NotModular, PointedCatError, ValidationError
-from .record import record
 
 Label = int  # labels are plain indices; 0 is always the tensor unit
+_FIELDS = ("rank", "s_tilde", "twists", "provenance", "label_names")
+_values = attrgetter(*_FIELDS)
 
 
-@record
 class ModularData:
-    """Rank, unnormalized Hopf-link matrix and twist vector.
+    """Rank, unnormalized Hopf-link matrix S~ (s_tilde, rows of Cyclotomic
+    values), twist vector, provenance GramMatrix or None, and label names or
+    None: a frozen value, equal, hashed and printed by those five fields, and
+    not a tuple.
 
     Row 0 of the matrix lists the quantum dimensions. Construction checks the
     cheap invariants (check_fields: shape, symmetry, unit entries, twists are
     roots of unity) and stores _exponents (value_exponents); nondegeneracy is
     established by the verification operations. Values shared by several
-    checks are computed once per instance: the Gauss data, the group law and
-    one dense cache (_packed).
+    checks are computed once per instance, in its __dict__ (cached_property
+    writes there, past __setattr__): the Gauss data, the group law and one
+    dense cache (_packed).
 
     An instance made by from_table holds only its exponent table at first;
     s_tilde and twists are built from it as Cyclotomic values, one object per
@@ -42,15 +47,26 @@ class ModularData:
     read them, so they are those of the same data built from values.
     """
 
-    rank: int
-    s_tilde: "tuple[tuple[Cyclotomic, ...], ...]"
-    twists: "tuple[Cyclotomic, ...]"
-    provenance: "GramMatrix | None" = None
-    label_names: tuple[str, ...] | None = None
+    def __init__(self, rank, s_tilde, twists, provenance=None, label_names=None):
+        check_fields(rank, s_tilde, twists, label_names, 1)
+        vars(self).update(rank=rank, s_tilde=s_tilde, twists=twists, provenance=provenance,
+                          label_names=label_names, _exponents=value_exponents(s_tilde, twists))
 
-    def __post_init__(self):
-        check_fields(self.rank, self.s_tilde, self.twists, self.label_names, 1)
-        vars(self)["_exponents"] = value_exponents(self.s_tilde, self.twists)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _values(self) == _values(other)
+
+    def __hash__(self):
+        return hash(_values(self))
+
+    def __repr__(self):
+        return f"ModularData({', '.join(map('{}={!r}'.format, _FIELDS, _values(self)))})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of ModularData")
+
+    __delattr__ = __setattr__
 
     def __getattr__(self, name):
         # reached only when normal lookup fails: the values of a table-backed
@@ -276,12 +292,7 @@ def quantum_dimensions(md: ModularData) -> "tuple[Cyclotomic, ...]":
     return md.s_tilde[0]
 
 
-@record
-class GaussData:
-    d_squared: "Cyclotomic"
-    p_plus: "Cyclotomic"
-    p_minus: "Cyclotomic"
-    identity_holds: bool
+GaussData = namedtuple("GaussData", "d_squared p_plus p_minus identity_holds")
 
 
 def gauss_data(md: ModularData) -> GaussData:
@@ -372,16 +383,11 @@ def check_unitarity(md: ModularData) -> bool:
     return md._unitary
 
 
-@record
-class RelationCheck:
-    name: str
-    passed: bool
-    detail: str = ""
+RelationCheck = namedtuple("RelationCheck", "name passed detail", defaults=("",))
 
 
-@record
-class RelationReport:
-    checks: tuple[RelationCheck, ...]
+class RelationReport(namedtuple("RelationReport", "checks")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

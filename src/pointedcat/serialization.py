@@ -34,18 +34,15 @@ entry whose token differs. moddata, values and cyclo are imported on first use.
 """
 
 import itertools
+from collections import namedtuple
 from math import gcd
 
 from .errors import MAX_CONDUCTOR, ParseError, ValidationError, check_conductor, quoted
-from .record import record
 
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_+-")
 
 
-@record
-class Document:
-    kind: str
-    body: str
+Document = namedtuple("Document", "kind body")
 
 
 # -- serialization -----------------------------------------------------------

@@ -96,7 +96,8 @@ MUTANTS = [
     ("links", "exponent += 2 * linking[i][j] * s[a][colors[j]]",
      "exponent += linking[i][j] * s[a][colors[j]]", None),
     ("links", "return exponent % (2 * n), 2 * n", "return exponent % n, 2 * n", None),
-    ("links", "if self.linking[i][j] != self.linking[j][i]:", "if False:", None),
+    ("links", "if linking[i][j] != linking[j][i]:", "if False:", None),
+    ("links", "if len(colors) != m:", "if False:", None),
     ("links", "if md.provenance is None or md._exponents is None:", "if md.provenance is None:",
      None),
     # values.tokens: a table is written from its exponents, without values
@@ -115,8 +116,11 @@ MUTANTS = [
     # p+ p- as one scatter of p- per term x e(j/2n) of p+, shifted by j
     ("gauss", "1, j)", "1, -j)", None),
     # data built from values of roots of unity holds its table from construction
-    ("moddata", 'vars(self)["_exponents"] = value_exponents(self.s_tilde, self.twists)',
-     'vars(self)["_exponents"] = None', None),
+    ("moddata", "_exponents=value_exponents(s_tilde, twists))", "_exponents=None)", None),
+    # ModularData is a frozen value: equal only to its own class, and never assigned
+    ("moddata", "if other.__class__ is not self.__class__:", "if False:", None),
+    ("moddata", 'raise AttributeError(f"cannot assign to or delete field {name!r} of ModularData")',
+     "object.__setattr__(self, name, value)", None),
     # serialization.data_document: the one writer of construct and serialize
     ("serialization", "    if provenance is not None:\n        from .lattice import format_gram",
      "    if False:\n        from .lattice import format_gram", None),
@@ -248,6 +252,7 @@ MUTANTS = [
     ("lattice", 'return "-1" if 2 * k == n else root_token(k, n)', "return root_token(k, n)", None),
     ("lattice", "tokens = {k: value_token(k, n) for", "tokens = {k: root_token(k, n) for", None),
     # enumeration: generation, the orbit skip, canonical keys and classes
+    ("enumeration", "if max_rank > MAX_RANK:", "if False:", None),
     ("enumeration", "        lo += lo % 2\n", "", None),
     ("enumeration", "entries += tuple([-x for x in entries])", "entries += entries", None),
     ("enumeration", "key=lambda token: token + \",\"", "key=lambda token: token", None),

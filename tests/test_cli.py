@@ -808,7 +808,7 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
     never = {"argparse", "gettext", "dataclasses", "inspect", "__future__",
              "encodings.utf_8_sig"}
     values = {"fractions", "decimal", "numbers", "cmath"}
-    base = {"pointedcat", "pointedcat.errors", "pointedcat.record", "pointedcat.serialization"}
+    base = {"pointedcat", "pointedcat.errors", "pointedcat.serialization"}
     table = base | {"pointedcat.lattice", "pointedcat.moddata"}
     shown = table | {"pointedcat.cyclo_core", "pointedcat.show"}
     cases = [
@@ -834,15 +834,14 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
         # only --approx prints floats, through cmath
         assert ("cmath" in names) == ("--approx" in args), args
         if args[0] == "show" and "--approx" not in args:
-            assert compiled_lines(names) <= 1725
+            assert compiled_lines(names) <= 1641
     # enumerate runs on integer exponent tables: no cyclotomic values, no
     # ModularData and no documents, nor the standard modules cyclo needs
     code, names = imported_modules(["enumerate", "--max-dim", "2", "--max-entry", "2"])
     assert code == 0 and {name for name in names if name.startswith("pointedcat")} == {
-        "pointedcat", "pointedcat.errors", "pointedcat.record", "pointedcat.lattice",
-        "pointedcat.enumeration"}
+        "pointedcat", "pointedcat.errors", "pointedcat.lattice", "pointedcat.enumeration"}
     assert names.isdisjoint(never | values)
-    assert compiled_lines(names) <= 1038
+    assert compiled_lines(names) <= 883
     # importing the CLI loads two modules of its own and, of the standard
     # library, only what its imports name (with what they need in this Python)
     code, names = imported_modules([], program=("-c", "import pointedcat.cli"))
@@ -855,7 +854,7 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
               "(root_of_unity(Fraction(1, 5)) + 2).inverse()"))
     assert code == 0 and {name for name in names if name.startswith("pointedcat")} == {
         "pointedcat", "pointedcat.cyclo", "pointedcat.cyclo_core", "pointedcat.dense",
-        "pointedcat.errors", "pointedcat.record"}
+        "pointedcat.errors"}
     # generic data takes the dense checks on Cyclotomic values; without
     # provenance it needs no lattice, and show prints its values with no
     # exponent table, so it needs no values module either
@@ -864,13 +863,13 @@ def test_pointed_commands_import_only_what_they_run(tmp_path, semion_file, semio
     code, names = imported_modules(["verify", "--data", str(generic)])
     assert code == 0 and {"pointedcat.dense", "pointedcat.cyclo"} <= names
     assert names.isdisjoint({"pointedcat.lattice", "pointedcat.show", "cmath", "__future__"})
-    assert compiled_lines(names) <= 2010
+    assert compiled_lines(names) <= 1920
     code, names = imported_modules(["show", "--data", str(generic)])
     assert code == 0 and {name for name in names if name.startswith("pointedcat")} == (
         base | {"pointedcat.moddata", "pointedcat.cyclo", "pointedcat.cyclo_core",
                 "pointedcat.show"})
     assert "__future__" not in names
-    assert compiled_lines(names) <= 1754
+    assert compiled_lines(names) <= 1673
 
 
 # SHA-256 of transcript(pointed_documents(corpus4)) as written at the commit

@@ -207,6 +207,19 @@ def test_long_moduli_are_reduced_from_the_slots():
     assert 3 * fast < slow
 
 
+def test_long_moduli_fold_every_slot_of_a_long_sum():
+    # past the 3072 + 64 n bit bound, a sum of 3n + 5 slots folds all of them
+    # by x^n = 1 and keeps the symmetric residue of dividing it alone
+    rng = random.Random(7)
+    for n, width in ((12, 1024), (16, 576)):
+        field = (pack(_cyclotomic_poly(n), width), width, n)
+        assert field[0].bit_length() > 3072 + 64 * n
+        half = field[0] >> 1
+        for _ in range(5):
+            x = pack([rng.randrange(-2 ** 200, 2 ** 200) for _ in range(3 * n + 5)], width)
+            assert reduced(x, field) == (x + half) % field[0] - half
+
+
 def test_ring_width_covers_the_largest_reduced_monomial():
     for n in list(range(1, 73)) + [105]:
         top = max(max(map(abs, oracle.reduce_mod_phi(n, [0] * k + [1]))) for k in range(n))
@@ -481,6 +494,22 @@ class TestDenseChecks:
         with pytest.raises(ValidationError, match="exceeds the bound 2500000000"):
             dense.st_cubed(scaled)
         assert calls == []
+
+    def test_inverse_bound_is_checked_before_any_inverse(self, monkeypatch):
+        # 1/d_1 for d_1 = 1 + 10^6 e(1/1021) took 15-20 s of descent
+        d = ONE + 10 ** 6 * root_of_unity(F(1, 1021))
+        md = ModularData(rank=2, s_tilde=((ONE, d), (d, -ONE)),
+                         twists=(ONE, root_of_unity(F(1, 1021))))
+        calls = counting(monkeypatch, dense, "norm_cofactor")
+        with pytest.raises(ValidationError, match="^estimated inverse work 3706436400 exceeds"):
+            dense.packed(md)
+        assert calls == []
+
+    def test_a_zero_dimension_is_refused(self):
+        zero = Cyclotomic.from_rational(0)
+        md = ModularData(rank=2, s_tilde=((ONE, zero), (zero, ONE)), twists=(ONE, ONE))
+        with pytest.raises(ValidationError, match="^zero quantum dimension$"):
+            dense.verlinde(md)
 
     def test_verlinde(self, cases):
         references = {}  # the twist corruption keeps S~

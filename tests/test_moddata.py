@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+from collections import namedtuple
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +26,8 @@ from pointedcat import cyclo, moddata
 from pointedcat.cyclo import Cyclotomic, dot
 from pointedcat.lattice import discriminant_group
 from pointedcat.moddata import (
-    check_modular_relations, check_unitarity, dual_permutation, quantum_dimensions,
+    RelationCheck, check_modular_relations, check_unitarity, dual_permutation,
+    quantum_dimensions,
 )
 from pointedcat.values import tokens as data_tokens
 
@@ -504,6 +506,81 @@ class TestConstructionValidation:
         with pytest.raises(AttributeError, match="'ModularData' object has no attribute 'dims'"):
             md.dims
         assert "s_tilde" not in vars(md) and md.twists == (ONE, I)
+
+
+class TestModularDataValue:
+    """ModularData is a frozen value of its five fields, and not a tuple."""
+
+    def test_positional_keyword_and_default_arguments(self, semion):
+        rows, twists, names = semion.s_tilde, semion.twists, ("1", "s")
+        assert (ModularData(2, rows, twists, None, names)
+                == ModularData(rank=2, s_tilde=rows, twists=twists, label_names=names)
+                == ModularData(2, rows, label_names=names, twists=twists))
+        md = ModularData(2, rows, twists)
+        assert (md.rank, md.provenance, md.label_names) == (2, None, None)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda s: ModularData(2, s.s_tilde, s.twists, None, None, 6),
+         "positional arguments but 7 were given"),
+        (lambda s: ModularData(2, s.s_tilde), "missing 1 required positional argument: 'twists'"),
+        (lambda s: ModularData(2, s.s_tilde, s.twists, z=2), "unexpected keyword argument 'z'"),
+        (lambda s: ModularData(2, s.s_tilde, s.twists, rank=2), "multiple values for argument"),
+    ])
+    def test_bad_arguments_raise_type_error(self, semion, call, message):
+        with pytest.raises(TypeError, match=message):
+            call(semion)
+
+    def test_construction_checks_the_fields(self, semion):
+        with pytest.raises(ValidationError, match="^label_names length does not match rank$"):
+            ModularData(2, semion.s_tilde, semion.twists, label_names=("1",))
+
+    def test_equality_and_hash_by_field_values(self, semion):
+        # a table-backed instance equals the same data built from values
+        values = ModularData(2, semion.s_tilde, semion.twists, semion.provenance)
+        assert values == semion
+        assert ModularData(2, semion.s_tilde, semion.twists, label_names=("1", "s")) != values
+        # the hash is that of the fields, and Cyclotomic values are unhashable
+        for md in (semion, values):
+            with pytest.raises(TypeError, match="unhashable type: 'Cyclotomic'"):
+                hash(md)
+
+    def test_not_equal_to_another_class_or_a_tuple(self, semion):
+        fields = ("rank", "s_tilde", "twists", "provenance", "label_names")
+        values = tuple(getattr(semion, name) for name in fields)
+        assert semion != namedtuple("Other", fields)(*values)
+        assert semion != values
+
+    def test_repr(self, semion):
+        assert repr(semion) == (
+            "ModularData(rank=2, s_tilde=((Cyclotomic(1, (1,)), Cyclotomic(1, (1,))), "
+            "(Cyclotomic(1, (1,)), Cyclotomic(1, (-1,)))), twists=(Cyclotomic(1, (1,)), "
+            "Cyclotomic(4, (0, 1))), provenance=GramMatrix(entries=((2,),), determinant=2), "
+            "label_names=None)")
+
+    def test_assignment_and_deletion_raise(self):
+        md = from_lattice(check_gram([[2]]))
+        for action in (lambda: setattr(md, "rank", 3), lambda: setattr(md, "z", 2),
+                       lambda: delattr(md, "rank")):
+            with pytest.raises(AttributeError):
+                action()
+        assert md.rank == 2 and "z" not in vars(md)
+        assert md == from_lattice(check_gram([[2]]))
+
+    def test_cached_property_is_kept_out_of_equality(self):
+        md = from_lattice(check_gram([[2]]))
+        assert md._law == ((0, 1), (1, 0))
+        assert "_law" in vars(md)
+        assert md == from_lattice(check_gram([[2]]))
+
+
+class TestRelationCheck:
+    def test_default_repr_and_frozen_fields(self):
+        check = RelationCheck("unitarity", True)
+        assert check == RelationCheck(name="unitarity", passed=True, detail="")
+        assert repr(check) == "RelationCheck(name='unitarity', passed=True, detail='')"
+        with pytest.raises(AttributeError):
+            check.passed = False
+        assert check.passed
 
 
 class TestDirectSum:
